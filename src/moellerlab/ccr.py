@@ -16,8 +16,6 @@ ground state and is exactly compatible with the canonical commutators.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from .greenhyp import CausalPropagator, HyperbolicOperator
@@ -59,7 +57,7 @@ class FieldDictionary:
             self.sections += list(null_sections)
         self.size = len(self.sections)
         G = CausalPropagator(operator)
-        images = [G.apply(f.values) for f in self.sections]
+        images = G.apply(np.array([f.values for f in self.sections]))
         W = operator.weight_blocks
         self.pairing = np.array(
             [[float(np.einsum("txa,txab,txb->", fi.values, W, gj))
@@ -95,12 +93,6 @@ class FieldDictionary:
         if self._projection is None:
             raise ValueError("dictionary was built without a null block")
         return self._projection
-
-    def pairing_csv(self) -> str:
-        buf = io.StringIO()
-        for row in self.pairing:
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
 
 
 class AlgebraElement:
@@ -271,12 +263,6 @@ class QuasifreeState:
     def eval(self, element: AlgebraElement):
         return state_eval(self, element)
 
-    def table_csv(self) -> str:
-        buf = io.StringIO()
-        for row in self.W:
-            buf.write(",".join(f"{float(v.real)!r}{float(v.imag):+}j" for v in row) + "\n")
-        return buf.getvalue()
-
 
 def vacuum_state(dictionary: FieldDictionary) -> QuasifreeState:
     """Minimal pure quasifree completion of the commutator table.
@@ -362,7 +348,8 @@ def star_isomorphism(R, dict_prime: FieldDictionary, tol=1e-9) -> MollerStarIsom
     verified at the stated tolerance.
     """
     grid = R.op_start.grid
-    images = [Section(grid, R.adjoint_apply(f.values)) for f in dict_prime.sections]
+    block = R.adjoint_apply(np.array([f.values for f in dict_prime.sections]))
+    images = [Section(grid, v) for v in block]
     dict_image = FieldDictionary(images, R.op_start)
     return MollerStarIsomorphism(R, dict_prime, dict_image, tol=tol)
 

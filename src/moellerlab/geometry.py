@@ -72,6 +72,8 @@ class MetricField:
                 c = np.full(shape, float(c))
             if c.shape != shape:
                 raise ValueError("metric component shape does not match grid")
+            if not np.all(np.isfinite(c)):
+                raise ValueError("metric and orientation components must be finite")
             comp.append(np.ascontiguousarray(c))
         self.grid = grid
         self.g_tt, self.g_tx, self.g_xx, self.orient_t, self.orient_x = comp

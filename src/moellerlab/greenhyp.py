@@ -19,6 +19,12 @@ are realized as causal triangular solves: the equation rows at levels
 per-level new-time-slice systems factorized once and cached.  Sources must
 vanish on the first two (resp. last two) time levels, the discrete stand-in
 for past (future) compact support in the window.
+
+Fields are (nt, nx, r) arrays.  ``HyperbolicOperator.apply``, the march and
+the Green systems also take a leading batch axis, (K, nt, nx, r): the K
+columns then share one level loop and one solve per level, so a kernel
+block or a dense matrix costs a few marches, not one per column.  The batch
+is the whole interface; there is no batch-size setting.
 """
 
 from __future__ import annotations
@@ -100,17 +106,20 @@ class HyperbolicOperator:
     # -- linear action -----------------------------------------------------
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Full matrix action on (nt, nx, r) values, boundary rows included."""
-        g = self.grid
+        """Full matrix action on (nt, nx, r) values, boundary rows included.
+
+        A leading batch axis, (K, nt, nx, r), applies the operator to each of
+        the K fields.
+        """
         out = np.zeros_like(u)
         for (a, b), C in self.offsets.items():
-            shifted = _roll_x(u, b)
+            shifted = np.roll(u, -b, axis=-2) if b else u
             if a == 0:
-                out += np.einsum("txab,txb->txa", C, shifted)
+                out += np.einsum("txab,...txb->...txa", C, shifted)
             elif a == 1:
-                out[:-1] += np.einsum("txab,txb->txa", C[:-1], shifted[1:])
+                out[..., :-1, :, :] += np.einsum("txab,...txb->...txa", C[:-1], shifted[..., 1:, :, :])
             else:
-                out[1:] += np.einsum("txab,txb->txa", C[1:], shifted[:-1])
+                out[..., 1:, :, :] += np.einsum("txab,...txb->...txa", C[1:], shifted[..., :-1, :, :])
         return out
 
     def apply_section(self, f: Section) -> Section:
@@ -288,15 +297,13 @@ class HyperbolicOperator:
         return cache[n]
 
     def _row_rhs(self, n, u_n, u_other, a_other):
-        g = self.grid
-        acc = np.zeros((g.nx, g.rank))
+        """Known part of the level-n equation rows on (nx, r, K) level values."""
+        acc = np.zeros_like(u_n)
         for b in (-1, 0, 1):
-            C = self.offsets.get((0, b))
-            if C is not None:
-                acc += np.einsum("xab,xb->xa", C[n], _roll_x(u_n[None], b)[0])
-            C = self.offsets.get((a_other, b))
-            if C is not None:
-                acc += np.einsum("xab,xb->xa", C[n], _roll_x(u_other[None], b)[0])
+            for a, u in ((0, u_n), (a_other, u_other)):
+                C = self.offsets.get((a, b))
+                if C is not None:
+                    acc += np.einsum("xab,xbk->xak", C[n], np.roll(u, -b, axis=0) if b else u)
         return acc
 
     def march(self, f: np.ndarray, direction: int, seed_level=None, seeds=None) -> np.ndarray:
@@ -306,28 +313,41 @@ class HyperbolicOperator:
         direction -1: zero data on the last two levels (advanced solve).
         With seed_level/seeds given, marches both ways from Cauchy data
         (seeds = values on levels seed_level and seed_level+1).
+
+        f is one (nt, nx, r) source or a batch (K, nt, nx, r) of K sources;
+        the result has the same shape.  A single source is the K = 1 case:
+        every column goes through one level loop, and each level solves one
+        (nx r, K) right-hand side with the cached level factorisation.
+        Seeds of shape (nx, r) are shared by all columns.
         """
         self.check_cfl()
         g = self.grid
-        u = np.zeros((g.nt, g.nx, g.rank))
+        f = np.asarray(f, dtype=float)
+        if f.ndim not in (3, 4) or f.shape[-3:] != (g.nt, g.nx, g.rank):
+            raise ValueError(f"march source shape {f.shape} is not (K,) + {(g.nt, g.nx, g.rank)}")
+        batched = f.ndim == 4
+        F = np.moveaxis(f if batched else f[None], 0, -1)  # (nt, nx, r, K) view
+        K = F.shape[-1]
+        u = np.zeros((g.nt, g.nx, g.rank, K))
         if seeds is not None:
             s0, s1 = seeds
-            u[seed_level] = s0
-            u[seed_level + 1] = s1
+            u[seed_level] = np.asarray(s0)[..., None]
+            u[seed_level + 1] = np.asarray(s1)[..., None]
             lo, hi = seed_level, seed_level + 1
         elif direction == 1:
             lo, hi = 0, 1
         else:
             lo, hi = g.nt - 2, g.nt - 1
+        level = (g.nx, g.rank, K)
         if direction >= 0 or seeds is not None:
             for n in range(hi, g.nt - 1):
-                rhs = f[n] - self._row_rhs(n, u[n], u[n - 1], -1)
-                u[n + 1] = lu_solve(self._lu(1, n), rhs.reshape(-1)).reshape(g.nx, g.rank)
+                rhs = F[n] - self._row_rhs(n, u[n], u[n - 1], -1)
+                u[n + 1] = lu_solve(self._lu(1, n), rhs.reshape(-1, K)).reshape(level)
         if direction < 0 or seeds is not None:
             for n in range(lo, 0, -1):
-                rhs = f[n] - self._row_rhs(n, u[n], u[n + 1], 1)
-                u[n - 1] = lu_solve(self._lu(-1, n), rhs.reshape(-1)).reshape(g.nx, g.rank)
-        return u
+                rhs = F[n] - self._row_rhs(n, u[n], u[n + 1], 1)
+                u[n - 1] = lu_solve(self._lu(-1, n), rhs.reshape(-1, K)).reshape(level)
+        return np.moveaxis(u, -1, 0) if batched else u[..., 0]
 
 
 # -- constructors -------------------------------------------------------------
@@ -516,15 +536,21 @@ def convex_operator(N0: HyperbolicOperator, N1: HyperbolicOperator, chi: ScalarF
 # -- Green systems -------------------------------------------------------------
 
 def _check_margin(f, side, what="source"):
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(f))))  # round-off dribble is not support
-    if side > 0 and np.max(np.abs(f[:PAST_MARGIN])) > tol:
+    """Reject a source, or any column of a (K, nt, nx, r) batch, that reaches the margin."""
+    v = np.abs(f).reshape((-1,) + f.shape[-3:])
+    tol = 1e-12 * (1.0 + v.max(axis=(1, 2, 3)))  # round-off dribble is not support
+    if side > 0 and np.any(v[:, :PAST_MARGIN].max(axis=(1, 2, 3)) > tol):
         raise ValueError(f"{what} must vanish on the first {PAST_MARGIN} time levels")
-    if side < 0 and np.max(np.abs(f[-PAST_MARGIN:])) > tol:
+    if side < 0 and np.any(v[:, -PAST_MARGIN:].max(axis=(1, 2, 3)) > tol):
         raise ValueError(f"{what} must vanish on the last {PAST_MARGIN} time levels")
 
 
 class GreenSystem:
-    """Retarded/advanced solvers G^+ / G^- of one operator."""
+    """Retarded/advanced solvers G^+ / G^- of one operator.
+
+    Sources are one (nt, nx, r) field (or (nt, nx) for rank 1) or a batch
+    (K, nt, nx, r) solved in one march.
+    """
 
     def __init__(self, N: HyperbolicOperator, scale: ScalarField | None = None):
         self.operator = N
@@ -553,6 +579,25 @@ class GreenSystem:
         _check_margin(v, +1)
         _check_margin(v, -1)
         return self.operator.march(v, +1) - self.operator.march(v, -1)
+
+    def kernel_matrices(self):
+        """Dense (G+, G-) on the admissible interior columns, one batched march each.
+
+        Columns of unit sources on the margin levels stay zero.
+        """
+        g = self.operator.grid
+        n = g.n_dof
+        per_level = g.nx * g.rank
+        qs = np.arange(PAST_MARGIN * per_level, (g.nt - PAST_MARGIN) * per_level)
+        E = np.zeros((len(qs), n))
+        E[np.arange(len(qs)), qs] = 1.0
+        E = E.reshape(-1, g.nt, g.nx, g.rank)
+        out = []
+        for solve in (self.plus, self.minus):
+            M = np.zeros((n, n))
+            M[:, qs] = solve(E).reshape(len(qs), n).T
+            out.append(M)
+        return tuple(out)
 
 
 def green_plus(N: HyperbolicOperator, f: Section) -> Section:
@@ -588,19 +633,8 @@ class CausalPropagator:
     def kernel_matrix(self) -> np.ndarray:
         """Dense matrix of the map (admissible interior columns only)."""
         if self._kernel is None:
-            g = self.operator.grid
-            n = g.n_dof
-            K = np.zeros((n, n))
-            e = np.zeros((g.nt, g.nx, g.rank))
-            flat = e.reshape(-1)
-            for q in range(n):
-                lvl = q // (g.nx * g.rank)
-                if lvl < PAST_MARGIN or lvl >= g.nt - PAST_MARGIN:
-                    continue
-                flat[q] = 1.0
-                K[:, q] = self.apply(e).reshape(-1)
-                flat[q] = 0.0
-            self._kernel = K
+            Gp, Gm = self.system.kernel_matrices()
+            self._kernel = Gp - Gm
         return self._kernel
 
 

@@ -11,9 +11,12 @@ sense (small high-frequency spatial tail, bounded growth of divided
 differences under refinement).  Every report carries an explicit
 ``proxy_for`` marker saying so.
 
-Kernels are handled column-wise: ``column(q)`` returns the complex field
-K(., q) over the whole grid for a probe point q, which keeps pullbacks
-through realized intertwiners affordable on refined grids.
+Kernels are handled as probe blocks: ``columns(qs)`` returns the complex
+fields K(., q) over the whole grid for a list of probe points, shape
+(len(qs), nt, nx), and ``column(q)`` is ``columns([q])[0]``.  A pullback
+through a realized intertwiner marches the whole block at once, which keeps
+it affordable on refined grids.  The checks below take any kernel with
+``columns``, or failing that ``column``.
 """
 
 from __future__ import annotations
@@ -86,48 +89,58 @@ class VacuumKernel:
         self._phi = phase.reshape(grid.n_points, grid.nx)       # (points, modes)
         self._d = 1.0 / (2.0 * self.omega * (-itt) * vol * grid.length)
 
-    def column(self, q: int) -> np.ndarray:
-        """K(., q) over the grid, shape (nt, nx), complex."""
+    def columns(self, qs) -> np.ndarray:
+        """K(., q) over the grid for each probe q, shape (len(qs), nt, nx), complex."""
         g = self.grid
-        coef = self._d * np.conj(self._phi[q])
-        return (self._phi @ coef).reshape(g.nt, g.nx)
+        coef = self._d * np.conj(self._phi[list(qs)])
+        return (coef @ self._phi.T).reshape(-1, g.nt, g.nx)
+
+    def column(self, q: int) -> np.ndarray:
+        return self.columns([q])[0]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """K @ v on flattened grid vectors."""
-        w = self._phi.conj().T @ np.asarray(vec, dtype=complex).reshape(-1)
-        return (self._phi @ (self._d * w)).reshape(self.grid.nt, self.grid.nx)
+        """K @ v on grid vectors (nt, nx), or a (K, nt, nx) batch of them."""
+        V, lead = _grid_block(self.grid, vec)
+        out = (self._d * (V @ self._phi.conj())) @ self._phi.T
+        return out.reshape(lead + (self.grid.nt, self.grid.nx))
 
     def equal_time_value(self) -> float:
         """K(p, p): the coincidence value sum_k 1/(2 w_k L)."""
         return float(np.sum(self._d))
-
-    def params_json(self) -> str:
-        """Evaluator parameters (enough to rebuild the mode sum)."""
-        import json
-        g = self.grid
-        return json.dumps({
-            "grid": {"nt": g.nt, "nx": g.nx, "t_min": g.t_min, "t_max": g.t_max,
-                     "length": g.length},
-            "mass": self.mass,
-            "omega": self.omega.tolist(),
-            "momenta": self.k.tolist(),
-            "density": self._d.tolist(),
-        }, sort_keys=True)
-
-    def table_csv(self, points) -> str:
-        """Kernel values on a probe set, row-major, 're+imj' entries."""
-        rows = []
-        cols = {q: self.column(q).reshape(-1) for q in points}
-        for p in points:
-            rows.append(",".join(f"{float(cols[q][p].real)!r}{float(cols[q][p].imag):+}j"
-                                 for q in points))
-        return "\n".join(rows) + "\n"
 
     def evaluate(self, f: np.ndarray, h: np.ndarray, weights: np.ndarray) -> complex:
         """Smeared pairing with explicit volume weights (vol * dt * dx)."""
         vf = (weights * f).reshape(-1)
         vh = (weights * h).reshape(-1)
         return complex(vf @ self.apply(vh).reshape(-1))
+
+
+def _grid_block(grid, vec):
+    """(K, n_points) block of grid vectors and the leading shape of vec.
+
+    vec is one grid vector, (nt, nx) or flattened, or a batch of them with a
+    leading axis.
+    """
+    v = np.asarray(vec)
+    lead = v.shape[:-2] if v.shape[-2:] == (grid.nt, grid.nx) else v.shape[:-1]
+    return v.reshape(-1, grid.n_points), lead
+
+
+def _columns(kernel, qs) -> np.ndarray:
+    """Probe block of a kernel; stacks column(q) for kernels without columns."""
+    if hasattr(kernel, "columns"):
+        return kernel.columns(qs)
+    return np.array([kernel.column(q) for q in qs])
+
+
+def _real_action(action, V):
+    """A real linear action on a (K, nt, nx) block; complex parts go in one batch."""
+    if not (np.iscomplexobj(V) and np.any(V.imag)):
+        return action(V.real[..., None])[..., 0]
+    out = action(np.concatenate([V.real, V.imag])[..., None])[..., 0]
+    res = out[:len(V)].astype(complex)
+    res.imag = out[len(V):]
+    return res
 
 
 class PullbackKernel:
@@ -138,26 +151,26 @@ class PullbackKernel:
         self.R = R
         self.grid = R.op_start.grid
 
-    def _rt(self, vec):
-        return self.R.transpose_apply(vec.reshape(self.grid.nt, self.grid.nx, 1)).reshape(-1)
+    def _transport(self, V):
+        """R K R^T on a (K, nt, nx) block of grid vectors."""
+        w = _real_action(self.R.transpose_apply, V)
+        return np.asarray(_real_action(self.R.apply, self.base.apply(w)), dtype=complex)
 
-    def _r(self, vec):
-        return self.R.apply(vec.reshape(self.grid.nt, self.grid.nx, 1)).reshape(-1)
+    def columns(self, qs) -> np.ndarray:
+        g = self.grid
+        n, j = np.divmod(np.asarray(qs, dtype=int), g.nx)
+        E = np.zeros((len(n), g.nt, g.nx))
+        E[np.arange(len(n)), n, j] = 1.0
+        return self._transport(E)
 
     def column(self, q: int) -> np.ndarray:
-        e = np.zeros(self.grid.n_points)
-        e[q] = 1.0
-        w = self._rt(e)
-        mid = self.base.apply(w).reshape(-1)
-        out = self._r(mid.real) + 1j * self._r(mid.imag)
-        return out.reshape(self.grid.nt, self.grid.nx)
+        return self.columns([q])[0]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
-        w = self._rt(vec.real) + 1j * self._rt(vec.imag)
-        mid = self.base.apply(w).reshape(-1)
-        out = self._r(mid.real) + 1j * self._r(mid.imag)
-        return out.reshape(self.grid.nt, self.grid.nx)
+        """K' @ v on grid vectors (nt, nx), or a (K, nt, nx) batch of them."""
+        g = self.grid
+        V, lead = _grid_block(g, vec)
+        return self._transport(V.reshape(-1, g.nt, g.nx)).reshape(lead + (g.nt, g.nx))
 
 
 def ultrastatic_vacuum(grid: SpacetimeGrid, mass: float, metric=None) -> VacuumKernel:
@@ -170,14 +183,28 @@ def default_probes(grid: SpacetimeGrid, times=3):
     return [int(n) * grid.nx + j for n in levels for j in range(grid.nx)]
 
 
-def _green_kernel_column(N: HyperbolicOperator, q: int) -> np.ndarray:
-    """Column of the causal-propagator kernel G(., q) (weights divided out)."""
+def _green_kernel_columns(N: HyperbolicOperator, qs) -> np.ndarray:
+    """Columns G(., q) of the causal-propagator kernel (weights divided out)."""
     g = N.grid
-    e = np.zeros((g.nt, g.nx, 1))
-    n, j = divmod(q, g.nx)
-    e[n, j, 0] = 1.0 / N.weight_blocks[n, j, 0, 0]
+    n, j = np.divmod(np.asarray(qs, dtype=int), g.nx)
+    E = np.zeros((len(n), g.nt, g.nx, 1))
+    E[np.arange(len(n)), n, j, 0] = 1.0 / N.weight_blocks[n, j, 0, 0]
     gs = GreenSystem(N)
-    return (gs.plus(e) - gs.minus(e))[:, :, 0]
+    return (gs.plus(E) - gs.minus(E))[..., 0]
+
+
+def _ccr_residual(cols, N: HyperbolicOperator, probes) -> dict:
+    resid = 2.0 * cols.imag - _green_kernel_columns(N, probes)
+    sup = float(np.max(np.abs(resid[:, 1:-1])))
+    return {"sup": sup, "proxy": smoothness_proxy(resid, reference=np.abs(cols))}
+
+
+def _bisolution_residual(cols, N: HyperbolicOperator) -> dict:
+    r = N.apply(cols.real[..., None]) + 1j * N.apply(cols.imag[..., None])
+    sup_left = float(np.max(np.abs(r[:, 1:-1])))
+    # right slot by Hermitian symmetry: N_q K(p, q) = conj(N_q K(q, p))
+    proxy = smoothness_proxy(r[..., 0], reference=np.abs(cols))
+    return {"sup_left": sup_left, "sup_right": sup_left, "proxy": proxy}
 
 
 def ccr_hypothesis_check(nu, N: HyperbolicOperator, probes=None) -> dict:
@@ -187,38 +214,14 @@ def ccr_hypothesis_check(nu, N: HyperbolicOperator, probes=None) -> dict:
     the sup norm over probe columns and the smoothness verdict of the
     residual data.
     """
-    g = N.grid
-    probes = default_probes(g) if probes is None else probes
-    sup = 0.0
-    resid_slices = []
-    scale_slices = []
-    for q in probes:
-        col = nu.column(q)
-        gcol = _green_kernel_column(N, q)
-        resid = 2.0 * col.imag - gcol
-        sup = max(sup, float(np.max(np.abs(resid[1:-1]))))
-        resid_slices.append(resid)
-        scale_slices.append(np.abs(col))
-    proxy = smoothness_proxy(np.array(resid_slices), reference=np.array(scale_slices))
-    return {"sup": sup, "proxy": proxy}
+    probes = default_probes(N.grid) if probes is None else probes
+    return _ccr_residual(_columns(nu, probes), N, probes)
 
 
 def bisolution_check(nu, N: HyperbolicOperator, probes=None) -> dict:
     """Apply the operator in each argument of the kernel on probe columns."""
-    g = N.grid
-    probes = default_probes(g) if probes is None else probes
-    sup_left = 0.0
-    resid_slices = []
-    scale_slices = []
-    for q in probes:
-        col = nu.column(q)[:, :, None]
-        r = N.apply(col.real) + 1j * N.apply(col.imag)
-        sup_left = max(sup_left, float(np.max(np.abs(r[1:-1]))))
-        resid_slices.append(r[:, :, 0])
-        scale_slices.append(np.abs(col[:, :, 0]))
-    # right slot by Hermitian symmetry: N_q K(p, q) = conj(N_q K(q, p))
-    proxy = smoothness_proxy(np.array(resid_slices), reference=np.array(scale_slices))
-    return {"sup_left": sup_left, "sup_right": sup_left, "proxy": proxy}
+    probes = default_probes(N.grid) if probes is None else probes
+    return _bisolution_residual(_columns(nu, probes), N)
 
 
 def pullback_kernel(nu, R) -> PullbackKernel:
@@ -311,19 +314,15 @@ def hadamard_verdict(nu_prime, reference, N_prime: HyperbolicOperator,
     """Aggregate report: CCR residual, bisolution residual, difference proxy.
 
     reference is the target metric side's own vacuum (kernels compared
-    column by column); the wavefront-set conclusion itself is replaced by
+    on one probe block); the wavefront-set conclusion itself is replaced by
     the difference-smoothness proxy and labelled as such.
     """
     g = N_prime.grid
     probes = default_probes(g) if probes is None else probes
-    ccr = ccr_hypothesis_check(nu_prime, N_prime, probes)
-    bis = bisolution_check(nu_prime, N_prime, probes)
-    diff_slices = []
-    ref_slices = []
-    for q in probes:
-        diff_slices.append(nu_prime.column(q) - reference.column(q))
-        ref_slices.append(nu_prime.column(q))
-    proxy = smoothness_proxy(np.array(diff_slices), reference=np.array(ref_slices),
+    cols = _columns(nu_prime, probes)
+    ccr = _ccr_residual(cols, N_prime, probes)
+    bis = _bisolution_residual(cols, N_prime)
+    proxy = smoothness_proxy(cols - _columns(reference, probes), reference=cols,
                              spacing=(g.dt, g.dx))
     return {
         "ccr_sup": ccr["sup"],

@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+def _require_finite(a: np.ndarray, what: str):
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
@@ -46,6 +51,8 @@ class SpacetimeGrid:
     rank: int = 1
 
     def __post_init__(self):
+        if not all(np.isfinite([self.t_min, self.t_max, self.length])):
+            raise ValueError("grid extents t_min, t_max and length must be finite")
         if self.nt < 4 or self.nx < 4:
             raise ValueError("grid too small: need nt >= 4 and nx >= 4")
         if self.rank < 1:
@@ -109,6 +116,7 @@ class Section:
             values = values[:, :, None]
         if values.shape != (grid.nt, grid.nx, grid.rank):
             raise ValueError(f"section shape {values.shape} does not match grid {grid}")
+        _require_finite(values, "section values")
         self.grid = grid
         self.values = _freeze(values)
         self.support_window = support_window
@@ -190,6 +198,7 @@ class ScalarField:
             values = np.repeat(values[:, None], grid.nx, axis=1)
         if values.shape != (grid.nt, grid.nx):
             raise ValueError("scalar field shape does not match grid")
+        _require_finite(values, "scalar field values")
         if constraint == self.UNIT and (values.min() < 0.0 or values.max() > 1.0):
             raise ValueError("field violates the [0,1] range constraint")
         if constraint == self.POSITIVE and values.min() <= 0.0:
@@ -223,6 +232,7 @@ class FiberMetric:
                 values = np.broadcast_to(values, (grid.nt, grid.nx, r, r)).copy()
             if values.shape != (grid.nt, grid.nx, r, r):
                 raise ValueError("fiber metric shape does not match grid")
+            _require_finite(values, "fiber metric values")
             if np.max(np.abs(values - np.swapaxes(values, -1, -2))) > 0:
                 raise ValueError("fiber metric must be symmetric")
             eigs = np.linalg.eigvalsh(values.reshape(-1, r, r))

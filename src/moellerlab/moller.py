@@ -43,7 +43,6 @@ __all__ = [
     "verify_intertwine",
     "restrict_to_solutions",
     "adjoint",
-    "weight_dense",
     "compose_chain",
     "verify_moller_identities",
     "random_dictionary",
@@ -83,11 +82,11 @@ def _vol_ratio(g_from: MetricField, g_to: MetricField) -> np.ndarray:
 
 
 def _wmul(op: HyperbolicOperator, u):
-    return np.einsum("txab,txb->txa", op.weight_blocks, u)
+    return np.einsum("txab,...txb->...txa", op.weight_blocks, u)
 
 
 def _winv(op: HyperbolicOperator, u):
-    return np.einsum("txab,txb->txa", op.weight_inv_blocks, u)
+    return np.einsum("txab,...txb->...txa", op.weight_inv_blocks, u)
 
 
 class MollerStep:
@@ -96,6 +95,7 @@ class MollerStep:
     kind "plus" fixes the past (output equals input below t0); kind "minus"
     fixes the future above t1.  Inverse and transpose actions are realized
     through the opposite-direction causal solves of the same operators.
+    Every action takes one (nt, nx, r) field or a (K, nt, nx, r) batch.
     """
 
     def __init__(self, kind, op_small, op_mid, rho, t0_level, t1_level,
@@ -143,14 +143,17 @@ class MollerStep:
     def apply(self, u):
         d = self._diff(u)
         if self.kind == "plus":
-            return u - self.op_mid.march(d / self.rho[:, :, None], +1)
-        return u - self.op_mid.march(d / self.rho_hi[:, :, None], -1)
+            d /= self.rho[:, :, None]
+            return u - self.op_mid.march(d, +1)
+        d /= self.rho_hi[:, :, None]
+        return u - self.op_mid.march(d, -1)
 
     def inverse_apply(self, u):
         d = self._diff(u)
         if self.kind == "plus":
             return u + self.op_small.march(d, +1)
-        return u + self.op_small.march(d / self.rho[:, :, None], -1)
+        d /= self.rho[:, :, None]
+        return u + self.op_small.march(d, -1)
 
     def transpose_apply(self, h):
         """Plain matrix transpose action, valid on window-compact sections."""
@@ -269,7 +272,8 @@ class MollerOperator:
 
     steps are stored in application order; the adjoint with respect to the
     end metrics is realized as V_g^{-1} R^T V_{g'} with the transpose folded
-    through the steps in reverse.
+    through the steps in reverse.  Actions take one (nt, nx, r) field or a
+    (K, nt, nx, r) batch.
     """
 
     def __init__(self, steps, g: MetricField, gp: MetricField,
@@ -327,16 +331,10 @@ class MollerOperator:
     # dense realizations ----------------------------------------------------------
 
     def _matrix_of(self, action) -> np.ndarray:
+        """Dense matrix of a linear action, all unit columns in one batch."""
         g = self.op_start.grid
         n = g.n_dof
-        M = np.zeros((n, n))
-        e = np.zeros((g.nt, g.nx, g.rank))
-        flat = e.reshape(-1)
-        for q in range(n):
-            flat[q] = 1.0
-            M[:, q] = action(e).reshape(-1)
-            flat[q] = 0.0
-        return M
+        return action(np.eye(n).reshape(n, g.nt, g.nx, g.rank)).reshape(n, n).T
 
     def as_matrix(self) -> np.ndarray:
         if "R" not in self._dense:
@@ -345,13 +343,9 @@ class MollerOperator:
 
     def adjoint_matrix(self) -> np.ndarray:
         """Definitional weighted transpose of the realized matrix."""
-        Vg = weight_dense(self.op_start)
-        Vgp = weight_dense(self.op_end)
+        Vg = self.op_start.weight_dense()
+        Vgp = self.op_end.weight_dense()
         return np.linalg.solve(Vg, self.as_matrix().T @ Vgp)
-
-
-def weight_dense(op: HyperbolicOperator) -> np.ndarray:
-    return op.weight_dense()
 
 
 class AdjointOperator:

@@ -169,6 +169,23 @@ def suite_paracausal(cfg, rng) -> list:
     return checks
 
 
+def _cfl_failure(e: gh.CFLError) -> list:
+    """A scenario whose time step breaks the CFL bound, as one failed check."""
+    return [CheckResult.from_flag("cfl_satisfied", False, reason="cfl", detail=str(e))]
+
+
+def _refinement_sizes(sizes, key) -> list:
+    """Grid sizes of a refinement study, checked before any work starts."""
+    sizes = [int(v) for v in sizes]
+    if len(sizes) < 2:
+        raise ValueError(f"{key} needs at least two grid sizes to measure an order, got {sizes}")
+    if min(sizes) <= 0:
+        raise ValueError(f"{key} sizes must be positive, got {sizes}")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"{key} sizes must be strictly increasing, got {sizes}")
+    return sizes
+
+
 def _scenario_operator(cfg, grid, preset="minkowski", **kw):
     met = geo.metric_preset(preset, grid, **kw)
     return gh.wave_operator(met, mass=float(cfg.get("mass", 1.0)))
@@ -180,6 +197,10 @@ def suite_green(cfg, rng) -> list:
     nx = int(cfg.get("nx", 48))
     grid = make_grid(nt, nx, 0.0, float(cfg.get("t_max", 0.5)), 1.0)
     N = _scenario_operator(cfg, grid, cfg.get("preset", "minkowski"))
+    try:
+        N.check_cfl()
+    except gh.CFLError as e:
+        return _cfl_failure(e)
     count = int(cfg.get("count", 100))
     checks = []
     Gs = gh.GreenSystem(N)
@@ -277,6 +298,8 @@ def suite_moller(cfg, rng) -> list:
     except mo.MollerObstruction as e:
         return [CheckResult.from_flag("moller_chain_marchable", False,
                                       reason=e.reason, detail=e.detail)]
+    except gh.CFLError as e:
+        return _cfl_failure(e)
     d = mo.random_dictionary(grid, int(cfg.get("dictionary", 16)),
                              int(rng.integers(1 << 30)), window=(4, grid.nt - 4))
     rep = mo.verify_moller_identities(R, d, seed=int(rng.integers(1 << 30)),
@@ -416,8 +439,11 @@ def suite_hadamard(cfg, rng) -> list:
     """Kernel transport with convergence orders and the smoothness proxy."""
     nx = int(cfg.get("nx", 16))
     mass = float(cfg.get("mass", 1.0))
-    nts = cfg.get("nts", (64, 128, 256))
-    rows = [_hadamard_residuals(nt, nx, mass) for nt in nts]
+    nts = _refinement_sizes(cfg.get("nts", (64, 128, 256)), "nts")
+    try:
+        rows = [_hadamard_residuals(nt, nx, mass) for nt in nts]
+    except gh.CFLError as e:
+        return _cfl_failure(e)
     checks = []
 
     def orders(vals):
@@ -454,7 +480,7 @@ def suite_hadamard(cfg, rng) -> list:
     checks.append(CheckResult.from_flag("rough_perturbation_fails_proxy", not v_rough["passes"]))
 
     nupp = hd.pullback_kernel(nup, R.inverse())
-    worst = max(float(np.max(np.abs(nupp.column(q) - nu0.column(q)))) for q in probes[:8])
+    worst = float(np.max(np.abs(nupp.columns(probes[:8]) - nu0.columns(probes[:8]))))
     checks.append(CheckResult.from_residual("kernel_transport_roundtrip", worst, 1e-9))
     return checks
 
@@ -467,22 +493,24 @@ class _PerturbedKernel:
         self.bump = np.asarray(bump)
         self.grid = base.grid
 
-    def column(self, q):
-        n, j = divmod(q, self.grid.nx)
-        return self.base.column(q) + self.bump * self.bump[n, j]
+    def columns(self, qs):
+        return self.base.columns(qs) + self.bump * self.bump.reshape(-1)[list(qs), None, None]
 
 
 def suite_convergence(cfg, rng) -> list:
     """Measured orders: characteristics solution and vacuum hypothesis."""
     checks = []
     errs = []
-    for nx in cfg.get("grids", (32, 64, 128)):
+    for nx in _refinement_sizes(cfg.get("grids", (32, 64, 128)), "grids"):
         nt = 2 * nx
         grid = make_grid(nt, nx, 0.0, 0.5, 1.0)
         Nw = gh.wave_operator(geo.metric_preset("minkowski", grid), mass=0.0)
         x = grid.sites
         F = np.sin(4 * np.pi * x)
-        sol = gh.solve_cauchy(Nw, 1, F[:, None], np.zeros((nx, 1)))
+        try:
+            sol = gh.solve_cauchy(Nw, 1, F[:, None], np.zeros((nx, 1)))
+        except gh.CFLError as e:
+            return _cfl_failure(e)
         ts = grid.times - grid.times[1]
         exact = 0.5 * (np.sin(4 * np.pi * (x[None, :] - ts[:, None]))
                        + np.sin(4 * np.pi * (x[None, :] + ts[:, None])))
@@ -504,20 +532,7 @@ def dense_kernel_csvs(cfg) -> dict:
         raise ValueError("dense kernels are limited to small grids")
     grid = make_grid(nt, nx, 0.0, float(cfg.get("t_max", 0.5)), 1.0)
     N = _scenario_operator(cfg, grid, cfg.get("preset", "minkowski"))
-    sys_ = gh.GreenSystem(N)
-    n = grid.n_dof
-    Gp = np.zeros((n, n))
-    Gm = np.zeros((n, n))
-    e = np.zeros((grid.nt, grid.nx, grid.rank))
-    flat = e.reshape(-1)
-    for q in range(n):
-        lvl = q // (grid.nx * grid.rank)
-        if lvl < gh.PAST_MARGIN or lvl >= grid.nt - gh.PAST_MARGIN:
-            continue
-        flat[q] = 1.0
-        Gp[:, q] = sys_.plus(e).reshape(-1)
-        Gm[:, q] = sys_.minus(e).reshape(-1)
-        flat[q] = 0.0
+    Gp, Gm = gh.GreenSystem(N).kernel_matrices()
     return {
         "green_plus.csv": matrix_csv(Gp),
         "green_minus.csv": matrix_csv(Gm),

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from moellerlab import cli
 
 
@@ -88,3 +90,27 @@ def test_console_entry_point():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "suite" in out.stdout or "run" in out.stdout
+
+
+def test_cfl_violation_is_reported(tmp_path):
+    rc = run_cli(["green", "--grid", "8x64", "--out", str(tmp_path)])
+    assert rc == 1
+    tree = json.loads((tmp_path / "report.json").read_text())
+    [check] = tree["suites"]["green"]["checks"]
+    assert check["law"] == "cfl_satisfied"
+    assert check["pass"] is False
+    assert check["info"]["reason"] == "cfl"
+    assert check["info"]["detail"].startswith("CFL violated")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["converge", "--grids", "4"], "at least two"),
+    (["converge", "--grids", "32,16"], "strictly increasing"),
+    (["converge", "--grids", "0,16"], "positive"),
+    (["hadamard", "--grids", "32"], "at least two"),
+    (["hadamard", "--grids", "32,32"], "strictly increasing"),
+])
+def test_refinement_grid_lists_rejected(argv, message, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err

@@ -396,3 +396,64 @@ def test_rank2_operator_green_identity():
     f[-1] = 0.0
     rec = gh.GreenSystem(N).plus(f)
     assert np.max(np.abs(rec - h)) < 1e-11
+
+
+# -- batched march ------------------------------------------------------------------
+
+def _batch_operator(name):
+    g = make_grid(32, 16, 0.0, 0.5, 1.0)
+    if name == "conformal":
+        return gh.wave_operator(geo.metric_preset("conformal", g, mu=2.0), 1.0)
+    if name == "warped":
+        return gh.wave_operator(geo.metric_preset("warped", g, amp=0.3), 1.0)
+    g2 = make_grid(32, 12, 0.0, 0.5, 1.0, rank=2)
+    A0, A1, B = np.random.default_rng(21).standard_normal((3, 32, 12, 2, 2))
+    return gh.build_operator(geo.metric_preset("minkowski", g2), A0=A0, A1=A1, B=B)
+
+
+@pytest.mark.parametrize("name", ["conformal", "warped", "rank2"])
+def test_batched_march_equals_stacked_single_marches(name):
+    N = _batch_operator(name)
+    g = N.grid
+    rng = np.random.default_rng(22)
+    F = np.zeros((5, g.nt, g.nx, g.rank))
+    F[:, 2:-2] = rng.standard_normal((5, g.nt - 4, g.nx, g.rank))
+    for direction in (1, -1):
+        batch = N.march(F, direction)
+        single = np.array([N.march(f, direction) for f in F])
+        assert batch.shape == F.shape
+        assert np.max(np.abs(batch - single)) <= 1e-12 * np.max(np.abs(single))
+    assert np.max(np.abs(N.apply(F) - np.array([N.apply(f) for f in F]))) == 0.0
+
+
+def test_batch_margin_checked_per_column(kg48, grid48):
+    # the other columns are large, so a batch-wide round-off scale would
+    # hide the one column that reaches into the margin
+    F = np.zeros((4, grid48.nt, grid48.nx, 1))
+    F[:, 2:-2] = 1e7
+    F[2] = 0.0
+    F[2, 0, 3, 0] = 1e-6
+    with pytest.raises(ValueError, match="first"):
+        gh.GreenSystem(kg48).plus(F)
+    F[2, 0, 3, 0] = 0.0
+    F[2, -1, 5, 0] = 1e-6
+    with pytest.raises(ValueError, match="last"):
+        gh.GreenSystem(kg48).minus(F)
+    with pytest.raises(ValueError, match="last"):
+        gh.CausalPropagator(kg48).apply(F)
+
+
+def test_pullback_columns_equal_stacked_columns():
+    from moellerlab import hadamard as hd
+    from moellerlab import moller as mo
+
+    g = make_grid(8, 8, 0.0, 0.5, 1.0)
+    chain = geo.build_chain(geo.metric_preset("minkowski", g),
+                            geo.metric_preset("conformal", g, mu=2.0))
+    R = mo.compose_chain(chain, window=(3 * g.dt, 4 * g.dt))
+    nup = hd.pullback_kernel(hd.ultrastatic_vacuum(g, 1.0), R)
+    qs = list(range(2 * g.nx, (g.nt - 2) * g.nx))
+    block = nup.columns(qs)
+    stacked = np.array([nup.column(q) for q in qs])
+    assert block.shape == (len(qs), g.nt, g.nx)
+    assert np.max(np.abs(block - stacked)) <= 1e-12 * np.max(np.abs(stacked))

@@ -218,3 +218,29 @@ def test_identity_pullback_is_identity():
     nup = hd.pullback_kernel(nu, R)
     q = 10 * grid.nx + 4
     assert np.max(np.abs(nup.column(q) - nu.column(q))) < 1e-9
+
+
+def test_hadamard_suite_march_count_does_not_grow_with_probes(monkeypatch):
+    # guards against a per-column loop: the bound counts suites and steps,
+    # never probes (16 per grid here; a per-column march made 1992 calls)
+    from moellerlab import suites
+
+    calls = []
+    march = gh.HyperbolicOperator.march
+
+    def counted(self, f, *args, **kwargs):
+        calls.append(1)
+        return march(self, f, *args, **kwargs)
+
+    monkeypatch.setattr(gh.HyperbolicOperator, "march", counted)
+    nts = (16, 32)
+    checks = suites.suite_hadamard({"nx": 8, "nts": nts}, np.random.default_rng(0))
+    assert all(c.passed for c in checks)
+    steps = 2 * len(suites._hadamard_chain(make_grid(16, 8, 0.0, 0.5, 1.0)).flags)
+    # per grid: build-time identity checks (steps), the vacuum commutator
+    # (2 Green solves), the transported commutator (R^T, R, 2 Green solves)
+    # and the bisolution check (R^T, R); then one verdict on the pullback,
+    # two on perturbed vacua and the round trip through R^-1
+    per_grid = steps + 2 + (2 * steps + 2) + 2 * steps
+    bound = len(nts) * per_grid + (2 * steps + 2) + 2 * 2 + 4 * steps  # 78
+    assert len(calls) <= bound  # measured: 78

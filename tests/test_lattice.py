@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from moellerlab.geometry import MetricField
 from moellerlab.lattice import (FiberMetric, ScalarField, Section, make_grid,
                                 smooth_step, weighted_inner_product)
 
@@ -153,3 +158,31 @@ def test_fiber_metric_positivity_enforced():
         FiberMetric(g, bad)
     k = FiberMetric(g, np.array([[2.0, 0.3], [0.3, 1.0]]))
     assert not k.is_identity
+
+
+def _poke(shape, fill, index, value):
+    a = np.full(shape, fill)
+    a.reshape(-1)[index % a.size] = value
+    return a
+
+
+G8 = make_grid(8, 8, 0.0, 1.0, 1.0)
+NONFINITE_BUILDERS = {
+    "grid_t_min": lambda i, v: make_grid(8, 8, v, 1.0, 1.0),
+    "grid_t_max": lambda i, v: make_grid(8, 8, 0.0, v, 1.0),
+    "grid_length": lambda i, v: make_grid(8, 8, 0.0, 1.0, v),
+    "section": lambda i, v: Section(G8, _poke((8, 8, 1), 0.0, i, v)),
+    "scalar_positive": lambda i, v: ScalarField(G8, _poke((8, 8), 1.0, i, v), ScalarField.POSITIVE),
+    "scalar_unit": lambda i, v: ScalarField(G8, _poke((8, 8), 0.5, i, v), ScalarField.UNIT),
+    "fiber_metric": lambda i, v: FiberMetric(G8, _poke((8, 8, 1, 1), 1.0, i, v)),
+    "metric_g_tt": lambda i, v: MetricField(G8, _poke((8, 8), -1.0, i, v), 0.0, 1.0, 1.0, 0.0),
+    "metric_orientation": lambda i, v: MetricField(G8, -1.0, 0.0, 1.0, _poke((8, 8), 1.0, i, v), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONFINITE_BUILDERS))
+@settings(max_examples=10, deadline=None)
+@given(value=st.sampled_from([math.nan, math.inf, -math.inf]), index=st.integers(0, 1 << 20))
+def test_constructors_reject_nonfinite(name, value, index):
+    with pytest.raises(ValueError, match="must be finite"):
+        NONFINITE_BUILDERS[name](index, value)
