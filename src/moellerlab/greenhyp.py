@@ -15,10 +15,14 @@ rather than to discretization order.
 Operators keep a nine-offset stencil representation: OFF[(a, b)] holds the
 (r x r) coupling of row (n, j) to column (n+a, j+b mod nx).  Green operators
 are realized as causal triangular solves: the equation rows at levels
-1..nt-2 are marched forward (retarded) or backward (advanced) in time, with
-per-level new-time-slice systems factorized once and cached.  Sources must
-vanish on the first two (resp. last two) time levels, the discrete stand-in
-for past (future) compact support in the window.
+1..nt-2 are marched forward (retarded) or backward (advanced) in time.  A
+level's new-time-slice system couples site j only to j-1, j, j+1 (mod nx);
+numbered in the interleaved order 0, 1, nx-1, 2, nx-2, ... it is a plain
+band with kl = ku = 3r - 1, factored once per level by LAPACK's banded LU
+and cached, so the factors hold O(nt nx r^2) floats and a march takes time
+linear in nx.  Sources must vanish on the first two (resp. last two) time
+levels, the discrete stand-in for past (future) compact support in the
+window.
 
 Fields are (nt, nx, r) arrays.  ``HyperbolicOperator.apply``, the march and
 the Green systems also take a leading batch axis, (K, nt, nx, r): the K
@@ -30,7 +34,7 @@ is the whole interface; there is no batch-size setting.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .geometry import MetricField, sharp_interpolation
 from .lattice import FiberMetric, ScalarField, Section, smooth_step
@@ -99,8 +103,7 @@ class HyperbolicOperator:
         w = self.vol * self.grid.dt * self.grid.dx
         self.weight_blocks = fiber.values * w[:, :, None, None]
         self.weight_inv_blocks = np.linalg.inv(self.weight_blocks)
-        self._lu_plus = {}
-        self._lu_minus = {}
+        self._steps = {}
         self._dense = None
 
     # -- linear action -----------------------------------------------------
@@ -140,16 +143,10 @@ class HyperbolicOperator:
         for (a, b), C in self.offsets.items():
             # original key (a, b) feeds transposed key (-a, -b); its value at
             # row (n, j) is the block at the source row (n - a, j - b)
-            T = np.swapaxes(C, -1, -2)
-            T = _roll_x(T, -b)
-            if a == 1:                 # transposed key is (-1, -b): need C[n-1]
-                S = np.zeros_like(T)
-                S[1:] = T[:-1]
-                T = S
-            elif a == -1:              # transposed key is (+1, -b): need C[n+1]
-                S = np.zeros_like(T)
-                S[:-1] = T[1:]
-                T = S
+            T = _roll_x(np.swapaxes(C, -1, -2), -b)
+            if a:
+                T = np.roll(T, a, axis=0)
+                T[0 if a == 1 else -1] = 0.0  # no source row beyond the window
             out[(-a, -b)] = T
         return out
 
@@ -169,47 +166,27 @@ class HyperbolicOperator:
     def v_symmetry_defect(self) -> float:
         """Sup norm of N - V^{-1} N^T V entries."""
         adj = self.adjoint_offsets()
-        d = 0.0
-        for k in set(self.offsets) | set(adj):
-            A = self.offsets.get(k)
-            Bk = adj.get(k)
-            if A is None:
-                d = max(d, float(np.max(np.abs(Bk))))
-            elif Bk is None:
-                d = max(d, float(np.max(np.abs(A))))
-            else:
-                d = max(d, float(np.max(np.abs(A - Bk))))
-        return d
+        return max(float(np.max(np.abs(self.offsets.get(k, 0.0) - adj.get(k, 0.0))))
+                   for k in set(self.offsets) | set(adj))
 
     # -- dense form and weights ---------------------------------------------
 
     def as_dense(self) -> np.ndarray:
         if self._dense is None:
             g = self.grid
-            n_dof = g.n_dof
-            M = np.zeros((n_dof, n_dof))
-            r = g.rank
+            n, j = np.meshgrid(np.arange(g.nt), np.arange(g.nx), indexing="ij")
+            M = np.zeros((g.nt, g.nx, g.rank, g.nt, g.nx, g.rank))
             for (a, b), C in self.offsets.items():
-                for n in range(g.nt):
-                    m = n + a
-                    if m < 0 or m >= g.nt:
-                        continue
-                    for j in range(g.nx):
-                        jp = (j + b) % g.nx
-                        row = (n * g.nx + j) * r
-                        col = (m * g.nx + jp) * r
-                        M[row:row + r, col:col + r] += C[n, j]
-            self._dense = M
+                ok = (n + a >= 0) & (n + a < g.nt)
+                M[n[ok], j[ok], :, n[ok] + a, (j[ok] + b) % g.nx, :] += C[ok]
+            self._dense = M.reshape(g.n_dof, g.n_dof)
         return self._dense
 
     def weight_dense(self) -> np.ndarray:
         g = self.grid
-        r = g.rank
+        idx = np.arange(g.n_dof).reshape(-1, g.rank)
         M = np.zeros((g.n_dof, g.n_dof))
-        for n in range(g.nt):
-            for j in range(g.nx):
-                row = (n * g.nx + j) * r
-                M[row:row + r, row:row + r] = self.weight_blocks[n, j]
+        M[idx[:, :, None], idx[:, None, :]] = self.weight_blocks.reshape(-1, g.rank, g.rank)
         return M
 
     # -- principal symbol ----------------------------------------------------
@@ -277,34 +254,10 @@ class HyperbolicOperator:
                 f"CFL violated: dt={self.grid.dt:.3g} > {CFL_SAFETY}*dx/speed="
                 f"{CFL_SAFETY * self.grid.dx / s:.3g}")
 
-    def _level_matrix(self, a, n):
-        """Dense (nx r) x (nx r) coupling of rows at level n to level n+a."""
-        g = self.grid
-        r = g.rank
-        M = np.zeros((g.nx, r, g.nx, r))
-        cols = np.arange(g.nx)
-        for b in (-1, 0, 1):
-            C = self.offsets.get((a, b))
-            if C is None:
-                continue
-            M[cols, :, (cols + b) % g.nx, :] += C[n]
-        return M.reshape(g.nx * r, g.nx * r)
-
-    def _lu(self, a, n):
-        cache = self._lu_plus if a == 1 else self._lu_minus
-        if n not in cache:
-            cache[n] = lu_factor(self._level_matrix(a, n))
-        return cache[n]
-
-    def _row_rhs(self, n, u_n, u_other, a_other):
-        """Known part of the level-n equation rows on (nx, r, K) level values."""
-        acc = np.zeros_like(u_n)
-        for b in (-1, 0, 1):
-            for a, u in ((0, u_n), (a_other, u_other)):
-                C = self.offsets.get((a, b))
-                if C is not None:
-                    acc += np.einsum("xab,xbk->xak", C[n], np.roll(u, -b, axis=0) if b else u)
-        return acc
+    def _step(self, a):
+        if a not in self._steps:
+            self._steps[a] = _BandedStep(self, a)
+        return self._steps[a]
 
     def march(self, f: np.ndarray, direction: int, seed_level=None, seeds=None) -> np.ndarray:
         """Solve the equation rows causally in time.
@@ -327,27 +280,72 @@ class HyperbolicOperator:
             raise ValueError(f"march source shape {f.shape} is not (K,) + {(g.nt, g.nx, g.rank)}")
         batched = f.ndim == 4
         F = np.moveaxis(f if batched else f[None], 0, -1)  # (nt, nx, r, K) view
-        K = F.shape[-1]
-        u = np.zeros((g.nt, g.nx, g.rank, K))
+        u = np.zeros(F.shape)
         if seeds is not None:
-            s0, s1 = seeds
-            u[seed_level] = np.asarray(s0)[..., None]
-            u[seed_level + 1] = np.asarray(s1)[..., None]
+            u[seed_level], u[seed_level + 1] = (np.asarray(s)[..., None] for s in seeds)
             lo, hi = seed_level, seed_level + 1
         elif direction == 1:
             lo, hi = 0, 1
         else:
             lo, hi = g.nt - 2, g.nt - 1
-        level = (g.nx, g.rank, K)
         if direction >= 0 or seeds is not None:
+            step = self._step(1)
             for n in range(hi, g.nt - 1):
-                rhs = F[n] - self._row_rhs(n, u[n], u[n - 1], -1)
-                u[n + 1] = lu_solve(self._lu(1, n), rhs.reshape(-1, K)).reshape(level)
+                u[n + 1] = step(n, F[n], u)
         if direction < 0 or seeds is not None:
+            step = self._step(-1)
             for n in range(lo, 0, -1):
-                rhs = F[n] - self._row_rhs(n, u[n], u[n + 1], 1)
-                u[n - 1] = lu_solve(self._lu(-1, n), rhs.reshape(-1, K)).reshape(level)
+                u[n - 1] = step(n, F[n], u)
         return np.moveaxis(u, -1, 0) if batched else u[..., 0]
+
+
+class _BandedStep:
+    """One march step of an operator: level n + a from levels n and n - a.
+
+    The new-level coupling, offsets (a, b), is a band in interleaved site
+    order (module docstring); its LAPACK band storage is filled straight from
+    the offsets, factored once per level with dgbtrf and solved with dgbtrs,
+    rows permuted in and out.  The known part, offsets (0, b) on level n and
+    (-a, b) on level n - a, is one gather of the two-level window of u and
+    one einsum.
+    """
+
+    def __init__(self, op: HyperbolicOperator, a: int):
+        nx, r = op.grid.nx, op.grid.rank
+        sites = np.arange(nx)
+        self.pos = np.minimum(2 * sites - 1, 2 * (nx - sites)).clip(0)  # place of each site
+        self.order = np.argsort(self.pos)  # sites 0, 1, nx-1, 2, nx-2, ...
+        self.lo = min(0, -a)  # first level of the window u[n + lo : n + lo + 2]
+        known = [(c, b) for c in (0, -a) for b in (-1, 0, 1) if (c, b) in op.offsets]
+        self.gather = np.stack([(c - self.lo) * nx + (sites + b) % nx for c, b in known], axis=1)
+        self.known = np.concatenate([op.offsets[k] for k in known], axis=-1)
+        # A[R, C] sits at ab[2 kl + R - C, C]; ab is filled as its (nx r, ldab) transpose
+        self.kl, self.ldab, self.size = 3 * r - 1, 9 * r - 2, nx * r
+        rows = self.pos[:, None, None] * r + np.arange(r)[:, None]
+        new = [b for b in (-1, 0, 1) if (a, b) in op.offsets]
+        cols = [self.pos[(sites + b) % nx][:, None, None] * r + np.arange(r) for b in new]
+        self.band = np.stack([c * self.ldab + 2 * self.kl + rows - c for c in cols]).ravel()
+        self.new = [op.offsets[(a, b)] for b in new]
+        self.factors = {}
+
+    def factor(self, n):
+        if n not in self.factors:
+            vals = np.stack([C[n] for C in self.new]).ravel()
+            ab = np.bincount(self.band, vals, minlength=self.ldab * self.size).reshape(self.size, -1)
+            lu, piv, info = dgbtrf(ab.T, self.kl, self.kl, overwrite_ab=True)
+            if info > 0:
+                raise np.linalg.LinAlgError(f"the level-{n} system of the march is singular")
+            self.factors[n] = (lu, piv)
+        return self.factors[n]
+
+    def __call__(self, n, f_n, u):
+        """Level n + a of the (nt, nx, r, K) batch u from its (nx, r, K) source rows f_n."""
+        nx, r, K = f_n.shape
+        window = u[n + self.lo:n + self.lo + 2].reshape(2 * nx, r, K)
+        rhs = f_n - np.einsum("xab,xbk->xak", self.known[n], window[self.gather].reshape(nx, -1, K))
+        lu, piv = self.factor(n)
+        x, _ = dgbtrs(lu, self.kl, self.kl, rhs[self.order].reshape(self.size, K), piv, overwrite_b=True)
+        return x.reshape(nx, r, K)[self.pos]
 
 
 # -- constructors -------------------------------------------------------------

@@ -16,7 +16,9 @@ fields K(., q) over the whole grid for a list of probe points, shape
 (len(qs), nt, nx), and ``column(q)`` is ``columns([q])[0]``.  A pullback
 through a realized intertwiner marches the whole block at once, which keeps
 it affordable on refined grids.  The checks below take any kernel with
-``columns``, or failing that ``column``.
+``columns``, or failing that ``column``; ``ccr_residual`` and
+``bisolution_residual`` take a probe block already built, so one block
+serves both.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ __all__ = [
     "ultrastatic_vacuum",
     "ccr_hypothesis_check",
     "bisolution_check",
+    "ccr_residual",
+    "bisolution_residual",
     "pullback_kernel",
     "smoothness_proxy",
     "hadamard_verdict",
@@ -193,13 +197,15 @@ def _green_kernel_columns(N: HyperbolicOperator, qs) -> np.ndarray:
     return (gs.plus(E) - gs.minus(E))[..., 0]
 
 
-def _ccr_residual(cols, N: HyperbolicOperator, probes) -> dict:
+def ccr_residual(cols, N: HyperbolicOperator, probes) -> dict:
+    """CCR residual of a probe block cols = K(., probes) against N's kernel."""
     resid = 2.0 * cols.imag - _green_kernel_columns(N, probes)
     sup = float(np.max(np.abs(resid[:, 1:-1])))
     return {"sup": sup, "proxy": smoothness_proxy(resid, reference=np.abs(cols))}
 
 
-def _bisolution_residual(cols, N: HyperbolicOperator) -> dict:
+def bisolution_residual(cols, N: HyperbolicOperator) -> dict:
+    """N applied in each argument of a probe block cols = K(., probes)."""
     r = N.apply(cols.real[..., None]) + 1j * N.apply(cols.imag[..., None])
     sup_left = float(np.max(np.abs(r[:, 1:-1])))
     # right slot by Hermitian symmetry: N_q K(p, q) = conj(N_q K(q, p))
@@ -215,13 +221,13 @@ def ccr_hypothesis_check(nu, N: HyperbolicOperator, probes=None) -> dict:
     residual data.
     """
     probes = default_probes(N.grid) if probes is None else probes
-    return _ccr_residual(_columns(nu, probes), N, probes)
+    return ccr_residual(_columns(nu, probes), N, probes)
 
 
 def bisolution_check(nu, N: HyperbolicOperator, probes=None) -> dict:
     """Apply the operator in each argument of the kernel on probe columns."""
     probes = default_probes(N.grid) if probes is None else probes
-    return _bisolution_residual(_columns(nu, probes), N)
+    return bisolution_residual(_columns(nu, probes), N)
 
 
 def pullback_kernel(nu, R) -> PullbackKernel:
@@ -320,8 +326,8 @@ def hadamard_verdict(nu_prime, reference, N_prime: HyperbolicOperator,
     g = N_prime.grid
     probes = default_probes(g) if probes is None else probes
     cols = _columns(nu_prime, probes)
-    ccr = _ccr_residual(cols, N_prime, probes)
-    bis = _bisolution_residual(cols, N_prime)
+    ccr = ccr_residual(cols, N_prime, probes)
+    bis = bisolution_residual(cols, N_prime)
     proxy = smoothness_proxy(cols - _columns(reference, probes), reference=cols,
                              spacing=(g.dt, g.dx))
     return {

@@ -21,7 +21,11 @@ through a metric whose constant-time slices are characteristic (the inverse
 metric's tt component changes sign), where no stable causal solve in
 lattice time exists; on the spatial circle this is the same obstruction
 that makes the rotated flat metric fail global hyperbolicity.  Such links
-raise :class:`MollerObstruction` instead of producing garbage.
+raise :class:`MollerObstruction` instead of producing garbage.  The march
+also refuses a link whose ends keep dt timelike but have g^xx < 0 somewhere
+(dx timelike too); a Moller operator exists there, and the obstruction's
+detail says that this is a limit of the lattice march, not of the geometry.
+The detail names every refused link of a chain.
 """
 
 from __future__ import annotations
@@ -68,13 +72,19 @@ def _axis_class(metric: MetricField):
 
 def _check_link_marchable(ga: MetricField, gb: MetricField):
     ca, cb = _axis_class(ga), _axis_class(gb)
-    if ca == 0 or cb == 0 or ca != cb:
-        raise MollerObstruction(
-            "characteristic-slice link",
-            "the interpolating metrics change which coordinate axis is "
-            "timelike, so some constant-time slice becomes characteristic "
-            "and no lattice-time causal solve exists (the cylinder analog "
-            "of losing global hyperbolicity under cone rotation)")
+    if ca == cb != 0:
+        return
+    if all(np.max(m.inverse_components()[0]) < 0.0 for m in (ga, gb)):
+        detail = ("both ends keep dt timelike (g^tt < 0), so no constant-time "
+                  "slice becomes characteristic and a Moller operator exists, "
+                  "but g^xx < 0 somewhere on an end, which the lattice march "
+                  "does not yet handle")
+    else:
+        detail = ("the interpolating metrics change which coordinate axis is "
+                  "timelike, so some constant-time slice becomes characteristic "
+                  "and no lattice-time causal solve exists (the cylinder analog "
+                  "of losing global hyperbolicity under cone rotation)")
+    raise MollerObstruction("characteristic-slice link", detail)
 
 
 def _vol_ratio(g_from: MetricField, g_to: MetricField) -> np.ndarray:
@@ -399,8 +409,14 @@ def compose_chain(chain: ParacausalChain, operators=None, window=None, mass=1.0)
         window = (grid.t_min + span / 3.0, grid.t_min + 2.0 * span / 3.0)
     t0, t1 = window
     chi = smooth_step(grid, t0, t1)
+    refused = []
     for k in range(len(chain.flags)):
-        _check_link_marchable(chain.metrics[k], chain.metrics[k + 1])
+        try:
+            _check_link_marchable(chain.metrics[k], chain.metrics[k + 1])
+        except MollerObstruction as e:
+            refused.append(f"link {k}: {e.detail}")
+    if refused:
+        raise MollerObstruction("characteristic-slice link", "; ".join(refused))
     steps = []
     for k, flag in enumerate(chain.flags):
         if flag == ParacausalChain.FWD:

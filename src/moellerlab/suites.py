@@ -263,16 +263,23 @@ def _metric_from_spec(spec, grid):
 
 
 def _chain_from_directive(directive, grid):
-    """Explicit chain: list of metric specs with link directions inferred."""
+    """Explicit chain: list of metric specs with link directions inferred.
+
+    A link whose metrics are comparable in neither order gives a
+    ChainObstruction instead of a chain.
+    """
     mets = [_metric_from_spec(s, grid) for s in directive]
     flags = []
-    for a, b in zip(mets, mets[1:]):
+    for k, (a, b) in enumerate(zip(mets, mets[1:])):
         if geo.preceq(a, b) is geo.ALIGNED:
             flags.append(geo.ParacausalChain.FWD)
         elif geo.preceq(b, a) is geo.ALIGNED:
             flags.append(geo.ParacausalChain.REV)
         else:
-            raise ValueError("explicit chain has a non-comparable link")
+            return geo.ChainObstruction(
+                "non-comparable link",
+                f"link {k}: neither end's cones lie inside the other's with "
+                "aligned futures")
     return geo.ParacausalChain(mets, flags)
 
 
@@ -292,6 +299,9 @@ def suite_moller(cfg, rng) -> list:
             return [CheckResult.from_flag("chain_exists", False, reason=chain.reason)]
     else:
         chain = _chain_from_directive(directive, grid)
+        if not isinstance(chain, geo.ParacausalChain):
+            return [CheckResult.from_flag("chain_exists", False, reason=chain.reason,
+                                          detail=chain.detail)]
     window = tuple(cfg["window"]) if "window" in cfg else None
     try:
         R = mo.compose_chain(chain, window=window, mass=float(cfg.get("mass", 1.0)))
@@ -430,8 +440,9 @@ def _hadamard_residuals(nt, nx, mass):
     probes = hd.default_probes(grid, times=2)
     Nhyp = gh.wave_operator(geo.metric_preset("minkowski", grid), mass)
     hyp = hd.ccr_hypothesis_check(nu0, Nhyp, probes)["sup"]
-    ccr_p = hd.ccr_hypothesis_check(nup, R.op_end, probes)["sup"]
-    bis_p = hd.bisolution_check(nup, R.op_end, probes)["sup_left"]
+    cols = nup.columns(probes)  # one pullback probe block serves both residuals
+    ccr_p = hd.ccr_residual(cols, R.op_end, probes)["sup"]
+    bis_p = hd.bisolution_residual(cols, R.op_end)["sup_left"]
     return hyp, ccr_p, bis_p, (grid, chain, R, nup, probes)
 
 

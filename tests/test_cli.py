@@ -77,6 +77,23 @@ def test_unmarchable_chain_is_reported(tmp_path):
     assert check["info"]["reason"] == "characteristic-slice link"
 
 
+def test_non_comparable_chain_link_is_reported(tmp_path):
+    cfg = {"name": "bad-chain", "seed": 0, "suites": ["moller"],
+           "moller": {"nt": 16, "nx": 16,
+                      "chain": ["minkowski", {"preset": "conformal", "mu": 2.0},
+                                "rotated-minkowski"]}}
+    path = tmp_path / "bad-chain.json"
+    path.write_text(json.dumps(cfg))
+    rc = run_cli(["run", str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    tree = json.loads((tmp_path / "report.json").read_text())
+    [check] = tree["suites"]["moller"]["checks"]
+    assert check["law"] == "chain_exists"
+    assert check["pass"] is False
+    assert check["info"]["reason"] == "non-comparable link"
+    assert check["info"]["detail"].startswith("link 1:")
+
+
 def test_converge_subcommand_with_grids(tmp_path):
     rc = run_cli(["converge", "--grids", "16,32", "--out", str(tmp_path)])
     assert rc == 0

@@ -457,3 +457,83 @@ def test_pullback_columns_equal_stacked_columns():
     stacked = np.array([nup.column(q) for q in qs])
     assert block.shape == (len(qs), g.nt, g.nx)
     assert np.max(np.abs(block - stacked)) <= 1e-12 * np.max(np.abs(stacked))
+
+
+# -- banded level solve -------------------------------------------------------------
+
+def _tilted_warp(nt, nx):
+    """A metric varying in t and x, with g_tx (so g^tx) != 0 at every lattice point."""
+    g = make_grid(nt, nx, 0.0, 0.5, 1.0)
+    t, x = g.times[:, None], g.sites[None, :]
+    gtx = (0.1 + 0.25 * np.sin(2 * np.pi * x)) * (1.0 + 0.5 * t)
+    gxx = np.broadcast_to(1.0 + 0.3 * np.sin(4 * np.pi * t), gtx.shape)
+    return geo.MetricField(g, -1.0, gtx, gxx, 1.0, 0.0)
+
+
+def _level_operator(name):
+    if name == "tilted-warp":
+        return gh.wave_operator(_tilted_warp(24, 12), 1.0)
+    if name == "rank2":
+        g = make_grid(16, 6, 0.0, 0.5, 1.0, rank=2)
+        A0, A1, B = np.random.default_rng(31).standard_normal((3, 16, 6, 2, 2))
+        return gh.build_operator(geo.metric_preset("minkowski", g), A0=A0, A1=A1, B=B)
+    return gh.wave_operator(geo.metric_preset("conformal", make_grid(16, 4, 0.0, 0.5, 1.0), mu=2.0), 1.0)
+
+
+@pytest.mark.parametrize("name", ["tilted-warp", "rank2", "nx4"])
+def test_banded_level_solve_equals_dense_solve(name):
+    # each level of the march, solved densely from the same known levels
+    N = _level_operator(name)
+    g = N.grid
+    m = g.nx * g.rank
+    D = N.as_dense()
+    rng = np.random.default_rng(32)
+    F = np.zeros((2, g.nt, g.nx, g.rank))
+    F[:, 2:-2] = rng.standard_normal((2, g.nt - 4, g.nx, g.rank))
+    for direction in (1, -1):
+        U = N.march(F, direction)
+        for n in range(1, g.nt - 1):
+            new = n + direction
+            rows, cols = slice(n * m, (n + 1) * m), slice(new * m, (new + 1) * m)
+            known = U.reshape(2, -1).copy()
+            known[:, cols] = 0.0
+            rhs = F[:, n].reshape(2, m) - known @ D[rows].T
+            dense = np.linalg.solve(D[rows, cols], rhs.T).T
+            assert np.max(np.abs(U[:, new].reshape(2, m) - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def _cached_floats(N):
+    return sum(lu.size + piv.size for step in N._steps.values()
+               for lu, piv in step.factors.values())
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_cached_factors_are_linear_in_nx(rank):
+    counts = []
+    for nx in (32, 64):
+        g = make_grid(64, nx, 0.0, 0.5, 1.0, rank=rank)
+        N = gh.build_operator(geo.metric_preset("minkowski", g), B=1.0)
+        f = np.zeros((g.nt, g.nx, g.rank))
+        f[2:-2] = 1.0
+        N.march(f, 1)
+        N.march(f, -1)
+        counts.append(_cached_floats(N))
+        # LAPACK band storage (2 kl + ku + 1 rows, kl = ku = 3r - 1) plus
+        # pivots, per level and direction; a dense LU holds (nx r)^2 a level
+        assert counts[-1] == 2 * (g.nt - 2) * (9 * rank - 1) * nx * rank
+    assert counts[1] == 2 * counts[0]
+
+
+def test_green_plus_inverts_operator_at_fine_grid():
+    N = gh.wave_operator(_tilted_warp(512, 256), 1.0)
+    g = N.grid
+    rng = np.random.default_rng(33)
+    f = np.zeros((g.nt, g.nx, 1))
+    f[2:-2] = rng.standard_normal((g.nt - 4, g.nx, 1))
+    u = gh.GreenSystem(N).plus(f)
+    assert N.interior_residual(u, f) <= 1e-10 * np.max(np.abs(f))  # N G+ = 1
+    h = window_section(g, rng, 3, g.nt - 3, smooth=2).values
+    Nh = N.apply(h)
+    Nh[0] = Nh[-1] = 0.0
+    rec = gh.GreenSystem(N).plus(Nh)
+    assert np.max(np.abs(rec - h)) <= 1e-10 * np.max(np.abs(h))  # G+ N = 1

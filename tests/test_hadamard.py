@@ -238,9 +238,10 @@ def test_hadamard_suite_march_count_does_not_grow_with_probes(monkeypatch):
     assert all(c.passed for c in checks)
     steps = 2 * len(suites._hadamard_chain(make_grid(16, 8, 0.0, 0.5, 1.0)).flags)
     # per grid: build-time identity checks (steps), the vacuum commutator
-    # (2 Green solves), the transported commutator (R^T, R, 2 Green solves)
-    # and the bisolution check (R^T, R); then one verdict on the pullback,
-    # two on perturbed vacua and the round trip through R^-1
-    per_grid = steps + 2 + (2 * steps + 2) + 2 * steps
-    bound = len(nts) * per_grid + (2 * steps + 2) + 2 * 2 + 4 * steps  # 78
-    assert len(calls) <= bound  # measured: 78
+    # (2 Green solves), and one pullback probe block (R^T, R) shared by the
+    # transported commutator (2 Green solves) and the bisolution check (no
+    # march); then one verdict on the pullback, two on perturbed vacua and
+    # the round trip through R^-1
+    per_grid = steps + 2 + (2 * steps + 2)
+    bound = len(nts) * per_grid + (2 * steps + 2) + 2 * 2 + 4 * steps  # 62
+    assert len(calls) <= bound  # measured: 62

@@ -285,6 +285,31 @@ def test_rotated_chain_is_obstructed(grid32):
         mo.compose_chain(chain)
 
 
+def test_obstruction_detail_tells_lattice_limit_from_characteristic_slice():
+    # link 1 (wide <- sliver) keeps dt timelike on both ends, so an operator
+    # exists and the refusal is a limit of the march (the sliver has
+    # g^xx < 0); link 2 (sliver -> rotated) crosses a characteristic slice
+    grid = make_grid(64, 32, 0.0, 0.5, 1.0)
+    chain = geo.build_chain(geo.metric_preset("minkowski", grid),
+                            geo.metric_preset("rotated-minkowski", grid))
+    details = []
+    for k in (1, 2):
+        link = geo.ParacausalChain(chain.metrics[k:k + 2], [chain.flags[k]])
+        with pytest.raises(mo.MollerObstruction) as info:
+            mo.compose_chain(link)
+        assert info.value.reason == "characteristic-slice link"
+        details.append(info.value.detail)
+    middle, last = details
+    assert middle.startswith("link 0: both ends keep dt timelike")
+    assert "g^xx < 0" in middle and "Moller operator exists" in middle
+    assert "change which coordinate axis" not in middle
+    assert "becomes characteristic and no lattice-time causal solve exists" in last
+    with pytest.raises(mo.MollerObstruction) as info:
+        mo.compose_chain(chain)
+    assert info.value.detail == "; ".join(
+        [middle.replace("link 0", "link 1"), last.replace("link 0", "link 2")])
+
+
 def test_restrict_to_solutions(grid32):
     mink = geo.metric_preset("minkowski", grid32)
     conf = geo.metric_preset("conformal", grid32, mu=2.0)
