@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +24,6 @@ from .reports import dumps, report_tree
 from .suites import SUITES
 
 USAGE_ERROR = 2
-
-
-def _max_threads():
-    try:
-        return max(1, int(os.environ.get("MOELLERLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def run_scenario(cfg: dict) -> dict:
@@ -97,20 +88,9 @@ def run(config_path, out_dir=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return USAGE_ERROR
     scenarios = cfg if isinstance(cfg, list) else [cfg]
-    trees = []
-    jobs = _max_threads()
-
-    def one(sc):
-        if sc.get("kind") == "reversed-pair":
-            return _reversed_pair_report(sc)
-        return run_scenario(sc)
-
     try:
-        if jobs > 1 and len(scenarios) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as ex:
-                trees = list(ex.map(one, scenarios))
-        else:
-            trees = [one(sc) for sc in scenarios]
+        trees = [_reversed_pair_report(sc) if sc.get("kind") == "reversed-pair" else run_scenario(sc)
+                 for sc in scenarios]
     except (ValueError, KeyError, TypeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return USAGE_ERROR

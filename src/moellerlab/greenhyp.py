@@ -12,8 +12,11 @@ symmetric, so formal self-adjointness, slice independence of the symplectic
 flux and antisymmetry of the causal propagator kernel hold to round-off
 rather than to discretization order.
 
-Operators keep a nine-offset stencil representation: OFF[(a, b)] holds the
-(r x r) coupling of row (n, j) to column (n+a, j+b mod nx).  Green operators
+An operator is stored only as its nine-offset stencil: OFF[(a, b)] holds
+the (r x r) coupling of row (n, j) to column (n+a, j+b mod nx).  The
+principal part is written directly in these offsets from the divergence
+form above; the march, the weighted transpose, the symplectic flux and the
+symbol check read them, and ``as_dense`` is a derived view.  Green operators
 are realized as causal triangular solves: the equation rows at levels
 1..nt-2 are marched forward (retarded) or backward (advanced) in time.  A
 level's new-time-slice system couples site j only to j-1, j, j+1 (mod nx);
@@ -62,9 +65,6 @@ __all__ = [
 
 PAST_MARGIN = 2     # levels a past-compact-in-window source keeps clear of t_min
 CFL_SAFETY = 0.8
-
-_OFFSETS = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-
 
 class CFLError(RuntimeError):
     pass
@@ -350,88 +350,43 @@ class _BandedStep:
 
 # -- constructors -------------------------------------------------------------
 
-def _edge_mean_t(w):
-    return 0.5 * (w[:-1] + w[1:])
-
-
-def _edge_mean_x(w):
-    return 0.5 * (w + np.roll(w, -1, axis=1))
-
-
-def _difference_matrices(grid):
-    """1d sparse building blocks for the divergence-form assembly."""
-    import scipy.sparse as sp
-
-    nt, nx, dt, dx = grid.nt, grid.nx, grid.dt, grid.dx
-    ones = np.ones(nt - 1)
-    Dt = sp.diags([-ones / dt, ones / dt], [0, 1], shape=(nt - 1, nt))  # node -> t edge
-    Dx = (sp.diags([np.full(nx, -1.0)], [0], shape=(nx, nx))
-          + sp.diags([np.ones(nx - 1)], [1], shape=(nx, nx))
-          + sp.coo_matrix(([1.0], ([nx - 1], [0])), shape=(nx, nx))) / dx  # periodic edge
-    # centered t derivative with half-weight one-sided boundary rows: the
-    # boundary rows feed the transpose so that equation rows 1 and nt-2 keep
-    # the full interior cross coupling
-    rows, cols, vals = [], [], []
-    for n in range(nt):
-        lo, hi = (max(n - 1, 0), min(n + 1, nt - 1))
-        rows += [n, n]
-        cols += [lo, hi]
-        vals += [-0.5 / dt, 0.5 / dt]
-    Ct = sp.coo_matrix((vals, (rows, cols)), shape=(nt, nt))
-    Cx = sp.diags([np.ones(nx - 1) * 0.5, -np.ones(nx - 1) * 0.5], [1, -1],
-                  shape=(nx, nx)).tolil()
-    Cx[0, nx - 1] = -0.5
-    Cx[nx - 1, 0] = 0.5
-    Cx = (Cx / dx).tocsr()
-    I_t = sp.identity(nt)
-    I_x = sp.identity(nx)
-    return {
-        "Dt": sp.kron(Dt, I_x).tocsr(),
-        "Dx": sp.kron(I_t, Dx).tocsr(),
-        "Ct": sp.kron(Ct, I_x).tocsr(),
-        "Cx": sp.kron(I_t, Cx).tocsr(),
-    }
-
-
-def _offsets_from_sparse(grid, M):
-    """Decode a 3x3-banded sparse point matrix into offset arrays."""
-    S = {k: np.zeros((grid.nt, grid.nx)) for k in _OFFSETS}
-    M = M.tocoo()
-    n, j = M.row // grid.nx, M.row % grid.nx
-    m, l = M.col // grid.nx, M.col % grid.nx
-    a = m - n
-    b = (l - j) % grid.nx
-    b = np.where(b == grid.nx - 1, -1, b)
-    if np.any(np.abs(a) > 1) or np.any(np.abs(b) > 1):
-        raise AssertionError("assembled stencil leaks outside the 3x3 neighborhood")
-    for key in _OFFSETS:
-        sel = (a == key[0]) & (b == key[1])
-        np.add.at(S[key], (n[sel], j[sel]), M.data[sel])
-    return S
-
-
 def _principal_offsets(metric: MetricField, ixx_override=None):
-    """Scalar nine-offset stencil of -(1/vol) div(vol g_sharp grad .)."""
-    import scipy.sparse as sp
+    """Scalar nine-offset stencil of -(1/vol) div(vol g_sharp grad .).
 
+    Written straight from the divergence form
+    (1/vol) [Dt^T Wtt Dt + Dx^T Wxx Dx + Ct^T Wtx Cx + Cx^T Wtx Ct]:
+    Dt, Dx are forward differences onto t edges and periodic x edges,
+    weighted by edge means of vol g^tt (no edge beyond the window) and
+    vol g^xx; Ct, Cx are centered differences at the nodes, weighted by
+    vol g^tx.  Ct's rows at levels 0 and nt-1 are half-weight one-sided
+    differences; they feed the transpose so that equation rows 1 and nt-2
+    keep the full interior cross coupling.  Keys whose stencil is zero
+    everywhere are dropped.
+    """
     g = metric.grid
     itt, itx, ixx = metric.inverse_components()
     if ixx_override is not None:
         ixx = np.broadcast_to(np.asarray(ixx_override, dtype=float), ixx.shape)
     vol = metric.volume_density()
-    D = _difference_matrices(g)
-    Wtt = sp.diags(_edge_mean_t(vol * itt).reshape(-1))
-    Wxx = sp.diags(_edge_mean_x(vol * ixx).reshape(-1))
-    M = D["Dt"].T @ Wtt @ D["Dt"] + D["Dx"].T @ Wxx @ D["Dx"]
-    if np.any(itx != 0.0):
-        Wtx = sp.diags((vol * itx).reshape(-1))
-        M = M + D["Ct"].T @ Wtx @ D["Cx"] + D["Cx"].T @ Wtx @ D["Ct"]
-    S = _offsets_from_sparse(g, M)
-    for k in list(S):
-        S[k] = S[k] / vol
-        if not np.any(S[k]):
-            del S[k]
-    return S
+    vit, vix = vol * itt, vol * ixx
+    idt, idx = 1.0 / g.dt, 1.0 / g.dx
+    wt = np.zeros((g.nt + 1, g.nx))  # wt[n]: edge from level n-1 to level n
+    wt[1:-1] = 0.5 * (vit[:-1] + vit[1:]) * idt * idt
+    wx = 0.5 * (vix + np.roll(vix, -1, axis=1)) * idx * idx  # edge j -> j+1
+    wx_in = np.roll(wx, 1, axis=1)  # edge j-1 -> j
+    S = {(0, 0): (wt[:-1] + wt[1:]) + (wx + wx_in), (1, 0): -wt[1:], (-1, 0): -wt[:-1],
+         (0, 1): -wx, (0, -1): -wx_in}
+    c = vol * itx * (0.5 / g.dt) * (0.5 / g.dx)
+    for s in (-1, 1):
+        cs = np.roll(c, -s, axis=1)
+        up, dn = np.zeros_like(c), np.zeros_like(c)
+        up[:-1] = -s * (c[1:] + cs[:-1])
+        dn[1:] = s * (c[:-1] + cs[1:])
+        S[(1, s)], S[(-1, s)] = up, dn
+        ends = s * (c - cs)  # one-sided rows of Ct at levels 0 and nt-1
+        S[(0, s)][0] -= ends[0]
+        S[(0, s)][-1] += ends[-1]
+    return {k: v / vol for k, v in S.items() if np.any(v)}
 
 
 def build_operator(metric: MetricField, A0=None, A1=None, B=None,
@@ -448,7 +403,7 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None,
     g = metric.grid
     fiber = fiber or FiberMetric(g)
     S = _principal_offsets(metric, ixx_override=hxx_override)
-    offsets = {k: _blocks(g, v) for k, v in S.items() if np.any(v != 0.0)}
+    offsets = {k: _blocks(g, v) for k, v in S.items()}
 
     def coerce(c):
         if c is None:

@@ -353,9 +353,7 @@ class MollerOperator:
 
     def adjoint_matrix(self) -> np.ndarray:
         """Definitional weighted transpose of the realized matrix."""
-        Vg = self.op_start.weight_dense()
-        Vgp = self.op_end.weight_dense()
-        return np.linalg.solve(Vg, self.as_matrix().T @ Vgp)
+        return AdjointOperator(self.as_matrix(), self.op_start, self.op_end).matrix
 
 
 class AdjointOperator:

@@ -42,6 +42,21 @@ def test_reversed_fixture_reports_certificate(tmp_path):
     assert check["info"]["reason"] == "orientation-reversal"
 
 
+def test_list_config_reports_sorted_scenarios(tmp_path):
+    # file order is the reverse of name order
+    cfg = [{"name": "z-reversed", "kind": "reversed-pair", "nt": 8, "nx": 8},
+           {"name": "a-cones", "seed": 3, "suites": ["cones"], "cones": {"pairs": 40}}]
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["run", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert run_cli(["run", str(path), "--out", str(tmp_path / "b")]) == 0
+    text = (tmp_path / "a" / "report.json").read_bytes()
+    assert text == (tmp_path / "b" / "report.json").read_bytes()
+    trees = json.loads(text)
+    assert [t["scenario"] for t in trees] == ["a-cones", "z-reversed"]
+    assert all(t["pass"] for t in trees)
+
+
 def test_malformed_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -5,7 +5,7 @@ import pytest
 
 from moellerlab import geometry as geo
 from moellerlab import greenhyp as gh
-from moellerlab.lattice import ScalarField, Section, make_grid
+from moellerlab.lattice import ScalarField, Section, make_grid, smooth_step
 
 from conftest import window_section
 
@@ -46,6 +46,75 @@ def test_symbol_check_passes_varying_metric(grid48):
     gh.build_operator(warped)  # does not raise
     tilted = geo.metric_preset("tilted", grid48, deg=12.0)
     gh.build_operator(tilted)
+
+
+def _divergence_form_dense(metric, ixx_override=None):
+    """Dense (1/vol)[Dt^T Wtt Dt + Dx^T Wxx Dx + Ct^T Wtx Cx + Cx^T Wtx Ct].
+
+    D^T is minus the divergence, so this is -(1/vol) div(vol g_sharp grad .).
+    Dt: node -> t edge, Dx: node -> periodic x edge (forward differences);
+    Ct, Cx: centered, with half-weight one-sided rows of Ct at both window ends.
+    """
+    g = metric.grid
+    nt, nx = g.nt, g.nx
+    itt, itx, ixx = metric.inverse_components()
+    if ixx_override is not None:
+        ixx = np.broadcast_to(ixx_override, ixx.shape)
+    vol = metric.volume_density()
+    Dt = (np.eye(nt - 1, nt, 1) - np.eye(nt - 1, nt)) / g.dt
+    Dx = (np.roll(np.eye(nx), 1, axis=1) - np.eye(nx)) / g.dx
+    Ct = np.zeros((nt, nt))
+    for n in range(nt):
+        Ct[n, min(n + 1, nt - 1)] += 0.5 / g.dt
+        Ct[n, max(n - 1, 0)] -= 0.5 / g.dt
+    Cx = (np.roll(np.eye(nx), 1, axis=1) - np.roll(np.eye(nx), -1, axis=1)) / (2.0 * g.dx)
+    Dt, Ct = np.kron(Dt, np.eye(nx)), np.kron(Ct, np.eye(nx))
+    Dx, Cx = np.kron(np.eye(nt), Dx), np.kron(np.eye(nt), Cx)
+    vit, vix, vitx = vol * itt, vol * ixx, vol * itx
+    Wtt = np.diag((0.5 * (vit[:-1] + vit[1:])).ravel())
+    Wxx = np.diag((0.5 * (vix + np.roll(vix, -1, axis=1))).ravel())
+    Wtx = np.diag(vitx.ravel())
+    M = Dt.T @ Wtt @ Dt + Dx.T @ Wxx @ Dx + Ct.T @ Wtx @ Cx + Cx.T @ Wtx @ Ct
+    return M / vol.reshape(-1, 1)
+
+
+@pytest.mark.parametrize("shape", [(9, 5), (12, 8)])
+@pytest.mark.parametrize("case", ["tilted", "varying-tilt", "warped", "minkowski-hxx"])
+def test_stencil_equals_dense_divergence_form(shape, case):
+    g = make_grid(*shape, 0.0, 0.5, 1.0)
+    hxx = None
+    if case == "varying-tilt":
+        T, X = np.meshgrid(g.times, g.sites, indexing="ij")
+        m = geo.metric_from_arcs(g, 0.3 * np.sin(2 * np.pi * X) + 0.4 * T, 0.7 + 0.1 * np.cos(3 * T))
+    elif case == "minkowski-hxx":
+        m = geo.metric_preset("minkowski", g)
+        hxx = 1.0 + 0.2 * np.random.default_rng(4).uniform(size=(g.nt, g.nx))
+    else:
+        m = geo.metric_preset(case, g)
+    N = gh.build_operator(m, hxx_override=hxx, check=False)
+    want = _divergence_form_dense(m, hxx)
+    assert np.max(np.abs(N.as_dense() - want)) <= 1e-13 * np.max(np.abs(want))
+    # all-zero keys are dropped: the cross keys exist exactly when g^tx != 0
+    assert len(N.offsets) == (9 if np.any(m.inverse_components()[1]) else 5)
+
+
+@pytest.mark.parametrize("target", ["arcs", "conformal"])
+def test_convex_operator_is_bitwise_inert_off_the_switch(grid48, mink48, target):
+    if target == "arcs":
+        m1 = geo.metric_from_arcs(grid48, 0.15, 1.0)  # g^tx != 0 on this end only
+    else:
+        m1 = geo.metric_preset("conformal", grid48, mu=2.0)
+    N0, N1 = gh.build_operator(mink48, B=1.0), gh.build_operator(m1, B=1.0)
+    chi = smooth_step(grid48, grid48.times[16], grid48.times[32]).values
+    Nchi = gh.convex_operator(N0, N1, ScalarField(grid48, chi))
+    zeros = np.flatnonzero(np.all(chi == 0.0, axis=1))[:-1]  # the last one couples to the switch
+    ones = np.flatnonzero(np.all(chi == 1.0, axis=1))[1:]
+    assert len(zeros) and len(ones)
+    zero = np.zeros_like(Nchi.offsets[(0, 0)])
+    for k in set(Nchi.offsets) | set(N0.offsets) | set(N1.offsets):
+        C = Nchi.offsets.get(k, zero)
+        for levels, N in ((zeros, N0), (ones, N1)):
+            assert np.array_equal(C[levels], N.offsets.get(k, zero)[levels]), (k, N is N1)
 
 
 def test_symmetrize_fixed_point(grid48, kg48):
