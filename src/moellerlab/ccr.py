@@ -139,9 +139,6 @@ class AlgebraElement:
                                        _normal_order(self.dictionary, w[::-1], np.conj(c)))
         return out
 
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def coefficient(self, word) -> complex:
         return self.terms.get(tuple(word), 0.0)
 
@@ -256,12 +253,6 @@ class QuasifreeState:
         eigs = np.linalg.eigvalsh(W)
         if eigs.min() < -tol * scale:
             raise AssertionError(f"two-point table is not positive semidefinite ({eigs.min():.2e})")
-
-    def npoint(self, indices):
-        return quasifree_npoint(self, indices)
-
-    def eval(self, element: AlgebraElement):
-        return state_eval(self, element)
 
 
 def vacuum_state(dictionary: FieldDictionary) -> QuasifreeState:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import geometry as geo
 from .lattice import make_grid
-from .reports import dumps, report_tree
+from .reports import CheckResult, dumps, report_tree
 from .suites import SUITES
 
 USAGE_ERROR = 2
@@ -60,23 +60,10 @@ def _reversed_pair_report(cfg) -> dict:
     mink = geo.metric_preset("minkowski", g)
     out = geo.build_chain(mink, mink.time_reversed())
     ok = isinstance(out, geo.ChainObstruction) and out.reason == "orientation-reversal"
-    return {
-        "scenario": cfg.get("name", "reversed-pair"),
-        "suites": {
-            "paracausal": {
-                "pass": ok,
-                "checks": [{
-                    "law": "reversal_obstruction_certificate",
-                    "residual": 0.0 if ok else 1.0,
-                    "tolerance": 0.5,
-                    "pass": ok,
-                    "info": {"reason": getattr(out, "reason", "chain-found"),
-                             "detail": getattr(out, "detail", "")},
-                }],
-            }
-        },
-        "pass": ok,
-    }
+    check = CheckResult.from_flag("reversal_obstruction_certificate", ok,
+                                  reason=getattr(out, "reason", "chain-found"),
+                                  detail=getattr(out, "detail", ""))
+    return report_tree(cfg.get("name", "reversed-pair"), {"paracausal": [check]})
 
 
 def run(config_path, out_dir=None) -> int:

@@ -16,7 +16,6 @@ there is no sampling or modelling tolerance anywhere in this module.
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -130,14 +129,6 @@ class MetricField:
         hi = np.maximum(r1, r2)
         return lo, hi
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        cols = (self.g_tt, self.g_tx, self.g_xx, self.orient_t, self.orient_x)
-        for n in range(self.grid.nt):
-            for j in range(self.grid.nx):
-                buf.write(",".join(repr(float(c[n, j])) for c in cols) + "\n")
-        return buf.getvalue()
-
 
 class ConeData:
     """Light-cone data at one point: null slopes and the future half."""
@@ -160,10 +151,6 @@ class ConeData:
         self.arc_halfwidth = float(hw[n, j])
         if not (self.slopes[0] < self.slopes[1]):
             raise ValueError("degenerate cone: null slopes coincide")
-
-    @property
-    def future_boundary_angles(self):
-        return (self.arc_center - self.arc_halfwidth, self.arc_center + self.arc_halfwidth)
 
 
 # -- directions as angles ---------------------------------------------------

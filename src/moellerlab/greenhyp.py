@@ -102,7 +102,8 @@ class HyperbolicOperator:
         self.self_adjoint = self_adjoint
         w = self.vol * self.grid.dt * self.grid.dx
         self.weight_blocks = fiber.values * w[:, :, None, None]
-        self.weight_inv_blocks = np.linalg.inv(self.weight_blocks)
+        self.weight_inv_blocks = (1.0 / self.weight_blocks if self.grid.rank == 1
+                                  else np.linalg.inv(self.weight_blocks))
         self._steps = {}
         self._dense = None
 
@@ -124,9 +125,6 @@ class HyperbolicOperator:
             else:
                 out[..., 1:, :, :] += np.einsum("txab,...txb->...txa", C[1:], shifted[..., :-1, :, :])
         return out
-
-    def apply_section(self, f: Section) -> Section:
-        return Section(self.grid, self.apply(f.values))
 
     def interior_residual(self, u, f=None) -> float:
         """Sup norm of N u - f over the equation rows (levels 1..nt-2)."""
@@ -441,7 +439,9 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None,
 def wave_operator(metric: MetricField, mass=1.0, fiber=None) -> HyperbolicOperator:
     """Canonical formally self-adjoint operator of a metric: div form + m^2."""
     op = build_operator(metric, B=float(mass) ** 2, fiber=fiber)
-    if op.v_symmetry_defect() <= 1e-10 * (1.0 + float(np.max(op.metric.scale()))):
+    # judged against the stencil's own entries, which grow like 1/dt^2
+    entry = max(float(np.max(np.abs(C))) for C in op.offsets.values())
+    if op.v_symmetry_defect() <= 1e-10 * (1.0 + entry):
         op.self_adjoint = True
         return op
     return symmetrize(op)
@@ -579,9 +579,6 @@ class CausalPropagator:
 
     def apply(self, f):
         return self.system.propagator(f)
-
-    def apply_section(self, f: Section) -> Section:
-        return Section(self.operator.grid, self.apply(f))
 
     def kernel_matrix(self) -> np.ndarray:
         """Dense matrix of the map (admissible interior columns only)."""

@@ -108,16 +108,6 @@ class VacuumKernel:
         out = (self._d * (V @ self._phi.conj())) @ self._phi.T
         return out.reshape(lead + (self.grid.nt, self.grid.nx))
 
-    def equal_time_value(self) -> float:
-        """K(p, p): the coincidence value sum_k 1/(2 w_k L)."""
-        return float(np.sum(self._d))
-
-    def evaluate(self, f: np.ndarray, h: np.ndarray, weights: np.ndarray) -> complex:
-        """Smeared pairing with explicit volume weights (vol * dt * dx)."""
-        vf = (weights * f).reshape(-1)
-        vh = (weights * h).reshape(-1)
-        return complex(vf @ self.apply(vh).reshape(-1))
-
 
 def _grid_block(grid, vec):
     """(K, n_points) block of grid vectors and the leading shape of vec.

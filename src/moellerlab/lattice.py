@@ -11,9 +11,7 @@ threads.
 
 from __future__ import annotations
 
-import io
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,9 +131,6 @@ class Section:
     def zero(cls, grid: SpacetimeGrid) -> "Section":
         return cls(grid, grid.zeros())
 
-    def copy_with(self, values) -> "Section":
-        return Section(self.grid, values)
-
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
 
@@ -152,36 +147,6 @@ class Section:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def to_csv(self) -> str:
-        """One row per time level; fibers and sites flattened per row."""
-        buf = io.StringIO()
-        flat = self.values.reshape(self.grid.nt, -1)
-        for row in flat:
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
-
-    def to_json(self, role="section") -> str:
-        env = {
-            "grid": {
-                "nt": self.grid.nt,
-                "nx": self.grid.nx,
-                "t_min": self.grid.t_min,
-                "t_max": self.grid.t_max,
-                "length": self.grid.length,
-                "rank": self.grid.rank,
-            },
-            "role": role,
-            "values": self.values.tolist(),
-        }
-        return json.dumps(env, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Section":
-        env = json.loads(text)
-        g = env["grid"]
-        grid = make_grid(g["nt"], g["nx"], g["t_min"], g["t_max"], g["length"], g["rank"])
-        return cls(grid, np.array(env["values"]))
 
 
 class ScalarField:
@@ -210,12 +175,6 @@ class ScalarField:
     @classmethod
     def constant(cls, grid, c, constraint=None) -> "ScalarField":
         return cls(grid, np.full((grid.nt, grid.nx), float(c)), constraint)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        for row in self.values:
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
 
 
 class FiberMetric:

@@ -7,11 +7,16 @@ steps are
     R- = Id - G-_{rho' N_1} (rho' N_1 - rho N_chi) rho' = vol_1  / vol_0
 
 built over a time-interpolating operator N_chi whose switch window [t0, t1]
-sits strictly inside the lattice window.  Their inverses swap the solver for
-the other operator's retarded/advanced solve, and their adjoints are again
-marching compositions because every operator in the pipeline is exactly
-volume-weighted self-adjoint.  Chains compose steps link by link; reversed
-links use inverse steps.
+sits strictly inside the lattice window.  Both are one signed step
+
+    R = Id - G^s_{b N_hi} (b N_hi - a N_lo)
+
+with (s, a, b) = (+1, 1, rho) for R+ and (-1, rho, rho') for R-, so every
+action below is written once.  The inverse swaps the solver for N_lo's solve
+in the same direction, and the transposes are again marching compositions
+(in the opposite direction) because every operator in the pipeline is
+exactly volume-weighted self-adjoint.  Chains compose steps link by link;
+reversed links use inverse steps.
 
 Lattice-time marching imposes a real restriction mirrored from the causal
 geometry: every metric along a link (endpoints and the interpolating family)
@@ -33,7 +38,8 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import ALIGNED, MetricField, ParacausalChain, preceq
-from .greenhyp import HyperbolicOperator, convex_operator, wave_operator
+from .greenhyp import (CausalPropagator, HyperbolicOperator, convex_operator, solve_cauchy,
+                       symplectic_form, wave_operator)
 from .lattice import ScalarField, Section, smooth_step
 
 __all__ = [
@@ -100,113 +106,89 @@ def _winv(op: HyperbolicOperator, u):
 
 
 class MollerStep:
-    """One elementary scattering factor with realized linear actions.
+    """One elementary scattering factor Id - G^s_{b N_hi}(b N_hi - a N_lo).
 
-    kind "plus" fixes the past (output equals input below t0); kind "minus"
-    fixes the future above t1.  Inverse and transpose actions are realized
-    through the opposite-direction causal solves of the same operators.
+    kind "plus" (s = +1, a = 1, b = rho) fixes the past: output equals input
+    below t0.  kind "minus" (s = -1, a = rho, b = rho') fixes the future above
+    t1.  Each action is one formula in (s, a, b): the inverse marches N_lo in
+    direction s, the transposes march in direction -s.
     Every action takes one (nt, nx, r) field or a (K, nt, nx, r) batch.
     """
 
-    def __init__(self, kind, op_small, op_mid, rho, t0_level, t1_level,
-                 rho_hi=None, check=True):
+    def __init__(self, kind, op_lo, op_hi, a, b, t0_level, t1_level, check=True):
         self.kind = kind
-        self.op_small = op_small      # N0 for plus, N_chi for minus
-        self.op_mid = op_mid          # N_chi for plus, N1 for minus
-        self.rho = rho                # vol ratio scaling op_mid (plus) / lower factor (minus)
-        self.rho_hi = rho_hi          # rho' for minus steps
+        self.sign = +1 if kind == "plus" else -1
+        self.op_lo = op_lo            # N0 for plus, N_chi for minus
+        self.op_hi = op_hi            # N_chi for plus, N1 for minus
+        self.a = a[:, :, None]
+        self.b = b[:, :, None]
         self.t0_level = t0_level
         self.t1_level = t1_level
-        self.grid = op_mid.grid
-        self._tr_small = None
-        self._tr_mid = None
+        self.grid = op_hi.grid
+        self._tr = {}
         if check:
             self._check_profiles()
             self._check_identity_region()
 
+    def inert(self) -> slice:
+        """Levels on which the step is the identity (below t0 / above t1)."""
+        if self.sign > 0:
+            return slice(0, max(self.t0_level - 1, 0))
+        return slice(self.t1_level + 2, self.grid.nt)
+
     # difference operators ---------------------------------------------------
 
     def _diff(self, u):
-        """(rho N_chi - N0) u for plus; (rho' N1 - rho N_chi) u for minus."""
-        if self.kind == "plus":
-            return self.rho[:, :, None] * self.op_mid.apply(u) - self.op_small.apply(u)
-        return (self.rho_hi[:, :, None] * self.op_mid.apply(u)
-                - self.rho[:, :, None] * self.op_small.apply(u))
-
-    def _transpose_op(self, which):
-        cache = "_tr_small" if which == "small" else "_tr_mid"
-        if getattr(self, cache) is None:
-            op = self.op_small if which == "small" else self.op_mid
-            tr = HyperbolicOperator(op.metric, op.transpose_offsets(), op.fiber)
-            setattr(self, cache, tr)
-        return getattr(self, cache)
+        """(b N_hi - a N_lo) u."""
+        return self.b * self.op_hi.apply(u) - self.a * self.op_lo.apply(u)
 
     def _diff_transpose(self, w):
-        if self.kind == "plus":
-            return (self._transpose_op("mid").apply(self.rho[:, :, None] * w)
-                    - self._transpose_op("small").apply(w))
-        return (self._transpose_op("mid").apply(self.rho_hi[:, :, None] * w)
-                - self._transpose_op("small").apply(self.rho[:, :, None] * w))
+        if not self._tr:
+            self._tr = {k: HyperbolicOperator(op.metric, op.transpose_offsets(), op.fiber)
+                        for k, op in (("lo", self.op_lo), ("hi", self.op_hi))}
+        return self._tr["hi"].apply(self.b * w) - self._tr["lo"].apply(self.a * w)
 
     # realized actions ---------------------------------------------------------
 
     def apply(self, u):
         d = self._diff(u)
-        if self.kind == "plus":
-            d /= self.rho[:, :, None]
-            return u - self.op_mid.march(d, +1)
-        d /= self.rho_hi[:, :, None]
-        return u - self.op_mid.march(d, -1)
+        d /= self.b
+        return u - self.op_hi.march(d, self.sign)
 
     def inverse_apply(self, u):
         d = self._diff(u)
-        if self.kind == "plus":
-            return u + self.op_small.march(d, +1)
-        d /= self.rho[:, :, None]
-        return u + self.op_small.march(d, -1)
+        d /= self.a
+        return u + self.op_lo.march(d, self.sign)
 
     def transpose_apply(self, h):
-        """Plain matrix transpose action, valid on window-compact sections."""
-        if self.kind == "plus":
-            # R+^T = Id - D^T diag(1/rho) V_chi G-_{chi} V_chi^{-1}
-            mid = self.op_mid
-            w = _wmul(mid, mid.march(_winv(mid, h), -1)) / self.rho[:, :, None]
-            return h - self._diff_transpose(w)
-        big = self.op_mid
-        w = _wmul(big, big.march(_winv(big, h), +1)) / self.rho_hi[:, :, None]
+        """Plain matrix transpose action, valid on window-compact sections.
+
+        R^T = Id - D^T diag(1/b) V_hi G^{-s}_{hi} V_hi^{-1}, D = b N_hi - a N_lo.
+        """
+        hi = self.op_hi
+        w = _wmul(hi, hi.march(_winv(hi, h), -self.sign)) / self.b
         return h - self._diff_transpose(w)
 
     def inverse_transpose_apply(self, h):
-        if self.kind == "plus":
-            small = self.op_small
-            w = _wmul(small, small.march(_winv(small, h), -1))
-            return h + self._diff_transpose(w)
-        small = self.op_small
-        w = _wmul(small, small.march(_winv(small, h), +1)) / self.rho[:, :, None]
+        lo = self.op_lo
+        w = _wmul(lo, lo.march(_winv(lo, h), -self.sign)) / self.a
         return h + self._diff_transpose(w)
 
     # build-time invariants ------------------------------------------------------
 
     def _check_profiles(self):
         g = self.grid
-        if self.kind == "plus":
-            early = self.rho[: max(self.t0_level - 1, 0)]
-            if early.size and np.max(np.abs(early - 1.0)) > 1e-12:
-                raise ValueError("scaling profile must equal 1 below the switch window")
-        else:
-            late = (self.rho_hi - self.rho)[self.t1_level + 2:]
-            if late.size and np.max(np.abs(late)) > 1e-12:
-                raise ValueError("the two scaling profiles must agree above the switch window")
-        # plus-kind differences vanish strictly below the window, minus-kind
-        # strictly above it (the other side carries the metric mismatch)
+        inert = self.inert()
+        if np.max(np.abs((self.b - self.a)[inert]), initial=0.0) > 1e-12:
+            raise ValueError("the scaling profiles must agree on the inert side")
+        # the difference vanishes on the inert side (the other side carries
+        # the metric mismatch); boundary rows carry no equation
         probe = np.zeros((g.nt, g.nx, g.rank))
         probe[1:-1] = 1.0
         d = self._diff(probe)
-        if self.kind == "plus":
-            region = d[1:max(self.t0_level - 1, 1)]
-        else:
-            region = d[self.t1_level + 2: g.nt - 1]
-        if region.size and np.max(np.abs(region)) > 1e-10 * (1 + np.max(np.abs(d))):
+        tol = 1e-10 * (1 + np.max(np.abs(d)))
+        d[[0, -1]] = 0.0
+        if np.max(np.abs(d[inert]), initial=0.0) > tol:
             raise ValueError("difference operator does not vanish on its inert side")
 
     def _check_identity_region(self):
@@ -214,12 +196,7 @@ class MollerStep:
         rng = np.random.default_rng(7)
         u = np.zeros((g.nt, g.nx, g.rank))
         u[2:-2] = rng.standard_normal((g.nt - 4, g.nx, g.rank))
-        out = self.apply(u)
-        if self.kind == "plus":
-            region = slice(0, max(self.t0_level - 1, 0))
-        else:
-            region = slice(self.t1_level + 2, g.nt)
-        err = float(np.max(np.abs((out - u)[region]))) if u[region].size else 0.0
+        err = np.max(np.abs((self.apply(u) - u)[self.inert()]), initial=0.0)
         if err > 1e-10 * (1.0 + float(np.max(np.abs(u)))):
             raise AssertionError(f"identity region violated at build time: {err:.2e}")
 
@@ -238,7 +215,7 @@ def build_rplus(N0: HyperbolicOperator, Nchi: HyperbolicOperator, rho: ScalarFie
     if r is not ALIGNED:
         raise ValueError("need N0's cone inside the interpolating cone with aligned futures")
     l0, l1 = _window_levels(N0.grid, t0, t1)
-    return MollerStep("plus", N0, Nchi, rho.values, l0, l1)
+    return MollerStep("plus", N0, Nchi, np.ones_like(rho.values), rho.values, l0, l1)
 
 
 def build_rminus(Nchi: HyperbolicOperator, N1: HyperbolicOperator, rho: ScalarField,
@@ -248,7 +225,7 @@ def build_rminus(Nchi: HyperbolicOperator, N1: HyperbolicOperator, rho: ScalarFi
     if r is not ALIGNED:
         raise ValueError("need the interpolating cone inside N1's cone with aligned futures")
     l0, l1 = _window_levels(N1.grid, t0, t1)
-    return MollerStep("minus", Nchi, N1, rho.values, l0, l1, rho_hi=rho_hi.values)
+    return MollerStep("minus", Nchi, N1, rho.values, rho_hi.values, l0, l1)
 
 
 class _InverseStep:
@@ -324,12 +301,6 @@ class MollerOperator:
         v = _wmul(self.op_end, np.asarray(h, dtype=float))
         v = self.transpose_apply(v)
         return _winv(self.op_start, v)
-
-    def apply_section(self, f: Section) -> Section:
-        return Section(self.op_start.grid, self.apply(f.values))
-
-    def adjoint_section(self, f: Section) -> Section:
-        return Section(self.op_start.grid, self.adjoint_apply(f.values))
 
     def inverse(self) -> "MollerOperator":
         inv_steps = []
@@ -455,19 +426,16 @@ def random_dictionary(grid, count=16, seed=0, window=None, smooth_passes=2):
 def verify_intertwine(obj, dictionary) -> dict:
     """Operator-level interchange residuals over a test dictionary.
 
-    Steps report || rho N_chi R+ f - N0 f || (resp. the minus analog);
+    Steps report || b N_hi S f - a N_lo f || for a step S;
     composed operators report || c' N' R f - N f ||, both relative to the
     source term's size and measured on equation rows.
     """
     worst = 0.0
     for f in dictionary:
         u = f.values
-        if isinstance(obj, MollerStep) and obj.kind == "plus":
-            lhs = obj.rho[:, :, None] * obj.op_mid.apply(obj.apply(u))
-            rhs = obj.op_small.apply(u)
-        elif isinstance(obj, MollerStep):
-            lhs = obj.rho_hi[:, :, None] * obj.op_mid.apply(obj.apply(u))
-            rhs = obj.rho[:, :, None] * obj.op_small.apply(u)
+        if isinstance(obj, MollerStep):
+            lhs = obj.b * obj.op_hi.apply(obj.apply(u))
+            rhs = obj.a * obj.op_lo.apply(u)
         else:
             lhs = obj.c_prime[:, :, None] * obj.op_end.apply(obj.apply(u))
             rhs = obj.op_start.apply(u)
@@ -508,8 +476,6 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     symplectic-flux preservation on solution pairs; two-sided inverse
     round trip; and exact identity regions of the first/last steps.
     """
-    from .greenhyp import CausalPropagator, symplectic_form
-
     grid = R.op_start.grid
     if dense and grid.n_dof > 4096:
         raise ValueError("dense kernel mode is restricted to small grids")
@@ -546,7 +512,6 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
 
     # symplectic preservation on solution pairs seeded from the dictionary
     rng = np.random.default_rng(seed + 1)
-    from .greenhyp import solve_cauchy
     worst = 0.0
     n_slice = grid.nt // 2
     for _ in range(sympl_pairs):
@@ -568,13 +533,7 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     worst = 0.0
     for s in (R.steps[0], R.steps[-1]):
         base = s.base if isinstance(s, _InverseStep) else s
-        out = s.apply(u)
-        if base.kind == "plus":
-            region = (out - u)[: max(base.t0_level - 1, 0)]
-        else:
-            region = (out - u)[base.t1_level + 2:]
-        if region.size:
-            worst = max(worst, float(np.max(np.abs(region))))
+        worst = max(worst, float(np.max(np.abs((s.apply(u) - u)[base.inert()]), initial=0.0)))
     rep["identity_region"] = worst
 
     if dense:

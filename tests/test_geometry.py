@@ -447,13 +447,6 @@ def test_metric_presets(g8):
         geo.metric_preset("nope", g8)
 
 
-def test_metric_csv(g8):
-    m = geo.metric_preset("minkowski", g8)
-    rows = m.to_csv().strip().split("\n")
-    assert len(rows) == g8.n_points
-    assert rows[0] == "-1.0,0.0,1.0,1.0,0.0"
-
-
 def test_cone_data(g8):
     rot = geo.metric_preset("rotated-minkowski", g8)
     cd = geo.ConeData(rot, (0, 0))

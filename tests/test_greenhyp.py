@@ -5,6 +5,7 @@ import pytest
 
 from moellerlab import geometry as geo
 from moellerlab import greenhyp as gh
+from moellerlab import moller as mo
 from moellerlab.lattice import ScalarField, Section, make_grid, smooth_step
 
 from conftest import window_section
@@ -105,16 +106,37 @@ def test_convex_operator_is_bitwise_inert_off_the_switch(grid48, mink48, target)
     else:
         m1 = geo.metric_preset("conformal", grid48, mu=2.0)
     N0, N1 = gh.build_operator(mink48, B=1.0), gh.build_operator(m1, B=1.0)
-    chi = smooth_step(grid48, grid48.times[16], grid48.times[32]).values
-    Nchi = gh.convex_operator(N0, N1, ScalarField(grid48, chi))
-    zeros = np.flatnonzero(np.all(chi == 0.0, axis=1))[:-1]  # the last one couples to the switch
-    ones = np.flatnonzero(np.all(chi == 1.0, axis=1))[1:]
+    chi = smooth_step(grid48, grid48.times[16], grid48.times[32])
+    _assert_inert_off_the_switch(N0, N1, chi)
+
+
+def _assert_inert_off_the_switch(N0, N1, chi):
+    Nchi = gh.convex_operator(N0, N1, chi)
+    w = chi.values
+    zeros = np.flatnonzero(np.all(w == 0.0, axis=1))[:-1]  # the last one couples to the switch
+    ones = np.flatnonzero(np.all(w == 1.0, axis=1))[1:]
     assert len(zeros) and len(ones)
     zero = np.zeros_like(Nchi.offsets[(0, 0)])
     for k in set(Nchi.offsets) | set(N0.offsets) | set(N1.offsets):
         C = Nchi.offsets.get(k, zero)
         for levels, N in ((zeros, N0), (ones, N1)):
             assert np.array_equal(C[levels], N.offsets.get(k, zero)[levels]), (k, N is N1)
+
+
+def test_wave_operator_ends_stay_inert_at_fine_grid():
+    # at nt = 1024 the stencil entries are ~6e6, so a one-ulp adjointness
+    # defect (~1e-9) must not make wave_operator symmetrize one end only
+    grid = make_grid(1024, 64, 0.0, 0.5, 1.0)
+    mets = [geo.metric_preset("minkowski", grid),
+            geo.metric_preset("conformal", grid, mu=1.4),
+            geo.metric_preset("ultrastatic", grid, h=0.7)]
+    ops = [gh.wave_operator(m, 1.0) for m in mets]
+    chi = smooth_step(grid, grid.t_max / 3.0, 2.0 * grid.t_max / 3.0)
+    for N0, N1 in zip(ops, ops[1:]):
+        _assert_inert_off_the_switch(N0, N1, chi)
+    fwd = geo.ParacausalChain.FWD
+    R = mo.compose_chain(geo.ParacausalChain(mets, [fwd, fwd]), operators=ops)
+    assert len(R.steps) == 4
 
 
 def test_symmetrize_fixed_point(grid48, kg48):

@@ -120,16 +120,6 @@ def test_smooth_step_bad_window():
         smooth_step(g, -0.1, 0.5)
 
 
-def test_section_serialization_roundtrip():
-    g = make_grid(8, 8, 0.0, 1.0, 1.0)
-    rng = np.random.default_rng(2)
-    f = Section(g, rng.standard_normal((8, 8, 1)))
-    back = Section.from_json(f.to_json(role="test"))
-    assert np.array_equal(back.values, f.values)
-    rows = f.to_csv().strip().split("\n")
-    assert len(rows) == g.nt
-
-
 def test_compact_support_window_enforced():
     g = make_grid(10, 8, 0.0, 1.0, 1.0)
     vals = g.zeros()

@@ -111,20 +111,52 @@ def test_intertwine_per_step(grid32, pair32):
     assert mo.verify_intertwine(minus, d)["intertwine"] < 1e-9
 
 
+def generic_link(N0, N1):
+    """Steps with the admissible profile 1 + 0.7 bump, not the volume ratio."""
+    grid = N0.grid
+    t0, t1 = grid.t_max / 3.0, 2 * grid.t_max / 3.0
+    chi = smooth_step(grid, t0, t1)
+    nchi = gh.convex_operator(N0, N1, chi)
+    # the bump chi is 0 below t0 and 1 above t1
+    rho = ScalarField(grid, 1.0 + 0.7 * chi.values, ScalarField.POSITIVE)
+    return mo.build_rplus(N0, nchi, rho, t0, t1), mo.build_rminus(nchi, N1, rho, rho, t0, t1)
+
+
 def test_intertwine_generic_admissible_profile(grid32, pair32):
     # the interchange law does not need the canonical volume-ratio profile
-    N0, N1 = pair32
-    span = grid32.t_max
-    t0, t1 = span / 3.0, 2 * span / 3.0
-    chi = smooth_step(grid32, t0, t1)
-    nchi = gh.convex_operator(N0, N1, chi)
-    bump = smooth_step(grid32, t0, t1).values  # 0 below t0, 1 above t1
-    rho = ScalarField(grid32, 1.0 + 0.7 * bump, ScalarField.POSITIVE)
-    plus = mo.build_rplus(N0, nchi, rho, t0, t1)
-    minus = mo.build_rminus(nchi, N1, rho, rho, t1=t1, t0=t0)
+    plus, minus = generic_link(*pair32)
     d = mo.random_dictionary(grid32, 6, seed=6, window=(4, grid32.nt - 4))
     assert mo.verify_intertwine(plus, d)["intertwine"] < 1e-9
     assert mo.verify_intertwine(minus, d)["intertwine"] < 1e-9
+
+
+def _matrix(action, grid):
+    n = grid.n_dof
+    return action(np.eye(n).reshape(n, grid.nt, grid.nx, grid.rank)).reshape(n, n).T
+
+
+@pytest.mark.parametrize("profile", ["canonical", "generic"])
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+def test_step_actions_match_dense_algebra(kind, profile):
+    # the inverse and both transposes of a step against dense linear algebra
+    # on its realized matrix; transposes on the columns at levels 2..nt-3
+    g16 = make_grid(16, 16, 0.0, 0.5, 1.0)
+    N0 = gh.wave_operator(geo.metric_preset("minkowski", g16), 1.0)
+    N1 = gh.wave_operator(geo.metric_preset("conformal", g16, mu=2.0), 1.0)
+    plus, minus = canonical_link(N0, N1)[:2] if profile == "canonical" else generic_link(N0, N1)
+    step = plus if kind == "plus" else minus
+    R = _matrix(step.apply, g16)
+    R_inv = np.linalg.inv(R)
+    cols = np.zeros((g16.nt, g16.nx, g16.rank), bool)
+    cols[2:-2] = True
+    cols = cols.reshape(-1)
+
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    assert rel(_matrix(step.inverse_apply, g16), R_inv) < 1e-12
+    assert rel(_matrix(step.transpose_apply, g16)[:, cols], R.T[:, cols]) < 1e-12
+    assert rel(_matrix(step.inverse_transpose_apply, g16)[:, cols], R_inv.T[:, cols]) < 1e-12
 
 
 def test_build_rplus_rejects_bad_profile(grid32, pair32):
