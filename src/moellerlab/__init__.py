@@ -16,7 +16,8 @@ from .geometry import (ALIGNED, REVERSED, ChainObstruction, ConeData,
                        preceq, sharp_interpolation, squeeze_metric,
                        tune_alpha)
 from .greenhyp import (CausalPropagator, CFLError, GreenSystem,
-                       HyperbolicOperator, SymbolMismatch, build_operator,
+                       HyperbolicOperator, MarchError, SymbolMismatch,
+                       UnstableMarch, axis_class, build_operator,
                        causal_propagator, convex_operator, exactness_check,
                        green_adjoint_relation, green_minus, green_plus,
                        green_scaled, propagator_symplectic_identity,

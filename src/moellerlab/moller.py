@@ -21,16 +21,17 @@ reversed links use inverse steps.
 Lattice-time marching imposes a real restriction mirrored from the causal
 geometry: every metric along a link (endpoints and the interpolating family)
 must keep exactly one coordinate axis timelike, with the same axis on both
-ends.  A link that crosses from t-timelike to x-timelike cones passes
-through a metric whose constant-time slices are characteristic (the inverse
-metric's tt component changes sign), where no stable causal solve in
-lattice time exists; on the spatial circle this is the same obstruction
-that makes the rotated flat metric fail global hyperbolicity.  Such links
-raise :class:`MollerObstruction` instead of producing garbage.  The march
-also refuses a link whose ends keep dt timelike but have g^xx < 0 somewhere
-(dx timelike too); a Moller operator exists there, and the obstruction's
-detail says that this is a limit of the lattice march, not of the geometry.
-The detail names every refused link of a chain.
+ends (``greenhyp.axis_class``, the march's own test).  A link that crosses
+from t-timelike to x-timelike cones passes through a metric whose
+constant-time slices are characteristic (the inverse metric's tt component
+changes sign), where no stable causal solve in lattice time exists; on the
+spatial circle this is the same obstruction that makes the rotated flat
+metric fail global hyperbolicity.  Such links raise
+:class:`MollerObstruction` instead of producing garbage.  The march also
+refuses a link whose ends keep dt timelike but have g^xx < 0 somewhere (dx
+timelike too); a Moller operator exists there, and the obstruction's detail
+says that this is a limit of the lattice march, not of the geometry.  The
+detail names every refused link of a chain.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import ALIGNED, MetricField, ParacausalChain, preceq
-from .greenhyp import (CausalPropagator, HyperbolicOperator, convex_operator, solve_cauchy,
-                       symplectic_form, wave_operator)
+from .greenhyp import (CausalPropagator, HyperbolicOperator, axis_class, convex_operator,
+                       solve_cauchy, sup_norms, symplectic_form, wave_operator, worst_ratio)
 from .lattice import ScalarField, Section, smooth_step
 
 __all__ = [
@@ -66,18 +67,8 @@ class MollerObstruction(RuntimeError):
         self.detail = detail
 
 
-def _axis_class(metric: MetricField):
-    """+1 when dt is timelike (t-class), -1 for the x-class, 0 when mixed."""
-    itt, _, ixx = metric.inverse_components()
-    if np.max(itt) < 0.0 and np.min(ixx) > 0.0:
-        return 1
-    if np.min(itt) > 0.0 and np.max(ixx) < 0.0:
-        return -1
-    return 0
-
-
 def _check_link_marchable(ga: MetricField, gb: MetricField):
-    ca, cb = _axis_class(ga), _axis_class(gb)
+    ca, cb = axis_class(ga), axis_class(gb)
     if ca == cb != 0:
         return
     if all(np.max(m.inverse_components()[0]) < 0.0 for m in (ga, gb)):
@@ -428,20 +419,22 @@ def verify_intertwine(obj, dictionary) -> dict:
 
     Steps report || b N_hi S f - a N_lo f || for a step S;
     composed operators report || c' N' R f - N f ||, both relative to the
-    source term's size and measured on equation rows.
+    source term's size and measured on equation rows.  The dictionary
+    marches as one batch; the law reports its worst section.
     """
-    worst = 0.0
-    for f in dictionary:
-        u = f.values
-        if isinstance(obj, MollerStep):
-            lhs = obj.b * obj.op_hi.apply(obj.apply(u))
-            rhs = obj.a * obj.op_lo.apply(u)
-        else:
-            lhs = obj.c_prime[:, :, None] * obj.op_end.apply(obj.apply(u))
-            rhs = obj.op_start.apply(u)
-        scale = max(float(np.max(np.abs(rhs))), 1e-300)
-        worst = max(worst, float(np.max(np.abs((lhs - rhs)[1:-1]))) / scale)
-    return {"intertwine": worst}
+    u = _stack(dictionary)
+    if isinstance(obj, MollerStep):
+        lhs = obj.b * obj.op_hi.apply(obj.apply(u))
+        rhs = obj.a * obj.op_lo.apply(u)
+    else:
+        lhs = obj.c_prime[:, :, None] * obj.op_end.apply(obj.apply(u))
+        rhs = obj.op_start.apply(u)
+    return {"intertwine": worst_ratio(sup_norms((lhs - rhs)[:, 1:-1]), sup_norms(rhs))}
+
+
+def _stack(dictionary):
+    """(K, nt, nx, r) batch of a dictionary's sections."""
+    return np.stack([f.values for f in dictionary])
 
 
 def restrict_to_solutions(R: MollerOperator, kind="ker", tol=1e-8):
@@ -474,7 +467,9 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     Covers: source interchange c' N' R = N; propagator transport
     R G R^dagger = G'; adjoint interchange R^dagger N' = N on compacts;
     symplectic-flux preservation on solution pairs; two-sided inverse
-    round trip; and exact identity regions of the first/last steps.
+    round trip; and exact identity regions of the first/last steps.  Each
+    dictionary law marches the whole dictionary as one batch and reports its
+    worst section.
     """
     grid = R.op_start.grid
     if dense and grid.n_dof > 4096:
@@ -485,30 +480,17 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     rep = {}
     rep.update(verify_intertwine(R, dictionary))
 
+    u = _stack(dictionary)
     Gn = CausalPropagator(R.op_start)
     Gnp = CausalPropagator(R.op_end)
-    worst = 0.0
-    for f in dictionary:
-        lhs = R.apply(Gn.apply(R.adjoint_apply(f.values)))
-        rhs = Gnp.apply(f.values)
-        scale = max(float(np.max(np.abs(rhs))), 1e-300)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
-    rep["propagator_transport"] = worst
-
-    worst = 0.0
-    for f in dictionary:
-        lhs = R.adjoint_apply(R.op_end.apply(f.values))
-        rhs = R.op_start.apply(f.values)
-        scale = max(float(np.max(np.abs(rhs))), 1e-300)
-        worst = max(worst, float(np.max(np.abs((lhs - rhs)[1:-1]))) / scale)
-    rep["adjoint_interchange"] = worst
-
-    worst = 0.0
-    for f in dictionary:
-        rt = R.inverse_apply(R.apply(f.values))
-        scale = max(float(np.max(np.abs(f.values))), 1e-300)
-        worst = max(worst, float(np.max(np.abs(rt - f.values))) / scale)
-    rep["inverse_roundtrip"] = worst
+    rhs = Gnp.apply(u)
+    rep["propagator_transport"] = worst_ratio(
+        sup_norms(R.apply(Gn.apply(R.adjoint_apply(u))) - rhs), sup_norms(rhs))
+    rhs = R.op_start.apply(u)
+    rep["adjoint_interchange"] = worst_ratio(
+        sup_norms((R.adjoint_apply(R.op_end.apply(u)) - rhs)[:, 1:-1]), sup_norms(rhs))
+    rep["inverse_roundtrip"] = worst_ratio(sup_norms(R.inverse_apply(R.apply(u)) - u),
+                                           sup_norms(u))
 
     # symplectic preservation on solution pairs seeded from the dictionary
     rng = np.random.default_rng(seed + 1)

@@ -169,9 +169,24 @@ def suite_paracausal(cfg, rng) -> list:
     return checks
 
 
-def _cfl_failure(e: gh.CFLError) -> list:
-    """A scenario whose time step breaks the CFL bound, as one failed check."""
-    return [CheckResult.from_flag("cfl_satisfied", False, reason="cfl", detail=str(e))]
+def _march_failure(e: gh.MarchError) -> list:
+    """A scenario the march refuses (CFL bound, unstable metric), as one failed check."""
+    return [CheckResult.from_flag(e.check, False, reason=e.reason, detail=str(e))]
+
+
+BATCH = 64  # samples marched together: memory stays bounded for any sample count
+
+
+def _batches(count) -> list:
+    """Sizes of the batches that march `count` samples, in draw order."""
+    return [min(BATCH, count - i) for i in range(0, count, BATCH)]
+
+
+def _sample_count(cfg, key, default) -> int:
+    count = int(cfg.get(key, default))
+    if count < 1:
+        raise ValueError(f"{key} must be at least 1, got {count}")
+    return count
 
 
 def _refinement_sizes(sizes, key) -> list:
@@ -198,27 +213,27 @@ def suite_green(cfg, rng) -> list:
     grid = make_grid(nt, nx, 0.0, float(cfg.get("t_max", 0.5)), 1.0)
     N = _scenario_operator(cfg, grid, cfg.get("preset", "minkowski"))
     try:
-        N.check_cfl()
-    except gh.CFLError as e:
-        return _cfl_failure(e)
-    count = int(cfg.get("count", 100))
+        N.check_march()
+    except gh.MarchError as e:
+        return _march_failure(e)
+    count = _sample_count(cfg, "count", 100)
     checks = []
     Gs = gh.GreenSystem(N)
-    worst_fwd = worst_bwd = worst_inv = 0.0
     lo, hi = 4, grid.nt - 4
-    for _ in range(count):
-        h = mo.random_dictionary(grid, 1, rng.integers(1 << 30), window=(lo, hi))[0]
-        f = N.apply(h.values)
-        f[:1] = 0.0
-        f[-1:] = 0.0
-        scale = max(float(np.max(np.abs(f))), 1e-300)
+    worst_fwd = worst_bwd = worst_inv = 0.0
+    for k in _batches(count):
+        h = np.stack([mo.random_dictionary(grid, 1, rng.integers(1 << 30), window=(lo, hi))[0].values
+                      for _ in range(k)])
+        f = N.apply(h)
+        f[:, :1] = 0.0
+        f[:, -1:] = 0.0
+        scale, hs = gh.sup_norms(f), gh.sup_norms(h)
         up = Gs.plus(f)
         dn = Gs.minus(f)
-        worst_fwd = max(worst_fwd, N.interior_residual(up, f) / scale)
-        worst_bwd = max(worst_bwd, N.interior_residual(dn, f) / scale)
-        hs = max(float(np.max(np.abs(h.values))), 1e-300)
-        worst_inv = max(worst_inv, float(np.max(np.abs(Gs.plus(f) - h.values))) / hs,
-                        float(np.max(np.abs(Gs.minus(f) - h.values))) / hs)
+        worst_fwd = max(worst_fwd, gh.worst_ratio(N.interior_residual(up, f), scale))
+        worst_bwd = max(worst_bwd, gh.worst_ratio(N.interior_residual(dn, f), scale))
+        worst_inv = max(worst_inv, gh.worst_ratio(gh.sup_norms(up - h), hs),
+                        gh.worst_ratio(gh.sup_norms(dn - h), hs))
     checks.append(CheckResult.from_residual("retarded_right_inverse", worst_fwd, 1e-10))
     checks.append(CheckResult.from_residual("advanced_right_inverse", worst_bwd, 1e-10))
     checks.append(CheckResult.from_residual("green_left_inverse", worst_inv, 1e-10))
@@ -242,10 +257,12 @@ def suite_green(cfg, rng) -> list:
     spread = float((vals.max() - vals.min()) / max(abs(vals.mean()), 1e-300))
     checks.append(CheckResult.from_residual("symplectic_slice_independence", spread, 1e-9))
     worst = 0.0
-    for _ in range(int(cfg.get("pairs", 50))):
-        f1, h1 = mo.random_dictionary(grid, 2, rng.integers(1 << 30), window=(lo, hi))
+    for k in _batches(_sample_count(cfg, "pairs", 50)):
+        pairs = [mo.random_dictionary(grid, 2, rng.integers(1 << 30), window=(lo, hi))
+                 for _ in range(k)]
+        f1, h1 = (np.stack([p[i].values for p in pairs]) for i in (0, 1))
         rep2 = gh.propagator_symplectic_identity(N, f1, h1)
-        worst = max(worst, rep2["residual"] / max(abs(rep2["rhs"]), 1e-300))
+        worst = max(worst, gh.worst_ratio(rep2["residual"], np.abs(rep2["rhs"])))
     checks.append(CheckResult.from_residual("symplectic_propagator_pairing", worst, 1e-9))
 
     f1, h1 = mo.random_dictionary(grid, 2, rng.integers(1 << 30), window=(lo, hi))
@@ -308,9 +325,9 @@ def suite_moller(cfg, rng) -> list:
     except mo.MollerObstruction as e:
         return [CheckResult.from_flag("moller_chain_marchable", False,
                                       reason=e.reason, detail=e.detail)]
-    except gh.CFLError as e:
-        return _cfl_failure(e)
-    d = mo.random_dictionary(grid, int(cfg.get("dictionary", 16)),
+    except gh.MarchError as e:
+        return _march_failure(e)
+    d = mo.random_dictionary(grid, _sample_count(cfg, "dictionary", 16),
                              int(rng.integers(1 << 30)), window=(4, grid.nt - 4))
     rep = mo.verify_moller_identities(R, d, seed=int(rng.integers(1 << 30)),
                                       dense=bool(cfg.get("dense", False)),
@@ -453,8 +470,8 @@ def suite_hadamard(cfg, rng) -> list:
     nts = _refinement_sizes(cfg.get("nts", (64, 128, 256)), "nts")
     try:
         rows = [_hadamard_residuals(nt, nx, mass) for nt in nts]
-    except gh.CFLError as e:
-        return _cfl_failure(e)
+    except gh.MarchError as e:
+        return _march_failure(e)
     checks = []
 
     def orders(vals):
@@ -520,8 +537,8 @@ def suite_convergence(cfg, rng) -> list:
         F = np.sin(4 * np.pi * x)
         try:
             sol = gh.solve_cauchy(Nw, 1, F[:, None], np.zeros((nx, 1)))
-        except gh.CFLError as e:
-            return _cfl_failure(e)
+        except gh.MarchError as e:
+            return _march_failure(e)
         ts = grid.times - grid.times[1]
         exact = 0.5 * (np.sin(4 * np.pi * (x[None, :] - ts[:, None]))
                        + np.sin(4 * np.pi * (x[None, :] + ts[:, None])))

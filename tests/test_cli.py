@@ -135,6 +135,22 @@ def test_cfl_violation_is_reported(tmp_path):
     assert check["info"]["detail"].startswith("CFL violated")
 
 
+def test_x_timelike_preset_marches(tmp_path):
+    # the rotated metric is x-class (g^tt > 0, g^xx < 0 everywhere), where the
+    # march is stable: the green laws run and pass
+    rc = run_cli(["green", "--preset", "rotated-minkowski", "--out", str(tmp_path)])
+    tree = json.loads((tmp_path / "report.json").read_text())
+    checks = tree["suites"]["green"]["checks"]
+    assert rc == 0 and len(checks) > 1 and all(c["pass"] for c in checks)
+
+
+def test_empty_sample_count_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "x", "suites": ["green"], "green": {"count": 0}}))
+    assert run_cli(["run", str(cfg)]) == 2
+    assert "count must be at least 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["converge", "--grids", "4"], "at least two"),
     (["converge", "--grids", "32,16"], "strictly increasing"),

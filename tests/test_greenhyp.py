@@ -261,6 +261,28 @@ def test_cfl_violation_raises():
         gh.green_plus(N, Section.zero(g))
 
 
+def test_march_refuses_unstable_metrics():
+    # g^tt < 0 but g^xx < 0 somewhere: the retarded march grows like 1e33 on
+    # the rotated chain's sliver, so every march and Cauchy solve is refused
+    grid = make_grid(128, 32, 0.0, 0.5, 1.0)
+    chain = geo.build_chain(geo.metric_preset("minkowski", grid),
+                            geo.metric_preset("rotated-minkowski", grid))
+    sliver = chain.metrics[2]
+    arcs = geo.metric_from_arcs(make_grid(256, 32, 0.0, 0.5, 1.0), 0.5, 0.2)
+    for m in (sliver, arcs):
+        assert np.max(m.inverse_components()[0]) < 0.0 and gh.axis_class(m) == 0
+        N = gh.wave_operator(m, 1.0)
+        f = np.zeros((m.grid.nt, m.grid.nx, 1))
+        f[2:-2] = 1.0
+        with pytest.raises(gh.UnstableMarch, match=r"g\^xx in \[-"):
+            gh.GreenSystem(N).plus(f)
+        with pytest.raises(gh.MarchError):
+            gh.solve_cauchy(N, 3, np.ones((m.grid.nx, 1)), np.zeros((m.grid.nx, 1)))
+    # both ends are pure classes, which march (the x-class scheme is the
+    # t-class one with m^2 -> -m^2; see test_x_timelike_preset_marches)
+    assert [gh.axis_class(m) for m in (chain.metrics[0], chain.metrics[-1])] == [1, -1]
+
+
 def test_boundary_slice_rejected(kg48, grid48):
     with pytest.raises(ValueError):
         gh.solve_cauchy(kg48, 0, np.zeros((grid48.nx, 1)), np.zeros((grid48.nx, 1)))
@@ -407,12 +429,19 @@ def test_symplectic_needs_selfadjoint(grid48, mink48):
 def test_propagator_symplectic_identity(kg48, grid48):
     rng = np.random.default_rng(12)
     worst = 0.0
-    for _ in range(10):
-        f = window_section(grid48, rng, 5, 20)
-        h = window_section(grid48, rng, 8, 30)
-        rep = gh.propagator_symplectic_identity(kg48, f, h)
+    pairs = [(window_section(grid48, rng, 5, 20), window_section(grid48, rng, 8, 30))
+             for _ in range(10)]
+    reps = [gh.propagator_symplectic_identity(kg48, f, h) for f, h in pairs]
+    for rep in reps:
         worst = max(worst, rep["residual"] / max(abs(rep["rhs"]), 1e-300))
     assert worst < 1e-9
+    # the pairs as one (K, nt, nx, r) batch give the same numbers per pair
+    batch = gh.propagator_symplectic_identity(
+        kg48, *(np.stack([p[k].values for p in pairs]) for k in (0, 1)))
+    for key in ("lhs", "rhs"):
+        want = np.array([rep[key] for rep in reps])
+        assert batch[key].shape == (10,)
+        assert np.max(np.abs(batch[key] - want)) <= 1e-12 * np.max(np.abs(want))
     f = window_section(grid48, rng, 5, 20)
     rep0 = gh.propagator_symplectic_identity(kg48, f, f)
     assert abs(rep0["lhs"]) < 1e-10 * f.sup_norm()**2
@@ -552,9 +581,9 @@ def test_pullback_columns_equal_stacked_columns():
 
 # -- banded level solve -------------------------------------------------------------
 
-def _tilted_warp(nt, nx):
+def _tilted_warp(nt, nx, rank=1):
     """A metric varying in t and x, with g_tx (so g^tx) != 0 at every lattice point."""
-    g = make_grid(nt, nx, 0.0, 0.5, 1.0)
+    g = make_grid(nt, nx, 0.0, 0.5, 1.0, rank=rank)
     t, x = g.times[:, None], g.sites[None, :]
     gtx = (0.1 + 0.25 * np.sin(2 * np.pi * x)) * (1.0 + 0.5 * t)
     gxx = np.broadcast_to(1.0 + 0.3 * np.sin(4 * np.pi * t), gtx.shape)
@@ -593,26 +622,72 @@ def test_banded_level_solve_equals_dense_solve(name):
             assert np.max(np.abs(U[:, new].reshape(2, m) - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
-def _cached_floats(N):
-    return sum(lu.size + piv.size for step in N._steps.values()
-               for lu, piv in step.factors.values())
+def _marched_both_ways(N):
+    g = N.grid
+    f = np.zeros((g.nt, g.nx, g.rank))
+    f[2:-2] = 1.0
+    N.march(f, 1)
+    N.march(f, -1)
+    return N._steps.values()
 
 
 @pytest.mark.parametrize("rank", [1, 2])
 def test_cached_factors_are_linear_in_nx(rank):
+    # g^tx != 0 couples neighbouring sites on the new level: the band path
     counts = []
-    for nx in (32, 64):
-        g = make_grid(64, nx, 0.0, 0.5, 1.0, rank=rank)
-        N = gh.build_operator(geo.metric_preset("minkowski", g), B=1.0)
-        f = np.zeros((g.nt, g.nx, g.rank))
-        f[2:-2] = 1.0
-        N.march(f, 1)
-        N.march(f, -1)
-        counts.append(_cached_floats(N))
+    for nx in (16, 32):
+        N = gh.build_operator(_tilted_warp(64, nx, rank), B=1.0)
+        g = N.grid
+        steps = _marched_both_ways(N)
+        assert all(isinstance(step, gh._BandedStep) for step in steps)
+        counts.append(sum(lu.size + piv.size for step in steps for lu, piv in step.factors.values()))
         # LAPACK band storage (2 kl + ku + 1 rows, kl = ku = 3r - 1) plus
         # pivots, per level and direction; a dense LU holds (nx r)^2 a level
         assert counts[-1] == 2 * (g.nt - 2) * (9 * rank - 1) * nx * rank
     assert counts[1] == 2 * counts[0]
+
+
+def test_shift_free_steps_cache_no_band_factors():
+    # g^tx = 0 at rank 1: each new-level site stands alone, so no band is
+    # factored and the solve divides by the stencil's own diagonal
+    for nx in (32, 64):
+        g = make_grid(64, nx, 0.0, 0.5, 1.0)
+        N = gh.build_operator(geo.metric_preset("minkowski", g), B=1.0)
+        steps = _marched_both_ways(N)
+        assert all(isinstance(step, gh._SiteStep) and not hasattr(step, "factors") for step in steps)
+        assert all(step.diag is N.offsets[(a, 0)] for a, step in N._steps.items())
+
+
+def test_site_local_march_matches_band_march(kg48):
+    # the band path is the reference: on a diagonal band dgbtrs divides by
+    # the diagonal, so the two agree bitwise
+    g = kg48.grid
+    F = np.zeros((3, g.nt, g.nx, g.rank))
+    F[:, 2:-2] = np.random.default_rng(35).standard_normal((3, g.nt - 4, g.nx, g.rank))
+    for direction in (1, -1):
+        site = kg48.march(F, direction)
+        band = gh.HyperbolicOperator(kg48.metric, kg48.offsets, kg48.fiber)
+        band._steps = {direction: gh._BandedStep(band, direction)}
+        assert isinstance(kg48._steps[direction], gh._SiteStep)
+        assert np.array_equal(site, band.march(F, direction))
+
+
+@pytest.mark.parametrize("name", ["minkowski", "rank2", "tilted-warp"])
+def test_singular_level_raises_naming_the_level(name):
+    if name == "tilted-warp":
+        N = gh.wave_operator(_tilted_warp(24, 12), 1.0)
+    else:
+        g = make_grid(24, 12, 0.0, 0.5, 1.0, rank=2 if name == "rank2" else 1)
+        N = gh.build_operator(geo.metric_preset("minkowski", g), B=1.0)
+    offsets = {k: v.copy() for k, v in N.offsets.items()}
+    for (a, b), C in offsets.items():
+        if a == 1:
+            C[7] = 0.0  # row 7 no longer reaches level 8
+    bad = gh.HyperbolicOperator(N.metric, offsets, N.fiber)
+    f = np.zeros((N.grid.nt, N.grid.nx, N.grid.rank))
+    with pytest.raises(np.linalg.LinAlgError, match="the level-7 system of the march is singular"):
+        bad.march(f, 1)
+    assert np.max(np.abs(bad.march(f, -1))) == 0.0  # the backward march never solves row 7 for level 8
 
 
 def test_green_plus_inverts_operator_at_fine_grid():

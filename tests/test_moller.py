@@ -212,6 +212,26 @@ def test_full_identity_battery_action_mode(grid32):
     assert rep["identity_region"] < 1e-10
 
 
+@pytest.mark.parametrize("target", ["conformal", "tilted"])
+def test_batched_laws_equal_worst_of_single_sections(grid32, target):
+    # each law marches the whole dictionary as one batch; looped one section
+    # at a time, the worst section must give the same number
+    mink = geo.metric_preset("minkowski", grid32)
+    other = (geo.metric_preset("tilted", grid32, deg=8.0) if target == "tilted"
+             else geo.metric_preset("conformal", grid32, mu=2.0))
+    R = mo.compose_chain(geo.build_chain(mink, other))
+    d = mo.random_dictionary(grid32, 5, seed=23, window=(4, grid32.nt - 4))
+    for obj in [s for s in R.steps if isinstance(s, mo.MollerStep)] + [R]:
+        batch = mo.verify_intertwine(obj, d)["intertwine"]
+        looped = max(mo.verify_intertwine(obj, [f])["intertwine"] for f in d)
+        assert abs(batch - looped) <= 1e-13
+    batch = mo.verify_moller_identities(R, d, sympl_pairs=1)
+    singles = [mo.verify_moller_identities(R, [f], sympl_pairs=1) for f in d]
+    assert set(batch) == set(singles[0])
+    for law, value in batch.items():
+        assert abs(value - max(rep[law] for rep in singles)) <= 1e-13, law
+
+
 def test_full_identity_battery_dense_mode():
     g16 = make_grid(16, 16, 0.0, 0.5, 1.0)
     R = mo.compose_chain(geo.build_chain(geo.metric_preset("minkowski", g16),
@@ -315,6 +335,19 @@ def test_rotated_chain_is_obstructed(grid32):
     assert isinstance(chain, geo.ParacausalChain)
     with pytest.raises(mo.MollerObstruction, match="characteristic-slice"):
         mo.compose_chain(chain)
+
+
+def test_x_timelike_link_composes(grid32):
+    # both ends have g^tt > 0 and g^xx < 0 (x-class): the march is stable
+    # there, so the link composes and intertwines like a t-class one
+    rot = geo.metric_preset("rotated-minkowski", grid32)
+    rot2 = geo.MetricField(grid32, 2 * rot.g_tt, 2 * rot.g_tx, 2 * rot.g_xx,
+                           rot.orient_t, rot.orient_x)
+    chain = geo.build_chain(rot, rot2)
+    assert isinstance(chain, geo.ParacausalChain)
+    R = mo.compose_chain(chain)
+    d = mo.random_dictionary(grid32, 3, seed=24, window=(4, grid32.nt - 4))
+    assert mo.verify_intertwine(R, d)["intertwine"] < 1e-10
 
 
 def test_obstruction_detail_tells_lattice_limit_from_characteristic_slice():
