@@ -56,36 +56,24 @@ class FieldDictionary:
         if null_sections:
             self.sections += list(null_sections)
         self.size = len(self.sections)
-        G = CausalPropagator(operator)
-        images = G.apply(np.array([f.values for f in self.sections]))
-        W = operator.weight_blocks
-        self.pairing = np.array(
-            [[float(np.einsum("txa,txab,txb->", fi.values, W, gj))
-              for gj in images] for fi in self.sections])
+        F = np.array([f.values for f in self.sections])
+        images = CausalPropagator(operator).apply(F)
+        self.pairing = operator.pairing(F[:, None], images)
         asym = np.max(np.abs(self.pairing + self.pairing.T))
         if asym > 1e-10 * (1.0 + np.max(np.abs(self.pairing))):
             raise AssertionError(f"propagator pairing table is not antisymmetric ({asym:.2e})")
-        self._projection = self._build_projection() if null_sections else None
+        self._projection = self._build_projection(F) if null_sections else None
 
-    def _build_projection(self):
+    def _build_projection(self, F):
         # P f = f - (component along the null block in the V pairing),
-        # expressed in dictionary coordinates
-        W = self.operator.weight_blocks
-        vals = [f.values for f in self.sections]
-
-        def pair(a, b):
-            return float(np.einsum("txa,txab,txb->", a, W, b))
-
-        null = vals[self.null_start:]
-        gram = np.array([[pair(a, b) for b in null] for a in null])
+        # expressed in dictionary coordinates: one Gram solve for all generators
+        k = self.null_start
+        null = F[k:]
+        gram = self.operator.pairing(null[:, None], null)
+        alpha = np.linalg.solve(gram, self.operator.pairing(null[:, None], F[:k]))
         C = np.zeros((self.size, self.size))
-        for i in range(self.size):
-            if i >= self.null_start:
-                continue  # null generators project to zero
-            alpha = np.linalg.solve(gram, np.array([pair(q, vals[i]) for q in null]))
-            C[i, i] = 1.0
-            for k, a in enumerate(alpha):
-                C[self.null_start + k, i] = -a
+        C[np.arange(k), np.arange(k)] = 1.0
+        C[k:, :k] = -alpha  # null generators project to zero
         return C
 
     @property

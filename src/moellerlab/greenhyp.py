@@ -45,7 +45,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .geometry import MetricField, sharp_interpolation
 from .lattice import FiberMetric, ScalarField, Section, smooth_step
@@ -218,7 +217,24 @@ class HyperbolicOperator:
         return max(float(np.max(np.abs(self.offsets.get(k, 0.0) - adj.get(k, 0.0))))
                    for k in set(self.offsets) | set(adj))
 
-    # -- dense form and weights ---------------------------------------------
+    # -- the volume weight V = vol dt dx (x) fiber metric ---------------------
+
+    def weigh(self, u):
+        """V u for one (nt, nx, r) field or each field of a (K, nt, nx, r) batch."""
+        return np.einsum("txab,...txb->...txa", self.weight_blocks, u)
+
+    def unweigh(self, u):
+        """V^{-1} u for one (nt, nx, r) field or each field of a (K, nt, nx, r) batch."""
+        return np.einsum("txab,...txb->...txa", self.weight_inv_blocks, u)
+
+    def pairing(self, f, h):
+        """<f, h>_V: a number for two fields, K numbers for two batches paired column by column.
+
+        Leading axes broadcast, so ``pairing(F[:, None], H)`` is the table of all pairs.
+        """
+        return np.einsum("...txa,txab,...txb->...", f, self.weight_blocks, h)
+
+    # -- dense form ------------------------------------------------------------
 
     def as_dense(self) -> np.ndarray:
         if self._dense is None:
@@ -232,6 +248,7 @@ class HyperbolicOperator:
         return self._dense
 
     def weight_dense(self) -> np.ndarray:
+        """Dense block-diagonal V, an oracle view like ``as_dense``."""
         g = self.grid
         idx = np.arange(g.n_dof).reshape(-1, g.rank)
         M = np.zeros((g.n_dof, g.n_dof))
@@ -417,7 +434,9 @@ class _BandedStep(_Step):
     """
 
     def __init__(self, op: HyperbolicOperator, a: int):
+        from scipy.linalg.lapack import dgbtrf, dgbtrs  # loaded only by levels that couple sites
         super().__init__(op, a)
+        self.dgbtrf, self.dgbtrs = dgbtrf, dgbtrs
         nx, r = op.grid.nx, op.grid.rank
         sites = np.arange(nx)
         self.pos = np.minimum(2 * sites - 1, 2 * (nx - sites)).clip(0)  # place of each site
@@ -435,7 +454,7 @@ class _BandedStep(_Step):
         if n not in self.factors:
             vals = np.stack([C[n] for C in self.new]).ravel()
             ab = np.bincount(self.band, vals, minlength=self.ldab * self.size).reshape(self.size, -1)
-            lu, piv, info = dgbtrf(ab.T, self.kl, self.kl, overwrite_ab=True)
+            lu, piv, info = self.dgbtrf(ab.T, self.kl, self.kl, overwrite_ab=True)
             if info > 0:
                 raise _singular(n)
             self.factors[n] = (lu, piv)
@@ -444,7 +463,7 @@ class _BandedStep(_Step):
     def solve(self, n, rhs):
         nx, r, K = rhs.shape
         lu, piv = self.factor(n)
-        x, _ = dgbtrs(lu, self.kl, self.kl, rhs[self.order].reshape(self.size, K), piv, overwrite_b=True)
+        x, _ = self.dgbtrs(lu, self.kl, self.kl, rhs[self.order].reshape(self.size, K), piv, overwrite_b=True)
         return x.reshape(nx, r, K)[self.pos]
 
 
@@ -825,7 +844,7 @@ def propagator_symplectic_identity(N: HyperbolicOperator, f, h) -> dict:
     G = CausalPropagator(N)
     ph = G.apply(hv)
     lhs = symplectic_form(N, G.apply(fv), ph, N.grid.nt // 2)
-    rhs = np.einsum("...txa,txab,...txb->...", fv, N.weight_blocks, ph)
+    rhs = N.pairing(fv, ph)
     return {"lhs": lhs, "rhs": rhs, "residual": np.abs(lhs - rhs)}
 
 
@@ -834,12 +853,7 @@ def green_adjoint_relation(N: HyperbolicOperator, fp: Section, f: Section) -> di
     adj = HyperbolicOperator(N.metric, N.adjoint_offsets(), N.fiber)
     Gs_N = GreenSystem(N)
     Gs_A = GreenSystem(adj)
-    W = N.weight_blocks
-
-    def pair(a, b):
-        return float(np.einsum("txa,txab,txb->", a, W, b))
-
-    r1 = abs(pair(Gs_A.minus(fp), f.values) - pair(fp.values, Gs_N.plus(f)))
-    r2 = abs(pair(Gs_A.plus(fp), f.values) - pair(fp.values, Gs_N.minus(f)))
+    r1 = abs(N.pairing(Gs_A.minus(fp), f.values) - N.pairing(fp.values, Gs_N.plus(f)))
+    r2 = abs(N.pairing(Gs_A.plus(fp), f.values) - N.pairing(fp.values, Gs_N.minus(f)))
     scale = max(np.max(np.abs(f.values)), np.max(np.abs(fp.values)), 1e-300)
     return {"minus_plus": r1 / scale, "plus_minus": r2 / scale}

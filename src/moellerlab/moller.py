@@ -12,11 +12,11 @@ sits strictly inside the lattice window.  Both are one signed step
     R = Id - G^s_{b N_hi} (b N_hi - a N_lo)
 
 with (s, a, b) = (+1, 1, rho) for R+ and (-1, rho, rho') for R-, so every
-action below is written once.  The inverse swaps the solver for N_lo's solve
-in the same direction, and the transposes are again marching compositions
-(in the opposite direction) because every operator in the pipeline is
-exactly volume-weighted self-adjoint.  Chains compose steps link by link;
-reversed links use inverse steps.
+action below is written once.  The inverse is the same step with its ends
+swapped, Id - G^s_{a N_lo}(a N_lo - b N_hi), and the transposes are again
+marching compositions (in the opposite direction) because every operator in
+the pipeline is exactly volume-weighted self-adjoint.  Chains compose steps
+link by link; reversed links use inverse steps.
 
 Lattice-time marching imposes a real restriction mirrored from the causal
 geometry: every metric along a link (endpoints and the interpolating family)
@@ -88,21 +88,13 @@ def _vol_ratio(g_from: MetricField, g_to: MetricField) -> np.ndarray:
     return g_to.volume_density() / g_from.volume_density()
 
 
-def _wmul(op: HyperbolicOperator, u):
-    return np.einsum("txab,...txb->...txa", op.weight_blocks, u)
-
-
-def _winv(op: HyperbolicOperator, u):
-    return np.einsum("txab,...txb->...txa", op.weight_inv_blocks, u)
-
-
 class MollerStep:
     """One elementary scattering factor Id - G^s_{b N_hi}(b N_hi - a N_lo).
 
     kind "plus" (s = +1, a = 1, b = rho) fixes the past: output equals input
     below t0.  kind "minus" (s = -1, a = rho, b = rho') fixes the future above
-    t1.  Each action is one formula in (s, a, b): the inverse marches N_lo in
-    direction s, the transposes march in direction -s.
+    t1.  Each action is one formula in (s, a, b); the transpose marches in
+    direction -s, and ``inverse()`` swaps the ends, so it marches N_lo.
     Every action takes one (nt, nx, r) field or a (K, nt, nx, r) batch.
     """
 
@@ -146,24 +138,19 @@ class MollerStep:
         d /= self.b
         return u - self.op_hi.march(d, self.sign)
 
-    def inverse_apply(self, u):
-        d = self._diff(u)
-        d /= self.a
-        return u + self.op_lo.march(d, self.sign)
-
     def transpose_apply(self, h):
         """Plain matrix transpose action, valid on window-compact sections.
 
         R^T = Id - D^T diag(1/b) V_hi G^{-s}_{hi} V_hi^{-1}, D = b N_hi - a N_lo.
         """
         hi = self.op_hi
-        w = _wmul(hi, hi.march(_winv(hi, h), -self.sign)) / self.b
+        w = hi.weigh(hi.march(hi.unweigh(h), -self.sign)) / self.b
         return h - self._diff_transpose(w)
 
-    def inverse_transpose_apply(self, h):
-        lo = self.op_lo
-        w = _wmul(lo, lo.march(_winv(lo, h), -self.sign)) / self.a
-        return h + self._diff_transpose(w)
+    def inverse(self) -> "MollerStep":
+        """Id - G^s_{a N_lo}(a N_lo - b N_hi): the ends swapped, the inert side kept."""
+        return MollerStep(self.kind, self.op_hi, self.op_lo, self.b[..., 0], self.a[..., 0],
+                          self.t0_level, self.t1_level, check=False)
 
     # build-time invariants ------------------------------------------------------
 
@@ -219,30 +206,9 @@ def build_rminus(Nchi: HyperbolicOperator, N1: HyperbolicOperator, rho: ScalarFi
     return MollerStep("minus", Nchi, N1, rho.values, rho_hi.values, l0, l1)
 
 
-class _InverseStep:
-    """View of a step with apply/inverse exchanged."""
-
-    def __init__(self, step: MollerStep):
-        self.base = step
-        self.kind = step.kind + "-inverse"
-        self.grid = step.grid
-
-    def apply(self, u):
-        return self.base.inverse_apply(u)
-
-    def inverse_apply(self, u):
-        return self.base.apply(u)
-
-    def transpose_apply(self, h):
-        return self.base.inverse_transpose_apply(h)
-
-    def inverse_transpose_apply(self, h):
-        return self.base.transpose_apply(h)
-
-
-def build_inverses(step: MollerStep) -> _InverseStep:
-    """Two-sided inverse step (Id + opposite-solver composition)."""
-    return _InverseStep(step)
+def build_inverses(step: MollerStep) -> MollerStep:
+    """Two-sided inverse step: the step with its ends swapped."""
+    return step.inverse()
 
 
 class MollerOperator:
@@ -278,7 +244,7 @@ class MollerOperator:
     def inverse_apply(self, u):
         v = np.array(u, dtype=float)
         for s in reversed(self.steps):
-            v = s.inverse_apply(v)
+            v = s.inverse().apply(v)
         return v
 
     def transpose_apply(self, h):
@@ -289,16 +255,13 @@ class MollerOperator:
 
     def adjoint_apply(self, h):
         """R^{dagger_{g g'}} h = V_g^{-1} R^T V_{g'} h on compact sections."""
-        v = _wmul(self.op_end, np.asarray(h, dtype=float))
-        v = self.transpose_apply(v)
-        return _winv(self.op_start, v)
+        v = self.transpose_apply(self.op_end.weigh(np.asarray(h, dtype=float)))
+        return self.op_start.unweigh(v)
 
     def inverse(self) -> "MollerOperator":
-        inv_steps = []
-        for s in reversed(self.steps):
-            inv_steps.append(s.base if isinstance(s, _InverseStep) else _InverseStep(s))
         chain = self.chain.reversed() if self.chain is not None else None
-        return MollerOperator(inv_steps, self.gp, self.g, self.op_end, self.op_start, chain)
+        return MollerOperator([s.inverse() for s in reversed(self.steps)],
+                              self.gp, self.g, self.op_end, self.op_start, chain)
 
     # dense realizations ----------------------------------------------------------
 
@@ -325,9 +288,12 @@ class AdjointOperator:
         self.base_matrix = np.asarray(matrix, dtype=float)
         self.op_g = op_g
         self.op_gp = op_gp
-        Vg = op_g.weight_dense()
-        Vgp = op_gp.weight_dense()
-        self.matrix = np.linalg.solve(Vg, self.base_matrix.T @ Vgp)
+        g = op_g.grid
+        n, fields = g.n_dof, (-1, g.nt, g.nx, g.rank)
+        # V and V^{-1} are symmetric, so weighing a batch of rows multiplies from
+        # the right: T^T V' from the rows of T^T, then V^{-1} on its columns
+        tv = op_gp.weigh(self.base_matrix.T.reshape(fields)).reshape(n, n)
+        self.matrix = op_g.unweigh(tv.T.reshape(fields)).reshape(n, n).T
 
     def apply(self, u):
         g = self.op_g.grid
@@ -391,7 +357,7 @@ def compose_chain(chain: ParacausalChain, operators=None, window=None, mass=1.0)
         if flag == ParacausalChain.FWD:
             steps += [plus, minus]
         else:
-            steps += [_InverseStep(minus), _InverseStep(plus)]
+            steps += [minus.inverse(), plus.inverse()]
     return MollerOperator(steps, chain.metrics[0], chain.metrics[-1],
                           operators[0], operators[-1], chain)
 
@@ -438,11 +404,13 @@ def _stack(dictionary):
 
 
 def restrict_to_solutions(R: MollerOperator, kind="ker", tol=1e-8):
-    """Solution-space restriction with verified outputs.
+    """Solution-space restriction with verified inputs and outputs.
 
-    Returns a callable mapping sections; inputs must solve the source
-    equation (homogeneous for kind="ker", compact source for kind="sol") and
-    outputs are checked to solve the target equation at matching tolerance.
+    Returns a callable mapping sections.  Inputs must solve the source
+    equation: N u = 0 on every equation row for kind="ker"; for kind="sol"
+    the source N u is compact, vanishing on equation rows 1 and nt-2.  Every
+    output is checked against the source interchange c' N' (R u) = N u on the
+    equation rows at 10 tol, relative to the input's size.
     """
     if kind not in ("ker", "sol"):
         raise ValueError("kind must be 'ker' or 'sol'")
@@ -450,10 +418,14 @@ def restrict_to_solutions(R: MollerOperator, kind="ker", tol=1e-8):
     def mapped(f: Section) -> Section:
         u = f.values
         scale = max(float(np.max(np.abs(u))), 1e-300)
-        if kind == "ker" and R.op_start.interior_residual(u) > tol * scale:
+        source = R.op_start.apply(u)
+        if kind == "ker" and sup_norms(source[1:-1]) > tol * scale:
             raise ValueError("input is not a homogeneous solution")
+        if kind == "sol" and sup_norms(source[[1, -2]]) > tol * scale:
+            raise ValueError("input's source must vanish on equation rows 1 and nt-2")
         out = R.apply(u)
-        if kind == "ker" and R.op_end.interior_residual(out) > 10 * tol * scale:
+        lhs = R.c_prime[:, :, None] * R.op_end.apply(out)
+        if sup_norms((lhs - source)[1:-1]) > 10 * tol * scale:
             raise AssertionError("image failed to solve the target equation")
         return Section(R.op_start.grid, out)
 
@@ -514,8 +486,7 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     u[2:-2] = rng.standard_normal((grid.nt - 4, grid.nx, grid.rank))
     worst = 0.0
     for s in (R.steps[0], R.steps[-1]):
-        base = s.base if isinstance(s, _InverseStep) else s
-        worst = max(worst, float(np.max(np.abs((s.apply(u) - u)[base.inert()]), initial=0.0)))
+        worst = max(worst, float(np.max(np.abs((s.apply(u) - u)[s.inert()]), initial=0.0)))
     rep["identity_region"] = worst
 
     if dense:

@@ -124,6 +124,27 @@ def test_console_entry_point():
     assert "suite" in out.stdout or "run" in out.stdout
 
 
+def test_band_solver_loads_only_where_levels_couple_sites(tmp_path):
+    # scipy's band LU is imported by the first march level that couples
+    # neighbouring sites (g^tx != 0), so a shift-free study starts without it
+    script = f"""
+import sys
+import numpy as np
+from moellerlab import cli, geometry as geo, greenhyp as gh
+from moellerlab.lattice import make_grid
+assert cli.main(["converge", "--grids", "16,32,64", "--out", {str(tmp_path)!r}]) == 0
+print("scipy.linalg" in sys.modules)
+g = make_grid(128, 32, 0.0, 0.5, 1.0)
+f = np.zeros((g.nt, g.nx, 1))
+f[5, 3] = 1.0
+gh.wave_operator(geo.metric_preset("tilted", g), 1.0).march(f, 1)
+print("scipy.linalg" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
+
+
 def test_cfl_violation_is_reported(tmp_path):
     rc = run_cli(["green", "--grid", "8x64", "--out", str(tmp_path)])
     assert rc == 1

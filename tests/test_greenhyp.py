@@ -8,7 +8,7 @@ from moellerlab import greenhyp as gh
 from moellerlab import moller as mo
 from moellerlab.lattice import ScalarField, Section, make_grid, smooth_step
 
-from conftest import window_section
+from conftest import fibered_operator, window_section
 
 
 # -- assembly and symbol -----------------------------------------------------
@@ -181,6 +181,29 @@ def test_transpose_and_adjoint_are_exact():
     V = N.weight_dense()
     A = gh.HyperbolicOperator(m, N.adjoint_offsets(), N.fiber).as_dense()
     assert np.max(np.abs(A - np.linalg.solve(V, D.T @ V))) < 1e-10
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_weight_api_matches_dense_weight(rank):
+    # V, V^{-1} and the V pairing against the dense block-diagonal weight
+    N = fibered_operator(rank, "conformal", 40 + rank, mu=2.0)
+    V = N.weight_dense()
+    assert np.ptp(N.fiber.values[..., 0, 0]) > 0.1  # the fiber metric varies
+    K = 4
+    F, H = np.random.default_rng(6).standard_normal((2, K, N.grid.nt, N.grid.nx, rank))
+    f, h = F.reshape(K, -1), H.reshape(K, -1)
+
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    assert rel(N.weigh(F).reshape(K, -1), (V @ f.T).T) < 1e-13
+    assert rel(N.unweigh(F).reshape(K, -1), np.linalg.solve(V, f.T).T) < 1e-13
+    assert rel(N.pairing(F, H), np.einsum("ki,ij,kj->k", f, V, h)) < 1e-13
+    assert rel(N.pairing(F[:, None], H), f @ V @ h.T) < 1e-13
+    # one field is the K = 1 case
+    assert np.array_equal(N.weigh(F[0]), N.weigh(F[:1])[0])
+    assert np.array_equal(N.unweigh(F[0]), N.unweigh(F[:1])[0])
+    assert N.pairing(F[0], H[0]) == N.pairing(F[:1], H[:1])[0]
 
 
 def test_convex_operator_endpoints_and_symbol(grid48, mink48):

@@ -6,7 +6,7 @@ from moellerlab import greenhyp as gh
 from moellerlab import moller as mo
 from moellerlab.lattice import ScalarField, Section, make_grid, smooth_step
 
-from conftest import window_section
+from conftest import fibered_operator, window_section
 
 
 @pytest.fixture
@@ -89,6 +89,21 @@ def test_step_inverses_round_trip(grid32, pair32):
             assert np.max(np.abs(rt - f.values)) < 1e-9 * f.sup_norm()
 
 
+def test_step_inverse_swaps_ends(grid32, pair32):
+    # Id - G^s_{a N_lo}(a N_lo - b N_hi) is, bitwise, Id + G^s_{a N_lo}(b N_hi - a N_lo),
+    # and it keeps the step's inert side
+    plus, minus, *_ = canonical_link(*pair32)
+    u = window_section(grid32, np.random.default_rng(5), 3, grid32.nt - 3).values
+    for step in (plus, minus):
+        inv = step.inverse()
+        assert (inv.kind, inv.op_lo, inv.op_hi) == (step.kind, step.op_hi, step.op_lo)
+        assert inv.inert() == step.inert()
+        d = step._diff(u)
+        d /= step.a
+        assert np.array_equal(inv.apply(u), u + step.op_lo.march(d, step.sign))
+        assert np.array_equal(inv.inverse().apply(u), step.apply(u))
+
+
 def test_telescoping_identity(grid32, pair32):
     # G-_{rho' N1}(rho' N1 - rho N_chi) G-_{rho N_chi} = G-_{rho N_chi} - G-_{rho' N1}
     N0, N1 = pair32
@@ -154,9 +169,9 @@ def test_step_actions_match_dense_algebra(kind, profile):
     def rel(got, want):
         return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
-    assert rel(_matrix(step.inverse_apply, g16), R_inv) < 1e-12
+    assert rel(_matrix(step.inverse().apply, g16), R_inv) < 1e-12
     assert rel(_matrix(step.transpose_apply, g16)[:, cols], R.T[:, cols]) < 1e-12
-    assert rel(_matrix(step.inverse_transpose_apply, g16)[:, cols], R_inv.T[:, cols]) < 1e-12
+    assert rel(_matrix(step.inverse().transpose_apply, g16)[:, cols], R_inv.T[:, cols]) < 1e-12
 
 
 def test_build_rplus_rejects_bad_profile(grid32, pair32):
@@ -406,6 +421,19 @@ def test_sol_restriction_source_relation(grid32):
     assert np.max(np.abs((lhs - rhs)[1:-1])) < 1e-9 * np.max(np.abs(rhs))
 
 
+def test_sol_restriction_checks_source_and_image(grid32):
+    mink = geo.metric_preset("minkowski", grid32)
+    conf = geo.metric_preset("conformal", grid32, mu=2.0)
+    R = mo.compose_chain(geo.build_chain(mink, conf))
+    rng = np.random.default_rng(17)
+    mapped = mo.restrict_to_solutions(R, kind="sol")
+    psi = gh.green_plus(R.op_start, window_section(grid32, rng, 6, grid32.nt - 6))
+    assert np.array_equal(mapped(psi).values, R.apply(psi.values))
+    # a section whose source N u reaches equation row 1 is no compact-source solution
+    with pytest.raises(ValueError, match="rows 1 and nt-2"):
+        mapped(window_section(grid32, rng, 1, grid32.nt - 6))
+
+
 def test_adjoint_maps_compacts_to_compacts(grid32):
     # support growth of the adjoint is bounded by the hull of the input
     # support and the switch window; the window boundaries stay clear
@@ -437,6 +465,19 @@ def test_adjoint_identity_and_selfadjoint_fixed():
     assert np.max(np.abs(adj.matrix - ident)) < 1e-12
     adjN = mo.adjoint(N, N, N)
     assert np.max(np.abs(adjN.matrix - N.as_dense())) < 1e-10
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_adjoint_operator_matches_dense_solve(rank):
+    # V_g^{-1} T^T V_g' by row and column weighing, against the dense solve,
+    # with two different varying, non-identity fiber metrics
+    op_g = fibered_operator(rank, "conformal", 50 + rank, mu=2.0)
+    op_gp = fibered_operator(rank, "minkowski", 60 + rank)
+    n = op_g.grid.n_dof
+    T = np.random.default_rng(7).standard_normal((n, n))
+    want = np.linalg.solve(op_g.weight_dense(), T.T @ op_gp.weight_dense())
+    got = mo.AdjointOperator(T, op_g, op_gp).matrix
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_adjoint_calculus_matrix_identities():
