@@ -38,6 +38,14 @@ the Green systems also take a leading batch axis, (K, nt, nx, r): the K
 columns then share one level loop and one solve per level, so a kernel
 block or a dense matrix costs a few marches, not one per column.  The batch
 is the whole interface; there is no batch-size setting.
+
+A stencil may be applied on a range of rows only (:func:`stencil_apply`;
+``HyperbolicOperator.apply`` is its whole-window case), and a march may
+solve a range of equation rows only (``march(..., rows=(lo, hi))``).  Both
+default to the whole window.  A caller whose source vanishes below lo
+starts a forward march there, or stops a march at the last level it reads;
+the Moller steps do both, since their difference operator vanishes
+outside its switch window.
 """
 
 from __future__ import annotations
@@ -67,6 +75,8 @@ __all__ = [
     "green_scaled",
     "causal_propagator",
     "axis_class",
+    "stencil_apply",
+    "stencil_transpose",
     "exactness_check",
     "symplectic_form",
     "propagator_symplectic_identity",
@@ -105,6 +115,40 @@ def _blocks(grid, value_field=None):
     idx = np.arange(r)
     if value_field is not None:
         out[:, :, idx, idx] = np.asarray(value_field)[:, :, None]
+    return out
+
+
+def stencil_apply(offsets, u, rows=None):
+    """Action of a nine-offset stencil on the rows lo <= n < hi of rows = (lo, hi).
+
+    u is one (nt, nx, r) field or a (K, nt, nx, r) batch; the result has its
+    shape and is zero off the row range, and u is read on levels lo - 1 .. hi
+    only.  rows defaults to the whole window: ``HyperbolicOperator.apply``.
+    """
+    nt = u.shape[-3]
+    lo, hi = (0, nt) if rows is None else rows
+    out = np.zeros_like(u)
+    for (a, b), C in offsets.items():
+        n0, n1 = max(lo, -a), min(hi, nt - a)  # rows whose level n + a is in the window
+        if n0 >= n1:
+            continue
+        src = u[..., n0 + a:n1 + a, :, :]
+        out[..., n0:n1, :, :] += np.einsum("txab,...txb->...txa", C[n0:n1],
+                                           np.roll(src, -b, axis=-2) if b else src)
+    return out
+
+
+def stencil_transpose(offsets):
+    """Offsets of the transposed stencil: trans[(a, b)](n, j) = C[(-a, -b)](n+a, j+b)^T."""
+    out = {}
+    for (a, b), C in offsets.items():
+        # original key (a, b) feeds transposed key (-a, -b); its value at
+        # row (n, j) is the block at the source row (n - a, j - b)
+        T = _roll_x(np.swapaxes(C, -1, -2), -b)
+        if a:
+            T = np.roll(T, a, axis=0)
+            T[0 if a == 1 else -1] = 0.0  # no source row beyond the window
+        out[(-a, -b)] = T
     return out
 
 
@@ -162,16 +206,7 @@ class HyperbolicOperator:
         A leading batch axis, (K, nt, nx, r), applies the operator to each of
         the K fields.
         """
-        out = np.zeros_like(u)
-        for (a, b), C in self.offsets.items():
-            shifted = np.roll(u, -b, axis=-2) if b else u
-            if a == 0:
-                out += np.einsum("txab,...txb->...txa", C, shifted)
-            elif a == 1:
-                out[..., :-1, :, :] += np.einsum("txab,...txb->...txa", C[:-1], shifted[..., 1:, :, :])
-            else:
-                out[..., 1:, :, :] += np.einsum("txab,...txb->...txa", C[1:], shifted[..., :-1, :, :])
-        return out
+        return stencil_apply(self.offsets, u)
 
     def interior_residual(self, u, f=None):
         """Sup norm of N u - f over the equation rows (levels 1..nt-2).
@@ -187,16 +222,7 @@ class HyperbolicOperator:
 
     def transpose_offsets(self):
         """Offsets of N^T: trans[(a, b)](n, j) = N[(-a, -b)](n+a, j+b)^T."""
-        out = {}
-        for (a, b), C in self.offsets.items():
-            # original key (a, b) feeds transposed key (-a, -b); its value at
-            # row (n, j) is the block at the source row (n - a, j - b)
-            T = _roll_x(np.swapaxes(C, -1, -2), -b)
-            if a:
-                T = np.roll(T, a, axis=0)
-                T[0 if a == 1 else -1] = 0.0  # no source row beyond the window
-            out[(-a, -b)] = T
-        return out
+        return stencil_transpose(self.offsets)
 
     def adjoint_offsets(self):
         """Offsets of V^{-1} N^T V (the formal adjoint in the same volume)."""
@@ -265,10 +291,15 @@ class HyperbolicOperator:
         axx = np.zeros((g.nt, g.nx))
         r = g.rank
         for (a, b), C in self.offsets.items():
+            if not (a or b):
+                continue  # (0, 0) has zero weight in all three
             tr = np.trace(C, axis1=-2, axis2=-1) / r
-            att += 0.5 * a * a * g.dt**2 * tr
-            atx += a * b * g.dt * g.dx * tr / 2.0
-            axx += 0.5 * b * b * g.dx**2 * tr
+            if a:
+                att += 0.5 * a * a * g.dt**2 * tr
+            if a and b:
+                atx += a * b * g.dt * g.dx * tr / 2.0
+            if b:
+                axx += 0.5 * b * b * g.dx**2 * tr
         return att, 2.0 * atx, axx
 
     def check_symbol(self, tol_scale=1e-9):
@@ -276,34 +307,35 @@ class HyperbolicOperator:
 
         The staggered edge weights average neighboring metric values, so the
         pointwise tolerance includes the metric's own discrete second
-        differences; constant metrics are checked at round-off level.
+        differences; constant metrics are checked at round-off level.  Only
+        the equation rows 1..nt-2 are checked: the one-sided boundary rows
+        carry partial sums.
         """
         itt, itx, ixx = self.metric.inverse_components()
         att, atx2, axx = self.principal_coefficients()
-        scale = np.maximum(self.metric.scale(), 1.0)
+        vol = self.vol[1:-1]
+        tol = tol_scale * np.maximum(self.metric.scale()[1:-1], 1.0)
 
         def stagger_err(w):
-            e = np.zeros_like(w)
-            e[1:-1] = np.abs(w[:-2] - 2 * w[1:-1] + w[2:]) / 4.0
-            e[:, :] += np.abs(np.roll(w, 1, 1) - 2 * w + np.roll(w, -1, 1)) / 4.0
-            e[0] += np.abs(w[1] - w[0])
-            e[-1] += np.abs(w[-1] - w[-2])
-            return e
+            """|second differences| / 4 of w in t and in x (periodic), on the equation rows."""
+            x = np.empty_like(w[1:-1])
+            x[:, 1:-1] = w[1:-1, :-2] - 2 * w[1:-1, 1:-1] + w[1:-1, 2:]
+            x[:, 0] = w[1:-1, -1] - 2 * w[1:-1, 0] + w[1:-1, 1]
+            x[:, -1] = w[1:-1, -2] - 2 * w[1:-1, -1] + w[1:-1, 0]
+            return np.abs(w[:-2] - 2 * w[1:-1] + w[2:]) / 4.0 + np.abs(x) / 4.0
 
-        vit = self.vol * itt
-        vix = self.vol * ixx
-        vitx = self.vol * itx
-        tol = tol_scale * scale
-        # factor 2 margin: edge averaging in t and x mixes in the cross term
-        bad_tt = np.abs(att - (-itt)) > 2 * stagger_err(vit) / self.vol + np.abs(itt) * 1e-9 + tol
-        bad_xx = np.abs(axx - (-ixx)) > 2 * stagger_err(vix) / self.vol + np.abs(ixx) * 1e-9 + tol
-        bad_tx = np.zeros_like(bad_tt)
-        bad_tx[1:-1] = np.abs(atx2 - (-2 * itx))[1:-1] > (2 * stagger_err(vitx) / self.vol + np.abs(itx) * 1e-9 + tol)[1:-1]
-        bad = bad_tt | bad_xx | bad_tx
-        bad[0] = bad[-1] = False  # one-sided rows carry partial sums
-        if bad.any():
-            n, j = map(int, np.argwhere(bad)[0])
-            raise SymbolMismatch(f"principal symbol mismatch at point (level={n}, site={j})")
+        def bad(got, k, c):
+            """Where got misses -k c by more than the bound, on the equation rows."""
+            # factor 2 margin: edge averaging in t and x mixes in the cross term
+            bound = 2 * stagger_err(self.vol * c) / vol + np.abs(c[1:-1]) * 1e-9 + tol
+            return np.abs(got[1:-1] - (-k * c[1:-1])) > bound
+
+        mismatch = bad(att, 1, itt) | bad(axx, 1, ixx)
+        if itx.any() or atx2[1:-1].any():  # both zero: no cross term to check
+            mismatch |= bad(atx2, 2, itx)
+        if mismatch.any():
+            n, j = map(int, np.argwhere(mismatch)[0])
+            raise SymbolMismatch(f"principal symbol mismatch at point (level={n + 1}, site={j})")
 
     # -- causal marching ------------------------------------------------------
 
@@ -337,13 +369,21 @@ class HyperbolicOperator:
             self._steps[a] = (_SiteStep if site else _BandedStep)(self, a)
         return self._steps[a]
 
-    def march(self, f: np.ndarray, direction: int, seed_level=None, seeds=None) -> np.ndarray:
+    def march(self, f: np.ndarray, direction: int, seed_level=None, seeds=None,
+              rows=None) -> np.ndarray:
         """Solve the equation rows causally in time.
 
         direction +1: zero data on the first two levels (retarded solve);
         direction -1: zero data on the last two levels (advanced solve).
         With seed_level/seeds given, marches both ways from Cauchy data
         (seeds = values on levels seed_level and seed_level+1).
+
+        rows = (lo, hi) solves only the equation rows lo <= n < hi (default
+        all, 1 .. nt-2); row n writes level n + 1 going forward and n - 1
+        going back, and the levels no row writes stay zero.  A forward march
+        from lo equals the full one when f vanishes on the rows below lo (a
+        backward march from hi - 1, when f vanishes from hi up); a range
+        that ends early cuts the march short after the last level wanted.
 
         f is one (nt, nx, r) source or a batch (K, nt, nx, r) of K sources;
         the result has the same shape.  A single source is the K = 1 case:
@@ -366,13 +406,14 @@ class HyperbolicOperator:
             lo, hi = 0, 1
         else:
             lo, hi = g.nt - 2, g.nt - 1
+        first, stop = (1, g.nt - 1) if rows is None else (max(rows[0], 1), min(rows[1], g.nt - 1))
         if direction >= 0 or seeds is not None:
             step = self._step(1)
-            for n in range(hi, g.nt - 1):
+            for n in range(max(hi, first), stop):
                 u[n + 1] = step(n, F[n], u)
         if direction < 0 or seeds is not None:
             step = self._step(-1)
-            for n in range(lo, 0, -1):
+            for n in range(min(lo, stop - 1), first - 1, -1):
                 u[n - 1] = step(n, F[n], u)
         return np.moveaxis(u, -1, 0) if batched else u[..., 0]
 

@@ -12,11 +12,20 @@ sits strictly inside the lattice window.  Both are one signed step
     R = Id - G^s_{b N_hi} (b N_hi - a N_lo)
 
 with (s, a, b) = (+1, 1, rho) for R+ and (-1, rho, rho') for R-, so every
-action below is written once.  The inverse is the same step with its ends
-swapped, Id - G^s_{a N_lo}(a N_lo - b N_hi), and the transposes are again
-marching compositions (in the opposite direction) because every operator in
-the pipeline is exactly volume-weighted self-adjoint.  Chains compose steps
-link by link; reversed links use inverse steps.
+action below is written once.  The difference D = b N_hi - a N_lo is built
+once as one nine-offset stencil, each offset b C_hi - a C_lo, together with
+its transpose.  Where chi is exactly 0 (resp. 1), b N_hi and a N_lo agree
+bitwise and D is exactly zero; its active rows lo <= n < hi run from the
+first to the last row where some offset is nonzero.  The step applies D on
+those rows only; R+ marches G+ up from row lo, since the levels below it
+stay zero, and R- marches G- down from row hi - 1.  The transposes march the
+other way and stop at the last level D^T reads, lo going down and hi - 1
+going up.  The inverse is the same step with its ends swapped,
+Id - G^s_{a N_lo}(a N_lo - b N_hi), with stencil -D on the same rows; it is
+built once per step.  The transposes are again marching compositions (in the
+opposite direction) because every operator in the pipeline is exactly
+volume-weighted self-adjoint.  Chains compose steps link by link; reversed
+links use inverse steps.
 
 Lattice-time marching imposes a real restriction mirrored from the causal
 geometry: every metric along a link (endpoints and the interpolating family)
@@ -40,7 +49,8 @@ import numpy as np
 
 from .geometry import ALIGNED, MetricField, ParacausalChain, preceq
 from .greenhyp import (CausalPropagator, HyperbolicOperator, axis_class, convex_operator,
-                       solve_cauchy, sup_norms, symplectic_form, wave_operator, worst_ratio)
+                       solve_cauchy, stencil_apply, stencil_transpose, sup_norms,
+                       symplectic_form, wave_operator, worst_ratio)
 from .lattice import ScalarField, Section, smooth_step
 
 __all__ = [
@@ -93,12 +103,17 @@ class MollerStep:
 
     kind "plus" (s = +1, a = 1, b = rho) fixes the past: output equals input
     below t0.  kind "minus" (s = -1, a = rho, b = rho') fixes the future above
-    t1.  Each action is one formula in (s, a, b); the transpose marches in
-    direction -s, and ``inverse()`` swaps the ends, so it marches N_lo.
-    Every action takes one (nt, nx, r) field or a (K, nt, nx, r) batch.
+    t1.  ``D`` is the difference b N_hi - a N_lo as one stencil and ``DT`` its
+    transpose; ``rows`` = (lo, hi) are D's active rows lo <= n < hi, off which
+    D u is exactly 0 for every u, and ``rows_t`` those of D^T.  ``apply``
+    marches G^s_{N_hi} up from row lo (plus) or down from row hi - 1 (minus);
+    ``transpose_apply`` marches in direction -s and stops at level lo (plus)
+    or hi - 1 (minus), the last D^T reads.  ``inverse()`` swaps the ends
+    (stencil -D, marching N_lo) and is built once.  Every action takes one
+    (nt, nx, r) field or a (K, nt, nx, r) batch.
     """
 
-    def __init__(self, kind, op_lo, op_hi, a, b, t0_level, t1_level, check=True):
+    def __init__(self, kind, op_lo, op_hi, a, b, t0_level, t1_level, stencils=None):
         self.kind = kind
         self.sign = +1 if kind == "plus" else -1
         self.op_lo = op_lo            # N0 for plus, N_chi for minus
@@ -108,7 +123,16 @@ class MollerStep:
         self.t0_level = t0_level
         self.t1_level = t1_level
         self.grid = op_hi.grid
-        self._tr = {}
+        check = stencils is None  # an inverse step comes with its stencils, unchecked
+        if check:
+            ab, bb = self.a[..., None], self.b[..., None]
+            D = {k: bb * op_hi.offsets.get(k, 0.0) - ab * op_lo.offsets.get(k, 0.0)
+                 for k in {**op_hi.offsets, **op_lo.offsets}}
+            D = {k: C for k, C in D.items() if np.any(C)}
+            stencils = D, stencil_transpose(D)
+        self.D, self.DT = stencils
+        self.rows, self.rows_t = (_active_rows(S, self.grid.nt) for S in stencils)
+        self._inverse = None
         if check:
             self._check_profiles()
             self._check_identity_region()
@@ -122,35 +146,48 @@ class MollerStep:
     # difference operators ---------------------------------------------------
 
     def _diff(self, u):
-        """(b N_hi - a N_lo) u."""
-        return self.b * self.op_hi.apply(u) - self.a * self.op_lo.apply(u)
+        """(b N_hi - a N_lo) u, nonzero only on the active rows."""
+        return stencil_apply(self.D, u, self.rows)
 
     def _diff_transpose(self, w):
-        if not self._tr:
-            self._tr = {k: HyperbolicOperator(op.metric, op.transpose_offsets(), op.fiber)
-                        for k, op in (("lo", self.op_lo), ("hi", self.op_hi))}
-        return self._tr["hi"].apply(self.b * w) - self._tr["lo"].apply(self.a * w)
+        """(b N_hi - a N_lo)^T w; it reads w on the active rows only."""
+        return stencil_apply(self.DT, w, self.rows_t)
 
     # realized actions ---------------------------------------------------------
 
     def apply(self, u):
+        lo, hi = self.rows
         d = self._diff(u)
-        d /= self.b
-        return u - self.op_hi.march(d, self.sign)
+        d[..., lo:hi, :, :] /= self.b[lo:hi]
+        # the levels before the first active row (plus) or after the last (minus) stay zero
+        rows = (lo, self.grid.nt - 1) if self.sign > 0 else (1, hi)
+        out = self.op_hi.march(d, self.sign, rows=rows)
+        return np.subtract(u, out, out=out)
 
     def transpose_apply(self, h):
         """Plain matrix transpose action, valid on window-compact sections.
 
         R^T = Id - D^T diag(1/b) V_hi G^{-s}_{hi} V_hi^{-1}, D = b N_hi - a N_lo.
         """
-        hi = self.op_hi
-        w = hi.weigh(hi.march(hi.unweigh(h), -self.sign)) / self.b
-        return h - self._diff_transpose(w)
+        hi_op, (lo, hi) = self.op_hi, self.rows
+        # march only to the active rows: level lo going down, hi - 1 going up
+        rows = (lo + 1, self.grid.nt - 1) if self.sign > 0 else (1, hi - 1)
+        w = hi_op.weigh(hi_op.march(hi_op.unweigh(h), -self.sign, rows=rows))
+        w[..., lo:hi, :, :] /= self.b[lo:hi]  # D^T has zero weight on every other level
+        out = self._diff_transpose(w)
+        return np.subtract(h, out, out=out)
 
     def inverse(self) -> "MollerStep":
-        """Id - G^s_{a N_lo}(a N_lo - b N_hi): the ends swapped, the inert side kept."""
-        return MollerStep(self.kind, self.op_hi, self.op_lo, self.b[..., 0], self.a[..., 0],
-                          self.t0_level, self.t1_level, check=False)
+        """Id - G^s_{a N_lo}(a N_lo - b N_hi): the ends swapped, the inert side kept.
+
+        Built once; its stencils are -D and -D^T, its active rows the step's.
+        """
+        if self._inverse is None:
+            neg = tuple({k: -C for k, C in S.items()} for S in (self.D, self.DT))
+            inv = MollerStep(self.kind, self.op_hi, self.op_lo, self.b[..., 0], self.a[..., 0],
+                             self.t0_level, self.t1_level, stencils=neg)
+            inv._inverse, self._inverse = self, inv
+        return self._inverse
 
     # build-time invariants ------------------------------------------------------
 
@@ -163,7 +200,7 @@ class MollerStep:
         # the metric mismatch); boundary rows carry no equation
         probe = np.zeros((g.nt, g.nx, g.rank))
         probe[1:-1] = 1.0
-        d = self._diff(probe)
+        d = stencil_apply(self.D, probe)
         tol = 1e-10 * (1 + np.max(np.abs(d)))
         d[[0, -1]] = 0.0
         if np.max(np.abs(d[inert]), initial=0.0) > tol:
@@ -177,6 +214,15 @@ class MollerStep:
         err = np.max(np.abs((self.apply(u) - u)[self.inert()]), initial=0.0)
         if err > 1e-10 * (1.0 + float(np.max(np.abs(u)))):
             raise AssertionError(f"identity region violated at build time: {err:.2e}")
+
+
+def _active_rows(offsets, nt):
+    """(lo, hi): the rows lo <= n < hi span every nonzero entry of a stencil; (0, 0) if none."""
+    nonzero = np.zeros(nt, bool)
+    for C in offsets.values():
+        nonzero |= C.any(axis=(1, 2, 3))
+    rows = np.flatnonzero(nonzero)
+    return (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
 
 
 def _window_levels(grid, t0, t1):

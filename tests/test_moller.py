@@ -174,6 +174,107 @@ def test_step_actions_match_dense_algebra(kind, profile):
     assert rel(_matrix(step.inverse().transpose_apply, g16)[:, cols], R_inv.T[:, cols]) < 1e-12
 
 
+def _two_operator_actions(s, a, b, op_lo, op_hi):
+    """Actions of Id - G^s_{b N_hi}(b N_hi - a N_lo) with b N_hi and a N_lo applied separately.
+
+    Each maps its input to (value, scale): a difference is compared at the
+    size of the two terms it cancels, an action at the size of its value.
+    """
+    def transposed(op):
+        return gh.HyperbolicOperator(op.metric, op.transpose_offsets(), op.fiber)
+
+    def terms(u):
+        return b * op_hi.apply(u), a * op_lo.apply(u)
+
+    def terms_transpose(w):
+        return transposed(op_hi).apply(b * w), transposed(op_lo).apply(a * w)
+
+    def diff(pair):
+        return pair[0] - pair[1], max(np.max(np.abs(t)) for t in pair)
+
+    def action(value):
+        return value, np.max(np.abs(value))
+
+    def apply(u):
+        return action(u - op_hi.march(diff(terms(u))[0] / b, s))
+
+    def transpose_apply(h):
+        w = op_hi.weigh(op_hi.march(op_hi.unweigh(h), -s)) / b
+        return action(h - diff(terms_transpose(w))[0])
+
+    return {"_diff": lambda u: diff(terms(u)),
+            "_diff_transpose": lambda w: diff(terms_transpose(w)),
+            "apply": apply, "transpose_apply": transpose_apply}
+
+
+@pytest.mark.parametrize("link", ["canonical", "generic", "tilted"])
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+def test_fused_stencil_matches_two_operator_formula(grid32, pair32, kind, link):
+    # D = b N_hi - a N_lo as one stencil on its active rows, and the marches
+    # cut to those rows, against the two operators applied on every row
+    if link == "tilted":
+        mink = geo.metric_preset("minkowski", grid32)
+        R = mo.compose_chain(geo.build_chain(mink, geo.metric_preset("tilted", grid32, deg=8.0)))
+        plus, minus = R.steps[2:]  # the forward link: g^tx != 0, band-solved levels
+        assert (1, 1) in plus.D and (1, 1) in minus.D
+    else:
+        plus, minus = (canonical_link(*pair32)[:2] if link == "canonical"
+                       else generic_link(*pair32))
+    step = plus if kind == "plus" else minus
+    u = np.random.default_rng(41).standard_normal((3, grid32.nt, grid32.nx, grid32.rank))
+    h = np.stack([window_section(grid32, np.random.default_rng(42 + i), 2, grid32.nt - 2).values
+                  for i in range(3)])
+    cases = [(step, _two_operator_actions(step.sign, step.a, step.b, step.op_lo, step.op_hi)),
+             (step.inverse(), _two_operator_actions(step.sign, step.b, step.a, step.op_hi, step.op_lo))]
+    for fused, ref in cases:
+        for name, want in ref.items():
+            x = h if "transpose" in name else u
+            value, scale = want(x)
+            assert np.max(np.abs(getattr(fused, name)(x) - value)) <= 1e-13 * scale, name
+
+
+def test_step_inverse_is_cached(grid32, pair32):
+    # one inverse per step, holding -D bitwise on the same active rows, and no
+    # transposed operators: both stencils are the step's own
+    for step in canonical_link(*pair32)[:2]:
+        inv = step.inverse()
+        assert step.inverse() is inv and inv.inverse() is step
+        assert inv.rows == step.rows and inv.rows_t == step.rows_t
+        for mine, theirs in ((inv.D, step.D), (inv.DT, step.DT)):
+            assert mine.keys() == theirs.keys()
+            assert all(np.array_equal(mine[k], -theirs[k]) for k in mine)
+        held = [v for v in vars(step).values() if isinstance(v, gh.HyperbolicOperator)]
+        assert len(held) == 2 and held[0] is step.op_lo and held[1] is step.op_hi
+
+
+def _study_chains():
+    """The chains of the hadamard study (nt 32, 64, 128 at nx 16) and of `moller --seed 3`."""
+    from moellerlab.suites import _hadamard_chain
+    for nt in (32, 64, 128):
+        yield mo.compose_chain(_hadamard_chain(make_grid(nt, 16, 0.0, 0.5, 1.0)))
+    g = make_grid(32, 32, 0.0, 0.5, 1.0)
+    yield mo.compose_chain(geo.build_chain(geo.metric_preset("minkowski", g),
+                                           geo.metric_preset("conformal", g, mu=2.0)))
+
+
+def test_written_levels_miss_the_inert_side():
+    # a plus step writes the levels above its first active row, a minus step
+    # those below its last; neither D nor D^T reaches the inert side, so the
+    # step and its transpose are exactly the identity there
+    for R in _study_chains():
+        for step in R.steps + [s.inverse() for s in R.steps]:
+            g = step.grid
+            lo, hi = step.rows
+            written = range(lo + 1, g.nt) if step.sign > 0 else range(0, hi - 1)
+            inert = range(g.nt)[step.inert()]
+            assert lo < hi and len(inert) > 0
+            assert not set(written) & set(inert)
+            assert not set(range(*step.rows_t)) & set(inert)
+            u = np.random.default_rng(43).standard_normal((2, g.nt, g.nx, g.rank))
+            assert np.array_equal(step.apply(u)[:, step.inert()], u[:, step.inert()])
+            assert np.array_equal(step.transpose_apply(u)[:, step.inert()], u[:, step.inert()])
+
+
 def test_build_rplus_rejects_bad_profile(grid32, pair32):
     N0, N1 = pair32
     span = grid32.t_max
