@@ -18,11 +18,10 @@ from .geometry import (ALIGNED, REVERSED, ChainObstruction, ConeData,
 from .greenhyp import (CausalPropagator, CFLError, GreenSystem,
                        HyperbolicOperator, MarchError, SymbolMismatch,
                        UnstableMarch, axis_class, build_operator,
-                       causal_propagator, convex_operator, exactness_check,
-                       green_adjoint_relation, green_minus, green_plus,
-                       green_scaled, propagator_symplectic_identity,
-                       solve_cauchy, symmetrize, symplectic_form,
-                       wave_operator)
+                       convex_operator, exactness_check, green_adjoint_relation,
+                       green_minus, green_plus, green_scaled,
+                       propagator_symplectic_identity, solve_cauchy,
+                       symmetrize, symplectic_form, wave_operator)
 from .moller import (AdjointOperator, MollerObstruction, MollerOperator,
                      MollerStep, adjoint, build_inverses, build_rminus,
                      build_rplus, compose_chain, random_dictionary,

@@ -1,11 +1,12 @@
 """Config-driven experiment runner.
 
-A config is a JSON object (or a list of them) naming a scenario: grid,
-metric presets, which suites to run, a seed, and optionally expected
-structural outcomes (a reversed-orientation fixture is *supposed* to report
-no chain).  Reports are deterministic JSON trees: identical config + seed
-produce byte-identical output.  Exit codes: 0 all suites pass (or match
-their declared expectations), 1 a suite failed, 2 usage/config errors.
+A config is a JSON object (or a list of them) naming a scenario: a name, a
+seed, which suites to run and one section of settings per suite.  A scenario
+with ``"kind": "reversed-pair"`` is the time-reversed orientation fixture
+instead.  Each subcommand is a one-scenario config, run and written by the
+same function as ``run``.  Reports are deterministic JSON trees: identical
+config + seed produce byte-identical output.  Exit codes: 0 all suites pass,
+1 a suite failed, 2 usage/config errors (nothing is written).
 """
 
 from __future__ import annotations
@@ -14,44 +15,38 @@ import argparse
 import json
 import sys
 import zlib
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import geometry as geo
+from .greenhyp import MarchError
 from .lattice import make_grid
 from .reports import CheckResult, dumps, report_tree
-from .suites import SUITES
+from .suites import SUITES, dense_kernel_csvs
 
 USAGE_ERROR = 2
+SCENARIO_KEYS = {"name", "seed", "suites", *SUITES}  # one section per suite
 
 
 def run_scenario(cfg: dict) -> dict:
+    unknown = sorted(set(cfg) - SCENARIO_KEYS)
+    if unknown:
+        raise ValueError(f"unknown scenario keys: {unknown}; "
+                         f"a scenario takes {sorted(SCENARIO_KEYS)}")
     name = cfg.get("name", "scenario")
     seed = int(cfg.get("seed", 0))
     suites = cfg.get("suites", ["cones", "paracausal", "green"])
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}; known: {sorted(SUITES)}")
-    expectations = cfg.get("expect", {})
     results = {}
     for s in suites:
         # process-independent per-suite stream (string hash is randomized)
         rng = np.random.default_rng(seed + zlib.crc32(s.encode()) % 100000)
         results[s] = SUITES[s](cfg.get(s, {}), rng)
-    tree = report_tree(name, results)
-    # declared expected outcomes (e.g. an obstruction fixture) flip the verdict
-    for suite, expected in expectations.items():
-        node = tree["suites"].get(suite)
-        if node is None:
-            continue
-        if expected == "obstruction":
-            flagged = any((not c["pass"]) or "obstruction" in str(c.get("info", {}))
-                          for c in node["checks"])
-            node["expected"] = expected
-            node["pass"] = flagged
-    tree["pass"] = all(node["pass"] for node in tree["suites"].values())
-    return tree
+    return report_tree(name, results)
 
 
 def _reversed_pair_report(cfg) -> dict:
@@ -66,6 +61,36 @@ def _reversed_pair_report(cfg) -> dict:
     return report_tree(cfg.get("name", "reversed-pair"), {"paracausal": [check]})
 
 
+def execute(scenarios, out_dir=None, exports=None) -> int:
+    """Run scenarios, write report.json (stdout without out_dir) and the files
+    {name: text} of ``exports()``; returns the exit code.  A config error
+    writes nothing.  Files the march refuses are left out: their suite fails.
+    """
+    files = {}
+    try:
+        if exports and not out_dir:
+            raise ValueError("the kernel files need a directory: add --out")
+        try:
+            files = exports() if exports else {}
+        except MarchError as e:
+            print(f"no kernel files written: {e}", file=sys.stderr)
+        trees = sorted((_reversed_pair_report(sc) if sc.get("kind") == "reversed-pair"
+                        else run_scenario(sc) for sc in scenarios), key=lambda t: t["scenario"])
+    except (ValueError, KeyError, TypeError) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return USAGE_ERROR
+    text = dumps(trees[0] if len(trees) == 1 else trees)
+    if out_dir:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.json").write_text(text)
+        for name, body in files.items():
+            (out / name).write_text(body)
+    else:
+        sys.stdout.write(text)
+    return 0 if all(t["pass"] for t in trees) else 1
+
+
 def run(config_path, out_dir=None) -> int:
     """Execute the scenarios of a config file; returns the exit code."""
     try:
@@ -74,30 +99,13 @@ def run(config_path, out_dir=None) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    scenarios = cfg if isinstance(cfg, list) else [cfg]
-    try:
-        trees = [_reversed_pair_report(sc) if sc.get("kind") == "reversed-pair" else run_scenario(sc)
-                 for sc in scenarios]
-    except (ValueError, KeyError, TypeError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    trees.sort(key=lambda t: t["scenario"])
-    payload = trees[0] if len(trees) == 1 else trees
-    text = dumps(payload)
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(text)
-    else:
-        sys.stdout.write(text)
-    ok = all(t["pass"] for t in trees)
-    return 0 if ok else 1
+    return execute(cfg if isinstance(cfg, list) else [cfg], out_dir)
 
 
 def _parse_grid(text):
     try:
         nt, nx = (int(v) for v in text.lower().split("x"))
-        return nt, nx
+        return {"nt": nt, "nx": nx}
     except Exception:
         raise argparse.ArgumentTypeError("grid must look like 64x64")
 
@@ -106,73 +114,74 @@ def _bundled(name):
     return Path(__file__).parent / "configs" / name
 
 
+FLAGS = {
+    "--grid": dict(type=_parse_grid, metavar="NTxNX",
+                   help="lattice size, e.g. 64x64; hadamard reads only NX, "
+                        "its study's nt values come from --grids"),
+    "--mass": dict(type=float, help="field mass (default 1)"),
+    "--preset": dict(help="metric preset; for moller, of the chain's target"),
+    "--dense-kernels": dict(action="store_true",
+                            help="green: also write the dense kernels as CSV under --out; "
+                                 "moller: add the dense propagator-transport law"),
+    # the suite checks the sizes, so a bad list is a config error like any other
+    "--grids": dict(type=lambda text: text.split(","), metavar="N,N,...",
+                    help="sizes of a refinement study: hadamard's nt, "
+                         "or converge's nx (each with nt = 2 nx)"),
+}
+# Each subcommand runs one suite and takes only the flags that suite reads,
+# flag -> the section key it sets; "nt,nx" names the entries of a grid, and
+# green's --dense-kernels asks for the kernel files.  All take --seed, --out.
+COMMANDS = {
+    "cones": ("cones", {}),
+    "chain": ("paracausal", {"--grid": "nt,nx"}),
+    "green": ("green", {"--grid": "nt,nx", "--mass": "mass", "--preset": "preset",
+                        "--dense-kernels": None}),
+    "moller": ("moller", {"--grid": "nt,nx", "--mass": "mass", "--preset": "target_preset",
+                          "--dense-kernels": "dense"}),
+    "state": ("ccr", {"--grid": "nt,nx", "--mass": "mass"}),
+    "hadamard": ("hadamard", {"--grid": "nx", "--mass": "mass", "--grids": "nts"}),
+    "converge": ("convergence", {"--grids": "grids"}),
+}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="moellerlab",
                                 description="lattice light-cone / causal-inverse verification runner")
-    sub = p.add_subparsers(dest="cmd")
+    sub = p.add_subparsers(dest="cmd", required=True)
 
     runp = sub.add_parser("run", help="execute a JSON config of scenarios")
     runp.add_argument("config", nargs="?", default=str(_bundled("minkowski-selftest.json")))
-    runp.add_argument("--out", default=None)
+    runp.add_argument("--out", default=None, help="directory for report.json (default stdout)")
 
-    for name, suites in [
-        ("cones", ["cones"]), ("chain", ["paracausal"]), ("green", ["green"]),
-        ("moller", ["moller"]), ("state", ["ccr"]), ("hadamard", ["hadamard"]),
-        ("converge", ["convergence"]),
-    ]:
-        q = sub.add_parser(name, help=f"run only the {suites[0]} suite")
-        q.add_argument("--grid", type=_parse_grid, default=None)
-        q.add_argument("--mass", type=float, default=1.0)
-        q.add_argument("--preset", default=None)
-        q.add_argument("--out", default=None)
+    for cmd, (suite, flags) in COMMANDS.items():
+        # no abbreviations: converge's --grids must not take a --grid
+        q = sub.add_parser(cmd, help=f"run only the {suite} suite",
+                           argument_default=argparse.SUPPRESS, allow_abbrev=False)
         q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--dense-kernels", action="store_true")
-        q.add_argument("--grids", default=None, help="comma list for convergence studies")
-        if name == "converge":
-            q.add_argument("--suite", default="convergence",
-                           choices=["convergence", "hadamard"],
-                           help="which refinement study to run")
-        q.set_defaults(suites=suites)
+        q.add_argument("--out", default=None, help="directory for report.json (default stdout)")
+        for flag in flags:
+            q.add_argument(flag, **FLAGS[flag])
 
-    args = p.parse_args(argv)
-    if args.cmd is None:
-        p.print_usage(sys.stderr)
-        return USAGE_ERROR
+    try:
+        args = p.parse_args(argv)
+    except SystemExit as e:  # argparse's usage errors and --help, as exit codes
+        return e.code
     if args.cmd == "run":
         return run(args.config, args.out)
 
-    suite = args.suites[0]
-    if getattr(args, "suite", None) and args.suite != suite:
-        suite = args.suite
-        args.suites = [suite]
-    section = {"mass": args.mass}
-    if args.grid:
-        section["nt"], section["nx"] = args.grid
-    if args.preset:
-        section["target_preset" if suite == "moller" else "preset"] = args.preset
-    if args.dense_kernels:
-        section["dense"] = True
-    if args.grids:
-        key = "grids" if suite == "convergence" else "nts"
-        section[key] = tuple(int(v) for v in args.grids.split(","))
-    cfg = {"name": f"{suite}-cli", "seed": args.seed, "suites": args.suites, suite: section}
-    try:
-        tree = run_scenario(cfg)
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    text = dumps(tree)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(text)
-        if args.dense_kernels and suite == "green":
-            from .suites import dense_kernel_csvs
-            for name, body in dense_kernel_csvs(section).items():
-                (out / name).write_text(body)
-    else:
-        sys.stdout.write(text)
-    return 0 if tree["pass"] else 1
+    suite, flags = COMMANDS[args.cmd]
+    given = vars(args)
+    section = {}
+    for flag, key in flags.items():
+        value = given.get(flag[2:].replace("-", "_"))
+        if flag == "--grid" and value:
+            section.update((k, value[k]) for k in key.split(","))
+        elif key and value is not None:
+            section[key] = value
+    wants_kernels = args.cmd == "green" and given.get("dense_kernels")
+    exports = partial(dense_kernel_csvs, section) if wants_kernels else None
+    cfg = {"name": f"{suite}-cli", "seed": args.seed, "suites": [suite], suite: section}
+    return execute([cfg], args.out, exports)
 
 
 if __name__ == "__main__":

@@ -73,7 +73,6 @@ __all__ = [
     "green_plus",
     "green_minus",
     "green_scaled",
-    "causal_propagator",
     "axis_class",
     "stencil_apply",
     "stencil_transpose",
@@ -748,10 +747,6 @@ class CausalPropagator:
             Gp, Gm = self.system.kernel_matrices()
             self._kernel = Gp - Gm
         return self._kernel
-
-
-def causal_propagator(N: HyperbolicOperator) -> CausalPropagator:
-    return CausalPropagator(N)
 
 
 # -- Cauchy problem -------------------------------------------------------------

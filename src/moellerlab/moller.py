@@ -260,21 +260,19 @@ def build_inverses(step: MollerStep) -> MollerStep:
 class MollerOperator:
     """Composed intertwiner along a paracausal chain.
 
-    steps are stored in application order; the adjoint with respect to the
-    end metrics is realized as V_g^{-1} R^T V_{g'} with the transpose folded
-    through the steps in reverse.  Actions take one (nt, nx, r) field or a
-    (K, nt, nx, r) batch.
+    steps are stored in application order between the end operators
+    op_start (metric g) and op_end (metric g'), whose metrics give
+    c' = vol_g' / vol_g; the adjoint with respect to the end metrics is
+    realized as V_g^{-1} R^T V_{g'} with the transpose folded through the
+    steps in reverse.  Actions take one (nt, nx, r) field or a (K, nt, nx, r)
+    batch.
     """
 
-    def __init__(self, steps, g: MetricField, gp: MetricField,
-                 op_start: HyperbolicOperator, op_end: HyperbolicOperator, chain=None):
+    def __init__(self, steps, op_start: HyperbolicOperator, op_end: HyperbolicOperator):
         self.steps = list(steps)
-        self.g = g
-        self.gp = gp
         self.op_start = op_start
         self.op_end = op_end
-        self.chain = chain
-        self.c_prime = _vol_ratio(g, gp)
+        self.c_prime = _vol_ratio(op_start.metric, op_end.metric)
         if np.min(self.c_prime) <= 0.0:
             raise ValueError("volume ratio must be positive")
         self._dense = {}
@@ -305,9 +303,8 @@ class MollerOperator:
         return self.op_start.unweigh(v)
 
     def inverse(self) -> "MollerOperator":
-        chain = self.chain.reversed() if self.chain is not None else None
         return MollerOperator([s.inverse() for s in reversed(self.steps)],
-                              self.gp, self.g, self.op_end, self.op_start, chain)
+                              self.op_end, self.op_start)
 
     # dense realizations ----------------------------------------------------------
 
@@ -372,7 +369,8 @@ def compose_chain(chain: ParacausalChain, operators=None, window=None, mass=1.0)
     if len(operators) != len(chain.metrics):
         raise ValueError("need one operator per chain metric")
     for op, m in zip(operators, chain.metrics):
-        if op.metric is not m and np.max(np.abs(op.metric.g_tt - m.g_tt)) > 0:
+        if op.metric is not m and any(np.any(getattr(op.metric, c) != getattr(m, c))
+                                      for c in ("g_tt", "g_tx", "g_xx")):
             raise ValueError("operator metrics must match the chain metrics")
         if not op.self_adjoint:
             raise ValueError("chain operators must be formally self-adjoint")
@@ -404,8 +402,7 @@ def compose_chain(chain: ParacausalChain, operators=None, window=None, mass=1.0)
             steps += [plus, minus]
         else:
             steps += [minus.inverse(), plus.inverse()]
-    return MollerOperator(steps, chain.metrics[0], chain.metrics[-1],
-                          operators[0], operators[-1], chain)
+    return MollerOperator(steps, operators[0], operators[-1])
 
 
 # -- verification ------------------------------------------------------------------

@@ -373,9 +373,10 @@ def suite_ccr(cfg, rng) -> list:
     nt = int(cfg.get("nt", 32))
     nx = int(cfg.get("nx", 32))
     grid = make_grid(nt, nx, 0.0, 0.5, 1.0)
-    mink = geo.metric_preset("minkowski", grid)
-    conf = geo.metric_preset("conformal", grid, mu=2.0)
-    N = gh.wave_operator(mink, 1.0)
+    chain = geo.build_chain(geo.metric_preset("minkowski", grid),
+                            geo.metric_preset("conformal", grid, mu=2.0))
+    R = mo.compose_chain(chain, mass=float(cfg.get("mass", 1.0)))
+    N = R.op_start
     secs = mo.random_dictionary(grid, int(cfg.get("dictionary", 16)),
                                 int(rng.integers(1 << 30)), window=(4, grid.nt - 4))
     D = ccrmod.FieldDictionary(secs, N)
@@ -407,8 +408,6 @@ def suite_ccr(cfg, rng) -> list:
         neg = min(neg, ccrmod.state_eval(om, a.star() * a).real)
     checks.append(CheckResult.from_residual("state_positivity_degree2", -neg, 1e-12))
 
-    chain = geo.build_chain(mink, conf)
-    R = mo.compose_chain(chain, mass=float(cfg.get("mass", 1.0)))
     Dp = ccrmod.FieldDictionary(secs, R.op_end)
     iso = ccrmod.star_isomorphism(R, Dp)
     checks.append(CheckResult.from_residual(
@@ -454,12 +453,11 @@ def _hadamard_residuals(nt, nx, mass):
     nu0 = hd.ultrastatic_vacuum(grid, mass)
     nup = hd.pullback_kernel(nu0, R)
     probes = hd.default_probes(grid, times=2)
-    Nhyp = gh.wave_operator(geo.metric_preset("minkowski", grid), mass)
-    hyp = hd.ccr_hypothesis_check(nu0, Nhyp, probes)["sup"]
+    hyp = hd.ccr_hypothesis_check(nu0, R.op_start, probes)["sup"]
     cols = nup.columns(probes)  # one pullback probe block serves both residuals
     ccr_p = hd.ccr_residual(cols, R.op_end, probes)["sup"]
     bis_p = hd.bisolution_residual(cols, R.op_end)["sup_left"]
-    return hyp, ccr_p, bis_p, (grid, chain, R, nup, probes)
+    return hyp, ccr_p, bis_p, (grid, chain, R, nu0, nup, probes)
 
 
 def suite_hadamard(cfg, rng) -> list:
@@ -489,20 +487,18 @@ def suite_hadamard(cfg, rng) -> list:
         "transported_bisolution_order", -(min(bis_orders) - 1.5), 0.0,
         orders=bis_orders, sups=[r[2] for r in rows]))
 
-    grid, chain, R, nup, probes = rows[1][3]
+    grid, chain, R, nu0, nup, probes = rows[1][3]
     ref = hd.ultrastatic_vacuum(grid, mass, metric=chain.metrics[-1])
     verdict = hd.hadamard_verdict(nup, ref, R.op_end, probes)
     checks.append(CheckResult.from_flag("transported_kernel_smoothness_proxy",
                                         verdict["passes"], **verdict["difference_proxy"]))
 
-    nu0 = hd.ultrastatic_vacuum(grid, mass)
     t = grid.times
     x = grid.sites
     smooth = 0.05 * np.exp(-((t[:, None] - 0.25) ** 2) / 0.02) * np.sin(2 * np.pi * x[None, :])
     noise = 1e-3 * np.random.default_rng(int(rng.integers(1 << 30))).standard_normal((grid.nt, grid.nx))
-    Nflat = gh.wave_operator(geo.metric_preset("minkowski", grid), mass)
-    v_smooth = hd.hadamard_verdict(_PerturbedKernel(nu0, smooth), nu0, Nflat, probes)
-    v_rough = hd.hadamard_verdict(_PerturbedKernel(nu0, noise), nu0, Nflat, probes)
+    v_smooth = hd.hadamard_verdict(_PerturbedKernel(nu0, smooth), nu0, R.op_start, probes)
+    v_rough = hd.hadamard_verdict(_PerturbedKernel(nu0, noise), nu0, R.op_start, probes)
     checks.append(CheckResult.from_flag("smooth_perturbation_passes_proxy", v_smooth["passes"]))
     checks.append(CheckResult.from_flag("rough_perturbation_fails_proxy", not v_rough["passes"]))
 

@@ -183,3 +183,86 @@ def test_refinement_grid_lists_rejected(argv, message, capsys):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+# each subcommand with a flag its suite does not read
+REMOVED_FLAGS = [
+    ["cones", "--grid", "16x16"], ["cones", "--mass", "2"], ["cones", "--preset", "x"],
+    ["cones", "--dense-kernels"], ["cones", "--grids", "16,32"],
+    ["chain", "--mass", "2"], ["chain", "--preset", "x"], ["chain", "--dense-kernels"],
+    ["chain", "--grids", "16,32"],
+    ["green", "--grids", "16,32"],
+    ["moller", "--grids", "16,32"],
+    ["state", "--preset", "x"], ["state", "--dense-kernels"], ["state", "--grids", "16,32"],
+    ["hadamard", "--preset", "tilted"], ["hadamard", "--dense-kernels"],
+    ["converge", "--grid", "16x16"], ["converge", "--mass", "2"], ["converge", "--preset", "x"],
+    ["converge", "--dense-kernels"], ["converge", "--suite", "hadamard"],
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=" ".join)
+def test_flag_the_suite_does_not_read_exits_2(argv, tmp_path, capsys):
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_dense_kernels_beyond_limit_write_nothing(tmp_path, capsys):
+    out = tmp_path / "D"
+    assert run_cli(["green", "--grid", "48x48", "--dense-kernels", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dense kernels are limited to small grids")
+    assert not (out / "report.json").exists()
+
+
+def test_dense_kernels_need_out(capsys):
+    assert run_cli(["green", "--grid", "16x16", "--dense-kernels"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and "--out" in captured.err
+    assert captured.out == ""
+
+
+def test_dense_kernels_of_refused_march_are_left_out(tmp_path, capsys):
+    # the CFL refusal is the suite's failed check; the kernel files are skipped
+    assert run_cli(["green", "--grid", "8x64", "--dense-kernels", "--out", str(tmp_path)]) == 1
+    assert "no kernel files written: CFL violated" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+@pytest.mark.parametrize("key", ["expect", "suits"])
+def test_unknown_scenario_key_exits_2(key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "x", "suites": ["paracausal"],
+                               "paracausal": {"nt": 8, "nx": 8}, key: {}}))
+    assert run_cli(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown scenario keys") and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_subcommand_is_a_one_scenario_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "hadamard-cli", "seed": 2, "suites": ["hadamard"],
+                               "hadamard": {"nts": [32, 64]}}))
+    assert run_cli(["hadamard", "--grids", "32,64", "--seed", "2",
+                    "--out", str(tmp_path / "A")]) == 0
+    assert run_cli(["run", str(cfg), "--out", str(tmp_path / "B")]) == 0
+    a = (tmp_path / "A" / "report.json").read_bytes()
+    assert a == (tmp_path / "B" / "report.json").read_bytes()
+
+
+def test_state_mass_reaches_every_operator(tmp_path, monkeypatch):
+    from moellerlab import greenhyp as gh
+    from moellerlab import moller as mo
+
+    masses = []
+    wave = gh.wave_operator
+
+    def recorded(metric, mass=1.0, **kw):
+        masses.append(mass)
+        return wave(metric, mass, **kw)
+
+    for module in (gh, mo):
+        monkeypatch.setattr(module, "wave_operator", recorded)
+    assert run_cli(["state", "--grid", "16x16", "--mass", "2", "--out", str(tmp_path)]) == 0
+    assert masses and set(masses) == {2.0}

@@ -605,3 +605,30 @@ def test_adjoint_calculus_matrix_identities():
     want = 2.0 * mo.AdjointOperator(P, R.op_start, R.op_start).matrix \
         + 0.5 * mo.AdjointOperator(M, R.op_start, R.op_start).matrix
     assert np.max(np.abs(lin - want)) < 1e-10
+
+
+@pytest.mark.parametrize("components", [(-2.0, 0.0, 1.5), (-2.0, 0.3, 2.0)],
+                         ids=["g_xx", "g_tx"])
+def test_compose_chain_rejects_operator_on_another_metric(grid32, components):
+    # the operator keeps the chain metric's g_tt (conformal, mu = 2) but not
+    # its other components, so c' read from the chain would be wrong
+    mink = geo.metric_preset("minkowski", grid32)
+    chain = geo.build_chain(mink, geo.metric_preset("conformal", grid32, mu=2.0))
+    other = geo.MetricField(grid32, *components, 1.0, 0.0)
+    ops = [gh.wave_operator(mink, 1.0), gh.wave_operator(other, 1.0)]
+    with pytest.raises(ValueError, match="operator metrics must match the chain metrics"):
+        mo.compose_chain(chain, operators=ops)
+
+
+def test_operator_inverse_swaps_ends_without_chain_checks(grid32, monkeypatch):
+    chain = geo.build_chain(geo.metric_preset("minkowski", grid32),
+                            geo.metric_preset("conformal", grid32, mu=2.0))
+    R = mo.compose_chain(chain)
+    calls = []
+    preceq = geo.preceq
+    monkeypatch.setattr(geo, "preceq", lambda *a: calls.append(1) or preceq(*a))
+    Ri = R.inverse()
+    assert calls == []
+    assert (Ri.op_start, Ri.op_end) == (R.op_end, R.op_start)
+    assert [s.inverse() for s in Ri.steps] == R.steps[::-1]
+    np.testing.assert_allclose(Ri.c_prime, 1.0 / R.c_prime, rtol=1e-15)
