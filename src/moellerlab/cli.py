@@ -35,6 +35,9 @@ def run_scenario(cfg: dict) -> dict:
     if unknown:
         raise ValueError(f"unknown scenario keys: {unknown}; "
                          f"a scenario takes {sorted(SCENARIO_KEYS)}")
+    sections = sorted(s for s in SUITES if not isinstance(cfg.get(s, {}), dict))
+    if sections:
+        raise ValueError(f"suite sections must be JSON objects: {sections}")
     name = cfg.get("name", "scenario")
     seed = int(cfg.get("seed", 0))
     suites = cfg.get("suites", ["cones", "paracausal", "green"])
@@ -70,6 +73,9 @@ def execute(scenarios, out_dir=None, exports=None) -> int:
     try:
         if exports and not out_dir:
             raise ValueError("the kernel files need a directory: add --out")
+        for sc in scenarios:
+            if not isinstance(sc, dict):
+                raise ValueError(f"a scenario must be a JSON object, got {json.dumps(sc)}")
         try:
             files = exports() if exports else {}
         except MarchError as e:

@@ -123,17 +123,21 @@ def stencil_apply(offsets, u, rows=None):
     u is one (nt, nx, r) field or a (K, nt, nx, r) batch; the result has its
     shape and is zero off the row range, and u is read on levels lo - 1 .. hi
     only.  rows defaults to the whole window: ``HyperbolicOperator.apply``.
+    Those levels are copied once with one periodic site on either side, so
+    offset (a, b) reads its neighbours j + b as a shifted view of the copy.
     """
-    nt = u.shape[-3]
+    nt, nx = u.shape[-3:-1]
     lo, hi = (0, nt) if rows is None else rows
     out = np.zeros_like(u)
+    l0 = max(lo - 1, 0)
+    levels = u[..., l0:min(hi + 1, nt), :, :]
+    halo = np.concatenate([levels[..., -1:, :], levels, levels[..., :1, :]], axis=-2)
     for (a, b), C in offsets.items():
         n0, n1 = max(lo, -a), min(hi, nt - a)  # rows whose level n + a is in the window
         if n0 >= n1:
             continue
-        src = u[..., n0 + a:n1 + a, :, :]
-        out[..., n0:n1, :, :] += np.einsum("txab,...txb->...txa", C[n0:n1],
-                                           np.roll(src, -b, axis=-2) if b else src)
+        src = halo[..., n0 + a - l0:n1 + a - l0, 1 + b:1 + b + nx, :]
+        out[..., n0:n1, :, :] += np.einsum("txab,...txb->...txa", C[n0:n1], src)
     return out
 
 

@@ -16,9 +16,9 @@ fields K(., q) over the whole grid for a list of probe points, shape
 (len(qs), nt, nx), and ``column(q)`` is ``columns([q])[0]``.  A pullback
 through a realized intertwiner marches the whole block at once, which keeps
 it affordable on refined grids.  The checks below take any kernel with
-``columns``, or failing that ``column``; ``ccr_residual`` and
-``bisolution_residual`` take a probe block already built, so one block
-serves both.
+``columns``, or failing that ``column``; ``ccr_residual``,
+``bisolution_residual`` and ``difference_verdict`` take a probe block
+already built, so one block serves all three.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "pullback_kernel",
     "smoothness_proxy",
     "hadamard_verdict",
+    "difference_verdict",
     "default_probes",
 ]
 
@@ -313,9 +314,13 @@ def hadamard_verdict(nu_prime, reference, N_prime: HyperbolicOperator,
     The CCR and bisolution residuals are ``ccr_residual`` and
     ``bisolution_residual``.
     """
+    probes = default_probes(N_prime.grid) if probes is None else probes
+    return difference_verdict(_columns(nu_prime, probes), reference, N_prime, probes)
+
+
+def difference_verdict(cols, reference, N_prime: HyperbolicOperator, probes) -> dict:
+    """``hadamard_verdict`` of a probe block cols = K'(., probes) already built."""
     g = N_prime.grid
-    probes = default_probes(g) if probes is None else probes
-    cols = _columns(nu_prime, probes)
     proxy = smoothness_proxy(cols - _columns(reference, probes), reference=cols,
                              spacing=(g.dt, g.dx))
     return {

@@ -215,6 +215,18 @@ def test_dense_kernels_beyond_limit_write_nothing(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_dense_kernels_describe_the_report_grid(tmp_path, capsys):
+    # without --grid the green report is 48x48, past the dense limit
+    out = tmp_path / "D"
+    assert run_cli(["green", "--dense-kernels", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: dense kernels are limited to small grids")
+    assert not out.exists()
+    assert run_cli(["green", "--grid", "16x16", "--dense-kernels", "--out", str(out)]) == 0
+    for name in ("green_plus.csv", "green_minus.csv", "green_causal.csv"):
+        assert len((out / name).read_text().splitlines()) == 16 * 16
+
+
 def test_dense_kernels_need_out(capsys):
     assert run_cli(["green", "--grid", "16x16", "--dense-kernels"]) == 2
     captured = capsys.readouterr()
@@ -237,6 +249,20 @@ def test_unknown_scenario_key_exits_2(key, tmp_path, capsys):
     assert run_cli(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: unknown scenario keys") and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    [1],
+    {"suites": ["green"], "green": 5},
+    {"suites": ["hadamard"], "hadamard": [32, 64]},
+], ids=json.dumps)
+def test_non_object_scenario_or_section_exits_2(cfg, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "must be" in err and "JSON object" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -717,17 +717,38 @@ def test_row_range_march_equals_full_march(kg48, name):
     assert np.array_equal(down[:, lo - 1:], full_down[:, lo - 1:]) and not down[:, :lo - 1].any()
 
 
+def _rolled_stencil_apply(offsets, u, rows):
+    """Reference stencil action: one np.roll of the source levels per x offset."""
+    nt = u.shape[-3]
+    lo, hi = rows
+    out = np.zeros_like(u)
+    for (a, b), C in offsets.items():
+        n0, n1 = max(lo, -a), min(hi, nt - a)
+        if n0 >= n1:
+            continue
+        src = u[..., n0 + a:n1 + a, :, :]
+        out[..., n0:n1, :, :] += np.einsum("txab,...txb->...txa", C[n0:n1],
+                                           np.roll(src, -b, axis=-2) if b else src)
+    return out
+
+
 @pytest.mark.parametrize("name", ["tilted-warp", "rank2"])
 def test_stencil_rows_equal_operator_rows(name):
-    # the stencil on rows lo..hi-1 is those rows of the full action, zero elsewhere
+    # the stencil on rows lo..hi-1 is those rows of the full action, zero
+    # elsewhere; its neighbours, read from one halo copy, give the rolled
+    # reference bitwise, on ranges touching level 0 and level nt - 1 alike
     N = _level_operator(name)
     g = N.grid
     u = np.random.default_rng(37).standard_normal((2, g.nt, g.nx, g.rank))
     full = N.apply(u)
-    for lo, hi in ((0, g.nt), (0, 3), (4, 9), (g.nt - 2, g.nt), (5, 5), (0, 0)):
+    for lo, hi in ((0, g.nt), (0, 1), (0, 3), (4, 9), (g.nt - 2, g.nt), (g.nt - 1, g.nt),
+                   (5, 5), (0, 0)):
         part = gh.stencil_apply(N.offsets, u, (lo, hi))
         assert np.array_equal(part[:, lo:hi], full[:, lo:hi])
         assert not part[:, :lo].any() and not part[:, hi:].any()
+        assert np.array_equal(part, _rolled_stencil_apply(N.offsets, u, (lo, hi)))
+        assert np.array_equal(gh.stencil_apply(N.offsets, u[0], (lo, hi)),
+                              _rolled_stencil_apply(N.offsets, u[0], (lo, hi)))
 
 
 @pytest.mark.parametrize("name", ["minkowski", "rank2", "tilted-warp"])

@@ -239,9 +239,29 @@ def test_hadamard_suite_march_count_does_not_grow_with_probes(monkeypatch):
     steps = 2 * len(suites._hadamard_chain(make_grid(16, 8, 0.0, 0.5, 1.0)).flags)
     # per grid: build-time identity checks (steps), the vacuum commutator
     # (2 Green solves), and one pullback probe block (R^T, R) shared by the
-    # transported commutator (2 Green solves) and the bisolution check (no
-    # march); then one verdict on the pullback, two on perturbed vacua and
-    # the round trip through R^-1
+    # transported commutator (2 Green solves), the bisolution check and, on
+    # the middle grid, the smoothness verdict (no march); the verdicts on
+    # perturbed vacua march nothing, and the round trip through R^-1 marches
+    # R^-T, R^T, R and R^-1
     per_grid = steps + 2 + (2 * steps + 2)
-    bound = len(nts) * per_grid + (2 * steps + 2) + 2 * 2 + 4 * steps  # 62
-    assert len(calls) <= bound  # measured: 62
+    bound = len(nts) * per_grid + 4 * steps  # 48
+    assert len(calls) <= bound  # measured: 48
+
+
+def test_hadamard_suite_transports_each_probe_block_once(monkeypatch):
+    # per grid one pullback probe block, which the middle grid's smoothness
+    # verdict reuses; then the round trip, through R^-1 and R (two blocks)
+    from moellerlab import suites
+
+    calls = []
+    transport = hd.PullbackKernel._transport
+
+    def counted(self, V):
+        calls.append(1)
+        return transport(self, V)
+
+    monkeypatch.setattr(hd.PullbackKernel, "_transport", counted)
+    nts = (32, 64, 128)
+    checks = suites.suite_hadamard({"nx": 16, "nts": nts}, np.random.default_rng(0))
+    assert all(c.passed for c in checks)
+    assert len(calls) == len(nts) + 2  # 5

@@ -275,6 +275,54 @@ def test_written_levels_miss_the_inert_side():
             assert np.array_equal(step.transpose_apply(u)[:, step.inert()], u[:, step.inert()])
 
 
+def _inert_reach(step):
+    """The last inert level in marching order, where the build-time check stops its march."""
+    inert = step.inert()
+    return inert.stop - 1 if step.sign > 0 else inert.start
+
+
+def test_identity_check_march_equals_apply_on_inert_levels():
+    # the build-time check marches only until the inert levels are written;
+    # they are those of the full apply bitwise, for every step and inverse
+    for R in _study_chains():
+        for step in R.steps + [s.inverse() for s in R.steps]:
+            g = step.grid
+            u = np.random.default_rng(45).standard_normal((2, g.nt, g.nx, g.rank))
+            inert = step.inert()
+            reach = _inert_reach(step)
+            assert np.array_equal(step._apply(u, reach)[:, inert], step.apply(u)[:, inert])
+            assert np.array_equal(step._apply(u[0], reach)[inert], step.apply(u[0])[inert])
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+def test_difference_on_an_inert_row_raises_at_build(grid32, pair32, kind, monkeypatch):
+    # a profile broken on the inert level whose row writes the last inert level
+    # (plus) or the first (minus) makes D nonzero there: the profile check
+    # refuses it, and so does the trimmed identity march alone, whose inert
+    # levels are still those of the full apply bitwise
+    plus, minus, *_ = canonical_link(*pair32)
+    step = plus if kind == "plus" else minus
+    inert = range(grid32.nt)[step.inert()]
+    b = step.b[..., 0].copy()
+    b[inert[-2] if kind == "plus" else inert[1]] *= 1.5
+
+    def build():
+        return mo.MollerStep(kind, step.op_lo, step.op_hi, step.a[..., 0], b,
+                             step.t0_level, step.t1_level)
+
+    with pytest.raises(ValueError, match="profiles must agree"):
+        build()
+    monkeypatch.setattr(mo.MollerStep, "_check_profiles", lambda self: None)
+    with pytest.raises(AssertionError, match="identity region violated at build time"):
+        build()
+    monkeypatch.setattr(mo.MollerStep, "_check_identity_region", lambda self: None)
+    broken = build()
+    u = np.random.default_rng(46).standard_normal((2, grid32.nt, grid32.nx, 1))
+    got = broken._apply(u, _inert_reach(broken))[:, broken.inert()]
+    assert np.array_equal(got, broken.apply(u)[:, broken.inert()])
+    assert not np.array_equal(got, u[:, broken.inert()])
+
+
 def test_build_rplus_rejects_bad_profile(grid32, pair32):
     N0, N1 = pair32
     span = grid32.t_max
