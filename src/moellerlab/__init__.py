@@ -6,22 +6,20 @@ runner for the batteries."""
 
 from .lattice import (FiberMetric, ScalarField, Section, SpacetimeGrid,
                       make_grid, smooth_step, weighted_inner_product)
-from .geometry import (ALIGNED, REVERSED, ChainObstruction, ConeData,
-                       MetricField, ParacausalChain, alpha_rescale,
-                       build_chain, causal_future, classify_vector,
-                       closed_causal_exists, cone_inclusion,
-                       cones_intersect_future, convex_combination,
-                       inverse_metric, metric_from_arcs, metric_preset,
-                       musical_flat, musical_sharp, paracausal_witness,
-                       preceq, sharp_interpolation, squeeze_metric,
-                       tune_alpha)
-from .greenhyp import (CausalPropagator, CFLError, GreenSystem,
-                       HyperbolicOperator, MarchError, SymbolMismatch,
-                       UnstableMarch, axis_class, build_operator,
-                       convex_operator, exactness_check, green_adjoint_relation,
-                       green_minus, green_plus, green_scaled,
-                       propagator_symplectic_identity, solve_cauchy,
-                       symmetrize, symplectic_form, wave_operator)
+from .geometry import (ALIGNED, REVERSED, ChainObstruction, MetricField,
+                       ParacausalChain, alpha_rescale, build_chain,
+                       causal_future, classify_vector, closed_causal_exists,
+                       cone_inclusion, cones_intersect_future,
+                       convex_combination, inverse_metric, metric_from_arcs,
+                       metric_preset, musical_flat, musical_sharp,
+                       paracausal_witness, preceq, sharp_interpolation,
+                       squeeze_metric, tune_alpha)
+from .greenhyp import (CFLError, GreenSystem, HyperbolicOperator, MarchError,
+                       SymbolMismatch, UnstableMarch, axis_class,
+                       build_operator, convex_operator, exactness_check,
+                       green_adjoint_relation, propagator_symplectic_identity,
+                       solve_cauchy, symmetrize, symplectic_form,
+                       wave_operator)
 from .moller import (AdjointOperator, MollerObstruction, MollerOperator,
                      MollerStep, adjoint, build_inverses, build_rminus,
                      build_rplus, compose_chain, random_dictionary,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .greenhyp import CausalPropagator, HyperbolicOperator
+from .greenhyp import GreenSystem, HyperbolicOperator
 from .lattice import Section
 
 __all__ = [
@@ -57,7 +57,7 @@ class FieldDictionary:
             self.sections += list(null_sections)
         self.size = len(self.sections)
         F = np.array([f.values for f in self.sections])
-        images = CausalPropagator(operator).apply(F)
+        images = GreenSystem(operator).propagator(F)
         self.pairing = operator.pairing(F[:, None], images)
         asym = np.max(np.abs(self.pairing + self.pairing.T))
         if asym > 1e-10 * (1.0 + np.max(np.abs(self.pairing))):

@@ -5,8 +5,10 @@ seed, which suites to run and one section of settings per suite.  A scenario
 with ``"kind": "reversed-pair"`` is the time-reversed orientation fixture
 instead.  Each subcommand is a one-scenario config, run and written by the
 same function as ``run``.  Reports are deterministic JSON trees: identical
-config + seed produce byte-identical output.  Exit codes: 0 all suites pass,
-1 a suite failed, 2 usage/config errors (nothing is written).
+config + seed produce byte-identical output.  A march the lattice refuses
+(``MarchError``, ``MollerObstruction``) is recorded as its suite's one failed
+check.  Exit codes: 0 all suites pass, 1 a suite failed, 2 usage/config
+errors (nothing is written).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from . import geometry as geo
 from .greenhyp import MarchError
 from .lattice import make_grid
+from .moller import MollerObstruction
 from .reports import CheckResult, dumps, report_tree
 from .suites import SUITES, dense_kernel_csvs
 
@@ -48,7 +51,10 @@ def run_scenario(cfg: dict) -> dict:
     for s in suites:
         # process-independent per-suite stream (string hash is randomized)
         rng = np.random.default_rng(seed + zlib.crc32(s.encode()) % 100000)
-        results[s] = SUITES[s](cfg.get(s, {}), rng)
+        try:
+            results[s] = SUITES[s](cfg.get(s, {}), rng)
+        except (MarchError, MollerObstruction) as e:  # a refused march fails its suite
+            results[s] = [CheckResult.from_flag(e.check, False, reason=e.reason, detail=e.detail)]
     return report_tree(name, results)
 
 

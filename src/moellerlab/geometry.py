@@ -26,7 +26,6 @@ __all__ = [
     "ALIGNED",
     "REVERSED",
     "MetricField",
-    "ConeData",
     "ParacausalChain",
     "classify_vector",
     "musical_sharp",
@@ -128,29 +127,6 @@ class MetricField:
         lo = np.minimum(r1, r2)
         hi = np.maximum(r1, r2)
         return lo, hi
-
-
-class ConeData:
-    """Light-cone data at one point: null slopes and the future half."""
-
-    def __init__(self, metric: MetricField, point):
-        n, j = point
-        self.point = (int(n), int(j))
-        a, b, c = metric.g_tt[n, j], metric.g_tx[n, j], metric.g_xx[n, j]
-        disc = math.sqrt(max(b * b - a * c, 0.0))
-        if c != 0.0:
-            s1, s2 = (-b - disc) / c, (-b + disc) / c
-            self.slopes = (min(s1, s2), max(s1, s2))
-            self.contains_spatial_axis = c < 0.0
-        else:
-            # one null direction is the spatial axis itself
-            self.slopes = (-a / (2.0 * b), math.inf)
-            self.contains_spatial_axis = False
-        ctr, hw = future_arcs(metric)
-        self.arc_center = float(ctr[n, j])
-        self.arc_halfwidth = float(hw[n, j])
-        if not (self.slopes[0] < self.slopes[1]):
-            raise ValueError("degenerate cone: null slopes coincide")
 
 
 # -- directions as angles ---------------------------------------------------

@@ -64,15 +64,11 @@ __all__ = [
     "SymbolMismatch",
     "HyperbolicOperator",
     "GreenSystem",
-    "CausalPropagator",
     "build_operator",
     "wave_operator",
     "symmetrize",
     "convex_operator",
     "solve_cauchy",
-    "green_plus",
-    "green_minus",
-    "green_scaled",
     "axis_class",
     "stencil_apply",
     "stencil_transpose",
@@ -87,6 +83,10 @@ CFL_SAFETY = 0.8
 
 class MarchError(RuntimeError):
     """The causal march refuses an operator; subclasses name the failed `check` and `reason`."""
+
+    @property
+    def detail(self) -> str:
+        return str(self)
 
 
 class CFLError(MarchError):
@@ -664,22 +664,20 @@ def _check_margin(f, side, what="source"):
 
 
 class GreenSystem:
-    """Retarded/advanced solvers G^+ / G^- of one operator.
+    """Retarded/advanced solvers G^+ / G^- of one operator, and its causal
+    propagator G = G^+ - G^-.
 
     Sources are one (nt, nx, r) field (or (nt, nx) for rank 1) or a batch
     (K, nt, nx, r) solved in one march.
     """
 
-    def __init__(self, N: HyperbolicOperator, scale: ScalarField | None = None):
+    def __init__(self, N: HyperbolicOperator):
         self.operator = N
-        self.scale = scale  # solves rho N when given: G_{rho N} = G_N (. / rho)
 
     def _prep(self, f):
         v = f.values if isinstance(f, Section) else np.asarray(f, dtype=float)
         if v.shape == (self.operator.grid.nt, self.operator.grid.nx):
             v = v[:, :, None]
-        if self.scale is not None:
-            v = v / self.scale.values[:, :, None]
         return v
 
     def plus(self, f):
@@ -716,41 +714,6 @@ class GreenSystem:
             M[:, qs] = solve(E).reshape(len(qs), n).T
             out.append(M)
         return tuple(out)
-
-
-def green_plus(N: HyperbolicOperator, f: Section) -> Section:
-    """Retarded solve: N (G+ f) = f on equation rows, zero before the source."""
-    return Section(N.grid, GreenSystem(N).plus(f))
-
-
-def green_minus(N: HyperbolicOperator, f: Section) -> Section:
-    return Section(N.grid, GreenSystem(N).minus(f))
-
-
-def green_scaled(N: HyperbolicOperator, rho: ScalarField) -> GreenSystem:
-    """Green system of rho N, realized as G_N applied to f / rho."""
-    if rho.values.min() <= 0.0:
-        raise ValueError("scaling field must be positive")
-    return GreenSystem(N, scale=rho)
-
-
-class CausalPropagator:
-    """f -> G+ f - G- f on window-compact sections, with optional dense kernel."""
-
-    def __init__(self, N: HyperbolicOperator):
-        self.operator = N
-        self.system = GreenSystem(N)
-        self._kernel = None
-
-    def apply(self, f):
-        return self.system.propagator(f)
-
-    def kernel_matrix(self) -> np.ndarray:
-        """Dense matrix of the map (admissible interior columns only)."""
-        if self._kernel is None:
-            Gp, Gm = self.system.kernel_matrices()
-            self._kernel = Gp - Gm
-        return self._kernel
 
 
 # -- Cauchy problem -------------------------------------------------------------
@@ -881,9 +844,9 @@ def propagator_symplectic_identity(N: HyperbolicOperator, f, h) -> dict:
     paired column by column, each value of the result then holding K numbers.
     """
     fv, hv = (v.values if isinstance(v, Section) else np.asarray(v, dtype=float) for v in (f, h))
-    G = CausalPropagator(N)
-    ph = G.apply(hv)
-    lhs = symplectic_form(N, G.apply(fv), ph, N.grid.nt // 2)
+    G = GreenSystem(N)
+    ph = G.propagator(hv)
+    lhs = symplectic_form(N, G.propagator(fv), ph, N.grid.nt // 2)
     rhs = N.pairing(fv, ph)
     return {"lhs": lhs, "rhs": rhs, "residual": np.abs(lhs - rhs)}
 

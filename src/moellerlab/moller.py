@@ -48,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import ALIGNED, MetricField, ParacausalChain, preceq
-from .greenhyp import (CausalPropagator, HyperbolicOperator, axis_class, convex_operator,
+from .greenhyp import (GreenSystem, HyperbolicOperator, axis_class, convex_operator,
                        solve_cauchy, stencil_apply, stencil_transpose, sup_norms,
                        symplectic_form, wave_operator, worst_ratio)
 from .lattice import ScalarField, Section, smooth_step
@@ -71,6 +71,8 @@ __all__ = [
 
 
 class MollerObstruction(RuntimeError):
+    check = "moller_chain_marchable"
+
     def __init__(self, reason, detail=""):
         super().__init__(f"{reason}: {detail}" if detail else reason)
         self.reason = reason
@@ -113,13 +115,15 @@ class MollerStep:
     (nt, nx, r) field or a (K, nt, nx, r) batch.
 
     A step built from its ends checks at build time that it is the identity
-    on ``inert()``.  That check applies D and marches only on the rows that
-    write the inert levels; when D vanishes there, as it should, it marches
-    nothing.  This is exact: the plus march runs up from row lo and the minus
-    march down from row hi - 1, so both write the inert levels before any
-    other, and the march computes each level from its source row and the two
-    levels already written.  The levels the trimmed march writes are thus
-    bitwise those of the full ``apply``.
+    on ``inert()``, by ``identity_defect``.  That measurement applies D and
+    marches only on the rows that write the inert levels; when D vanishes
+    there, as it should, it marches nothing.  This is exact: the plus march
+    runs up from row lo and the minus march down from row hi - 1, so both
+    write the inert levels before any other, and the march computes each
+    level from its source row and the two levels already written.  The
+    levels the trimmed march writes are thus bitwise those of the full
+    ``apply``.  The ``identity_region`` law of ``verify_moller_identities``
+    reads the same measurement.
     """
 
     def __init__(self, kind, op_lo, op_hi, a, b, t0_level, t1_level, stencils=None):
@@ -197,6 +201,13 @@ class MollerStep:
         out = self._diff_transpose(w)
         return np.subtract(h, out, out=out)
 
+    def identity_defect(self, u) -> float:
+        """max |R u - u| on ``inert()``, with the march stopped at the last inert level."""
+        inert = self.inert()
+        reach = inert.stop - 1 if self.sign > 0 else inert.start  # last in marching order
+        defect = self._apply(u, reach)[..., inert, :, :] - u[..., inert, :, :]
+        return float(np.max(np.abs(defect), initial=0.0))
+
     def inverse(self) -> "MollerStep":
         """Id - G^s_{a N_lo}(a N_lo - b N_hi): the ends swapped, the inert side kept.
 
@@ -231,10 +242,7 @@ class MollerStep:
         rng = np.random.default_rng(7)
         u = np.zeros((g.nt, g.nx, g.rank))
         u[2:-2] = rng.standard_normal((g.nt - 4, g.nx, g.rank))
-        inert = self.inert()
-        # march only until the inert levels are written: the last of them in marching order
-        reach = inert.stop - 1 if self.sign > 0 else inert.start
-        err = np.max(np.abs(self._apply(u, reach)[inert] - u[inert]), initial=0.0)
+        err = self.identity_defect(u)
         if err > 1e-10 * (1.0 + float(np.max(np.abs(u)))):
             raise AssertionError(f"identity region violated at build time: {err:.2e}")
 
@@ -519,11 +527,11 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     rep.update(verify_intertwine(R, dictionary))
 
     u = _stack(dictionary)
-    Gn = CausalPropagator(R.op_start)
-    Gnp = CausalPropagator(R.op_end)
-    rhs = Gnp.apply(u)
+    Gn = GreenSystem(R.op_start)
+    Gnp = GreenSystem(R.op_end)
+    rhs = Gnp.propagator(u)
     rep["propagator_transport"] = worst_ratio(
-        sup_norms(R.apply(Gn.apply(R.adjoint_apply(u))) - rhs), sup_norms(rhs))
+        sup_norms(R.apply(Gn.propagator(R.adjoint_apply(u))) - rhs), sup_norms(rhs))
     rhs = R.op_start.apply(u)
     rep["adjoint_interchange"] = worst_ratio(
         sup_norms((R.adjoint_apply(R.op_end.apply(u)) - rhs)[:, 1:-1]), sup_norms(rhs))
@@ -550,20 +558,16 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     rng = np.random.default_rng(seed + 2)
     u = np.zeros((grid.nt, grid.nx, grid.rank))
     u[2:-2] = rng.standard_normal((grid.nt - 4, grid.nx, grid.rank))
-    worst = 0.0
-    for s in (R.steps[0], R.steps[-1]):
-        worst = max(worst, float(np.max(np.abs((s.apply(u) - u)[s.inert()]), initial=0.0)))
-    rep["identity_region"] = worst
+    rep["identity_region"] = max(s.identity_defect(u) for s in (R.steps[0], R.steps[-1]))
 
     if dense:
         Rm = R.as_matrix()
         Rd = R.adjoint_matrix()
-        Gm = Gn.kernel_matrix()
-        Gpm = Gnp.kernel_matrix()
+        G, Gprime = (np.subtract(*S.kernel_matrices()) for S in (Gn, Gnp))  # G+ - G-
         sel = np.zeros(grid.n_dof, bool)
         sel.reshape(grid.nt, grid.nx, grid.rank)[2:-2] = True
-        lhs = (Rm @ Gm @ Rd)[:, sel]
-        rhs = Gpm[:, sel]
+        lhs = (Rm @ G @ Rd)[:, sel]
+        rhs = Gprime[:, sel]
         rep["propagator_transport_dense"] = float(np.max(np.abs(lhs - rhs))) / max(
             float(np.max(np.abs(rhs))), 1e-300)
     return rep

@@ -2,9 +2,12 @@
 
 These back both the command-line runner and the acceptance tests.  Every
 check is named by what it verifies, carries its residual and the tolerance
-it was held to, and never silently skips: structural obstructions (a chain
-that cannot be built, a link that cannot be marched) are reported as
-explicit outcomes.
+it was held to, and never silently skips: structural obstructions are
+reported as explicit outcomes.  A chain that cannot be built is a suite's
+own failed check.  A march the lattice refuses (``greenhyp.MarchError``) or
+a link it cannot march (``moller.MollerObstruction``) propagates out of the
+suite; ``cli.run_scenario`` catches it and records it as the suite's one
+failed check.
 """
 
 from __future__ import annotations
@@ -169,11 +172,6 @@ def suite_paracausal(cfg, rng) -> list:
     return checks
 
 
-def _march_failure(e: gh.MarchError) -> list:
-    """A scenario the march refuses (CFL bound, unstable metric), as one failed check."""
-    return [CheckResult.from_flag(e.check, False, reason=e.reason, detail=str(e))]
-
-
 BATCH = 64  # samples marched together: memory stays bounded for any sample count
 
 
@@ -217,10 +215,6 @@ def suite_green(cfg, rng) -> list:
     grid = _green_grid(cfg)
     nx = grid.nx
     N = _scenario_operator(cfg, grid, cfg.get("preset", "minkowski"))
-    try:
-        N.check_march()
-    except gh.MarchError as e:
-        return _march_failure(e)
     count = _sample_count(cfg, "count", 100)
     checks = []
     Gs = gh.GreenSystem(N)
@@ -325,13 +319,7 @@ def suite_moller(cfg, rng) -> list:
             return [CheckResult.from_flag("chain_exists", False, reason=chain.reason,
                                           detail=chain.detail)]
     window = tuple(cfg["window"]) if "window" in cfg else None
-    try:
-        R = mo.compose_chain(chain, window=window, mass=float(cfg.get("mass", 1.0)))
-    except mo.MollerObstruction as e:
-        return [CheckResult.from_flag("moller_chain_marchable", False,
-                                      reason=e.reason, detail=e.detail)]
-    except gh.MarchError as e:
-        return _march_failure(e)
+    R = mo.compose_chain(chain, window=window, mass=float(cfg.get("mass", 1.0)))
     d = mo.random_dictionary(grid, _sample_count(cfg, "dictionary", 16),
                              int(rng.integers(1 << 30)), window=(4, grid.nt - 4))
     rep = mo.verify_moller_identities(R, d, seed=int(rng.integers(1 << 30)),
@@ -471,15 +459,12 @@ def suite_hadamard(cfg, rng) -> list:
     mass = float(cfg.get("mass", 1.0))
     nts = _refinement_sizes(cfg.get("nts", (64, 128, 256)), "nts")
     rows = []
-    try:
-        for nt in nts:
-            *sups, context = _hadamard_residuals(nt, nx, mass)
-            rows.append(sups)
-            if len(rows) == 2:  # the middle grid's objects serve the checks below
-                grid, chain, R, nu0, nup, probes, cols = context
-            del context  # no other grid's probe block is held
-    except gh.MarchError as e:
-        return _march_failure(e)
+    for nt in nts:
+        *sups, context = _hadamard_residuals(nt, nx, mass)
+        rows.append(sups)
+        if len(rows) == 2:  # the middle grid's objects serve the checks below
+            grid, chain, R, nu0, nup, probes, cols = context
+        del context  # no other grid's probe block is held
     checks = []
 
     def orders(vals):
@@ -540,10 +525,7 @@ def suite_convergence(cfg, rng) -> list:
         Nw = gh.wave_operator(geo.metric_preset("minkowski", grid), mass=0.0)
         x = grid.sites
         F = np.sin(4 * np.pi * x)
-        try:
-            sol = gh.solve_cauchy(Nw, 1, F[:, None], np.zeros((nx, 1)))
-        except gh.MarchError as e:
-            return _march_failure(e)
+        sol = gh.solve_cauchy(Nw, 1, F[:, None], np.zeros((nx, 1)))
         ts = grid.times - grid.times[1]
         exact = 0.5 * (np.sin(4 * np.pi * (x[None, :] - ts[:, None]))
                        + np.sin(4 * np.pi * (x[None, :] + ts[:, None])))

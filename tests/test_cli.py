@@ -146,14 +146,25 @@ print("scipy.linalg" in sys.modules)
 
 
 def test_cfl_violation_is_reported(tmp_path):
-    rc = run_cli(["green", "--grid", "8x64", "--out", str(tmp_path)])
-    assert rc == 1
-    tree = json.loads((tmp_path / "report.json").read_text())
-    [check] = tree["suites"]["green"]["checks"]
-    assert check["law"] == "cfl_satisfied"
-    assert check["pass"] is False
-    assert check["info"]["reason"] == "cfl"
-    assert check["info"]["detail"].startswith("CFL violated")
+    # the runner records a refused march as the suite's one failed check,
+    # whichever suite's march refuses
+    config = tmp_path / "ccr-cfl.json"
+    config.write_text(json.dumps({"name": "ccr-cfl", "suites": ["ccr"],
+                                  "ccr": {"nt": 16, "nx": 64}}))
+    cases = [("green", ["green", "--grid", "8x64"]),
+             ("moller", ["moller", "--grid", "16x64"]),
+             ("ccr", ["state", "--grid", "16x64"]),
+             ("hadamard", ["hadamard", "--grid", "4x64", "--grids", "16,32"]),
+             ("ccr", ["run", str(config)])]
+    for k, (suite, argv) in enumerate(cases):
+        out = tmp_path / str(k)
+        assert run_cli(argv + ["--out", str(out)]) == 1, argv
+        tree = json.loads((out / "report.json").read_text())
+        [check] = tree["suites"][suite]["checks"]
+        assert check["law"] == "cfl_satisfied"
+        assert check["pass"] is False
+        assert check["info"]["reason"] == "cfl"
+        assert check["info"]["detail"].startswith("CFL violated")
 
 
 def test_x_timelike_preset_marches(tmp_path):

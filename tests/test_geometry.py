@@ -448,11 +448,12 @@ def test_metric_presets(g8):
 
 
 def test_cone_data(g8):
+    # the rotated cone holds the spatial axis (g_xx < 0), its null slopes are -1 and 1
     rot = geo.metric_preset("rotated-minkowski", g8)
-    cd = geo.ConeData(rot, (0, 0))
-    assert cd.contains_spatial_axis
-    assert cd.slopes[0] == pytest.approx(-1.0)
-    assert cd.slopes[1] == pytest.approx(1.0)
+    lo, hi = rot.null_slopes()
+    assert rot.g_xx[0, 0] < 0.0
+    assert lo[0, 0] == pytest.approx(-1.0)
+    assert hi[0, 0] == pytest.approx(1.0)
 
 
 def test_degenerate_metric_rejected(g8):

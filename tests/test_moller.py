@@ -109,13 +109,14 @@ def test_telescoping_identity(grid32, pair32):
     N0, N1 = pair32
     plus, minus, nchi, rho, rho_hi, _ = canonical_link(N0, N1)
     rng = np.random.default_rng(4)
-    sys_chi = gh.green_scaled(nchi, rho)
-    sys_one = gh.green_scaled(N1, rho_hi)
+    # G-_{rho N} f is G-_N (f / rho)
+    sys_chi, sys_one = gh.GreenSystem(nchi), gh.GreenSystem(N1)
+    rho, rho_hi = rho.values[:, :, None], rho_hi.values[:, :, None]
     for _ in range(10):
-        f = window_section(grid32, rng, 3, grid32.nt - 3)
-        gchi = sys_chi.minus(f)
-        lhs = sys_one.minus(minus._diff(gchi))
-        rhs = gchi - sys_one.minus(f)
+        f = window_section(grid32, rng, 3, grid32.nt - 3).values
+        gchi = sys_chi.minus(f / rho)
+        lhs = sys_one.minus(minus._diff(gchi) / rho_hi)
+        rhs = gchi - sys_one.minus(f / rho_hi)
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(np.abs(rhs) + 1)
 
 
@@ -294,6 +295,19 @@ def test_identity_check_march_equals_apply_on_inert_levels():
             assert np.array_equal(step._apply(u[0], reach)[inert], step.apply(u[0])[inert])
 
 
+def test_identity_defect_is_the_inert_part_of_apply():
+    # the build-time check and the identity_region law share this measurement;
+    # it equals, bitwise, the inert part of the full apply
+    chains = list(_study_chains())
+    for R in (chains[0], chains[-1]):  # the hadamard chain at nt 32, the moller chain
+        ends = (R.steps[0], R.steps[-1])
+        for step in ends + tuple(s.inverse() for s in ends):
+            g = step.grid
+            u = np.random.default_rng(47).standard_normal((g.nt, g.nx, g.rank))
+            want = np.max(np.abs((step.apply(u) - u)[step.inert()]))
+            assert step.identity_defect(u) == want
+
+
 @pytest.mark.parametrize("kind", ["plus", "minus"])
 def test_difference_on_an_inert_row_raises_at_build(grid32, pair32, kind, monkeypatch):
     # a profile broken on the inert level whose row writes the last inert level
@@ -321,6 +335,8 @@ def test_difference_on_an_inert_row_raises_at_build(grid32, pair32, kind, monkey
     got = broken._apply(u, _inert_reach(broken))[:, broken.inert()]
     assert np.array_equal(got, broken.apply(u)[:, broken.inert()])
     assert not np.array_equal(got, u[:, broken.inert()])
+    want = np.max(np.abs((broken.apply(u[0]) - u[0])[broken.inert()]))
+    assert broken.identity_defect(u[0]) == want > 0.0
 
 
 def test_build_rplus_rejects_bad_profile(grid32, pair32):
@@ -411,8 +427,8 @@ def test_propagator_transport_as_v_congruence():
     g16 = make_grid(16, 16, 0.0, 0.5, 1.0)
     R = mo.compose_chain(geo.build_chain(geo.metric_preset("minkowski", g16),
                                          geo.metric_preset("conformal", g16, mu=2.0)))
-    G = gh.CausalPropagator(R.op_start).kernel_matrix()
-    Gp = gh.CausalPropagator(R.op_end).kernel_matrix()
+    G = np.subtract(*gh.GreenSystem(R.op_start).kernel_matrices())
+    Gp = np.subtract(*gh.GreenSystem(R.op_end).kernel_matrices())
     V0 = R.op_start.weight_dense()
     V1 = R.op_end.weight_dense()
     Rm = R.as_matrix()
@@ -563,8 +579,8 @@ def test_sol_restriction_source_relation(grid32):
     R = mo.compose_chain(geo.build_chain(mink, conf))
     rng = np.random.default_rng(15)
     f = window_section(grid32, rng, 6, grid32.nt - 6)
-    psi = gh.green_plus(R.op_start, f)
-    out = R.apply(psi.values)
+    psi = gh.GreenSystem(R.op_start).plus(f)
+    out = R.apply(psi)
     lhs = R.op_end.apply(out)
     rhs = f.values / R.c_prime[:, :, None]
     assert np.max(np.abs((lhs - rhs)[1:-1])) < 1e-9 * np.max(np.abs(rhs))
@@ -576,7 +592,8 @@ def test_sol_restriction_checks_source_and_image(grid32):
     R = mo.compose_chain(geo.build_chain(mink, conf))
     rng = np.random.default_rng(17)
     mapped = mo.restrict_to_solutions(R, kind="sol")
-    psi = gh.green_plus(R.op_start, window_section(grid32, rng, 6, grid32.nt - 6))
+    psi = Section(grid32, gh.GreenSystem(R.op_start).plus(
+        window_section(grid32, rng, 6, grid32.nt - 6)))
     assert np.array_equal(mapped(psi).values, R.apply(psi.values))
     # a section whose source N u reaches equation row 1 is no compact-source solution
     with pytest.raises(ValueError, match="rows 1 and nt-2"):
