@@ -11,14 +11,16 @@ sense (small high-frequency spatial tail, bounded growth of divided
 differences under refinement).  Every report carries an explicit
 ``proxy_for`` marker saying so.
 
-Kernels are handled as probe blocks: ``columns(qs)`` returns the complex
-fields K(., q) over the whole grid for a list of probe points, shape
-(len(qs), nt, nx), and ``column(q)`` is ``columns([q])[0]``.  A pullback
-through a realized intertwiner marches the whole block at once, which keeps
-it affordable on refined grids.  The checks below take any kernel with
-``columns``, or failing that ``column``; ``ccr_residual``,
-``bisolution_residual`` and ``difference_verdict`` take a probe block
-already built, so one block serves all three.
+A kernel is a mode sum K(p, q) = sum_k d_k phi_k(p) conj(phi_k(q)), stored
+as M mode fields on the grid and their M weights.  ``columns(qs)`` returns
+the complex fields K(., q) for a list of probe points, shape (len(qs), nt,
+nx), as one matrix product, and ``column(q)`` is ``columns([q])[0]``.  The
+Møller operator R is real, so the pullback R K R^T of a mode sum is the
+mode sum of the transported modes R phi_k with the same weights: a
+pullback marches R once, at construction, on the M = nx modes of its base,
+and never needs R^T.  Its cost depends on nx, not on the number of probes.
+The checks below take any kernel with ``columns``, or failing that
+``column``.
 """
 
 from __future__ import annotations
@@ -29,25 +31,45 @@ from .greenhyp import GreenSystem, HyperbolicOperator, PAST_MARGIN
 from .lattice import SpacetimeGrid
 
 __all__ = [
+    "ModeKernel",
     "VacuumKernel",
     "PullbackKernel",
     "SmoothnessReport",
     "ultrastatic_vacuum",
     "ccr_hypothesis_check",
     "bisolution_check",
-    "ccr_residual",
-    "bisolution_residual",
     "pullback_kernel",
     "smoothness_proxy",
     "hadamard_verdict",
-    "difference_verdict",
     "default_probes",
 ]
 
 PROXY_FOR = "wavefront-set condition (not computable at desk scale)"
 
 
-class VacuumKernel:
+class ModeKernel:
+    """K(p, q) = sum_k d_k phi_k(p) conj(phi_k(q)) on one grid.
+
+    ``modes`` is (n_points, M) complex, one column per mode field phi_k;
+    ``weights`` holds the M real weights d_k.
+    """
+
+    def __init__(self, grid: SpacetimeGrid, modes: np.ndarray, weights: np.ndarray):
+        self.grid = grid
+        self.modes = modes
+        self.weights = weights
+
+    def columns(self, qs) -> np.ndarray:
+        """K(., q) over the grid for each probe q, shape (len(qs), nt, nx), complex."""
+        g = self.grid
+        coef = self.weights * np.conj(self.modes[list(qs)])
+        return (coef @ self.modes.T).reshape(-1, g.nt, g.nx)
+
+    def column(self, q: int) -> np.ndarray:
+        return self.columns([q])[0]
+
+
+class VacuumKernel(ModeKernel):
     """Mode-sum two-point kernel of a static lattice vacuum.
 
     For the flat cylinder, K(p, q) = sum_k exp(i w_k (t_p - t_q) +
@@ -68,7 +90,6 @@ class VacuumKernel:
             raise ValueError("vacuum kernels are built for rank-1 bundles")
         if mass <= 0.0:
             raise ValueError("mass must be positive for a gapped vacuum")
-        self.grid = grid
         self.mass = float(mass)
         if metric is None:
             itt, ixx, vol = -1.0, 1.0, 1.0
@@ -91,34 +112,8 @@ class VacuumKernel:
         x = grid.sites
         phase = np.exp(1j * (self.omega[None, None, :] * t[:, None, None]
                              + self.k[None, None, :] * x[None, :, None]))
-        self._phi = phase.reshape(grid.n_points, grid.nx)       # (points, modes)
-        self._d = 1.0 / (2.0 * self.omega * (-itt) * vol * grid.length)
-
-    def columns(self, qs) -> np.ndarray:
-        """K(., q) over the grid for each probe q, shape (len(qs), nt, nx), complex."""
-        g = self.grid
-        coef = self._d * np.conj(self._phi[list(qs)])
-        return (coef @ self._phi.T).reshape(-1, g.nt, g.nx)
-
-    def column(self, q: int) -> np.ndarray:
-        return self.columns([q])[0]
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """K @ v on grid vectors (nt, nx), or a (K, nt, nx) batch of them."""
-        V, lead = _grid_block(self.grid, vec)
-        out = (self._d * (V @ self._phi.conj())) @ self._phi.T
-        return out.reshape(lead + (self.grid.nt, self.grid.nx))
-
-
-def _grid_block(grid, vec):
-    """(K, n_points) block of grid vectors and the leading shape of vec.
-
-    vec is one grid vector, (nt, nx) or flattened, or a batch of them with a
-    leading axis.
-    """
-    v = np.asarray(vec)
-    lead = v.shape[:-2] if v.shape[-2:] == (grid.nt, grid.nx) else v.shape[:-1]
-    return v.reshape(-1, grid.n_points), lead
+        super().__init__(grid, phase.reshape(grid.n_points, grid.nx),
+                         1.0 / (2.0 * self.omega * (-itt) * vol * grid.length))
 
 
 def _columns(kernel, qs) -> np.ndarray:
@@ -128,44 +123,27 @@ def _columns(kernel, qs) -> np.ndarray:
     return np.array([kernel.column(q) for q in qs])
 
 
-def _real_action(action, V):
-    """A real linear action on a (K, nt, nx) block; complex parts go in one batch."""
-    if not (np.iscomplexobj(V) and np.any(V.imag)):
-        return action(V.real[..., None])[..., 0]
-    out = action(np.concatenate([V.real, V.imag])[..., None])[..., 0]
-    res = out[:len(V)].astype(complex)
-    res.imag = out[len(V):]
-    return res
+class PullbackKernel(ModeKernel):
+    """Kernel transported by a realized intertwiner: K' = R K R^T.
 
-
-class PullbackKernel:
-    """Kernel transported by a realized intertwiner: K' = R K R^T."""
+    R is real, so R K R^T = sum_k d_k (R phi_k)(p) conj((R phi_k)(q)): the
+    base's modes are marched through R once, their real and imaginary parts
+    as one real batch of 2M columns, and the weights are kept.
+    """
 
     def __init__(self, base, R):
+        if not isinstance(base, ModeKernel):
+            raise ValueError("kernel transport needs a mode-sum kernel (a ModeKernel); "
+                             f"{type(base).__name__} has no modes")
+        g = R.op_start.grid
+        if base.modes.shape[0] != g.n_points:
+            raise ValueError("the kernel and the intertwiner live on different grids")
+        M = base.modes.shape[1]
+        phi = base.modes.T.reshape(M, g.nt, g.nx, 1)
+        out = R.apply(np.concatenate([phi.real, phi.imag])).reshape(2 * M, g.n_points)
+        super().__init__(g, (out[:M] + 1j * out[M:]).T, base.weights)
         self.base = base
         self.R = R
-        self.grid = R.op_start.grid
-
-    def _transport(self, V):
-        """R K R^T on a (K, nt, nx) block of grid vectors."""
-        w = _real_action(self.R.transpose_apply, V)
-        return np.asarray(_real_action(self.R.apply, self.base.apply(w)), dtype=complex)
-
-    def columns(self, qs) -> np.ndarray:
-        g = self.grid
-        n, j = np.divmod(np.asarray(qs, dtype=int), g.nx)
-        E = np.zeros((len(n), g.nt, g.nx))
-        E[np.arange(len(n)), n, j] = 1.0
-        return self._transport(E)
-
-    def column(self, q: int) -> np.ndarray:
-        return self.columns([q])[0]
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """K' @ v on grid vectors (nt, nx), or a (K, nt, nx) batch of them."""
-        g = self.grid
-        V, lead = _grid_block(g, vec)
-        return self._transport(V.reshape(-1, g.nt, g.nx)).reshape(lead + (g.nt, g.nx))
 
 
 def ultrastatic_vacuum(grid: SpacetimeGrid, mass: float, metric=None) -> VacuumKernel:
@@ -189,20 +167,6 @@ def _green_kernel_columns(N: HyperbolicOperator, qs) -> np.ndarray:
     return (gs.plus(E) - gs.minus(E))[..., 0]
 
 
-def ccr_residual(cols, N: HyperbolicOperator, probes) -> dict:
-    """CCR residual of a probe block cols = K(., probes) against N's kernel."""
-    resid = 2.0 * cols.imag - _green_kernel_columns(N, probes)
-    return {"sup": float(np.max(np.abs(resid[:, 1:-1])))}
-
-
-def bisolution_residual(cols, N: HyperbolicOperator) -> dict:
-    """N applied in each argument of a probe block cols = K(., probes)."""
-    # the left slot; the right one is its conjugate by Hermitian symmetry,
-    # N_q K(p, q) = conj(N_q K(q, p)), so it has the same sup
-    r = N.apply(cols.real[..., None]) + 1j * N.apply(cols.imag[..., None])
-    return {"sup_left": float(np.max(np.abs(r[:, 1:-1])))}
-
-
 def ccr_hypothesis_check(nu, N: HyperbolicOperator, probes=None) -> dict:
     """Residual of antisym(nu) against i times the propagator kernel.
 
@@ -210,13 +174,18 @@ def ccr_hypothesis_check(nu, N: HyperbolicOperator, probes=None) -> dict:
     the sup norm over probe columns.
     """
     probes = default_probes(N.grid) if probes is None else probes
-    return ccr_residual(_columns(nu, probes), N, probes)
+    resid = 2.0 * _columns(nu, probes).imag - _green_kernel_columns(N, probes)
+    return {"sup": float(np.max(np.abs(resid[:, 1:-1])))}
 
 
 def bisolution_check(nu, N: HyperbolicOperator, probes=None) -> dict:
     """Apply the operator in each argument of the kernel on probe columns."""
     probes = default_probes(N.grid) if probes is None else probes
-    return bisolution_residual(_columns(nu, probes), N)
+    cols = _columns(nu, probes)
+    # the left slot; the right one is its conjugate by Hermitian symmetry,
+    # N_q K(p, q) = conj(N_q K(q, p)), so it has the same sup
+    r = N.apply(cols.real[..., None]) + 1j * N.apply(cols.imag[..., None])
+    return {"sup_left": float(np.max(np.abs(r[:, 1:-1])))}
 
 
 def pullback_kernel(nu, R) -> PullbackKernel:
@@ -311,16 +280,10 @@ def hadamard_verdict(nu_prime, reference, N_prime: HyperbolicOperator,
     reference is the target metric side's own vacuum (kernels compared on
     one probe block of N_prime's grid); the wavefront-set conclusion itself
     is replaced by the difference-smoothness proxy and labelled as such.
-    The CCR and bisolution residuals are ``ccr_residual`` and
-    ``bisolution_residual``.
     """
-    probes = default_probes(N_prime.grid) if probes is None else probes
-    return difference_verdict(_columns(nu_prime, probes), reference, N_prime, probes)
-
-
-def difference_verdict(cols, reference, N_prime: HyperbolicOperator, probes) -> dict:
-    """``hadamard_verdict`` of a probe block cols = K'(., probes) already built."""
     g = N_prime.grid
+    probes = default_probes(g) if probes is None else probes
+    cols = _columns(nu_prime, probes)
     proxy = smoothness_proxy(cols - _columns(reference, probes), reference=cols,
                              spacing=(g.dt, g.dx))
     return {

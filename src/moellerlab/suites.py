@@ -305,6 +305,8 @@ def suite_moller(cfg, rng) -> list:
     nx = int(cfg.get("nx", 32))
     grid = make_grid(nt, nx, 0.0, float(cfg.get("t_max", 0.5)), 1.0)
     directive = cfg.get("chain", "auto")
+    dictionary = _sample_count(cfg, "dictionary", 16)
+    sympl_pairs = _sample_count(cfg, "sympl_pairs", 10)
     checks = []
     if directive == "auto":
         mink = geo.metric_preset("minkowski", grid)
@@ -320,11 +322,10 @@ def suite_moller(cfg, rng) -> list:
                                           detail=chain.detail)]
     window = tuple(cfg["window"]) if "window" in cfg else None
     R = mo.compose_chain(chain, window=window, mass=float(cfg.get("mass", 1.0)))
-    d = mo.random_dictionary(grid, _sample_count(cfg, "dictionary", 16),
-                             int(rng.integers(1 << 30)), window=(4, grid.nt - 4))
+    d = mo.random_dictionary(grid, dictionary, int(rng.integers(1 << 30)), window=(4, grid.nt - 4))
     rep = mo.verify_moller_identities(R, d, seed=int(rng.integers(1 << 30)),
                                       dense=bool(cfg.get("dense", False)),
-                                      sympl_pairs=int(cfg.get("sympl_pairs", 10)))
+                                      sympl_pairs=sympl_pairs)
     tols = {
         "intertwine": 1e-9, "propagator_transport": 1e-9,
         "adjoint_interchange": 1e-9, "inverse_roundtrip": 1e-9,
@@ -365,13 +366,16 @@ def suite_ccr(cfg, rng) -> list:
     """Algebra layer: rewriting, states, transport."""
     nt = int(cfg.get("nt", 32))
     nx = int(cfg.get("nx", 32))
+    dictionary = _sample_count(cfg, "dictionary", 16)
+    triples = _sample_count(cfg, "triples", 200)
+    positivity_samples = _sample_count(cfg, "positivity_samples", 100)
     grid = make_grid(nt, nx, 0.0, 0.5, 1.0)
     chain = geo.build_chain(geo.metric_preset("minkowski", grid),
                             geo.metric_preset("conformal", grid, mu=2.0))
     R = mo.compose_chain(chain, mass=float(cfg.get("mass", 1.0)))
     N = R.op_start
-    secs = mo.random_dictionary(grid, int(cfg.get("dictionary", 16)),
-                                int(rng.integers(1 << 30)), window=(4, grid.nt - 4))
+    secs = mo.random_dictionary(grid, dictionary, int(rng.integers(1 << 30)),
+                                window=(4, grid.nt - 4))
     D = ccrmod.FieldDictionary(secs, N)
     checks = []
 
@@ -382,7 +386,7 @@ def suite_ccr(cfg, rng) -> list:
         return el
 
     worst = 0.0
-    for _ in range(int(cfg.get("triples", 200))):
+    for _ in range(triples):
         a, b, c = (rand_prod(2, D) for _ in range(3))
         worst = max(worst, ((a * b) * c - a * (b * c)).sup_coeff())
     checks.append(CheckResult.from_residual("normal_form_confluence", worst, 1e-10))
@@ -394,7 +398,7 @@ def suite_ccr(cfg, rng) -> list:
         "six_point_pairing_sum", abs(ccrmod.quasifree_npoint(om, idx) - brute), 1e-12))
 
     neg = 0.0
-    for _ in range(int(cfg.get("positivity_samples", 100))):
+    for _ in range(positivity_samples):
         a = ccrmod.AlgebraElement.identity(D, complex(rng.standard_normal(), rng.standard_normal()))
         a = a + rand_prod(1, D) * complex(rng.standard_normal(), rng.standard_normal())
         a = a + rand_prod(2, D) * complex(rng.standard_normal(), rng.standard_normal())
@@ -411,7 +415,7 @@ def suite_ccr(cfg, rng) -> list:
         "pullback_state_commutator_consistency",
         float(np.max(np.abs(om_p.W.imag - Dp.pairing / 2.0))), 1e-8))
     neg = 0.0
-    for _ in range(int(cfg.get("positivity_samples", 100))):
+    for _ in range(positivity_samples):
         a = ccrmod.AlgebraElement.identity(Dp, complex(rng.standard_normal()))
         a = a + rand_prod(1, Dp) * complex(rng.standard_normal(), rng.standard_normal())
         a = a + rand_prod(2, Dp) * complex(rng.standard_normal(), rng.standard_normal())
@@ -447,10 +451,9 @@ def _hadamard_residuals(nt, nx, mass):
     nup = hd.pullback_kernel(nu0, R)
     probes = hd.default_probes(grid, times=2)
     hyp = hd.ccr_hypothesis_check(nu0, R.op_start, probes)["sup"]
-    cols = nup.columns(probes)  # one pullback probe block serves every check on it
-    ccr_p = hd.ccr_residual(cols, R.op_end, probes)["sup"]
-    bis_p = hd.bisolution_residual(cols, R.op_end)["sup_left"]
-    return hyp, ccr_p, bis_p, (grid, chain, R, nu0, nup, probes, cols)
+    ccr_p = hd.ccr_hypothesis_check(nup, R.op_end, probes)["sup"]
+    bis_p = hd.bisolution_check(nup, R.op_end, probes)["sup_left"]
+    return hyp, ccr_p, bis_p, (grid, chain, R, nu0, nup, probes)
 
 
 def suite_hadamard(cfg, rng) -> list:
@@ -463,8 +466,8 @@ def suite_hadamard(cfg, rng) -> list:
         *sups, context = _hadamard_residuals(nt, nx, mass)
         rows.append(sups)
         if len(rows) == 2:  # the middle grid's objects serve the checks below
-            grid, chain, R, nu0, nup, probes, cols = context
-        del context  # no other grid's probe block is held
+            grid, chain, R, nu0, nup, probes = context
+        del context  # no other grid's kernels are held
     checks = []
 
     def orders(vals):
@@ -484,7 +487,7 @@ def suite_hadamard(cfg, rng) -> list:
         orders=bis_orders, sups=[r[2] for r in rows]))
 
     ref = hd.ultrastatic_vacuum(grid, mass, metric=chain.metrics[-1])
-    verdict = hd.difference_verdict(cols, ref, R.op_end, probes)
+    verdict = hd.hadamard_verdict(nup, ref, R.op_end, probes)
     checks.append(CheckResult.from_flag("transported_kernel_smoothness_proxy",
                                         verdict["passes"], **verdict["difference_proxy"]))
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import schur
 
 from moellerlab import ccr
@@ -62,6 +64,39 @@ def test_normal_form_idempotent_and_confluent(setup):
     once = ccr.AlgebraElement(D, ccr._normal_order(D, w, 1.0))
     for word in once.terms:
         assert list(word) == sorted(word)
+
+
+def _element(D, terms):
+    """Sum of coefficient times generator-word products, normal-ordered as built."""
+    el = ccr.AlgebraElement(D, {})
+    for word, k in terms:
+        prod = ccr.AlgebraElement.identity(D, k)
+        for i in word:
+            prod = prod * ccr.field(D, i)
+        el = el + prod
+    return el
+
+
+# up to two words of at most two generators (of 8), each with a coefficient
+TERMS = st.lists(st.tuples(st.lists(st.integers(0, 7), max_size=2),
+                           st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))),
+                 min_size=1, max_size=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms=st.tuples(TERMS, TERMS, TERMS))
+def test_normal_form_confluence_property(setup, terms):
+    _, _, D = setup
+    a, b, c = (_element(D, t) for t in terms)
+    assert ((a * b) * c - a * (b * c)).sup_coeff() < 1e-10
+    assert ((a * b).star() - b.star() * a.star()).sup_coeff() < 1e-10
+    ab = a * b
+    again = {}
+    for w, k in ab.terms.items():
+        assert list(w) == sorted(w)
+        for wn, kn in ccr._normal_order(D, w, k).items():
+            again[wn] = again.get(wn, 0.0) + kn
+    assert again == ab.terms
 
 
 def test_degree3_products_match_fock_oracle(setup):

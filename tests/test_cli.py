@@ -183,6 +183,19 @@ def test_empty_sample_count_rejected(tmp_path, capsys):
     assert "count must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("suite, key", [("moller", "sympl_pairs"), ("ccr", "dictionary"),
+                                        ("ccr", "triples"), ("ccr", "positivity_samples")])
+def test_sample_count_below_one_exits_2(suite, key, value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "x", "suites": [suite], suite: {key: value}}))
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{key} must be at least 1" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["converge", "--grids", "4"], "at least two"),
     (["converge", "--grids", "32,16"], "strictly increasing"),

@@ -238,30 +238,55 @@ def test_hadamard_suite_march_count_does_not_grow_with_probes(monkeypatch):
     assert all(c.passed for c in checks)
     steps = 2 * len(suites._hadamard_chain(make_grid(16, 8, 0.0, 0.5, 1.0)).flags)
     # per grid: build-time identity checks (steps), the vacuum commutator
-    # (2 Green solves), and one pullback probe block (R^T, R) shared by the
-    # transported commutator (2 Green solves), the bisolution check and, on
-    # the middle grid, the smoothness verdict (no march); the verdicts on
-    # perturbed vacua march nothing, and the round trip through R^-1 marches
-    # R^-T, R^T, R and R^-1
-    per_grid = steps + 2 + (2 * steps + 2)
-    bound = len(nts) * per_grid + 4 * steps  # 48
-    assert len(calls) <= bound  # measured: 48
+    # (2 Green solves), the transport of the vacuum's modes through R (steps)
+    # and the transported commutator (2 Green solves); the bisolution check,
+    # the smoothness verdicts and every probe block march nothing, and the
+    # round trip transports the pulled-back modes through R^-1 (steps)
+    per_grid = steps + 2 + steps + 2
+    bound = len(nts) * per_grid + steps  # 28
+    assert len(calls) <= bound  # measured: 28
 
 
-def test_hadamard_suite_transports_each_probe_block_once(monkeypatch):
-    # per grid one pullback probe block, which the middle grid's smoothness
-    # verdict reuses; then the round trip, through R^-1 and R (two blocks)
+def test_hadamard_suite_transports_the_modes_once_per_grid(monkeypatch):
+    # one forward transport of the vacuum's modes per grid, then the round
+    # trip through R^-1; kernel transport never needs R^T
     from moellerlab import suites
 
     calls = []
-    transport = hd.PullbackKernel._transport
 
-    def counted(self, V):
-        calls.append(1)
-        return transport(self, V)
+    def counting(name):
+        action = getattr(mo.MollerOperator, name)
 
-    monkeypatch.setattr(hd.PullbackKernel, "_transport", counted)
+        def counted(self, u):
+            calls.append(name)
+            return action(self, u)
+        return counted
+
+    for name in ("apply", "transpose_apply"):
+        monkeypatch.setattr(mo.MollerOperator, name, counting(name))
     nts = (32, 64, 128)
     checks = suites.suite_hadamard({"nx": 16, "nts": nts}, np.random.default_rng(0))
     assert all(c.passed for c in checks)
-    assert len(calls) == len(nts) + 2  # 5
+    assert calls == ["apply"] * (len(nts) + 1)  # 4, and no transpose_apply
+
+
+def test_pullback_columns_match_the_dense_oracle():
+    grid = make_grid(24, 8, 0.0, 0.5, 1.0)
+    R = mo.compose_chain(hadamard_chain(grid))
+    nu = hd.ultrastatic_vacuum(grid, 1.0)
+    n = grid.n_points
+    K = nu.columns(range(n)).reshape(n, n).T  # K[p, q] = K(p, q)
+    Rm = R.as_matrix()
+    oracle = Rm @ K @ Rm.T
+    got = hd.pullback_kernel(nu, R).columns(range(n)).reshape(n, n).T
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_pullback_needs_a_mode_sum_kernel():
+    from moellerlab.suites import _PerturbedKernel
+
+    grid = make_grid(24, 8, 0.0, 0.5, 1.0)
+    R = mo.compose_chain(hadamard_chain(grid))
+    nu = hd.ultrastatic_vacuum(grid, 1.0)
+    with pytest.raises(ValueError, match="mode-sum kernel"):
+        hd.pullback_kernel(_PerturbedKernel(nu, np.zeros((grid.nt, grid.nx))), R)
