@@ -105,7 +105,11 @@ class MetricField:
         return np.sqrt(-self.det())
 
     def scale(self) -> np.ndarray:
-        return np.maximum.reduce([np.abs(self.g_tt), np.abs(self.g_tx), np.abs(self.g_xx)])
+        """max(|g_tt|, |g_tx|, |g_xx|) at every point."""
+        out = np.abs(self.g_tt)
+        for c in (self.g_tx, self.g_xx):
+            np.maximum(out, np.abs(c), out=out)
+        return out
 
     def with_orientation(self, orient_t, orient_x) -> "MetricField":
         return MetricField(self.grid, self.g_tt, self.g_tx, self.g_xx, orient_t, orient_x)

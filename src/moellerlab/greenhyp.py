@@ -108,8 +108,14 @@ def _roll_x(u, b):
 
 
 def _blocks(grid, value_field=None):
-    """Promote an (nt, nx) scalar field to diagonal (nt, nx, r, r) blocks."""
+    """Promote an (nt, nx) scalar field to diagonal (nt, nx, r, r) blocks.
+
+    At rank 1 the blocks are a view of value_field, so the caller hands over
+    a field it owns; without a field they are zero.
+    """
     r = grid.rank
+    if r == 1 and value_field is not None:
+        return np.asarray(value_field, dtype=float).reshape(grid.nt, grid.nx, 1, 1)
     out = np.zeros((grid.nt, grid.nx, r, r))
     idx = np.arange(r)
     if value_field is not None:
@@ -141,9 +147,8 @@ def stencil_apply(offsets, u, rows=None):
     return out
 
 
-def stencil_transpose(offsets):
-    """Offsets of the transposed stencil: trans[(a, b)](n, j) = C[(-a, -b)](n+a, j+b)^T."""
-    out = {}
+def _transposed(offsets):
+    """The offsets of the transposed stencil as (key, block) pairs, built one at a time."""
     for (a, b), C in offsets.items():
         # original key (a, b) feeds transposed key (-a, -b); its value at
         # row (n, j) is the block at the source row (n - a, j - b)
@@ -151,8 +156,12 @@ def stencil_transpose(offsets):
         if a:
             T = np.roll(T, a, axis=0)
             T[0 if a == 1 else -1] = 0.0  # no source row beyond the window
-        out[(-a, -b)] = T
-    return out
+        yield (-a, -b), T
+
+
+def stencil_transpose(offsets):
+    """Offsets of the transposed stencil: trans[(a, b)](n, j) = C[(-a, -b)](n+a, j+b)^T."""
+    return dict(_transposed(offsets))
 
 
 def axis_class(metric: MetricField) -> int:
@@ -227,24 +236,31 @@ class HyperbolicOperator:
         """Offsets of N^T: trans[(a, b)](n, j) = N[(-a, -b)](n+a, j+b)^T."""
         return stencil_transpose(self.offsets)
 
-    def adjoint_offsets(self):
-        """Offsets of V^{-1} N^T V (the formal adjoint in the same volume)."""
-        tr = self.transpose_offsets()
-        out = {}
-        for (a, b), C in tr.items():
+    def _adjoint_items(self):
+        """The offsets of V^{-1} N^T V as (key, block) pairs, built one at a time."""
+        for (a, b), C in _transposed(self.offsets):
             Wcol = _roll_x(np.roll(self.weight_blocks, -a, axis=0), b)
             if a == 1:
                 Wcol[-1] = np.eye(self.grid.rank)
             elif a == -1:
                 Wcol[0] = np.eye(self.grid.rank)
-            out[(a, b)] = np.einsum("txab,txbc,txcd->txad", self.weight_inv_blocks, C, Wcol)
-        return out
+            yield (a, b), np.einsum("txab,txbc,txcd->txad", self.weight_inv_blocks, C, Wcol)
+
+    def adjoint_offsets(self):
+        """Offsets of V^{-1} N^T V (the formal adjoint in the same volume)."""
+        return dict(self._adjoint_items())
 
     def v_symmetry_defect(self) -> float:
-        """Sup norm of N - V^{-1} N^T V entries."""
-        adj = self.adjoint_offsets()
-        return max(float(np.max(np.abs(self.offsets.get(k, 0.0) - adj.get(k, 0.0))))
-                   for k in set(self.offsets) | set(adj))
+        """Sup norm of N - V^{-1} N^T V entries, compared one offset at a time."""
+        worst, seen = 0.0, set()
+        for k, A in self._adjoint_items():
+            seen.add(k)
+            if k in self.offsets:
+                A -= self.offsets[k]  # |A - N| is |N - A| bit for bit
+            worst = max(worst, float(np.max(np.abs(A, out=A))))
+        for k in self.offsets.keys() - seen:  # no transposed partner: compared with zero
+            worst = max(worst, float(np.max(np.abs(self.offsets[k]))))
+        return worst
 
     # -- the volume weight V = vol dt dx (x) fiber metric ---------------------
 
@@ -286,24 +302,19 @@ class HyperbolicOperator:
 
     # -- principal symbol ----------------------------------------------------
 
+    def _principal_coefficient(self, i):
+        """Stencil-extracted second-order coefficient i of (att, atx, axx)."""
+        g = self.grid
+        out = np.zeros((g.nt, g.nx))
+        for (a, b), C in self.offsets.items():
+            w = (0.5 * a * a * g.dt**2, a * b * g.dt * g.dx, 0.5 * b * b * g.dx**2)[i]
+            if w:  # (0, 0) has zero weight in all three
+                out += w * (np.trace(C, axis1=-2, axis2=-1) / g.rank)
+        return out
+
     def principal_coefficients(self):
         """Stencil-extracted second-order coefficients (att, atx, axx)."""
-        g = self.grid
-        att = np.zeros((g.nt, g.nx))
-        atx = np.zeros((g.nt, g.nx))
-        axx = np.zeros((g.nt, g.nx))
-        r = g.rank
-        for (a, b), C in self.offsets.items():
-            if not (a or b):
-                continue  # (0, 0) has zero weight in all three
-            tr = np.trace(C, axis1=-2, axis2=-1) / r
-            if a:
-                att += 0.5 * a * a * g.dt**2 * tr
-            if a and b:
-                atx += a * b * g.dt * g.dx * tr / 2.0
-            if b:
-                axx += 0.5 * b * b * g.dx**2 * tr
-        return att, 2.0 * atx, axx
+        return tuple(self._principal_coefficient(i) for i in range(3))
 
     def check_symbol(self, tol_scale=1e-9):
         """Verify the principal symbol equals -g_sharp(xi, xi) Id.
@@ -312,30 +323,49 @@ class HyperbolicOperator:
         pointwise tolerance includes the metric's own discrete second
         differences; constant metrics are checked at round-off level.  Only
         the equation rows 1..nt-2 are checked: the one-sided boundary rows
-        carry partial sums.
+        carry partial sums.  The components are checked one at a time, each
+        in a few fields of scratch.
         """
-        itt, itx, ixx = self.metric.inverse_components()
-        att, atx2, axx = self.principal_coefficients()
         vol = self.vol[1:-1]
-        tol = tol_scale * np.maximum(self.metric.scale()[1:-1], 1.0)
+        tol = np.maximum(self.metric.scale()[1:-1], 1.0)
+        tol *= tol_scale
 
         def stagger_err(w):
             """|second differences| / 4 of w in t and in x (periodic), on the equation rows."""
-            x = np.empty_like(w[1:-1])
-            x[:, 1:-1] = w[1:-1, :-2] - 2 * w[1:-1, 1:-1] + w[1:-1, 2:]
-            x[:, 0] = w[1:-1, -1] - 2 * w[1:-1, 0] + w[1:-1, 1]
-            x[:, -1] = w[1:-1, -2] - 2 * w[1:-1, -1] + w[1:-1, 0]
-            return np.abs(w[:-2] - 2 * w[1:-1] + w[2:]) / 4.0 + np.abs(x) / 4.0
+            x = -2 * w[1:-1]  # each difference is (w- - 2 w) + w+, summed as (-2 w + w-) + w+
+            x[:, 1:-1] += w[1:-1, :-2]
+            x[:, 0] += w[1:-1, -1]
+            x[:, -1] += w[1:-1, -2]
+            x[:, :-1] += w[1:-1, 1:]
+            x[:, -1] += w[1:-1, 0]
+            err = -2 * w[1:-1]
+            err += w[:-2]
+            err += w[2:]
+            np.abs(err, out=err)
+            err /= 4.0
+            np.abs(x, out=x)
+            x /= 4.0
+            err += x
+            return err
 
-        def bad(got, k, c):
-            """Where got misses -k c by more than the bound, on the equation rows."""
+        def bad(i, k):
+            """Where coefficient i misses -k g_sharp^(i) by more than the bound, on the equation rows."""
+            c = self.metric.inverse_components()[i]
+            got = self._principal_coefficient(i)[1:-1]
+            if i == 1 and not (c.any() or got.any()):
+                return False  # no cross term to check
             # factor 2 margin: edge averaging in t and x mixes in the cross term
-            bound = 2 * stagger_err(self.vol * c) / vol + np.abs(c[1:-1]) * 1e-9 + tol
-            return np.abs(got[1:-1] - (-k * c[1:-1])) > bound
+            bound = stagger_err(self.vol * c)
+            bound *= 2
+            bound /= vol
+            rel = np.abs(c[1:-1])
+            rel *= 1e-9
+            bound += rel
+            bound += tol
+            got -= -k * c[1:-1]
+            return np.abs(got, out=got) > bound
 
-        mismatch = bad(att, 1, itt) | bad(axx, 1, ixx)
-        if itx.any() or atx2[1:-1].any():  # both zero: no cross term to check
-            mismatch |= bad(atx2, 2, itx)
+        mismatch = bad(0, 1) | bad(2, 1) | bad(1, 2)
         if mismatch.any():
             n, j = map(int, np.argwhere(mismatch)[0])
             raise SymbolMismatch(f"principal symbol mismatch at point (level={n + 1}, site={j})")
@@ -531,16 +561,21 @@ def _principal_offsets(metric: MetricField, ixx_override=None):
     if ixx_override is not None:
         ixx = np.broadcast_to(np.asarray(ixx_override, dtype=float), ixx.shape)
     vol = metric.volume_density()
-    vit, vix = vol * itt, vol * ixx
+    c = vol * itx * (0.5 / g.dt) * (0.5 / g.dx)
+    vit = vol * itt
+    del itt, itx  # each field is dropped once read, so assembly holds a few at a time
     idt, idx = 1.0 / g.dt, 1.0 / g.dx
     wt = np.zeros((g.nt + 1, g.nx))  # wt[n]: edge from level n-1 to level n
     wt[1:-1] = 0.5 * (vit[:-1] + vit[1:]) * idt * idt
+    vix = vol * ixx
+    del vit, ixx
     wx = 0.5 * (vix + np.roll(vix, -1, axis=1)) * idx * idx  # edge j -> j+1
+    del vix
     wx_in = np.roll(wx, 1, axis=1)  # edge j-1 -> j
     S = {(0, 0): (wt[:-1] + wt[1:]) + (wx + wx_in), (1, 0): -wt[1:], (-1, 0): -wt[:-1],
-         (0, 1): -wx, (0, -1): -wx_in}
-    c = vol * itx * (0.5 / g.dt) * (0.5 / g.dx)
-    for s in (-1, 1):
+         (0, 1): np.negative(wx, out=wx), (0, -1): np.negative(wx_in, out=wx_in)}
+    del wt
+    for s in (-1, 1) if c.any() else ():  # g^tx = 0 everywhere: no cross term
         cs = np.roll(c, -s, axis=1)
         up, dn = np.zeros_like(c), np.zeros_like(c)
         up[:-1] = -s * (c[1:] + cs[:-1])
@@ -549,7 +584,11 @@ def _principal_offsets(metric: MetricField, ixx_override=None):
         ends = s * (c - cs)  # one-sided rows of Ct at levels 0 and nt-1
         S[(0, s)][0] -= ends[0]
         S[(0, s)][-1] += ends[-1]
-    return {k: v / vol for k, v in S.items() if np.any(v)}
+    del c
+    S = {k: v for k, v in S.items() if np.any(v)}
+    for v in S.values():
+        v /= vol
+    return S
 
 
 def build_operator(metric: MetricField, A0=None, A1=None, B=None,
@@ -575,26 +614,31 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None,
         if c.shape == ():
             out = _blocks(g, np.full((g.nt, g.nx), float(c)))
         elif c.shape == (g.nt, g.nx):
-            out = _blocks(g, c)
+            out = _blocks(g, c.copy())
         elif c.shape == (g.nt, g.nx, g.rank, g.rank):
             out = c.copy()
         else:
             raise ValueError("coefficient shape does not match grid/rank")
         return out
 
+    def add(key, blk):
+        """Add blk into offset `key` in place: the offsets are this call's own."""
+        C = offsets.setdefault(key, _blocks(g))
+        C += blk  # x + (-b) is x - b bit for bit
+
     A0c, A1c, Bc = coerce(A0), coerce(A1), coerce(B)
     if A0c is not None:
         blk = A0c / (2.0 * g.dt)
         blk[0] = 0.0
         blk[-1] = 0.0
-        offsets[(1, 0)] = offsets.get((1, 0), _blocks(g)) + blk
-        offsets[(-1, 0)] = offsets.get((-1, 0), _blocks(g)) - blk
+        add((1, 0), blk)
+        add((-1, 0), -blk)
     if A1c is not None:
         blk = A1c / (2.0 * g.dx)
-        offsets[(0, 1)] = offsets.get((0, 1), _blocks(g)) + blk
-        offsets[(0, -1)] = offsets.get((0, -1), _blocks(g)) - blk
+        add((0, 1), blk)
+        add((0, -1), -blk)
     if Bc is not None:
-        offsets[(0, 0)] = offsets.get((0, 0), _blocks(g)) + Bc
+        add((0, 0), Bc)
     op = HyperbolicOperator(metric, offsets, fiber, A0c, A1c, Bc)
     if check:
         op.check_symbol()
@@ -735,18 +779,27 @@ def solve_cauchy(N: HyperbolicOperator, slice_index: int, h1, h2, f=None) -> Sec
         (f.values if isinstance(f, Section) else np.asarray(f, dtype=float))
     if fv.shape == (g.nt, g.nx):
         fv = fv[:, :, None]
-    # second-order start: read u_tt off the equation at the data slice by
-    # probing the stencil with the linear-in-time extension of the data
-    u0 = np.zeros((g.nt, g.nx, g.rank))
-    u0[slice_index] = h1
-    u0[slice_index + 1] = h1 + g.dt * h2
-    u0[slice_index - 1] = h1 - g.dt * h2
-    res = fv[slice_index] - N.apply(u0)[slice_index]
-    itt = N.metric.inverse_components()[0][slice_index][:, None]
-    utt = res / (-itt)  # the stencil's u_tt coefficient is -g^tt
-    u1 = h1 + g.dt * h2 + 0.5 * g.dt**2 * utt
+    u1 = _taylor_start(N, slice_index, h1, h2, fv[slice_index])
     sol = N.march(fv, 0, seed_level=slice_index, seeds=(h1, u1))
     return Section(g, sol)
+
+
+def _taylor_start(N, s, h1, h2, f_s):
+    """Level s + 1 of the second-order start from values h1 and time derivative h2 on level s.
+
+    u_tt is read off the equation at the data slice by probing the stencil,
+    on row s only, with the linear-in-time extension of the data.  Nothing
+    made here outlives the call, so none of it is held through the march.
+    """
+    g = N.grid
+    u0 = np.zeros((g.nt, g.nx, g.rank))
+    u0[s] = h1
+    u0[s + 1] = h1 + g.dt * h2
+    u0[s - 1] = h1 - g.dt * h2
+    res = f_s - stencil_apply(N.offsets, u0, rows=(s, s + 1))[s]
+    itt = N.metric.inverse_components()[0][s][:, None]
+    utt = res / (-itt)  # the stencil's u_tt coefficient is -g^tt
+    return h1 + g.dt * h2 + 0.5 * g.dt**2 * utt
 
 
 # -- verification-grade identities ----------------------------------------------
@@ -803,26 +856,29 @@ def flux_blocks(N: HyperbolicOperator, n: int) -> np.ndarray:
     return out
 
 
-def symplectic_form(N: HyperbolicOperator, psi, phi, slice_index: int):
+def symplectic_form(N: HyperbolicOperator, psi, phi, slice_index):
     """Conserved symplectic flux through the cut between two time levels.
 
     Equals the slice integral of <Psi | grad_n Phi> - <grad_n Psi | Phi>
     evaluated with staggered differences; slice independence on equation
     rows is exact because V N is exactly symmetric.  A number for two
     solutions; for two (K, nt, nx, r) batches, the K column-pair fluxes.
+    slice_index may be a sequence of cuts: the arguments are then checked
+    once and the result holds one flux (or K fluxes) per cut.
     """
     if not N.self_adjoint:
         raise ValueError("symplectic flux needs a formally self-adjoint operator")
     g = N.grid
-    n = int(slice_index)
-    if n < 0 or n > g.nt - 2:
+    cuts = [int(n) for n in np.atleast_1d(slice_index)]
+    if any(n < 0 or n > g.nt - 2 for n in cuts):
         raise ValueError("slice must have a successor level inside the window")
     pv = psi.values if isinstance(psi, Section) else psi
     fv = phi.values if isinstance(phi, Section) else phi
     tol = 1e-8 * np.maximum(np.maximum(sup_norms(pv), sup_norms(fv)), 1.0)
     if np.any(N.interior_residual(pv) > tol) or np.any(N.interior_residual(fv) > tol):
         raise ValueError("arguments must be homogeneous solutions")
-    return _flux(N, pv, fv, n)
+    fluxes = [_flux(N, pv, fv, n) for n in cuts]
+    return fluxes[0] if np.ndim(slice_index) == 0 else np.array(fluxes)
 
 
 def _flux(N, pv, fv, n):

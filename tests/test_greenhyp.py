@@ -49,6 +49,54 @@ def test_symbol_check_passes_varying_metric(grid48):
     gh.build_operator(tilted)
 
 
+@pytest.mark.parametrize("perturb", [{(1, 0): 1.0}, {(1, 1): 1.0}, {(1, 1): 1.0, (1, -1): -1.0}],
+                         ids=["tt", "tt-tx-xx", "tx-only"])
+def test_symbol_check_names_the_perturbed_level(grid48, perturb):
+    # (1, 0) enters g^tt only; (1, 1) enters all three; the antisymmetric
+    # (1, +-1) pair cancels in g^tt and g^xx, so only the cross check sees it
+    tilted = geo.metric_preset("tilted", grid48, deg=12.0)
+    N = gh.build_operator(tilted)  # the unperturbed operator passes
+    level, site = 17, 5
+    offsets = {k: v.copy() for k, v in N.offsets.items()}
+    for k, sign in perturb.items():
+        offsets[k][level, site] += sign * 1e-3 * np.max(np.abs(N.offsets[(1, 1)]))
+    bent = gh.HyperbolicOperator(tilted, offsets, N.fiber)
+    if len(perturb) == 2:
+        for i in (0, 2):
+            assert np.allclose(bent.principal_coefficients()[i], N.principal_coefficients()[i],
+                               rtol=0.0, atol=1e-12)
+    with pytest.raises(gh.SymbolMismatch, match=f"level={level}, site={site}"):
+        bent.check_symbol()
+
+
+def test_assembly_and_cauchy_start_peak_within_a_few_fields():
+    # tracemalloc counts numpy's allocations exactly, so the bound cannot flake.
+    # The peak is set by the march of solve_cauchy: it stacks the known-level
+    # offsets of each direction (four fields each) beside the kept operator.
+    # Measured: assembly with its checks peaks at 2.0x the kept bytes, the
+    # march at 2.5x; whole-window temporaries in assembly or the checks
+    # would pass 2.8x.
+    import tracemalloc
+
+    g = make_grid(512, 256, 0.0, 0.5, 1.0)
+    met = geo.metric_preset("minkowski", g)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        N = gh.wave_operator(met, mass=0.0)
+        gh.solve_cauchy(N, 1, np.sin(4 * np.pi * g.sites)[:, None], np.zeros((g.nx, 1)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    kept = (sum(C.nbytes for C in N.offsets.values()) + N.vol.nbytes
+            + N.weight_blocks.nbytes + N.weight_inv_blocks.nbytes)
+    assert peak <= 2.8 * kept, peak / kept
+
+
 def _divergence_form_dense(metric, ixx_override=None):
     """Dense (1/vol)[Dt^T Wtt Dt + Dx^T Wxx Dx + Ct^T Wtx Cx + Cx^T Wtx Ct].
 
@@ -432,6 +480,28 @@ def test_symplectic_slice_independence(kg48, grid48):
                           rng.standard_normal((grid48.nx, 1)))
     vals = np.array([gh.symplectic_form(kg48, psi, phi, n) for n in range(grid48.nt - 1)])
     assert (vals.max() - vals.min()) <= 1e-9 * abs(vals.mean())
+
+
+def test_symplectic_form_over_many_cuts_checks_the_solutions_once(kg48, grid48, monkeypatch):
+    rng = np.random.default_rng(13)
+    psi, phi = (gh.solve_cauchy(kg48, 4, rng.standard_normal((grid48.nx, 1)),
+                                rng.standard_normal((grid48.nx, 1))) for _ in range(2))
+    cuts = range(grid48.nt - 1)
+    one_by_one = [gh.symplectic_form(kg48, psi, phi, n) for n in cuts]
+    checks = []
+    residual = gh.HyperbolicOperator.interior_residual
+    monkeypatch.setattr(gh.HyperbolicOperator, "interior_residual",
+                        lambda self, u, f=None: checks.append(1) or residual(self, u, f))
+    vals = gh.symplectic_form(kg48, psi, phi, cuts)
+    assert np.array_equal(vals, one_by_one)
+    assert len(checks) == 2
+    # batches give one row of K fluxes per cut
+    pair = np.stack([psi.values, phi.values])
+    rows = gh.symplectic_form(kg48, pair, pair[::-1], [3, 20])
+    assert rows.shape == (2, 2)
+    assert np.allclose(rows[:, 0], [one_by_one[3], one_by_one[20]], rtol=1e-13, atol=0.0)
+    with pytest.raises(ValueError, match="successor"):
+        gh.symplectic_form(kg48, psi, phi, [0, grid48.nt - 1])
 
 
 def test_symplectic_needs_selfadjoint(grid48, mink48):
