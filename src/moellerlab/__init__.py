@@ -4,7 +4,7 @@ cylinders.  Every structural law the package relies on is backed by an
 executable residual check; see the suites module and the command line
 runner for the batteries."""
 
-from .lattice import (FiberMetric, ScalarField, Section, SpacetimeGrid,
+from .lattice import (ScalarField, Section, SpacetimeGrid,
                       make_grid, smooth_step, weighted_inner_product)
 from .geometry import (ALIGNED, REVERSED, ChainObstruction, MetricField,
                        ParacausalChain, alpha_rescale, build_chain,

@@ -7,34 +7,34 @@ divergence form
 
 with forward differences on staggered edges for the pure d_t^2 / d_x^2
 pieces and centered differences for the cross piece.  This makes the
-volume-weighted matrix V N (V = vol * dt * dx tensor fiber metric) exactly
-symmetric, so formal self-adjointness, slice independence of the symplectic
-flux and antisymmetry of the causal propagator kernel hold to round-off
-rather than to discretization order.
+volume-weighted matrix V N (V = vol * dt * dx) exactly symmetric, so formal
+self-adjointness, slice independence of the symplectic flux and antisymmetry
+of the causal propagator kernel hold to round-off rather than to
+discretization order.
 
 An operator is stored only as its nine-offset stencil: OFF[(a, b)] holds the
-(r x r) coupling of row (n, j) to column (n+a, j+b mod nx).  The principal
-part is written directly in these offsets from the divergence form above;
-the march, the weighted transpose, the symplectic flux and the symbol check
-read them, and ``as_dense`` is a derived view.  Green operators are realized
-as causal triangular solves: the equation rows at levels 1..nt-2 are marched
-forward (retarded) or backward (advanced) in time.  A level's new-time-slice
-system comes in two kinds, read off the offsets.  When g^tx = 0 everywhere
-the new level couples each site only to itself, offset (a, 0), and a rank-1
-level is one division by the stencil's diagonal.  Otherwise (g^tx != 0, or
-rank r > 1) the level is solved as a band: the cross offsets (a, +-1) couple
-site j to j-1, j, j+1 (mod nx); numbered in the interleaved order 0, 1,
-nx-1, 2, nx-2, ... that is a plain band with kl = ku = 3r - 1, factored once
-per level by LAPACK's banded LU and cached, so the factors hold O(nt nx r^2)
-floats.  Either way a march takes time linear in nx.  The march is refused
-(:class:`MarchError`) unless it is stable, g^tt and g^xx keeping opposite
-signs, the same at every point (:func:`axis_class`), and the time step keeps
-the CFL bound.  Sources must vanish on the first two (resp. last two) time
-levels, the discrete stand-in for past (future) compact support in the
-window.
+coupling of row (n, j) to column (n+a, j+b mod nx), an (nt, nx, 1, 1)
+field.  The principal part is written directly in these offsets from the
+divergence form above; the march, the weighted transpose, the symplectic
+flux and the symbol check read them, and ``as_dense`` is a derived view.
+Green operators are realized as causal triangular solves: the equation rows
+at levels 1..nt-2 are marched forward (retarded) or backward (advanced) in
+time.  A level's new-time-slice system comes in two kinds, read off the
+offsets.  When g^tx = 0 everywhere the new level couples each site only to
+itself, offset (a, 0), and a level is one division by the stencil's
+diagonal.  Otherwise the level is solved as a band: the cross offsets
+(a, +-1) couple site j to j-1, j, j+1 (mod nx); numbered in the interleaved
+order 0, 1, nx-1, 2, nx-2, ... that is a plain band with kl = ku = 2,
+factored once per level by LAPACK's banded LU and cached, so the factors
+hold 8 floats per point and direction.  Either way a march takes time
+linear in nx.  The march is refused (:class:`MarchError`) unless it is
+stable, g^tt and g^xx keeping opposite signs, the same at every point
+(:func:`axis_class`), and the time step keeps the CFL bound.  Sources must
+vanish on the first two (resp. last two) time levels, the discrete stand-in
+for past (future) compact support in the window.
 
-Fields are (nt, nx, r) arrays.  ``HyperbolicOperator.apply``, the march and
-the Green systems also take a leading batch axis, (K, nt, nx, r): the K
+Fields are (nt, nx, 1) arrays.  ``HyperbolicOperator.apply``, the march and
+the Green systems also take a leading batch axis, (K, nt, nx, 1): the K
 columns then share one level loop and one solve per level, so a kernel
 block or a dense matrix costs a few marches, not one per column.  The batch
 is the whole interface; there is no batch-size setting.
@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import MetricField, sharp_interpolation
-from .lattice import FiberMetric, ScalarField, Section, smooth_step
+from .lattice import ScalarField, Section, smooth_step
 
 __all__ = [
     "MarchError",
@@ -108,25 +108,19 @@ def _roll_x(u, b):
 
 
 def _blocks(grid, value_field=None):
-    """Promote an (nt, nx) scalar field to diagonal (nt, nx, r, r) blocks.
+    """An (nt, nx) field as an (nt, nx, 1, 1) stencil offset; zero without a field.
 
-    At rank 1 the blocks are a view of value_field, so the caller hands over
-    a field it owns; without a field they are zero.
+    The offset is a view of value_field, so the caller hands over a field it owns.
     """
-    r = grid.rank
-    if r == 1 and value_field is not None:
-        return np.asarray(value_field, dtype=float).reshape(grid.nt, grid.nx, 1, 1)
-    out = np.zeros((grid.nt, grid.nx, r, r))
-    idx = np.arange(r)
-    if value_field is not None:
-        out[:, :, idx, idx] = np.asarray(value_field)[:, :, None]
-    return out
+    if value_field is None:
+        return np.zeros((grid.nt, grid.nx, 1, 1))
+    return np.asarray(value_field, dtype=float).reshape(grid.nt, grid.nx, 1, 1)
 
 
 def stencil_apply(offsets, u, rows=None):
     """Action of a nine-offset stencil on the rows lo <= n < hi of rows = (lo, hi).
 
-    u is one (nt, nx, r) field or a (K, nt, nx, r) batch; the result has its
+    u is one (nt, nx, 1) field or a (K, nt, nx, 1) batch; the result has its
     shape and is zero off the row range, and u is read on levels lo - 1 .. hi
     only.  rows defaults to the whole window: ``HyperbolicOperator.apply``.
     Those levels are copied once with one periodic site on either side, so
@@ -182,7 +176,7 @@ def axis_class(metric: MetricField) -> int:
 
 
 def sup_norms(u):
-    """Sup norm of one (nt, nx, r) field, or of each field of a (K, nt, nx, r) batch."""
+    """Sup norm of one (nt, nx, 1) field, or of each field of a (K, nt, nx, 1) batch."""
     return np.max(np.abs(u), axis=(-3, -2, -1))
 
 
@@ -194,28 +188,25 @@ def worst_ratio(num, den) -> float:
 class HyperbolicOperator:
     """Assembled lattice operator with metric, weights and stencil offsets."""
 
-    def __init__(self, metric: MetricField, offsets, fiber: FiberMetric,
-                 A0=None, A1=None, B=None, self_adjoint=False):
+    def __init__(self, metric: MetricField, offsets, A0=None, A1=None, B=None,
+                 self_adjoint=False):
         self.metric = metric
         self.grid = metric.grid
-        self.fiber = fiber
         self.offsets = {k: np.ascontiguousarray(v) for k, v in offsets.items()}
         self.A0, self.A1, self.B = A0, A1, B
         self.vol = metric.volume_density()
         self.self_adjoint = self_adjoint
-        w = self.vol * self.grid.dt * self.grid.dx
-        self.weight_blocks = fiber.values * w[:, :, None, None]
-        self.weight_inv_blocks = (1.0 / self.weight_blocks if self.grid.rank == 1
-                                  else np.linalg.inv(self.weight_blocks))
+        self.weight = self.vol * self.grid.dt * self.grid.dx
+        self.weight_inv = 1.0 / self.weight
         self._steps = {}
         self._dense = None
 
     # -- linear action -----------------------------------------------------
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Full matrix action on (nt, nx, r) values, boundary rows included.
+        """Full matrix action on (nt, nx, 1) values, boundary rows included.
 
-        A leading batch axis, (K, nt, nx, r), applies the operator to each of
+        A leading batch axis, (K, nt, nx, 1), applies the operator to each of
         the K fields.
         """
         return stencil_apply(self.offsets, u)
@@ -223,7 +214,7 @@ class HyperbolicOperator:
     def interior_residual(self, u, f=None):
         """Sup norm of N u - f over the equation rows (levels 1..nt-2).
 
-        A number for one field; for a (K, nt, nx, r) batch, the K column norms.
+        A number for one field; for a (K, nt, nx, 1) batch, the K column norms.
         """
         r = self.apply(u)
         if f is not None:
@@ -239,12 +230,14 @@ class HyperbolicOperator:
     def _adjoint_items(self):
         """The offsets of V^{-1} N^T V as (key, block) pairs, built one at a time."""
         for (a, b), C in _transposed(self.offsets):
-            Wcol = _roll_x(np.roll(self.weight_blocks, -a, axis=0), b)
+            Wcol = _roll_x(np.roll(self.weight, -a, axis=0), b)
             if a == 1:
-                Wcol[-1] = np.eye(self.grid.rank)
+                Wcol[-1] = 1.0
             elif a == -1:
-                Wcol[0] = np.eye(self.grid.rank)
-            yield (a, b), np.einsum("txab,txbc,txcd->txad", self.weight_inv_blocks, C, Wcol)
+                Wcol[0] = 1.0
+            A = self.weight_inv[:, :, None, None] * C
+            A *= Wcol[:, :, None, None]
+            yield (a, b), A
 
     def adjoint_offsets(self):
         """Offsets of V^{-1} N^T V (the formal adjoint in the same volume)."""
@@ -262,22 +255,22 @@ class HyperbolicOperator:
             worst = max(worst, float(np.max(np.abs(self.offsets[k]))))
         return worst
 
-    # -- the volume weight V = vol dt dx (x) fiber metric ---------------------
+    # -- the volume weight V = vol dt dx ---------------------------------------
 
     def weigh(self, u):
-        """V u for one (nt, nx, r) field or each field of a (K, nt, nx, r) batch."""
-        return np.einsum("txab,...txb->...txa", self.weight_blocks, u)
+        """V u for one (nt, nx, 1) field or each field of a (K, nt, nx, 1) batch."""
+        return u * self.weight[:, :, None]
 
     def unweigh(self, u):
-        """V^{-1} u for one (nt, nx, r) field or each field of a (K, nt, nx, r) batch."""
-        return np.einsum("txab,...txb->...txa", self.weight_inv_blocks, u)
+        """V^{-1} u for one (nt, nx, 1) field or each field of a (K, nt, nx, 1) batch."""
+        return u * self.weight_inv[:, :, None]
 
     def pairing(self, f, h):
         """<f, h>_V: a number for two fields, K numbers for two batches paired column by column.
 
         Leading axes broadcast, so ``pairing(F[:, None], H)`` is the table of all pairs.
         """
-        return np.einsum("...txa,txab,...txb->...", f, self.weight_blocks, h)
+        return np.einsum("...txa,tx,...txa->...", f, self.weight, h)
 
     # -- dense form ------------------------------------------------------------
 
@@ -285,20 +278,16 @@ class HyperbolicOperator:
         if self._dense is None:
             g = self.grid
             n, j = np.meshgrid(np.arange(g.nt), np.arange(g.nx), indexing="ij")
-            M = np.zeros((g.nt, g.nx, g.rank, g.nt, g.nx, g.rank))
+            M = np.zeros((g.nt, g.nx, g.nt, g.nx))
             for (a, b), C in self.offsets.items():
                 ok = (n + a >= 0) & (n + a < g.nt)
-                M[n[ok], j[ok], :, n[ok] + a, (j[ok] + b) % g.nx, :] += C[ok]
+                M[n[ok], j[ok], n[ok] + a, (j[ok] + b) % g.nx] += C[ok, 0, 0]
             self._dense = M.reshape(g.n_dof, g.n_dof)
         return self._dense
 
     def weight_dense(self) -> np.ndarray:
-        """Dense block-diagonal V, an oracle view like ``as_dense``."""
-        g = self.grid
-        idx = np.arange(g.n_dof).reshape(-1, g.rank)
-        M = np.zeros((g.n_dof, g.n_dof))
-        M[idx[:, :, None], idx[:, None, :]] = self.weight_blocks.reshape(-1, g.rank, g.rank)
-        return M
+        """Dense diagonal V, an oracle view like ``as_dense``."""
+        return np.diag(self.weight.ravel())
 
     # -- principal symbol ----------------------------------------------------
 
@@ -309,7 +298,7 @@ class HyperbolicOperator:
         for (a, b), C in self.offsets.items():
             w = (0.5 * a * a * g.dt**2, a * b * g.dt * g.dx, 0.5 * b * b * g.dx**2)[i]
             if w:  # (0, 0) has zero weight in all three
-                out += w * (np.trace(C, axis1=-2, axis2=-1) / g.rank)
+                out += w * C[..., 0, 0]
         return out
 
     def principal_coefficients(self):
@@ -323,8 +312,8 @@ class HyperbolicOperator:
         pointwise tolerance includes the metric's own discrete second
         differences; constant metrics are checked at round-off level.  Only
         the equation rows 1..nt-2 are checked: the one-sided boundary rows
-        carry partial sums.  The components are checked one at a time, each
-        in a few fields of scratch.
+        carry partial sums.  The inverse metric is read once; its components
+        are then checked one at a time, each in a few fields of scratch.
         """
         vol = self.vol[1:-1]
         tol = np.maximum(self.metric.scale()[1:-1], 1.0)
@@ -348,9 +337,8 @@ class HyperbolicOperator:
             err += x
             return err
 
-        def bad(i, k):
-            """Where coefficient i misses -k g_sharp^(i) by more than the bound, on the equation rows."""
-            c = self.metric.inverse_components()[i]
+        def bad(c, i, k):
+            """Where coefficient i misses -k times its g_sharp component c by more than the bound."""
             got = self._principal_coefficient(i)[1:-1]
             if i == 1 and not (c.any() or got.any()):
                 return False  # no cross term to check
@@ -365,7 +353,8 @@ class HyperbolicOperator:
             got -= -k * c[1:-1]
             return np.abs(got, out=got) > bound
 
-        mismatch = bad(0, 1) | bad(2, 1) | bad(1, 2)
+        itt, itx, ixx = self.metric.inverse_components()
+        mismatch = bad(itt, 0, 1) | bad(ixx, 2, 1) | bad(itx, 1, 2)
         if mismatch.any():
             n, j = map(int, np.argwhere(mismatch)[0])
             raise SymbolMismatch(f"principal symbol mismatch at point (level={n + 1}, site={j})")
@@ -398,7 +387,7 @@ class HyperbolicOperator:
 
     def _step(self, a):
         if a not in self._steps:
-            site = self.grid.rank == 1 and not any((a, b) in self.offsets for b in (-1, 1))
+            site = not any((a, b) in self.offsets for b in (-1, 1))
             self._steps[a] = (_SiteStep if site else _BandedStep)(self, a)
         return self._steps[a]
 
@@ -418,11 +407,11 @@ class HyperbolicOperator:
         backward march from hi - 1, when f vanishes from hi up); a range
         that ends early cuts the march short after the last level wanted.
 
-        f is one (nt, nx, r) source or a batch (K, nt, nx, r) of K sources;
+        f is one (nt, nx, 1) source or a batch (K, nt, nx, 1) of K sources;
         the result has the same shape.  A single source is the K = 1 case:
         every column goes through one level loop, and each level solves one
-        (nx r, K) right-hand side with the cached level factorisation.
-        Seeds of shape (nx, r) are shared by all columns.
+        (nx, K) right-hand side with the cached level factorisation.
+        Seeds of shape (nx, 1) are shared by all columns.
         """
         self.check_march()
         g = self.grid
@@ -430,7 +419,7 @@ class HyperbolicOperator:
         if f.ndim not in (3, 4) or f.shape[-3:] != (g.nt, g.nx, g.rank):
             raise ValueError(f"march source shape {f.shape} is not (K,) + {(g.nt, g.nx, g.rank)}")
         batched = f.ndim == 4
-        F = np.moveaxis(f if batched else f[None], 0, -1)  # (nt, nx, r, K) view
+        F = np.moveaxis(f if batched else f[None], 0, -1)  # (nt, nx, 1, K) view
         u = np.zeros(F.shape)
         if seeds is not None:
             u[seed_level], u[seed_level + 1] = (np.asarray(s)[..., None] for s in seeds)
@@ -468,9 +457,9 @@ class _Step:
         self.known = np.concatenate([op.offsets[k] for k in known], axis=-1)
 
     def __call__(self, n, f_n, u):
-        """Level n + a of the (nt, nx, r, K) batch u from its (nx, r, K) source rows f_n."""
-        nx, r, K = f_n.shape
-        window = u[n + self.lo:n + self.lo + 2].reshape(2 * nx, r, K)
+        """Level n + a of the (nt, nx, 1, K) batch u from its (nx, 1, K) source rows f_n."""
+        nx, _, K = f_n.shape
+        window = u[n + self.lo:n + self.lo + 2].reshape(2 * nx, 1, K)
         rhs = f_n - np.einsum("xab,xbk->xak", self.known[n], window[self.gather].reshape(nx, -1, K))
         return self.solve(n, rhs)
 
@@ -480,7 +469,7 @@ def _singular(n):
 
 
 class _SiteStep(_Step):
-    """A rank-1 step whose new level couples each site only to itself (no (a, +-1) offset).
+    """A step whose new level couples each site only to itself (no (a, +-1) offset).
 
     The level system is diagonal, so the solve divides by the (a, 0)
     stencil entry, which is what the banded solve does with a diagonal band.
@@ -511,23 +500,25 @@ class _BandedStep(_Step):
         from scipy.linalg.lapack import dgbtrf, dgbtrs  # loaded only by levels that couple sites
         super().__init__(op, a)
         self.dgbtrf, self.dgbtrs = dgbtrf, dgbtrs
-        nx, r = op.grid.nx, op.grid.rank
+        nx = op.grid.nx
         sites = np.arange(nx)
         self.pos = np.minimum(2 * sites - 1, 2 * (nx - sites)).clip(0)  # place of each site
         self.order = np.argsort(self.pos)  # sites 0, 1, nx-1, 2, nx-2, ...
-        # A[R, C] sits at ab[2 kl + R - C, C]; ab is filled as its (nx r, ldab) transpose
-        self.kl, self.ldab, self.size = 3 * r - 1, 9 * r - 2, nx * r
-        rows = self.pos[:, None, None] * r + np.arange(r)[:, None]
+        # ring neighbours sit at most 2 places apart: kl = ku = 2, and LAPACK's
+        # band storage has 2 kl + ku + 1 = 7 rows; A[R, C] sits at
+        # ab[2 kl + R - C, C], and ab is filled as its (nx, ldab) transpose
+        self.kl, self.ldab = 2, 7
         new = [b for b in (-1, 0, 1) if (a, b) in op.offsets]
-        cols = [self.pos[(sites + b) % nx][:, None, None] * r + np.arange(r) for b in new]
-        self.band = np.stack([c * self.ldab + 2 * self.kl + rows - c for c in cols]).ravel()
-        self.new = [op.offsets[(a, b)] for b in new]
+        cols = [self.pos[(sites + b) % nx] for b in new]
+        self.band = np.stack([c * self.ldab + 2 * self.kl + self.pos - c for c in cols]).ravel()
+        self.new = [op.offsets[(a, b)][..., 0, 0] for b in new]
         self.factors = {}
 
     def factor(self, n):
         if n not in self.factors:
             vals = np.stack([C[n] for C in self.new]).ravel()
-            ab = np.bincount(self.band, vals, minlength=self.ldab * self.size).reshape(self.size, -1)
+            nx = len(self.pos)
+            ab = np.bincount(self.band, vals, minlength=self.ldab * nx).reshape(nx, -1)
             lu, piv, info = self.dgbtrf(ab.T, self.kl, self.kl, overwrite_ab=True)
             if info > 0:
                 raise _singular(n)
@@ -535,10 +526,10 @@ class _BandedStep(_Step):
         return self.factors[n]
 
     def solve(self, n, rhs):
-        nx, r, K = rhs.shape
+        nx, _, K = rhs.shape
         lu, piv = self.factor(n)
-        x, _ = self.dgbtrs(lu, self.kl, self.kl, rhs[self.order].reshape(self.size, K), piv, overwrite_b=True)
-        return x.reshape(nx, r, K)[self.pos]
+        x, _ = self.dgbtrs(lu, self.kl, self.kl, rhs[self.order].reshape(nx, K), piv, overwrite_b=True)
+        return x.reshape(nx, 1, K)[self.pos]
 
 
 # -- constructors -------------------------------------------------------------
@@ -591,19 +582,17 @@ def _principal_offsets(metric: MetricField, ixx_override=None):
     return S
 
 
-def build_operator(metric: MetricField, A0=None, A1=None, B=None,
-                   fiber: FiberMetric | None = None, hxx_override=None,
+def build_operator(metric: MetricField, A0=None, A1=None, B=None, hxx_override=None,
                    check=True) -> HyperbolicOperator:
     """Assemble the lattice operator for a metric plus lower-order fields.
 
-    A0, A1, B are per-point (r x r) coefficient fields (or scalars / (nt,nx)
-    arrays for rank 1) entering as A0 d_t + A1 d_x + B; hxx_override replaces
+    A0, A1, B are scalars or (nt, nx) fields entering as A0 d_t + A1 d_x + B,
+    and the operator keeps them as (nt, nx) fields; hxx_override replaces
     the spatial principal coefficient and exists to exercise the symbol
     verifier, which rejects any stencil whose extracted second-order part
     deviates from -g_sharp.
     """
     g = metric.grid
-    fiber = fiber or FiberMetric(g)
     S = _principal_offsets(metric, ixx_override=hxx_override)
     offsets = {k: _blocks(g, v) for k, v in S.items()}
 
@@ -612,19 +601,15 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None,
             return None
         c = np.asarray(c, dtype=float)
         if c.shape == ():
-            out = _blocks(g, np.full((g.nt, g.nx), float(c)))
-        elif c.shape == (g.nt, g.nx):
-            out = _blocks(g, c.copy())
-        elif c.shape == (g.nt, g.nx, g.rank, g.rank):
-            out = c.copy()
-        else:
-            raise ValueError("coefficient shape does not match grid/rank")
-        return out
+            return np.full((g.nt, g.nx), float(c))
+        if c.shape != (g.nt, g.nx):
+            raise ValueError("coefficient shape does not match grid")
+        return c.copy()
 
     def add(key, blk):
-        """Add blk into offset `key` in place: the offsets are this call's own."""
+        """Add the (nt, nx) field blk into offset `key` in place: the offsets are this call's own."""
         C = offsets.setdefault(key, _blocks(g))
-        C += blk  # x + (-b) is x - b bit for bit
+        C += _blocks(g, blk)  # x + (-b) is x - b bit for bit
 
     A0c, A1c, Bc = coerce(A0), coerce(A1), coerce(B)
     if A0c is not None:
@@ -639,15 +624,15 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None,
         add((0, -1), -blk)
     if Bc is not None:
         add((0, 0), Bc)
-    op = HyperbolicOperator(metric, offsets, fiber, A0c, A1c, Bc)
+    op = HyperbolicOperator(metric, offsets, A0c, A1c, Bc)
     if check:
         op.check_symbol()
     return op
 
 
-def wave_operator(metric: MetricField, mass=1.0, fiber=None) -> HyperbolicOperator:
+def wave_operator(metric: MetricField, mass=1.0) -> HyperbolicOperator:
     """Canonical formally self-adjoint operator of a metric: div form + m^2."""
-    op = build_operator(metric, B=float(mass) ** 2, fiber=fiber)
+    op = build_operator(metric, B=float(mass) ** 2)
     # judged against the stencil's own entries, which grow like 1/dt^2
     entry = max(float(np.max(np.abs(C))) for C in op.offsets.values())
     if op.v_symmetry_defect() <= 1e-10 * (1.0 + entry):
@@ -662,8 +647,7 @@ def symmetrize(N: HyperbolicOperator) -> HyperbolicOperator:
     keys = set(N.offsets) | set(adj)
     zero = _blocks(N.grid)
     offsets = {k: 0.5 * (N.offsets.get(k, zero) + adj.get(k, zero)) for k in keys}
-    out = HyperbolicOperator(N.metric, offsets, N.fiber, N.A0, N.A1, N.B, self_adjoint=True)
-    return out
+    return HyperbolicOperator(N.metric, offsets, N.A0, N.A1, N.B, self_adjoint=True)
 
 
 def convex_operator(N0: HyperbolicOperator, N1: HyperbolicOperator, chi: ScalarField) -> HyperbolicOperator:
@@ -686,19 +670,18 @@ def convex_operator(N0: HyperbolicOperator, N1: HyperbolicOperator, chi: ScalarF
     def blend(c0, c1):
         if c0 is None and c1 is None:
             return None
-        z = _blocks(N0.grid)
+        z = np.zeros(w.shape)
         a = c0 if c0 is not None else z
         b = c1 if c1 is not None else z
-        return (1.0 - w[:, :, None, None]) * a + w[:, :, None, None] * b
+        return (1.0 - w) * a + w * b
 
-    return build_operator(gchi, blend(N0.A0, N1.A0), blend(N0.A1, N1.A1),
-                          blend(N0.B, N1.B), N0.fiber)
+    return build_operator(gchi, blend(N0.A0, N1.A0), blend(N0.A1, N1.A1), blend(N0.B, N1.B))
 
 
 # -- Green systems -------------------------------------------------------------
 
 def _check_margin(f, side, what="source"):
-    """Reject a source, or any column of a (K, nt, nx, r) batch, that reaches the margin."""
+    """Reject a source, or any column of a (K, nt, nx, 1) batch, that reaches the margin."""
     v = np.abs(f).reshape((-1,) + f.shape[-3:])
     tol = 1e-12 * (1.0 + v.max(axis=(1, 2, 3)))  # round-off dribble is not support
     if side > 0 and np.any(v[:, :PAST_MARGIN].max(axis=(1, 2, 3)) > tol):
@@ -711,8 +694,8 @@ class GreenSystem:
     """Retarded/advanced solvers G^+ / G^- of one operator, and its causal
     propagator G = G^+ - G^-.
 
-    Sources are one (nt, nx, r) field (or (nt, nx) for rank 1) or a batch
-    (K, nt, nx, r) solved in one march.
+    Sources are one (nt, nx, 1) or (nt, nx) field, or a batch (K, nt, nx, 1)
+    solved in one march.
     """
 
     def __init__(self, N: HyperbolicOperator):
@@ -747,8 +730,7 @@ class GreenSystem:
         """
         g = self.operator.grid
         n = g.n_dof
-        per_level = g.nx * g.rank
-        qs = np.arange(PAST_MARGIN * per_level, (g.nt - PAST_MARGIN) * per_level)
+        qs = np.arange(PAST_MARGIN * g.nx, (g.nt - PAST_MARGIN) * g.nx)
         E = np.zeros((len(qs), n))
         E[np.arange(len(qs)), qs] = 1.0
         E = E.reshape(-1, g.nt, g.nx, g.rank)
@@ -852,7 +834,7 @@ def flux_blocks(N: HyperbolicOperator, n: int) -> np.ndarray:
     for b in (-1, 0, 1):
         C = N.offsets.get((1, b))
         if C is not None:
-            out[b] = np.einsum("xab,xbc->xac", N.weight_blocks[n], C[n])
+            out[b] = N.weight[n][:, None, None] * C[n]
     return out
 
 
@@ -862,7 +844,7 @@ def symplectic_form(N: HyperbolicOperator, psi, phi, slice_index):
     Equals the slice integral of <Psi | grad_n Phi> - <grad_n Psi | Phi>
     evaluated with staggered differences; slice independence on equation
     rows is exact because V N is exactly symmetric.  A number for two
-    solutions; for two (K, nt, nx, r) batches, the K column-pair fluxes.
+    solutions; for two (K, nt, nx, 1) batches, the K column-pair fluxes.
     slice_index may be a sequence of cuts: the arguments are then checked
     once and the result holds one flux (or K fluxes) per cut.
     """
@@ -896,7 +878,7 @@ def _flux(N, pv, fv, n):
 def propagator_symplectic_identity(N: HyperbolicOperator, f, h) -> dict:
     """sigma(G f, G h) against the volume pairing of f with G h.
 
-    f and h are sections or (nt, nx, r) fields, or (K, nt, nx, r) batches
+    f and h are sections or (nt, nx, 1) fields, or (K, nt, nx, 1) batches
     paired column by column, each value of the result then holding K numbers.
     """
     fv, hv = (v.values if isinstance(v, Section) else np.asarray(v, dtype=float) for v in (f, h))
@@ -909,7 +891,7 @@ def propagator_symplectic_identity(N: HyperbolicOperator, f, h) -> dict:
 
 def green_adjoint_relation(N: HyperbolicOperator, fp: Section, f: Section) -> dict:
     """Both weighted-transpose identities tying G+ of N to G- of its adjoint."""
-    adj = HyperbolicOperator(N.metric, N.adjoint_offsets(), N.fiber)
+    adj = HyperbolicOperator(N.metric, N.adjoint_offsets())
     Gs_N = GreenSystem(N)
     Gs_A = GreenSystem(adj)
     r1 = abs(N.pairing(Gs_A.minus(fp), f.values) - N.pairing(fp.values, Gs_N.plus(f)))

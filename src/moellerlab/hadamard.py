@@ -86,8 +86,6 @@ class VacuumKernel(ModeKernel):
     """
 
     def __init__(self, grid: SpacetimeGrid, mass: float, metric=None):
-        if grid.rank != 1:
-            raise ValueError("vacuum kernels are built for rank-1 bundles")
         if mass <= 0.0:
             raise ValueError("mass must be positive for a gapped vacuum")
         self.mass = float(mass)
@@ -190,8 +188,6 @@ def bisolution_check(nu, N: HyperbolicOperator, probes=None) -> dict:
 
 def pullback_kernel(nu, R) -> PullbackKernel:
     """Transport K through the intertwiner: (f, h) -> K(R^dagger f, R^dagger h)."""
-    if R.op_start.grid.rank != 1:
-        raise ValueError("kernel transport is rank-1 only")
     return PullbackKernel(nu, R)
 
 

@@ -3,15 +3,17 @@
 The grid carries nt time levels on [t_min, t_max] (both endpoints included)
 and nx equispaced sites on a circle of circumference `length`, so every
 constant-time slice is compact and spatial index arithmetic is modular.
-Sections of a rank-r real vector bundle live on the grid as (nt, nx, r)
-arrays; scalar fields as (nt, nx) arrays.  All objects are frozen after
-construction (arrays are made read-only), so they are safe to share between
-threads.
+Fields are scalar: a section is an (nt, nx, 1) array, whose trailing axis
+of length 1 every operator and march keeps, and a scalar field such as a
+volume density or a switch is an (nt, nx) array.  All objects are frozen
+after construction (arrays are made read-only), so they are safe to share
+between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,7 +21,6 @@ __all__ = [
     "SpacetimeGrid",
     "Section",
     "ScalarField",
-    "FiberMetric",
     "make_grid",
     "weighted_inner_product",
     "smooth_step",
@@ -39,22 +40,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpacetimeGrid:
-    """Uniform lattice on [t_min, t_max] x S^1 with a rank-r fiber."""
+    """Uniform lattice on [t_min, t_max] x S^1; `rank` is the length of a section's trailing axis."""
 
     nt: int
     nx: int
     t_min: float
     t_max: float
     length: float
-    rank: int = 1
+    rank: ClassVar[int] = 1
 
     def __post_init__(self):
         if not all(np.isfinite([self.t_min, self.t_max, self.length])):
             raise ValueError("grid extents t_min, t_max and length must be finite")
         if self.nt < 4 or self.nx < 4:
             raise ValueError("grid too small: need nt >= 4 and nx >= 4")
-        if self.rank < 1:
-            raise ValueError("fiber rank must be >= 1")
         if not (self.t_max > self.t_min):
             raise ValueError("empty time extent")
         if not (self.length > 0):
@@ -82,7 +81,7 @@ class SpacetimeGrid:
 
     @property
     def n_dof(self) -> int:
-        return self.nt * self.nx * self.rank
+        return self.nt * self.nx
 
     def level_of_time(self, t: float) -> int:
         """Index of the closest time level."""
@@ -92,16 +91,16 @@ class SpacetimeGrid:
         return np.zeros((self.nt, self.nx, self.rank))
 
     def __str__(self):
-        return f"{self.nt}x{self.nx} grid, t in [{self.t_min}, {self.t_max}], L={self.length}, r={self.rank}"
+        return f"{self.nt}x{self.nx} grid, t in [{self.t_min}, {self.t_max}], L={self.length}"
 
 
-def make_grid(nt, nx, t_min, t_max, length, rank=1) -> SpacetimeGrid:
+def make_grid(nt, nx, t_min, t_max, length) -> SpacetimeGrid:
     """Build a grid; dt = (t_max-t_min)/(nt-1), dx = length/nx."""
-    return SpacetimeGrid(int(nt), int(nx), float(t_min), float(t_max), float(length), int(rank))
+    return SpacetimeGrid(int(nt), int(nx), float(t_min), float(t_max), float(length))
 
 
 class Section:
-    """A section of the rank-r bundle: real values indexed (time, site, fiber).
+    """A section: real values indexed (time, site, 0).
 
     `support_window`, when given, records (first_level, last_level) of an
     enclosing time window; compactly-supported sections must vanish outside
@@ -177,49 +176,14 @@ class ScalarField:
         return cls(grid, np.full((grid.nt, grid.nx), float(c)), constraint)
 
 
-class FiberMetric:
-    """Symmetric positive definite r x r inner product on each fiber."""
-
-    def __init__(self, grid: SpacetimeGrid, values=None):
-        r = grid.rank
-        if values is None:
-            values = np.broadcast_to(np.eye(r), (grid.nt, grid.nx, r, r)).copy()
-            self._identity = True
-        else:
-            values = np.asarray(values, dtype=float)
-            if values.shape == (r, r):
-                values = np.broadcast_to(values, (grid.nt, grid.nx, r, r)).copy()
-            if values.shape != (grid.nt, grid.nx, r, r):
-                raise ValueError("fiber metric shape does not match grid")
-            _require_finite(values, "fiber metric values")
-            if np.max(np.abs(values - np.swapaxes(values, -1, -2))) > 0:
-                raise ValueError("fiber metric must be symmetric")
-            eigs = np.linalg.eigvalsh(values.reshape(-1, r, r))
-            if eigs.min() <= 0:
-                raise ValueError("fiber metric must be positive definite")
-            self._identity = bool(r == 1 and np.all(values == 1.0))
-        self.grid = grid
-        self.values = _freeze(values)
-
-    @property
-    def is_identity(self) -> bool:
-        return self._identity
-
-    def pair(self, f: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Pointwise <f|h>_k, shape (nt, nx)."""
-        if self._identity:
-            return np.einsum("txa,txa->tx", f, h)
-        return np.einsum("txa,txab,txb->tx", f, self.values, h)
-
-
-def weighted_inner_product(f: Section, h: Section, vol: ScalarField, k: FiberMetric) -> float:
-    """Volume-weighted L^2 pairing: sum of <f|h>_k * vol * dt * dx."""
-    if f.grid is not h.grid and (f.grid.nt, f.grid.nx, f.grid.rank) != (h.grid.nt, h.grid.nx, h.grid.rank):
+def weighted_inner_product(f: Section, h: Section, vol: ScalarField) -> float:
+    """Volume-weighted L^2 pairing: sum of f h vol dt dx."""
+    if f.grid is not h.grid and (f.grid.nt, f.grid.nx) != (h.grid.nt, h.grid.nx):
         raise ValueError("sections live on different grids")
     if vol.values.min() <= 0:
         raise ValueError("volume weight must be positive")
     g = f.grid
-    dens = k.pair(f.values, h.values) * vol.values
+    dens = np.einsum("txa,txa->tx", f.values, h.values) * vol.values
     return float(dens.sum() * g.dt * g.dx)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from moellerlab import geometry as geo
 from moellerlab import greenhyp as gh
-from moellerlab.lattice import FiberMetric, Section, make_grid
+from moellerlab.lattice import Section, make_grid
 
 
 @pytest.fixture
@@ -33,11 +33,3 @@ def window_section(grid, rng, lo, hi, smooth=0):
     for _ in range(smooth):
         u[lo:hi] = 0.25 * np.roll(u[lo:hi], 1, 1) + 0.5 * u[lo:hi] + 0.25 * np.roll(u[lo:hi], -1, 1)
     return Section(grid, u)
-
-
-def fibered_operator(rank, preset, seed, **params):
-    """Operator on an 8x6 grid whose fiber metric is SPD, varying and not the identity."""
-    g = make_grid(8, 6, 0.0, 0.5, 1.0, rank=rank)
-    A = np.random.default_rng(seed).standard_normal((g.nt, g.nx, rank, rank))
-    fiber = FiberMetric(g, A @ np.swapaxes(A, -1, -2) + 0.5 * np.eye(rank))
-    return gh.build_operator(geo.metric_preset(preset, g, **params), B=1.0, fiber=fiber)

@@ -8,7 +8,7 @@ from moellerlab import greenhyp as gh
 from moellerlab import moller as mo
 from moellerlab.lattice import ScalarField, Section, make_grid, smooth_step
 
-from conftest import fibered_operator, window_section
+from conftest import window_section
 
 
 # -- assembly and symbol -----------------------------------------------------
@@ -36,6 +36,15 @@ def test_mass_term_enters_zero_order(grid48, mink48):
     assert np.max(np.abs(out[1:-1] - 4.0)) < 1e-10
 
 
+@pytest.mark.parametrize("shape", [(48, 48, 2, 2), (48, 48, 1, 1), (48,), (47, 48)],
+                         ids=["block", "unit-block", "levels", "short"])
+def test_block_coefficient_refused(mink48, shape):
+    # a coefficient is a scalar or an (nt, nx) field; anything else, a
+    # per-point block included, fails at construction
+    with pytest.raises(ValueError, match="coefficient shape does not match grid"):
+        gh.build_operator(mink48, B=np.ones(shape))
+
+
 def test_symbol_mismatch_raises(grid48, mink48):
     hxx = mink48.inverse_components()[2] + 0.1
     with pytest.raises(gh.SymbolMismatch, match="level"):
@@ -60,7 +69,7 @@ def test_symbol_check_names_the_perturbed_level(grid48, perturb):
     offsets = {k: v.copy() for k, v in N.offsets.items()}
     for k, sign in perturb.items():
         offsets[k][level, site] += sign * 1e-3 * np.max(np.abs(N.offsets[(1, 1)]))
-    bent = gh.HyperbolicOperator(tilted, offsets, N.fiber)
+    bent = gh.HyperbolicOperator(tilted, offsets)
     if len(perturb) == 2:
         for i in (0, 2):
             assert np.allclose(bent.principal_coefficients()[i], N.principal_coefficients()[i],
@@ -73,8 +82,8 @@ def test_assembly_and_cauchy_start_peak_within_a_few_fields():
     # tracemalloc counts numpy's allocations exactly, so the bound cannot flake.
     # The peak is set by the march of solve_cauchy: it stacks the known-level
     # offsets of each direction (four fields each) beside the kept operator.
-    # Measured: assembly with its checks peaks at 2.0x the kept bytes, the
-    # march at 2.5x; whole-window temporaries in assembly or the checks
+    # Measured: assembly with its checks peaks at 2.1x the kept bytes, the
+    # march at 2.4x; whole-window temporaries in assembly or the checks
     # would pass 2.8x.
     import tracemalloc
 
@@ -93,7 +102,7 @@ def test_assembly_and_cauchy_start_peak_within_a_few_fields():
         if not tracing:
             tracemalloc.stop()
     kept = (sum(C.nbytes for C in N.offsets.values()) + N.vol.nbytes
-            + N.weight_blocks.nbytes + N.weight_inv_blocks.nbytes)
+            + N.weight.nbytes + N.weight_inv.nbytes)
     assert peak <= 2.8 * kept, peak / kept
 
 
@@ -224,21 +233,20 @@ def test_transpose_and_adjoint_are_exact():
     rng = np.random.default_rng(1)
     N = gh.build_operator(m, A0=rng.standard_normal((8, 6)), B=0.7)
     D = N.as_dense()
-    T = gh.HyperbolicOperator(m, N.transpose_offsets(), N.fiber).as_dense()
+    T = gh.HyperbolicOperator(m, N.transpose_offsets()).as_dense()
     assert np.max(np.abs(T - D.T)) == 0.0
     V = N.weight_dense()
-    A = gh.HyperbolicOperator(m, N.adjoint_offsets(), N.fiber).as_dense()
+    A = gh.HyperbolicOperator(m, N.adjoint_offsets()).as_dense()
     assert np.max(np.abs(A - np.linalg.solve(V, D.T @ V))) < 1e-10
 
 
-@pytest.mark.parametrize("rank", [1, 2])
-def test_weight_api_matches_dense_weight(rank):
-    # V, V^{-1} and the V pairing against the dense block-diagonal weight
-    N = fibered_operator(rank, "conformal", 40 + rank, mu=2.0)
+def test_weight_api_matches_dense_weight():
+    # V, V^{-1} and the V pairing against the dense diagonal weight
+    N = gh.build_operator(geo.metric_preset("warped", make_grid(8, 6, 0.0, 0.5, 1.0), amp=0.3), B=1.0)
     V = N.weight_dense()
-    assert np.ptp(N.fiber.values[..., 0, 0]) > 0.1  # the fiber metric varies
+    assert np.ptp(N.vol) > 0.1  # V varies from point to point
     K = 4
-    F, H = np.random.default_rng(6).standard_normal((2, K, N.grid.nt, N.grid.nx, rank))
+    F, H = np.random.default_rng(6).standard_normal((2, K, N.grid.nt, N.grid.nx, 1))
     f, h = F.reshape(K, -1), H.reshape(K, -1)
 
     def rel(got, want):
@@ -416,7 +424,7 @@ def test_green_scaled_identities(kg48, grid48):
     got = gh.GreenSystem(kg48).plus(f.values / rho[:, :, None])
     # direct-assembly oracle: scale the stencil rows by rho and march that
     off = {k: v * rho[:, :, None, None] for k, v in kg48.offsets.items()}
-    direct = gh.HyperbolicOperator(kg48.metric, off, kg48.fiber)
+    direct = gh.HyperbolicOperator(kg48.metric, off)
     want = direct.march(f.values, +1)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -585,40 +593,16 @@ def test_green_kernel_transpose_oracle():
     assert np.max(np.abs(K + K.T)) < 1e-10 * np.max(np.abs(K))
 
 
-# -- rank 2 ----------------------------------------------------------------------------
-
-def test_rank2_operator_green_identity():
-    g = make_grid(16, 12, 0.0, 0.4, 1.0, rank=2)
-    m = geo.metric_preset("minkowski", g)
-    B = np.zeros((16, 12, 2, 2))
-    B[..., 0, 0] = 1.0
-    B[..., 1, 1] = 2.0
-    B[..., 0, 1] = B[..., 1, 0] = 0.3
-    N = gh.symmetrize(gh.build_operator(m, B=B))
-    rng = np.random.default_rng(15)
-    h = np.zeros((16, 12, 2))
-    h[5:10] = rng.standard_normal((5, 12, 2))
-    f = N.apply(h)
-    f[0] = 0.0
-    f[-1] = 0.0
-    rec = gh.GreenSystem(N).plus(f)
-    assert np.max(np.abs(rec - h)) < 1e-11
-
-
 # -- batched march ------------------------------------------------------------------
 
 def _batch_operator(name):
     g = make_grid(32, 16, 0.0, 0.5, 1.0)
     if name == "conformal":
         return gh.wave_operator(geo.metric_preset("conformal", g, mu=2.0), 1.0)
-    if name == "warped":
-        return gh.wave_operator(geo.metric_preset("warped", g, amp=0.3), 1.0)
-    g2 = make_grid(32, 12, 0.0, 0.5, 1.0, rank=2)
-    A0, A1, B = np.random.default_rng(21).standard_normal((3, 32, 12, 2, 2))
-    return gh.build_operator(geo.metric_preset("minkowski", g2), A0=A0, A1=A1, B=B)
+    return gh.wave_operator(geo.metric_preset("warped", g, amp=0.3), 1.0)
 
 
-@pytest.mark.parametrize("name", ["conformal", "warped", "rank2"])
+@pytest.mark.parametrize("name", ["conformal", "warped"])
 def test_batched_march_equals_stacked_single_marches(name):
     N = _batch_operator(name)
     g = N.grid
@@ -668,9 +652,9 @@ def test_pullback_columns_equal_stacked_columns():
 
 # -- banded level solve -------------------------------------------------------------
 
-def _tilted_warp(nt, nx, rank=1):
+def _tilted_warp(nt, nx):
     """A metric varying in t and x, with g_tx (so g^tx) != 0 at every lattice point."""
-    g = make_grid(nt, nx, 0.0, 0.5, 1.0, rank=rank)
+    g = make_grid(nt, nx, 0.0, 0.5, 1.0)
     t, x = g.times[:, None], g.sites[None, :]
     gtx = (0.1 + 0.25 * np.sin(2 * np.pi * x)) * (1.0 + 0.5 * t)
     gxx = np.broadcast_to(1.0 + 0.3 * np.sin(4 * np.pi * t), gtx.shape)
@@ -680,14 +664,10 @@ def _tilted_warp(nt, nx, rank=1):
 def _level_operator(name):
     if name == "tilted-warp":
         return gh.wave_operator(_tilted_warp(24, 12), 1.0)
-    if name == "rank2":
-        g = make_grid(16, 6, 0.0, 0.5, 1.0, rank=2)
-        A0, A1, B = np.random.default_rng(31).standard_normal((3, 16, 6, 2, 2))
-        return gh.build_operator(geo.metric_preset("minkowski", g), A0=A0, A1=A1, B=B)
     return gh.wave_operator(geo.metric_preset("conformal", make_grid(16, 4, 0.0, 0.5, 1.0), mu=2.0), 1.0)
 
 
-@pytest.mark.parametrize("name", ["tilted-warp", "rank2", "nx4"])
+@pytest.mark.parametrize("name", ["tilted-warp", "nx4"])
 def test_banded_level_solve_equals_dense_solve(name):
     # each level of the march, solved densely from the same known levels
     N = _level_operator(name)
@@ -718,24 +698,23 @@ def _marched_both_ways(N):
     return N._steps.values()
 
 
-@pytest.mark.parametrize("rank", [1, 2])
-def test_cached_factors_are_linear_in_nx(rank):
+def test_cached_factors_are_linear_in_nx():
     # g^tx != 0 couples neighbouring sites on the new level: the band path
     counts = []
     for nx in (16, 32):
-        N = gh.build_operator(_tilted_warp(64, nx, rank), B=1.0)
+        N = gh.build_operator(_tilted_warp(64, nx), B=1.0)
         g = N.grid
         steps = _marched_both_ways(N)
         assert all(isinstance(step, gh._BandedStep) for step in steps)
         counts.append(sum(lu.size + piv.size for step in steps for lu, piv in step.factors.values()))
-        # LAPACK band storage (2 kl + ku + 1 rows, kl = ku = 3r - 1) plus
-        # pivots, per level and direction; a dense LU holds (nx r)^2 a level
-        assert counts[-1] == 2 * (g.nt - 2) * (9 * rank - 1) * nx * rank
+        # LAPACK band storage (2 kl + ku + 1 = 7 rows, kl = ku = 2) plus
+        # pivots, per level and direction; a dense LU holds nx^2 a level
+        assert counts[-1] == 2 * (g.nt - 2) * 8 * nx
     assert counts[1] == 2 * counts[0]
 
 
 def test_shift_free_steps_cache_no_band_factors():
-    # g^tx = 0 at rank 1: each new-level site stands alone, so no band is
+    # g^tx = 0: each new-level site stands alone, so no band is
     # factored and the solve divides by the stencil's own diagonal
     for nx in (32, 64):
         g = make_grid(64, nx, 0.0, 0.5, 1.0)
@@ -753,7 +732,7 @@ def test_site_local_march_matches_band_march(kg48):
     F[:, 2:-2] = np.random.default_rng(35).standard_normal((3, g.nt - 4, g.nx, g.rank))
     for direction in (1, -1):
         site = kg48.march(F, direction)
-        band = gh.HyperbolicOperator(kg48.metric, kg48.offsets, kg48.fiber)
+        band = gh.HyperbolicOperator(kg48.metric, kg48.offsets)
         band._steps = {direction: gh._BandedStep(band, direction)}
         assert isinstance(kg48._steps[direction], gh._SiteStep)
         assert np.array_equal(site, band.march(F, direction))
@@ -796,7 +775,7 @@ def _rolled_stencil_apply(offsets, u, rows):
     return out
 
 
-@pytest.mark.parametrize("name", ["tilted-warp", "rank2"])
+@pytest.mark.parametrize("name", ["tilted-warp"])
 def test_stencil_rows_equal_operator_rows(name):
     # the stencil on rows lo..hi-1 is those rows of the full action, zero
     # elsewhere; its neighbours, read from one halo copy, give the rolled
@@ -815,18 +794,18 @@ def test_stencil_rows_equal_operator_rows(name):
                               _rolled_stencil_apply(N.offsets, u[0], (lo, hi)))
 
 
-@pytest.mark.parametrize("name", ["minkowski", "rank2", "tilted-warp"])
+@pytest.mark.parametrize("name", ["minkowski", "tilted-warp"])
 def test_singular_level_raises_naming_the_level(name):
     if name == "tilted-warp":
         N = gh.wave_operator(_tilted_warp(24, 12), 1.0)
     else:
-        g = make_grid(24, 12, 0.0, 0.5, 1.0, rank=2 if name == "rank2" else 1)
+        g = make_grid(24, 12, 0.0, 0.5, 1.0)
         N = gh.build_operator(geo.metric_preset("minkowski", g), B=1.0)
     offsets = {k: v.copy() for k, v in N.offsets.items()}
     for (a, b), C in offsets.items():
         if a == 1:
             C[7] = 0.0  # row 7 no longer reaches level 8
-    bad = gh.HyperbolicOperator(N.metric, offsets, N.fiber)
+    bad = gh.HyperbolicOperator(N.metric, offsets)
     f = np.zeros((N.grid.nt, N.grid.nx, N.grid.rank))
     with pytest.raises(np.linalg.LinAlgError, match="the level-7 system of the march is singular"):
         bad.march(f, 1)

@@ -100,7 +100,7 @@ def test_bisolution_residual_is_time_discretization(flat64):
     r = hd.bisolution_check(nu, N)
     # exact in space: killing the time part of the stencil leaves nothing
     off = {k: v for k, v in N.offsets.items() if k[0] == 0}
-    spatial = gh.HyperbolicOperator(N.metric, off, N.fiber)
+    spatial = gh.HyperbolicOperator(N.metric, off)
     col = nu.column(8 * grid.nx + 3)[:, :, None]
     disp = spatial.apply(col.real) + 1j * spatial.apply(col.imag)
     want = (nu.omega[None, :] ** 2)  # spatial part contributes m^2 + disp^2 per mode

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moellerlab.geometry import MetricField
-from moellerlab.lattice import (FiberMetric, ScalarField, Section, make_grid,
-                                smooth_step, weighted_inner_product)
+from moellerlab.lattice import (ScalarField, Section, make_grid, smooth_step,
+                                weighted_inner_product)
 
 
 def test_grid_spacings():
@@ -25,20 +25,13 @@ def test_grid_too_small_rejected():
         make_grid(8, 8, 0.0, 1.0, -1.0)
 
 
-def test_rank2_grid():
-    g = make_grid(32, 128, -1.0, 1.0, 2.0 * np.pi, rank=2)
-    assert g.rank == 2
-    assert Section.zero(g).values.shape == (32, 128, 2)
-
-
 def test_inner_product_single_cell():
     g = make_grid(8, 8, 0.0, 1.0, 1.0)
     vals = g.zeros()
     vals[3, 4, 0] = 1.0
     f = Section(g, vals)
     vol = ScalarField.constant(g, 1.0, ScalarField.POSITIVE)
-    k = FiberMetric(g)
-    assert weighted_inner_product(f, f, vol, k) == pytest.approx(g.dt * g.dx, rel=1e-14)
+    assert weighted_inner_product(f, f, vol) == pytest.approx(g.dt * g.dx, rel=1e-14)
 
 
 def test_inner_product_disjoint_supports():
@@ -47,7 +40,7 @@ def test_inner_product_disjoint_supports():
     a[2, :, 0] = 1.0
     b[5, :, 0] = 1.0
     vol = ScalarField.constant(g, 1.0, ScalarField.POSITIVE)
-    assert weighted_inner_product(Section(g, a), Section(g, b), vol, FiberMetric(g)) == 0.0
+    assert weighted_inner_product(Section(g, a), Section(g, b), vol) == 0.0
 
 
 def test_inner_product_matches_double_loop():
@@ -63,7 +56,7 @@ def test_inner_product_matches_double_loop():
             expected += fv[n, j, 0] * hv[n, j, 0] * volv[n, j]
     expected *= g.dt * g.dx
     got = weighted_inner_product(Section(g, fv), Section(g, hv),
-                                 ScalarField(g, volv, ScalarField.POSITIVE), FiberMetric(g))
+                                 ScalarField(g, volv, ScalarField.POSITIVE))
     assert got == pytest.approx(expected, rel=1e-13)
 
 
@@ -71,17 +64,16 @@ def test_inner_product_bilinear_symmetric_positive():
     g = make_grid(8, 8, 0.0, 1.0, 1.0)
     rng = np.random.default_rng(1)
     vol = ScalarField.constant(g, 1.0, ScalarField.POSITIVE)
-    k = FiberMetric(g)
     for _ in range(100):
         f = Section(g, rng.standard_normal((8, 8, 1)))
         h = Section(g, rng.standard_normal((8, 8, 1)))
-        sym = weighted_inner_product(f, h, vol, k) - weighted_inner_product(h, f, vol, k)
+        sym = weighted_inner_product(f, h, vol) - weighted_inner_product(h, f, vol)
         assert abs(sym) < 1e-14
-        assert weighted_inner_product(f, f, vol, k) > 0.0
+        assert weighted_inner_product(f, f, vol) > 0.0
     a = Section(g, 2.0 * f.values + h.values)
-    lin = (weighted_inner_product(a, h, vol, k)
-           - 2.0 * weighted_inner_product(f, h, vol, k)
-           - weighted_inner_product(h, h, vol, k))
+    lin = (weighted_inner_product(a, h, vol)
+           - 2.0 * weighted_inner_product(f, h, vol)
+           - weighted_inner_product(h, h, vol))
     assert abs(lin) < 1e-12
 
 
@@ -139,17 +131,6 @@ def test_scalar_field_range_constraints():
         ScalarField(g, np.zeros((8, 8)), ScalarField.POSITIVE)
 
 
-def test_fiber_metric_positivity_enforced():
-    g = make_grid(8, 8, 0.0, 1.0, 1.0, rank=2)
-    bad = np.zeros((8, 8, 2, 2))
-    bad[..., 0, 0] = 1.0
-    bad[..., 1, 1] = -1.0
-    with pytest.raises(ValueError):
-        FiberMetric(g, bad)
-    k = FiberMetric(g, np.array([[2.0, 0.3], [0.3, 1.0]]))
-    assert not k.is_identity
-
-
 def _poke(shape, fill, index, value):
     a = np.full(shape, fill)
     a.reshape(-1)[index % a.size] = value
@@ -164,7 +145,6 @@ NONFINITE_BUILDERS = {
     "section": lambda i, v: Section(G8, _poke((8, 8, 1), 0.0, i, v)),
     "scalar_positive": lambda i, v: ScalarField(G8, _poke((8, 8), 1.0, i, v), ScalarField.POSITIVE),
     "scalar_unit": lambda i, v: ScalarField(G8, _poke((8, 8), 0.5, i, v), ScalarField.UNIT),
-    "fiber_metric": lambda i, v: FiberMetric(G8, _poke((8, 8, 1, 1), 1.0, i, v)),
     "metric_g_tt": lambda i, v: MetricField(G8, _poke((8, 8), -1.0, i, v), 0.0, 1.0, 1.0, 0.0),
     "metric_orientation": lambda i, v: MetricField(G8, -1.0, 0.0, 1.0, _poke((8, 8), 1.0, i, v), 0.0),
 }
