@@ -86,8 +86,9 @@ class MetricField:
 
     # -- pointwise algebra -------------------------------------------------
 
-    def det(self) -> np.ndarray:
-        return self.g_tt * self.g_xx - self.g_tx**2
+    def det(self, rows=slice(None)) -> np.ndarray:
+        """det g on the levels `rows` (an index or a slice; default all)."""
+        return self.g_tt[rows] * self.g_xx[rows] - self.g_tx[rows]**2
 
     def quad(self, vt, vx) -> np.ndarray:
         """g(v, v) for a vector field with components (vt, vx)."""
@@ -96,19 +97,22 @@ class MetricField:
     def pair(self, ut, ux, vt, vx) -> np.ndarray:
         return self.g_tt * ut * vt + self.g_tx * (ut * vx + ux * vt) + self.g_xx * ux * vx
 
-    def inverse_components(self):
-        """g_sharp components (tt, tx, xx): the adjugate divided by det."""
-        d = self.det()
-        return self.g_xx / d, -self.g_tx / d, self.g_tt / d
+    def inverse_components(self, rows=slice(None)):
+        """g_sharp components (tt, tx, xx): the adjugate divided by det.
+
+        rows (an index or a slice of levels) computes those levels only.
+        """
+        d = self.det(rows)
+        return self.g_xx[rows] / d, -self.g_tx[rows] / d, self.g_tt[rows] / d
 
     def volume_density(self) -> np.ndarray:
         return np.sqrt(-self.det())
 
-    def scale(self) -> np.ndarray:
-        """max(|g_tt|, |g_tx|, |g_xx|) at every point."""
-        out = np.abs(self.g_tt)
+    def scale(self, rows=slice(None)) -> np.ndarray:
+        """max(|g_tt|, |g_tx|, |g_xx|) at every point of the levels `rows`."""
+        out = np.abs(self.g_tt[rows])
         for c in (self.g_tx, self.g_xx):
-            np.maximum(out, np.abs(c), out=out)
+            np.maximum(out, np.abs(c[rows]), out=out)
         return out
 
     def with_orientation(self, orient_t, orient_x) -> "MetricField":
@@ -117,17 +121,19 @@ class MetricField:
     def time_reversed(self) -> "MetricField":
         return self.with_orientation(-self.orient_t, -self.orient_x)
 
-    def null_slopes(self):
+    def null_slopes(self, rows=slice(None)):
         """Roots of g_tt + 2 g_tx s + g_xx s^2, as a (lo, hi) pair where finite.
 
         Points with g_xx == 0 have a single finite root (the other null
         direction is the spatial axis); callers that need the complete
-        boundary should use :func:`future_arcs` instead.
+        boundary should use :func:`future_arcs` instead.  rows (an index or
+        a slice of levels) computes those levels only.
         """
-        disc = np.sqrt(np.maximum(self.g_tx**2 - self.g_tt * self.g_xx, 0.0))
+        g_tt, g_tx, g_xx = self.g_tt[rows], self.g_tx[rows], self.g_xx[rows]
+        disc = np.sqrt(np.maximum(g_tx**2 - g_tt * g_xx, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = (-self.g_tx - disc) / self.g_xx
-            r2 = (-self.g_tx + disc) / self.g_xx
+            r1 = (-g_tx - disc) / g_xx
+            r2 = (-g_tx + disc) / g_xx
         lo = np.minimum(r1, r2)
         hi = np.maximum(r1, r2)
         return lo, hi

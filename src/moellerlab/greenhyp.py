@@ -46,6 +46,14 @@ default to the whole window.  A caller whose source vanishes below lo
 starts a forward march there, or stops a march at the last level it reads;
 the Moller steps do both, since their difference operator vanishes
 outside its switch window.
+
+Memory: an operator keeps its offsets, the volume density and the weights;
+scalar lower-order coefficients are broadcast views, not fields.  A pass
+over the whole window holds at most a fixed block of levels of scratch
+(``_BLOCK_BYTES`` a field, a private constant, not a setting): the march
+stacks the known-level offsets it reads a block at a time and writes each
+new level in place, and the symbol check and the march's own checks read
+the metric a block at a time, so their scratch does not grow with nt.
 """
 
 from __future__ import annotations
@@ -80,6 +88,7 @@ __all__ = [
 
 PAST_MARGIN = 2     # levels a past-compact-in-window source keeps clear of t_min
 CFL_SAFETY = 0.8
+_BLOCK_BYTES = 256 * 1024  # scratch of a whole-window pass (march block, symbol check)
 
 class MarchError(RuntimeError):
     """The causal march refuses an operator; subclasses name the failed `check` and `reason`."""
@@ -103,10 +112,6 @@ class SymbolMismatch(ValueError):
     pass
 
 
-def _roll_x(u, b):
-    return np.roll(u, -b, axis=1) if b else u
-
-
 def _blocks(grid, value_field=None):
     """An (nt, nx) field as an (nt, nx, 1, 1) stencil offset; zero without a field.
 
@@ -115,6 +120,18 @@ def _blocks(grid, value_field=None):
     if value_field is None:
         return np.zeros((grid.nt, grid.nx, 1, 1))
     return np.asarray(value_field, dtype=float).reshape(grid.nt, grid.nx, 1, 1)
+
+
+def _block_levels(level_bytes):
+    """Levels per block of a whole-window pass whose scratch takes level_bytes a level."""
+    return max(1, _BLOCK_BYTES // level_bytes)
+
+
+def _row_blocks(grid, first, stop):
+    """Consecutive slices of levels covering first <= n < stop, each a block of
+    at most :data:`_BLOCK_BYTES` a field."""
+    L = _block_levels(8 * grid.nx)
+    return [slice(r0, min(r0 + L, stop)) for r0 in range(first, stop, L)]
 
 
 def stencil_apply(offsets, u, rows=None):
@@ -142,13 +159,18 @@ def stencil_apply(offsets, u, rows=None):
 
 
 def _transposed(offsets):
-    """The offsets of the transposed stencil as (key, block) pairs, built one at a time."""
+    """The offsets of the transposed stencil as (key, block) pairs, built one at a time.
+
+    A block is a new array, except for key (0, 0), whose block is a view of
+    the original's.
+    """
     for (a, b), C in offsets.items():
         # original key (a, b) feeds transposed key (-a, -b); its value at
         # row (n, j) is the block at the source row (n - a, j - b)
-        T = _roll_x(np.swapaxes(C, -1, -2), -b)
+        T = np.swapaxes(C, -1, -2)
+        if a or b:
+            T = np.roll(T, (a, b), axis=(0, 1))
         if a:
-            T = np.roll(T, a, axis=0)
             T[0 if a == 1 else -1] = 0.0  # no source row beyond the window
         yield (-a, -b), T
 
@@ -167,12 +189,22 @@ def axis_class(metric: MetricField) -> int:
     and g^xx share a sign, or the class changes across the window, a
     retarded solution grows exponentially from level to level.
     """
-    itt, _, ixx = metric.inverse_components()
-    if np.max(itt) < 0.0 and np.min(ixx) > 0.0:
+    tt_lo, tt_hi, xx_lo, xx_hi = _inverse_ranges(metric)
+    if tt_hi < 0.0 and xx_lo > 0.0:
         return 1
-    if np.min(itt) > 0.0 and np.max(ixx) < 0.0:
+    if tt_lo > 0.0 and xx_hi < 0.0:
         return -1
     return 0
+
+
+def _inverse_ranges(metric: MetricField):
+    """min and max of g^tt, then of g^xx, over the window, read a block of levels at a time."""
+    ends = []
+    for rows in _row_blocks(metric.grid, 0, metric.grid.nt):
+        itt, _, ixx = metric.inverse_components(rows)
+        ends.append((itt.min(), itt.max(), ixx.min(), ixx.max()))
+    tt_lo, tt_hi, xx_lo, xx_hi = zip(*ends)
+    return min(tt_lo), max(tt_hi), min(xx_lo), max(xx_hi)
 
 
 def sup_norms(u):
@@ -230,14 +262,16 @@ class HyperbolicOperator:
     def _adjoint_items(self):
         """The offsets of V^{-1} N^T V as (key, block) pairs, built one at a time."""
         for (a, b), C in _transposed(self.offsets):
-            Wcol = _roll_x(np.roll(self.weight, -a, axis=0), b)
+            Wcol = np.roll(self.weight, (-a, -b), axis=(0, 1))
             if a == 1:
                 Wcol[-1] = 1.0
             elif a == -1:
                 Wcol[0] = 1.0
-            A = self.weight_inv[:, :, None, None] * C
-            A *= Wcol[:, :, None, None]
-            yield (a, b), A
+            if (a, b) == (0, 0):  # the one block that is a view of the stencil
+                C = C.copy()
+            C *= self.weight_inv[:, :, None, None]
+            C *= Wcol[:, :, None, None]
+            yield (a, b), C
 
     def adjoint_offsets(self):
         """Offsets of V^{-1} N^T V (the formal adjoint in the same volume)."""
@@ -251,6 +285,7 @@ class HyperbolicOperator:
             if k in self.offsets:
                 A -= self.offsets[k]  # |A - N| is |N - A| bit for bit
             worst = max(worst, float(np.max(np.abs(A, out=A))))
+            del A  # so the next offset's scratch does not share the peak with this one
         for k in self.offsets.keys() - seen:  # no transposed partner: compared with zero
             worst = max(worst, float(np.max(np.abs(self.offsets[k]))))
         return worst
@@ -291,14 +326,14 @@ class HyperbolicOperator:
 
     # -- principal symbol ----------------------------------------------------
 
-    def _principal_coefficient(self, i):
-        """Stencil-extracted second-order coefficient i of (att, atx, axx)."""
+    def _principal_coefficient(self, i, rows=slice(None)):
+        """Stencil-extracted second-order coefficient i of (att, atx, axx) on the levels `rows`."""
         g = self.grid
-        out = np.zeros((g.nt, g.nx))
+        out = np.zeros(self.vol[rows].shape)
         for (a, b), C in self.offsets.items():
             w = (0.5 * a * a * g.dt**2, a * b * g.dt * g.dx, 0.5 * b * b * g.dx**2)[i]
             if w:  # (0, 0) has zero weight in all three
-                out += w * C[..., 0, 0]
+                out += w * C[rows, :, 0, 0]
         return out
 
     def principal_coefficients(self):
@@ -312,15 +347,25 @@ class HyperbolicOperator:
         pointwise tolerance includes the metric's own discrete second
         differences; constant metrics are checked at round-off level.  Only
         the equation rows 1..nt-2 are checked: the one-sided boundary rows
-        carry partial sums.  The inverse metric is read once; its components
-        are then checked one at a time, each in a few fields of scratch.
+        carry partial sums.  The rows are checked in blocks of levels, each
+        read with one level of halo on either side for the second
+        differences, so the scratch is a few fields of one block
+        (:data:`_BLOCK_BYTES` a field) whatever the window; the first
+        mismatch found is the first in row order.
         """
-        vol = self.vol[1:-1]
-        tol = np.maximum(self.metric.scale()[1:-1], 1.0)
+        for rows in _row_blocks(self.grid, 1, self.grid.nt - 1):
+            self._check_symbol_rows(rows, tol_scale)
+
+    def _check_symbol_rows(self, rows, tol_scale):
+        """check_symbol on the equation rows in the slice rows, reading one more level either side."""
+        r0 = rows.start
+        halo = slice(r0 - 1, rows.stop + 1)
+        vol = self.vol[rows]
+        tol = np.maximum(self.metric.scale(rows), 1.0)
         tol *= tol_scale
 
         def stagger_err(w):
-            """|second differences| / 4 of w in t and in x (periodic), on the equation rows."""
+            """|second differences| / 4 of w in t and in x (periodic), on the halo's inner rows."""
             x = -2 * w[1:-1]  # each difference is (w- - 2 w) + w+, summed as (-2 w + w-) + w+
             x[:, 1:-1] += w[1:-1, :-2]
             x[:, 0] += w[1:-1, -1]
@@ -338,12 +383,13 @@ class HyperbolicOperator:
             return err
 
         def bad(c, i, k):
-            """Where coefficient i misses -k times its g_sharp component c by more than the bound."""
-            got = self._principal_coefficient(i)[1:-1]
+            """Where coefficient i misses -k times its g_sharp component c (read on the halo)
+            by more than the bound."""
+            got = self._principal_coefficient(i, rows)
             if i == 1 and not (c.any() or got.any()):
                 return False  # no cross term to check
             # factor 2 margin: edge averaging in t and x mixes in the cross term
-            bound = stagger_err(self.vol * c)
+            bound = stagger_err(self.vol[halo] * c)
             bound *= 2
             bound /= vol
             rel = np.abs(c[1:-1])
@@ -353,11 +399,11 @@ class HyperbolicOperator:
             got -= -k * c[1:-1]
             return np.abs(got, out=got) > bound
 
-        itt, itx, ixx = self.metric.inverse_components()
+        itt, itx, ixx = self.metric.inverse_components(halo)
         mismatch = bad(itt, 0, 1) | bad(ixx, 2, 1) | bad(itx, 1, 2)
         if mismatch.any():
             n, j = map(int, np.argwhere(mismatch)[0])
-            raise SymbolMismatch(f"principal symbol mismatch at point (level={n + 1}, site={j})")
+            raise SymbolMismatch(f"principal symbol mismatch at point (level={r0 + n}, site={j})")
 
     # -- causal marching ------------------------------------------------------
 
@@ -365,16 +411,20 @@ class HyperbolicOperator:
     def _march_refusal(self):
         """None, or the (error class, message) every march of this operator raises.
 
-        Computed once: the metric's components are read-only.
+        Computed once: the metric's components are read-only.  The metric is
+        read a block of levels at a time.
         """
         if axis_class(self.metric) == 0:
-            itt, _, ixx = self.metric.inverse_components()
+            tt_lo, tt_hi, xx_lo, xx_hi = _inverse_ranges(self.metric)
             return UnstableMarch, (
                 f"the lattice-time march is unstable unless g^tt and g^xx keep opposite "
-                f"signs, the same at every point; g^tt lies in [{itt.min():.3g}, {itt.max():.3g}], "
-                f"g^xx in [{ixx.min():.3g}, {ixx.max():.3g}]")
-        lo, hi = self.metric.null_slopes()  # finite: g_xx = g^tt det g != 0
-        bound = CFL_SAFETY * self.grid.dx / float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
+                f"signs, the same at every point; g^tt lies in [{tt_lo:.3g}, {tt_hi:.3g}], "
+                f"g^xx in [{xx_lo:.3g}, {xx_hi:.3g}]")
+        speed = 0.0
+        for rows in _row_blocks(self.grid, 0, self.grid.nt):
+            lo, hi = self.metric.null_slopes(rows)  # finite: g_xx = g^tt det g != 0
+            speed = max(speed, float(np.max(np.maximum(np.abs(lo), np.abs(hi)))))
+        bound = CFL_SAFETY * self.grid.dx / speed
         if self.grid.dt > bound:
             return CFLError, f"CFL violated: dt={self.grid.dt:.3g} > {CFL_SAFETY}*dx/speed={bound:.3g}"
         return None
@@ -432,11 +482,11 @@ class HyperbolicOperator:
         if direction >= 0 or seeds is not None:
             step = self._step(1)
             for n in range(max(hi, first), stop):
-                u[n + 1] = step(n, F[n], u)
+                step(n, F[n], u)
         if direction < 0 or seeds is not None:
             step = self._step(-1)
             for n in range(min(lo, stop - 1), first - 1, -1):
-                u[n - 1] = step(n, F[n], u)
+                step(n, F[n], u)
         return np.moveaxis(u, -1, 0) if batched else u[..., 0]
 
 
@@ -444,24 +494,45 @@ class _Step:
     """One march step of an operator: level n + a from levels n and n - a.
 
     The known part, offsets (0, b) on level n and (-a, b) on level n - a, is
-    one gather of the two-level window of u and one einsum; the subclass
-    solves the new-level system, offsets (a, b), for the rest.
+    one gather of the two-level window of u and one einsum against the m
+    known offsets' rows of level n side by side, a C-contiguous (nx, 1, m)
+    array (einsum's summation order depends on the layout, so this fixes the
+    bits).  The step keeps views of the known offsets and stacks their rows
+    a block of levels at a time, as many as :data:`_BLOCK_BYTES` holds,
+    caching the last block: a window that fits in one block is stacked once
+    for all marches, a larger one block by block in each march.  The
+    subclass solves the new-level system, offsets (a, b), for the rest.
     """
 
     def __init__(self, op: HyperbolicOperator, a: int):
         nx = op.grid.nx
         sites = np.arange(nx)
+        self.a = a
         self.lo = min(0, -a)  # first level of the window u[n + lo : n + lo + 2]
         known = [(c, b) for c in (0, -a) for b in (-1, 0, 1) if (c, b) in op.offsets]
         self.gather = np.stack([(c - self.lo) * nx + (sites + b) % nx for c, b in known], axis=1)
-        self.known = np.concatenate([op.offsets[k] for k in known], axis=-1)
+        self.known = [op.offsets[k] for k in known]
+        self.levels = min(_block_levels(8 * nx * len(known)), op.grid.nt)
+        self.buffer = np.empty((self.levels, nx, 1, len(known)))
+        self.first, self.block = 0, ()  # empty: the first call stacks
+
+    def _stack(self, n):
+        """Stack the block of levels that holds level n; return n's place in it."""
+        L = self.levels
+        self.first = n - n % L
+        parts = [C[self.first:self.first + L] for C in self.known]
+        self.block = np.concatenate(parts, axis=-1, out=self.buffer[:len(parts[0])])
+        return n - self.first
 
     def __call__(self, n, f_n, u):
-        """Level n + a of the (nt, nx, 1, K) batch u from its (nx, 1, K) source rows f_n."""
+        """Write level n + a of the (nt, nx, 1, K) batch u from its (nx, 1, K) source rows f_n."""
         nx, _, K = f_n.shape
+        i = n - self.first
+        if not 0 <= i < len(self.block):
+            i = self._stack(n)
         window = u[n + self.lo:n + self.lo + 2].reshape(2 * nx, 1, K)
-        rhs = f_n - np.einsum("xab,xbk->xak", self.known[n], window[self.gather].reshape(nx, -1, K))
-        return self.solve(n, rhs)
+        rhs = np.einsum("xab,xbk->xak", self.block[i], window[self.gather].reshape(nx, -1, K))
+        self.solve(n, np.subtract(f_n, rhs, out=rhs), u[n + self.a])
 
 
 def _singular(n):
@@ -482,9 +553,8 @@ class _SiteStep(_Step):
         if zero.any():
             raise _singular(1 + int(np.argmax(zero)))
 
-    def solve(self, n, rhs):
-        rhs /= self.diag[n]
-        return rhs
+    def solve(self, n, rhs, out):
+        np.divide(rhs, self.diag[n], out=out)
 
 
 class _BandedStep(_Step):
@@ -525,11 +595,11 @@ class _BandedStep(_Step):
             self.factors[n] = (lu, piv)
         return self.factors[n]
 
-    def solve(self, n, rhs):
+    def solve(self, n, rhs, out):
         nx, _, K = rhs.shape
         lu, piv = self.factor(n)
         x, _ = self.dgbtrs(lu, self.kl, self.kl, rhs[self.order].reshape(nx, K), piv, overwrite_b=True)
-        return x.reshape(nx, 1, K)[self.pos]
+        np.take(x.reshape(nx, 1, K), self.pos, axis=0, out=out, mode="clip")  # "raise" buffers out
 
 
 # -- constructors -------------------------------------------------------------
@@ -586,8 +656,9 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None, hxx_override=N
                    check=True) -> HyperbolicOperator:
     """Assemble the lattice operator for a metric plus lower-order fields.
 
-    A0, A1, B are scalars or (nt, nx) fields entering as A0 d_t + A1 d_x + B,
-    and the operator keeps them as (nt, nx) fields; hxx_override replaces
+    A0, A1, B are scalars or (nt, nx) fields entering as A0 d_t + A1 d_x + B;
+    the operator keeps them as (nt, nx) arrays, a scalar as a read-only
+    broadcast view of itself, so it costs no field; hxx_override replaces
     the spatial principal coefficient and exists to exercise the symbol
     verifier, which rejects any stencil whose extracted second-order part
     deviates from -g_sharp.
@@ -601,7 +672,7 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None, hxx_override=N
             return None
         c = np.asarray(c, dtype=float)
         if c.shape == ():
-            return np.full((g.nt, g.nx), float(c))
+            return np.broadcast_to(c, (g.nt, g.nx))
         if c.shape != (g.nt, g.nx):
             raise ValueError("coefficient shape does not match grid")
         return c.copy()
@@ -757,7 +828,7 @@ def solve_cauchy(N: HyperbolicOperator, slice_index: int, h1, h2, f=None) -> Sec
     N.check_march()
     h1 = np.asarray(h1, dtype=float).reshape(g.nx, g.rank)
     h2 = np.asarray(h2, dtype=float).reshape(g.nx, g.rank)
-    fv = np.zeros((g.nt, g.nx, g.rank)) if f is None else \
+    fv = np.broadcast_to(0.0, (g.nt, g.nx, g.rank)) if f is None else \
         (f.values if isinstance(f, Section) else np.asarray(f, dtype=float))
     if fv.shape == (g.nt, g.nx):
         fv = fv[:, :, None]
@@ -770,16 +841,14 @@ def _taylor_start(N, s, h1, h2, f_s):
     """Level s + 1 of the second-order start from values h1 and time derivative h2 on level s.
 
     u_tt is read off the equation at the data slice by probing the stencil,
-    on row s only, with the linear-in-time extension of the data.  Nothing
-    made here outlives the call, so none of it is held through the march.
+    on row s only, with the linear-in-time extension of the data.  Only the
+    three levels s - 1 .. s + 1 are made and read, of the data and of the
+    stencil, and g^tt is read on row s alone.
     """
     g = N.grid
-    u0 = np.zeros((g.nt, g.nx, g.rank))
-    u0[s] = h1
-    u0[s + 1] = h1 + g.dt * h2
-    u0[s - 1] = h1 - g.dt * h2
-    res = f_s - stencil_apply(N.offsets, u0, rows=(s, s + 1))[s]
-    itt = N.metric.inverse_components()[0][s][:, None]
+    u3 = np.stack([h1 - g.dt * h2, h1, h1 + g.dt * h2])
+    res = f_s - stencil_apply({k: C[s - 1:s + 2] for k, C in N.offsets.items()}, u3, rows=(1, 2))[1]
+    itt = N.metric.inverse_components(s)[0][:, None]
     utt = res / (-itt)  # the stencil's u_tt coefficient is -g^tt
     return h1 + g.dt * h2 + 0.5 * g.dt**2 * utt
 
