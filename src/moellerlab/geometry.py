@@ -1,7 +1,8 @@
 """Lorentzian metric fields on the lattice and their light-cone algebra.
 
 A metric field stores the symmetric 2x2 components (g_tt, g_tx, g_xx) and a
-time-orientation vector field X at every lattice point.  In 1+1 dimensions
+time-orientation vector field X at every lattice point, each kept once per
+level where it does not vary along x (:func:`stored_field`).  In 1+1 dimensions
 the light cone at a point is determined by the two null slopes, so cone
 inclusion, the cone preorder, cone-overlap witnesses and causal-chain
 construction are all finite slope-interval computations rather than sampled
@@ -53,73 +54,110 @@ _GUARD = 1e-12       # round-off guard for sign tests, relative to coefficient s
 _DET_FLOOR = 1e-10   # metrics closer to degeneracy than this are rejected
 
 
+def _constant_along_x(c) -> bool:
+    """True when every level of the (nt, nx) array c holds one value, bit for bit.
+
+    The test compares bits, so -0.0 and 0.0 differ; an array broadcast along
+    x (stride 0) passes without a look.
+    """
+    if c.strides[1] == 0:
+        return True
+    bits = c.view(np.uint64)
+    return bool((bits == bits[:, :1]).all())
+
+
+def stored_field(grid: SpacetimeGrid, c) -> np.ndarray:
+    """A new array holding c at the resolution it varies at.
+
+    c is a scalar, an (nt, 1) column or an (nt, nx) field.  The result is
+    (nt, 1) when every level is constant along x (:func:`_constant_along_x`),
+    else an (nt, nx) field; either broadcasts against (nt, nx) fields.  This
+    is the one place that decides how a field is stored.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.shape not in ((), (grid.nt, 1), (grid.nt, grid.nx)):
+        raise ValueError(f"field shape {c.shape} does not match grid")
+    full = np.broadcast_to(c, (grid.nt, grid.nx))
+    return full[:, :1].copy() if _constant_along_x(full) else full.copy()
+
+
 class MetricField:
     """Per-point Lorentzian 2x2 metric with a chosen time orientation.
 
     Signature is (-, +): det g < 0 everywhere, and the orientation field X
     must be timelike (g(X,X) < 0); the future half-cone at each point is the
     connected component of the open cone containing X.
+
+    Each component is a scalar, an (nt, 1) column or an (nt, nx) field, and
+    is stored at the resolution it varies at (:func:`stored_field`): one
+    value per level when it is constant along x, as every preset and every
+    time-switched blend of presets is.  ``stored`` holds the five arrays as
+    kept, in the order (g_tt, g_tx, g_xx, orient_t, orient_x); ``g_tt`` and
+    the other component names are read-only (nt, nx) broadcast views of
+    them, so reading one site is unchanged.  The pointwise algebra (``det``,
+    ``inverse_components``, ``volume_density``, ``scale``, ``null_slopes``,
+    ``quad``, ``pair``) and the cone algebra compute on the stored arrays:
+    their results have the broadcast shape of what they read, (nt, 1) for a
+    metric constant along x.
     """
 
     def __init__(self, grid: SpacetimeGrid, g_tt, g_tx, g_xx, orient_t, orient_x):
-        shape = (grid.nt, grid.nx)
-        comp = []
+        stored = []
         for c in (g_tt, g_tx, g_xx, orient_t, orient_x):
-            c = np.asarray(c, dtype=float)
-            if c.shape == ():
-                c = np.full(shape, float(c))
-            if c.shape != shape:
-                raise ValueError("metric component shape does not match grid")
+            c = stored_field(grid, c)
             if not np.all(np.isfinite(c)):
                 raise ValueError("metric and orientation components must be finite")
-            comp.append(np.ascontiguousarray(c))
+            c.flags.writeable = False
+            stored.append(c)
         self.grid = grid
-        self.g_tt, self.g_tx, self.g_xx, self.orient_t, self.orient_x = comp
+        self.stored = tuple(stored)
+        self.g_tt, self.g_tx, self.g_xx, self.orient_t, self.orient_x = (
+            np.broadcast_to(c, (grid.nt, grid.nx)) for c in stored)
         det = self.det()
         if np.max(det) >= -_DET_FLOOR:
             raise ValueError("not Lorentzian: det g must be < -1e-10 at every point")
-        qx = self.quad(self.orient_t, self.orient_x)
+        qx = self.quad(*self.stored[3:])
         if np.max(qx) >= 0.0:
             raise ValueError("orientation field must be timelike at every point")
-        for c in comp:
-            c.flags.writeable = False
 
     # -- pointwise algebra -------------------------------------------------
 
     def det(self, rows=slice(None)) -> np.ndarray:
         """det g on the levels `rows` (an index or a slice; default all)."""
-        return self.g_tt[rows] * self.g_xx[rows] - self.g_tx[rows]**2
+        tt, tx, xx = (c[rows] for c in self.stored[:3])
+        return tt * xx - tx**2
 
     def quad(self, vt, vx) -> np.ndarray:
         """g(v, v) for a vector field with components (vt, vx)."""
-        return self.g_tt * vt * vt + 2.0 * self.g_tx * vt * vx + self.g_xx * vx * vx
+        tt, tx, xx = self.stored[:3]
+        return tt * vt * vt + 2.0 * tx * vt * vx + xx * vx * vx
 
     def pair(self, ut, ux, vt, vx) -> np.ndarray:
-        return self.g_tt * ut * vt + self.g_tx * (ut * vx + ux * vt) + self.g_xx * ux * vx
+        tt, tx, xx = self.stored[:3]
+        return tt * ut * vt + tx * (ut * vx + ux * vt) + xx * ux * vx
 
     def inverse_components(self, rows=slice(None)):
         """g_sharp components (tt, tx, xx): the adjugate divided by det.
 
         rows (an index or a slice of levels) computes those levels only.
         """
-        d = self.det(rows)
-        return self.g_xx[rows] / d, -self.g_tx[rows] / d, self.g_tt[rows] / d
+        tt, tx, xx = (c[rows] for c in self.stored[:3])
+        d = tt * xx - tx**2
+        return xx / d, -tx / d, tt / d
 
     def volume_density(self) -> np.ndarray:
         return np.sqrt(-self.det())
 
     def scale(self, rows=slice(None)) -> np.ndarray:
         """max(|g_tt|, |g_tx|, |g_xx|) at every point of the levels `rows`."""
-        out = np.abs(self.g_tt[rows])
-        for c in (self.g_tx, self.g_xx):
-            np.maximum(out, np.abs(c[rows]), out=out)
-        return out
+        tt, tx, xx = (np.abs(c[rows]) for c in self.stored[:3])
+        return np.maximum(np.maximum(tt, tx), xx)
 
     def with_orientation(self, orient_t, orient_x) -> "MetricField":
-        return MetricField(self.grid, self.g_tt, self.g_tx, self.g_xx, orient_t, orient_x)
+        return MetricField(self.grid, *self.stored[:3], orient_t, orient_x)
 
     def time_reversed(self) -> "MetricField":
-        return self.with_orientation(-self.orient_t, -self.orient_x)
+        return self.with_orientation(-self.stored[3], -self.stored[4])
 
     def null_slopes(self, rows=slice(None)):
         """Roots of g_tt + 2 g_tx s + g_xx s^2, as a (lo, hi) pair where finite.
@@ -129,7 +167,7 @@ class MetricField:
         boundary should use :func:`future_arcs` instead.  rows (an index or
         a slice of levels) computes those levels only.
         """
-        g_tt, g_tx, g_xx = self.g_tt[rows], self.g_tx[rows], self.g_xx[rows]
+        g_tt, g_tx, g_xx = (c[rows] for c in self.stored[:3])
         disc = np.sqrt(np.maximum(g_tx**2 - g_tt * g_xx, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             r1 = (-g_tx - disc) / g_xx
@@ -153,14 +191,14 @@ def future_arcs(metric: MetricField):
     future half is the open arc between the two bracketing rays.  Widths are
     strictly below pi for any Lorentzian metric.
     """
-    a, b, c = metric.g_tt, metric.g_tx, metric.g_xx
+    a, b, c, ot, ox = metric.stored
     disc = np.sqrt(np.maximum(b * b - a * c, 0.0))
     safe_c = np.where(c != 0.0, c, 1.0)
     s1 = np.where(c != 0.0, (-b - disc) / safe_c, 0.0)
     s2 = np.where(c != 0.0, (-b + disc) / safe_c, 0.0)
     th1 = np.where(c != 0.0, np.arctan2(s1, 1.0), np.arctan2(-a, 2.0 * b))
     th2 = np.where(c != 0.0, np.arctan2(s2, 1.0), np.pi / 2.0)
-    thX = np.arctan2(metric.orient_x, metric.orient_t)
+    thX = np.arctan2(ox, ot)
     rays = np.stack([th1, th2, th1 + np.pi, th2 + np.pi])
     ahead = np.mod(rays - thX[None], 2.0 * np.pi)   # counterclockwise gap to each ray
     behind = np.mod(thX[None] - rays, 2.0 * np.pi)
@@ -177,8 +215,9 @@ def metric_from_arcs(grid: SpacetimeGrid, center, halfwidth) -> MetricField:
     Built from the two boundary null lines; components are normalized to
     max-abs 1 per point and the orientation is the arc bisector.
     """
-    center = np.broadcast_to(np.asarray(center, dtype=float), (grid.nt, grid.nx))
-    halfwidth = np.broadcast_to(np.asarray(halfwidth, dtype=float), (grid.nt, grid.nx))
+    center, halfwidth = (stored_field(grid, np.broadcast_to(np.asarray(v, dtype=float),
+                                                            (grid.nt, grid.nx)))
+                         for v in (center, halfwidth))
     if np.any(halfwidth <= 0.0) or np.any(halfwidth >= np.pi / 2.0):
         raise ValueError("arc halfwidth must lie in (0, pi/2) for a Lorentzian cone")
     th1 = center - halfwidth
@@ -227,9 +266,9 @@ def inverse_metric(g: MetricField) -> np.ndarray:
 def musical_sharp(g: MetricField, p, covector) -> np.ndarray:
     """Raise an index: the vector v with g(v, .) = omega."""
     n, j = p
-    itt, itx, ixx = g.inverse_components()
+    itt, itx, ixx = (np.broadcast_to(c, (g.grid.nt, g.grid.nx))[n, j] for c in g.inverse_components())
     w0, w1 = float(covector[0]), float(covector[1])
-    return np.array([itt[n, j] * w0 + itx[n, j] * w1, itx[n, j] * w0 + ixx[n, j] * w1])
+    return np.array([itt * w0 + itx * w1, itx * w0 + ixx * w1])
 
 
 def musical_flat(g: MetricField, p, vector) -> np.ndarray:
@@ -251,12 +290,11 @@ def _inclusion_mask(g: MetricField, gp: MetricField) -> np.ndarray:
     """
     center, halfwidth = future_arcs(g)
     eta = _GUARD * gp.scale()
-    ok = np.ones((g.grid.nt, g.grid.nx), dtype=bool)
+    ot, ox = g.stored[3:]
+    nrm = np.hypot(ot, ox)
+    ok = gp.quad(ot / nrm, ox / nrm) < 0.0
     for th in (center - halfwidth, center + halfwidth):
-        ray_q = gp.quad(np.cos(th), np.sin(th))
-        ok &= ray_q <= eta
-    nrm = np.hypot(g.orient_t, g.orient_x)
-    ok &= gp.quad(g.orient_t / nrm, g.orient_x / nrm) < 0.0
+        ok = ok & (gp.quad(np.cos(th), np.sin(th)) <= eta)
     return ok
 
 
@@ -264,7 +302,7 @@ def cone_inclusion(g: MetricField, gp: MetricField, p=None):
     """V^g_p subset V^{g'}_p, at one point or (p=None) at every point."""
     mask = _inclusion_mask(g, gp)
     if p is not None:
-        return bool(mask[p[0], p[1]])
+        return bool(np.broadcast_to(mask, (g.grid.nt, g.grid.nx))[p[0], p[1]])
     return bool(mask.all())
 
 
@@ -276,7 +314,7 @@ def preceq(g: MetricField, gp: MetricField):
     """
     if not cone_inclusion(g, gp):
         return False
-    s = gp.pair(gp.orient_t, gp.orient_x, g.orient_t, g.orient_x)
+    s = gp.pair(*gp.stored[3:], *g.stored[3:])
     if np.all(s < 0.0):
         return ALIGNED
     if np.all(s > 0.0):
@@ -293,16 +331,11 @@ def _require_comparable(g, gp):
 def convex_combination(g: MetricField, gp: MetricField, chi: ScalarField) -> MetricField:
     """Pointwise blend (1-chi) g + chi g'; requires g preceq g' aligned."""
     _require_comparable(g, gp)
-    w = chi.values
+    w = stored_field(g.grid, chi.values)
     if w.min() < 0.0 or w.max() > 1.0:
         raise ValueError("blend weight must take values in [0,1]")
-    return MetricField(
-        g.grid,
-        (1.0 - w) * g.g_tt + w * gp.g_tt,
-        (1.0 - w) * g.g_tx + w * gp.g_tx,
-        (1.0 - w) * g.g_xx + w * gp.g_xx,
-        g.orient_t, g.orient_x,
-    )
+    return MetricField(g.grid, *((1.0 - w) * c0 + w * c1 for c0, c1 in zip(g.stored[:3], gp.stored[:3])),
+                       *g.stored[3:])
 
 
 def sharp_interpolation(g: MetricField, gp: MetricField, chi: ScalarField) -> MetricField:
@@ -313,7 +346,7 @@ def sharp_interpolation(g: MetricField, gp: MetricField, chi: ScalarField) -> Me
     exactly with the endpoint operators outside the transition window.
     """
     _require_comparable(g, gp)
-    w = chi.values
+    w = stored_field(g.grid, chi.values)
     if w.min() < 0.0 or w.max() > 1.0:
         raise ValueError("blend weight must take values in [0,1]")
     i0 = g.inverse_components()
@@ -321,10 +354,8 @@ def sharp_interpolation(g: MetricField, gp: MetricField, chi: ScalarField) -> Me
     btt, btx, bxx = ((1.0 - w) * i0[k] + w * i1[k] for k in range(3))
     d = btt * bxx - btx**2
     comp = [np.where(w == 0.0, c0, np.where(w == 1.0, c1, cb))
-            for c0, c1, cb in zip((g.g_tt, g.g_tx, g.g_xx),
-                                  (gp.g_tt, gp.g_tx, gp.g_xx),
-                                  (bxx / d, -btx / d, btt / d))]
-    return MetricField(g.grid, comp[0], comp[1], comp[2], g.orient_t, g.orient_x)
+            for c0, c1, cb in zip(g.stored[:3], gp.stored[:3], (bxx / d, -btx / d, btt / d))]
+    return MetricField(g.grid, *comp, *g.stored[3:])
 
 
 def squeeze_metric(g: MetricField, X, a) -> MetricField:
@@ -334,18 +365,18 @@ def squeeze_metric(g: MetricField, X, a) -> MetricField:
     squeezed cone closure sits inside the cone of g for a < 1, with X still
     interior.  a may be a scalar or a ScalarField.
     """
-    Xt, Xx = (np.broadcast_to(np.asarray(c, dtype=float), (g.grid.nt, g.grid.nx)) for c in X)
-    av = a.values if isinstance(a, ScalarField) else np.broadcast_to(np.asarray(a, dtype=float), (g.grid.nt, g.grid.nx))
+    Xt, Xx = (stored_field(g.grid, c) for c in X)
+    av = stored_field(g.grid, a.values if isinstance(a, ScalarField) else a)
     if av.min() <= 0.0 or av.max() > 1.0:
         raise ValueError("squeeze factor must lie in (0, 1]")
     qXX = g.quad(Xt, Xx)
     if np.max(qXX) >= 0.0:
         raise ValueError("squeeze axis must be timelike for g")
-    wt = g.g_tt * Xt + g.g_tx * Xx   # covector g(X, .)
-    wx = g.g_tx * Xt + g.g_xx * Xx
+    tt, tx, xx = g.stored[:3]
+    wt = tt * Xt + tx * Xx   # covector g(X, .)
+    wx = tx * Xt + xx * Xx
     f = (av - 1.0) / qXX
-    return MetricField(g.grid, g.g_tt + f * wt * wt, g.g_tx + f * wt * wx,
-                       g.g_xx + f * wx * wx, Xt, Xx)
+    return MetricField(g.grid, tt + f * wt * wt, tx + f * wt * wx, xx + f * wx * wx, Xt, Xx)
 
 
 # -- overlap witnesses and paracausal chains --------------------------------
@@ -380,7 +411,7 @@ def paracausal_witness(g: MetricField, gp: MetricField):
     X, _bad = cones_intersect_future(g, gp)
     if X is None:
         return None
-    shape = (g.grid.nt, g.grid.nx)
+    shape = np.broadcast_shapes(*(c.shape for c in X))
     lo = np.full(shape, 1e-4)
     hi = np.ones(shape)
 
@@ -533,29 +564,27 @@ def _rotation_bridge_chain(g, gp):
 
 
 def _orthogonal_form(g):
-    return bool(np.max(np.abs(g.g_tx)) == 0.0)
+    return bool(np.max(np.abs(g.stored[1])) == 0.0)
 
 
 def _t_forward(g):
     """Orientation points to increasing lattice time and slices are spacelike."""
-    return bool(np.min(g.g_xx) > 0.0 and np.min(g.orient_t) > 0.0)
+    return bool(np.min(g.stored[2]) > 0.0 and np.min(g.stored[3]) > 0.0)
 
 
 def _t_backward(g):
-    return bool(np.min(g.g_xx) > 0.0 and np.max(g.orient_t) < 0.0)
+    return bool(np.min(g.stored[2]) > 0.0 and np.max(g.stored[3]) < 0.0)
 
 
 def _lapse_one(g):
     """Conformal rescale to unit lapse: divide by -1/g_sharp^tt."""
     itt, _, _ = g.inverse_components()
     beta2 = -1.0 / itt
-    return MetricField(g.grid, g.g_tt / beta2, g.g_tx / beta2, g.g_xx / beta2,
-                       g.orient_t, g.orient_x)
+    return MetricField(g.grid, *(c / beta2 for c in g.stored[:3]), *g.stored[3:])
 
 
 def _ultrastatic(grid, h, orient_sign=1.0):
-    return MetricField(grid, -1.0, 0.0, np.broadcast_to(np.asarray(h, dtype=float), (grid.nt, grid.nx)),
-                       orient_sign, 0.0)
+    return MetricField(grid, -1.0, 0.0, h, orient_sign, 0.0)
 
 
 def _half_chain_to_flat(g):
@@ -569,7 +598,7 @@ def _half_chain_to_flat(g):
     lam = 0.5
     ghat = _lapse_one(g)
     if _orthogonal_form(g):
-        hhat = ghat.g_xx
+        hhat = ghat.stored[2]
         w1 = _ultrastatic(grid, (1.0 - lam) * hhat)
         glam = _ultrastatic(grid, lam + (1.0 - lam) * hhat)
         ulam = _ultrastatic(grid, lam)
@@ -625,13 +654,11 @@ def alpha_rescale(g_split: MetricField, alpha) -> MetricField:
     if not _orthogonal_form(g_split):
         raise ValueError("input must be in orthogonal splitting form (g_tx = 0)")
     av = alpha.values if isinstance(alpha, ScalarField) else np.asarray(alpha, dtype=float)
-    if av.ndim == 1:
-        av = np.repeat(av[:, None], g_split.grid.nx, axis=1)
+    av = stored_field(g_split.grid, av[:, None] if av.ndim == 1 else av)
     if av.min() <= 0.0:
         raise ValueError("alpha must be positive")
-    beta2 = -g_split.g_tt
-    return MetricField(g_split.grid, -1.0, 0.0, av * g_split.g_xx / beta2,
-                       g_split.orient_t, 0.0)
+    tt, _, xx, ot, _ = g_split.stored
+    return MetricField(g_split.grid, -1.0, 0.0, av * xx / -tt, ot, 0.0)
 
 
 def tune_alpha(g_split: MetricField, gp: MetricField) -> ScalarField:
@@ -647,7 +674,7 @@ def tune_alpha(g_split: MetricField, gp: MetricField) -> ScalarField:
     # g'-normal of the slices: sharp of dt, normalized and future-directed
     nt = itt / np.sqrt(-itt)
     nx = itx / np.sqrt(-itt)
-    s = gp.pair(gp.orient_t, gp.orient_x, nt, nx)
+    s = gp.pair(*gp.stored[3:], nt, nx)
     flip = np.where(s < 0.0, 1.0, -1.0)
     nt, nx = nt * flip, nx * flip
     f = (nx / nt) ** 2
@@ -699,37 +726,50 @@ def causal_future(g: MetricField, points):
     contains a spatial direction also spread along their slice in that
     direction, which is how closed causal loops appear on the cylinder;
     cones that are not forward in lattice time spread conservatively over
-    the adjacent slices they can reach.
+    the adjacent slices they can reach.  A seed outside the window is
+    refused with a ValueError that names it.
+
+    Each sweep takes one array step per level: the reached sites of a level
+    mark their targets on the next level through a precomputed window of
+    (site, offset) targets, and a reached site whose cone straddles a
+    spatial direction floods the next level.  A sweep that no point can
+    move is skipped.
     """
     grid = g.grid
-    lo, hi, t_forward, t_backward, sp, sm = _cone_step_data(g)
-    reach = np.zeros((grid.nt, grid.nx), dtype=bool)
+    nt, nx = grid.nt, grid.nx
+    reach = np.zeros((nt, nx), dtype=bool)
     for (n, j) in points:
+        if not (0 <= n < nt and 0 <= j < nx):
+            raise ValueError(f"seed {(n, j)} lies outside the {nt}x{nx} window")
         reach[n, j] = True
-    for _ in range(grid.nt * 2):
+    lo, hi, t_forward, t_backward, sp, sm = (np.broadcast_to(c, (nt, nx)) for c in _cone_step_data(g))
+    spatial = sp | sm
+    # offsets lo..hi of each point, padded with hi (a repeated target); nx
+    # consecutive offsets already reach every site
+    width = min(int(np.max(hi - lo)) + 1, nx)
+    offsets = np.minimum(lo[..., None] + np.arange(width), hi[..., None])
+    sites = np.arange(nx)[:, None]
+    # (level step, sites that mark targets, their targets, sites that flood)
+    sweeps = [(+1, t_forward, (sites + offsets) % nx, spatial & ~t_forward),
+              (-1, t_backward, (sites - offsets) % nx, spatial & ~t_forward & ~t_backward)]
+    sweeps = [sw for sw in sweeps if sw[1].any() or sw[3].any()]
+    for _ in range(nt * 2):
         before = reach.copy()
         # directional same-level spread through spatially open cells
-        for _ in range(grid.nx):
+        for _ in range(nx if spatial.any() else 0):
             new = (np.roll(reach & sp, 1, axis=1) | np.roll(reach & sm, -1, axis=1)) & ~reach
             if not new.any():
                 break
             reach |= new
         # one time step per level, toward the half the cone points into;
         # cones straddling a spatial direction flood the adjacent slice
-        for n in range(grid.nt - 1):
-            for j in np.where(reach[n])[0]:
-                if t_forward[n, j]:
-                    for o in range(lo[n, j], hi[n, j] + 1):
-                        reach[n + 1, (j + o) % grid.nx] = True
-                elif sp[n, j] or sm[n, j]:
-                    reach[n + 1] |= True
-        for n in range(grid.nt - 1, 0, -1):
-            for j in np.where(reach[n])[0]:
-                if t_backward[n, j]:
-                    for o in range(lo[n, j], hi[n, j] + 1):
-                        reach[n - 1, (j - o) % grid.nx] = True
-                elif (sp[n, j] or sm[n, j]) and not t_forward[n, j]:
-                    reach[n - 1] |= True
+        for step, marks, targets, floods in sweeps:
+            for n in range(nt - 1) if step > 0 else range(nt - 1, 0, -1):
+                here = reach[n]
+                if floods[n][here].any():
+                    reach[n + step] = True
+                else:
+                    reach[n + step, targets[n][here & marks[n]]] = True
         if np.array_equal(before, reach):
             break
     return reach
@@ -770,7 +810,7 @@ def metric_preset(name: str, grid: SpacetimeGrid, **params) -> MetricField:
             raise ValueError("warp amplitude must lie in [0, 1)")
         t = grid.times
         f = 1.0 + amp * np.sin(2.0 * np.pi * (t - grid.t_min) / (grid.t_max - grid.t_min))
-        return MetricField(grid, -1.0, 0.0, np.repeat(f[:, None], grid.nx, axis=1), 1.0, 0.0)
+        return MetricField(grid, -1.0, 0.0, f[:, None], 1.0, 0.0)
     if key == "ultrastatic":
         h = float(params.get("h", 1.0))
         if h <= 0:

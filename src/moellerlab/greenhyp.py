@@ -14,9 +14,11 @@ discretization order.
 
 An operator is stored only as its nine-offset stencil: OFF[(a, b)] holds the
 coupling of row (n, j) to column (n+a, j+b mod nx), an (nt, nx, 1, 1)
-field.  The principal part is written directly in these offsets from the
-divergence form above; the march, the weighted transpose, the symplectic
-flux and the symbol check read them, and ``as_dense`` is a derived view.
+field, or an (nt, 1, 1, 1) column of one value per level when it is
+constant along x.  The principal part is written directly in these offsets
+from the divergence form above; the march, the weighted transpose, the
+symplectic flux and the symbol check read them, whatever their shape, and
+``as_dense`` is a derived view.
 Green operators are realized as causal triangular solves: the equation rows
 at levels 1..nt-2 are marched forward (retarded) or backward (advanced) in
 time.  A level's new-time-slice system comes in two kinds, read off the
@@ -47,13 +49,18 @@ starts a forward march there, or stops a march at the last level it reads;
 the Moller steps do both, since their difference operator vanishes
 outside its switch window.
 
-Memory: an operator keeps its offsets, the volume density and the weights;
-scalar lower-order coefficients are broadcast views, not fields.  A pass
+Memory: an operator keeps its offsets, the volume density and the weights,
+each at the resolution the metric varies at (``MetricField``): a metric
+constant along x, as every preset and every time-switched blend of presets
+is, gives (nt, 1) columns, which are built and checked in O(nt), while a
+metric that varies along x gives whole fields through the same code.
+Scalar lower-order coefficients are broadcast views, not fields.  A pass
 over the whole window holds at most a fixed block of levels of scratch
 (``_BLOCK_BYTES`` a field, a private constant, not a setting): the march
-stacks the known-level offsets it reads a block at a time and writes each
-new level in place, and the symbol check and the march's own checks read
-the metric a block at a time, so their scratch does not grow with nt.
+stacks the known-level offsets it reads a block at a time, broadcast along
+x into one buffer, and writes each new level in place, and the symbol check
+and the march's own checks read the metric a block at a time, so their
+scratch does not grow with nt.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import MetricField, sharp_interpolation
+from .geometry import MetricField, sharp_interpolation, stored_field
 from .lattice import ScalarField, Section, smooth_step
 
 __all__ = [
@@ -113,13 +120,19 @@ class SymbolMismatch(ValueError):
 
 
 def _blocks(grid, value_field=None):
-    """An (nt, nx) field as an (nt, nx, 1, 1) stencil offset; zero without a field.
+    """An (nt, 1) or (nt, nx) array as an (nt, 1, 1, 1) or (nt, nx, 1, 1) stencil
+    offset; an (nt, 1, 1, 1) zero without one.
 
-    The offset is a view of value_field, so the caller hands over a field it owns.
+    The offset is a view of value_field, so the caller hands over an array it owns.
     """
     if value_field is None:
-        return np.zeros((grid.nt, grid.nx, 1, 1))
-    return np.asarray(value_field, dtype=float).reshape(grid.nt, grid.nx, 1, 1)
+        return np.zeros((grid.nt, 1, 1, 1))
+    return np.asarray(value_field, dtype=float)[:, :, None, None]
+
+
+def _into(ufunc, A, B):
+    """ufunc(A, B), written into A when A already has the broadcast shape of the two."""
+    return ufunc(A, B, out=A if A.shape == np.broadcast_shapes(A.shape, np.shape(B)) else None)
 
 
 def _block_levels(level_bytes):
@@ -269,9 +282,8 @@ class HyperbolicOperator:
                 Wcol[0] = 1.0
             if (a, b) == (0, 0):  # the one block that is a view of the stencil
                 C = C.copy()
-            C *= self.weight_inv[:, :, None, None]
-            C *= Wcol[:, :, None, None]
-            yield (a, b), C
+            C = _into(np.multiply, C, self.weight_inv[:, :, None, None])
+            yield (a, b), _into(np.multiply, C, Wcol[:, :, None, None])
 
     def adjoint_offsets(self):
         """Offsets of V^{-1} N^T V (the formal adjoint in the same volume)."""
@@ -283,7 +295,7 @@ class HyperbolicOperator:
         for k, A in self._adjoint_items():
             seen.add(k)
             if k in self.offsets:
-                A -= self.offsets[k]  # |A - N| is |N - A| bit for bit
+                A = _into(np.subtract, A, self.offsets[k])  # |A - N| is |N - A| bit for bit
             worst = max(worst, float(np.max(np.abs(A, out=A))))
             del A  # so the next offset's scratch does not share the peak with this one
         for k in self.offsets.keys() - seen:  # no transposed partner: compared with zero
@@ -316,13 +328,13 @@ class HyperbolicOperator:
             M = np.zeros((g.nt, g.nx, g.nt, g.nx))
             for (a, b), C in self.offsets.items():
                 ok = (n + a >= 0) & (n + a < g.nt)
-                M[n[ok], j[ok], n[ok] + a, (j[ok] + b) % g.nx] += C[ok, 0, 0]
+                M[n[ok], j[ok], n[ok] + a, (j[ok] + b) % g.nx] += np.broadcast_to(C, n.shape + (1, 1))[ok, 0, 0]
             self._dense = M.reshape(g.n_dof, g.n_dof)
         return self._dense
 
     def weight_dense(self) -> np.ndarray:
         """Dense diagonal V, an oracle view like ``as_dense``."""
-        return np.diag(self.weight.ravel())
+        return np.diag(np.broadcast_to(self.weight, (self.grid.nt, self.grid.nx)).ravel())
 
     # -- principal symbol ----------------------------------------------------
 
@@ -333,7 +345,7 @@ class HyperbolicOperator:
         for (a, b), C in self.offsets.items():
             w = (0.5 * a * a * g.dt**2, a * b * g.dt * g.dx, 0.5 * b * b * g.dx**2)[i]
             if w:  # (0, 0) has zero weight in all three
-                out += w * C[rows, :, 0, 0]
+                out = _into(np.add, out, w * C[rows, :, 0, 0])
         return out
 
     def principal_coefficients(self):
@@ -367,11 +379,8 @@ class HyperbolicOperator:
         def stagger_err(w):
             """|second differences| / 4 of w in t and in x (periodic), on the halo's inner rows."""
             x = -2 * w[1:-1]  # each difference is (w- - 2 w) + w+, summed as (-2 w + w-) + w+
-            x[:, 1:-1] += w[1:-1, :-2]
-            x[:, 0] += w[1:-1, -1]
-            x[:, -1] += w[1:-1, -2]
-            x[:, :-1] += w[1:-1, 1:]
-            x[:, -1] += w[1:-1, 0]
+            x += np.roll(w[1:-1], 1, axis=1)
+            x += np.roll(w[1:-1], -1, axis=1)
             err = -2 * w[1:-1]
             err += w[:-2]
             err += w[2:]
@@ -396,7 +405,7 @@ class HyperbolicOperator:
             rel *= 1e-9
             bound += rel
             bound += tol
-            got -= -k * c[1:-1]
+            got = _into(np.subtract, got, -k * c[1:-1])
             return np.abs(got, out=got) > bound
 
         itt, itx, ixx = self.metric.inverse_components(halo)
@@ -517,11 +526,17 @@ class _Step:
         self.first, self.block = 0, ()  # empty: the first call stacks
 
     def _stack(self, n):
-        """Stack the block of levels that holds level n; return n's place in it."""
+        """Stack the block of levels that holds level n; return n's place in it.
+
+        A known offset kept as one value per level is broadcast along x into
+        the buffer, so the block has the same layout, and bits, either way.
+        """
         L = self.levels
         self.first = n - n % L
         parts = [C[self.first:self.first + L] for C in self.known]
-        self.block = np.concatenate(parts, axis=-1, out=self.buffer[:len(parts[0])])
+        self.block = self.buffer[:len(parts[0])]
+        for i, C in enumerate(parts):
+            self.block[..., i:i + 1] = C
         return n - self.first
 
     def __call__(self, n, f_n, u):
@@ -586,8 +601,8 @@ class _BandedStep(_Step):
 
     def factor(self, n):
         if n not in self.factors:
-            vals = np.stack([C[n] for C in self.new]).ravel()
             nx = len(self.pos)
+            vals = np.stack([np.broadcast_to(C[n], (nx,)) for C in self.new]).ravel()
             ab = np.bincount(self.band, vals, minlength=self.ldab * nx).reshape(nx, -1)
             lu, piv, info = self.dgbtrf(ab.T, self.kl, self.kl, overwrite_ab=True)
             if info > 0:
@@ -618,15 +633,17 @@ def _principal_offsets(metric: MetricField, ixx_override=None):
     everywhere are dropped.
     """
     g = metric.grid
-    itt, itx, ixx = metric.inverse_components()
+    comps = metric.inverse_components()
     if ixx_override is not None:
-        ixx = np.broadcast_to(np.asarray(ixx_override, dtype=float), ixx.shape)
+        comps = comps[:2] + (np.asarray(ixx_override, dtype=float),)
+    # one extent along x for all three: (nt, 1) when none varies along x
+    itt, itx, ixx = np.broadcast_arrays(*comps)
     vol = metric.volume_density()
     c = vol * itx * (0.5 / g.dt) * (0.5 / g.dx)
     vit = vol * itt
     del itt, itx  # each field is dropped once read, so assembly holds a few at a time
     idt, idx = 1.0 / g.dt, 1.0 / g.dx
-    wt = np.zeros((g.nt + 1, g.nx))  # wt[n]: edge from level n-1 to level n
+    wt = np.zeros((g.nt + 1,) + vit.shape[1:])  # wt[n]: edge from level n-1 to level n
     wt[1:-1] = 0.5 * (vit[:-1] + vit[1:]) * idt * idt
     vix = vol * ixx
     del vit, ixx
@@ -656,9 +673,11 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None, hxx_override=N
                    check=True) -> HyperbolicOperator:
     """Assemble the lattice operator for a metric plus lower-order fields.
 
-    A0, A1, B are scalars or (nt, nx) fields entering as A0 d_t + A1 d_x + B;
-    the operator keeps them as (nt, nx) arrays, a scalar as a read-only
-    broadcast view of itself, so it costs no field; hxx_override replaces
+    A0, A1, B are scalars, (nt, 1) columns or (nt, nx) fields entering as
+    A0 d_t + A1 d_x + B; a field is kept at the resolution it varies at
+    (:func:`geometry.stored_field`), and the operator shows each as a
+    read-only (nt, nx) broadcast view of what it keeps, a scalar as a view of
+    itself, so a scalar or a per-level column costs no field; hxx_override replaces
     the spatial principal coefficient and exists to exercise the symbol
     verifier, which rejects any stencil whose extracted second-order part
     deviates from -g_sharp.
@@ -672,19 +691,20 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None, hxx_override=N
             return None
         c = np.asarray(c, dtype=float)
         if c.shape == ():
-            return np.broadcast_to(c, (g.nt, g.nx))
-        if c.shape != (g.nt, g.nx):
+            return c
+        if c.shape not in ((g.nt, 1), (g.nt, g.nx)):
             raise ValueError("coefficient shape does not match grid")
-        return c.copy()
+        return stored_field(g, c)
 
     def add(key, blk):
-        """Add the (nt, nx) field blk into offset `key` in place: the offsets are this call's own."""
-        C = offsets.setdefault(key, _blocks(g))
-        C += _blocks(g, blk)  # x + (-b) is x - b bit for bit
+        """Add blk, a scalar or an (nt, 1) or (nt, nx) array, into offset `key`,
+        in place where the shapes allow: the offsets are this call's own."""
+        blk = _blocks(g, blk) if np.ndim(blk) else blk
+        offsets[key] = _into(np.add, offsets.get(key, _blocks(g)), blk)  # x + (-b) is x - b bit for bit
 
     A0c, A1c, Bc = coerce(A0), coerce(A1), coerce(B)
     if A0c is not None:
-        blk = A0c / (2.0 * g.dt)
+        blk = np.broadcast_to(A0c, np.broadcast_shapes(A0c.shape, (g.nt, 1))) / (2.0 * g.dt)
         blk[0] = 0.0
         blk[-1] = 0.0
         add((1, 0), blk)
@@ -695,7 +715,8 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None, hxx_override=N
         add((0, -1), -blk)
     if Bc is not None:
         add((0, 0), Bc)
-    op = HyperbolicOperator(metric, offsets, A0c, A1c, Bc)
+    op = HyperbolicOperator(metric, offsets, *(None if c is None else np.broadcast_to(c, (g.nt, g.nx))
+                                               for c in (A0c, A1c, Bc)))
     if check:
         op.check_symbol()
     return op
@@ -731,7 +752,8 @@ def convex_operator(N0: HyperbolicOperator, N1: HyperbolicOperator, chi: ScalarF
     coincides bitwise with N0 / N1, which keeps the switch-on region of the
     scattering construction exactly inert.
     """
-    w = chi.values
+    grid = N0.grid
+    w = stored_field(grid, chi.values)
     if np.all(w == 0.0):
         return N0
     if np.all(w == 1.0):
@@ -739,11 +761,10 @@ def convex_operator(N0: HyperbolicOperator, N1: HyperbolicOperator, chi: ScalarF
     gchi = sharp_interpolation(N0.metric, N1.metric, chi)
 
     def blend(c0, c1):
+        """The pointwise blend, at the resolution the weight and the two fields vary at."""
         if c0 is None and c1 is None:
             return None
-        z = np.zeros(w.shape)
-        a = c0 if c0 is not None else z
-        b = c1 if c1 is not None else z
+        a, b = (0.0 if c is None else stored_field(grid, c) for c in (c0, c1))
         return (1.0 - w) * a + w * b
 
     return build_operator(gchi, blend(N0.A0, N1.A0), blend(N0.A1, N1.A1), blend(N0.B, N1.B))

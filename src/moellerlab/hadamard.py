@@ -92,13 +92,13 @@ class VacuumKernel(ModeKernel):
         if metric is None:
             itt, ixx, vol = -1.0, 1.0, 1.0
         else:
-            if np.max(np.abs(metric.g_tx)) != 0.0:
+            if np.max(np.abs(metric.stored[1])) != 0.0:
                 raise ValueError("mode-sum vacua need a static diagonal metric")
             its = metric.inverse_components()
             itt = float(its[0][0, 0])
             ixx = float(its[2][0, 0])
             vol = float(metric.volume_density()[0, 0])
-            varies = max(np.ptp(metric.g_tt), np.ptp(metric.g_xx))
+            varies = max(np.ptp(metric.stored[0]), np.ptp(metric.stored[2]))
             if varies > 0.0 or itt >= 0.0 or ixx <= 0.0:
                 raise ValueError("mode-sum vacua need a constant t-class metric")
         j = np.arange(grid.nx)

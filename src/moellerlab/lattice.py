@@ -149,7 +149,10 @@ class Section:
 
 
 class ScalarField:
-    """Real (nt, nx) field, optionally constrained to [0,1] or (0,inf)."""
+    """Real (nt, nx) field, optionally constrained to [0,1] or (0,inf).
+
+    A scalar, or one value per level as an (nt,) or (nt, 1) array, is filled out to the field.
+    """
 
     UNIT = "unit"          # values in [0, 1]
     POSITIVE = "positive"  # values > 0
@@ -158,8 +161,8 @@ class ScalarField:
         values = np.asarray(values, dtype=float)
         if values.shape == ():
             values = np.full((grid.nt, grid.nx), float(values))
-        if values.shape == (grid.nt,):
-            values = np.repeat(values[:, None], grid.nx, axis=1)
+        if values.shape in ((grid.nt,), (grid.nt, 1)):  # one value per level
+            values = np.repeat(values.reshape(grid.nt, 1), grid.nx, axis=1)
         if values.shape != (grid.nt, grid.nx):
             raise ValueError("scalar field shape does not match grid")
         _require_finite(values, "scalar field values")

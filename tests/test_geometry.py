@@ -413,6 +413,78 @@ def test_causal_future_diamond():
                 assert dxs <= steps * (g.dt + 2 * g.dx) + 1e-12
 
 
+def _causal_future_loop(g, points):
+    """Reference causal_future: the site-by-site sweeps, one stencil cell of tolerance."""
+    grid = g.grid
+    lo, hi, t_forward, t_backward, sp, sm = (np.broadcast_to(c, (grid.nt, grid.nx))
+                                             for c in geo._cone_step_data(g))
+    reach = np.zeros((grid.nt, grid.nx), dtype=bool)
+    for (n, j) in points:
+        reach[n, j] = True
+    for _ in range(grid.nt * 2):
+        before = reach.copy()
+        for _ in range(grid.nx):
+            new = (np.roll(reach & sp, 1, axis=1) | np.roll(reach & sm, -1, axis=1)) & ~reach
+            if not new.any():
+                break
+            reach |= new
+        for n in range(grid.nt - 1):
+            for j in np.where(reach[n])[0]:
+                if t_forward[n, j]:
+                    for o in range(lo[n, j], hi[n, j] + 1):
+                        reach[n + 1, (j + o) % grid.nx] = True
+                elif sp[n, j] or sm[n, j]:
+                    reach[n + 1] |= True
+        for n in range(grid.nt - 1, 0, -1):
+            for j in np.where(reach[n])[0]:
+                if t_backward[n, j]:
+                    for o in range(lo[n, j], hi[n, j] + 1):
+                        reach[n - 1, (j - o) % grid.nx] = True
+                elif (sp[n, j] or sm[n, j]) and not t_forward[n, j]:
+                    reach[n - 1] |= True
+        if np.array_equal(before, reach):
+            break
+    return reach
+
+
+def _random_arcs(grid, rng, per_point):
+    """Cones of any direction and width: forward, backward and spatial ones."""
+    shape = (grid.nt, grid.nx) if per_point else (grid.nt, 1)
+    center = rng.uniform(-np.pi, np.pi, shape)
+    return geo.metric_from_arcs(grid, center, rng.uniform(0.1, 1.45, shape))
+
+
+_CAUSAL_CASES = [("minkowski", {}), ("tilted", {"deg": 30.0}), ("tilted", {"deg": -30.0}),
+                 ("rotated-minkowski", {}), ("time-reversed", {}),
+                 ("time-reversed", {"inner": "tilted", "deg": 20.0}), ("conformal", {}),
+                 ("warped", {}), ("squeezed", {}), ("random", {}), ("per-point", {}),
+                 ("reversed-per-point", {}), ("suite-random", {})]
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (12, 20), (20, 8)])
+@pytest.mark.parametrize("name, params", _CAUSAL_CASES)
+def test_causal_future_equals_site_loop(shape, name, params):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    g = make_grid(*shape, 0.0, 0.4 * shape[0] / 16, 1.0)
+    if name in ("random", "per-point", "reversed-per-point"):
+        m = _random_arcs(g, rng, per_point=name != "random")
+        m = m.time_reversed() if name.startswith("reversed") else m
+    elif name == "suite-random":
+        m = random_metric(g, rng, per_point=True)
+    else:
+        m = geo.metric_preset(name, g, **params)
+    for _ in range(3):
+        seeds = [(int(rng.integers(g.nt)), int(rng.integers(g.nx))) for _ in range(int(rng.integers(1, 4)))]
+        assert np.array_equal(geo.causal_future(m, seeds), _causal_future_loop(m, seeds)), seeds
+
+
+@pytest.mark.parametrize("seed", [(-1, 3), (16, 0), (3, 8), (0, -1)])
+def test_causal_future_rejects_a_seed_outside_the_window(seed):
+    g = make_grid(16, 8, 0.0, 0.4, 1.0)
+    with pytest.raises(ValueError, match=rf"seed \({seed[0]}, {seed[1]}\) lies outside"):
+        geo.causal_future(geo.metric_preset("minkowski", g), [(2, 2), seed])
+
+
 def test_closed_causal_of_rotation_intermediate(g8):
     rot = geo.metric_preset("rotated-minkowski", g8)
     assert geo.closed_causal_exists(rot)

@@ -66,7 +66,7 @@ def test_symbol_check_names_the_perturbed_level(grid48, perturb):
     tilted = geo.metric_preset("tilted", grid48, deg=12.0)
     N = gh.build_operator(tilted)  # the unperturbed operator passes
     level, site = 17, 5
-    offsets = {k: v.copy() for k, v in N.offsets.items()}
+    offsets = {k: np.broadcast_to(v, (grid48.nt, grid48.nx, 1, 1)).copy() for k, v in N.offsets.items()}
     for k, sign in perturb.items():
         offsets[k][level, site] += sign * 1e-3 * np.max(np.abs(N.offsets[(1, 1)]))
     bent = gh.HyperbolicOperator(tilted, offsets)
@@ -105,31 +105,51 @@ def _kept_bytes(N):
             + N.weight.nbytes + N.weight_inv.nbytes)
 
 
-def _minkowski_512x256():
-    g = make_grid(512, 256, 0.0, 0.5, 1.0)
-    return g, geo.metric_preset("minkowski", g)
+def _warped_along_x(nt, nx):
+    """A metric varying in t and in x, with g_tx = 0: the site-path march over whole fields."""
+    g = make_grid(nt, nx, 0.0, 0.5, 1.0)
+    t, x = g.times[:, None], g.sites[None, :]
+    return geo.MetricField(g, -1.0, 0.0, (1.0 + 0.3 * np.sin(2 * np.pi * x)) * (1.0 + 0.5 * t), 1.0, 0.0)
 
 
 def test_assembly_peak_within_a_few_fields():
-    # wave_operator with its symbol and symmetry checks peaks at 1.38x the
-    # kept bytes (2.14x when the checks made whole-window temporaries), and
-    # afterwards the operator holds no more than it keeps: a scalar mass is
-    # a broadcast view, not a field
-    g, met = _minkowski_512x256()
+    # on a metric that varies along x, wave_operator with its symbol and
+    # symmetry checks peaks at 1.38x the kept bytes (whole fields read
+    # 2.14x when the checks made whole-window temporaries), and afterwards
+    # the operator holds no more than it keeps: a scalar mass is a
+    # broadcast view, not a field
+    met = _warped_along_x(512, 256)
     N, peak, held = _traced(lambda: gh.wave_operator(met, mass=1.0))
     kept = _kept_bytes(N)
+    assert all(C.shape == (512, 256, 1, 1) for C in N.offsets.values())
     assert N.B.strides == (0, 0)
     assert held <= 1.01 * kept, held / kept
     assert peak <= 1.6 * kept, peak / kept
 
 
+def test_constant_along_x_operator_keeps_one_value_per_level():
+    # Minkowski at 512x256: the five offsets, the volume and both weights
+    # are one float a level each (32 KiB, where one field is 1 MiB); after
+    # assembly 9.4 such columns are held and with its checks it peaks at 14.3
+    g = make_grid(512, 256, 0.0, 0.5, 1.0)
+    met = geo.metric_preset("minkowski", g)
+    column = 8 * g.nt
+    N, peak, held = _traced(lambda: gh.wave_operator(met, mass=1.0))
+    assert all(C.shape == (g.nt, 1, 1, 1) for C in N.offsets.values())
+    assert _kept_bytes(N) == 8 * column
+    assert held <= 12 * column, held / column
+    assert peak <= 24 * column, peak / column
+
+
 def test_march_peak_within_a_few_fields():
-    # solve_cauchy on a kept operator peaks at 1.22x the kept bytes, counting
-    # the operator itself: the march stacks its known-level offsets a block
-    # of levels at a time, the zero source is a broadcast view and the march
-    # checks read the metric a block at a time.  A stacked whole-window copy
-    # of the known offsets (four fields a direction) read 2.39x.
-    g, met = _minkowski_512x256()
+    # on a metric that varies along x, solve_cauchy on a kept operator peaks
+    # at 1.23x the kept bytes, counting the operator itself: the march
+    # stacks its known-level offsets a block of levels at a time, the zero
+    # source is a broadcast view and the march checks read the metric a
+    # block at a time.  A stacked whole-window copy of the known offsets
+    # (four fields a direction) read 2.39x.
+    met = _warped_along_x(512, 256)
+    g = met.grid
     N = gh.wave_operator(met, mass=0.0)
     kept = _kept_bytes(N)
     _, peak, _ = _traced(lambda: gh.solve_cauchy(N, 1, np.sin(4 * np.pi * g.sites)[:, None],
@@ -139,13 +159,14 @@ def test_march_peak_within_a_few_fields():
 
 def test_convergence_suite_peak():
     # three cold solve_cauchy runs at nt = 2 nx up to 512x256, one grid at a
-    # time: 16.8 MB of numpy allocations at the peak (25.3 MB with whole-window
-    # copies in the march and the checks)
+    # time: 4.2 MB of numpy allocations at the peak, held under 5 MB (16.8 MB
+    # when the x-independent metrics and operators were kept as whole
+    # fields, 25.3 MB with whole-window copies in the march and the checks)
     from moellerlab.suites import suite_convergence
 
     checks, peak, _ = _traced(lambda: suite_convergence({"grids": [64, 128, 256]}, None))
     assert checks[0].passed
-    assert peak < 20e6, peak / 1e6
+    assert peak < 5e6, peak / 1e6
 
 
 def _divergence_form_dense(metric, ixx_override=None):
@@ -157,10 +178,10 @@ def _divergence_form_dense(metric, ixx_override=None):
     """
     g = metric.grid
     nt, nx = g.nt, g.nx
-    itt, itx, ixx = metric.inverse_components()
+    itt, itx, ixx = (np.broadcast_to(c, (nt, nx)) for c in metric.inverse_components())
     if ixx_override is not None:
         ixx = np.broadcast_to(ixx_override, ixx.shape)
-    vol = metric.volume_density()
+    vol = np.broadcast_to(metric.volume_density(), (nt, nx))
     Dt = (np.eye(nt - 1, nt, 1) - np.eye(nt - 1, nt)) / g.dt
     Dx = (np.roll(np.eye(nx), 1, axis=1) - np.eye(nx)) / g.dx
     Ct = np.zeros((nt, nt))
@@ -847,7 +868,7 @@ def test_symbol_check_names_a_block_edge_level(grid48, monkeypatch, level):
     tilted = geo.metric_preset("tilted", grid48, deg=12.0)
     N = gh.build_operator(tilted)
     site = 5
-    offsets = {k: v.copy() for k, v in N.offsets.items()}
+    offsets = {k: np.broadcast_to(v, (grid48.nt, grid48.nx, 1, 1)).copy() for k, v in N.offsets.items()}
     for n, j in ((level, site), (level + 1, 0)):
         offsets[(1, 0)][n, j] += 1e-3 * np.max(np.abs(N.offsets[(1, 1)]))
     bent = gh.HyperbolicOperator(tilted, offsets)
@@ -926,3 +947,98 @@ def test_green_plus_inverts_operator_at_fine_grid():
     Nh[0] = Nh[-1] = 0.0
     rec = gh.GreenSystem(N).plus(Nh)
     assert np.max(np.abs(rec - h)) <= 1e-10 * np.max(np.abs(h))  # G+ N = 1
+
+
+# -- storage at the resolution a field varies at --------------------------------------
+
+def _storage_metric(case, g):
+    if case == "warped-along-x":
+        return _warped_along_x(g.nt, g.nx)
+    params = {"conformal": {"mu": 2.0}, "tilted": {"deg": 12.0}, "ultrastatic": {"h": 0.7}}
+    return geo.metric_preset(case, g, **params.get(case, {}))
+
+
+def _storage_results(case):
+    """Everything the storage may touch, computed for one metric of 48x16."""
+    g = make_grid(48, 16, 0.0, 0.5, 1.0)
+    m = _storage_metric(case, g)
+    N = gh.wave_operator(m, 1.0)
+    L = gh.build_operator(m, A0=0.2, A1=0.3, B=1.0)  # not self-adjoint
+    rng = np.random.default_rng(41)
+    F = np.zeros((23, g.nt, g.nx, 1))
+    F[:, 2:-2] = rng.standard_normal((23, g.nt - 4, g.nx, 1))
+    h1, h2 = rng.standard_normal((2, g.nx, 1))
+    out = {"offsets": list(N.offsets.items()), "L offsets": list(L.offsets.items()),
+           "adjoint": list(L.adjoint_offsets().items()),
+           "defects": [N.v_symmetry_defect(), L.v_symmetry_defect()]}
+    messages = []
+    bent = dict(N.offsets)
+    bent[(1, 0)] = N.offsets[(1, 0)].copy()
+    bent[(1, 0)][17] += 0.05 * np.max(np.abs(N.offsets[(1, 0)]))  # the whole level
+    for check in (N.check_symbol, gh.HyperbolicOperator(m, bent).check_symbol,
+                  lambda: gh.build_operator(m, hxx_override=m.inverse_components()[2] + 0.1)):
+        try:
+            check()
+            messages.append(None)
+        except gh.SymbolMismatch as e:
+            messages.append(str(e))
+    assert messages[0] is None and messages[1] and messages[2]
+    out["messages"] = messages
+    out["marches"] = [N.march(f, d, rows=rows) for f in (F[0], F) for d in (1, -1)
+                      for rows in (None, (13, 37))]
+    psi, phi = gh.solve_cauchy(N, 5, h1, h2).values, gh.solve_cauchy(N, 7, h2, h1).values
+    out["cauchy"] = [psi, phi]
+    out["flux"] = gh.symplectic_form(N, psi, phi, [3, 24, 40])
+    out["pairing"] = [N.pairing(F, F[::-1]), N.pairing(F[:, None], F[:4])]
+    m2 = geo.MetricField(g, *(1.5 * c for c in m.stored[:3]), *m.stored[3:])
+    R = mo.compose_chain(geo.ParacausalChain([m, m2], [geo.ParacausalChain.FWD]))
+    out["moller"] = R.apply(F[:5])
+    return out, N
+
+
+def _bits(a, shape=None):
+    a = np.asarray(a, dtype=float)
+    return np.ascontiguousarray(np.broadcast_to(a, a.shape if shape is None else shape)).view(np.uint64)
+
+
+@pytest.mark.parametrize("case", ["minkowski", "conformal", "warped", "tilted", "ultrastatic",
+                                  "warped-along-x"])
+def test_compact_storage_equals_whole_fields_bitwise(monkeypatch, case):
+    # with the x-constancy test switched off every metric and operator keeps
+    # whole fields, as before per-level storage; the results are the same bits
+    compact, N = _storage_results(case)
+    levels = (48, 16) if case == "warped-along-x" else (48, 1)
+    assert all(C.shape == levels + (1, 1) for C in N.offsets.values())
+    assert N.vol.shape == N.weight.shape == levels
+    monkeypatch.setattr(geo, "_constant_along_x", lambda c: False)
+    whole, N = _storage_results(case)
+    assert all(C.shape == (48, 16, 1, 1) for C in N.offsets.values())
+    assert compact.keys() == whole.keys()
+    for name in compact:
+        a, b = compact[name], whole[name]
+        if name == "messages":
+            assert a == b
+            continue
+        assert len(a) == len(b), name
+        for x, y in zip(a, b):
+            if isinstance(x, tuple):  # (key, offset): the key order too
+                assert x[0] == y[0], name
+                x, y = x[1], y[1]
+            y = np.asarray(y)
+            assert np.array_equal(_bits(x, y.shape), _bits(y)), name
+
+
+def test_constant_along_x_is_a_bitwise_test():
+    g = make_grid(8, 4, 0.0, 0.5, 1.0)
+    col = np.linspace(1.0, 2.0, g.nt)[:, None]
+    assert geo.stored_field(g, np.repeat(col, g.nx, axis=1)).shape == (g.nt, 1)
+    assert geo.stored_field(g, 0.0).shape == (g.nt, 1)
+    signed = np.zeros((g.nt, g.nx))
+    signed[3, 2] = -0.0  # equal to 0.0, but not the same bits
+    kept = geo.stored_field(g, signed)
+    assert kept.shape == (g.nt, g.nx) and np.signbit(kept[3, 2])
+    m = geo.MetricField(g, -1.0, signed, 1.0, 1.0, 0.0)
+    assert m.stored[1].shape == (g.nt, g.nx) and m.stored[0].shape == (g.nt, 1)
+    assert m.g_tt.shape == (g.nt, g.nx) and not m.g_tt.flags.writeable
+    with pytest.raises(ValueError, match=r"field shape \(4,\) does not match grid"):
+        geo.MetricField(g, -1.0, 0.0, np.ones(g.nx), 1.0, 0.0)
