@@ -13,12 +13,12 @@ of the causal propagator kernel hold to round-off rather than to
 discretization order.
 
 An operator is stored only as its nine-offset stencil: OFF[(a, b)] holds the
-coupling of row (n, j) to column (n+a, j+b mod nx), an (nt, nx, 1, 1)
-field, or an (nt, 1, 1, 1) column of one value per level when it is
-constant along x.  The principal part is written directly in these offsets
-from the divergence form above; the march, the weighted transpose, the
-symplectic flux and the symbol check read them, whatever their shape, and
-``as_dense`` is a derived view.
+coupling of row (n, j) to column (n+a, j+b mod nx), an (nt, nx) field,
+or an (nt, 1) column of one value per level when it is constant along x
+(``geometry.stored_field``).  The principal part is written directly in
+these offsets from the divergence form above; the march, the weighted
+transpose, the symplectic flux and the symbol check read them, whatever
+their shape, and ``as_dense`` is a derived view.
 Green operators are realized as causal triangular solves: the equation rows
 at levels 1..nt-2 are marched forward (retarded) or backward (advanced) in
 time.  A level's new-time-slice system comes in two kinds, read off the
@@ -35,8 +35,8 @@ stable, g^tt and g^xx keeping opposite signs, the same at every point
 vanish on the first two (resp. last two) time levels, the discrete stand-in
 for past (future) compact support in the window.
 
-Fields are (nt, nx, 1) arrays.  ``HyperbolicOperator.apply``, the march and
-the Green systems also take a leading batch axis, (K, nt, nx, 1): the K
+Fields are (nt, nx) arrays.  ``HyperbolicOperator.apply``, the march and
+the Green systems also take a leading batch axis, (K, nt, nx): the K
 columns then share one level loop and one solve per level, so a kernel
 block or a dense matrix costs a few marches, not one per column.  The batch
 is the whole interface; there is no batch-size setting.
@@ -119,17 +119,6 @@ class SymbolMismatch(ValueError):
     pass
 
 
-def _blocks(grid, value_field=None):
-    """An (nt, 1) or (nt, nx) array as an (nt, 1, 1, 1) or (nt, nx, 1, 1) stencil
-    offset; an (nt, 1, 1, 1) zero without one.
-
-    The offset is a view of value_field, so the caller hands over an array it owns.
-    """
-    if value_field is None:
-        return np.zeros((grid.nt, 1, 1, 1))
-    return np.asarray(value_field, dtype=float)[:, :, None, None]
-
-
 def _into(ufunc, A, B):
     """ufunc(A, B), written into A when A already has the broadcast shape of the two."""
     return ufunc(A, B, out=A if A.shape == np.broadcast_shapes(A.shape, np.shape(B)) else None)
@@ -150,37 +139,34 @@ def _row_blocks(grid, first, stop):
 def stencil_apply(offsets, u, rows=None):
     """Action of a nine-offset stencil on the rows lo <= n < hi of rows = (lo, hi).
 
-    u is one (nt, nx, 1) field or a (K, nt, nx, 1) batch; the result has its
+    u is one (nt, nx) field or a (K, nt, nx) batch; the result has its
     shape and is zero off the row range, and u is read on levels lo - 1 .. hi
     only.  rows defaults to the whole window: ``HyperbolicOperator.apply``.
     Those levels are copied once with one periodic site on either side, so
     offset (a, b) reads its neighbours j + b as a shifted view of the copy.
     """
-    nt, nx = u.shape[-3:-1]
+    nt, nx = u.shape[-2:]
     lo, hi = (0, nt) if rows is None else rows
     out = np.zeros_like(u)
     l0 = max(lo - 1, 0)
-    levels = u[..., l0:min(hi + 1, nt), :, :]
-    halo = np.concatenate([levels[..., -1:, :], levels, levels[..., :1, :]], axis=-2)
+    levels = u[..., l0:min(hi + 1, nt), :]
+    halo = np.concatenate([levels[..., -1:], levels, levels[..., :1]], axis=-1)
     for (a, b), C in offsets.items():
         n0, n1 = max(lo, -a), min(hi, nt - a)  # rows whose level n + a is in the window
         if n0 >= n1:
             continue
-        src = halo[..., n0 + a - l0:n1 + a - l0, 1 + b:1 + b + nx, :]
-        out[..., n0:n1, :, :] += np.einsum("txab,...txb->...txa", C[n0:n1], src)
+        out[..., n0:n1, :] += C[n0:n1] * halo[..., n0 + a - l0:n1 + a - l0, 1 + b:1 + b + nx]
     return out
 
 
 def _transposed(offsets):
-    """The offsets of the transposed stencil as (key, block) pairs, built one at a time.
+    """The offsets of the transposed stencil as (key, offset) pairs, built one at a time.
 
-    A block is a new array, except for key (0, 0), whose block is a view of
-    the original's.
+    An offset is a new array, except for key (0, 0), whose offset is the original's.
     """
-    for (a, b), C in offsets.items():
+    for (a, b), T in offsets.items():
         # original key (a, b) feeds transposed key (-a, -b); its value at
-        # row (n, j) is the block at the source row (n - a, j - b)
-        T = np.swapaxes(C, -1, -2)
+        # row (n, j) is the entry at the source row (n - a, j - b)
         if a or b:
             T = np.roll(T, (a, b), axis=(0, 1))
         if a:
@@ -189,7 +175,7 @@ def _transposed(offsets):
 
 
 def stencil_transpose(offsets):
-    """Offsets of the transposed stencil: trans[(a, b)](n, j) = C[(-a, -b)](n+a, j+b)^T."""
+    """Offsets of the transposed stencil: trans[(a, b)](n, j) = C[(-a, -b)](n+a, j+b)."""
     return dict(_transposed(offsets))
 
 
@@ -221,8 +207,8 @@ def _inverse_ranges(metric: MetricField):
 
 
 def sup_norms(u):
-    """Sup norm of one (nt, nx, 1) field, or of each field of a (K, nt, nx, 1) batch."""
-    return np.max(np.abs(u), axis=(-3, -2, -1))
+    """Sup norm of one (nt, nx) field, or of each field of a (K, nt, nx) batch."""
+    return np.max(np.abs(u), axis=(-2, -1))
 
 
 def worst_ratio(num, den) -> float:
@@ -244,14 +230,13 @@ class HyperbolicOperator:
         self.weight = self.vol * self.grid.dt * self.grid.dx
         self.weight_inv = 1.0 / self.weight
         self._steps = {}
-        self._dense = None
 
     # -- linear action -----------------------------------------------------
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Full matrix action on (nt, nx, 1) values, boundary rows included.
+        """Full matrix action on (nt, nx) values, boundary rows included.
 
-        A leading batch axis, (K, nt, nx, 1), applies the operator to each of
+        A leading batch axis, (K, nt, nx), applies the operator to each of
         the K fields.
         """
         return stencil_apply(self.offsets, u)
@@ -259,31 +244,31 @@ class HyperbolicOperator:
     def interior_residual(self, u, f=None):
         """Sup norm of N u - f over the equation rows (levels 1..nt-2).
 
-        A number for one field; for a (K, nt, nx, 1) batch, the K column norms.
+        A number for one field; for a (K, nt, nx) batch, the K column norms.
         """
         r = self.apply(u)
         if f is not None:
             r = r - f
-        return sup_norms(r[..., 1:-1, :, :])
+        return sup_norms(r[..., 1:-1, :])
 
     # -- weighted transpose ------------------------------------------------
 
     def transpose_offsets(self):
-        """Offsets of N^T: trans[(a, b)](n, j) = N[(-a, -b)](n+a, j+b)^T."""
+        """Offsets of N^T: trans[(a, b)](n, j) = N[(-a, -b)](n+a, j+b)."""
         return stencil_transpose(self.offsets)
 
     def _adjoint_items(self):
-        """The offsets of V^{-1} N^T V as (key, block) pairs, built one at a time."""
+        """The offsets of V^{-1} N^T V as (key, offset) pairs, built one at a time."""
         for (a, b), C in _transposed(self.offsets):
             Wcol = np.roll(self.weight, (-a, -b), axis=(0, 1))
             if a == 1:
                 Wcol[-1] = 1.0
             elif a == -1:
                 Wcol[0] = 1.0
-            if (a, b) == (0, 0):  # the one block that is a view of the stencil
+            if (a, b) == (0, 0):  # the one offset that is the stencil's own
                 C = C.copy()
-            C = _into(np.multiply, C, self.weight_inv[:, :, None, None])
-            yield (a, b), _into(np.multiply, C, Wcol[:, :, None, None])
+            C = _into(np.multiply, C, self.weight_inv)
+            yield (a, b), _into(np.multiply, C, Wcol)
 
     def adjoint_offsets(self):
         """Offsets of V^{-1} N^T V (the formal adjoint in the same volume)."""
@@ -305,32 +290,31 @@ class HyperbolicOperator:
     # -- the volume weight V = vol dt dx ---------------------------------------
 
     def weigh(self, u):
-        """V u for one (nt, nx, 1) field or each field of a (K, nt, nx, 1) batch."""
-        return u * self.weight[:, :, None]
+        """V u for one (nt, nx) field or each field of a (K, nt, nx) batch."""
+        return u * self.weight
 
     def unweigh(self, u):
-        """V^{-1} u for one (nt, nx, 1) field or each field of a (K, nt, nx, 1) batch."""
-        return u * self.weight_inv[:, :, None]
+        """V^{-1} u for one (nt, nx) field or each field of a (K, nt, nx) batch."""
+        return u * self.weight_inv
 
     def pairing(self, f, h):
         """<f, h>_V: a number for two fields, K numbers for two batches paired column by column.
 
         Leading axes broadcast, so ``pairing(F[:, None], H)`` is the table of all pairs.
         """
-        return np.einsum("...txa,tx,...txa->...", f, self.weight, h)
+        return np.einsum("...tx,tx,...tx->...", f, self.weight, h)
 
     # -- dense form ------------------------------------------------------------
 
     def as_dense(self) -> np.ndarray:
-        if self._dense is None:
-            g = self.grid
-            n, j = np.meshgrid(np.arange(g.nt), np.arange(g.nx), indexing="ij")
-            M = np.zeros((g.nt, g.nx, g.nt, g.nx))
-            for (a, b), C in self.offsets.items():
-                ok = (n + a >= 0) & (n + a < g.nt)
-                M[n[ok], j[ok], n[ok] + a, (j[ok] + b) % g.nx] += np.broadcast_to(C, n.shape + (1, 1))[ok, 0, 0]
-            self._dense = M.reshape(g.n_dof, g.n_dof)
-        return self._dense
+        """The dense matrix of the stencil, an oracle view built anew on each call."""
+        g = self.grid
+        n, j = np.meshgrid(np.arange(g.nt), np.arange(g.nx), indexing="ij")
+        M = np.zeros((g.nt, g.nx, g.nt, g.nx))
+        for (a, b), C in self.offsets.items():
+            ok = (n + a >= 0) & (n + a < g.nt)
+            M[n[ok], j[ok], n[ok] + a, (j[ok] + b) % g.nx] += np.broadcast_to(C, n.shape)[ok]
+        return M.reshape(g.n_dof, g.n_dof)
 
     def weight_dense(self) -> np.ndarray:
         """Dense diagonal V, an oracle view like ``as_dense``."""
@@ -345,7 +329,7 @@ class HyperbolicOperator:
         for (a, b), C in self.offsets.items():
             w = (0.5 * a * a * g.dt**2, a * b * g.dt * g.dx, 0.5 * b * b * g.dx**2)[i]
             if w:  # (0, 0) has zero weight in all three
-                out = _into(np.add, out, w * C[rows, :, 0, 0])
+                out = _into(np.add, out, w * C[rows])
         return out
 
     def principal_coefficients(self):
@@ -466,22 +450,21 @@ class HyperbolicOperator:
         backward march from hi - 1, when f vanishes from hi up); a range
         that ends early cuts the march short after the last level wanted.
 
-        f is one (nt, nx, 1) source or a batch (K, nt, nx, 1) of K sources;
-        the result has the same shape.  A single source is the K = 1 case:
-        every column goes through one level loop, and each level solves one
-        (nx, K) right-hand side with the cached level factorisation.
-        Seeds of shape (nx, 1) are shared by all columns.
+        f is one (nt, nx) source or a batch (K, nt, nx) of K sources; the
+        result has the same shape.  A single source is the K = 1 case: every
+        column goes through one level loop, and each level solves one (nx, K)
+        right-hand side with the cached level factorisation.  Seeds of shape
+        (nx,) are shared by all columns.
         """
         self.check_march()
         g = self.grid
-        f = np.asarray(f, dtype=float)
-        if f.ndim not in (3, 4) or f.shape[-3:] != (g.nt, g.nx, g.rank):
-            raise ValueError(f"march source shape {f.shape} is not (K,) + {(g.nt, g.nx, g.rank)}")
-        batched = f.ndim == 4
-        F = np.moveaxis(f if batched else f[None], 0, -1)  # (nt, nx, 1, K) view
+        f = _fields(g, f, "march source")
+        batched = f.ndim == 3
+        F = np.moveaxis(f if batched else f[None], 0, -1)  # (nt, nx, K) view
         u = np.zeros(F.shape)
         if seeds is not None:
-            u[seed_level], u[seed_level + 1] = (np.asarray(s)[..., None] for s in seeds)
+            # each (nx,) seed is shared by the K columns
+            u[seed_level], u[seed_level + 1] = (np.asarray(s)[:, None] for s in seeds)
             lo, hi = seed_level, seed_level + 1
         elif direction == 1:
             lo, hi = 0, 1
@@ -504,10 +487,11 @@ class _Step:
 
     The known part, offsets (0, b) on level n and (-a, b) on level n - a, is
     one gather of the two-level window of u and one einsum against the m
-    known offsets' rows of level n side by side, a C-contiguous (nx, 1, m)
+    known offsets' rows of level n side by side, a C-contiguous (nx, m)
     array (einsum's summation order depends on the layout, so this fixes the
-    bits).  The step keeps views of the known offsets and stacks their rows
-    a block of levels at a time, as many as :data:`_BLOCK_BYTES` holds,
+    bits; a matmul would sum in another order).  The step keeps views of the
+    known offsets and stacks their rows into a (levels, nx, m) buffer, a
+    block of levels at a time, as many as :data:`_BLOCK_BYTES` holds,
     caching the last block: a window that fits in one block is stacked once
     for all marches, a larger one block by block in each march.  The
     subclass solves the new-level system, offsets (a, b), for the rest.
@@ -522,7 +506,7 @@ class _Step:
         self.gather = np.stack([(c - self.lo) * nx + (sites + b) % nx for c, b in known], axis=1)
         self.known = [op.offsets[k] for k in known]
         self.levels = min(_block_levels(8 * nx * len(known)), op.grid.nt)
-        self.buffer = np.empty((self.levels, nx, 1, len(known)))
+        self.buffer = np.empty((self.levels, nx, len(known)))
         self.first, self.block = 0, ()  # empty: the first call stacks
 
     def _stack(self, n):
@@ -536,17 +520,17 @@ class _Step:
         parts = [C[self.first:self.first + L] for C in self.known]
         self.block = self.buffer[:len(parts[0])]
         for i, C in enumerate(parts):
-            self.block[..., i:i + 1] = C
+            self.block[..., i] = C
         return n - self.first
 
     def __call__(self, n, f_n, u):
-        """Write level n + a of the (nt, nx, 1, K) batch u from its (nx, 1, K) source rows f_n."""
-        nx, _, K = f_n.shape
+        """Write level n + a of the (nt, nx, K) batch u from its (nx, K) source rows f_n."""
+        nx, K = f_n.shape
         i = n - self.first
         if not 0 <= i < len(self.block):
             i = self._stack(n)
-        window = u[n + self.lo:n + self.lo + 2].reshape(2 * nx, 1, K)
-        rhs = np.einsum("xab,xbk->xak", self.block[i], window[self.gather].reshape(nx, -1, K))
+        window = u[n + self.lo:n + self.lo + 2].reshape(2 * nx, K)
+        rhs = np.einsum("xm,xmk->xk", self.block[i], window[self.gather])
         self.solve(n, np.subtract(f_n, rhs, out=rhs), u[n + self.a])
 
 
@@ -563,13 +547,13 @@ class _SiteStep(_Step):
 
     def __init__(self, op: HyperbolicOperator, a: int):
         super().__init__(op, a)
-        self.diag = op.offsets[(a, 0)] if (a, 0) in op.offsets else _blocks(op.grid)
-        zero = ~self.diag[1:-1].all(axis=(1, 2, 3))
+        self.diag = op.offsets[(a, 0)] if (a, 0) in op.offsets else np.zeros((op.grid.nt, 1))
+        zero = ~self.diag[1:-1].all(axis=1)
         if zero.any():
             raise _singular(1 + int(np.argmax(zero)))
 
     def solve(self, n, rhs, out):
-        np.divide(rhs, self.diag[n], out=out)
+        np.divide(rhs, self.diag[n, :, None], out=out)  # one value per site, for all K columns
 
 
 class _BandedStep(_Step):
@@ -596,7 +580,7 @@ class _BandedStep(_Step):
         new = [b for b in (-1, 0, 1) if (a, b) in op.offsets]
         cols = [self.pos[(sites + b) % nx] for b in new]
         self.band = np.stack([c * self.ldab + 2 * self.kl + self.pos - c for c in cols]).ravel()
-        self.new = [op.offsets[(a, b)][..., 0, 0] for b in new]
+        self.new = [op.offsets[(a, b)] for b in new]
         self.factors = {}
 
     def factor(self, n):
@@ -611,10 +595,9 @@ class _BandedStep(_Step):
         return self.factors[n]
 
     def solve(self, n, rhs, out):
-        nx, _, K = rhs.shape
         lu, piv = self.factor(n)
-        x, _ = self.dgbtrs(lu, self.kl, self.kl, rhs[self.order].reshape(nx, K), piv, overwrite_b=True)
-        np.take(x.reshape(nx, 1, K), self.pos, axis=0, out=out, mode="clip")  # "raise" buffers out
+        x, _ = self.dgbtrs(lu, self.kl, self.kl, rhs[self.order], piv, overwrite_b=True)
+        np.take(x, self.pos, axis=0, out=out, mode="clip")  # "raise" buffers out
 
 
 # -- constructors -------------------------------------------------------------
@@ -683,8 +666,7 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None, hxx_override=N
     deviates from -g_sharp.
     """
     g = metric.grid
-    S = _principal_offsets(metric, ixx_override=hxx_override)
-    offsets = {k: _blocks(g, v) for k, v in S.items()}
+    offsets = _principal_offsets(metric, ixx_override=hxx_override)
 
     def coerce(c):
         if c is None:
@@ -699,8 +681,7 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None, hxx_override=N
     def add(key, blk):
         """Add blk, a scalar or an (nt, 1) or (nt, nx) array, into offset `key`,
         in place where the shapes allow: the offsets are this call's own."""
-        blk = _blocks(g, blk) if np.ndim(blk) else blk
-        offsets[key] = _into(np.add, offsets.get(key, _blocks(g)), blk)  # x + (-b) is x - b bit for bit
+        offsets[key] = _into(np.add, offsets.get(key, np.zeros((g.nt, 1))), blk)  # x + (-b) is x - b bit for bit
 
     A0c, A1c, Bc = coerce(A0), coerce(A1), coerce(B)
     if A0c is not None:
@@ -737,7 +718,7 @@ def symmetrize(N: HyperbolicOperator) -> HyperbolicOperator:
     """(N + V^{-1} N^T V) / 2; fixes the self-adjoint flag, keeps the symbol."""
     adj = N.adjoint_offsets()
     keys = set(N.offsets) | set(adj)
-    zero = _blocks(N.grid)
+    zero = np.zeros((N.grid.nt, 1))
     offsets = {k: 0.5 * (N.offsets.get(k, zero) + adj.get(k, zero)) for k in keys}
     return HyperbolicOperator(N.metric, offsets, N.A0, N.A1, N.B, self_adjoint=True)
 
@@ -772,13 +753,22 @@ def convex_operator(N0: HyperbolicOperator, N1: HyperbolicOperator, chi: ScalarF
 
 # -- Green systems -------------------------------------------------------------
 
+def _fields(grid, f, what):
+    """f as a float array, one (nt, nx) field or a (K, nt, nx) batch; any other shape is refused."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim not in (2, 3) or f.shape[-2:] != (grid.nt, grid.nx):
+        raise ValueError(f"{what} shape {f.shape} is neither (nt, nx) = {(grid.nt, grid.nx)} "
+                         f"nor a batch (K, nt, nx)")
+    return f
+
+
 def _check_margin(f, side, what="source"):
-    """Reject a source, or any column of a (K, nt, nx, 1) batch, that reaches the margin."""
-    v = np.abs(f).reshape((-1,) + f.shape[-3:])
-    tol = 1e-12 * (1.0 + v.max(axis=(1, 2, 3)))  # round-off dribble is not support
-    if side > 0 and np.any(v[:, :PAST_MARGIN].max(axis=(1, 2, 3)) > tol):
+    """Reject a source, or any column of a (K, nt, nx) batch, that reaches the margin."""
+    v = np.abs(f).reshape((-1,) + f.shape[-2:])
+    tol = 1e-12 * (1.0 + v.max(axis=(1, 2)))  # round-off dribble is not support
+    if side > 0 and np.any(v[:, :PAST_MARGIN].max(axis=(1, 2)) > tol):
         raise ValueError(f"{what} must vanish on the first {PAST_MARGIN} time levels")
-    if side < 0 and np.any(v[:, -PAST_MARGIN:].max(axis=(1, 2, 3)) > tol):
+    if side < 0 and np.any(v[:, -PAST_MARGIN:].max(axis=(1, 2)) > tol):
         raise ValueError(f"{what} must vanish on the last {PAST_MARGIN} time levels")
 
 
@@ -786,7 +776,7 @@ class GreenSystem:
     """Retarded/advanced solvers G^+ / G^- of one operator, and its causal
     propagator G = G^+ - G^-.
 
-    Sources are one (nt, nx, 1) or (nt, nx) field, or a batch (K, nt, nx, 1)
+    Sources are one (nt, nx) field or section, or a batch (K, nt, nx)
     solved in one march.
     """
 
@@ -794,10 +784,7 @@ class GreenSystem:
         self.operator = N
 
     def _prep(self, f):
-        v = f.values if isinstance(f, Section) else np.asarray(f, dtype=float)
-        if v.shape == (self.operator.grid.nt, self.operator.grid.nx):
-            v = v[:, :, None]
-        return v
+        return _fields(self.operator.grid, f.values if isinstance(f, Section) else f, "source")
 
     def plus(self, f):
         v = self._prep(f)
@@ -825,7 +812,7 @@ class GreenSystem:
         qs = np.arange(PAST_MARGIN * g.nx, (g.nt - PAST_MARGIN) * g.nx)
         E = np.zeros((len(qs), n))
         E[np.arange(len(qs)), qs] = 1.0
-        E = E.reshape(-1, g.nt, g.nx, g.rank)
+        E = E.reshape(-1, g.nt, g.nx)
         out = []
         for solve in (self.plus, self.minus):
             M = np.zeros((n, n))
@@ -847,12 +834,13 @@ def solve_cauchy(N: HyperbolicOperator, slice_index: int, h1, h2, f=None) -> Sec
     if slice_index < 1 or slice_index > g.nt - 3:
         raise ValueError("Cauchy slice must keep one level clear of the window boundary")
     N.check_march()
-    h1 = np.asarray(h1, dtype=float).reshape(g.nx, g.rank)
-    h2 = np.asarray(h2, dtype=float).reshape(g.nx, g.rank)
-    fv = np.broadcast_to(0.0, (g.nt, g.nx, g.rank)) if f is None else \
+    h1, h2 = (np.asarray(h, dtype=float) for h in (h1, h2))
+    if h1.shape != (g.nx,) or h2.shape != (g.nx,):
+        raise ValueError(f"Cauchy data shapes {h1.shape}, {h2.shape} are not (nx,) = {(g.nx,)}")
+    fv = np.broadcast_to(0.0, (g.nt, g.nx)) if f is None else \
         (f.values if isinstance(f, Section) else np.asarray(f, dtype=float))
-    if fv.shape == (g.nt, g.nx):
-        fv = fv[:, :, None]
+    if fv.shape != (g.nt, g.nx):
+        raise ValueError(f"Cauchy source shape {fv.shape} is not (nt, nx) = {(g.nt, g.nx)}")
     u1 = _taylor_start(N, slice_index, h1, h2, fv[slice_index])
     sol = N.march(fv, 0, seed_level=slice_index, seeds=(h1, u1))
     return Section(g, sol)
@@ -869,7 +857,7 @@ def _taylor_start(N, s, h1, h2, f_s):
     g = N.grid
     u3 = np.stack([h1 - g.dt * h2, h1, h1 + g.dt * h2])
     res = f_s - stencil_apply({k: C[s - 1:s + 2] for k, C in N.offsets.items()}, u3, rows=(1, 2))[1]
-    itt = N.metric.inverse_components(s)[0][:, None]
+    itt = N.metric.inverse_components(s)[0]
     utt = res / (-itt)  # the stencil's u_tt coefficient is -g^tt
     return h1 + g.dt * h2 + 0.5 * g.dt**2 * utt
 
@@ -892,11 +880,10 @@ def exactness_check(N: HyperbolicOperator, seed=0, count=5) -> dict:
     hs, psis = [], []
     for _ in range(count):  # draws per sample: h, then the Cauchy data of psi
         hs.append(_window_section(g, rng, lo, hi))
-        psis.append(solve_cauchy(N, 2, rng.standard_normal((g.nx, g.rank)),
-                                 rng.standard_normal((g.nx, g.rank))).values)
+        psis.append(solve_cauchy(N, 2, rng.standard_normal(g.nx), rng.standard_normal(g.nx)).values)
     h, psi = np.stack(hs), np.stack(psis)
     f = N.apply(h)
-    fpsi = N.apply(chi.values[:, :, None] * psi)
+    fpsi = N.apply(chi.values * psi)
     for v in (f, fpsi):
         v[:, :1] = 0.0
         v[:, -1:] = 0.0
@@ -910,21 +897,21 @@ def exactness_check(N: HyperbolicOperator, seed=0, count=5) -> dict:
 
 
 def _window_section(grid, rng, lo, hi):
-    u = np.zeros((grid.nt, grid.nx, grid.rank))
-    u[lo:hi] = rng.standard_normal((hi - lo, grid.nx, grid.rank))
+    u = np.zeros((grid.nt, grid.nx))
+    u[lo:hi] = rng.standard_normal((hi - lo, grid.nx))
     # smooth a little so sup norms are O(1)
     for _ in range(2):
         u[lo:hi] = 0.25 * np.roll(u[lo:hi], 1, 1) + 0.5 * u[lo:hi] + 0.25 * np.roll(u[lo:hi], -1, 1)
     return u
 
 
-def flux_blocks(N: HyperbolicOperator, n: int) -> np.ndarray:
-    """(V N)[level n rows, level n+1 cols] as per-offset blocks for the flux."""
+def flux_blocks(N: HyperbolicOperator, n: int) -> dict:
+    """(V N)[level n rows, level n+1 cols] as one row of entries per offset (1, b), for the flux."""
     out = {}
     for b in (-1, 0, 1):
         C = N.offsets.get((1, b))
         if C is not None:
-            out[b] = N.weight[n][:, None, None] * C[n]
+            out[b] = N.weight[n] * C[n]
     return out
 
 
@@ -934,7 +921,7 @@ def symplectic_form(N: HyperbolicOperator, psi, phi, slice_index):
     Equals the slice integral of <Psi | grad_n Phi> - <grad_n Psi | Phi>
     evaluated with staggered differences; slice independence on equation
     rows is exact because V N is exactly symmetric.  A number for two
-    solutions; for two (K, nt, nx, 1) batches, the K column-pair fluxes.
+    solutions; for two (K, nt, nx) batches, the K column-pair fluxes.
     slice_index may be a sequence of cuts: the arguments are then checked
     once and the result holds one flux (or K fluxes) per cut.
     """
@@ -958,17 +945,17 @@ def _flux(N, pv, fv, n):
     # sign of the slice normal consistently with the wave-operator sign
     acc = 0.0
     for b, Bk in flux_blocks(N, n).items():
-        fpn = np.roll(fv[..., n + 1, :, :], -b, axis=-2)
-        ppn = np.roll(pv[..., n + 1, :, :], -b, axis=-2)
-        acc += np.einsum("...xa,xab,...xb->...", fv[..., n, :, :], Bk, ppn)
-        acc -= np.einsum("...xa,xab,...xb->...", pv[..., n, :, :], Bk, fpn)
+        fpn = np.roll(fv[..., n + 1, :], -b, axis=-1)
+        ppn = np.roll(pv[..., n + 1, :], -b, axis=-1)
+        acc += np.einsum("...x,x,...x->...", fv[..., n, :], Bk, ppn)
+        acc -= np.einsum("...x,x,...x->...", pv[..., n, :], Bk, fpn)
     return acc
 
 
 def propagator_symplectic_identity(N: HyperbolicOperator, f, h) -> dict:
     """sigma(G f, G h) against the volume pairing of f with G h.
 
-    f and h are sections or (nt, nx, 1) fields, or (K, nt, nx, 1) batches
+    f and h are sections or (nt, nx) fields, or (K, nt, nx) batches
     paired column by column, each value of the result then holding K numbers.
     """
     fv, hv = (v.values if isinstance(v, Section) else np.asarray(v, dtype=float) for v in (f, h))

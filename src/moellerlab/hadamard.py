@@ -137,7 +137,7 @@ class PullbackKernel(ModeKernel):
         if base.modes.shape[0] != g.n_points:
             raise ValueError("the kernel and the intertwiner live on different grids")
         M = base.modes.shape[1]
-        phi = base.modes.T.reshape(M, g.nt, g.nx, 1)
+        phi = base.modes.T.reshape(M, g.nt, g.nx)
         out = R.apply(np.concatenate([phi.real, phi.imag])).reshape(2 * M, g.n_points)
         super().__init__(g, (out[:M] + 1j * out[M:]).T, base.weights)
         self.base = base
@@ -158,11 +158,11 @@ def _green_kernel_columns(N: HyperbolicOperator, qs) -> np.ndarray:
     """Columns G(., q) of the causal-propagator kernel (weights divided out)."""
     g = N.grid
     n, j = np.divmod(np.asarray(qs, dtype=int), g.nx)
-    E = np.zeros((len(n), g.nt, g.nx, 1))
-    E[np.arange(len(n)), n, j, 0] = 1.0
+    E = np.zeros((len(n), g.nt, g.nx))
+    E[np.arange(len(n)), n, j] = 1.0
     E = N.unweigh(E)
     gs = GreenSystem(N)
-    return (gs.plus(E) - gs.minus(E))[..., 0]
+    return gs.plus(E) - gs.minus(E)
 
 
 def ccr_hypothesis_check(nu, N: HyperbolicOperator, probes=None) -> dict:
@@ -182,7 +182,7 @@ def bisolution_check(nu, N: HyperbolicOperator, probes=None) -> dict:
     cols = _columns(nu, probes)
     # the left slot; the right one is its conjugate by Hermitian symmetry,
     # N_q K(p, q) = conj(N_q K(q, p)), so it has the same sup
-    r = N.apply(cols.real[..., None]) + 1j * N.apply(cols.imag[..., None])
+    r = N.apply(cols.real) + 1j * N.apply(cols.imag)
     return {"sup_left": float(np.max(np.abs(r[:, 1:-1])))}
 
 

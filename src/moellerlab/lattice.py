@@ -3,9 +3,8 @@
 The grid carries nt time levels on [t_min, t_max] (both endpoints included)
 and nx equispaced sites on a circle of circumference `length`, so every
 constant-time slice is compact and spatial index arithmetic is modular.
-Fields are scalar: a section is an (nt, nx, 1) array, whose trailing axis
-of length 1 every operator and march keeps, and a scalar field such as a
-volume density or a switch is an (nt, nx) array.  All objects are frozen
+Fields are scalar: a section, a volume density or a switch is an (nt, nx)
+array, and a batch of K sections is a (K, nt, nx) array.  All objects are frozen
 after construction (arrays are made read-only), so they are safe to share
 between threads.
 """
@@ -40,7 +39,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpacetimeGrid:
-    """Uniform lattice on [t_min, t_max] x S^1; `rank` is the length of a section's trailing axis."""
+    """Uniform lattice on [t_min, t_max] x S^1.
+
+    `rank` = 1 is the number of field values at a point.  The package itself
+    never reads it; it stays because the benchmark tracer
+    (``benchmarks/layertrace.py``) counts the columns of a march as the
+    source's size over nt * nx * rank.
+    """
 
     nt: int
     nx: int
@@ -88,7 +93,7 @@ class SpacetimeGrid:
         return int(round((t - self.t_min) / self.dt))
 
     def zeros(self) -> np.ndarray:
-        return np.zeros((self.nt, self.nx, self.rank))
+        return np.zeros((self.nt, self.nx))
 
     def __str__(self):
         return f"{self.nt}x{self.nx} grid, t in [{self.t_min}, {self.t_max}], L={self.length}"
@@ -100,7 +105,7 @@ def make_grid(nt, nx, t_min, t_max, length) -> SpacetimeGrid:
 
 
 class Section:
-    """A section: real values indexed (time, site, 0).
+    """A section: real values indexed (time, site), an (nt, nx) array.
 
     `support_window`, when given, records (first_level, last_level) of an
     enclosing time window; compactly-supported sections must vanish outside
@@ -109,10 +114,8 @@ class Section:
 
     def __init__(self, grid: SpacetimeGrid, values, support_window=None):
         values = np.asarray(values, dtype=float)
-        if values.shape == (grid.nt, grid.nx):
-            values = values[:, :, None]
-        if values.shape != (grid.nt, grid.nx, grid.rank):
-            raise ValueError(f"section shape {values.shape} does not match grid {grid}")
+        if values.shape != (grid.nt, grid.nx):
+            raise ValueError(f"section shape {values.shape} is not (nt, nx) = {(grid.nt, grid.nx)}")
         _require_finite(values, "section values")
         self.grid = grid
         self.values = _freeze(values)
@@ -186,7 +189,7 @@ def weighted_inner_product(f: Section, h: Section, vol: ScalarField) -> float:
     if vol.values.min() <= 0:
         raise ValueError("volume weight must be positive")
     g = f.grid
-    dens = np.einsum("txa,txa->tx", f.values, h.values) * vol.values
+    dens = f.values * h.values * vol.values
     return float(dens.sum() * g.dt * g.dx)
 
 

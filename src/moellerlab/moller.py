@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import ALIGNED, MetricField, ParacausalChain, preceq
+from .geometry import ALIGNED, MetricField, ParacausalChain, preceq, stored_field
 from .greenhyp import (GreenSystem, HyperbolicOperator, axis_class, convex_operator,
                        solve_cauchy, stencil_apply, stencil_transpose, sup_norms,
                        symplectic_form, wave_operator, worst_ratio)
@@ -112,7 +112,11 @@ class MollerStep:
     ``transpose_apply`` marches in direction -s and stops at level lo (plus)
     or hi - 1 (minus), the last D^T reads.  ``inverse()`` swaps the ends
     (stencil -D, marching N_lo) and is built once.  Every action takes one
-    (nt, nx, r) field or a (K, nt, nx, r) batch.
+    (nt, nx) field or a (K, nt, nx) batch.
+
+    The profiles ``a`` and ``b`` and every offset of D and D^T are kept at the
+    resolution they vary at (``geometry.stored_field``): (nt, 1) columns
+    along a chain of metrics constant along x, as every preset is.
 
     A step built from its ends checks at build time that it is the identity
     on ``inert()``, by ``identity_defect``.  That measurement applies D and
@@ -131,17 +135,16 @@ class MollerStep:
         self.sign = +1 if kind == "plus" else -1
         self.op_lo = op_lo            # N0 for plus, N_chi for minus
         self.op_hi = op_hi            # N_chi for plus, N1 for minus
-        self.a = a[:, :, None]
-        self.b = b[:, :, None]
+        self.grid = g = op_hi.grid
+        self.a = stored_field(g, a)
+        self.b = stored_field(g, b)
         self.t0_level = t0_level
         self.t1_level = t1_level
-        self.grid = op_hi.grid
         check = stencils is None  # an inverse step comes with its stencils, unchecked
         if check:
-            ab, bb = self.a[..., None], self.b[..., None]
-            D = {k: bb * op_hi.offsets.get(k, 0.0) - ab * op_lo.offsets.get(k, 0.0)
+            D = {k: self.b * op_hi.offsets.get(k, 0.0) - self.a * op_lo.offsets.get(k, 0.0)
                  for k in {**op_hi.offsets, **op_lo.offsets}}
-            D = {k: C for k, C in D.items() if np.any(C)}
+            D = {k: stored_field(g, C) for k, C in D.items() if np.any(C)}
             stencils = D, stencil_transpose(D)
         self.D, self.DT = stencils
         self.rows, self.rows_t = (_active_rows(S, self.grid.nt) for S in stencils)
@@ -183,7 +186,7 @@ class MollerStep:
         else:
             rows, d_rows = (reach + 1, hi), (min(hi, max(lo, reach + 1)), hi)
         d = stencil_apply(self.D, u, d_rows)
-        d[..., slice(*d_rows), :, :] /= self.b[slice(*d_rows)]
+        d[..., slice(*d_rows), :] /= self.b[slice(*d_rows)]
         # the levels before the first active row (plus) or after the last (minus) stay zero
         out = self.op_hi.march(d, self.sign, rows=rows)
         return np.subtract(u, out, out=out)
@@ -197,7 +200,7 @@ class MollerStep:
         # march only to the active rows: level lo going down, hi - 1 going up
         rows = (lo + 1, self.grid.nt - 1) if self.sign > 0 else (1, hi - 1)
         w = hi_op.weigh(hi_op.march(hi_op.unweigh(h), -self.sign, rows=rows))
-        w[..., lo:hi, :, :] /= self.b[lo:hi]  # D^T has zero weight on every other level
+        w[..., lo:hi, :] /= self.b[lo:hi]  # D^T has zero weight on every other level
         out = self._diff_transpose(w)
         return np.subtract(h, out, out=out)
 
@@ -205,7 +208,7 @@ class MollerStep:
         """max |R u - u| on ``inert()``, with the march stopped at the last inert level."""
         inert = self.inert()
         reach = inert.stop - 1 if self.sign > 0 else inert.start  # last in marching order
-        defect = self._apply(u, reach)[..., inert, :, :] - u[..., inert, :, :]
+        defect = self._apply(u, reach)[..., inert, :] - u[..., inert, :]
         return float(np.max(np.abs(defect), initial=0.0))
 
     def inverse(self) -> "MollerStep":
@@ -215,7 +218,7 @@ class MollerStep:
         """
         if self._inverse is None:
             neg = tuple({k: -C for k, C in S.items()} for S in (self.D, self.DT))
-            inv = MollerStep(self.kind, self.op_hi, self.op_lo, self.b[..., 0], self.a[..., 0],
+            inv = MollerStep(self.kind, self.op_hi, self.op_lo, self.b, self.a,
                              self.t0_level, self.t1_level, stencils=neg)
             inv._inverse, self._inverse = self, inv
         return self._inverse
@@ -229,7 +232,7 @@ class MollerStep:
             raise ValueError("the scaling profiles must agree on the inert side")
         # the difference vanishes on the inert side (the other side carries
         # the metric mismatch); boundary rows carry no equation
-        probe = np.zeros((g.nt, g.nx, g.rank))
+        probe = np.zeros((g.nt, g.nx))
         probe[1:-1] = 1.0
         d = stencil_apply(self.D, probe)
         tol = 1e-10 * (1 + np.max(np.abs(d)))
@@ -240,8 +243,8 @@ class MollerStep:
     def _check_identity_region(self):
         g = self.grid
         rng = np.random.default_rng(7)
-        u = np.zeros((g.nt, g.nx, g.rank))
-        u[2:-2] = rng.standard_normal((g.nt - 4, g.nx, g.rank))
+        u = np.zeros((g.nt, g.nx))
+        u[2:-2] = rng.standard_normal((g.nt - 4, g.nx))
         err = self.identity_defect(u)
         if err > 1e-10 * (1.0 + float(np.max(np.abs(u)))):
             raise AssertionError(f"identity region violated at build time: {err:.2e}")
@@ -251,7 +254,7 @@ def _active_rows(offsets, nt):
     """(lo, hi): the rows lo <= n < hi span every nonzero entry of a stencil; (0, 0) if none."""
     nonzero = np.zeros(nt, bool)
     for C in offsets.values():
-        nonzero |= C.any(axis=(1, 2, 3))
+        nonzero |= C.any(axis=1)
     rows = np.flatnonzero(nonzero)
     return (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
 
@@ -295,8 +298,8 @@ class MollerOperator:
     op_start (metric g) and op_end (metric g'), whose metrics give
     c' = vol_g' / vol_g; the adjoint with respect to the end metrics is
     realized as V_g^{-1} R^T V_{g'} with the transpose folded through the
-    steps in reverse.  Actions take one (nt, nx, r) field or a (K, nt, nx, r)
-    batch.
+    steps in reverse.  Actions take one (nt, nx) field or a (K, nt, nx)
+    batch.  The dense forms are built anew on each call and not kept.
     """
 
     def __init__(self, steps, op_start: HyperbolicOperator, op_end: HyperbolicOperator):
@@ -306,7 +309,6 @@ class MollerOperator:
         self.c_prime = _vol_ratio(op_start.metric, op_end.metric)
         if np.min(self.c_prime) <= 0.0:
             raise ValueError("volume ratio must be positive")
-        self._dense = {}
 
     # actions ------------------------------------------------------------------
 
@@ -343,15 +345,17 @@ class MollerOperator:
         """Dense matrix of a linear action, all unit columns in one batch."""
         g = self.op_start.grid
         n = g.n_dof
-        return action(np.eye(n).reshape(n, g.nt, g.nx, g.rank)).reshape(n, n).T
+        return action(np.eye(n).reshape(n, g.nt, g.nx)).reshape(n, n).T
 
     def as_matrix(self) -> np.ndarray:
-        if "R" not in self._dense:
-            self._dense["R"] = self._matrix_of(self.apply)
-        return self._dense["R"]
+        return self._matrix_of(self.apply)
 
     def adjoint_matrix(self) -> np.ndarray:
-        """Definitional weighted transpose of the realized matrix."""
+        """Definitional weighted transpose of the realized matrix, marched anew.
+
+        A caller that holds ``as_matrix()`` already builds
+        ``AdjointOperator(Rm, op_start, op_end)`` instead.
+        """
         return AdjointOperator(self.as_matrix(), self.op_start, self.op_end).matrix
 
 
@@ -363,7 +367,7 @@ class AdjointOperator:
         self.op_g = op_g
         self.op_gp = op_gp
         g = op_g.grid
-        n, fields = g.n_dof, (-1, g.nt, g.nx, g.rank)
+        n, fields = g.n_dof, (-1, g.nt, g.nx)
         # V and V^{-1} are symmetric, so weighing a batch of rows multiplies from
         # the right: T^T V' from the rows of T^T, then V^{-1} on its columns
         tv = op_gp.weigh(self.base_matrix.T.reshape(fields)).reshape(n, n)
@@ -371,7 +375,7 @@ class AdjointOperator:
 
     def apply(self, u):
         g = self.op_g.grid
-        return (self.matrix @ np.asarray(u).reshape(-1)).reshape(g.nt, g.nx, g.rank)
+        return (self.matrix @ np.asarray(u).reshape(-1)).reshape(g.nt, g.nx)
 
 
 def adjoint(T, op_g: HyperbolicOperator, op_gp: HyperbolicOperator) -> AdjointOperator:
@@ -444,10 +448,10 @@ def random_dictionary(grid, count=16, seed=0, window=None, smooth_passes=2):
     lo, hi = window if window is not None else (2, grid.nt - 2)
     out = []
     for _ in range(count):
-        u = np.zeros((grid.nt, grid.nx, grid.rank))
-        u[lo:hi] = rng.standard_normal((hi - lo, grid.nx, grid.rank))
+        u = np.zeros((grid.nt, grid.nx))
+        u[lo:hi] = rng.standard_normal((hi - lo, grid.nx))
         taper = np.sin(np.linspace(0.0, np.pi, hi - lo)) ** 2
-        u[lo:hi] *= taper[:, None, None]
+        u[lo:hi] *= taper[:, None]
         for _ in range(smooth_passes):
             u[lo:hi] = 0.25 * np.roll(u[lo:hi], 1, 1) + 0.5 * u[lo:hi] + 0.25 * np.roll(u[lo:hi], -1, 1)
         out.append(Section(grid, u))
@@ -467,13 +471,13 @@ def verify_intertwine(obj, dictionary) -> dict:
         lhs = obj.b * obj.op_hi.apply(obj.apply(u))
         rhs = obj.a * obj.op_lo.apply(u)
     else:
-        lhs = obj.c_prime[:, :, None] * obj.op_end.apply(obj.apply(u))
+        lhs = obj.c_prime * obj.op_end.apply(obj.apply(u))
         rhs = obj.op_start.apply(u)
     return {"intertwine": worst_ratio(sup_norms((lhs - rhs)[:, 1:-1]), sup_norms(rhs))}
 
 
 def _stack(dictionary):
-    """(K, nt, nx, r) batch of a dictionary's sections."""
+    """(K, nt, nx) batch of a dictionary's sections."""
     return np.stack([f.values for f in dictionary])
 
 
@@ -498,7 +502,7 @@ def restrict_to_solutions(R: MollerOperator, kind="ker", tol=1e-8):
         if kind == "sol" and sup_norms(source[[1, -2]]) > tol * scale:
             raise ValueError("input's source must vanish on equation rows 1 and nt-2")
         out = R.apply(u)
-        lhs = R.c_prime[:, :, None] * R.op_end.apply(out)
+        lhs = R.c_prime * R.op_end.apply(out)
         if sup_norms((lhs - source)[1:-1]) > 10 * tol * scale:
             raise AssertionError("image failed to solve the target equation")
         return Section(R.op_start.grid, out)
@@ -543,10 +547,8 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     worst = 0.0
     n_slice = grid.nt // 2
     for _ in range(sympl_pairs):
-        psi = solve_cauchy(R.op_start, 3, rng.standard_normal((grid.nx, grid.rank)),
-                           rng.standard_normal((grid.nx, grid.rank)))
-        phi = solve_cauchy(R.op_start, 3, rng.standard_normal((grid.nx, grid.rank)),
-                           rng.standard_normal((grid.nx, grid.rank)))
+        psi = solve_cauchy(R.op_start, 3, rng.standard_normal(grid.nx), rng.standard_normal(grid.nx))
+        phi = solve_cauchy(R.op_start, 3, rng.standard_normal(grid.nx), rng.standard_normal(grid.nx))
         s0 = symplectic_form(R.op_start, psi, phi, n_slice)
         s1 = symplectic_form(R.op_end, Section(grid, R.apply(psi.values)),
                              Section(grid, R.apply(phi.values)), n_slice)
@@ -556,16 +558,16 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     # identity regions of the outermost steps (below t0 for plus-kind, above
     # t1 for minus-kind; inversion does not move the inert side)
     rng = np.random.default_rng(seed + 2)
-    u = np.zeros((grid.nt, grid.nx, grid.rank))
-    u[2:-2] = rng.standard_normal((grid.nt - 4, grid.nx, grid.rank))
+    u = np.zeros((grid.nt, grid.nx))
+    u[2:-2] = rng.standard_normal((grid.nt - 4, grid.nx))
     rep["identity_region"] = max(s.identity_defect(u) for s in (R.steps[0], R.steps[-1]))
 
     if dense:
         Rm = R.as_matrix()
-        Rd = R.adjoint_matrix()
+        Rd = AdjointOperator(Rm, R.op_start, R.op_end).matrix
         G, Gprime = (np.subtract(*S.kernel_matrices()) for S in (Gn, Gnp))  # G+ - G-
         sel = np.zeros(grid.n_dof, bool)
-        sel.reshape(grid.nt, grid.nx, grid.rank)[2:-2] = True
+        sel.reshape(grid.nt, grid.nx)[2:-2] = True
         lhs = (Rm @ G @ Rd)[:, sel]
         rhs = Gprime[:, sel]
         rep["propagator_transport_dense"] = float(np.max(np.abs(lhs - rhs))) / max(

@@ -28,8 +28,8 @@ def kg48(mink48):
 
 
 def window_section(grid, rng, lo, hi, smooth=0):
-    u = np.zeros((grid.nt, grid.nx, grid.rank))
-    u[lo:hi] = rng.standard_normal((hi - lo, grid.nx, grid.rank))
+    u = np.zeros((grid.nt, grid.nx))
+    u[lo:hi] = rng.standard_normal((hi - lo, grid.nx))
     for _ in range(smooth):
         u[lo:hi] = 0.25 * np.roll(u[lo:hi], 1, 1) + 0.5 * u[lo:hi] + 0.25 * np.roll(u[lo:hi], -1, 1)
     return Section(grid, u)

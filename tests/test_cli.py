@@ -135,7 +135,7 @@ from moellerlab.lattice import make_grid
 assert cli.main(["converge", "--grids", "16,32,64", "--out", {str(tmp_path)!r}]) == 0
 print("scipy.linalg" in sys.modules)
 g = make_grid(128, 32, 0.0, 0.5, 1.0)
-f = np.zeros((g.nt, g.nx, 1))
+f = np.zeros((g.nt, g.nx))
 f[5, 3] = 1.0
 gh.wave_operator(geo.metric_preset("tilted", g), 1.0).march(f, 1)
 print("scipy.linalg" in sys.modules)

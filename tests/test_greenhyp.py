@@ -17,13 +17,13 @@ def test_flat_stencil_is_wave_operator(grid48, mink48):
     N = gh.build_operator(mink48)
     # exact action on a quadratic-in-time profile: d_tt(t^2/2) = 1
     t = grid48.times
-    u = np.repeat((t**2 / 2.0)[:, None], grid48.nx, axis=1)[:, :, None]
+    u = np.repeat((t**2 / 2.0)[:, None], grid48.nx, axis=1)
     out = N.apply(u)
     assert np.max(np.abs(out[1:-1] - 1.0)) < 1e-10
     # spatial part reproduces the discrete dispersion of the circle
     k = 2.0 * np.pi * 3
     x = grid48.sites
-    u = np.repeat(np.cos(k * x)[None, :], grid48.nt, axis=0)[:, :, None]
+    u = np.repeat(np.cos(k * x)[None, :], grid48.nt, axis=0)
     disp2 = ((2.0 / grid48.dx) * np.sin(k * grid48.dx / 2.0)) ** 2
     out = N.apply(u)
     assert np.max(np.abs(out[1:-1] - disp2 * u[1:-1])) < 1e-9 * disp2
@@ -31,7 +31,7 @@ def test_flat_stencil_is_wave_operator(grid48, mink48):
 
 def test_mass_term_enters_zero_order(grid48, mink48):
     N = gh.wave_operator(mink48, mass=2.0)
-    u = np.ones((grid48.nt, grid48.nx, 1))
+    u = np.ones((grid48.nt, grid48.nx))
     out = N.apply(u)
     assert np.max(np.abs(out[1:-1] - 4.0)) < 1e-10
 
@@ -66,7 +66,7 @@ def test_symbol_check_names_the_perturbed_level(grid48, perturb):
     tilted = geo.metric_preset("tilted", grid48, deg=12.0)
     N = gh.build_operator(tilted)  # the unperturbed operator passes
     level, site = 17, 5
-    offsets = {k: np.broadcast_to(v, (grid48.nt, grid48.nx, 1, 1)).copy() for k, v in N.offsets.items()}
+    offsets = {k: np.broadcast_to(v, (grid48.nt, grid48.nx)).copy() for k, v in N.offsets.items()}
     for k, sign in perturb.items():
         offsets[k][level, site] += sign * 1e-3 * np.max(np.abs(N.offsets[(1, 1)]))
     bent = gh.HyperbolicOperator(tilted, offsets)
@@ -121,7 +121,7 @@ def test_assembly_peak_within_a_few_fields():
     met = _warped_along_x(512, 256)
     N, peak, held = _traced(lambda: gh.wave_operator(met, mass=1.0))
     kept = _kept_bytes(N)
-    assert all(C.shape == (512, 256, 1, 1) for C in N.offsets.values())
+    assert all(C.shape == (512, 256) for C in N.offsets.values())
     assert N.B.strides == (0, 0)
     assert held <= 1.01 * kept, held / kept
     assert peak <= 1.6 * kept, peak / kept
@@ -135,7 +135,7 @@ def test_constant_along_x_operator_keeps_one_value_per_level():
     met = geo.metric_preset("minkowski", g)
     column = 8 * g.nt
     N, peak, held = _traced(lambda: gh.wave_operator(met, mass=1.0))
-    assert all(C.shape == (g.nt, 1, 1, 1) for C in N.offsets.values())
+    assert all(C.shape == (g.nt, 1) for C in N.offsets.values())
     assert _kept_bytes(N) == 8 * column
     assert held <= 12 * column, held / column
     assert peak <= 24 * column, peak / column
@@ -152,8 +152,7 @@ def test_march_peak_within_a_few_fields():
     g = met.grid
     N = gh.wave_operator(met, mass=0.0)
     kept = _kept_bytes(N)
-    _, peak, _ = _traced(lambda: gh.solve_cauchy(N, 1, np.sin(4 * np.pi * g.sites)[:, None],
-                                                 np.zeros((g.nx, 1))))
+    _, peak, _ = _traced(lambda: gh.solve_cauchy(N, 1, np.sin(4 * np.pi * g.sites), np.zeros(g.nx)))
     assert kept + peak <= 1.5 * kept, (kept + peak) / kept
 
 
@@ -309,7 +308,7 @@ def test_weight_api_matches_dense_weight():
     V = N.weight_dense()
     assert np.ptp(N.vol) > 0.1  # V varies from point to point
     K = 4
-    F, H = np.random.default_rng(6).standard_normal((2, K, N.grid.nt, N.grid.nx, 1))
+    F, H = np.random.default_rng(6).standard_normal((2, K, N.grid.nt, N.grid.nx))
     f, h = F.reshape(K, -1), H.reshape(K, -1)
 
     def rel(got, want):
@@ -356,26 +355,26 @@ def test_convex_operator_requires_comparability(grid48, mink48):
 # -- Cauchy solves ---------------------------------------------------------------
 
 def test_zero_data_zero_solution(kg48, grid48):
-    sol = gh.solve_cauchy(kg48, 5, np.zeros((grid48.nx, 1)), np.zeros((grid48.nx, 1)))
+    sol = gh.solve_cauchy(kg48, 5, np.zeros(grid48.nx), np.zeros(grid48.nx))
     assert sol.sup_norm() == 0.0
 
 
 def test_cauchy_residual_vanishes_on_equation_rows(kg48, grid48):
     rng = np.random.default_rng(3)
-    sol = gh.solve_cauchy(kg48, 7, rng.standard_normal((grid48.nx, 1)),
-                          rng.standard_normal((grid48.nx, 1)))
+    sol = gh.solve_cauchy(kg48, 7, rng.standard_normal(grid48.nx),
+                          rng.standard_normal(grid48.nx))
     assert kg48.interior_residual(sol.values) < 1e-10 * sol.sup_norm()
 
 
 def test_point_bump_rides_characteristics():
     g = make_grid(64, 64, 0.0, 0.4, 1.0)
     N = gh.wave_operator(geo.metric_preset("minkowski", g), mass=0.0)
-    h1 = np.zeros((g.nx, 1))
-    h1[20, 0] = 1.0
-    sol = gh.solve_cauchy(N, 2, h1, np.zeros((g.nx, 1)))
+    h1 = np.zeros(g.nx)
+    h1[20] = 1.0
+    sol = gh.solve_cauchy(N, 2, h1, np.zeros(g.nx))
     # method-of-characteristics oracle: support stays on |dx| <= dt rays
     reach = geo.causal_future(geo.metric_preset("minkowski", g), [(2, 20)])
-    late = np.abs(sol.values[3:, :, 0]) > 1e-12
+    late = np.abs(sol.values[3:]) > 1e-12
     assert np.all(~late | reach[3:])
 
 
@@ -385,11 +384,11 @@ def test_dalembert_convergence_order():
         N = gh.wave_operator(geo.metric_preset("minkowski", g), mass=0.0)
         x = g.sites
         F = np.sin(4 * np.pi * x)
-        sol = gh.solve_cauchy(N, 1, F[:, None], np.zeros((nx, 1)))
+        sol = gh.solve_cauchy(N, 1, F, np.zeros(nx))
         ts = g.times - g.times[1]
         exact = 0.5 * (np.sin(4 * np.pi * (x[None, :] - ts[:, None]))
                        + np.sin(4 * np.pi * (x[None, :] + ts[:, None])))
-        return float(np.max(np.abs(sol.values[:, :, 0] - exact)))
+        return float(np.max(np.abs(sol.values - exact)))
 
     e1, e2, e3 = err(32), err(64), err(128)
     assert math.log2(e1 / e2) > 1.9
@@ -414,20 +413,37 @@ def test_march_refuses_unstable_metrics():
     for m in (sliver, arcs):
         assert np.max(m.inverse_components()[0]) < 0.0 and gh.axis_class(m) == 0
         N = gh.wave_operator(m, 1.0)
-        f = np.zeros((m.grid.nt, m.grid.nx, 1))
+        f = np.zeros((m.grid.nt, m.grid.nx))
         f[2:-2] = 1.0
         with pytest.raises(gh.UnstableMarch, match=r"g\^xx in \[-"):
             gh.GreenSystem(N).plus(f)
         with pytest.raises(gh.MarchError):
-            gh.solve_cauchy(N, 3, np.ones((m.grid.nx, 1)), np.zeros((m.grid.nx, 1)))
+            gh.solve_cauchy(N, 3, np.ones(m.grid.nx), np.zeros(m.grid.nx))
     # both ends are pure classes, which march (the x-class scheme is the
     # t-class one with m^2 -> -m^2; see test_x_timelike_preset_marches)
     assert [gh.axis_class(m) for m in (chain.metrics[0], chain.metrics[-1])] == [1, -1]
 
 
+def test_fields_take_one_shape(kg48, grid48):
+    # a field is (nt, nx), a batch (K, nt, nx) and Cauchy data (nx,): a
+    # trailing axis of length 1 is refused, naming the shape expected
+    f = np.zeros((grid48.nt, grid48.nx, 1))
+    with pytest.raises(ValueError, match=r"march source shape \(48, 48, 1\) is neither \(nt, nx\)"):
+        kg48.march(f, 1)
+    with pytest.raises(ValueError, match=r"source shape \(48, 48, 1\) is neither \(nt, nx\)"):
+        gh.GreenSystem(kg48).plus(f)
+    with pytest.raises(ValueError, match=r"source shape \(2, 48, 48, 1\) is neither \(nt, nx\)"):
+        gh.GreenSystem(kg48).plus(np.zeros((2,) + f.shape))
+    with pytest.raises(ValueError, match=r"Cauchy data shapes \(48, 1\), \(48,\) are not \(nx,\)"):
+        gh.solve_cauchy(kg48, 5, np.zeros((grid48.nx, 1)), np.zeros(grid48.nx))
+    with pytest.raises(ValueError, match=r"Cauchy source shape \(48, 48, 1\) is not \(nt, nx\)"):
+        gh.solve_cauchy(kg48, 5, np.zeros(grid48.nx), np.zeros(grid48.nx), f)
+    assert gh.GreenSystem(kg48).plus(f[..., 0]).shape == (grid48.nt, grid48.nx)
+
+
 def test_boundary_slice_rejected(kg48, grid48):
     with pytest.raises(ValueError):
-        gh.solve_cauchy(kg48, 0, np.zeros((grid48.nx, 1)), np.zeros((grid48.nx, 1)))
+        gh.solve_cauchy(kg48, 0, np.zeros(grid48.nx), np.zeros(grid48.nx))
 
 
 # -- Green operators --------------------------------------------------------------
@@ -449,11 +465,11 @@ def test_green_inverse_property(kg48, grid48):
 
 def test_green_point_source_forward_cone(kg48, grid48):
     src = grid48.zeros()
-    src[6, 10, 0] = 1.0
+    src[6, 10] = 1.0
     up = gh.GreenSystem(kg48).plus(Section(grid48, src))
     assert np.max(np.abs(up[:6])) == 0.0
     reach = geo.causal_future(kg48.metric, [(6, 10)])
-    hot = np.abs(up[:, :, 0]) > 1e-13
+    hot = np.abs(up) > 1e-13
     assert np.all(~hot | reach)
 
 
@@ -469,11 +485,11 @@ def test_green_time_reflection_symmetry(kg48, grid48):
 
 def test_green_margin_enforced(kg48, grid48):
     bad = grid48.zeros()
-    bad[0, 0, 0] = 1.0
+    bad[0, 0] = 1.0
     with pytest.raises(ValueError, match="first"):
         gh.GreenSystem(kg48).plus(Section(grid48, bad))
     bad2 = grid48.zeros()
-    bad2[-1, 0, 0] = 1.0
+    bad2[-1, 0] = 1.0
     with pytest.raises(ValueError, match="last"):
         gh.GreenSystem(kg48).minus(Section(grid48, bad2))
 
@@ -484,9 +500,9 @@ def test_green_scaled_identities(kg48, grid48):
     rng = np.random.default_rng(6)
     f = window_section(grid48, rng, 5, grid48.nt - 5)
     rho = 1.0 + rng.uniform(0, 1, (grid48.nt, grid48.nx))
-    got = gh.GreenSystem(kg48).plus(f.values / rho[:, :, None])
+    got = gh.GreenSystem(kg48).plus(f.values / rho)
     # direct-assembly oracle: scale the stencil rows by rho and march that
-    off = {k: v * rho[:, :, None, None] for k, v in kg48.offsets.items()}
+    off = {k: v * rho for k, v in kg48.offsets.items()}
     direct = gh.HyperbolicOperator(kg48.metric, off)
     want = direct.march(f.values, +1)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
@@ -514,8 +530,8 @@ def test_complex_property_many(kg48, grid48):
 
 def test_symplectic_antisymmetry(kg48, grid48):
     rng = np.random.default_rng(9)
-    psi = gh.solve_cauchy(kg48, 4, rng.standard_normal((grid48.nx, 1)),
-                          rng.standard_normal((grid48.nx, 1)))
+    psi = gh.solve_cauchy(kg48, 4, rng.standard_normal(grid48.nx),
+                          rng.standard_normal(grid48.nx))
     assert gh.symplectic_form(kg48, psi, psi, 10) == 0.0
 
 
@@ -528,8 +544,8 @@ def test_symplectic_mode_wronskian_oracle():
     om2 = 1.0 + disp2
     om_disc = (2.0 / g.dt) * math.asin(math.sqrt(om2) * g.dt / 2.0)
     t, x = g.times[:, None], g.sites[None, :]
-    psi = (np.cos(k * x) * np.cos(om_disc * t))[:, :, None]
-    phi = (np.cos(k * x) * np.sin(om_disc * t))[:, :, None]
+    psi = (np.cos(k * x) * np.cos(om_disc * t))
+    phi = (np.cos(k * x) * np.sin(om_disc * t))
     assert N.interior_residual(psi) < 1e-9
     assert N.interior_residual(phi) < 1e-9
     got = gh.symplectic_form(N, Section(g, psi), Section(g, phi), 20)
@@ -545,18 +561,18 @@ def test_symplectic_mode_wronskian_oracle():
 
 def test_symplectic_slice_independence(kg48, grid48):
     rng = np.random.default_rng(10)
-    psi = gh.solve_cauchy(kg48, 4, rng.standard_normal((grid48.nx, 1)),
-                          rng.standard_normal((grid48.nx, 1)))
-    phi = gh.solve_cauchy(kg48, 4, rng.standard_normal((grid48.nx, 1)),
-                          rng.standard_normal((grid48.nx, 1)))
+    psi = gh.solve_cauchy(kg48, 4, rng.standard_normal(grid48.nx),
+                          rng.standard_normal(grid48.nx))
+    phi = gh.solve_cauchy(kg48, 4, rng.standard_normal(grid48.nx),
+                          rng.standard_normal(grid48.nx))
     vals = np.array([gh.symplectic_form(kg48, psi, phi, n) for n in range(grid48.nt - 1)])
     assert (vals.max() - vals.min()) <= 1e-9 * abs(vals.mean())
 
 
 def test_symplectic_form_over_many_cuts_checks_the_solutions_once(kg48, grid48, monkeypatch):
     rng = np.random.default_rng(13)
-    psi, phi = (gh.solve_cauchy(kg48, 4, rng.standard_normal((grid48.nx, 1)),
-                                rng.standard_normal((grid48.nx, 1))) for _ in range(2))
+    psi, phi = (gh.solve_cauchy(kg48, 4, rng.standard_normal(grid48.nx),
+                                rng.standard_normal(grid48.nx)) for _ in range(2))
     cuts = range(grid48.nt - 1)
     one_by_one = [gh.symplectic_form(kg48, psi, phi, n) for n in cuts]
     checks = []
@@ -578,8 +594,8 @@ def test_symplectic_form_over_many_cuts_checks_the_solutions_once(kg48, grid48, 
 def test_symplectic_needs_selfadjoint(grid48, mink48):
     N = gh.build_operator(mink48, A0=0.5, B=1.0)
     rng = np.random.default_rng(11)
-    psi = gh.solve_cauchy(N, 4, rng.standard_normal((grid48.nx, 1)),
-                          rng.standard_normal((grid48.nx, 1)))
+    psi = gh.solve_cauchy(N, 4, rng.standard_normal(grid48.nx),
+                          rng.standard_normal(grid48.nx))
     with pytest.raises(ValueError, match="self-adjoint"):
         gh.symplectic_form(N, psi, psi, 5)
 
@@ -638,7 +654,7 @@ def test_green_kernel_transpose_oracle():
     n = g.n_dof
     Gp = np.zeros((n, n))
     Gm = np.zeros((n, n))
-    e = np.zeros((g.nt, g.nx, 1))
+    e = np.zeros((g.nt, g.nx))
     flat = e.reshape(-1)
     sys_ = gh.GreenSystem(N)
     sel = np.zeros(n, bool)
@@ -670,8 +686,8 @@ def test_batched_march_equals_stacked_single_marches(name):
     N = _batch_operator(name)
     g = N.grid
     rng = np.random.default_rng(22)
-    F = np.zeros((5, g.nt, g.nx, g.rank))
-    F[:, 2:-2] = rng.standard_normal((5, g.nt - 4, g.nx, g.rank))
+    F = np.zeros((5, g.nt, g.nx))
+    F[:, 2:-2] = rng.standard_normal((5, g.nt - 4, g.nx))
     for direction in (1, -1):
         batch = N.march(F, direction)
         single = np.array([N.march(f, direction) for f in F])
@@ -683,14 +699,14 @@ def test_batched_march_equals_stacked_single_marches(name):
 def test_batch_margin_checked_per_column(kg48, grid48):
     # the other columns are large, so a batch-wide round-off scale would
     # hide the one column that reaches into the margin
-    F = np.zeros((4, grid48.nt, grid48.nx, 1))
+    F = np.zeros((4, grid48.nt, grid48.nx))
     F[:, 2:-2] = 1e7
     F[2] = 0.0
-    F[2, 0, 3, 0] = 1e-6
+    F[2, 0, 3] = 1e-6
     with pytest.raises(ValueError, match="first"):
         gh.GreenSystem(kg48).plus(F)
-    F[2, 0, 3, 0] = 0.0
-    F[2, -1, 5, 0] = 1e-6
+    F[2, 0, 3] = 0.0
+    F[2, -1, 5] = 1e-6
     with pytest.raises(ValueError, match="last"):
         gh.GreenSystem(kg48).minus(F)
     with pytest.raises(ValueError, match="last"):
@@ -735,11 +751,11 @@ def test_banded_level_solve_equals_dense_solve(name):
     # each level of the march, solved densely from the same known levels
     N = _level_operator(name)
     g = N.grid
-    m = g.nx * g.rank
+    m = g.nx
     D = N.as_dense()
     rng = np.random.default_rng(32)
-    F = np.zeros((2, g.nt, g.nx, g.rank))
-    F[:, 2:-2] = rng.standard_normal((2, g.nt - 4, g.nx, g.rank))
+    F = np.zeros((2, g.nt, g.nx))
+    F[:, 2:-2] = rng.standard_normal((2, g.nt - 4, g.nx))
     for direction in (1, -1):
         U = N.march(F, direction)
         for n in range(1, g.nt - 1):
@@ -754,7 +770,7 @@ def test_banded_level_solve_equals_dense_solve(name):
 
 def _marched_both_ways(N):
     g = N.grid
-    f = np.zeros((g.nt, g.nx, g.rank))
+    f = np.zeros((g.nt, g.nx))
     f[2:-2] = 1.0
     N.march(f, 1)
     N.march(f, -1)
@@ -791,8 +807,8 @@ def test_site_local_march_matches_band_march(kg48):
     # the band path is the reference: on a diagonal band dgbtrs divides by
     # the diagonal, so the two agree bitwise
     g = kg48.grid
-    F = np.zeros((3, g.nt, g.nx, g.rank))
-    F[:, 2:-2] = np.random.default_rng(35).standard_normal((3, g.nt - 4, g.nx, g.rank))
+    F = np.zeros((3, g.nt, g.nx))
+    F[:, 2:-2] = np.random.default_rng(35).standard_normal((3, g.nt - 4, g.nx))
     for direction in (1, -1):
         site = kg48.march(F, direction)
         band = gh.HyperbolicOperator(kg48.metric, kg48.offsets)
@@ -809,8 +825,8 @@ def test_row_range_march_equals_full_march(kg48, name):
     N = kg48 if name == "site" else gh.wave_operator(_tilted_warp(24, 12), 1.0)
     g = N.grid
     lo, hi = g.nt // 3, 2 * g.nt // 3
-    F = np.zeros((2, g.nt, g.nx, g.rank))
-    F[:, 2:-2] = np.random.default_rng(36).standard_normal((2, g.nt - 4, g.nx, g.rank))
+    F = np.zeros((2, g.nt, g.nx))
+    F[:, 2:-2] = np.random.default_rng(36).standard_normal((2, g.nt - 4, g.nx))
     for direction, rows, off in ((1, (lo, g.nt - 1), slice(0, lo)), (-1, (1, hi), slice(hi, g.nt))):
         f = F.copy()
         f[:, off] = 0.0
@@ -835,11 +851,11 @@ def test_march_across_blocks_equals_one_block_march(monkeypatch, name, K):
     g = make_grid(nt, nx, 0.0, 0.5, 1.0)
     met = geo.metric_preset("minkowski", g) if nt == 64 else geo.metric_preset("tilted", g, deg=12.0)
     rng = np.random.default_rng(37)
-    f = np.zeros((K, nt, nx, 1))
-    f[:, 2:-2] = rng.standard_normal((K, nt - 4, nx, 1))
+    f = np.zeros((K, nt, nx))
+    f[:, 2:-2] = rng.standard_normal((K, nt - 4, nx))
     if K == 1:
         f = f[0]
-    h1, h2 = rng.standard_normal((2, nx, 1))
+    h1, h2 = rng.standard_normal((2, nx))
     lo, hi, s = 13, nt - 7, nt // 2 + 1
 
     def marches():
@@ -868,7 +884,7 @@ def test_symbol_check_names_a_block_edge_level(grid48, monkeypatch, level):
     tilted = geo.metric_preset("tilted", grid48, deg=12.0)
     N = gh.build_operator(tilted)
     site = 5
-    offsets = {k: np.broadcast_to(v, (grid48.nt, grid48.nx, 1, 1)).copy() for k, v in N.offsets.items()}
+    offsets = {k: np.broadcast_to(v, (grid48.nt, grid48.nx)).copy() for k, v in N.offsets.items()}
     for n, j in ((level, site), (level + 1, 0)):
         offsets[(1, 0)][n, j] += 1e-3 * np.max(np.abs(N.offsets[(1, 1)]))
     bent = gh.HyperbolicOperator(tilted, offsets)
@@ -884,16 +900,15 @@ def test_symbol_check_names_a_block_edge_level(grid48, monkeypatch, level):
 
 def _rolled_stencil_apply(offsets, u, rows):
     """Reference stencil action: one np.roll of the source levels per x offset."""
-    nt = u.shape[-3]
+    nt = u.shape[-2]
     lo, hi = rows
     out = np.zeros_like(u)
     for (a, b), C in offsets.items():
         n0, n1 = max(lo, -a), min(hi, nt - a)
         if n0 >= n1:
             continue
-        src = u[..., n0 + a:n1 + a, :, :]
-        out[..., n0:n1, :, :] += np.einsum("txab,...txb->...txa", C[n0:n1],
-                                           np.roll(src, -b, axis=-2) if b else src)
+        src = u[..., n0 + a:n1 + a, :]
+        out[..., n0:n1, :] += C[n0:n1] * (np.roll(src, -b, axis=-1) if b else src)
     return out
 
 
@@ -904,7 +919,7 @@ def test_stencil_rows_equal_operator_rows(name):
     # reference bitwise, on ranges touching level 0 and level nt - 1 alike
     N = _level_operator(name)
     g = N.grid
-    u = np.random.default_rng(37).standard_normal((2, g.nt, g.nx, g.rank))
+    u = np.random.default_rng(37).standard_normal((2, g.nt, g.nx))
     full = N.apply(u)
     for lo, hi in ((0, g.nt), (0, 1), (0, 3), (4, 9), (g.nt - 2, g.nt), (g.nt - 1, g.nt),
                    (5, 5), (0, 0)):
@@ -928,7 +943,7 @@ def test_singular_level_raises_naming_the_level(name):
         if a == 1:
             C[7] = 0.0  # row 7 no longer reaches level 8
     bad = gh.HyperbolicOperator(N.metric, offsets)
-    f = np.zeros((N.grid.nt, N.grid.nx, N.grid.rank))
+    f = np.zeros((N.grid.nt, N.grid.nx))
     with pytest.raises(np.linalg.LinAlgError, match="the level-7 system of the march is singular"):
         bad.march(f, 1)
     assert np.max(np.abs(bad.march(f, -1))) == 0.0  # the backward march never solves row 7 for level 8
@@ -938,8 +953,8 @@ def test_green_plus_inverts_operator_at_fine_grid():
     N = gh.wave_operator(_tilted_warp(512, 256), 1.0)
     g = N.grid
     rng = np.random.default_rng(33)
-    f = np.zeros((g.nt, g.nx, 1))
-    f[2:-2] = rng.standard_normal((g.nt - 4, g.nx, 1))
+    f = np.zeros((g.nt, g.nx))
+    f[2:-2] = rng.standard_normal((g.nt - 4, g.nx))
     u = gh.GreenSystem(N).plus(f)
     assert N.interior_residual(u, f) <= 1e-10 * np.max(np.abs(f))  # N G+ = 1
     h = window_section(g, rng, 3, g.nt - 3, smooth=2).values
@@ -965,9 +980,9 @@ def _storage_results(case):
     N = gh.wave_operator(m, 1.0)
     L = gh.build_operator(m, A0=0.2, A1=0.3, B=1.0)  # not self-adjoint
     rng = np.random.default_rng(41)
-    F = np.zeros((23, g.nt, g.nx, 1))
-    F[:, 2:-2] = rng.standard_normal((23, g.nt - 4, g.nx, 1))
-    h1, h2 = rng.standard_normal((2, g.nx, 1))
+    F = np.zeros((23, g.nt, g.nx))
+    F[:, 2:-2] = rng.standard_normal((23, g.nt - 4, g.nx))
+    h1, h2 = rng.standard_normal((2, g.nx))
     out = {"offsets": list(N.offsets.items()), "L offsets": list(L.offsets.items()),
            "adjoint": list(L.adjoint_offsets().items()),
            "defects": [N.v_symmetry_defect(), L.v_symmetry_defect()]}
@@ -1008,11 +1023,11 @@ def test_compact_storage_equals_whole_fields_bitwise(monkeypatch, case):
     # whole fields, as before per-level storage; the results are the same bits
     compact, N = _storage_results(case)
     levels = (48, 16) if case == "warped-along-x" else (48, 1)
-    assert all(C.shape == levels + (1, 1) for C in N.offsets.values())
+    assert all(C.shape == levels for C in N.offsets.values())
     assert N.vol.shape == N.weight.shape == levels
     monkeypatch.setattr(geo, "_constant_along_x", lambda c: False)
     whole, N = _storage_results(case)
-    assert all(C.shape == (48, 16, 1, 1) for C in N.offsets.values())
+    assert all(C.shape == (48, 16) for C in N.offsets.values())
     assert compact.keys() == whole.keys()
     for name in compact:
         a, b = compact[name], whole[name]

@@ -28,7 +28,7 @@ def test_grid_too_small_rejected():
 def test_inner_product_single_cell():
     g = make_grid(8, 8, 0.0, 1.0, 1.0)
     vals = g.zeros()
-    vals[3, 4, 0] = 1.0
+    vals[3, 4] = 1.0
     f = Section(g, vals)
     vol = ScalarField.constant(g, 1.0, ScalarField.POSITIVE)
     assert weighted_inner_product(f, f, vol) == pytest.approx(g.dt * g.dx, rel=1e-14)
@@ -37,8 +37,8 @@ def test_inner_product_single_cell():
 def test_inner_product_disjoint_supports():
     g = make_grid(8, 8, 0.0, 1.0, 1.0)
     a, b = g.zeros(), g.zeros()
-    a[2, :, 0] = 1.0
-    b[5, :, 0] = 1.0
+    a[2] = 1.0
+    b[5] = 1.0
     vol = ScalarField.constant(g, 1.0, ScalarField.POSITIVE)
     assert weighted_inner_product(Section(g, a), Section(g, b), vol) == 0.0
 
@@ -47,13 +47,13 @@ def test_inner_product_matches_double_loop():
     # brute-force summation oracle on an 8x8 grid
     g = make_grid(8, 8, 0.0, 1.0, 1.0)
     rng = np.random.default_rng(0)
-    fv = rng.standard_normal((8, 8, 1))
-    hv = rng.standard_normal((8, 8, 1))
+    fv = rng.standard_normal((8, 8))
+    hv = rng.standard_normal((8, 8))
     volv = rng.uniform(0.5, 2.0, (8, 8))
     expected = 0.0
     for n in range(8):
         for j in range(8):
-            expected += fv[n, j, 0] * hv[n, j, 0] * volv[n, j]
+            expected += fv[n, j] * hv[n, j] * volv[n, j]
     expected *= g.dt * g.dx
     got = weighted_inner_product(Section(g, fv), Section(g, hv),
                                  ScalarField(g, volv, ScalarField.POSITIVE))
@@ -65,8 +65,8 @@ def test_inner_product_bilinear_symmetric_positive():
     rng = np.random.default_rng(1)
     vol = ScalarField.constant(g, 1.0, ScalarField.POSITIVE)
     for _ in range(100):
-        f = Section(g, rng.standard_normal((8, 8, 1)))
-        h = Section(g, rng.standard_normal((8, 8, 1)))
+        f = Section(g, rng.standard_normal((8, 8)))
+        h = Section(g, rng.standard_normal((8, 8)))
         sym = weighted_inner_product(f, h, vol) - weighted_inner_product(h, f, vol)
         assert abs(sym) < 1e-14
         assert weighted_inner_product(f, f, vol) > 0.0
@@ -81,6 +81,13 @@ def test_shape_mismatch_rejected():
     g = make_grid(8, 8, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         Section(g, np.zeros((8, 7)))
+
+
+def test_section_takes_only_the_field_shape():
+    g = make_grid(8, 8, 0.0, 1.0, 1.0)
+    assert Section(g, np.zeros((8, 8))).values.shape == (8, 8)
+    with pytest.raises(ValueError, match=r"section shape \(8, 8, 1\) is not \(nt, nx\) = \(8, 8\)"):
+        Section(g, np.zeros((8, 8, 1)))
 
 
 def test_smooth_step_plateaus_and_midpoint():
@@ -115,7 +122,7 @@ def test_smooth_step_bad_window():
 def test_compact_support_window_enforced():
     g = make_grid(10, 8, 0.0, 1.0, 1.0)
     vals = g.zeros()
-    vals[4, 3, 0] = 1.0
+    vals[4, 3] = 1.0
     Section(g, vals, support_window=(3, 6))
     with pytest.raises(ValueError):
         Section(g, vals, support_window=(5, 6))
@@ -142,7 +149,7 @@ NONFINITE_BUILDERS = {
     "grid_t_min": lambda i, v: make_grid(8, 8, v, 1.0, 1.0),
     "grid_t_max": lambda i, v: make_grid(8, 8, 0.0, v, 1.0),
     "grid_length": lambda i, v: make_grid(8, 8, 0.0, 1.0, v),
-    "section": lambda i, v: Section(G8, _poke((8, 8, 1), 0.0, i, v)),
+    "section": lambda i, v: Section(G8, _poke((8, 8), 0.0, i, v)),
     "scalar_positive": lambda i, v: ScalarField(G8, _poke((8, 8), 1.0, i, v), ScalarField.POSITIVE),
     "scalar_unit": lambda i, v: ScalarField(G8, _poke((8, 8), 0.5, i, v), ScalarField.UNIT),
     "metric_g_tt": lambda i, v: MetricField(G8, _poke((8, 8), -1.0, i, v), 0.0, 1.0, 1.0, 0.0),

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,7 @@ def test_trivial_interpolation_gives_identity(grid32, pair32):
     rho = ScalarField.constant(grid32, 1.0, ScalarField.POSITIVE)
     step = mo.build_rplus(N0, nchi, rho, 0.17, 0.34)
     rng = np.random.default_rng(0)
-    u = rng.standard_normal((grid32.nt, grid32.nx, 1))
+    u = rng.standard_normal((grid32.nt, grid32.nx))
     assert np.max(np.abs(step.apply(u) - u)) == 0.0
 
 
@@ -54,7 +56,7 @@ def test_identity_regions_exact(grid32, pair32):
     plus, minus, *_ , window = canonical_link(*pair32)
     t0, t1 = window
     rng = np.random.default_rng(1)
-    u = rng.standard_normal((grid32.nt, grid32.nx, 1))
+    u = rng.standard_normal((grid32.nt, grid32.nx))
     l0 = grid32.level_of_time(t0)
     l1 = grid32.level_of_time(t1)
     out = plus.apply(u)
@@ -69,7 +71,7 @@ def test_difference_operator_support(grid32, pair32):
     rng = np.random.default_rng(2)
     l0, l1 = grid32.level_of_time(t0), grid32.level_of_time(t1)
     for _ in range(20):
-        f = rng.standard_normal((grid32.nt, grid32.nx, 1))
+        f = rng.standard_normal((grid32.nt, grid32.nx))
         d = plus._diff(f)
         assert np.max(np.abs(d[1:l0 - 1])) == 0.0       # inert below the window
         e = minus._diff(f)
@@ -111,7 +113,7 @@ def test_telescoping_identity(grid32, pair32):
     rng = np.random.default_rng(4)
     # G-_{rho N} f is G-_N (f / rho)
     sys_chi, sys_one = gh.GreenSystem(nchi), gh.GreenSystem(N1)
-    rho, rho_hi = rho.values[:, :, None], rho_hi.values[:, :, None]
+    rho, rho_hi = rho.values, rho_hi.values
     for _ in range(10):
         f = window_section(grid32, rng, 3, grid32.nt - 3).values
         gchi = sys_chi.minus(f / rho)
@@ -148,7 +150,7 @@ def test_intertwine_generic_admissible_profile(grid32, pair32):
 
 def _matrix(action, grid):
     n = grid.n_dof
-    return action(np.eye(n).reshape(n, grid.nt, grid.nx, grid.rank)).reshape(n, n).T
+    return action(np.eye(n).reshape(n, grid.nt, grid.nx)).reshape(n, n).T
 
 
 @pytest.mark.parametrize("profile", ["canonical", "generic"])
@@ -163,7 +165,7 @@ def test_step_actions_match_dense_algebra(kind, profile):
     step = plus if kind == "plus" else minus
     R = _matrix(step.apply, g16)
     R_inv = np.linalg.inv(R)
-    cols = np.zeros((g16.nt, g16.nx, g16.rank), bool)
+    cols = np.zeros((g16.nt, g16.nx), bool)
     cols[2:-2] = True
     cols = cols.reshape(-1)
 
@@ -222,7 +224,7 @@ def test_fused_stencil_matches_two_operator_formula(grid32, pair32, kind, link):
         plus, minus = (canonical_link(*pair32)[:2] if link == "canonical"
                        else generic_link(*pair32))
     step = plus if kind == "plus" else minus
-    u = np.random.default_rng(41).standard_normal((3, grid32.nt, grid32.nx, grid32.rank))
+    u = np.random.default_rng(41).standard_normal((3, grid32.nt, grid32.nx))
     h = np.stack([window_section(grid32, np.random.default_rng(42 + i), 2, grid32.nt - 2).values
                   for i in range(3)])
     cases = [(step, _two_operator_actions(step.sign, step.a, step.b, step.op_lo, step.op_hi)),
@@ -271,7 +273,7 @@ def test_written_levels_miss_the_inert_side():
             assert lo < hi and len(inert) > 0
             assert not set(written) & set(inert)
             assert not set(range(*step.rows_t)) & set(inert)
-            u = np.random.default_rng(43).standard_normal((2, g.nt, g.nx, g.rank))
+            u = np.random.default_rng(43).standard_normal((2, g.nt, g.nx))
             assert np.array_equal(step.apply(u)[:, step.inert()], u[:, step.inert()])
             assert np.array_equal(step.transpose_apply(u)[:, step.inert()], u[:, step.inert()])
 
@@ -288,7 +290,7 @@ def test_identity_check_march_equals_apply_on_inert_levels():
     for R in _study_chains():
         for step in R.steps + [s.inverse() for s in R.steps]:
             g = step.grid
-            u = np.random.default_rng(45).standard_normal((2, g.nt, g.nx, g.rank))
+            u = np.random.default_rng(45).standard_normal((2, g.nt, g.nx))
             inert = step.inert()
             reach = _inert_reach(step)
             assert np.array_equal(step._apply(u, reach)[:, inert], step.apply(u)[:, inert])
@@ -303,7 +305,7 @@ def test_identity_defect_is_the_inert_part_of_apply():
         ends = (R.steps[0], R.steps[-1])
         for step in ends + tuple(s.inverse() for s in ends):
             g = step.grid
-            u = np.random.default_rng(47).standard_normal((g.nt, g.nx, g.rank))
+            u = np.random.default_rng(47).standard_normal((g.nt, g.nx))
             want = np.max(np.abs((step.apply(u) - u)[step.inert()]))
             assert step.identity_defect(u) == want
 
@@ -317,11 +319,11 @@ def test_difference_on_an_inert_row_raises_at_build(grid32, pair32, kind, monkey
     plus, minus, *_ = canonical_link(*pair32)
     step = plus if kind == "plus" else minus
     inert = range(grid32.nt)[step.inert()]
-    b = step.b[..., 0].copy()
+    b = step.b.copy()
     b[inert[-2] if kind == "plus" else inert[1]] *= 1.5
 
     def build():
-        return mo.MollerStep(kind, step.op_lo, step.op_hi, step.a[..., 0], b,
+        return mo.MollerStep(kind, step.op_lo, step.op_hi, step.a, b,
                              step.t0_level, step.t1_level)
 
     with pytest.raises(ValueError, match="profiles must agree"):
@@ -331,7 +333,7 @@ def test_difference_on_an_inert_row_raises_at_build(grid32, pair32, kind, monkey
         build()
     monkeypatch.setattr(mo.MollerStep, "_check_identity_region", lambda self: None)
     broken = build()
-    u = np.random.default_rng(46).standard_normal((2, grid32.nt, grid32.nx, 1))
+    u = np.random.default_rng(46).standard_normal((2, grid32.nt, grid32.nx))
     got = broken._apply(u, _inert_reach(broken))[:, broken.inert()]
     assert np.array_equal(got, broken.apply(u)[:, broken.inert()])
     assert not np.array_equal(got, u[:, broken.inert()])
@@ -564,8 +566,8 @@ def test_restrict_to_solutions(grid32):
     zero = mapped(Section.zero(grid32))
     assert zero.sup_norm() == 0.0
     for _ in range(5):
-        psi = gh.solve_cauchy(R.op_start, 3, rng.standard_normal((grid32.nx, 1)),
-                              rng.standard_normal((grid32.nx, 1)))
+        psi = gh.solve_cauchy(R.op_start, 3, rng.standard_normal(grid32.nx),
+                              rng.standard_normal(grid32.nx))
         out = mapped(psi)
         assert R.op_end.interior_residual(out.values) < 1e-8 * psi.sup_norm()
     with pytest.raises(ValueError, match="homogeneous"):
@@ -582,7 +584,7 @@ def test_sol_restriction_source_relation(grid32):
     psi = gh.GreenSystem(R.op_start).plus(f)
     out = R.apply(psi)
     lhs = R.op_end.apply(out)
-    rhs = f.values / R.c_prime[:, :, None]
+    rhs = f.values / R.c_prime
     assert np.max(np.abs((lhs - rhs)[1:-1])) < 1e-9 * np.max(np.abs(rhs))
 
 
@@ -670,6 +672,66 @@ def test_adjoint_calculus_matrix_identities():
     want = 2.0 * mo.AdjointOperator(P, R.op_start, R.op_start).matrix \
         + 0.5 * mo.AdjointOperator(M, R.op_start, R.op_start).matrix
     assert np.max(np.abs(lin - want)) < 1e-10
+
+
+def test_dense_views_are_built_anew_and_not_kept():
+    # a dense matrix is an oracle view: each call builds the same matrix
+    # again, and dropping it frees it
+    g = make_grid(16, 8, 0.0, 0.5, 1.0)
+    R = mo.compose_chain(geo.build_chain(geo.metric_preset("minkowski", g),
+                                         geo.metric_preset("conformal", g, mu=2.0)))
+    for view in (R.as_matrix, R.op_start.as_dense):
+        first = view()
+        assert np.array_equal(view(), first)
+        dropped = weakref.ref(first)
+        del first
+        assert dropped() is None
+        dropped = weakref.ref(view())  # a call whose result nobody keeps
+        assert dropped() is None
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_suite_moller_marches_each_dense_matrix_once(monkeypatch, dense):
+    # the adjoint calculus (and the dense law) weigh the matrix R they hold
+    # instead of marching it again: four dense marches, five with the dense law
+    from moellerlab.suites import suite_moller
+
+    calls = []
+    matrix_of = mo.MollerOperator._matrix_of
+    monkeypatch.setattr(mo.MollerOperator, "_matrix_of",
+                        lambda self, action: calls.append(1) or matrix_of(self, action))
+    cfg = {"nt": 16, "nx": 16, "dictionary": 4, "sympl_pairs": 2, "dense": dense}
+    checks = suite_moller(cfg, np.random.default_rng(3))
+    assert all(c.passed for c in checks)
+    assert len(calls) == 4 + dense
+
+
+def test_steps_keep_profiles_and_stencils_per_level(monkeypatch):
+    # on a chain of presets, constant along x, every step and inverse keeps
+    # a, b, D and D^T as (nt, 1) columns (at 512x128 whole fields held 12.6 MB
+    # next to 41 KB for the operators), and acts as with whole fields, bitwise
+    g = make_grid(512, 128, 0.0, 0.5, 1.0)
+    chain = geo.build_chain(geo.metric_preset("minkowski", g),
+                            geo.metric_preset("conformal", g, mu=2.0))
+
+    def steps(R):
+        return R.steps + [s.inverse() for s in R.steps]
+
+    def kept(step):
+        return [step.a, step.b, *step.D.values(), *step.DT.values()]
+
+    compact = steps(mo.compose_chain(chain))
+    assert all(A.shape == (g.nt, 1) for s in compact for A in kept(s))
+    monkeypatch.setattr(mo, "stored_field",
+                        lambda grid, c: np.broadcast_to(c, (grid.nt, grid.nx)).copy())
+    whole = steps(mo.compose_chain(chain))
+    assert all(A.shape == (g.nt, g.nx) for s in whole for A in kept(s))
+    u = np.zeros((2, g.nt, g.nx))
+    u[:, 3:-3] = np.random.default_rng(48).standard_normal((2, g.nt - 6, g.nx))
+    for a, b in zip(compact, whole, strict=True):
+        assert a.rows == b.rows and a.rows_t == b.rows_t
+        for action in ("apply", "transpose_apply"):
+            assert np.array_equal(getattr(a, action)(u), getattr(b, action)(u)), action
 
 
 @pytest.mark.parametrize("components", [(-2.0, 0.0, 1.5), (-2.0, 0.3, 2.0)],
