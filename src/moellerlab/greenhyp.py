@@ -454,7 +454,8 @@ class HyperbolicOperator:
         result has the same shape.  A single source is the K = 1 case: every
         column goes through one level loop, and each level solves one (nx, K)
         right-hand side with the cached level factorisation.  Seeds of shape
-        (nx,) are shared by all columns.
+        (nx,) are shared by all columns; seeds of shape (K, nx) give each
+        column of a batch its own.
         """
         self.check_march()
         g = self.grid
@@ -463,8 +464,9 @@ class HyperbolicOperator:
         F = np.moveaxis(f if batched else f[None], 0, -1)  # (nt, nx, K) view
         u = np.zeros(F.shape)
         if seeds is not None:
-            # each (nx,) seed is shared by the K columns
-            u[seed_level], u[seed_level + 1] = (np.asarray(s)[:, None] for s in seeds)
+            # an (nx,) seed is shared by the K columns, a (K, nx) one is per column
+            u[seed_level], u[seed_level + 1] = (np.asarray(s)[:, None] if np.ndim(s) == 1
+                                                else np.asarray(s).T for s in seeds)
             lo, hi = seed_level, seed_level + 1
         elif direction == 1:
             lo, hi = 0, 1
@@ -823,9 +825,12 @@ class GreenSystem:
 
 # -- Cauchy problem -------------------------------------------------------------
 
-def solve_cauchy(N: HyperbolicOperator, slice_index: int, h1, h2, f=None) -> Section:
+def solve_cauchy(N: HyperbolicOperator, slice_index: int, h1, h2, f=None):
     """March both ways from data on a slice: values h1 and time derivative h2.
 
+    h1 and h2 are one (nx,) pair, solved into a :class:`Section`, or a
+    batch of K pairs, each (K, nx), solved in one march into a (K, nt, nx)
+    array; the (nt, nx) source f, if any, is shared by every column.
     The first step uses a second-order Taylor start built from the equation,
     so smooth solutions converge at the scheme's quadratic rate; the discrete
     residual N Psi - f vanishes on every equation row regardless.
@@ -835,28 +840,33 @@ def solve_cauchy(N: HyperbolicOperator, slice_index: int, h1, h2, f=None) -> Sec
         raise ValueError("Cauchy slice must keep one level clear of the window boundary")
     N.check_march()
     h1, h2 = (np.asarray(h, dtype=float) for h in (h1, h2))
-    if h1.shape != (g.nx,) or h2.shape != (g.nx,):
-        raise ValueError(f"Cauchy data shapes {h1.shape}, {h2.shape} are not (nx,) = {(g.nx,)}")
+    if h1.shape != h2.shape or h1.ndim not in (1, 2) or h1.shape[-1] != g.nx:
+        raise ValueError(f"Cauchy data shapes {h1.shape}, {h2.shape} are not (nx,) = {(g.nx,)} "
+                         f"nor one batch (K, nx)")
     fv = np.broadcast_to(0.0, (g.nt, g.nx)) if f is None else \
         (f.values if isinstance(f, Section) else np.asarray(f, dtype=float))
     if fv.shape != (g.nt, g.nx):
         raise ValueError(f"Cauchy source shape {fv.shape} is not (nt, nx) = {(g.nt, g.nx)}")
     u1 = _taylor_start(N, slice_index, h1, h2, fv[slice_index])
+    if h1.ndim == 2:
+        fv = np.broadcast_to(fv, (len(h1),) + fv.shape)
     sol = N.march(fv, 0, seed_level=slice_index, seeds=(h1, u1))
-    return Section(g, sol)
+    return Section(g, sol) if h1.ndim == 1 else sol
 
 
 def _taylor_start(N, s, h1, h2, f_s):
     """Level s + 1 of the second-order start from values h1 and time derivative h2 on level s.
 
-    u_tt is read off the equation at the data slice by probing the stencil,
-    on row s only, with the linear-in-time extension of the data.  Only the
-    three levels s - 1 .. s + 1 are made and read, of the data and of the
-    stencil, and g^tt is read on row s alone.
+    h1 and h2 are (nx,) or a batch (K, nx).  u_tt is read off the equation
+    at the data slice by probing the stencil, on row s only, with the
+    linear-in-time extension of the data.  Only the three levels s - 1 ..
+    s + 1 are made and read, of the data and of the stencil, and g^tt is
+    read on row s alone.
     """
     g = N.grid
-    u3 = np.stack([h1 - g.dt * h2, h1, h1 + g.dt * h2])
-    res = f_s - stencil_apply({k: C[s - 1:s + 2] for k, C in N.offsets.items()}, u3, rows=(1, 2))[1]
+    u3 = np.stack([h1 - g.dt * h2, h1, h1 + g.dt * h2], axis=-2)
+    res = f_s - stencil_apply({k: C[s - 1:s + 2] for k, C in N.offsets.items()}, u3,
+                              rows=(1, 2))[..., 1, :]
     itt = N.metric.inverse_components(s)[0]
     utt = res / (-itt)  # the stencil's u_tt coefficient is -g^tt
     return h1 + g.dt * h2 + 0.5 * g.dt**2 * utt
@@ -877,11 +887,12 @@ def exactness_check(N: HyperbolicOperator, seed=0, count=5) -> dict:
     Gs = GreenSystem(N)
     lo, hi = g.nt // 4, g.nt - g.nt // 4
     chi = smooth_step(g, g.times[g.nt // 3], g.times[2 * g.nt // 3])
-    hs, psis = [], []
+    hs, h1s, h2s = [], [], []
     for _ in range(count):  # draws per sample: h, then the Cauchy data of psi
         hs.append(_window_section(g, rng, lo, hi))
-        psis.append(solve_cauchy(N, 2, rng.standard_normal(g.nx), rng.standard_normal(g.nx)).values)
-    h, psi = np.stack(hs), np.stack(psis)
+        h1s.append(rng.standard_normal(g.nx))
+        h2s.append(rng.standard_normal(g.nx))
+    h, psi = np.stack(hs), solve_cauchy(N, 2, np.stack(h1s), np.stack(h2s))
     f = N.apply(h)
     fpsi = N.apply(chi.values * psi)
     for v in (f, fpsi):

@@ -117,6 +117,15 @@ def test_converge_subcommand_with_grids(tmp_path):
     assert len(info["orders"]) == 1
 
 
+def test_converge_errors_hold_to_the_sum_of_sines_reference(tmp_path):
+    # the errors the study gave with d'Alembert's solution evaluated as a sum
+    # of sines over the whole window; the separable reference keeps them
+    assert run_cli(["converge", "--grids", "64,128,256", "--seed", "1", "--out", str(tmp_path)]) == 0
+    info = json.loads((tmp_path / "report.json").read_text())["suites"]["convergence"]["checks"][0]["info"]
+    assert info["errors"] == pytest.approx(
+        [0.007245392698822406, 0.0018118095058072825, 0.0004530476399222938], rel=1e-9)
+
+
 def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "moellerlab.cli", "--help"],
                          capture_output=True, text=True)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,14 +159,15 @@ def test_march_peak_within_a_few_fields():
 
 def test_convergence_suite_peak():
     # three cold solve_cauchy runs at nt = 2 nx up to 512x256, one grid at a
-    # time: 4.2 MB of numpy allocations at the peak, held under 5 MB (16.8 MB
-    # when the x-independent metrics and operators were kept as whole
+    # time: 2.2 MB of numpy allocations at the peak, held under 3 MB (4.2 MB
+    # with d'Alembert's solution a sum of sines over the whole window, 16.8
+    # MB when the x-independent metrics and operators were kept as whole
     # fields, 25.3 MB with whole-window copies in the march and the checks)
     from moellerlab.suites import suite_convergence
 
     checks, peak, _ = _traced(lambda: suite_convergence({"grids": [64, 128, 256]}, None))
     assert checks[0].passed
-    assert peak < 5e6, peak / 1e6
+    assert peak < 3e6, peak / 1e6
 
 
 def _divergence_form_dense(metric, ixx_override=None):
@@ -395,6 +397,18 @@ def test_dalembert_convergence_order():
     assert math.log2(e2 / e3) > 1.9
 
 
+@pytest.mark.parametrize("nx", [64, 128, 256])
+def test_separable_dalembert_reference_is_the_sum_of_sines(nx):
+    # cos 4πt · sin 4πx, one outer product, against 0.5 (sin 4π(x - t) + sin 4π(x + t))
+    from moellerlab.suites import _dalembert_reference
+
+    g = make_grid(2 * nx, nx, 0.0, 0.5, 1.0)
+    x, ts = g.sites, g.times - g.times[1]
+    sines = 0.5 * (np.sin(4 * np.pi * (x[None, :] - ts[:, None]))
+                   + np.sin(4 * np.pi * (x[None, :] + ts[:, None])))
+    assert np.max(np.abs(_dalembert_reference(g, np.sin(4 * np.pi * x)) - sines)) <= 1e-14
+
+
 def test_cfl_violation_raises():
     g = make_grid(8, 48, 0.0, 1.0, 1.0)  # dt = 1/7 >> dx
     N = gh.wave_operator(geo.metric_preset("minkowski", g), mass=1.0)
@@ -425,8 +439,8 @@ def test_march_refuses_unstable_metrics():
 
 
 def test_fields_take_one_shape(kg48, grid48):
-    # a field is (nt, nx), a batch (K, nt, nx) and Cauchy data (nx,): a
-    # trailing axis of length 1 is refused, naming the shape expected
+    # a field is (nt, nx), a batch (K, nt, nx) and Cauchy data (nx,) or
+    # (K, nx): a trailing axis of length 1 is refused, naming the shape expected
     f = np.zeros((grid48.nt, grid48.nx, 1))
     with pytest.raises(ValueError, match=r"march source shape \(48, 48, 1\) is neither \(nt, nx\)"):
         kg48.march(f, 1)
@@ -438,7 +452,33 @@ def test_fields_take_one_shape(kg48, grid48):
         gh.solve_cauchy(kg48, 5, np.zeros((grid48.nx, 1)), np.zeros(grid48.nx))
     with pytest.raises(ValueError, match=r"Cauchy source shape \(48, 48, 1\) is not \(nt, nx\)"):
         gh.solve_cauchy(kg48, 5, np.zeros(grid48.nx), np.zeros(grid48.nx), f)
+    # a batch of Cauchy data is two (K, nx) arrays of one shape
+    for h1, h2 in (((3, 48), (2, 48)), ((3, 48), (48,)), ((2, 3, 48), (2, 3, 48)), ((3, 47), (3, 47))):
+        with pytest.raises(ValueError, match=re.escape(f"Cauchy data shapes {h1}, {h2} are not (nx,)")):
+            gh.solve_cauchy(kg48, 5, np.zeros(h1), np.zeros(h2))
     assert gh.GreenSystem(kg48).plus(f[..., 0]).shape == (grid48.nt, grid48.nx)
+
+
+@pytest.mark.parametrize("preset, kw", [("minkowski", {}), ("tilted", {"deg": 10.0})],
+                         ids=["site", "band"])
+def test_batched_cauchy_solve_matches_column_solves(preset, kw):
+    # K pairs of data in one march; not bitwise, since the level einsum sums
+    # a one-column contraction in another order than a batch
+    g = make_grid(48, 24, 0.0, 0.5, 1.0)
+    N = gh.wave_operator(geo.metric_preset(preset, g, **kw), 1.0)
+    rng = np.random.default_rng(7)
+    h1, h2 = rng.standard_normal((2, 5, g.nx))
+    f = np.zeros((g.nt, g.nx))
+    f[10:20] = rng.standard_normal((10, g.nx))
+    for src in (None, f):
+        batch = gh.solve_cauchy(N, 4, h1, h2, src)
+        assert batch.shape == (5, g.nt, g.nx)
+        for k in range(5):
+            col = gh.solve_cauchy(N, 4, h1[k], h2[k], src)
+            assert isinstance(col, Section)
+            assert np.max(np.abs(batch[k] - col.values)) <= 1e-13 * np.max(np.abs(col.values))
+    one = gh.solve_cauchy(N, 4, h1[:1], h2[:1])
+    assert one.shape == (1, g.nt, g.nx)
 
 
 def test_boundary_slice_rejected(kg48, grid48):

@@ -290,3 +290,65 @@ def test_pullback_needs_a_mode_sum_kernel():
     nu = hd.ultrastatic_vacuum(grid, 1.0)
     with pytest.raises(ValueError, match="mode-sum kernel"):
         hd.pullback_kernel(_PerturbedKernel(nu, np.zeros((grid.nt, grid.nx))), R)
+
+
+@pytest.mark.parametrize("static", [False, True], ids=["flat", "metric"])
+def test_vacuum_modes_match_the_direct_phases(static):
+    # the separable product exp(i w t) exp(i k x) against exp(i (w t + k x));
+    # every mode field has modulus 1, so the error is relative
+    grid = make_grid(128, 64, 0.0, 0.5, 1.0)
+    met = geo.metric_preset("ultrastatic", grid, h=0.7) if static else None
+    nu = hd.ultrastatic_vacuum(grid, 1.0, metric=met)
+    direct = np.exp(1j * (nu.omega[None, None, :] * grid.times[:, None, None]
+                          + nu.k[None, None, :] * grid.sites[None, :, None]))
+    assert nu.modes.shape == (grid.n_points, grid.nx)
+    assert np.max(np.abs(nu.modes - direct.reshape(grid.n_points, grid.nx))) <= 1e-13
+
+
+def _max_mixed_derivative_oracle(data, dt, dx, order=3):
+    """Each (a, b) divided difference built from the data on its own."""
+    worst = 0.0
+    for a in range(order + 1):
+        for b in range(order + 1 - a):
+            if a + b == 0 or a + b > order:
+                continue
+            d = data
+            for _ in range(a):
+                d = np.diff(d, axis=-2) / dt
+            for _ in range(b):
+                d = (np.roll(d, -1, axis=-1) - d) / dx
+            if d.size:
+                worst = max(worst, float(np.max(np.abs(d))))
+    return worst
+
+
+@pytest.mark.parametrize("shape, order", [((3, 32, 16), 3), ((24, 8), 3), ((2, 16), 3),
+                                          ((4, 3, 8), 3), ((20, 12), 5)],
+                         ids=["block", "field", "two-levels", "three-levels", "order-5"])
+def test_max_mixed_derivative_equals_the_per_order_form(shape, order):
+    # bitwise: every shared difference is the same operation in the same
+    # order; two or three levels are too short for the higher t differences
+    data = np.abs(np.random.default_rng(3).standard_normal(shape))
+    got = hd._max_mixed_derivative(data, 0.03, 0.07, order)
+    assert got == _max_mixed_derivative_oracle(data, 0.03, 0.07, order)
+    assert got > 0.0
+
+
+def test_bisolution_check_by_probe_level_equals_the_whole_block():
+    # N is applied nx probe columns at a time; it acts on each column alone,
+    # so the sup is bitwise that of the whole block, and the scratch is one
+    # level's: at four probe levels the peak stays under twice the probe
+    # block (the whole-block form peaked at 3.0x)
+    from test_greenhyp import _traced
+
+    grid = make_grid(64, 16, 0.0, 0.5, 1.0)
+    R = mo.compose_chain(hadamard_chain(grid))
+    nup = hd.pullback_kernel(hd.ultrastatic_vacuum(grid, 1.0), R)
+    N = R.op_end
+    for probes in (hd.default_probes(grid, times=4), hd.default_probes(grid)[5:-6]):
+        cols = nup.columns(probes)
+        whole = N.apply(cols.real) + 1j * N.apply(cols.imag)
+        rep, peak, _ = _traced(lambda: hd.bisolution_check(nup, N, probes))
+        assert rep["sup_left"] == float(np.max(np.abs(whole[:, 1:-1])))
+        if len(probes) == 4 * grid.nx:
+            assert peak < 2 * cols.nbytes, peak / cols.nbytes
