@@ -7,8 +7,9 @@ instead.  Each subcommand is a one-scenario config, run and written by the
 same function as ``run``.  Reports are deterministic JSON trees: identical
 config + seed produce byte-identical output.  A march the lattice refuses
 (``MarchError``, ``MollerObstruction``) is recorded as its suite's one failed
-check.  Exit codes: 0 all suites pass, 1 a suite failed, 2 usage/config
-errors (nothing is written).
+check.  A key that no suite reads is refused before any suite runs.  Exit
+codes: 0 all suites pass, 1 a suite failed, 2 usage/config errors (nothing
+is written).
 """
 
 from __future__ import annotations
@@ -27,20 +28,26 @@ from .greenhyp import MarchError
 from .lattice import make_grid
 from .moller import MollerObstruction
 from .reports import CheckResult, dumps, report_tree
-from .suites import SUITES, dense_kernel_csvs
+from .suites import SECTION_KEYS, SUITES, dense_kernel_csvs
 
 USAGE_ERROR = 2
 SCENARIO_KEYS = {"name", "seed", "suites", *SUITES}  # one section per suite
 
 
-def run_scenario(cfg: dict) -> dict:
-    unknown = sorted(set(cfg) - SCENARIO_KEYS)
+def _refuse_unknown(keys, known, where):
+    """Raise naming every key not in known, and the known keys."""
+    unknown = sorted(set(keys) - known)
     if unknown:
-        raise ValueError(f"unknown scenario keys: {unknown}; "
-                         f"a scenario takes {sorted(SCENARIO_KEYS)}")
+        raise ValueError(f"unknown {where} keys: {unknown}; {where} takes {sorted(known)}")
+
+
+def run_scenario(cfg: dict) -> dict:
+    _refuse_unknown(cfg, SCENARIO_KEYS, "scenario")
     sections = sorted(s for s in SUITES if not isinstance(cfg.get(s, {}), dict))
     if sections:
         raise ValueError(f"suite sections must be JSON objects: {sections}")
+    for s in SUITES:
+        _refuse_unknown(cfg.get(s, {}), SECTION_KEYS[s], f"{s} section")
     name = cfg.get("name", "scenario")
     seed = int(cfg.get("seed", 0))
     suites = cfg.get("suites", ["cones", "paracausal", "green"])
@@ -60,6 +67,7 @@ def run_scenario(cfg: dict) -> dict:
 
 def _reversed_pair_report(cfg) -> dict:
     """Dedicated structural fixture: time-reversed pair must certify."""
+    _refuse_unknown(cfg, SECTION_KEYS["reversed-pair"], "reversed-pair scenario")
     g = make_grid(int(cfg.get("nt", 16)), int(cfg.get("nx", 16)), 0.0, 0.5, 1.0)
     mink = geo.metric_preset("minkowski", g)
     out = geo.build_chain(mink, mink.time_reversed())

@@ -54,7 +54,7 @@ each at the resolution the metric varies at (``MetricField``): a metric
 constant along x, as every preset and every time-switched blend of presets
 is, gives (nt, 1) columns, which are built and checked in O(nt), while a
 metric that varies along x gives whole fields through the same code.
-Scalar lower-order coefficients are broadcast views, not fields.  A pass
+Lower-order terms are added into the offsets, not kept apart.  A pass
 over the whole window holds at most a fixed block of levels of scratch
 (``_BLOCK_BYTES`` a field, a private constant, not a setting): the march
 stacks the known-level offsets it reads a block at a time, broadcast along
@@ -217,16 +217,13 @@ def worst_ratio(num, den) -> float:
 
 
 class HyperbolicOperator:
-    """Assembled lattice operator with metric, weights and stencil offsets."""
+    """A lattice operator: a metric and a nine-offset stencil, from which all else is derived."""
 
-    def __init__(self, metric: MetricField, offsets, A0=None, A1=None, B=None,
-                 self_adjoint=False):
+    def __init__(self, metric: MetricField, offsets):
         self.metric = metric
         self.grid = metric.grid
         self.offsets = {k: np.ascontiguousarray(v) for k, v in offsets.items()}
-        self.A0, self.A1, self.B = A0, A1, B
         self.vol = metric.volume_density()
-        self.self_adjoint = self_adjoint
         self.weight = self.vol * self.grid.dt * self.grid.dx
         self.weight_inv = 1.0 / self.weight
         self._steps = {}
@@ -287,6 +284,12 @@ class HyperbolicOperator:
             worst = max(worst, float(np.max(np.abs(self.offsets[k]))))
         return worst
 
+    @cached_property
+    def self_adjoint(self) -> bool:
+        """V N symmetric: the V-symmetry defect within 1e-10 of the largest entry (~1/dt^2)."""
+        entry = max(float(np.max(np.abs(C))) for C in self.offsets.values())
+        return self.v_symmetry_defect() <= 1e-10 * (1.0 + entry)
+
     # -- the volume weight V = vol dt dx ---------------------------------------
 
     def weigh(self, u):
@@ -336,7 +339,7 @@ class HyperbolicOperator:
         """Stencil-extracted second-order coefficients (att, atx, axx)."""
         return tuple(self._principal_coefficient(i) for i in range(3))
 
-    def check_symbol(self, tol_scale=1e-9):
+    def check_symbol(self):
         """Verify the principal symbol equals -g_sharp(xi, xi) Id.
 
         The staggered edge weights average neighboring metric values, so the
@@ -350,15 +353,15 @@ class HyperbolicOperator:
         mismatch found is the first in row order.
         """
         for rows in _row_blocks(self.grid, 1, self.grid.nt - 1):
-            self._check_symbol_rows(rows, tol_scale)
+            self._check_symbol_rows(rows)
 
-    def _check_symbol_rows(self, rows, tol_scale):
+    def _check_symbol_rows(self, rows):
         """check_symbol on the equation rows in the slice rows, reading one more level either side."""
         r0 = rows.start
         halo = slice(r0 - 1, rows.stop + 1)
         vol = self.vol[rows]
         tol = np.maximum(self.metric.scale(rows), 1.0)
-        tol *= tol_scale
+        tol *= 1e-9
 
         def stagger_err(w):
             """|second differences| / 4 of w in t and in x (periodic), on the halo's inner rows."""
@@ -604,7 +607,7 @@ class _BandedStep(_Step):
 
 # -- constructors -------------------------------------------------------------
 
-def _principal_offsets(metric: MetricField, ixx_override=None):
+def _principal_offsets(metric: MetricField):
     """Scalar nine-offset stencil of -(1/vol) div(vol g_sharp grad .).
 
     Written straight from the divergence form
@@ -618,11 +621,8 @@ def _principal_offsets(metric: MetricField, ixx_override=None):
     everywhere are dropped.
     """
     g = metric.grid
-    comps = metric.inverse_components()
-    if ixx_override is not None:
-        comps = comps[:2] + (np.asarray(ixx_override, dtype=float),)
     # one extent along x for all three: (nt, 1) when none varies along x
-    itt, itx, ixx = np.broadcast_arrays(*comps)
+    itt, itx, ixx = np.broadcast_arrays(*metric.inverse_components())
     vol = metric.volume_density()
     c = vol * itx * (0.5 / g.dt) * (0.5 / g.dx)
     vit = vol * itt
@@ -654,25 +654,19 @@ def _principal_offsets(metric: MetricField, ixx_override=None):
     return S
 
 
-def build_operator(metric: MetricField, A0=None, A1=None, B=None, hxx_override=None,
-                   check=True) -> HyperbolicOperator:
-    """Assemble the lattice operator for a metric plus lower-order fields.
+def build_operator(metric: MetricField, A0=None, A1=None, B=None) -> HyperbolicOperator:
+    """Assemble the stencil of a metric's divergence form plus A0 d_t + A1 d_x + B.
 
-    A0, A1, B are scalars, (nt, 1) columns or (nt, nx) fields entering as
-    A0 d_t + A1 d_x + B; a field is kept at the resolution it varies at
-    (:func:`geometry.stored_field`), and the operator shows each as a
-    read-only (nt, nx) broadcast view of what it keeps, a scalar as a view of
-    itself, so a scalar or a per-level column costs no field; hxx_override replaces
-    the spatial principal coefficient and exists to exercise the symbol
-    verifier, which rejects any stencil whose extracted second-order part
-    deviates from -g_sharp.
+    A0, A1, B are scalars, (nt, 1) columns or (nt, nx) fields; each is added
+    into the offsets at the resolution it varies at
+    (:func:`geometry.stored_field`) and not kept apart from them, so a scalar
+    or a per-level column costs no field.  The symbol check refuses the
+    result when its extracted second-order part deviates from -g_sharp.
     """
     g = metric.grid
-    offsets = _principal_offsets(metric, ixx_override=hxx_override)
+    offsets = _principal_offsets(metric)
 
     def coerce(c):
-        if c is None:
-            return None
         c = np.asarray(c, dtype=float)
         if c.shape == ():
             return c
@@ -685,7 +679,7 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None, hxx_override=N
         in place where the shapes allow: the offsets are this call's own."""
         offsets[key] = _into(np.add, offsets.get(key, np.zeros((g.nt, 1))), blk)  # x + (-b) is x - b bit for bit
 
-    A0c, A1c, Bc = coerce(A0), coerce(A1), coerce(B)
+    A0c, A1c, Bc = (None if c is None else coerce(c) for c in (A0, A1, B))
     if A0c is not None:
         blk = np.broadcast_to(A0c, np.broadcast_shapes(A0c.shape, (g.nt, 1))) / (2.0 * g.dt)
         blk[0] = 0.0
@@ -698,42 +692,34 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None, hxx_override=N
         add((0, -1), -blk)
     if Bc is not None:
         add((0, 0), Bc)
-    op = HyperbolicOperator(metric, offsets, *(None if c is None else np.broadcast_to(c, (g.nt, g.nx))
-                                               for c in (A0c, A1c, Bc)))
-    if check:
-        op.check_symbol()
+    op = HyperbolicOperator(metric, offsets)
+    op.check_symbol()
     return op
 
 
 def wave_operator(metric: MetricField, mass=1.0) -> HyperbolicOperator:
-    """Canonical formally self-adjoint operator of a metric: div form + m^2."""
-    op = build_operator(metric, B=float(mass) ** 2)
-    # judged against the stencil's own entries, which grow like 1/dt^2
-    entry = max(float(np.max(np.abs(C))) for C in op.offsets.values())
-    if op.v_symmetry_defect() <= 1e-10 * (1.0 + entry):
-        op.self_adjoint = True
-        return op
-    return symmetrize(op)
+    """Canonical operator of a metric: div form + m^2, formally self-adjoint by construction."""
+    return build_operator(metric, B=float(mass) ** 2)
 
 
 def symmetrize(N: HyperbolicOperator) -> HyperbolicOperator:
-    """(N + V^{-1} N^T V) / 2; fixes the self-adjoint flag, keeps the symbol."""
+    """(N + V^{-1} N^T V) / 2: a formally self-adjoint operator with N's symbol."""
     adj = N.adjoint_offsets()
     keys = set(N.offsets) | set(adj)
     zero = np.zeros((N.grid.nt, 1))
     offsets = {k: 0.5 * (N.offsets.get(k, zero) + adj.get(k, zero)) for k in keys}
-    return HyperbolicOperator(N.metric, offsets, N.A0, N.A1, N.B, self_adjoint=True)
+    return HyperbolicOperator(N.metric, offsets)
 
 
 def convex_operator(N0: HyperbolicOperator, N1: HyperbolicOperator, chi: ScalarField) -> HyperbolicOperator:
-    """Interpolating operator over the sharp-blended metric.
+    """Interpolating operator over the sharp-blended metric g_chi: the stencil
+    ((1 - chi) N0 + chi N1) + (P_chi - ((1 - chi) P0 + chi P1)), P a metric's principal stencil.
 
-    The principal part is the divergence form of the blended metric (whose
-    inverse is the pointwise blend of the two inverses, so the symbol is the
-    exact convex combination of the endpoint symbols); the lower-order
-    fields blend pointwise.  Where chi is exactly 0 / 1 the stencil
-    coincides bitwise with N0 / N1, which keeps the switch-on region of the
-    scattering construction exactly inert.
+    g_chi's inverse blends the two inverses, so the symbol (checked on P_chi)
+    is the exact convex combination of the end symbols, while the ends'
+    lower-order terms, whatever they are, blend pointwise.  Where chi is
+    exactly 0 / 1 every offset is N0's / N1's bit for bit (1 x = x, 0 y = 0,
+    x - x = 0), which keeps the switch-on region of the scattering exactly inert.
     """
     grid = N0.grid
     w = stored_field(grid, chi.values)
@@ -742,15 +728,20 @@ def convex_operator(N0: HyperbolicOperator, N1: HyperbolicOperator, chi: ScalarF
     if np.all(w == 1.0):
         return N1
     gchi = sharp_interpolation(N0.metric, N1.metric, chi)
-
-    def blend(c0, c1):
-        """The pointwise blend, at the resolution the weight and the two fields vary at."""
-        if c0 is None and c1 is None:
-            return None
-        a, b = (0.0 if c is None else stored_field(grid, c) for c in (c0, c1))
-        return (1.0 - w) * a + w * b
-
-    return build_operator(gchi, blend(N0.A0, N1.A0), blend(N0.A1, N1.A1), blend(N0.B, N1.B))
+    Pchi = _principal_offsets(gchi)
+    HyperbolicOperator(gchi, Pchi).check_symbol()
+    P0, P1 = _principal_offsets(N0.metric), _principal_offsets(N1.metric)
+    v = 1.0 - w
+    zero = np.zeros((grid.nt, 1))
+    offsets = {}
+    for k in dict.fromkeys([*Pchi, *N0.offsets, *N1.offsets]):
+        C = _into(np.add, v * N0.offsets.get(k, zero), w * N1.offsets.get(k, zero))
+        P = _into(np.add, v * P0.pop(k, zero), w * P1.pop(k, zero))
+        P = _into(np.subtract, P, Pchi.pop(k, zero))
+        C = _into(np.subtract, C, P)  # x - (p - q) is x + (q - p) bit for bit
+        if C.any():
+            offsets[k] = C
+    return HyperbolicOperator(gchi, offsets)
 
 
 # -- Green systems -------------------------------------------------------------

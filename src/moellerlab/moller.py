@@ -396,7 +396,8 @@ def compose_chain(chain: ParacausalChain, operators=None, window=None, mass=1.0)
     (canonical massive wave operators are built when omitted); window is the
     shared switch interval (t0, t1), defaulting to the middle third of the
     lattice time extent.  Forward links contribute R- R+; reversed links
-    contribute the inverse steps in mirrored order.
+    contribute the inverse steps in mirrored order.  A link whose blended
+    operator is not formally self-adjoint is refused, naming the link.
     """
     grid = chain.metrics[0].grid
     if operators is None:
@@ -429,6 +430,9 @@ def compose_chain(chain: ParacausalChain, operators=None, window=None, mass=1.0)
         else:
             lo_op, hi_op = operators[k + 1], operators[k]
         nchi = convex_operator(lo_op, hi_op, chi)
+        if not nchi.self_adjoint:
+            raise ValueError(f"link {k}: the blended operator is not formally self-adjoint "
+                             f"(V-symmetry defect {nchi.v_symmetry_defect():.3g})")
         rho = ScalarField(grid, _vol_ratio(lo_op.metric, nchi.metric), ScalarField.POSITIVE)
         rho_hi = ScalarField(grid, _vol_ratio(lo_op.metric, hi_op.metric), ScalarField.POSITIVE)
         plus = build_rplus(lo_op, nchi, rho, t0, t1)
@@ -522,6 +526,8 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     worst section.
     """
     grid = R.op_start.grid
+    if sympl_pairs < 1:
+        raise ValueError(f"sympl_pairs must be at least 1, got {sympl_pairs}")
     if dense and grid.n_dof > 4096:
         raise ValueError("dense kernel mode is restricted to small grids")
     if dictionary is None:

@@ -33,6 +33,7 @@ __all__ = [
     "suite_ccr",
     "suite_hadamard",
     "suite_convergence",
+    "SECTION_KEYS",
     "SUITES",
 ]
 
@@ -108,21 +109,18 @@ def suite_cones(cfg, rng) -> list:
     two_sided = (geo.preceq(g, gm) is geo.ALIGNED and geo.preceq(gm, g) is geo.ALIGNED)
     checks.append(CheckResult.from_flag("conformal_cones_coincide", two_sided))
     fwd = geo.cone_inclusion(glo, ghi)
-    rev = _cotangent_inclusion(grid, geo.inverse_metric(ghi), geo.inverse_metric(glo))
+    rev = _cotangent_inclusion(ghi, glo)
     checks.append(CheckResult.from_flag("inverse_metric_cone_duality", fwd == rev and fwd))
     return checks
 
 
-def _cotangent_inclusion(grid, inv_narrow, inv_wide):
-    """V^{a} subset V^{b} for the inverse-metric quadratics (unoriented)."""
-    def comps(inv):
-        return inv[..., 0, 0], inv[..., 0, 1], inv[..., 1, 1]
-
-    att, atx, axx = comps(inv_narrow)
-    mn = geo.MetricField(grid, att, atx, axx, *_any_timelike(att, atx, axx))
-    btt, btx, bxx = comps(inv_wide)
-    mw = geo.MetricField(grid, btt, btx, bxx, *_any_timelike(btt, btx, bxx))
-    return geo.cone_inclusion(mn, mw)
+def _cotangent_inclusion(g_a, g_b):
+    """V^{a} subset V^{b} for the inverse-metric quadratics of g_a and g_b (unoriented)."""
+    cones = []
+    for g in (g_a, g_b):
+        itt, itx, ixx = g.inverse_components()
+        cones.append(geo.MetricField(g.grid, itt, itx, ixx, *_any_timelike(itt, itx, ixx)))
+    return geo.cone_inclusion(*cones)
 
 
 def _any_timelike(att, atx, axx):
@@ -173,6 +171,12 @@ def suite_paracausal(cfg, rng) -> list:
 
 
 BATCH = 64  # samples marched together: memory stays bounded for any sample count
+MOLLER_TOLERANCES = {  # suite_moller's, one per law of moller.verify_moller_identities
+    "intertwine": 1e-9, "propagator_transport": 1e-9,
+    "adjoint_interchange": 1e-9, "inverse_roundtrip": 1e-9,
+    "symplectic_preservation": 1e-8, "identity_region": 1e-10,
+    "propagator_transport_dense": 1e-9,
+}
 
 
 def _batches(count) -> list:
@@ -326,14 +330,8 @@ def suite_moller(cfg, rng) -> list:
     rep = mo.verify_moller_identities(R, d, seed=int(rng.integers(1 << 30)),
                                       dense=bool(cfg.get("dense", False)),
                                       sympl_pairs=sympl_pairs)
-    tols = {
-        "intertwine": 1e-9, "propagator_transport": 1e-9,
-        "adjoint_interchange": 1e-9, "inverse_roundtrip": 1e-9,
-        "symplectic_preservation": 1e-8, "identity_region": 1e-10,
-        "propagator_transport_dense": 1e-9,
-    }
     for k, v in rep.items():
-        checks.append(CheckResult.from_residual(f"moller_{k}", v, tols[k]))
+        checks.append(CheckResult.from_residual(f"moller_{k}", v, MOLLER_TOLERANCES[k]))
 
     # adjoint calculus on a small dense grid; each 256x256 matrix is dropped
     # once the law that reads it is recorded, so only a few live at a time
@@ -576,6 +574,22 @@ def dense_kernel_csvs(cfg) -> dict:
         "green_causal.csv": matrix_csv(Gp - Gm),
     }
 
+
+# The keys each suite reads from its section, and the keys of the
+# reversed-pair fixture scenario (``cli``): a config naming any other key is
+# refused before a suite runs.  SUITES stays a dict of the suite functions,
+# so that a tracer can rebind them.
+SECTION_KEYS = {
+    "cones": {"pairs"},
+    "paracausal": {"nt", "nx"},
+    "green": {"nt", "nx", "t_max", "preset", "mass", "count", "pairs"},
+    "moller": {"nt", "nx", "t_max", "chain", "target_preset", "target_params", "window",
+               "mass", "dictionary", "sympl_pairs", "dense"},
+    "ccr": {"nt", "nx", "mass", "dictionary", "triples", "positivity_samples"},
+    "hadamard": {"nx", "mass", "nts"},
+    "convergence": {"grids"},
+    "reversed-pair": {"name", "kind", "nt", "nx"},
+}
 
 SUITES = {
     "cones": suite_cones,

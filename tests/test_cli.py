@@ -325,3 +325,86 @@ def test_state_mass_reaches_every_operator(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "wave_operator", recorded)
     assert run_cli(["state", "--grid", "16x16", "--mass", "2", "--out", str(tmp_path)]) == 0
     assert masses and set(masses) == {2.0}
+
+
+class _Recording(dict):
+    """A config section that records every key read from it."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+TINY_SECTIONS = {
+    "cones": {"pairs": 8},
+    "paracausal": {"nt": 8, "nx": 8},
+    "green": {"nt": 16, "nx": 16, "count": 2, "pairs": 2},
+    "moller": {"nt": 16, "nx": 16, "dictionary": 2, "sympl_pairs": 1},
+    "ccr": {"nt": 16, "nx": 16, "dictionary": 4, "triples": 2, "positivity_samples": 2},
+    "hadamard": {"nx": 8, "nts": [16, 32]},
+    "convergence": {"grids": [8, 16]},
+}
+
+
+@pytest.mark.parametrize("suite", TINY_SECTIONS)
+def test_each_suite_reads_exactly_its_declared_keys(suite):
+    from moellerlab.suites import SECTION_KEYS
+
+    section = _Recording(TINY_SECTIONS[suite])
+    cli.run_scenario({"suites": [suite], suite: section})
+    assert section.read == SECTION_KEYS[suite]
+
+
+def test_reversed_pair_reads_exactly_its_declared_keys(capsys):
+    from moellerlab.suites import SECTION_KEYS
+
+    scenario = _Recording(name="r", kind="reversed-pair", nt=8, nx=8)
+    assert cli.execute([scenario]) == 0
+    assert scenario.read == SECTION_KEYS["reversed-pair"]
+
+
+def test_bundled_and_flag_keys_are_declared():
+    from moellerlab.suites import SECTION_KEYS, SUITES
+
+    for path in Path(cli._bundled("")).glob("*.json"):
+        cfg = json.loads(path.read_text())
+        for sc in cfg if isinstance(cfg, list) else [cfg]:
+            if sc.get("kind") == "reversed-pair":
+                assert set(sc) <= SECTION_KEYS["reversed-pair"], path.name
+            for suite in SUITES:
+                assert set(sc.get(suite, {})) <= SECTION_KEYS[suite], (path.name, suite)
+    for suite, flags in cli.COMMANDS.values():
+        for key in filter(None, flags.values()):
+            assert set(key.split(",")) <= SECTION_KEYS[suite], (suite, key)
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"suites": ["cones", "green"], "cones": {"pairs": 8},
+      "green": {"nt": 16, "nx": 16, "cout": 1, "pairs": 2}},
+     "unknown green section keys: ['cout']; green section takes ['count', "),
+    ({"name": "r", "kind": "reversed-pair", "nt": 8, "mx": 8},
+     "unknown reversed-pair scenario keys: ['mx']; reversed-pair scenario takes ['kind', "),
+], ids=["section", "reversed-pair"])
+def test_unknown_section_key_exits_2_before_any_suite_runs(cfg, message, tmp_path, capsys,
+                                                           monkeypatch):
+    from moellerlab import suites
+
+    ran = []
+    monkeypatch.setitem(suites.SUITES, "cones", lambda section, rng: ran.append(1) or [])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not ran and not (tmp_path / "out").exists()

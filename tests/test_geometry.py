@@ -166,7 +166,7 @@ def test_preceq_inverse_metric_duality(g8):
     for _ in range(200):
         glo, ghi = random_comparable_pair(g8, rng, per_point=True)
         assert geo.cone_inclusion(glo, ghi)
-        assert _cotangent_inclusion(g8, geo.inverse_metric(ghi), geo.inverse_metric(glo))
+        assert _cotangent_inclusion(ghi, glo)
 
 
 # -- blends ----------------------------------------------------------------------

@@ -3,11 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moellerlab import geometry as geo
 from moellerlab import greenhyp as gh
 from moellerlab import moller as mo
 from moellerlab.lattice import ScalarField, Section, make_grid, smooth_step
+from moellerlab.suites import random_metric
 
 from conftest import window_section
 
@@ -47,9 +50,10 @@ def test_block_coefficient_refused(mink48, shape):
 
 
 def test_symbol_mismatch_raises(grid48, mink48):
-    hxx = mink48.inverse_components()[2] + 0.1
+    # the stencil of a metric whose g^xx is 0.1 larger, checked against Minkowski
+    wider = geo.MetricField(grid48, -1.0, 0.0, 1.0 / 1.1, 1.0, 0.0)
     with pytest.raises(gh.SymbolMismatch, match="level"):
-        gh.build_operator(mink48, hxx_override=hxx)
+        gh.HyperbolicOperator(mink48, gh.build_operator(wider).offsets).check_symbol()
 
 
 def test_symbol_check_passes_varying_metric(grid48):
@@ -114,16 +118,21 @@ def _warped_along_x(nt, nx):
 
 
 def test_assembly_peak_within_a_few_fields():
-    # on a metric that varies along x, wave_operator with its symbol and
-    # symmetry checks peaks at 1.38x the kept bytes (whole fields read
-    # 2.14x when the checks made whole-window temporaries), and afterwards
-    # the operator holds no more than it keeps: a scalar mass is a
-    # broadcast view, not a field
+    # on a metric that varies along x, wave_operator with its symbol check
+    # and a first read of self_adjoint (the symmetry check) peaks at 1.38x
+    # the kept bytes (whole fields read 2.14x when the checks made
+    # whole-window temporaries), and afterwards the operator holds no more
+    # than it keeps: the mass is added into the offsets, not kept as a field
+
+    def build():
+        N = gh.wave_operator(met, mass=1.0)
+        assert N.self_adjoint
+        return N
+
     met = _warped_along_x(512, 256)
-    N, peak, held = _traced(lambda: gh.wave_operator(met, mass=1.0))
+    N, peak, held = _traced(build)
     kept = _kept_bytes(N)
     assert all(C.shape == (512, 256) for C in N.offsets.values())
-    assert N.B.strides == (0, 0)
     assert held <= 1.01 * kept, held / kept
     assert peak <= 1.6 * kept, peak / kept
 
@@ -131,11 +140,18 @@ def test_assembly_peak_within_a_few_fields():
 def test_constant_along_x_operator_keeps_one_value_per_level():
     # Minkowski at 512x256: the five offsets, the volume and both weights
     # are one float a level each (32 KiB, where one field is 1 MiB); after
-    # assembly 9.4 such columns are held and with its checks it peaks at 14.3
+    # assembly and a first read of self_adjoint 9.1 such columns are held and
+    # with its symbol and symmetry checks it peaks at 14.1
+
+    def build():
+        N = gh.wave_operator(met, mass=1.0)
+        assert N.self_adjoint
+        return N
+
     g = make_grid(512, 256, 0.0, 0.5, 1.0)
     met = geo.metric_preset("minkowski", g)
     column = 8 * g.nt
-    N, peak, held = _traced(lambda: gh.wave_operator(met, mass=1.0))
+    N, peak, held = _traced(build)
     assert all(C.shape == (g.nt, 1) for C in N.offsets.values())
     assert _kept_bytes(N) == 8 * column
     assert held <= 12 * column, held / column
@@ -170,7 +186,7 @@ def test_convergence_suite_peak():
     assert peak < 3e6, peak / 1e6
 
 
-def _divergence_form_dense(metric, ixx_override=None):
+def _divergence_form_dense(metric):
     """Dense (1/vol)[Dt^T Wtt Dt + Dx^T Wxx Dx + Ct^T Wtx Cx + Cx^T Wtx Ct].
 
     D^T is minus the divergence, so this is -(1/vol) div(vol g_sharp grad .).
@@ -180,8 +196,6 @@ def _divergence_form_dense(metric, ixx_override=None):
     g = metric.grid
     nt, nx = g.nt, g.nx
     itt, itx, ixx = (np.broadcast_to(c, (nt, nx)) for c in metric.inverse_components())
-    if ixx_override is not None:
-        ixx = np.broadcast_to(ixx_override, ixx.shape)
     vol = np.broadcast_to(metric.volume_density(), (nt, nx))
     Dt = (np.eye(nt - 1, nt, 1) - np.eye(nt - 1, nt)) / g.dt
     Dx = (np.roll(np.eye(nx), 1, axis=1) - np.eye(nx)) / g.dx
@@ -204,29 +218,34 @@ def _divergence_form_dense(metric, ixx_override=None):
 @pytest.mark.parametrize("case", ["tilted", "varying-tilt", "warped", "minkowski-hxx"])
 def test_stencil_equals_dense_divergence_form(shape, case):
     g = make_grid(*shape, 0.0, 0.5, 1.0)
-    hxx = None
     if case == "varying-tilt":
         T, X = np.meshgrid(g.times, g.sites, indexing="ij")
         m = geo.metric_from_arcs(g, 0.3 * np.sin(2 * np.pi * X) + 0.4 * T, 0.7 + 0.1 * np.cos(3 * T))
-    elif case == "minkowski-hxx":
-        m = geo.metric_preset("minkowski", g)
+    elif case == "minkowski-hxx":  # g^xx, and with it the volume, varies point by point
         hxx = 1.0 + 0.2 * np.random.default_rng(4).uniform(size=(g.nt, g.nx))
+        m = geo.MetricField(g, -1.0, 0.0, 1.0 / hxx, 1.0, 0.0)
     else:
         m = geo.metric_preset(case, g)
-    N = gh.build_operator(m, hxx_override=hxx, check=False)
-    want = _divergence_form_dense(m, hxx)
+    N = gh.build_operator(m)
+    want = _divergence_form_dense(m)
     assert np.max(np.abs(N.as_dense() - want)) <= 1e-13 * np.max(np.abs(want))
     # all-zero keys are dropped: the cross keys exist exactly when g^tx != 0
     assert len(N.offsets) == (9 if np.any(m.inverse_components()[1]) else 5)
 
 
-@pytest.mark.parametrize("target", ["arcs", "conformal"])
+@pytest.mark.parametrize("target", ["arcs", "conformal", "potential", "symmetrized"])
 def test_convex_operator_is_bitwise_inert_off_the_switch(grid48, mink48, target):
-    if target == "arcs":
+    t, x = grid48.times[:, None], grid48.sites[None, :]
+    if target in ("arcs", "symmetrized"):
         m1 = geo.metric_from_arcs(grid48, 0.15, 1.0)  # g^tx != 0 on this end only
     else:
         m1 = geo.metric_preset("conformal", grid48, mu=2.0)
     N0, N1 = gh.build_operator(mink48, B=1.0), gh.build_operator(m1, B=1.0)
+    if target == "potential":  # a smooth potential on the start
+        N0 = gh.build_operator(mink48, B=1.0 + 0.5 * np.sin(2 * np.pi * x) * np.cos(3 * t))
+    elif target == "symmetrized":  # first-order terms on the far end, made self-adjoint
+        A1 = np.broadcast_to(0.3 * np.cos(2 * np.pi * x), (grid48.nt, grid48.nx))
+        N1 = gh.symmetrize(gh.build_operator(m1, A0=0.4, A1=A1, B=1.0))
     chi = smooth_step(grid48, grid48.times[16], grid48.times[32])
     _assert_inert_off_the_switch(N0, N1, chi)
 
@@ -241,12 +260,14 @@ def _assert_inert_off_the_switch(N0, N1, chi):
     for k in set(Nchi.offsets) | set(N0.offsets) | set(N1.offsets):
         C = Nchi.offsets.get(k, zero)
         for levels, N in ((zeros, N0), (ones, N1)):
-            assert np.array_equal(C[levels], N.offsets.get(k, zero)[levels]), (k, N is N1)
+            # an end may keep a per-level column where the blend keeps a field
+            got, want = np.broadcast_arrays(C[levels], N.offsets.get(k, zero)[levels])
+            assert np.array_equal(got, want), (k, N is N1)
 
 
 def test_wave_operator_ends_stay_inert_at_fine_grid():
     # at nt = 1024 the stencil entries are ~6e6, so a one-ulp adjointness
-    # defect (~1e-9) must not make wave_operator symmetrize one end only
+    # defect (~1e-9) must not make an end or a blend read as not self-adjoint
     grid = make_grid(1024, 64, 0.0, 0.5, 1.0)
     mets = [geo.metric_preset("minkowski", grid),
             geo.metric_preset("conformal", grid, mu=1.4),
@@ -258,6 +279,26 @@ def test_wave_operator_ends_stay_inert_at_fine_grid():
     fwd = geo.ParacausalChain.FWD
     R = mo.compose_chain(geo.ParacausalChain(mets, [fwd, fwd]), operators=ops)
     assert len(R.steps) == 4
+
+
+@pytest.mark.parametrize("preset", ["minkowski", "rotated-minkowski", "conformal", "warped",
+                                    "ultrastatic", "squeezed", "tilted", "time-reversed"])
+def test_wave_operator_is_self_adjoint_on_every_preset(grid48, preset):
+    # read off the stencil: the divergence form is V-symmetric by construction,
+    # and a first-order term is not
+    m = geo.metric_preset(preset, grid48)
+    assert gh.wave_operator(m, 1.0).self_adjoint
+    assert not gh.build_operator(m, A0=0.4, B=1.0).self_adjoint
+    assert not gh.build_operator(m, A1=0.3, B=1.0).self_adjoint
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(16, 16), (24, 8), (12, 20)]))
+def test_wave_operator_is_self_adjoint_on_random_metrics(seed, shape):
+    m = random_metric(make_grid(*shape, 0.0, 0.5, 1.0), np.random.default_rng(seed))
+    N = gh.wave_operator(m, 1.5)
+    assert N.self_adjoint
+    assert gh.symmetrize(gh.build_operator(m, A0=0.4, A1=0.3, B=1.0)).self_adjoint
 
 
 def test_symmetrize_fixed_point(grid48, kg48):
@@ -1030,8 +1071,9 @@ def _storage_results(case):
     bent = dict(N.offsets)
     bent[(1, 0)] = N.offsets[(1, 0)].copy()
     bent[(1, 0)][17] += 0.05 * np.max(np.abs(N.offsets[(1, 0)]))  # the whole level
+    wide = {**N.offsets, **{(0, b): 1.1 * N.offsets[(0, b)] for b in (-1, 1)}}  # g^xx, everywhere
     for check in (N.check_symbol, gh.HyperbolicOperator(m, bent).check_symbol,
-                  lambda: gh.build_operator(m, hxx_override=m.inverse_components()[2] + 0.1)):
+                  gh.HyperbolicOperator(m, wide).check_symbol):
         try:
             check()
             messages.append(None)
