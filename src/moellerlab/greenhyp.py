@@ -57,10 +57,11 @@ metric that varies along x gives whole fields through the same code.
 Lower-order terms are added into the offsets, not kept apart.  A pass
 over the whole window holds at most a fixed block of levels of scratch
 (``_BLOCK_BYTES`` a field, a private constant, not a setting): the march
-stacks the known-level offsets it reads a block at a time, broadcast along
-x into one buffer, and writes each new level in place, and the symbol check
-and the march's own checks read the metric a block at a time, so their
-scratch does not grow with nt.
+stacks the known-level offsets it reads a block at a time, at the width
+they are stored at (one value a level for a per-level operator, whose
+whole window is then one block), and writes each new level in place, and
+the symbol check and the march's own checks read the metric a block at a
+time, so their scratch does not grow with nt.
 """
 
 from __future__ import annotations
@@ -477,13 +478,9 @@ class HyperbolicOperator:
             lo, hi = g.nt - 2, g.nt - 1
         first, stop = (1, g.nt - 1) if rows is None else (max(rows[0], 1), min(rows[1], g.nt - 1))
         if direction >= 0 or seeds is not None:
-            step = self._step(1)
-            for n in range(max(hi, first), stop):
-                step(n, F[n], u)
+            self._step(1).run(F, u, range(max(hi, first), stop))
         if direction < 0 or seeds is not None:
-            step = self._step(-1)
-            for n in range(min(lo, stop - 1), first - 1, -1):
-                step(n, F[n], u)
+            self._step(-1).run(F, u, range(min(lo, stop - 1), first - 1, -1))
         return np.moveaxis(u, -1, 0) if batched else u[..., 0]
 
 
@@ -491,14 +488,19 @@ class _Step:
     """One march step of an operator: level n + a from levels n and n - a.
 
     The known part, offsets (0, b) on level n and (-a, b) on level n - a, is
-    one gather of the two-level window of u and one einsum against the m
-    known offsets' rows of level n side by side, a C-contiguous (nx, m)
-    array (einsum's summation order depends on the layout, so this fixes the
-    bits; a matmul would sum in another order).  The step keeps views of the
-    known offsets and stacks their rows into a (levels, nx, m) buffer, a
-    block of levels at a time, as many as :data:`_BLOCK_BYTES` holds,
-    caching the last block: a window that fits in one block is stacked once
-    for all marches, a larger one block by block in each march.  The
+    one ``take`` of the (nx, m) site index from the two-level window of u,
+    rows of K columns, giving (nx, m, K), and one einsum against the m known
+    offsets' rows of level n side by side, (nx, m) (einsum's summation
+    order depends on the layout, so this fixes the bits; a matmul would sum
+    in another order).  The known offsets are stacked at the width they are
+    stored at: a (levels, width, m) buffer, width 1 when every known offset
+    is an (nt, 1) column and nx otherwise, a block of levels at a time, as
+    many as :data:`_BLOCK_BYTES` holds, the last block cached.  The einsum reads the block as a read-only
+    ``broadcast_to`` view along x, a stride-0 operand that keeps the
+    summation order, so the bits are those of a whole-field block.  A
+    per-level operator's window (m floats a level: 8192 levels when m = 4)
+    is then one block, stacked once for all marches; an x-varying window
+    wider than one block is stacked block by block in each march.  The
     subclass solves the new-level system, offsets (a, b), for the rest.
     """
 
@@ -510,33 +512,34 @@ class _Step:
         known = [(c, b) for c in (0, -a) for b in (-1, 0, 1) if (c, b) in op.offsets]
         self.gather = np.stack([(c - self.lo) * nx + (sites + b) % nx for c, b in known], axis=1)
         self.known = [op.offsets[k] for k in known]
-        self.levels = min(_block_levels(8 * nx * len(known)), op.grid.nt)
-        self.buffer = np.empty((self.levels, nx, len(known)))
-        self.first, self.block = 0, ()  # empty: the first call stacks
+        width = max(C.shape[1] for C in self.known)
+        self.levels = min(_block_levels(8 * width * len(known)), op.grid.nt)
+        self.buffer = np.empty((self.levels, width, len(known)))
+        self.first, self.block = 0, self.buffer[:0]  # empty: the first level stacks
 
     def _stack(self, n):
-        """Stack the block of levels that holds level n; return n's place in it.
-
-        A known offset kept as one value per level is broadcast along x into
-        the buffer, so the block has the same layout, and bits, either way.
-        """
+        """Stack the block of levels that holds level n; return its first level and its view."""
         L = self.levels
-        self.first = n - n % L
-        parts = [C[self.first:self.first + L] for C in self.known]
-        self.block = self.buffer[:len(parts[0])]
-        for i, C in enumerate(parts):
-            self.block[..., i] = C
-        return n - self.first
+        self.first = first = n - n % L
+        rows = self.buffer[:len(self.known[0]) - first]  # L levels, or the window's last ones
+        for i, C in enumerate(self.known):
+            rows[..., i] = C[first:first + L]
+        self.block = np.broadcast_to(rows, rows.shape[:1] + self.gather.shape)
+        return first, self.block
 
-    def __call__(self, n, f_n, u):
-        """Write level n + a of the (nt, nx, K) batch u from its (nx, K) source rows f_n."""
-        nx, K = f_n.shape
-        i = n - self.first
-        if not 0 <= i < len(self.block):
-            i = self._stack(n)
-        window = u[n + self.lo:n + self.lo + 2].reshape(2 * nx, K)
-        rhs = np.einsum("xm,xmk->xk", self.block[i], window[self.gather])
-        self.solve(n, np.subtract(f_n, rhs, out=rhs), u[n + self.a])
+    def run(self, F, u, levels):
+        """Write level n + a of the (nt, nx, K) batch u from its source rows F[n], for n in levels."""
+        _, nx, K = u.shape
+        a, lo, gather, solve = self.a, self.lo, self.gather, self.solve
+        first, block = self.first, self.block
+        end = first + len(block)
+        for n in levels:
+            if not first <= n < end:
+                first, block = self._stack(n)
+                end = first + len(block)
+            window = u[n + lo:n + lo + 2].reshape(2 * nx, K).take(gather, axis=0)  # (nx, m, K)
+            rhs = np.einsum("xm,xmk->xk", block[n - first], window)
+            solve(n, np.subtract(F[n], rhs, out=rhs), u[n + a])
 
 
 def _singular(n):
@@ -556,9 +559,10 @@ class _SiteStep(_Step):
         zero = ~self.diag[1:-1].all(axis=1)
         if zero.any():
             raise _singular(1 + int(np.argmax(zero)))
+        self.divisor = self.diag[:, :, None]  # level n: one value per site, for all K columns
 
     def solve(self, n, rhs, out):
-        np.divide(rhs, self.diag[n, :, None], out=out)  # one value per site, for all K columns
+        np.divide(rhs, self.divisor[n], out=out)
 
 
 class _BandedStep(_Step):
@@ -657,11 +661,12 @@ def _principal_offsets(metric: MetricField):
 def build_operator(metric: MetricField, A0=None, A1=None, B=None) -> HyperbolicOperator:
     """Assemble the stencil of a metric's divergence form plus A0 d_t + A1 d_x + B.
 
-    A0, A1, B are scalars, (nt, 1) columns or (nt, nx) fields; each is added
-    into the offsets at the resolution it varies at
-    (:func:`geometry.stored_field`) and not kept apart from them, so a scalar
-    or a per-level column costs no field.  The symbol check refuses the
-    result when its extracted second-order part deviates from -g_sharp.
+    A0, A1, B are scalars, (nt, 1) columns, (1, nx) rows or (nt, nx) fields;
+    each is added into the offsets at the resolution it varies at
+    (:func:`geometry.stored_field`; a row is the field it broadcasts to) and
+    not kept apart from them, so a scalar or a per-level column costs no
+    field.  The symbol check refuses the result when its extracted
+    second-order part deviates from -g_sharp.
     """
     g = metric.grid
     offsets = _principal_offsets(metric)
@@ -670,9 +675,9 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None) -> HyperbolicO
         c = np.asarray(c, dtype=float)
         if c.shape == ():
             return c
-        if c.shape not in ((g.nt, 1), (g.nt, g.nx)):
+        if c.shape not in ((g.nt, 1), (1, g.nx), (g.nt, g.nx)):
             raise ValueError("coefficient shape does not match grid")
-        return stored_field(g, c)
+        return stored_field(g, np.broadcast_to(c, np.broadcast_shapes(c.shape, (g.nt, 1))))
 
     def add(key, blk):
         """Add blk, a scalar or an (nt, 1) or (nt, nx) array, into offset `key`,

@@ -208,6 +208,11 @@ def _scenario_operator(cfg, grid, preset="minkowski", **kw):
     return gh.wave_operator(met, mass=float(cfg.get("mass", 1.0)))
 
 
+# the exact-sequence window starts at level nt // 4 (gh.exactness_check), and N
+# spreads it one level down, so its sources clear the margin from nt = 12 on
+GREEN_MIN_NT = 4 * (gh.PAST_MARGIN + 1)
+
+
 def _green_grid(cfg):
     """The grid of the green scenario, 48 x 48 unless the section says otherwise."""
     return make_grid(int(cfg.get("nt", 48)), int(cfg.get("nx", 48)), 0.0,
@@ -219,6 +224,11 @@ def suite_green(cfg, rng) -> list:
     grid = _green_grid(cfg)
     nx = grid.nx
     N = _scenario_operator(cfg, grid, cfg.get("preset", "minkowski"))
+    N.check_march()  # a refused march is the suite's failed check, on any grid
+    if grid.nt < GREEN_MIN_NT:
+        raise ValueError(f"green needs nt >= {GREEN_MIN_NT}, got nt = {grid.nt}: the exact-sequence "
+                         f"sources start at level nt // 4 - 1, which must clear the first "
+                         f"{gh.PAST_MARGIN} time levels")
     count = _sample_count(cfg, "count", 100)
     checks = []
     Gs = gh.GreenSystem(N)

@@ -176,6 +176,17 @@ def test_cfl_violation_is_reported(tmp_path):
         assert check["info"]["detail"].startswith("CFL violated")
 
 
+@pytest.mark.parametrize("grid", ["7x8", "8x8", "11x8"])
+def test_green_refuses_a_grid_below_its_smallest_nt(grid, tmp_path, capsys):
+    # the exact-sequence sources must clear the first two levels; a shorter
+    # window is named as such before any march, and nothing is written
+    assert run_cli(["green", "--grid", grid, "--out", str(tmp_path)]) == 2
+    nt = grid.split("x")[0]
+    assert f"config error: green needs nt >= 12, got nt = {nt}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    assert run_cli(["green", "--grid", "12x8", "--out", str(tmp_path)]) == 0
+
+
 def test_x_timelike_preset_marches(tmp_path):
     # the rotated metric is x-class (g^tt > 0, g^xx < 0 everywhere), where the
     # march is stable: the green laws run and pass

@@ -49,6 +49,28 @@ def test_block_coefficient_refused(mink48, shape):
         gh.build_operator(mink48, B=np.ones(shape))
 
 
+def test_row_coefficient_equals_its_broadcast_field():
+    # a coefficient constant in t and varying in x, given as a (1, nx) row,
+    # builds bit for bit the operator of the (nt, nx) field it broadcasts to;
+    # a row that is constant along x is kept as a per-level column
+    g = make_grid(24, 12, 0.0, 0.5, 1.0)
+    m = geo.metric_preset("minkowski", g)
+    x = g.sites[None, :]
+    rows = {"A0": 0.4 * np.sin(2 * np.pi * x), "A1": 0.3 * np.cos(2 * np.pi * x),
+            "B": np.full((1, g.nx), 1.5)}
+    N = gh.build_operator(m, **rows)
+    W = gh.build_operator(m, **{k: np.broadcast_to(v, (g.nt, g.nx)) for k, v in rows.items()})
+    assert N.offsets.keys() == W.offsets.keys()
+    for k, C in N.offsets.items():
+        assert C.shape == W.offsets[k].shape and np.array_equal(C.view(np.uint64), W.offsets[k].view(np.uint64))
+    A1 = gh.build_operator(m, A1=rows["A1"], B=1.0)  # mixed width: x-varying (0, +-1) only
+    assert {k: C.shape[1] for k, C in A1.offsets.items()} == {
+        (0, 0): 1, (1, 0): 1, (-1, 0): 1, (0, 1): g.nx, (0, -1): g.nx}
+    for shape in ((g.nx,), (g.nt + 1, g.nx), (2, g.nx)):
+        with pytest.raises(ValueError, match="coefficient shape does not match grid"):
+            gh.build_operator(m, A1=np.ones(shape))
+
+
 def test_symbol_mismatch_raises(grid48, mink48):
     # the stencil of a metric whose g^xx is 0.1 larger, checked against Minkowski
     wider = geo.MetricField(grid48, -1.0, 0.0, 1.0 / 1.1, 1.0, 0.0)
@@ -920,17 +942,28 @@ def test_row_range_march_equals_full_march(kg48, name):
     assert np.array_equal(down[:, lo - 1:], full_down[:, lo - 1:]) and not down[:, :lo - 1].any()
 
 
+def _block_case_operator(name, g):
+    if name == "tilted":
+        return gh.wave_operator(geo.metric_preset("tilted", g, deg=12.0), 1.0)
+    if name == "tilted-warp":  # varies along x: a width-nx block on the band path
+        return gh.wave_operator(_tilted_warp(g.nt, g.nx), 1.0)
+    m = geo.metric_preset("minkowski", g)
+    if name == "mixed-A1":  # an (nt, 1) principal part, x-varying (0, +-1) offsets
+        return gh.build_operator(m, A1=0.3 * np.cos(2 * np.pi * g.sites[None, :]), B=1.0)
+    return gh.wave_operator(m, 1.0)
+
+
 @pytest.mark.parametrize("K", [1, 23])
-@pytest.mark.parametrize("name", ["minkowski-64x16", "tilted-48x32"])
+@pytest.mark.parametrize("name", ["minkowski-64x16", "tilted-48x32", "tilted-warp-48x32", "mixed-A1-64x16"])
 def test_march_across_blocks_equals_one_block_march(monkeypatch, name, K):
     # a budget of a few levels makes every march stack its known offsets in
     # several blocks (7 levels on the site path, 4 on the band path); both
     # directions, a row range that starts and ends inside a block and both
     # legs of a seeded march are bitwise the marches whose one block holds
     # the whole window
-    nt, nx = (64, 16) if name.startswith("minkowski") else (48, 32)
+    case, shape = name.rsplit("-", 1)
+    nt, nx = map(int, shape.split("x"))
     g = make_grid(nt, nx, 0.0, 0.5, 1.0)
-    met = geo.metric_preset("minkowski", g) if nt == 64 else geo.metric_preset("tilted", g, deg=12.0)
     rng = np.random.default_rng(37)
     f = np.zeros((K, nt, nx))
     f[:, 2:-2] = rng.standard_normal((K, nt - 4, nx))
@@ -940,21 +973,43 @@ def test_march_across_blocks_equals_one_block_march(monkeypatch, name, K):
     lo, hi, s = 13, nt - 7, nt // 2 + 1
 
     def marches():
-        N = gh.wave_operator(met, 1.0)
+        N = _block_case_operator(case, g)
         out = [N.march(f, 1), N.march(f, -1), N.march(f, 1, rows=(lo, hi)), N.march(f, -1, rows=(lo, hi)),
                N.march(f, 0, seed_level=s, seeds=(h1, h2)), gh.solve_cauchy(N, s, h1, h2).values]
         return out, list(N._steps.values())
 
     whole, steps = marches()
     assert [step.levels for step in steps] == [nt, nt]
-    monkeypatch.setattr(gh, "_BLOCK_BYTES", 7 * 8 * nx * 4)
+    width = 1 if case in ("minkowski", "tilted") else nx  # the widest known offset's
+    assert all(step.buffer.shape[1] == width for step in steps)
+    monkeypatch.setattr(gh, "_BLOCK_BYTES", 7 * 8 * width * 4)  # 7 levels of 4 offsets
     blocked, steps = marches()
-    L = 7 if nt == 64 else 4
+    site = case in ("minkowski", "mixed-A1")
+    L = 7 if site else 4  # the band path reads 6 known offsets
     assert [step.levels for step in steps] == [L, L]
-    assert all(isinstance(step, gh._SiteStep if nt == 64 else gh._BandedStep) for step in steps)
+    assert all(isinstance(step, gh._SiteStep if site else gh._BandedStep) for step in steps)
     assert lo % L and hi % L and s % L  # the ranges and the seed sit inside blocks
     for a, b in zip(whole, blocked, strict=True):
         assert np.array_equal(a, b)
+
+
+def test_per_level_operator_stacks_its_window_once(monkeypatch):
+    # a per-level operator's known offsets take m floats a level, so the
+    # whole 512-level window is one block: both steps stack it once, and
+    # every later march, a row range and a seeded one included, reads it
+    g = make_grid(512, 256, 0.0, 0.5, 1.0)
+    N = gh.wave_operator(geo.metric_preset("minkowski", g), 1.0)
+    calls = []
+    stack = gh._Step._stack
+    monkeypatch.setattr(gh._Step, "_stack", lambda step, n: calls.append(step.a) or stack(step, n))
+    f = np.zeros((g.nt, g.nx))
+    f[2:-2] = np.random.default_rng(38).standard_normal((g.nt - 4, g.nx))
+    N.march(f, 1)
+    N.march(f, -1)
+    N.march(f, 1, rows=(100, 400))
+    N.march(f, 0, seed_level=200, seeds=(f[100], f[101]))
+    assert sorted(calls) == [-1, 1]
+    assert [N._steps[a].buffer.shape for a in (1, -1)] == [(g.nt, 1, 4)] * 2
 
 
 @pytest.mark.parametrize("level", [16, 20, 46], ids=["first-row", "last-row", "last-block"])
