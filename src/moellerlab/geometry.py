@@ -190,12 +190,17 @@ def future_arcs(metric: MetricField):
     The four null rays are bracketed around the orientation direction; the
     future half is the open arc between the two bracketing rays.  Widths are
     strictly below pi for any Lorentzian metric.
+
+    The null slopes, roots of a + 2 b s + c s^2, are taken as q / c and
+    a / q with q = -(b + sign(b) sqrt(b^2 - a c)): no root is a difference
+    of near-equal terms, so where |c| is small against |b| the small root
+    keeps its digits and the boundary rays stay null to round-off.
     """
     a, b, c, ot, ox = metric.stored
-    disc = np.sqrt(np.maximum(b * b - a * c, 0.0))
+    q = -(b + np.copysign(np.sqrt(np.maximum(b * b - a * c, 0.0)), b))
     safe_c = np.where(c != 0.0, c, 1.0)
-    s1 = np.where(c != 0.0, (-b - disc) / safe_c, 0.0)
-    s2 = np.where(c != 0.0, (-b + disc) / safe_c, 0.0)
+    s1 = np.where(c != 0.0, q / safe_c, 0.0)
+    s2 = np.where(c != 0.0, a / q, 0.0)  # |q| >= sqrt(-det g) > 0
     th1 = np.where(c != 0.0, np.arctan2(s1, 1.0), np.arctan2(-a, 2.0 * b))
     th2 = np.where(c != 0.0, np.arctan2(s2, 1.0), np.pi / 2.0)
     thX = np.arctan2(ox, ot)

@@ -39,7 +39,12 @@ Fields are (nt, nx) arrays.  ``HyperbolicOperator.apply``, the march and
 the Green systems also take a leading batch axis, (K, nt, nx): the K
 columns then share one level loop and one solve per level, so a kernel
 block or a dense matrix costs a few marches, not one per column.  The batch
-is the whole interface; there is no batch-size setting.
+is the whole interface; there is no batch-size setting.  A level is three
+numpy calls: one ``take`` gathers the known rows and the level's source
+row, which waits on the level it solves for (:class:`_Step`), one einsum
+folds them into the right-hand side, and one solve writes the level.  The
+einsum adds its terms in the same order for every K, so a column's bits do
+not depend on the batch it is marched in.
 
 A stencil may be applied on a range of rows only (:func:`stencil_apply`;
 ``HyperbolicOperator.apply`` is its whole-window case), and a march may
@@ -57,9 +62,10 @@ metric that varies along x gives whole fields through the same code.
 Lower-order terms are added into the offsets, not kept apart.  A pass
 over the whole window holds at most a fixed block of levels of scratch
 (``_BLOCK_BYTES`` a field, a private constant, not a setting): the march
-stacks the known-level offsets it reads a block at a time, at the width
-they are stored at (one value a level for a per-level operator, whose
-whole window is then one block), and writes each new level in place, and
+stacks the coefficient rows it reads a block at a time, at the width the
+known-level offsets are stored at (one value a level for a per-level
+operator, whose whole window is then one block), copies the sources into
+the solution's own levels, and writes each new level in place, and
 the symbol check and the march's own checks read the metric a block at a
 time, so their scratch does not grow with nt.
 """
@@ -485,36 +491,45 @@ class HyperbolicOperator:
 
 
 class _Step:
-    """One march step of an operator: level n + a from levels n and n - a.
+    """One march step of an operator: level n + a from levels n and n - a and the source F[n].
 
-    The known part, offsets (0, b) on level n and (-a, b) on level n - a, is
-    one ``take`` of the (nx, m) site index from the two-level window of u,
-    rows of K columns, giving (nx, m, K), and one einsum against the m known
-    offsets' rows of level n side by side, (nx, m) (einsum's summation
-    order depends on the layout, so this fixes the bits; a matmul would sum
-    in another order).  The known offsets are stacked at the width they are
-    stored at: a (levels, width, m) buffer, width 1 when every known offset
-    is an (nt, 1) column and nx otherwise, a block of levels at a time, as
-    many as :data:`_BLOCK_BYTES` holds, the last block cached.  The einsum reads the block as a read-only
-    ``broadcast_to`` view along x, a stride-0 operand that keeps the
-    summation order, so the bits are those of a whole-field block.  A
-    per-level operator's window (m floats a level: 8192 levels when m = 4)
-    is then one block, stacked once for all marches; an x-varying window
-    wider than one block is stacked block by block in each march.  The
-    subclass solves the new-level system, offsets (a, b), for the rest.
+    Before a leg starts, each marched row's source F[n] is copied into the
+    level n + a that the row writes, which no row reads earlier.  A level is
+    then one ``take`` of the (m + 1, nx) site index from the window
+    u[n - 1 : n + 2], rows of K columns, giving the m known rows (offsets
+    (0, b) on level n and (-a, b) on level n - a) and the source row, and
+    one einsum against the coefficient row: the m known offsets negated and
+    a constant +1.  The summed axis leads, so the einsum adds the m + 1
+    terms in order for every K; as (-c) u is -(c u) exactly, the result is
+    F[n] minus the known part summed in order, bit for bit, and a column's
+    bits do not depend on the batch width K.  The subclass solves the
+    new-level system, offsets (a, b), for that right-hand side.
+
+    The coefficient rows are stacked at the width the known offsets are
+    stored at: a (levels, width, m + 1) buffer, width 1 when every known
+    offset is an (nt, 1) column and nx otherwise, a block of levels at a
+    time, as many as :data:`_BLOCK_BYTES` holds, the last block cached.  The
+    einsum reads the block as a read-only ``broadcast_to`` view along x, a
+    stride-0 operand that keeps the summation order, so the bits are those
+    of a whole-field block.  A per-level operator's window (m + 1 floats a
+    level: 6553 levels when m = 4) is then one block, stacked once for all
+    marches; an x-varying window wider than one block is stacked block by
+    block in each march.
     """
 
     def __init__(self, op: HyperbolicOperator, a: int):
         nx = op.grid.nx
         sites = np.arange(nx)
         self.a = a
-        self.lo = min(0, -a)  # first level of the window u[n + lo : n + lo + 2]
         known = [(c, b) for c in (0, -a) for b in (-1, 0, 1) if (c, b) in op.offsets]
-        self.gather = np.stack([(c - self.lo) * nx + (sites + b) % nx for c, b in known], axis=1)
+        # level n + c is row c + 1 of the window; the source waits on level n + a
+        rows = [(c + 1) * nx + (sites + b) % nx for c, b in known] + [(a + 1) * nx + sites]
+        self.gather = np.stack(rows)
         self.known = [op.offsets[k] for k in known]
         width = max(C.shape[1] for C in self.known)
-        self.levels = min(_block_levels(8 * width * len(known)), op.grid.nt)
-        self.buffer = np.empty((self.levels, width, len(known)))
+        self.levels = min(_block_levels(8 * width * len(rows)), op.grid.nt)
+        self.buffer = np.empty((self.levels, width, len(rows)))
+        self.buffer[..., -1] = 1.0  # the source's coefficient, never restacked
         self.first, self.block = 0, self.buffer[:0]  # empty: the first level stacks
 
     def _stack(self, n):
@@ -523,23 +538,28 @@ class _Step:
         self.first = first = n - n % L
         rows = self.buffer[:len(self.known[0]) - first]  # L levels, or the window's last ones
         for i, C in enumerate(self.known):
-            rows[..., i] = C[first:first + L]
-        self.block = np.broadcast_to(rows, rows.shape[:1] + self.gather.shape)
+            np.negative(C[first:first + L], out=rows[..., i])
+        self.block = np.broadcast_to(rows, rows.shape[:1] + self.gather.shape[::-1])
         return first, self.block
 
     def run(self, F, u, levels):
         """Write level n + a of the (nt, nx, K) batch u from its source rows F[n], for n in levels."""
+        if not levels:
+            return
         _, nx, K = u.shape
-        a, lo, gather, solve = self.a, self.lo, self.gather, self.solve
+        a, gather, solve = self.a, self.gather, self.solve
+        n0, n1 = sorted((levels[0], levels[-1]))
+        u[n0 + a:n1 + a + 1] = F[n0:n1 + 1]  # each source waits on the level its row writes
+        flat, rhs = u.reshape(-1, K), np.empty((nx, K))  # flat: u's sites, level after level
         first, block = self.first, self.block
         end = first + len(block)
         for n in levels:
             if not first <= n < end:
                 first, block = self._stack(n)
                 end = first + len(block)
-            window = u[n + lo:n + lo + 2].reshape(2 * nx, K).take(gather, axis=0)  # (nx, m, K)
-            rhs = np.einsum("xm,xmk->xk", block[n - first], window)
-            solve(n, np.subtract(F[n], rhs, out=rhs), u[n + a])
+            window = flat[(n - 1) * nx:(n + 2) * nx].take(gather, axis=0)  # (m + 1, nx, K)
+            np.einsum("xm,mxk->xk", block[n - first], window, out=rhs)  # F[n] - known part
+            solve(n, rhs, u[n + a])
 
 
 def _singular(n):
@@ -549,8 +569,9 @@ def _singular(n):
 class _SiteStep(_Step):
     """A step whose new level couples each site only to itself (no (a, +-1) offset).
 
-    The level system is diagonal, so the solve divides by the (a, 0)
-    stencil entry, which is what the banded solve does with a diagonal band.
+    The level system is diagonal, so the solve divides the folded
+    right-hand side F[n] - (known part) by the (a, 0) stencil entry, read
+    in place, which is what the banded solve does with a diagonal band.
     """
 
     def __init__(self, op: HyperbolicOperator, a: int):

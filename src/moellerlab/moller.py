@@ -260,9 +260,14 @@ def _active_rows(offsets, nt):
 
 
 def _window_levels(grid, t0, t1):
+    """Levels l0 < l1 of the switch window, refused unless 3 <= l0 and l1 <= nt - 4."""
+    nt = grid.nt
     l0, l1 = grid.level_of_time(t0), grid.level_of_time(t1)
-    if l0 < 3 or l1 > grid.nt - 4 or l0 >= l1:
-        raise ValueError("switch window must sit strictly inside the lattice window")
+    bounds = (("l0 >= 3", l0 >= 3), (f"l1 <= nt - 4 = {nt - 4}", l1 <= nt - 4), ("l0 < l1", l0 < l1))
+    broken = [bound for bound, ok in bounds if not ok]
+    if broken:
+        raise ValueError(f"switch window must sit strictly inside the lattice window: nt = {nt} puts "
+                         f"it on levels l0 = {l0} .. l1 = {l1}, which breaks {' and '.join(broken)}")
     return l0, l1
 
 

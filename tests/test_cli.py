@@ -187,6 +187,24 @@ def test_green_refuses_a_grid_below_its_smallest_nt(grid, tmp_path, capsys):
     assert run_cli(["green", "--grid", "12x8", "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("argv, levels", [
+    (["moller", "--grid", "8x8"], "nt = 8 puts it on levels l0 = 2 .. l1 = 5, which breaks l0 >= 3 "
+                                  "and l1 <= nt - 4 = 4"),
+    (["moller", "--grid", "4x8"], "nt = 4 puts it on levels l0 = 1 .. l1 = 2, which breaks l0 >= 3 "
+                                  "and l1 <= nt - 4 = 0"),
+    (["state", "--grid", "8x8"], "nt = 8 puts it on levels l0 = 2 .. l1 = 5, which breaks l0 >= 3 "
+                                 "and l1 <= nt - 4 = 4"),
+])
+def test_switch_window_refusal_names_its_levels(argv, levels, tmp_path, capsys):
+    # the suites place the switch window on the middle third of the grid; on
+    # a grid too short for it the refusal names nt, the levels and the bounds
+    # they break, and nothing is written
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: switch window must sit strictly inside the lattice window: {levels}\n" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_x_timelike_preset_marches(tmp_path):
     # the rotated metric is x-class (g^tt > 0, g^xx < 0 everywhere), where the
     # march is stable: the green laws run and pass

@@ -781,21 +781,35 @@ def _batch_operator(name):
     g = make_grid(32, 16, 0.0, 0.5, 1.0)
     if name == "conformal":
         return gh.wave_operator(geo.metric_preset("conformal", g, mu=2.0), 1.0)
+    if name == "tilted":
+        return gh.wave_operator(geo.metric_preset("tilted", g, deg=12.0), 1.0)
     return gh.wave_operator(geo.metric_preset("warped", g, amp=0.3), 1.0)
 
 
-@pytest.mark.parametrize("name", ["conformal", "warped"])
+@pytest.mark.parametrize("name", ["conformal", "warped", "tilted"])
 def test_batched_march_equals_stacked_single_marches(name):
+    # a level's contraction adds its terms in the same order for every batch
+    # width, so each column of a batch is its single-column march bit for bit,
+    # on the site and the band path, both ways, over a row range and seeded
     N = _batch_operator(name)
     g = N.grid
     rng = np.random.default_rng(22)
     F = np.zeros((5, g.nt, g.nx))
     F[:, 2:-2] = rng.standard_normal((5, g.nt - 4, g.nx))
-    for direction in (1, -1):
-        batch = N.march(F, direction)
-        single = np.array([N.march(f, direction) for f in F])
+    h1, h2 = rng.standard_normal((2, 5, g.nx))
+    s = g.nt // 2
+    marches = [(direction, {"rows": rows}) for direction in (1, -1) for rows in (None, (7, 23))]
+    marches.append((0, {"seed_level": s}))
+    for direction, kw in marches:
+        if "seed_level" in kw:
+            batch = N.march(F, direction, seeds=(h1, h2), **kw)
+            single = np.array([N.march(f, direction, seeds=(a, b), **kw) for f, a, b in zip(F, h1, h2)])
+        else:
+            batch = N.march(F, direction, **kw)
+            single = np.array([N.march(f, direction, **kw) for f in F])
         assert batch.shape == F.shape
-        assert np.max(np.abs(batch - single)) <= 1e-12 * np.max(np.abs(single))
+        assert np.array_equal(batch.view(np.uint64), single.view(np.uint64)), (direction, kw)
+    assert isinstance(N._steps[1], gh._BandedStep if name == "tilted" else gh._SiteStep)
     assert np.max(np.abs(N.apply(F) - np.array([N.apply(f) for f in F]))) == 0.0
 
 
@@ -956,8 +970,8 @@ def _block_case_operator(name, g):
 @pytest.mark.parametrize("K", [1, 23])
 @pytest.mark.parametrize("name", ["minkowski-64x16", "tilted-48x32", "tilted-warp-48x32", "mixed-A1-64x16"])
 def test_march_across_blocks_equals_one_block_march(monkeypatch, name, K):
-    # a budget of a few levels makes every march stack its known offsets in
-    # several blocks (7 levels on the site path, 4 on the band path); both
+    # a budget of a few levels makes every march stack its coefficient rows in
+    # several blocks (6 levels on the site path, 4 on the band path); both
     # directions, a row range that starts and ends inside a block and both
     # legs of a seeded march are bitwise the marches whose one block holds
     # the whole window
@@ -982,10 +996,10 @@ def test_march_across_blocks_equals_one_block_march(monkeypatch, name, K):
     assert [step.levels for step in steps] == [nt, nt]
     width = 1 if case in ("minkowski", "tilted") else nx  # the widest known offset's
     assert all(step.buffer.shape[1] == width for step in steps)
-    monkeypatch.setattr(gh, "_BLOCK_BYTES", 7 * 8 * width * 4)  # 7 levels of 4 offsets
+    monkeypatch.setattr(gh, "_BLOCK_BYTES", 6 * 8 * width * 5)  # 6 levels of 4 offsets and the source
     blocked, steps = marches()
     site = case in ("minkowski", "mixed-A1")
-    L = 7 if site else 4  # the band path reads 6 known offsets
+    L = 6 if site else 4  # the band path reads 6 known offsets and the source
     assert [step.levels for step in steps] == [L, L]
     assert all(isinstance(step, gh._SiteStep if site else gh._BandedStep) for step in steps)
     assert lo % L and hi % L and s % L  # the ranges and the seed sit inside blocks
@@ -994,8 +1008,8 @@ def test_march_across_blocks_equals_one_block_march(monkeypatch, name, K):
 
 
 def test_per_level_operator_stacks_its_window_once(monkeypatch):
-    # a per-level operator's known offsets take m floats a level, so the
-    # whole 512-level window is one block: both steps stack it once, and
+    # a per-level operator's coefficient rows take m + 1 floats a level, so
+    # the whole 512-level window is one block: both steps stack it once, and
     # every later march, a row range and a seeded one included, reads it
     g = make_grid(512, 256, 0.0, 0.5, 1.0)
     N = gh.wave_operator(geo.metric_preset("minkowski", g), 1.0)
@@ -1009,7 +1023,7 @@ def test_per_level_operator_stacks_its_window_once(monkeypatch):
     N.march(f, 1, rows=(100, 400))
     N.march(f, 0, seed_level=200, seeds=(f[100], f[101]))
     assert sorted(calls) == [-1, 1]
-    assert [N._steps[a].buffer.shape for a in (1, -1)] == [(g.nt, 1, 4)] * 2
+    assert [N._steps[a].buffer.shape for a in (1, -1)] == [(g.nt, 1, 5)] * 2
 
 
 @pytest.mark.parametrize("level", [16, 20, 46], ids=["first-row", "last-row", "last-block"])
