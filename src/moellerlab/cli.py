@@ -164,16 +164,28 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+NAMES = ["run", *COMMANDS]  # every subcommand, in the order help lists them
+
+
+def _parser(names):
+    """The command line parser, with the sub-parsers of the commands in names only
+    (a sublist of :data:`NAMES`, in its order).
+
+    With fewer than all of them, the sub-parsers' metavar still lists every
+    command, so usage, help and error texts read as with all of them.
+    """
     p = argparse.ArgumentParser(prog="moellerlab",
                                 description="lattice light-cone / causal-inverse verification runner")
-    sub = p.add_subparsers(dest="cmd", required=True)
+    every = "{" + ",".join(NAMES) + "}" if len(names) < len(NAMES) else None
+    sub = p.add_subparsers(dest="cmd", required=True, metavar=every)
 
-    runp = sub.add_parser("run", help="execute a JSON config of scenarios")
-    runp.add_argument("config", nargs="?", default=str(_bundled("minkowski-selftest.json")))
-    runp.add_argument("--out", default=None, help="directory for report.json (default stdout)")
-
-    for cmd, (suite, flags) in COMMANDS.items():
+    for cmd in names:
+        if cmd == "run":
+            runp = sub.add_parser("run", help="execute a JSON config of scenarios")
+            runp.add_argument("config", nargs="?", default=str(_bundled("minkowski-selftest.json")))
+            runp.add_argument("--out", default=None, help="directory for report.json (default stdout)")
+            continue
+        suite, flags = COMMANDS[cmd]
         # no abbreviations: converge's --grids must not take a --grid
         q = sub.add_parser(cmd, help=f"run only the {suite} suite",
                            argument_default=argparse.SUPPRESS, allow_abbrev=False)
@@ -181,7 +193,17 @@ def main(argv=None) -> int:
         q.add_argument("--out", default=None, help="directory for report.json (default stdout)")
         for flag in flags:
             q.add_argument(flag, **FLAGS[flag])
+    return p
 
+
+def main(argv=None) -> int:
+    """Run the command line argv (default ``sys.argv[1:]``); returns the exit code.
+
+    Only the sub-parser of the command that argv names is built; when its
+    first argument names no command (``--help``, a typo), all of them are.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    p = _parser(argv[:1] if argv[:1] and argv[0] in NAMES else NAMES)
     try:
         args = p.parse_args(argv)
     except SystemExit as e:  # argparse's usage errors and --help, as exit codes

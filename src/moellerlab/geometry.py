@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .lattice import ScalarField, SpacetimeGrid
+from .lattice import ScalarField, SpacetimeGrid, periodic_shift
 
 __all__ = [
     "ALIGNED",
@@ -55,12 +55,12 @@ _DET_FLOOR = 1e-10   # metrics closer to degeneracy than this are rejected
 
 
 def _constant_along_x(c) -> bool:
-    """True when every level of the (nt, nx) array c holds one value, bit for bit.
+    """True when every level of the (nt, nx) or (nt, 1) array c holds one value, bit for bit.
 
-    The test compares bits, so -0.0 and 0.0 differ; an array broadcast along
-    x (stride 0) passes without a look.
+    The test compares bits, so -0.0 and 0.0 differ; an (nt, 1) column, or
+    an array broadcast along x (stride 0), passes without a look.
     """
-    if c.strides[1] == 0:
+    if c.shape[1] == 1 or c.strides[1] == 0:
         return True
     bits = c.view(np.uint64)
     return bool((bits == bits[:, :1]).all())
@@ -75,10 +75,13 @@ def stored_field(grid: SpacetimeGrid, c) -> np.ndarray:
     is the one place that decides how a field is stored.
     """
     c = np.asarray(c, dtype=float)
-    if c.shape not in ((), (grid.nt, 1), (grid.nt, grid.nx)):
+    if c.shape == ():
+        c = np.full((grid.nt, 1), c)
+    elif c.shape != (grid.nt, 1) and c.shape != (grid.nt, grid.nx):
         raise ValueError(f"field shape {c.shape} does not match grid")
-    full = np.broadcast_to(c, (grid.nt, grid.nx))
-    return full[:, :1].copy() if _constant_along_x(full) else full.copy()
+    if _constant_along_x(c):
+        return c[:, :1].copy()
+    return c.copy() if c.shape[1] == grid.nx else np.repeat(c, grid.nx, axis=1)
 
 
 class MetricField:
@@ -94,31 +97,36 @@ class MetricField:
     time-switched blend of presets is.  ``stored`` holds the five arrays as
     kept, in the order (g_tt, g_tx, g_xx, orient_t, orient_x); ``g_tt`` and
     the other component names are read-only (nt, nx) broadcast views of
-    them, so reading one site is unchanged.  The pointwise algebra (``det``,
-    ``inverse_components``, ``volume_density``, ``scale``, ``null_slopes``,
-    ``quad``, ``pair``) and the cone algebra compute on the stored arrays:
-    their results have the broadcast shape of what they read, (nt, 1) for a
-    metric constant along x.
+    them, made when read, so reading one site is unchanged.  The pointwise
+    algebra (``det``, ``inverse_components``, ``volume_density``, ``scale``,
+    ``null_slopes``, ``null_speed``, ``quad``, ``pair``) and the cone algebra
+    compute on the stored arrays: their results have the broadcast shape of
+    what they read, (nt, 1) for a metric constant along x.
     """
 
     def __init__(self, grid: SpacetimeGrid, g_tt, g_tx, g_xx, orient_t, orient_x):
         stored = []
         for c in (g_tt, g_tx, g_xx, orient_t, orient_x):
             c = stored_field(grid, c)
-            if not np.all(np.isfinite(c)):
+            if not np.isfinite(c).all():
                 raise ValueError("metric and orientation components must be finite")
             c.flags.writeable = False
             stored.append(c)
         self.grid = grid
         self.stored = tuple(stored)
-        self.g_tt, self.g_tx, self.g_xx, self.orient_t, self.orient_x = (
-            np.broadcast_to(c, (grid.nt, grid.nx)) for c in stored)
-        det = self.det()
-        if np.max(det) >= -_DET_FLOOR:
+        if self.det().max() >= -_DET_FLOOR:
             raise ValueError("not Lorentzian: det g must be < -1e-10 at every point")
-        qx = self.quad(*self.stored[3:])
-        if np.max(qx) >= 0.0:
+        if self.quad(*self.stored[3:]).max() >= 0.0:
             raise ValueError("orientation field must be timelike at every point")
+
+    def _whole(self, i):
+        return np.broadcast_to(self.stored[i], (self.grid.nt, self.grid.nx))
+
+    g_tt = property(lambda self: self._whole(0))
+    g_tx = property(lambda self: self._whole(1))
+    g_xx = property(lambda self: self._whole(2))
+    orient_t = property(lambda self: self._whole(3))
+    orient_x = property(lambda self: self._whole(4))
 
     # -- pointwise algebra -------------------------------------------------
 
@@ -159,22 +167,36 @@ class MetricField:
     def time_reversed(self) -> "MetricField":
         return self.with_orientation(-self.stored[3], -self.stored[4])
 
-    def null_slopes(self, rows=slice(None)):
-        """Roots of g_tt + 2 g_tx s + g_xx s^2, as a (lo, hi) pair where finite.
+    def _null_roots(self, rows):
+        """The roots of g_tt + 2 g_tx s + g_xx s^2 on the levels `rows`, larger modulus first.
 
-        Points with g_xx == 0 have a single finite root (the other null
-        direction is the spatial axis); callers that need the complete
-        boundary should use :func:`future_arcs` instead.  rows (an index or
-        a slice of levels) computes those levels only.
+        They are q / g_xx and g_tt / q with
+        q = -(g_tx + sign(g_tx) sqrt(g_tx^2 - g_tt g_xx)), as in
+        :func:`future_arcs`: neither is a difference of near-equal terms, so
+        where g_xx is small against g_tx the small root keeps its digits.
+        q / g_xx is (-g_tx -+ sqrt(...)) / g_xx bit for bit; it is infinite
+        where g_xx == 0 (the spatial axis is null there).
         """
         g_tt, g_tx, g_xx = (c[rows] for c in self.stored[:3])
-        disc = np.sqrt(np.maximum(g_tx**2 - g_tt * g_xx, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = (-g_tx - disc) / g_xx
-            r2 = (-g_tx + disc) / g_xx
-        lo = np.minimum(r1, r2)
-        hi = np.maximum(r1, r2)
-        return lo, hi
+        q = -(g_tx + np.copysign(np.sqrt(np.maximum(g_tx**2 - g_tt * g_xx, 0.0)), g_tx))
+        with np.errstate(divide="ignore"):
+            big = q / g_xx
+        return big, g_tt / q  # |q| >= sqrt(-det g) > 0
+
+    def null_slopes(self, rows=slice(None)):
+        """Roots of g_tt + 2 g_tx s + g_xx s^2, as a (lo, hi) pair (:meth:`_null_roots`).
+
+        Points with g_xx == 0 have a single finite root (the other null
+        direction is the spatial axis, slope +-inf); callers that need the
+        complete boundary should use :func:`future_arcs` instead.  rows (an
+        index or a slice of levels) computes those levels only.
+        """
+        big, small = self._null_roots(rows)
+        return np.minimum(big, small), np.maximum(big, small)
+
+    def null_speed(self, rows=slice(None)) -> np.ndarray:
+        """The larger modulus of the two null slopes on the levels `rows`: |q / g_xx|."""
+        return np.abs(self._null_roots(rows)[0])
 
 
 # -- directions as angles ---------------------------------------------------
@@ -434,7 +456,7 @@ def paracausal_witness(g: MetricField, gp: MetricField):
         lo = np.where(good, mid, lo)
         hi = np.where(good, hi, mid)
     a = 0.95 * lo
-    a = np.minimum(a, np.minimum(np.roll(a, 1, axis=1), np.roll(a, -1, axis=1)))
+    a = np.minimum(a, np.minimum(periodic_shift(a, 0, 1), periodic_shift(a, 0, -1)))
     amin = np.minimum(a[1:], a[:-1])
     a[1:] = np.minimum(a[1:], amin)
     a[:-1] = np.minimum(a[:-1], amin)
@@ -762,7 +784,7 @@ def causal_future(g: MetricField, points):
         before = reach.copy()
         # directional same-level spread through spatially open cells
         for _ in range(nx if spatial.any() else 0):
-            new = (np.roll(reach & sp, 1, axis=1) | np.roll(reach & sm, -1, axis=1)) & ~reach
+            new = (periodic_shift(reach & sp, 0, 1) | periodic_shift(reach & sm, 0, -1)) & ~reach
             if not new.any():
                 break
             reach |= new

@@ -67,7 +67,9 @@ known-level offsets are stored at (one value a level for a per-level
 operator, whose whole window is then one block), copies the sources into
 the solution's own levels, and writes each new level in place, and
 the symbol check and the march's own checks read the metric a block at a
-time, so their scratch does not grow with nt.
+time, so their scratch does not grow with nt.  Their blocks too are sized
+at the stored width (:func:`_row_blocks`): an operator constant along x
+is checked as one block.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import MetricField, sharp_interpolation, stored_field
-from .lattice import ScalarField, Section, smooth_step
+from .lattice import ScalarField, Section, periodic_shift, smooth_noise, smooth_step
 
 __all__ = [
     "MarchError",
@@ -88,6 +90,7 @@ __all__ = [
     "GreenSystem",
     "build_operator",
     "wave_operator",
+    "principal_offsets",
     "symmetrize",
     "convex_operator",
     "solve_cauchy",
@@ -127,8 +130,14 @@ class SymbolMismatch(ValueError):
 
 
 def _into(ufunc, A, B):
-    """ufunc(A, B), written into A when A already has the broadcast shape of the two."""
-    return ufunc(A, B, out=A if A.shape == np.broadcast_shapes(A.shape, np.shape(B)) else None)
+    """ufunc(A, B), written into A when A already has the broadcast shape of the two.
+
+    That is so when B has no more axes than A and each of its trailing
+    extents is 1 or A's.
+    """
+    shape = np.shape(B)
+    fits = len(shape) <= A.ndim and all(m == 1 or m == n for m, n in zip(shape[::-1], A.shape[::-1]))
+    return ufunc(A, B, out=A if fits else None)
 
 
 def _block_levels(level_bytes):
@@ -136,10 +145,22 @@ def _block_levels(level_bytes):
     return max(1, _BLOCK_BYTES // level_bytes)
 
 
-def _row_blocks(grid, first, stop):
+def _width(arrays):
+    """The stored width of what a pass reads: nx when any of the (nt, 1) or (nt, nx) arrays
+    varies along x, else 1."""
+    return max(A.shape[-1] for A in arrays)
+
+
+def _row_blocks(first, stop, width):
     """Consecutive slices of levels covering first <= n < stop, each a block of
-    at most :data:`_BLOCK_BYTES` a field."""
-    L = _block_levels(8 * grid.nx)
+    at most :data:`_BLOCK_BYTES` a field stored at width floats a level.
+
+    width is the stored width of what the pass reads (:func:`_width`): an
+    operator or metric constant along x reads one value a level, so any
+    window short of _BLOCK_BYTES / 8 levels is one block, while an x-varying
+    one is blocked at nx floats a level.
+    """
+    L = _block_levels(8 * width)
     return [slice(r0, min(r0 + L, stop)) for r0 in range(first, stop, L)]
 
 
@@ -175,7 +196,7 @@ def _transposed(offsets):
         # original key (a, b) feeds transposed key (-a, -b); its value at
         # row (n, j) is the entry at the source row (n - a, j - b)
         if a or b:
-            T = np.roll(T, (a, b), axis=(0, 1))
+            T = periodic_shift(T, a, b)
         if a:
             T[0 if a == 1 else -1] = 0.0  # no source row beyond the window
         yield (-a, -b), T
@@ -206,7 +227,7 @@ def axis_class(metric: MetricField) -> int:
 def _inverse_ranges(metric: MetricField):
     """min and max of g^tt, then of g^xx, over the window, read a block of levels at a time."""
     ends = []
-    for rows in _row_blocks(metric.grid, 0, metric.grid.nt):
+    for rows in _row_blocks(0, metric.grid.nt, _width(metric.stored[:3])):
         itt, _, ixx = metric.inverse_components(rows)
         ends.append((itt.min(), itt.max(), ixx.min(), ixx.max()))
     tt_lo, tt_hi, xx_lo, xx_hi = zip(*ends)
@@ -264,7 +285,7 @@ class HyperbolicOperator:
     def _adjoint_items(self):
         """The offsets of V^{-1} N^T V as (key, offset) pairs, built one at a time."""
         for (a, b), C in _transposed(self.offsets):
-            Wcol = np.roll(self.weight, (-a, -b), axis=(0, 1))
+            Wcol = periodic_shift(self.weight, -a, -b)
             if a == 1:
                 Wcol[-1] = 1.0
             elif a == -1:
@@ -357,9 +378,13 @@ class HyperbolicOperator:
         read with one level of halo on either side for the second
         differences, so the scratch is a few fields of one block
         (:data:`_BLOCK_BYTES` a field) whatever the window; the first
-        mismatch found is the first in row order.
+        mismatch found is the first in row order.  Blocks are sized at the
+        stored width of the offsets and the metric: an operator constant
+        along x is checked as one block of (nt, 1) columns, an x-varying
+        one in blocks of nx-wide levels.
         """
-        for rows in _row_blocks(self.grid, 1, self.grid.nt - 1):
+        width = _width([*self.offsets.values(), *self.metric.stored[:3]])
+        for rows in _row_blocks(1, self.grid.nt - 1, width):
             self._check_symbol_rows(rows)
 
     def _check_symbol_rows(self, rows):
@@ -373,8 +398,8 @@ class HyperbolicOperator:
         def stagger_err(w):
             """|second differences| / 4 of w in t and in x (periodic), on the halo's inner rows."""
             x = -2 * w[1:-1]  # each difference is (w- - 2 w) + w+, summed as (-2 w + w-) + w+
-            x += np.roll(w[1:-1], 1, axis=1)
-            x += np.roll(w[1:-1], -1, axis=1)
+            x += periodic_shift(w[1:-1], 0, 1)
+            x += periodic_shift(w[1:-1], 0, -1)
             err = -2 * w[1:-1]
             err += w[:-2]
             err += w[2:]
@@ -415,7 +440,7 @@ class HyperbolicOperator:
         """None, or the (error class, message) every march of this operator raises.
 
         Computed once: the metric's components are read-only.  The metric is
-        read a block of levels at a time.
+        read a block of levels at a time, at its stored width.
         """
         if axis_class(self.metric) == 0:
             tt_lo, tt_hi, xx_lo, xx_hi = _inverse_ranges(self.metric)
@@ -424,9 +449,9 @@ class HyperbolicOperator:
                 f"signs, the same at every point; g^tt lies in [{tt_lo:.3g}, {tt_hi:.3g}], "
                 f"g^xx in [{xx_lo:.3g}, {xx_hi:.3g}]")
         speed = 0.0
-        for rows in _row_blocks(self.grid, 0, self.grid.nt):
-            lo, hi = self.metric.null_slopes(rows)  # finite: g_xx = g^tt det g != 0
-            speed = max(speed, float(np.max(np.maximum(np.abs(lo), np.abs(hi)))))
+        for rows in _row_blocks(0, self.grid.nt, _width(self.metric.stored[:3])):
+            # finite: g_xx = g^tt det g != 0
+            speed = max(speed, float(np.max(self.metric.null_speed(rows))))
         bound = CFL_SAFETY * self.grid.dx / speed
         if self.grid.dt > bound:
             return CFLError, f"CFL violated: dt={self.grid.dt:.3g} > {CFL_SAFETY}*dx/speed={bound:.3g}"
@@ -519,16 +544,16 @@ class _Step:
 
     def __init__(self, op: HyperbolicOperator, a: int):
         nx = op.grid.nx
-        sites = np.arange(nx)
         self.a = a
         known = [(c, b) for c in (0, -a) for b in (-1, 0, 1) if (c, b) in op.offsets]
-        # level n + c is row c + 1 of the window; the source waits on level n + a
-        rows = [(c + 1) * nx + (sites + b) % nx for c, b in known] + [(a + 1) * nx + sites]
-        self.gather = np.stack(rows)
+        # level n + c is row c + 1 of the window, read at sites j + b; the
+        # source waits on level n + a
+        level, shift = np.array([(c + 1, b) for c, b in known] + [(a + 1, 0)]).T[..., None]
+        self.gather = level * nx + (np.arange(nx) + shift) % nx
         self.known = [op.offsets[k] for k in known]
-        width = max(C.shape[1] for C in self.known)
-        self.levels = min(_block_levels(8 * width * len(rows)), op.grid.nt)
-        self.buffer = np.empty((self.levels, width, len(rows)))
+        width, terms = _width(self.known), len(self.gather)  # m + 1 terms a level
+        self.levels = min(_block_levels(8 * width * terms), op.grid.nt)
+        self.buffer = np.empty((self.levels, width, terms))
         self.buffer[..., -1] = 1.0  # the source's coefficient, never restacked
         self.first, self.block = 0, self.buffer[:0]  # empty: the first level stacks
 
@@ -577,9 +602,8 @@ class _SiteStep(_Step):
     def __init__(self, op: HyperbolicOperator, a: int):
         super().__init__(op, a)
         self.diag = op.offsets[(a, 0)] if (a, 0) in op.offsets else np.zeros((op.grid.nt, 1))
-        zero = ~self.diag[1:-1].all(axis=1)
-        if zero.any():
-            raise _singular(1 + int(np.argmax(zero)))
+        if not self.diag[1:-1].all():
+            raise _singular(1 + int(np.argmax(~self.diag[1:-1].all(axis=1))))
         self.divisor = self.diag[:, :, None]  # level n: one value per site, for all K columns
 
     def solve(self, n, rhs, out):
@@ -632,7 +656,7 @@ class _BandedStep(_Step):
 
 # -- constructors -------------------------------------------------------------
 
-def _principal_offsets(metric: MetricField):
+def principal_offsets(metric: MetricField):
     """Scalar nine-offset stencil of -(1/vol) div(vol g_sharp grad .).
 
     Written straight from the divergence form
@@ -646,8 +670,8 @@ def _principal_offsets(metric: MetricField):
     everywhere are dropped.
     """
     g = metric.grid
-    # one extent along x for all three: (nt, 1) when none varies along x
-    itt, itx, ixx = np.broadcast_arrays(*metric.inverse_components())
+    # each has the broadcast shape of the metric's components: (nt, 1) when none varies along x
+    itt, itx, ixx = metric.inverse_components()
     vol = metric.volume_density()
     c = vol * itx * (0.5 / g.dt) * (0.5 / g.dx)
     vit = vol * itt
@@ -657,14 +681,14 @@ def _principal_offsets(metric: MetricField):
     wt[1:-1] = 0.5 * (vit[:-1] + vit[1:]) * idt * idt
     vix = vol * ixx
     del vit, ixx
-    wx = 0.5 * (vix + np.roll(vix, -1, axis=1)) * idx * idx  # edge j -> j+1
+    wx = 0.5 * (vix + periodic_shift(vix, 0, -1)) * idx * idx  # edge j -> j+1
     del vix
-    wx_in = np.roll(wx, 1, axis=1)  # edge j-1 -> j
+    wx_in = periodic_shift(wx, 0, 1)  # edge j-1 -> j
     S = {(0, 0): (wt[:-1] + wt[1:]) + (wx + wx_in), (1, 0): -wt[1:], (-1, 0): -wt[:-1],
          (0, 1): np.negative(wx, out=wx), (0, -1): np.negative(wx_in, out=wx_in)}
     del wt
     for s in (-1, 1) if c.any() else ():  # g^tx = 0 everywhere: no cross term
-        cs = np.roll(c, -s, axis=1)
+        cs = periodic_shift(c, 0, -s)
         up, dn = np.zeros_like(c), np.zeros_like(c)
         up[:-1] = -s * (c[1:] + cs[:-1])
         dn[1:] = s * (c[:-1] + cs[1:])
@@ -673,13 +697,13 @@ def _principal_offsets(metric: MetricField):
         S[(0, s)][0] -= ends[0]
         S[(0, s)][-1] += ends[-1]
     del c
-    S = {k: v for k, v in S.items() if np.any(v)}
+    S = {k: v for k, v in S.items() if v.any()}
     for v in S.values():
         v /= vol
     return S
 
 
-def build_operator(metric: MetricField, A0=None, A1=None, B=None) -> HyperbolicOperator:
+def build_operator(metric: MetricField, A0=None, A1=None, B=None, principal=None) -> HyperbolicOperator:
     """Assemble the stencil of a metric's divergence form plus A0 d_t + A1 d_x + B.
 
     A0, A1, B are scalars, (nt, 1) columns, (1, nx) rows or (nt, nx) fields;
@@ -688,9 +712,15 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None) -> HyperbolicO
     not kept apart from them, so a scalar or a per-level column costs no
     field.  The symbol check refuses the result when its extracted
     second-order part deviates from -g_sharp.
+
+    principal, if given, is the metric's :func:`principal_offsets`, built by
+    the caller for other uses too.  It is read, not written: the operator
+    shares the offsets that no lower-order term changes, and each term makes
+    the offsets it changes new arrays.
     """
     g = metric.grid
-    offsets = _principal_offsets(metric)
+    own = principal is None  # the offsets are this call's own, to add into in place
+    offsets = principal_offsets(metric) if own else dict(principal)
 
     def coerce(c):
         c = np.asarray(c, dtype=float)
@@ -702,8 +732,9 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None) -> HyperbolicO
 
     def add(key, blk):
         """Add blk, a scalar or an (nt, 1) or (nt, nx) array, into offset `key`,
-        in place where the shapes allow: the offsets are this call's own."""
-        offsets[key] = _into(np.add, offsets.get(key, np.zeros((g.nt, 1))), blk)  # x + (-b) is x - b bit for bit
+        in place where the shapes allow and the offsets are this call's own."""
+        C = offsets.get(key, np.zeros((g.nt, 1)))
+        offsets[key] = _into(np.add, C, blk) if own else np.add(C, blk)  # x + (-b) is x - b bit for bit
 
     A0c, A1c, Bc = (None if c is None else coerce(c) for c in (A0, A1, B))
     if A0c is not None:
@@ -723,9 +754,12 @@ def build_operator(metric: MetricField, A0=None, A1=None, B=None) -> HyperbolicO
     return op
 
 
-def wave_operator(metric: MetricField, mass=1.0) -> HyperbolicOperator:
-    """Canonical operator of a metric: div form + m^2, formally self-adjoint by construction."""
-    return build_operator(metric, B=float(mass) ** 2)
+def wave_operator(metric: MetricField, mass=1.0, principal=None) -> HyperbolicOperator:
+    """Canonical operator of a metric: div form + m^2, formally self-adjoint by construction.
+
+    principal is passed to :func:`build_operator`.
+    """
+    return build_operator(metric, B=float(mass) ** 2, principal=principal)
 
 
 def symmetrize(N: HyperbolicOperator) -> HyperbolicOperator:
@@ -737,7 +771,8 @@ def symmetrize(N: HyperbolicOperator) -> HyperbolicOperator:
     return HyperbolicOperator(N.metric, offsets)
 
 
-def convex_operator(N0: HyperbolicOperator, N1: HyperbolicOperator, chi: ScalarField) -> HyperbolicOperator:
+def convex_operator(N0: HyperbolicOperator, N1: HyperbolicOperator, chi: ScalarField,
+                    principal=None) -> HyperbolicOperator:
     """Interpolating operator over the sharp-blended metric g_chi: the stencil
     ((1 - chi) N0 + chi N1) + (P_chi - ((1 - chi) P0 + chi P1)), P a metric's principal stencil.
 
@@ -746,6 +781,11 @@ def convex_operator(N0: HyperbolicOperator, N1: HyperbolicOperator, chi: ScalarF
     lower-order terms, whatever they are, blend pointwise.  Where chi is
     exactly 0 / 1 every offset is N0's / N1's bit for bit (1 x = x, 0 y = 0,
     x - x = 0), which keeps the switch-on region of the scattering exactly inert.
+
+    principal, if given, is the pair (P0, P1) of the end metrics'
+    :func:`principal_offsets`, built by the caller (``moller.compose_chain``
+    builds each chain metric's once for the links on either side of it); it
+    is read, not written.  Otherwise both are built here.
     """
     grid = N0.grid
     w = stored_field(grid, chi.values)
@@ -754,9 +794,12 @@ def convex_operator(N0: HyperbolicOperator, N1: HyperbolicOperator, chi: ScalarF
     if np.all(w == 1.0):
         return N1
     gchi = sharp_interpolation(N0.metric, N1.metric, chi)
-    Pchi = _principal_offsets(gchi)
+    Pchi = principal_offsets(gchi)
     HyperbolicOperator(gchi, Pchi).check_symbol()
-    P0, P1 = _principal_offsets(N0.metric), _principal_offsets(N1.metric)
+    if principal is None:
+        P0, P1 = principal_offsets(N0.metric), principal_offsets(N1.metric)
+    else:  # own dicts, so that popping below leaves the caller's whole
+        P0, P1 = (dict(P) for P in principal)
     v = 1.0 - w
     zero = np.zeros((grid.nt, 1))
     offsets = {}
@@ -906,7 +949,7 @@ def exactness_check(N: HyperbolicOperator, seed=0, count=5) -> dict:
     chi = smooth_step(g, g.times[g.nt // 3], g.times[2 * g.nt // 3])
     hs, h1s, h2s = [], [], []
     for _ in range(count):  # draws per sample: h, then the Cauchy data of psi
-        hs.append(_window_section(g, rng, lo, hi))
+        hs.append(smooth_noise(g, rng, lo, hi))  # smoothed a little so sup norms are O(1)
         h1s.append(rng.standard_normal(g.nx))
         h2s.append(rng.standard_normal(g.nx))
     h, psi = np.stack(hs), solve_cauchy(N, 2, np.stack(h1s), np.stack(h2s))
@@ -922,15 +965,6 @@ def exactness_check(N: HyperbolicOperator, seed=0, count=5) -> dict:
         "reconstruction": worst_ratio(sup_norms(Gs.propagator(fpsi) - psi), sup_norms(psi)),
         "kernel": worst_ratio(N.interior_residual(rec, f), sup_norms(f)),
     }
-
-
-def _window_section(grid, rng, lo, hi):
-    u = np.zeros((grid.nt, grid.nx))
-    u[lo:hi] = rng.standard_normal((hi - lo, grid.nx))
-    # smooth a little so sup norms are O(1)
-    for _ in range(2):
-        u[lo:hi] = 0.25 * np.roll(u[lo:hi], 1, 1) + 0.5 * u[lo:hi] + 0.25 * np.roll(u[lo:hi], -1, 1)
-    return u
 
 
 def flux_blocks(N: HyperbolicOperator, n: int) -> dict:
@@ -973,8 +1007,8 @@ def _flux(N, pv, fv, n):
     # sign of the slice normal consistently with the wave-operator sign
     acc = 0.0
     for b, Bk in flux_blocks(N, n).items():
-        fpn = np.roll(fv[..., n + 1, :], -b, axis=-1)
-        ppn = np.roll(pv[..., n + 1, :], -b, axis=-1)
+        fpn = periodic_shift(fv[..., n + 1, :], 0, -b)
+        ppn = periodic_shift(pv[..., n + 1, :], 0, -b)
         acc += np.einsum("...x,x,...x->...", fv[..., n, :], Bk, ppn)
         acc -= np.einsum("...x,x,...x->...", pv[..., n, :], Bk, fpn)
     return acc

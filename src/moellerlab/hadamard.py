@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .greenhyp import GreenSystem, HyperbolicOperator, PAST_MARGIN
-from .lattice import SpacetimeGrid
+from .lattice import SpacetimeGrid, periodic_shift
 
 __all__ = [
     "ModeKernel",
@@ -259,7 +259,7 @@ def _max_mixed_derivative(data, dt, dx, order=3):
         d = dt_a
         for b in range(order + 1 - a):
             if b:
-                d = (np.roll(d, -1, axis=-1) - d) / dx
+                d = (periodic_shift(d, 0, -1) - d) / dx
             if a + b and d.size:
                 worst = max(worst, float(np.max(np.abs(d))))
     return worst
@@ -272,13 +272,12 @@ def smoothness_proxy(data, reference=None, spacing=(1.0, 1.0)) -> SmoothnessRepo
     reference: same-shape magnitudes of the kernel being compared (defaults
     to data itself, making the ratio 1 for empty input).
     """
-    data = np.asarray(data)
-    ref = data if reference is None else np.asarray(reference)
-    tail_d = _tail_energy(np.abs(data))
-    tail_r = max(_tail_energy(np.abs(ref)), 1e-300)
+    mag = np.abs(data)  # the proxy reads magnitudes only
+    tail_d = _tail_energy(mag)
+    tail_r = max(tail_d if reference is None else _tail_energy(np.abs(reference)), 1e-300)
     dt, dx = spacing
-    fine = _max_mixed_derivative(np.abs(data), dt, dx)
-    coarse = _max_mixed_derivative(np.abs(data[..., ::2, ::2]), 2 * dt, 2 * dx)
+    fine = _max_mixed_derivative(mag, dt, dx)
+    coarse = _max_mixed_derivative(mag[..., ::2, ::2], 2 * dt, 2 * dx)
     growth = fine / max(coarse, 1e-300) if fine > 0 else 1.0
     return SmoothnessReport(tail_d / tail_r, growth)
 

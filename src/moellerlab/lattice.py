@@ -23,6 +23,8 @@ __all__ = [
     "make_grid",
     "weighted_inner_product",
     "smooth_step",
+    "periodic_shift",
+    "smooth_noise",
 ]
 
 
@@ -191,6 +193,48 @@ def weighted_inner_product(f: Section, h: Section, vol: ScalarField) -> float:
     g = f.grid
     dens = f.values * h.values * vol.values
     return float(dens.sum() * g.dt * g.dx)
+
+
+def _pieces(n, s):
+    """(destination, source) slice pairs of a periodic shift by s along an axis of extent n."""
+    s = s % n if n else 0
+    if not s:
+        return [(slice(None), slice(None))]
+    return [(slice(s, None), slice(None, n - s)), (slice(None, s), slice(n - s, None))]
+
+
+def periodic_shift(u, a=0, b=0):
+    """``np.roll(u, (a, b), axis=(-2, -1))`` bit for bit, as a new array.
+
+    out[..., n, j] = u[..., n - a, j - b], indices taken mod the extents.
+    The wrapped pieces are written as slices into a new array, at most four
+    copies, so a short field does not pay for np.roll's general path; an
+    extent of 1 (an (nt, 1) column along x) moves nothing.  With a = 0 only
+    the last axis is read, so u may be one level (nx,) or a batch of levels.
+    """
+    out = np.empty_like(u)
+    levels = [((d,), (s,)) for d, s in _pieces(u.shape[-2], a)] if a else [((), ())]
+    for dt, st in levels:
+        for dx, sx in _pieces(u.shape[-1], b):
+            out[(..., *dt, dx)] = u[(..., *st, sx)]
+    return out
+
+
+def smooth_noise(grid: SpacetimeGrid, rng, lo, hi, passes=2, taper=None) -> np.ndarray:
+    """An (nt, nx) array: standard normal draws on levels lo..hi-1, zero elsewhere.
+
+    The draws are multiplied by taper (one value per level of the range), if
+    given, then smoothed by `passes` rounds of the periodic (1/4, 1/2, 1/4)
+    average along x.
+    """
+    u = np.zeros((grid.nt, grid.nx))
+    v = rng.standard_normal((hi - lo, grid.nx))
+    if taper is not None:
+        v *= taper[:, None]
+    for _ in range(passes):
+        v = 0.25 * periodic_shift(v, 0, 1) + 0.5 * v + 0.25 * periodic_shift(v, 0, -1)
+    u[lo:hi] = v
+    return u
 
 
 def smooth_step(grid: SpacetimeGrid, t0: float, t1: float) -> ScalarField:

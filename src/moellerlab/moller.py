@@ -49,9 +49,9 @@ import numpy as np
 
 from .geometry import ALIGNED, MetricField, ParacausalChain, preceq, stored_field
 from .greenhyp import (GreenSystem, HyperbolicOperator, axis_class, convex_operator,
-                       solve_cauchy, stencil_apply, stencil_transpose, sup_norms,
+                       principal_offsets, solve_cauchy, stencil_apply, stencil_transpose, sup_norms,
                        symplectic_form, wave_operator, worst_ratio)
-from .lattice import ScalarField, Section, smooth_step
+from .lattice import ScalarField, Section, smooth_noise, smooth_step
 
 __all__ = [
     "MollerObstruction",
@@ -403,10 +403,15 @@ def compose_chain(chain: ParacausalChain, operators=None, window=None, mass=1.0)
     lattice time extent.  Forward links contribute R- R+; reversed links
     contribute the inverse steps in mirrored order.  A link whose blended
     operator is not formally self-adjoint is refused, naming the link.
+    When the wave operators are built here, each chain metric's principal
+    stencil is built once and read by its operator and by the blends of both
+    links it ends; it is dropped on return, so nothing keeps it.
     """
     grid = chain.metrics[0].grid
+    principal = None  # operators given: each blend builds its ends' stencils, as before
     if operators is None:
-        operators = [wave_operator(m, mass=mass) for m in chain.metrics]
+        principal = [principal_offsets(m) for m in chain.metrics]
+        operators = [wave_operator(m, mass=mass, principal=P) for m, P in zip(chain.metrics, principal)]
     if len(operators) != len(chain.metrics):
         raise ValueError("need one operator per chain metric")
     for op, m in zip(operators, chain.metrics):
@@ -430,11 +435,9 @@ def compose_chain(chain: ParacausalChain, operators=None, window=None, mass=1.0)
         raise MollerObstruction("characteristic-slice link", "; ".join(refused))
     steps = []
     for k, flag in enumerate(chain.flags):
-        if flag == ParacausalChain.FWD:
-            lo_op, hi_op = operators[k], operators[k + 1]
-        else:
-            lo_op, hi_op = operators[k + 1], operators[k]
-        nchi = convex_operator(lo_op, hi_op, chi)
+        ends = (k, k + 1) if flag == ParacausalChain.FWD else (k + 1, k)
+        lo_op, hi_op = (operators[i] for i in ends)
+        nchi = convex_operator(lo_op, hi_op, chi, principal=principal and [principal[i] for i in ends])
         if not nchi.self_adjoint:
             raise ValueError(f"link {k}: the blended operator is not formally self-adjoint "
                              f"(V-symmetry defect {nchi.v_symmetry_defect():.3g})")
@@ -455,16 +458,8 @@ def random_dictionary(grid, count=16, seed=0, window=None, smooth_passes=2):
     """Seeded compact test sections, lightly smoothed, support in `window`."""
     rng = np.random.default_rng(seed)
     lo, hi = window if window is not None else (2, grid.nt - 2)
-    out = []
-    for _ in range(count):
-        u = np.zeros((grid.nt, grid.nx))
-        u[lo:hi] = rng.standard_normal((hi - lo, grid.nx))
-        taper = np.sin(np.linspace(0.0, np.pi, hi - lo)) ** 2
-        u[lo:hi] *= taper[:, None]
-        for _ in range(smooth_passes):
-            u[lo:hi] = 0.25 * np.roll(u[lo:hi], 1, 1) + 0.5 * u[lo:hi] + 0.25 * np.roll(u[lo:hi], -1, 1)
-        out.append(Section(grid, u))
-    return out
+    taper = np.sin(np.linspace(0.0, np.pi, hi - lo)) ** 2
+    return [Section(grid, smooth_noise(grid, rng, lo, hi, smooth_passes, taper)) for _ in range(count)]
 
 
 def verify_intertwine(obj, dictionary) -> dict:

@@ -437,3 +437,40 @@ def test_unknown_section_key_exits_2_before_any_suite_runs(cfg, message, tmp_pat
     assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not ran and not (tmp_path / "out").exists()
+
+
+PARSER_CASES = [[], ["--help"], ["-h"], ["--he"], ["foo"], ["conv"], ["converge", "--grid", "3x3"],
+                ["converge", "--grids"], ["hadamard", "--grid", "abc"], ["green", "--mass", "x"],
+                ["chain", "--seed", "x"], ["run", "a", "b"], ["cones", "extra"],
+                *([cmd, "--help"] for cmd in cli.NAMES)]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-args")
+def test_one_sub_parser_reads_as_all_of_them(argv, capsys, monkeypatch):
+    # main builds only the sub-parser its first argument names (all of them
+    # when it names none); every help, usage and error text, and the exit
+    # code, is the same as with a parser that has every command
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    one = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda names: built.append(list(names)) or one(names))
+    rc = cli.main(argv)
+    mine = (rc, *capsys.readouterr())
+    named = argv[:1] if argv[:1] and argv[0] in cli.NAMES else cli.NAMES
+    assert built == [named]
+    monkeypatch.setattr(cli, "_parser", lambda names: one(cli.NAMES))
+    rc = cli.main(argv)
+    assert mine == (rc, *capsys.readouterr())
+    assert rc in (0, 2)
+
+
+def test_main_reads_sys_argv_without_argv(monkeypatch, capsys):
+    # the console script calls main() with no argv: it reads sys.argv[1:]
+    # and builds the sub-parser the first argument names
+    built = []
+    one = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda names: built.append(list(names)) or one(names))
+    monkeypatch.setattr(sys, "argv", ["moellerlab", "converge", "--grid", "3x3"])
+    assert cli.main() == 2
+    assert built == [["converge"]]
+    assert "unrecognized arguments: --grid 3x3" in capsys.readouterr().err

@@ -170,6 +170,43 @@ def test_cone_inclusion_holds_where_g_xx_is_small(g8, point):
         assert np.all(np.abs(g.quad(np.cos(th), np.sin(th))) <= 1e-15 * g.scale())
 
 
+def _exact_quad(point, s):
+    """g(v, v) along the unit direction v of (1, s), in exact rational arithmetic of the floats given."""
+    from fractions import Fraction
+
+    a, b, c = (Fraction(float(x)) for x in point[:3])
+    s = Fraction(float(s))
+    return float((a + 2 * b * s + c * s * s) / (1 + s * s))
+
+
+@pytest.mark.parametrize("point", SMALL_GXX_POINTS)
+def test_null_slopes_are_null_where_g_xx_is_small(g8, point):
+    # both roots are null to round-off, the small one included (1.3e-12 at
+    # the first point from (-g_tx + sqrt(...)) / g_xx); the larger-modulus
+    # root, the only one the CFL bound reads, is that formula's bit for bit
+    g = geo.MetricField(g8, *point)
+    lo, hi = (float(np.ravel(r)[0]) for r in g.null_slopes())
+    scale = float(np.max(g.scale()))
+    for s in (lo, hi):
+        assert abs(_exact_quad(point, s)) <= 1e-15 * scale, s
+    g_tt, g_tx, g_xx = point[:3]
+    disc = np.sqrt(g_tx**2 - g_tt * g_xx)
+    textbook = ((-g_tx - disc) / g_xx, (-g_tx + disc) / g_xx)
+    big = max(textbook, key=abs)
+    assert big in (lo, hi) and float(np.ravel(g.null_speed())[0]) == abs(big)
+
+
+def test_null_slopes_keep_the_finite_root_where_g_xx_is_zero(g8):
+    # with g_xx = 0 the spatial axis is null: one slope is infinite and the
+    # other is the root -g_tt / (2 g_tx) of the linear equation
+    for g_tx in (0.75, -0.75):
+        g = geo.MetricField(g8, -0.5, g_tx, 0.0, 1.0, 0.0)
+        lo, hi = (np.ravel(r) for r in g.null_slopes())
+        finite = hi if g_tx > 0 else lo
+        assert np.all(finite == 0.5 / (2 * g_tx)) and np.all(np.isinf(lo if g_tx > 0 else hi))
+        assert np.all(np.isinf(g.null_speed()))
+
+
 @pytest.mark.parametrize("seed", [73, 277, 341, 353, 450, 452, 693, 739, 829, 1002, 1003, 1047,
                                   1056, 1185])
 def test_cone_suite_passes_at_small_g_xx_seeds(seed):

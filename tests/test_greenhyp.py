@@ -197,10 +197,11 @@ def test_march_peak_within_a_few_fields():
 
 def test_convergence_suite_peak():
     # three cold solve_cauchy runs at nt = 2 nx up to 512x256, one grid at a
-    # time: 2.2 MB of numpy allocations at the peak, held under 3 MB (4.2 MB
-    # with d'Alembert's solution a sum of sines over the whole window, 16.8
-    # MB when the x-independent metrics and operators were kept as whole
-    # fields, 25.3 MB with whole-window copies in the march and the checks)
+    # time: 1.7 MB of numpy allocations at the peak, held under 3 MB (2.2 MB
+    # with d'Alembert's solution formed over the whole window at once, 4.2 MB
+    # with it a sum of sines, 16.8 MB when the x-independent metrics and
+    # operators were kept as whole fields, 25.3 MB with whole-window copies
+    # in the march and the checks)
     from moellerlab.suites import suite_convergence
 
     checks, peak, _ = _traced(lambda: suite_convergence({"grids": [64, 128, 256]}, None))
@@ -1030,22 +1031,46 @@ def test_per_level_operator_stacks_its_window_once(monkeypatch):
 def test_symbol_check_names_a_block_edge_level(grid48, monkeypatch, level):
     # with blocks of 5 equation rows (1..5, 6..10, ..., 41..45, 46) a mismatch
     # on the first or the last row of a block is named as when one block
-    # holds the window, and before a second mismatch one level later
+    # holds the window, and before a second mismatch one level later; the
+    # budget is 5 levels per float of stored width, so an x-varying operator
+    # (whole-field offsets, one bent site) and one constant along x (a whole
+    # level bent, named at site 0) both run in 5-level blocks
     tilted = geo.metric_preset("tilted", grid48, deg=12.0)
     N = gh.build_operator(tilted)
-    site = 5
-    offsets = {k: np.broadcast_to(v, (grid48.nt, grid48.nx)).copy() for k, v in N.offsets.items()}
-    for n, j in ((level, site), (level + 1, 0)):
-        offsets[(1, 0)][n, j] += 1e-3 * np.max(np.abs(N.offsets[(1, 1)]))
-    bent = gh.HyperbolicOperator(tilted, offsets)
-    for budget in (gh._BLOCK_BYTES, 5 * 8 * grid48.nx):
-        monkeypatch.setattr(gh, "_BLOCK_BYTES", budget)
-        with pytest.raises(gh.SymbolMismatch, match=f"level={level}, site={site}\\)"):
-            bent.check_symbol()
-    blocks = [(rows.start, rows.stop) for rows in gh._row_blocks(grid48, 1, grid48.nt - 1)]
-    assert blocks[3] == (16, 21) and blocks[-2:] == [(41, 46), (46, 47)]
+    kick = 1e-3 * np.max(np.abs(N.offsets[(1, 1)]))
+    for width, site in ((grid48.nx, 5), (1, 0)):
+        offsets = {k: np.broadcast_to(v, (grid48.nt, width)).copy() for k, v in N.offsets.items()}
+        for n, j in ((level, site), (level + 1, 0)):
+            offsets[(1, 0)][n, j] += kick
+        bent = gh.HyperbolicOperator(tilted, offsets)
+        for budget in (gh._BLOCK_BYTES, 5 * 8 * width):
+            monkeypatch.setattr(gh, "_BLOCK_BYTES", budget)
+            with pytest.raises(gh.SymbolMismatch, match=f"level={level}, site={site}\\)"):
+                bent.check_symbol()
+        blocks = [(rows.start, rows.stop) for rows in gh._row_blocks(1, grid48.nt - 1, width)]
+        assert blocks[3] == (16, 21) and blocks[-2:] == [(41, 46), (46, 47)]
     for preset, params in (("warped", {"amp": 0.3}), ("tilted", {"deg": 12.0})):
         gh.build_operator(geo.metric_preset(preset, grid48, **params))  # blocks pass what passes
+
+
+def test_symbol_check_blocks_at_the_stored_width(grid48, monkeypatch):
+    # one budget of 5 nx-wide levels: an operator constant along x (offsets
+    # and metric (nt, 1) columns) is checked as one block, while one whose
+    # offsets vary along x, or whose metric does, is still blocked at nx
+    monkeypatch.setattr(gh, "_BLOCK_BYTES", 5 * 8 * grid48.nx)
+    seen = []
+    check_rows = gh.HyperbolicOperator._check_symbol_rows
+    monkeypatch.setattr(gh.HyperbolicOperator, "_check_symbol_rows",
+                        lambda op, rows: seen.append((rows.start, rows.stop)) or check_rows(op, rows))
+    tilted = geo.metric_preset("tilted", grid48, deg=12.0)
+    N = gh.build_operator(tilted)
+    whole = {k: np.broadcast_to(v, (grid48.nt, grid48.nx)).copy() for k, v in N.offsets.items()}
+    five = [(r, min(r + 5, grid48.nt - 1)) for r in range(1, grid48.nt - 1, 5)]
+    for op, blocks in ((N, [(1, grid48.nt - 1)]), (gh.HyperbolicOperator(tilted, whole), five),
+                       (gh.wave_operator(_warped_along_x(grid48.nt, grid48.nx)), five)):
+        seen.clear()
+        op.check_symbol()
+        assert seen == blocks
 
 
 def _rolled_stencil_apply(offsets, u, rows):
@@ -1208,3 +1233,36 @@ def test_constant_along_x_is_a_bitwise_test():
     assert m.g_tt.shape == (g.nt, g.nx) and not m.g_tt.flags.writeable
     with pytest.raises(ValueError, match=r"field shape \(4,\) does not match grid"):
         geo.MetricField(g, -1.0, 0.0, np.ones(g.nx), 1.0, 0.0)
+
+
+def test_into_writes_into_A_exactly_when_the_broadcast_shape_is_As():
+    # A is written in place when broadcasting B against it gives A's shape,
+    # and a new array is made otherwise; either way the values are ufunc(A, B)
+    shapes = [(), (1,), (5,), (4, 1), (1, 5), (4, 5), (3, 4, 5), (3, 1, 1), (2, 4, 5)]
+    for sa in shapes[1:]:
+        for sb in shapes:
+            try:
+                into = np.broadcast_shapes(sa, sb) == sa
+            except ValueError:
+                continue  # shapes that do not broadcast are the ufunc's to refuse
+            A, B = np.full(sa, 2.0), np.full(sb, 3.0)
+            out = gh._into(np.subtract, A, B)
+            assert (out is A) == into, (sa, sb)
+            assert np.array_equal(out, np.full(np.broadcast_shapes(sa, sb), -1.0))
+    A = np.ones((4, 1))
+    assert gh._into(np.add, A, 2.0) is A and A[0, 0] == 3.0  # a Python scalar too
+
+
+def test_build_operator_reads_a_given_principal_stencil_without_writing_it(grid48):
+    # lower-order terms of every kind, added to a principal stencil the
+    # caller built, give the offsets of a build from the metric alone, bit
+    # for bit, and leave the caller's stencil as it was
+    met = geo.metric_preset("tilted", grid48, deg=12.0)
+    rng = np.random.default_rng(9)
+    terms = dict(A0=rng.standard_normal((grid48.nt, 1)), A1=rng.standard_normal((1, grid48.nx)), B=2.25)
+    P = gh.principal_offsets(met)
+    before = {k: C.copy() for k, C in P.items()}
+    shared, own = gh.build_operator(met, principal=P, **terms), gh.build_operator(met, **terms)
+    assert shared.offsets.keys() == own.offsets.keys()
+    assert all(np.array_equal(_bits(shared.offsets[k]), _bits(own.offsets[k])) for k in own.offsets)
+    assert P.keys() == before.keys() and all(np.array_equal(_bits(P[k]), _bits(before[k])) for k in P)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moellerlab.geometry import MetricField
-from moellerlab.lattice import (ScalarField, Section, make_grid, smooth_step,
-                                weighted_inner_product)
+from moellerlab.lattice import (ScalarField, Section, make_grid, periodic_shift, smooth_noise,
+                                smooth_step, weighted_inner_product)
 
 
 def test_grid_spacings():
@@ -163,3 +163,45 @@ NONFINITE_BUILDERS = {
 def test_constructors_reject_nonfinite(name, value, index):
     with pytest.raises(ValueError, match="must be finite"):
         NONFINITE_BUILDERS[name](index, value)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and np.array_equal(
+        np.ascontiguousarray(x).view(np.uint64), np.ascontiguousarray(y).view(np.uint64))
+
+
+@pytest.mark.parametrize("a", [-1, 0, 1])
+@pytest.mark.parametrize("b", [-1, 0, 1])
+def test_periodic_shift_is_np_roll_bitwise(a, b):
+    # every (a, b) shift of an (nt, 1) column and of an (nt, nx) field, -0.0
+    # and nan included, and of the last axis of a (K, nt, nx) batch and of
+    # one level (nx,); each result is a new array
+    rng = np.random.default_rng(3)
+    field = rng.standard_normal((7, 5))
+    field[2, 3], field[4, 0] = -0.0, math.nan
+    for u in (field, field[:, 1:2].copy(), np.broadcast_to(field[:, :1], (7, 5))):
+        out = periodic_shift(u, a, b)
+        assert _same_bits(out, np.roll(u, (a, b), axis=(0, 1)))
+        assert not np.shares_memory(out, u) and out.flags.writeable
+    batch = rng.standard_normal((3, 7, 5))
+    for u in (batch, batch[1, 2]):
+        out = periodic_shift(u, 0, b)
+        assert _same_bits(out, np.roll(u, b, axis=-1))
+        assert not np.shares_memory(out, u)
+
+
+def test_smooth_noise_is_the_rolled_smoothing_bitwise():
+    # the draws, taper and (1/4, 1/2, 1/4) passes of the test sections, as
+    # they were written with np.roll, give the same bits
+    g = make_grid(24, 16, 0.0, 0.5, 1.0)
+    lo, hi = 4, 20
+    taper = np.sin(np.linspace(0.0, np.pi, hi - lo)) ** 2
+    for passes, tap in ((2, None), (3, taper), (0, taper)):
+        rng = np.random.default_rng(11)
+        u = np.zeros((g.nt, g.nx))
+        u[lo:hi] = rng.standard_normal((hi - lo, g.nx))
+        if tap is not None:
+            u[lo:hi] *= tap[:, None]
+        for _ in range(passes):
+            u[lo:hi] = 0.25 * np.roll(u[lo:hi], 1, 1) + 0.5 * u[lo:hi] + 0.25 * np.roll(u[lo:hi], -1, 1)
+        assert _same_bits(smooth_noise(g, np.random.default_rng(11), lo, hi, passes, tap), u)

@@ -819,3 +819,43 @@ def test_moller_identities_refuse_fewer_than_one_symplectic_pair(grid32, pairs):
                                          geo.metric_preset("conformal", grid32, mu=2.0)))
     with pytest.raises(ValueError, match=f"sympl_pairs must be at least 1, got {pairs}"):
         mo.verify_moller_identities(R, sympl_pairs=pairs)
+
+
+def test_chain_builds_each_principal_stencil_once(grid32, monkeypatch):
+    # a two-link chain (one forward link, one reversed) builds each of its
+    # three metrics' principal stencils once, for its wave operator and the
+    # blends on either side, and one per blend: 5 builds, where each blend
+    # building its own ends' made 9.  Operators passed in are used as before,
+    # each blend building its ends' stencils (6).  The shared stencils are
+    # read, not written, and every offset and action keeps its bits
+    def same(S, T):
+        return S.keys() == T.keys() and all(np.array_equal(S[k].view(np.uint64), T[k].view(np.uint64))
+                                            for k in S)
+
+    tilted = geo.metric_preset("tilted", grid32, deg=8.0)
+    metrics = [geo.MetricField(grid32, *(mu * c for c in tilted.stored[:3]), *tilted.stored[3:])
+               for mu in (1.0, 1.5, 2.0)]
+    chain = geo.ParacausalChain(metrics, [geo.ParacausalChain.FWD, geo.ParacausalChain.REV])
+    built = []
+    principal = gh.principal_offsets
+
+    def counting(metric):
+        built.append((metric, principal(metric)))
+        return built[-1][1]
+
+    monkeypatch.setattr(gh, "principal_offsets", counting)
+    monkeypatch.setattr(mo, "principal_offsets", counting)
+    R = mo.compose_chain(chain)
+    assert len(built) == 5 and [m for m, _ in built[:3]] == metrics
+    for metric, P in built[:3]:  # the shared ones, as built: nothing wrote into them
+        assert same(P, principal(metric))
+    ops = [gh.wave_operator(m) for m in metrics]
+    built.clear()
+    given = mo.compose_chain(chain, operators=ops)
+    assert len(built) == 6
+    for op, own in zip((R.op_start, R.op_end), (ops[0], ops[-1])):
+        assert same(op.offsets, own.offsets)
+    for s, t in zip(R.steps, given.steps, strict=True):
+        assert same(s.D, t.D) and same(s.DT, t.DT) and same(s.op_hi.offsets, t.op_hi.offsets)
+    u = np.stack([f.values for f in mo.random_dictionary(grid32, 3, seed=4, window=(4, 28))])
+    assert same({0: R.apply(u)}, {0: given.apply(u)})
