@@ -20,10 +20,10 @@ from .greenhyp import (CFLError, GreenSystem, HyperbolicOperator, MarchError,
                        green_adjoint_relation, propagator_symplectic_identity,
                        solve_cauchy, symmetrize, symplectic_form,
                        wave_operator)
-from .moller import (AdjointOperator, MollerObstruction, MollerOperator,
-                     MollerStep, adjoint, build_inverses, build_rminus,
-                     build_rplus, compose_chain, random_dictionary,
-                     restrict_to_solutions, verify_intertwine,
+from .moller import (MollerObstruction, MollerOperator, MollerStep,
+                     build_inverses, build_rminus, build_rplus,
+                     compose_chain, random_dictionary, restrict_to_solutions,
+                     verify_adjoint_laws, verify_intertwine,
                      verify_moller_identities)
 from .ccr import (AlgebraElement, FieldDictionary, MollerStarIsomorphism,
                   QuasifreeState, field, multiply, on_shell_reduce,

@@ -51,21 +51,20 @@ from .geometry import ALIGNED, MetricField, ParacausalChain, preceq, stored_fiel
 from .greenhyp import (GreenSystem, HyperbolicOperator, axis_class, convex_operator,
                        principal_offsets, solve_cauchy, stencil_apply, stencil_transpose, sup_norms,
                        symplectic_form, wave_operator, worst_ratio)
-from .lattice import ScalarField, Section, smooth_noise, smooth_step
+from .lattice import ScalarField, Section, periodic_shift, smooth_noise, smooth_step
 
 __all__ = [
     "MollerObstruction",
     "MollerStep",
     "MollerOperator",
-    "AdjointOperator",
     "build_rplus",
     "build_rminus",
     "build_inverses",
     "verify_intertwine",
     "restrict_to_solutions",
-    "adjoint",
     "compose_chain",
     "verify_moller_identities",
+    "verify_adjoint_laws",
     "random_dictionary",
 ]
 
@@ -330,13 +329,25 @@ class MollerOperator:
         return v
 
     def transpose_apply(self, h):
+        """R^T h, the step transposes folded in reverse order, on window-compact sections.
+
+        It is the plain matrix transpose on every section that vanishes on
+        the boundary levels 0 and nt - 1, which carry no equation.  On unit
+        columns of those levels the action is not R^T: it misses by 3.2e-3
+        on a 16x16 minkowski -> conformal chain, and by at most 4.4e-16 on
+        every other level.
+        """
         v = np.array(h, dtype=float)
         for s in reversed(self.steps):
             v = s.transpose_apply(v)
         return v
 
     def adjoint_apply(self, h):
-        """R^{dagger_{g g'}} h = V_g^{-1} R^T V_{g'} h on compact sections."""
+        """R^{dagger_{g g'}} h = V_g^{-1} R^T V_{g'} h on compact sections.
+
+        Like ``transpose_apply``, it is the weighted transpose only on sections
+        that vanish on the boundary levels 0 and nt - 1.
+        """
         v = self.transpose_apply(self.op_end.weigh(np.asarray(h, dtype=float)))
         return self.op_start.unweigh(v)
 
@@ -356,40 +367,24 @@ class MollerOperator:
         return self._matrix_of(self.apply)
 
     def adjoint_matrix(self) -> np.ndarray:
-        """Definitional weighted transpose of the realized matrix, marched anew.
+        """Definitional weighted transpose V_g^{-1} R^T V_{g'} of the realized matrix, marched anew.
 
-        A caller that holds ``as_matrix()`` already builds
-        ``AdjointOperator(Rm, op_start, op_end)`` instead.
+        It weighs ``as_matrix()``; it is not the matrix of ``adjoint_apply``,
+        which differs on the columns of the boundary levels.
         """
-        return AdjointOperator(self.as_matrix(), self.op_start, self.op_end).matrix
+        return _weighted_transpose(self.as_matrix(), self.op_start, self.op_end)
 
 
-class AdjointOperator:
-    """Dense weighted transpose T -> V_g^{-1} T^T V_{g'} on one grid."""
+def _weighted_transpose(T, op_g: HyperbolicOperator, op_gp: HyperbolicOperator) -> np.ndarray:
+    """Dense V_g^{-1} T^T V_{g'}: the adjoint of the matrix T in the two volume pairings.
 
-    def __init__(self, matrix: np.ndarray, op_g: HyperbolicOperator, op_gp: HyperbolicOperator):
-        self.base_matrix = np.asarray(matrix, dtype=float)
-        self.op_g = op_g
-        self.op_gp = op_gp
-        g = op_g.grid
-        n, fields = g.n_dof, (-1, g.nt, g.nx)
-        # V and V^{-1} are symmetric, so weighing a batch of rows multiplies from
-        # the right: T^T V' from the rows of T^T, then V^{-1} on its columns
-        tv = op_gp.weigh(self.base_matrix.T.reshape(fields)).reshape(n, n)
-        self.matrix = op_g.unweigh(tv.T.reshape(fields)).reshape(n, n).T
-
-    def apply(self, u):
-        g = self.op_g.grid
-        return (self.matrix @ np.asarray(u).reshape(-1)).reshape(g.nt, g.nx)
-
-
-def adjoint(T, op_g: HyperbolicOperator, op_gp: HyperbolicOperator) -> AdjointOperator:
-    """Adjoint with respect to the two volume-weighted pairings (dense mode)."""
-    if isinstance(T, MollerOperator):
-        T = T.as_matrix()
-    elif isinstance(T, HyperbolicOperator):
-        T = T.as_dense()
-    return AdjointOperator(T, op_g, op_gp)
+    V and V^{-1} are diagonal, so weighing a batch of rows multiplies from
+    the right: T^T V' from the rows of T^T, then V^{-1} on its columns.
+    """
+    g = op_g.grid
+    n, fields = g.n_dof, (-1, g.nt, g.nx)
+    tv = op_gp.weigh(T.T.reshape(fields)).reshape(n, n)
+    return op_g.unweigh(tv.T.reshape(fields)).reshape(n, n).T
 
 
 # -- chain composition ------------------------------------------------------------
@@ -568,7 +563,7 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
 
     if dense:
         Rm = R.as_matrix()
-        Rd = AdjointOperator(Rm, R.op_start, R.op_end).matrix
+        Rd = _weighted_transpose(Rm, R.op_start, R.op_end)
         G, Gprime = (np.subtract(*S.kernel_matrices()) for S in (Gn, Gnp))  # G+ - G-
         sel = np.zeros(grid.n_dof, bool)
         sel.reshape(grid.nt, grid.nx)[2:-2] = True
@@ -577,3 +572,56 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
         rep["propagator_transport_dense"] = float(np.max(np.abs(lhs - rhs))) / max(
             float(np.max(np.abs(rhs))), 1e-300)
     return rep
+
+
+def verify_adjoint_laws(R: MollerOperator, dictionary) -> dict:
+    """Matrix-free residuals of R's adjoint laws, on the sections of a dictionary.
+
+    Section u is paired with h, the same section moved nx // 3 sites along
+    x, so a column's reading depends on its own section only and h stays
+    compact in the window.  Covers: the defining pairing
+    <R u, h>_g' = <u, R^dagger h>_g; the adjoint of the inverse,
+    (R^{-1})^dagger R^dagger h = h; each step's transpose against the plain
+    pairing, sum (S v) w = sum v (S^T w), which makes the composed adjoint
+    right; and the V-pairing symmetry <N u, h>_V = <u, N h>_V of both end
+    operators.  A step reads the fields the composed laws march through it:
+    v is u carried through the steps before it, w is V' h carried back
+    through the steps after it, so each step marches once each way.  A
+    pairing residual is relative to the pairing of absolute values, the
+    sum's own round-off scale, so no reading depends on a cancellation.  The
+    dictionary marches as one batch; each law reports its worst section.
+    """
+    u = _stack(dictionary)
+    h = periodic_shift(u, 0, u.shape[-1] // 3)
+    start, end = R.op_start, R.op_end
+    carried = [u]  # u as it enters each step, then R u
+    for s in R.steps:
+        carried.append(s.apply(carried[-1]))
+    Ru, w, step_defects = carried[-1], end.weigh(h), []
+    for s in reversed(R.steps):  # w: V' h as it leaves step s
+        sv, sw = carried.pop(), s.transpose_apply(w)
+        step_defects.append(_pairing_defect((_plain_pairing, sv, w), (_plain_pairing, carried[-1], sw)))
+        w = sw
+    adj_h = start.unweigh(w)  # R^dagger h = V^{-1} R^T V' h
+    rep = {"adjoint_pairing": _pairing_defect((end.pairing, Ru, h), (start.pairing, u, adj_h))}
+    rep["adjoint_inverse_roundtrip"] = worst_ratio(
+        sup_norms(R.inverse().adjoint_apply(adj_h) - h), sup_norms(h))
+    rep["step_transpose_pairing"] = max(step_defects, default=0.0)
+    rep["operator_pairing_symmetry"] = max(
+        _pairing_defect((N.pairing, N.apply(u), h), (N.pairing, u, N.apply(h))) for N in (start, end))
+    return rep
+
+
+def _plain_pairing(f, h):
+    """sum f h over the lattice, one number per column of a batch."""
+    return np.einsum("...tx,...tx->...", f, h)
+
+
+def _pairing_defect(lhs, rhs) -> float:
+    """Worst |pair(f, h) - pair'(f', h')| over the columns, each (pair, f, h) a side.
+
+    Relative to the larger side's pairing of absolute values.
+    """
+    (p, f, h), (q, g, k) = lhs, rhs
+    scale = np.maximum(p(np.abs(f), np.abs(h)), q(np.abs(g), np.abs(k)))
+    return worst_ratio(np.abs(p(f, h) - q(g, k)), scale)

@@ -177,6 +177,10 @@ MOLLER_TOLERANCES = {  # suite_moller's, one per law of moller.verify_moller_ide
     "symplectic_preservation": 1e-8, "identity_region": 1e-10,
     "propagator_transport_dense": 1e-9,
 }
+ADJOINT_TOLERANCES = {  # suite_moller's, one per law of moller.verify_adjoint_laws
+    "adjoint_pairing": 1e-10, "adjoint_inverse_roundtrip": 1e-10,
+    "step_transpose_pairing": 1e-10, "operator_pairing_symmetry": 1e-12,
+}
 
 
 def _batches(count) -> list:
@@ -342,36 +346,8 @@ def suite_moller(cfg, rng) -> list:
                                       sympl_pairs=sympl_pairs)
     for k, v in rep.items():
         checks.append(CheckResult.from_residual(f"moller_{k}", v, MOLLER_TOLERANCES[k]))
-
-    # adjoint calculus on a small dense grid; each 256x256 matrix is dropped
-    # once the law that reads it is recorded, so only a few live at a time
-    g16 = make_grid(16, 16, 0.0, 0.5, 1.0)
-    R16 = mo.compose_chain(geo.build_chain(
-        geo.metric_preset("minkowski", g16),
-        geo.metric_preset("conformal", g16, mu=2.0)))
-    start, end = R16.op_start, R16.op_end
-    Rm = R16.as_matrix()
-    Rd = mo.AdjointOperator(Rm, start, end).matrix
-    dd = mo.AdjointOperator(Rd, end, start).matrix
-    checks.append(CheckResult.from_residual(
-        "adjoint_involution", np.max(np.abs(dd - Rm)), 1e-10))
-    del Rm, dd
-    inv_adj = mo.AdjointOperator(R16.inverse().as_matrix(), end, start).matrix
-    checks.append(CheckResult.from_residual(
-        "adjoint_of_inverse", np.max(np.abs(inv_adj - np.linalg.inv(Rd))), 1e-10))
-    del inv_adj, Rd
-    P = R16._matrix_of(R16.steps[0].apply)
-    Mn = R16._matrix_of(R16.steps[1].apply)
-    lhs = mo.AdjointOperator(Mn @ P, start, end).matrix
-    rhs = mo.AdjointOperator(P, start, start).matrix @ mo.AdjointOperator(Mn, start, end).matrix
-    del P, Mn
-    checks.append(CheckResult.from_residual(
-        "adjoint_composition_reversal", np.max(np.abs(lhs - rhs)), 1e-10))
-    del lhs, rhs
-    sa = start.as_dense()
-    sa_adj = mo.AdjointOperator(sa, start, start).matrix
-    checks.append(CheckResult.from_residual(
-        "selfadjoint_operator_fixed", np.max(np.abs(sa_adj - sa)), 1e-12))
+    for k, v in mo.verify_adjoint_laws(R, d).items():
+        checks.append(CheckResult.from_residual(k, v, ADJOINT_TOLERANCES[k]))
     return checks
 
 

@@ -33,3 +33,11 @@ def window_section(grid, rng, lo, hi, smooth=0):
     for _ in range(smooth):
         u[lo:hi] = 0.25 * np.roll(u[lo:hi], 1, 1) + 0.5 * u[lo:hi] + 0.25 * np.roll(u[lo:hi], -1, 1)
     return Section(grid, u)
+
+
+def dense_adjoint(T, op_g, op_gp):
+    """Oracle V_g^-1 T^T V_g' by a dense solve: the adjoint of T, or of an operator's
+    dense matrix, with respect to the volume pairings of op_g and op_gp."""
+    if isinstance(T, gh.HyperbolicOperator):
+        T = T.as_dense()
+    return np.linalg.solve(op_g.weight_dense(), np.asarray(T).T @ op_gp.weight_dense())

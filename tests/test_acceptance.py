@@ -22,6 +22,8 @@ from moellerlab.reports import suite_passed
 from moellerlab.suites import (suite_ccr, suite_cones, suite_hadamard,
                                suite_paracausal)
 
+from conftest import dense_adjoint
+
 
 def announce(num, name, ok, detail=""):
     verdict = "PASS" if ok else "FAIL"
@@ -177,7 +179,7 @@ def test_criterion_7_adjoint_calculus():
                                          geo.metric_preset("conformal", g16, mu=2.0)))
     V0, V1 = R.op_start.weight_dense(), R.op_end.weight_dense()
     Rm, Rd = R.as_matrix(), R.adjoint_matrix()
-    worst = float(np.max(np.abs(mo.AdjointOperator(Rd, R.op_end, R.op_start).matrix - Rm)))
+    worst = float(np.max(np.abs(dense_adjoint(Rd, R.op_end, R.op_start) - Rm)))
     worst = max(worst, float(np.max(np.abs(
         np.linalg.solve(V1, R.inverse().as_matrix().T @ V0) - np.linalg.inv(Rd)))))
     P = R._matrix_of(R.steps[0].apply)
@@ -185,9 +187,9 @@ def test_criterion_7_adjoint_calculus():
     lhs = np.linalg.solve(V0, (M @ P).T @ V1)
     rhs = np.linalg.solve(V0, P.T @ V0) @ np.linalg.solve(V0, M.T @ V1)
     worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    lin = mo.AdjointOperator(2.0 * P + 0.5 * M, R.op_start, R.op_start).matrix \
-        - 2.0 * mo.AdjointOperator(P, R.op_start, R.op_start).matrix \
-        - 0.5 * mo.AdjointOperator(M, R.op_start, R.op_start).matrix
+    lin = dense_adjoint(2.0 * P + 0.5 * M, R.op_start, R.op_start) \
+        - 2.0 * dense_adjoint(P, R.op_start, R.op_start) \
+        - 0.5 * dense_adjoint(M, R.op_start, R.op_start)
     worst = max(worst, float(np.max(np.abs(lin))))
     elapsed = time.time() - t0
     ok = worst <= 1e-10 and elapsed < 10.0

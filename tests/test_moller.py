@@ -7,9 +7,9 @@ from moellerlab import geometry as geo
 from moellerlab import greenhyp as gh
 from moellerlab import moller as mo
 from moellerlab.lattice import ScalarField, Section, make_grid, smooth_step
-from moellerlab.suites import MOLLER_TOLERANCES
+from moellerlab.suites import ADJOINT_TOLERANCES, MOLLER_TOLERANCES
 
-from conftest import window_section
+from conftest import dense_adjoint, window_section
 
 
 @pytest.fixture
@@ -624,28 +624,100 @@ def test_adjoint_maps_compacts_to_compacts(grid32):
     assert np.max(np.abs(out2[-2:])) > tiny
 
 
+# -- matrix-free adjoint laws -----------------------------------------------------------
+
+def _selftest_chain():
+    """The self-test's 32x32 minkowski -> conformal mu = 2 chain and an 8-section dictionary."""
+    g = make_grid(32, 32, 0.0, 0.5, 1.0)
+    R = mo.compose_chain(geo.build_chain(geo.metric_preset("minkowski", g),
+                                         geo.metric_preset("conformal", g, mu=2.0)))
+    return R, mo.random_dictionary(g, 8, seed=5, window=(4, 28))
+
+
+def _scaled_d(R):  # step 0's D x 1.001, its D^T kept
+    s = R.steps[0]
+    s.D = {k: 1.001 * C for k, C in s.D.items()}
+
+
+def _scaled_inverse_dt(R):  # the first inverse step's D^T x 1.001
+    s = R.steps[0].inverse()
+    s.DT = {k: 1.001 * C for k, C in s.DT.items()}
+
+
+def _scaled_end_offset(R):  # one offset of N' x 1.001, on a copy the steps do not share
+    end = R.op_end
+    R.op_end = gh.HyperbolicOperator(end.metric, {**end.offsets, (0, 1): 1.001 * end.offsets[(0, 1)]})
+
+
+@pytest.mark.parametrize("defect, laws", [
+    (_scaled_d, {"adjoint_pairing", "step_transpose_pairing"}),
+    (_scaled_inverse_dt, {"adjoint_inverse_roundtrip"}),
+    (_scaled_end_offset, {"operator_pairing_symmetry"}),
+], ids=["step-D", "inverse-step-DT", "end-offset"])
+def test_adjoint_laws_fail_a_seeded_defect(defect, laws):
+    # the clean chain holds every law to round-off (<= 9.3e-16); each defect
+    # breaks the laws that read it by at least 1e3 times their tolerance
+    # (1.6e-7, 7.9e-7 and 1.7e-5 here) and leaves the others as they were
+    R, d = _selftest_chain()
+    clean = mo.verify_adjoint_laws(R, d)
+    assert set(clean) == set(ADJOINT_TOLERANCES)
+    assert max(clean.values()) <= 1e-14
+    defect(R)
+    rep = mo.verify_adjoint_laws(R, d)
+    for law, value in rep.items():
+        if law in laws:
+            assert value >= 1e3 * ADJOINT_TOLERANCES[law], (law, value)
+        else:
+            assert value == clean[law], law
+
+
+@pytest.mark.parametrize("target", ["conformal", "tilted"])
+def test_adjoint_laws_batch_equals_worst_single_section(grid32, target):
+    mink = geo.metric_preset("minkowski", grid32)
+    other = (geo.metric_preset("tilted", grid32, deg=8.0) if target == "tilted"
+             else geo.metric_preset("conformal", grid32, mu=2.0))
+    R = mo.compose_chain(geo.build_chain(mink, other))
+    d = mo.random_dictionary(grid32, 5, seed=23, window=(4, grid32.nt - 4))
+    batch = mo.verify_adjoint_laws(R, d)
+    singles = [mo.verify_adjoint_laws(R, [f]) for f in d]
+    for law, value in batch.items():
+        assert abs(value - max(rep[law] for rep in singles)) <= 1e-13, law
+
+
+def test_adjoint_apply_is_the_weighted_transpose_off_the_boundary_levels():
+    # on the unit columns of levels 1 .. nt - 2 the matrix of adjoint_apply is
+    # the dense weighted transpose to round-off; on levels 0 and nt - 1 it is
+    # not, which is why adjoint_matrix weighs as_matrix() instead
+    g16 = make_grid(16, 16, 0.0, 0.5, 1.0)
+    R = mo.compose_chain(geo.build_chain(geo.metric_preset("minkowski", g16),
+                                         geo.metric_preset("conformal", g16, mu=2.0)))
+    gap = np.abs(R._matrix_of(R.adjoint_apply) - R.adjoint_matrix()).reshape(-1, g16.nt, g16.nx)
+    per_level = gap.max(axis=(0, 2))  # over the rows and the sites of each column level
+    assert per_level[1:-1].max() <= 1e-15
+    assert per_level[[0, -1]].min() > 1e-3
+
+
 # -- dense adjoint calculus ------------------------------------------------------------
 
 def test_adjoint_identity_and_selfadjoint_fixed():
     g16 = make_grid(16, 16, 0.0, 0.5, 1.0)
     N = gh.wave_operator(geo.metric_preset("minkowski", g16), mass=1.0)
     ident = np.eye(g16.n_dof)
-    adj = mo.AdjointOperator(ident, N, N)
-    assert np.max(np.abs(adj.matrix - ident)) < 1e-12
-    adjN = mo.adjoint(N, N, N)
-    assert np.max(np.abs(adjN.matrix - N.as_dense())) < 1e-10
+    assert np.max(np.abs(dense_adjoint(ident, N, N) - ident)) < 1e-12
+    assert np.max(np.abs(dense_adjoint(N, N, N) - N.as_dense())) < 1e-10
 
 
 def test_adjoint_operator_matches_dense_solve():
-    # V_g^{-1} T^T V_g' by row and column weighing, against the dense solve,
-    # with two different weights that vary from point to point
+    # V_g^{-1} T^T V_g' by row and column weighing (what adjoint_matrix and the
+    # dense law use), against the dense solve, with two different weights that
+    # vary from point to point
     g = make_grid(8, 6, 0.0, 0.5, 1.0)
     op_g = gh.build_operator(geo.metric_preset("warped", g, amp=0.3), B=1.0)
     op_gp = gh.build_operator(geo.metric_preset("warped", g, amp=0.6), B=1.0)
     n = op_g.grid.n_dof
     T = np.random.default_rng(7).standard_normal((n, n))
-    want = np.linalg.solve(op_g.weight_dense(), T.T @ op_gp.weight_dense())
-    got = mo.AdjointOperator(T, op_g, op_gp).matrix
+    want = dense_adjoint(T, op_g, op_gp)
+    got = mo._weighted_transpose(T, op_g, op_gp)
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
@@ -658,7 +730,7 @@ def test_adjoint_calculus_matrix_identities():
     Rm = R.as_matrix()
     Rd = R.adjoint_matrix()
     # double adjoint returns the original map
-    assert np.max(np.abs(mo.AdjointOperator(Rd, R.op_end, R.op_start).matrix - Rm)) < 1e-10
+    assert np.max(np.abs(dense_adjoint(Rd, R.op_end, R.op_start) - Rm)) < 1e-10
     # adjoint of the inverse is the inverse of the adjoint
     inv_adj = np.linalg.solve(V1, R.inverse().as_matrix().T @ V0)
     assert np.max(np.abs(inv_adj - np.linalg.inv(Rd))) < 1e-10
@@ -669,9 +741,9 @@ def test_adjoint_calculus_matrix_identities():
     rhs = np.linalg.solve(V0, P.T @ V0) @ np.linalg.solve(V0, M.T @ V1)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
     # linearity of the adjoint
-    lin = mo.AdjointOperator(2.0 * P + 0.5 * M, R.op_start, R.op_start).matrix
-    want = 2.0 * mo.AdjointOperator(P, R.op_start, R.op_start).matrix \
-        + 0.5 * mo.AdjointOperator(M, R.op_start, R.op_start).matrix
+    lin = dense_adjoint(2.0 * P + 0.5 * M, R.op_start, R.op_start)
+    want = 2.0 * dense_adjoint(P, R.op_start, R.op_start) \
+        + 0.5 * dense_adjoint(M, R.op_start, R.op_start)
     assert np.max(np.abs(lin - want)) < 1e-10
 
 
@@ -693,8 +765,8 @@ def test_dense_views_are_built_anew_and_not_kept():
 
 @pytest.mark.parametrize("dense", [False, True])
 def test_suite_moller_marches_each_dense_matrix_once(monkeypatch, dense):
-    # the adjoint calculus (and the dense law) weigh the matrix R they hold
-    # instead of marching it again: four dense marches, five with the dense law
+    # the adjoint laws are matrix-free, and the dense law weighs the matrix R
+    # it holds instead of marching it again: no dense march, one with the dense law
     from moellerlab.suites import suite_moller
 
     calls = []
@@ -704,7 +776,7 @@ def test_suite_moller_marches_each_dense_matrix_once(monkeypatch, dense):
     cfg = {"nt": 16, "nx": 16, "dictionary": 4, "sympl_pairs": 2, "dense": dense}
     checks = suite_moller(cfg, np.random.default_rng(3))
     assert all(c.passed for c in checks)
-    assert len(calls) == 4 + dense
+    assert len(calls) == int(dense)
 
 
 def test_steps_keep_profiles_and_stencils_per_level(monkeypatch):
@@ -801,6 +873,10 @@ def test_chain_to_an_end_with_its_own_lower_order_terms(end, far):
     assert len(rep) == 6
     for law, value in rep.items():
         assert value <= MOLLER_TOLERANCES[law], (law, value)
+    rep = mo.verify_adjoint_laws(R, d)
+    assert len(rep) == 4
+    for law, value in rep.items():
+        assert value <= ADJOINT_TOLERANCES[law], (law, value)
 
 
 def test_chain_refuses_a_link_whose_blend_is_not_self_adjoint():
