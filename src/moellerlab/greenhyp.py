@@ -463,13 +463,10 @@ class HyperbolicOperator:
             cls, message = self._march_refusal
             raise cls(message)
 
-    def _site_local(self, a):
-        """Whether the level system of step a couples each site only to itself."""
-        return not any((a, b) in self.offsets for b in (-1, 1))
-
     def _step(self, a):
         if a not in self._steps:
-            self._steps[a] = (_SiteStep if self._site_local(a) else _BandedStep)(self, a)
+            site = not any((a, b) in self.offsets for b in (-1, 1))
+            self._steps[a] = (_SiteStep if site else _BandedStep)(self, a)
         return self._steps[a]
 
     def march(self, f: np.ndarray, direction: int, seed_level=None, seeds=None,
@@ -514,11 +511,7 @@ class HyperbolicOperator:
         if direction >= 0 or seeds is not None:
             self._step(1).run(F, u, range(max(hi, first), stop))
         if direction < 0 or seeds is not None:
-            back = range(min(lo, stop - 1), first - 1, -1)
-            if len(back) == 1 and -1 not in self._steps and self._site_local(-1):
-                _write_level_back(self, back[0], F, u)  # e.g. the level behind a seed on level 1
-            else:
-                self._step(-1).run(F, u, back)
+            self._step(-1).run(F, u, range(min(lo, stop - 1), first - 1, -1))
         return np.moveaxis(u, -1, 0) if batched else u[..., 0]
 
 
@@ -550,8 +543,14 @@ class _Step:
     """
 
     def __init__(self, op: HyperbolicOperator, a: int):
+        nx = op.grid.nx
         self.a = a
-        self.known, self.gather = _known_terms(op, a)
+        known = [(c, b) for c in (0, -a) for b in (-1, 0, 1) if (c, b) in op.offsets]
+        # level n + c is row c + 1 of the window, read at sites j + b; the
+        # source waits on level n + a
+        level, shift = np.array([(c + 1, b) for c, b in known] + [(a + 1, 0)]).T[..., None]
+        self.gather = level * nx + (np.arange(nx) + shift) % nx
+        self.known = [op.offsets[k] for k in known]
         width, terms = _width(self.known), len(self.gather)  # m + 1 terms a level
         self.levels = min(_block_levels(8 * width * terms), op.grid.nt)
         self.buffer = np.empty((self.levels, width, terms))
@@ -586,37 +585,6 @@ class _Step:
             window = flat[(n - 1) * nx:(n + 2) * nx].take(gather, axis=0)  # (m + 1, nx, K)
             np.einsum("xm,mxk->xk", block[n - first], window, out=rhs)  # F[n] - known part
             solve(n, rhs, u[n + a])
-
-
-def _known_terms(op: HyperbolicOperator, a):
-    """The m known offsets of step a, and the (m + 1, nx) window index of their sites and the source's."""
-    nx = op.grid.nx
-    known = [(c, b) for c in (0, -a) for b in (-1, 0, 1) if (c, b) in op.offsets]
-    # level n + c is row c + 1 of the window, read at sites j + b; the
-    # source waits on level n + a
-    level, shift = np.array([(c + 1, b) for c, b in known] + [(a + 1, 0)]).T[..., None]
-    return [op.offsets[k] for k in known], level * nx + (np.arange(nx) + shift) % nx
-
-
-def _write_level_back(op: HyperbolicOperator, n, F, u):
-    """Level n - 1 of the (nt, nx, K) batch u from row n, bit for bit as a site-local step -1.
-
-    It stacks the coefficient row of level n alone, so one backward level,
-    such as the one behind a Cauchy seed on level 1, builds no whole step.
-    """
-    nx, K = u.shape[1:]
-    known, gather = _known_terms(op, -1)
-    row = np.empty((_width(known), len(gather)))
-    for i, C in enumerate(known):
-        np.negative(C[n], out=row[:, i])
-    row[:, -1] = 1.0
-    diag = op.offsets.get((-1, 0), np.zeros((op.grid.nt, 1)))[n]
-    if not diag.all():  # as the step's build-time check, for the one level solved
-        raise _singular(n)
-    u[n - 1] = F[n]
-    window = u.reshape(-1, K)[(n - 1) * nx:(n + 2) * nx].take(gather, axis=0)
-    rhs = np.einsum("xm,mxk->xk", np.broadcast_to(row, gather.shape[::-1]), window)
-    np.divide(rhs, diag[:, None], out=u[n - 1])
 
 
 def _singular(n):

@@ -545,35 +545,6 @@ def test_batched_cauchy_solve_matches_column_solves(preset, kw):
     assert one.shape == (1, g.nt, g.nx)
 
 
-@pytest.mark.parametrize("K", [None, 3])
-@pytest.mark.parametrize("case", ["minkowski", "mixed-A1", "tilted"])
-def test_cauchy_seed_on_level_1_writes_level_0_without_a_step(case, K):
-    # data on level 1 leave one level behind the seed: a site-local operator
-    # writes it from row 1 alone and builds no backward step, bitwise as the
-    # built step writes it; a band operator builds the step as before
-    g = make_grid(40, 16, 0.0, 0.5, 1.0)
-    rng = np.random.default_rng(39)
-    h1, h2 = rng.standard_normal((2, g.nx) if K is None else (2, K, g.nx))
-    f = rng.standard_normal((g.nt, g.nx))
-    light, stepped = _block_case_operator(case, g), _block_case_operator(case, g)
-    stepped._step(-1)
-    got, want = gh.solve_cauchy(light, 1, h1, h2, f), gh.solve_cauchy(stepped, 1, h1, h2, f)
-    if K is None:
-        got, want = got.values, want.values
-    assert (-1 in light._steps) == (case == "tilted")
-    assert np.any(got[..., 0, :]) and np.array_equal(got, want)
-
-
-def test_cauchy_seed_on_level_1_refuses_a_singular_row_1(kg48):
-    # the level written without a step is checked as the step checks it
-    offsets = {k: v.copy() for k, v in kg48.offsets.items()}
-    offsets[(-1, 0)][1] = 0.0  # row 1 no longer reaches level 0
-    bad = gh.HyperbolicOperator(kg48.metric, offsets)
-    h = np.ones(kg48.grid.nx)
-    with pytest.raises(np.linalg.LinAlgError, match="the level-1 system of the march is singular"):
-        gh.solve_cauchy(bad, 1, h, h)
-
-
 def test_boundary_slice_rejected(kg48, grid48):
     with pytest.raises(ValueError):
         gh.solve_cauchy(kg48, 0, np.zeros(grid48.nx), np.zeros(grid48.nx))

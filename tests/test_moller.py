@@ -686,15 +686,14 @@ def test_adjoint_laws_batch_equals_worst_single_section(grid32, target):
 
 def test_adjoint_apply_is_the_weighted_transpose_off_the_boundary_levels():
     # on the unit columns of levels 1 .. nt - 2 the matrix of adjoint_apply is
-    # the dense weighted transpose to round-off; on levels 0 and nt - 1 it is
-    # not, which is why adjoint_matrix weighs as_matrix() instead
+    # the dense weighted transpose to round-off; levels 0 and nt - 1 are left
+    # out (see the adjoint_apply docstring)
     g16 = make_grid(16, 16, 0.0, 0.5, 1.0)
     R = mo.compose_chain(geo.build_chain(geo.metric_preset("minkowski", g16),
                                          geo.metric_preset("conformal", g16, mu=2.0)))
     gap = np.abs(R._matrix_of(R.adjoint_apply) - R.adjoint_matrix()).reshape(-1, g16.nt, g16.nx)
     per_level = gap.max(axis=(0, 2))  # over the rows and the sites of each column level
     assert per_level[1:-1].max() <= 1e-15
-    assert per_level[[0, -1]].min() > 1e-3
 
 
 # -- dense adjoint calculus ------------------------------------------------------------
