@@ -10,11 +10,24 @@ config + seed produce byte-identical output.  A march the lattice refuses
 check.  A key that no suite reads is refused before any suite runs.  Exit
 codes: 0 all suites pass, 1 a suite failed, 2 usage/config errors (nothing
 is written).
+
+``main`` first keeps freed memory with the process: where the C library is
+glibc, it sets ``M_MMAP_THRESHOLD`` to 32 MiB and ``M_TRIM_THRESHOLD`` to
+64 MiB with ``mallopt``.  glibc's adaptive rule starts at 128 KiB and ends at
+these values on 64-bit (``DEFAULT_MMAP_THRESHOLD_MAX`` and twice it), so
+nothing is tuned to a workload.  Without them, the 0.25-1 MiB probe blocks,
+kernel columns and stencil temporaries of a study are unmapped when freed
+and faulted in again page by page when the next one is made, and a
+first-touched page is dear on a virtual machine.  Both are set, because
+setting either alone switches glibc's adaptive rule off for the other.
+Importing ``moellerlab`` sets nothing; where the C library has no
+``mallopt`` (musl, macOS, Windows) ``main`` sets nothing either.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 import zlib
@@ -31,6 +44,9 @@ from .reports import CheckResult, dumps, report_tree
 from .suites import SECTION_KEYS, SUITES, dense_kernel_csvs
 
 USAGE_ERROR = 2
+# glibc's mallopt parameters, and the values its adaptive thresholds end at
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_MAX = 32 << 20
 SCENARIO_KEYS = {"name", "seed", "suites", *SUITES}  # one section per suite
 
 
@@ -196,12 +212,26 @@ def _parser(names):
     return p
 
 
+def _keep_freed_pages():
+    """Fix glibc's mmap and trim thresholds at their adaptive end values
+    (see the module docstring); do nothing where libc has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library handle (Windows), or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_MAX)
+    mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD_MAX)
+
+
 def main(argv=None) -> int:
     """Run the command line argv (default ``sys.argv[1:]``); returns the exit code.
 
     Only the sub-parser of the command that argv names is built; when its
     first argument names no command (``--help``, a typo), all of them are.
     """
+    _keep_freed_pages()
     argv = sys.argv[1:] if argv is None else list(argv)
     p = _parser(argv[:1] if argv[:1] and argv[0] in NAMES else NAMES)
     try:

@@ -824,13 +824,14 @@ def _fields(grid, f, what):
     return f
 
 
-def _check_margin(f, side, what="source"):
-    """Reject a source, or any column of a (K, nt, nx) batch, that reaches the margin."""
+def _check_margin(f, sides, what="source"):
+    """Reject a source, or any column of a (K, nt, nx) batch, that reaches the
+    margin of a side in sides: +1 the first levels (checked first), -1 the last."""
     v = np.abs(f).reshape((-1,) + f.shape[-2:])
     tol = 1e-12 * (1.0 + v.max(axis=(1, 2)))  # round-off dribble is not support
-    if side > 0 and np.any(v[:, :PAST_MARGIN].max(axis=(1, 2)) > tol):
+    if +1 in sides and np.any(v[:, :PAST_MARGIN].max(axis=(1, 2)) > tol):
         raise ValueError(f"{what} must vanish on the first {PAST_MARGIN} time levels")
-    if side < 0 and np.any(v[:, -PAST_MARGIN:].max(axis=(1, 2)) > tol):
+    if -1 in sides and np.any(v[:, -PAST_MARGIN:].max(axis=(1, 2)) > tol):
         raise ValueError(f"{what} must vanish on the last {PAST_MARGIN} time levels")
 
 
@@ -850,18 +851,17 @@ class GreenSystem:
 
     def plus(self, f):
         v = self._prep(f)
-        _check_margin(v, +1)
+        _check_margin(v, (+1,))
         return self.operator.march(v, +1)
 
     def minus(self, f):
         v = self._prep(f)
-        _check_margin(v, -1)
+        _check_margin(v, (-1,))
         return self.operator.march(v, -1)
 
     def propagator(self, f):
         v = self._prep(f)
-        _check_margin(v, +1)
-        _check_margin(v, -1)
+        _check_margin(v, (+1, -1))
         return self.operator.march(v, +1) - self.operator.march(v, -1)
 
     def kernel_matrices(self):

@@ -322,6 +322,14 @@ class MollerOperator:
             v = s.apply(v)
         return v
 
+    def carry(self, u):
+        """[u, S_1 u, S_2 S_1 u, ..., R u]: u as it enters each step, then R u
+        (bitwise ``apply(u)``), for laws that read the fields between steps."""
+        fields = [np.asarray(u, dtype=float)]
+        for s in self.steps:
+            fields.append(s.apply(fields[-1]))
+        return fields
+
     def inverse_apply(self, u):
         v = np.array(u, dtype=float)
         for s in reversed(self.steps):
@@ -466,13 +474,18 @@ def verify_intertwine(obj, dictionary) -> dict:
     marches as one batch; the law reports its worst section.
     """
     u = _stack(dictionary)
+    return {"intertwine": _intertwine_residual(obj, u, obj.apply(u))}
+
+
+def _intertwine_residual(obj, u, image):
+    """verify_intertwine's residual on the batch u, given obj's image of it."""
     if isinstance(obj, MollerStep):
-        lhs = obj.b * obj.op_hi.apply(obj.apply(u))
+        lhs = obj.b * obj.op_hi.apply(image)
         rhs = obj.a * obj.op_lo.apply(u)
     else:
-        lhs = obj.c_prime * obj.op_end.apply(obj.apply(u))
+        lhs = obj.c_prime * obj.op_end.apply(image)
         rhs = obj.op_start.apply(u)
-    return {"intertwine": worst_ratio(sup_norms((lhs - rhs)[:, 1:-1]), sup_norms(rhs))}
+    return worst_ratio(sup_norms((lhs - rhs)[:, 1:-1]), sup_norms(rhs))
 
 
 def _stack(dictionary):
@@ -510,7 +523,7 @@ def restrict_to_solutions(R: MollerOperator, kind="ker", tol=1e-8):
 
 
 def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
-                             dense=False, sympl_pairs=10) -> dict:
+                             dense=False, sympl_pairs=10, image=None) -> dict:
     """Residual report for the composed-intertwiner laws.
 
     Covers: source interchange c' N' R = N; propagator transport
@@ -518,7 +531,9 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     symplectic-flux preservation on solution pairs; two-sided inverse
     round trip; and exact identity regions of the first/last steps.  Each
     dictionary law marches the whole dictionary as one batch and reports its
-    worst section.
+    worst section.  A caller that already holds R u of the dictionary's
+    batch u (the last field of ``R.carry(u)``) passes it as image, and no
+    law marches R u again.
     """
     grid = R.op_start.grid
     if sympl_pairs < 1:
@@ -528,10 +543,11 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     if dictionary is None:
         dictionary = random_dictionary(grid, count=12, seed=seed,
                                        window=(3, grid.nt - 3))
-    rep = {}
-    rep.update(verify_intertwine(R, dictionary))
-
     u = _stack(dictionary)
+    Ru = R.apply(u) if image is None else image
+    rep = {"intertwine": _intertwine_residual(R, u, Ru)}
+    roundtrip = worst_ratio(sup_norms(R.inverse_apply(Ru) - u), sup_norms(u))
+    del Ru, image  # no law below reads R u, so it is not held while they march
     Gn = GreenSystem(R.op_start)
     Gnp = GreenSystem(R.op_end)
     rhs = Gnp.propagator(u)
@@ -540,8 +556,7 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     rhs = R.op_start.apply(u)
     rep["adjoint_interchange"] = worst_ratio(
         sup_norms((R.adjoint_apply(R.op_end.apply(u)) - rhs)[:, 1:-1]), sup_norms(rhs))
-    rep["inverse_roundtrip"] = worst_ratio(sup_norms(R.inverse_apply(R.apply(u)) - u),
-                                           sup_norms(u))
+    rep["inverse_roundtrip"] = roundtrip
 
     # symplectic preservation on solution pairs seeded from the dictionary
     # (one Cauchy solve of the 2P columns psi_1, phi_1, psi_2, ... and one action of R)
@@ -574,7 +589,7 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     return rep
 
 
-def verify_adjoint_laws(R: MollerOperator, dictionary) -> dict:
+def verify_adjoint_laws(R: MollerOperator, dictionary, carried=None) -> dict:
     """Matrix-free residuals of R's adjoint laws, on the sections of a dictionary.
 
     Section u is paired with h, the same section moved nx // 3 sites along
@@ -589,15 +604,16 @@ def verify_adjoint_laws(R: MollerOperator, dictionary) -> dict:
     through the steps after it, so each step marches once each way.  A
     pairing residual is relative to the pairing of absolute values, the
     sum's own round-off scale, so no reading depends on a cancellation.  The
-    dictionary marches as one batch; each law reports its worst section.
+    dictionary marches as one batch; each law reports its worst section.  A
+    caller that already holds ``carried = R.carry(u)`` of the dictionary's
+    batch u passes it, and the steps are not marched forward again; the
+    laws pop each field from it once read, so it is left holding u.
     """
-    u = _stack(dictionary)
+    carried = R.carry(_stack(dictionary)) if carried is None else carried
+    u, Ru = carried[0], carried[-1]
     h = periodic_shift(u, 0, u.shape[-1] // 3)
     start, end = R.op_start, R.op_end
-    carried = [u]  # u as it enters each step, then R u
-    for s in R.steps:
-        carried.append(s.apply(carried[-1]))
-    Ru, w, step_defects = carried[-1], end.weigh(h), []
+    w, step_defects = end.weigh(h), []
     for s in reversed(R.steps):  # w: V' h as it leaves step s
         sv, sw = carried.pop(), s.transpose_apply(w)
         step_defects.append(_pairing_defect((_plain_pairing, sv, w), (_plain_pairing, carried[-1], sw)))

@@ -474,3 +474,71 @@ def test_main_reads_sys_argv_without_argv(monkeypatch, capsys):
     assert cli.main() == 2
     assert built == [["converge"]]
     assert "unrecognized arguments: --grid 3x3" in capsys.readouterr().err
+
+
+def _has_mallopt():
+    import ctypes
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt (not glibc)")
+def test_main_keeps_freed_pages_for_the_next_temporaries(tmp_path):
+    # in a fresh interpreter, after main, a pass of 0.5-3 MiB temporaries
+    # made and freed twice faults in at most the pages of its live set: the
+    # freed blocks stay mapped for the next pass.  With glibc's adaptive
+    # thresholds each pass faults about the whole live set again.
+    script = f"""
+import resource
+import numpy as np
+from moellerlab import cli
+assert cli.main(["cones", "--out", {str(tmp_path)!r}]) == 0
+sizes = [s << 10 for s in (512, 3072, 1024, 2560, 1536, 2048)]  # bytes
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(2):
+    live = [np.ones(n // 8) for n in sizes]
+    del live
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, sum(sizes))
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    faults, live_bytes = (int(v) for v in out.stdout.split())
+    assert faults <= live_bytes // 4096, faults
+
+
+def test_import_sets_no_allocator_option():
+    # importing the package opens no C library handle: only main sets the
+    # allocator thresholds
+    script = """
+import ctypes
+opened = []
+real = ctypes.CDLL
+ctypes.CDLL = lambda *a, **k: opened.append(a) or real(*a, **k)
+import moellerlab, moellerlab.cli, moellerlab.suites
+print(len(opened))
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0"]
+
+
+class _NoMallopt:
+    pass
+
+
+def _raise_oserror(name):
+    raise OSError(f"no library {name!r}")
+
+
+@pytest.mark.parametrize("cdll", [_raise_oserror, lambda name: _NoMallopt()],
+                         ids=["no-libc-handle", "no-mallopt"])
+def test_main_runs_where_libc_has_no_mallopt(cdll, tmp_path, monkeypatch):
+    # musl, macOS and Windows: main sets nothing and writes the same report
+    argv = ["converge", "--grids", "32,64", "--out"]
+    assert cli.main([*argv, str(tmp_path / "glibc")]) == 0
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli.main([*argv, str(tmp_path / "other")]) == 0
+    assert ((tmp_path / "other" / "report.json").read_bytes()
+            == (tmp_path / "glibc" / "report.json").read_bytes())

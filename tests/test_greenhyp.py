@@ -596,6 +596,16 @@ def test_green_margin_enforced(kg48, grid48):
     bad2[-1, 0] = 1.0
     with pytest.raises(ValueError, match="last"):
         gh.GreenSystem(kg48).minus(Section(grid48, bad2))
+    # the propagator checks both margins in one pass, the first levels first
+    first = "source must vanish on the first 2 time levels"
+    last = "source must vanish on the last 2 time levels"
+    assert gh.PAST_MARGIN == 2
+    with pytest.raises(ValueError, match=f"^{first}$"):
+        gh.GreenSystem(kg48).propagator(Section(grid48, bad))
+    with pytest.raises(ValueError, match=f"^{last}$"):
+        gh.GreenSystem(kg48).propagator(Section(grid48, bad2))
+    with pytest.raises(ValueError, match=f"^{first}$"):
+        gh.GreenSystem(kg48).propagator(Section(grid48, bad + bad2))
 
 
 def test_green_scaled_identities(kg48, grid48):

@@ -684,6 +684,30 @@ def test_adjoint_laws_batch_equals_worst_single_section(grid32, target):
         assert abs(value - max(rep[law] for rep in singles)) <= 1e-13, law
 
 
+def test_laws_read_one_carried_march_bit_for_bit(monkeypatch):
+    # R.carry ends on R u bit for bit, each law keeps its bits when it reads
+    # R u from a carried batch, and suite_moller marches its dictionary
+    # through R once: R.apply runs only on the propagator's and the
+    # symplectic law's own batches
+    from moellerlab import suites
+    R, d = _selftest_chain()
+    u = np.stack([f.values for f in d])
+    carried = R.carry(u)
+    assert len(carried) == len(R.steps) + 1
+    assert np.array_equal(carried[-1].view(np.uint64), R.apply(u).view(np.uint64))
+    assert (mo.verify_moller_identities(R, d, seed=3, sympl_pairs=2, image=carried[-1])
+            == mo.verify_moller_identities(R, d, seed=3, sympl_pairs=2))
+    assert mo.verify_adjoint_laws(R, d, carried) == mo.verify_adjoint_laws(R, d)
+    assert len(carried) == 1  # popped down to u as the laws read it
+    calls = []
+    for name in ("apply", "carry"):
+        one = getattr(mo.MollerOperator, name)
+        monkeypatch.setattr(mo.MollerOperator, name,
+                            lambda self, v, one=one, name=name: calls.append(name) or one(self, v))
+    suites.suite_moller({"dictionary": 4, "sympl_pairs": 2}, np.random.default_rng(0))
+    assert sorted(calls) == ["apply", "apply", "carry"]
+
+
 def test_adjoint_apply_is_the_weighted_transpose_off_the_boundary_levels():
     # on the unit columns of levels 1 .. nt - 2 the matrix of adjoint_apply is
     # the dense weighted transpose to round-off; levels 0 and nt - 1 are left
