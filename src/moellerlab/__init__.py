@@ -4,8 +4,7 @@ cylinders.  Every structural law the package relies on is backed by an
 executable residual check; see the suites module and the command line
 runner for the batteries."""
 
-from .lattice import (ScalarField, Section, SpacetimeGrid,
-                      make_grid, smooth_step, weighted_inner_product)
+from .lattice import SpacetimeGrid, make_grid, smooth_step
 from .geometry import (ALIGNED, REVERSED, ChainObstruction, MetricField,
                        ParacausalChain, alpha_rescale, build_chain,
                        causal_future, classify_vector, closed_causal_exists,
@@ -21,7 +20,7 @@ from .greenhyp import (CFLError, GreenSystem, HyperbolicOperator, MarchError,
                        solve_cauchy, symmetrize, symplectic_form,
                        wave_operator)
 from .moller import (MollerObstruction, MollerOperator, MollerStep,
-                     build_inverses, build_rminus, build_rplus,
+                     build_rminus, build_rplus,
                      compose_chain, random_dictionary, restrict_to_solutions,
                      verify_adjoint_laws, verify_intertwine,
                      verify_moller_identities)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .greenhyp import GreenSystem, HyperbolicOperator
-from .lattice import Section
 
 __all__ = [
     "FieldDictionary",
@@ -40,10 +39,13 @@ __all__ = [
 class FieldDictionary:
     """Test sections with their propagator pairing table.
 
-    null_sections, when given, are appended to the dictionary as the image
-    block N h of compact sections; the on-shell projection (dropping the
-    component along that block in the volume pairing) is precomputed as a
-    coefficient matrix over the dictionary span.
+    sections is a (K, nt, nx) array of compact test sections.  null_sections,
+    when given, is an (M, nt, nx) array appended to the dictionary as the
+    image block N h of compact sections; the on-shell projection (dropping
+    the component along that block in the volume pairing) is precomputed as
+    a coefficient matrix over the dictionary span.  ``sections`` keeps the
+    whole (K + M, nt, nx) dictionary as a read-only copy, so the table
+    cannot go stale.
     """
 
     def __init__(self, sections, operator: HyperbolicOperator, null_sections=None):
@@ -51,18 +53,19 @@ class FieldDictionary:
             raise ValueError("the pairing table needs a formally self-adjoint operator")
         self.operator = operator
         self.grid = operator.grid
-        self.sections = list(sections)
-        self.null_start = len(self.sections)
-        if null_sections:
-            self.sections += list(null_sections)
-        self.size = len(self.sections)
-        F = np.array([f.values for f in self.sections])
+        F = np.array(sections, dtype=float)
+        self.null_start = len(F)
+        if null_sections is not None:
+            F = np.concatenate([F, null_sections])
+        F.flags.writeable = False
+        self.sections = F
+        self.size = len(F)
         images = GreenSystem(operator).propagator(F)
         self.pairing = operator.pairing(F[:, None], images)
         asym = np.max(np.abs(self.pairing + self.pairing.T))
         if asym > 1e-10 * (1.0 + np.max(np.abs(self.pairing))):
             raise AssertionError(f"propagator pairing table is not antisymmetric ({asym:.2e})")
-        self._projection = self._build_projection(F) if null_sections else None
+        self._projection = self._build_projection(F) if self.size > self.null_start else None
 
     def _build_projection(self, F):
         # P f = f - (component along the null block in the V pairing),
@@ -326,10 +329,7 @@ def star_isomorphism(R, dict_prime: FieldDictionary, tol=1e-9) -> MollerStarIsom
     the pairing table of the source-side operator; commutator matching is
     verified at the stated tolerance.
     """
-    grid = R.op_start.grid
-    block = R.adjoint_apply(np.array([f.values for f in dict_prime.sections]))
-    images = [Section(grid, v) for v in block]
-    dict_image = FieldDictionary(images, R.op_start)
+    dict_image = FieldDictionary(R.adjoint_apply(dict_prime.sections), R.op_start)
     return MollerStarIsomorphism(R, dict_prime, dict_image, tol=tol)
 
 

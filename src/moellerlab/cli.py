@@ -215,12 +215,13 @@ def _parser(names):
 
     for cmd in names:
         if cmd == "run":
-            runp = sub.add_parser("run", help="execute a JSON config of scenarios")
+            runp = sub.add_parser("run", help="execute a JSON config of scenarios",
+                                  allow_abbrev=False)
             runp.add_argument("config", nargs="?", default=SELFTEST)
             runp.add_argument("--out", **FLAGS["--out"])
             continue
         suite, flags = COMMANDS[cmd]
-        # no abbreviations: converge's --grids must not take a --grid
+        # no abbreviations, as for run: converge's --grids must not take a --grid
         q = sub.add_parser(cmd, help=f"run only the {suite} suite",
                            argument_default=argparse.SUPPRESS, allow_abbrev=False)
         for flag in ("--seed", "--out", *flags):

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .lattice import ScalarField, SpacetimeGrid, periodic_shift
+from .lattice import SpacetimeGrid, periodic_shift
 
 __all__ = [
     "ALIGNED",
@@ -71,8 +71,10 @@ def stored_field(grid: SpacetimeGrid, c) -> np.ndarray:
 
     c is a scalar, an (nt, 1) column or an (nt, nx) field.  The result is
     (nt, 1) when every level is constant along x (:func:`_constant_along_x`),
-    else an (nt, nx) field; either broadcasts against (nt, nx) fields.  This
-    is the one place that decides how a field is stored.
+    else an (nt, nx) field; either broadcasts against (nt, nx) fields.  A
+    value that is not finite is refused.  This is the one place that decides
+    how a field is stored, and every metric component, blend weight, squeeze
+    factor, volume ratio and operator coefficient passes through it.
     """
     c = np.asarray(c, dtype=float)
     if c.shape == ():
@@ -80,8 +82,12 @@ def stored_field(grid: SpacetimeGrid, c) -> np.ndarray:
     elif c.shape != (grid.nt, 1) and c.shape != (grid.nt, grid.nx):
         raise ValueError(f"field shape {c.shape} does not match grid")
     if _constant_along_x(c):
-        return c[:, :1].copy()
-    return c.copy() if c.shape[1] == grid.nx else np.repeat(c, grid.nx, axis=1)
+        out = c[:, :1].copy()
+    else:
+        out = c.copy() if c.shape[1] == grid.nx else np.repeat(c, grid.nx, axis=1)
+    if not np.isfinite(out).all():  # a level kept as one value held only that value
+        raise ValueError("field values must be finite")
+    return out
 
 
 class MetricField:
@@ -108,8 +114,6 @@ class MetricField:
         stored = []
         for c in (g_tt, g_tx, g_xx, orient_t, orient_x):
             c = stored_field(grid, c)
-            if not np.isfinite(c).all():
-                raise ValueError("metric and orientation components must be finite")
             c.flags.writeable = False
             stored.append(c)
         self.grid = grid
@@ -355,25 +359,29 @@ def _require_comparable(g, gp):
         raise ValueError("metrics are not cone-comparable with aligned futures (need g preceq g')")
 
 
-def convex_combination(g: MetricField, gp: MetricField, chi: ScalarField) -> MetricField:
-    """Pointwise blend (1-chi) g + chi g'; requires g preceq g' aligned."""
+def convex_combination(g: MetricField, gp: MetricField, chi) -> MetricField:
+    """Pointwise blend (1-chi) g + chi g'; requires g preceq g' aligned.
+
+    chi is a scalar, an (nt, 1) column or an (nt, nx) field (:func:`stored_field`).
+    """
     _require_comparable(g, gp)
-    w = stored_field(g.grid, chi.values)
+    w = stored_field(g.grid, chi)
     if w.min() < 0.0 or w.max() > 1.0:
         raise ValueError("blend weight must take values in [0,1]")
     return MetricField(g.grid, *((1.0 - w) * c0 + w * c1 for c0, c1 in zip(g.stored[:3], gp.stored[:3])),
                        *g.stored[3:])
 
 
-def sharp_interpolation(g: MetricField, gp: MetricField, chi: ScalarField) -> MetricField:
-    """The metric whose inverse is the blend of the two inverses.
+def sharp_interpolation(g: MetricField, gp: MetricField, chi) -> MetricField:
+    """The metric whose inverse is the blend of the two inverses, with chi as in
+    :func:`convex_combination`.
 
     Points where the weight is exactly 0 or 1 copy the endpoint components
     bitwise (no double inversion), so operators built over the blend agree
     exactly with the endpoint operators outside the transition window.
     """
     _require_comparable(g, gp)
-    w = stored_field(g.grid, chi.values)
+    w = stored_field(g.grid, chi)
     if w.min() < 0.0 or w.max() > 1.0:
         raise ValueError("blend weight must take values in [0,1]")
     i0 = g.inverse_components()
@@ -390,10 +398,10 @@ def squeeze_metric(g: MetricField, X, a) -> MetricField:
 
     g_a(v,w) = g(v,w) + (a-1) g(X,v) g(X,w) / g(X,X) with 0 < a <= 1; the
     squeezed cone closure sits inside the cone of g for a < 1, with X still
-    interior.  a may be a scalar or a ScalarField.
+    interior.  a is a scalar, an (nt, 1) column or an (nt, nx) field.
     """
     Xt, Xx = (stored_field(g.grid, c) for c in X)
-    av = stored_field(g.grid, a.values if isinstance(a, ScalarField) else a)
+    av = stored_field(g.grid, a)
     if av.min() <= 0.0 or av.max() > 1.0:
         raise ValueError("squeeze factor must lie in (0, 1]")
     qXX = g.quad(Xt, Xx)
@@ -675,12 +683,12 @@ def _shared_time_chain(g, gp):
 def alpha_rescale(g_split: MetricField, alpha) -> MetricField:
     """-dt^2 + alpha(t) h from a metric in orthogonal splitting form.
 
-    h is the lapse-normalized spatial part g_xx / beta^2; alpha may be a
-    1d array over time levels or a ScalarField.
+    h is the lapse-normalized spatial part g_xx / beta^2; alpha is one
+    value per time level, an (nt,) array or an (nt, 1) column, or an (nt, nx) field.
     """
     if not _orthogonal_form(g_split):
         raise ValueError("input must be in orthogonal splitting form (g_tx = 0)")
-    av = alpha.values if isinstance(alpha, ScalarField) else np.asarray(alpha, dtype=float)
+    av = np.asarray(alpha, dtype=float)
     av = stored_field(g_split.grid, av[:, None] if av.ndim == 1 else av)
     if av.min() <= 0.0:
         raise ValueError("alpha must be positive")
@@ -688,8 +696,8 @@ def alpha_rescale(g_split: MetricField, alpha) -> MetricField:
     return MetricField(g_split.grid, -1.0, 0.0, av * xx / -tt, ot, 0.0)
 
 
-def tune_alpha(g_split: MetricField, gp: MetricField) -> ScalarField:
-    """Per-time-level 1/alpha = max_x ||W||^2/|Z|^2 + 1, mollified.
+def tune_alpha(g_split: MetricField, gp: MetricField) -> np.ndarray:
+    """Per-time-level 1/alpha = max_x ||W||^2/|Z|^2 + 1, mollified, as an (nt, 1) column.
 
     Z n + W is the split of the g'-normal of the constant-t slices against
     the ultrastatic normal; the returned alpha makes the cones of
@@ -713,8 +721,7 @@ def tune_alpha(g_split: MetricField, gp: MetricField) -> ScalarField:
     usm = umax.copy()
     usm[1:-1] = (umax[:-2] + umax[1:-1] + umax[2:]) / 3.0
     usm = np.maximum(usm, u)
-    return ScalarField(g_split.grid, np.repeat((1.0 / usm)[:, None], g_split.grid.nx, axis=1),
-                       ScalarField.POSITIVE)
+    return (1.0 / usm)[:, None]  # usm >= u >= 1, so 0 < alpha <= 1
 
 
 # -- discrete causal sets ----------------------------------------------------

@@ -79,7 +79,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import MetricField, sharp_interpolation, stored_field
-from .lattice import ScalarField, Section, periodic_shift, smooth_noise, smooth_step
+from .lattice import periodic_shift, smooth_noise, smooth_step
 
 __all__ = [
     "MarchError",
@@ -771,7 +771,7 @@ def symmetrize(N: HyperbolicOperator) -> HyperbolicOperator:
     return HyperbolicOperator(N.metric, offsets)
 
 
-def convex_operator(N0: HyperbolicOperator, N1: HyperbolicOperator, chi: ScalarField,
+def convex_operator(N0: HyperbolicOperator, N1: HyperbolicOperator, chi,
                     principal=None) -> HyperbolicOperator:
     """Interpolating operator over the sharp-blended metric g_chi: the stencil
     ((1 - chi) N0 + chi N1) + (P_chi - ((1 - chi) P0 + chi P1)), P a metric's principal stencil.
@@ -785,15 +785,16 @@ def convex_operator(N0: HyperbolicOperator, N1: HyperbolicOperator, chi: ScalarF
     principal, if given, is the pair (P0, P1) of the end metrics'
     :func:`principal_offsets`, built by the caller (``moller.compose_chain``
     builds each chain metric's once for the links on either side of it); it
-    is read, not written.  Otherwise both are built here.
+    is read, not written.  Otherwise both are built here.  chi is a scalar,
+    an (nt, 1) column or an (nt, nx) field (:func:`geometry.stored_field`).
     """
     grid = N0.grid
-    w = stored_field(grid, chi.values)
+    w = stored_field(grid, chi)
     if np.all(w == 0.0):
         return N0
     if np.all(w == 1.0):
         return N1
-    gchi = sharp_interpolation(N0.metric, N1.metric, chi)
+    gchi = sharp_interpolation(N0.metric, N1.metric, w)
     Pchi = principal_offsets(gchi)
     HyperbolicOperator(gchi, Pchi).check_symbol()
     if principal is None:
@@ -825,10 +826,13 @@ def _fields(grid, f, what):
 
 
 def _check_margin(f, sides, what="source"):
-    """Reject a source, or any column of a (K, nt, nx) batch, that reaches the
-    margin of a side in sides: +1 the first levels (checked first), -1 the last."""
+    """Reject a source, or any column of a (K, nt, nx) batch, that is not finite
+    or reaches the margin of a side in sides: +1 the first levels (checked
+    first), -1 the last."""
     v = np.abs(f).reshape((-1,) + f.shape[-2:])
     tol = 1e-12 * (1.0 + v.max(axis=(1, 2)))  # round-off dribble is not support
+    if not np.isfinite(tol).all():  # a column's max is nan or inf where any value is
+        raise ValueError(f"{what} values must be finite")
     if +1 in sides and np.any(v[:, :PAST_MARGIN].max(axis=(1, 2)) > tol):
         raise ValueError(f"{what} must vanish on the first {PAST_MARGIN} time levels")
     if -1 in sides and np.any(v[:, -PAST_MARGIN:].max(axis=(1, 2)) > tol):
@@ -839,15 +843,14 @@ class GreenSystem:
     """Retarded/advanced solvers G^+ / G^- of one operator, and its causal
     propagator G = G^+ - G^-.
 
-    Sources are one (nt, nx) field or section, or a batch (K, nt, nx)
-    solved in one march.
+    Sources are one (nt, nx) field, or a batch (K, nt, nx) solved in one march.
     """
 
     def __init__(self, N: HyperbolicOperator):
         self.operator = N
 
     def _prep(self, f):
-        return _fields(self.operator.grid, f.values if isinstance(f, Section) else f, "source")
+        return _fields(self.operator.grid, f, "source")
 
     def plus(self, f):
         v = self._prep(f)
@@ -888,9 +891,10 @@ class GreenSystem:
 def solve_cauchy(N: HyperbolicOperator, slice_index: int, h1, h2, f=None):
     """March both ways from data on a slice: values h1 and time derivative h2.
 
-    h1 and h2 are one (nx,) pair, solved into a :class:`Section`, or a
+    h1 and h2 are one (nx,) pair, solved into an (nt, nx) array, or a
     batch of K pairs, each (K, nx), solved in one march into a (K, nt, nx)
-    array; the (nt, nx) source f, if any, is shared by every column.
+    array; the (nt, nx) source f, if any, is shared by every column.  Data
+    and source must be finite.
     The first step uses a second-order Taylor start built from the equation,
     so smooth solutions converge at the scheme's quadratic rate; the discrete
     residual N Psi - f vanishes on every equation row regardless.
@@ -903,15 +907,15 @@ def solve_cauchy(N: HyperbolicOperator, slice_index: int, h1, h2, f=None):
     if h1.shape != h2.shape or h1.ndim not in (1, 2) or h1.shape[-1] != g.nx:
         raise ValueError(f"Cauchy data shapes {h1.shape}, {h2.shape} are not (nx,) = {(g.nx,)} "
                          f"nor one batch (K, nx)")
-    fv = np.broadcast_to(0.0, (g.nt, g.nx)) if f is None else \
-        (f.values if isinstance(f, Section) else np.asarray(f, dtype=float))
+    fv = np.broadcast_to(0.0, (g.nt, g.nx)) if f is None else np.asarray(f, dtype=float)
     if fv.shape != (g.nt, g.nx):
         raise ValueError(f"Cauchy source shape {fv.shape} is not (nt, nx) = {(g.nt, g.nx)}")
+    if not all(np.isfinite(a).all() for a in (h1, h2, fv)):
+        raise ValueError("Cauchy data and source must be finite")
     u1 = _taylor_start(N, slice_index, h1, h2, fv[slice_index])
     if h1.ndim == 2:
         fv = np.broadcast_to(fv, (len(h1),) + fv.shape)
-    sol = N.march(fv, 0, seed_level=slice_index, seeds=(h1, u1))
-    return Section(g, sol) if h1.ndim == 1 else sol
+    return N.march(fv, 0, seed_level=slice_index, seeds=(h1, u1))
 
 
 def _taylor_start(N, s, h1, h2, f_s):
@@ -954,7 +958,7 @@ def exactness_check(N: HyperbolicOperator, seed=0, count=5) -> dict:
         h2s.append(rng.standard_normal(g.nx))
     h, psi = np.stack(hs), solve_cauchy(N, 2, np.stack(h1s), np.stack(h2s))
     f = N.apply(h)
-    fpsi = N.apply(chi.values * psi)
+    fpsi = N.apply(chi * psi)
     for v in (f, fpsi):
         v[:, :1] = 0.0
         v[:, -1:] = 0.0
@@ -993,12 +997,10 @@ def symplectic_form(N: HyperbolicOperator, psi, phi, slice_index):
     cuts = [int(n) for n in np.atleast_1d(slice_index)]
     if any(n < 0 or n > g.nt - 2 for n in cuts):
         raise ValueError("slice must have a successor level inside the window")
-    pv = psi.values if isinstance(psi, Section) else psi
-    fv = phi.values if isinstance(phi, Section) else phi
-    tol = 1e-8 * np.maximum(np.maximum(sup_norms(pv), sup_norms(fv)), 1.0)
-    if np.any(N.interior_residual(pv) > tol) or np.any(N.interior_residual(fv) > tol):
+    tol = 1e-8 * np.maximum(np.maximum(sup_norms(psi), sup_norms(phi)), 1.0)
+    if np.any(N.interior_residual(psi) > tol) or np.any(N.interior_residual(phi) > tol):
         raise ValueError("arguments must be homogeneous solutions")
-    fluxes = [_flux(N, pv, fv, n) for n in cuts]
+    fluxes = [_flux(N, psi, phi, n) for n in cuts]
     return fluxes[0] if np.ndim(slice_index) == 0 else np.array(fluxes)
 
 
@@ -1017,10 +1019,10 @@ def _flux(N, pv, fv, n):
 def propagator_symplectic_identity(N: HyperbolicOperator, f, h) -> dict:
     """sigma(G f, G h) against the volume pairing of f with G h.
 
-    f and h are sections or (nt, nx) fields, or (K, nt, nx) batches
-    paired column by column, each value of the result then holding K numbers.
+    f and h are (nt, nx) fields, or (K, nt, nx) batches paired column by
+    column, each value of the result then holding K numbers.
     """
-    fv, hv = (v.values if isinstance(v, Section) else np.asarray(v, dtype=float) for v in (f, h))
+    fv, hv = (np.asarray(v, dtype=float) for v in (f, h))
     G = GreenSystem(N)
     ph = G.propagator(hv)
     lhs = symplectic_form(N, G.propagator(fv), ph, N.grid.nt // 2)
@@ -1028,12 +1030,12 @@ def propagator_symplectic_identity(N: HyperbolicOperator, f, h) -> dict:
     return {"lhs": lhs, "rhs": rhs, "residual": np.abs(lhs - rhs)}
 
 
-def green_adjoint_relation(N: HyperbolicOperator, fp: Section, f: Section) -> dict:
-    """Both weighted-transpose identities tying G+ of N to G- of its adjoint."""
+def green_adjoint_relation(N: HyperbolicOperator, fp, f) -> dict:
+    """Both weighted-transpose identities tying G+ of N to G- of its adjoint, on (nt, nx) fields."""
     adj = HyperbolicOperator(N.metric, N.adjoint_offsets())
     Gs_N = GreenSystem(N)
     Gs_A = GreenSystem(adj)
-    r1 = abs(N.pairing(Gs_A.minus(fp), f.values) - N.pairing(fp.values, Gs_N.plus(f)))
-    r2 = abs(N.pairing(Gs_A.plus(fp), f.values) - N.pairing(fp.values, Gs_N.minus(f)))
-    scale = max(np.max(np.abs(f.values)), np.max(np.abs(fp.values)), 1e-300)
+    r1 = abs(N.pairing(Gs_A.minus(fp), f) - N.pairing(fp, Gs_N.plus(f)))
+    r2 = abs(N.pairing(Gs_A.plus(fp), f) - N.pairing(fp, Gs_N.minus(f)))
+    scale = max(np.max(np.abs(f)), np.max(np.abs(fp)), 1e-300)
     return {"minus_plus": r1 / scale, "plus_minus": r2 / scale}

@@ -19,8 +19,7 @@ Møller operator R is real, so the pullback R K R^T of a mode sum is the
 mode sum of the transported modes R phi_k with the same weights: a
 pullback marches R once, at construction, on the M = nx modes of its base,
 and never needs R^T.  Its cost depends on nx, not on the number of probes.
-The checks below take any kernel with ``columns``, or failing that
-``column``.
+The checks below take any kernel with ``columns``.
 """
 
 from __future__ import annotations
@@ -117,13 +116,6 @@ class VacuumKernel(ModeKernel):
                          1.0 / (2.0 * self.omega * (-itt) * vol * grid.length))
 
 
-def _columns(kernel, qs) -> np.ndarray:
-    """Probe block of a kernel; stacks column(q) for kernels without columns."""
-    if hasattr(kernel, "columns"):
-        return kernel.columns(qs)
-    return np.array([kernel.column(q) for q in qs])
-
-
 class PullbackKernel(ModeKernel):
     """Kernel transported by a realized intertwiner: K' = R K R^T.
 
@@ -175,14 +167,14 @@ def ccr_hypothesis_check(nu, N: HyperbolicOperator, probes=None) -> dict:
     the sup norm over probe columns.
     """
     probes = default_probes(N.grid) if probes is None else probes
-    resid = 2.0 * _columns(nu, probes).imag - _green_kernel_columns(N, probes)
+    resid = 2.0 * nu.columns(probes).imag - _green_kernel_columns(N, probes)
     return {"sup": float(np.max(np.abs(resid[:, 1:-1])))}
 
 
 def bisolution_check(nu, N: HyperbolicOperator, probes=None) -> dict:
     """Apply the operator in each argument of the kernel on probe columns."""
     probes = default_probes(N.grid) if probes is None else probes
-    cols = _columns(nu, probes)
+    cols = nu.columns(probes)
     # the left slot; the right one is its conjugate by Hermitian symmetry,
     # N_q K(p, q) = conj(N_q K(q, p)), so it has the same sup.  N acts on
     # each column alone, so it is applied nx columns (one probe level) at a
@@ -292,8 +284,8 @@ def hadamard_verdict(nu_prime, reference, N_prime: HyperbolicOperator,
     """
     g = N_prime.grid
     probes = default_probes(g) if probes is None else probes
-    cols = _columns(nu_prime, probes)
-    proxy = smoothness_proxy(cols - _columns(reference, probes), reference=cols,
+    cols = nu_prime.columns(probes)
+    proxy = smoothness_proxy(cols - reference.columns(probes), reference=cols,
                              spacing=(g.dt, g.dx))
     return {
         "difference_proxy": proxy.as_dict(),

@@ -3,10 +3,12 @@
 The grid carries nt time levels on [t_min, t_max] (both endpoints included)
 and nx equispaced sites on a circle of circumference `length`, so every
 constant-time slice is compact and spatial index arithmetic is modular.
-Fields are scalar: a section, a volume density or a switch is an (nt, nx)
-array, and a batch of K sections is a (K, nt, nx) array.  All objects are frozen
-after construction (arrays are made read-only), so they are safe to share
-between threads.
+Fields are plain float arrays, scalar at each point: a section is an
+(nt, nx) array and a batch of K sections a (K, nt, nx) array, while a
+profile that varies only in time, such as a switch, is an (nt, 1) column
+that broadcasts against them.  ``geometry.stored_field`` decides how a
+field is kept and refuses non-finite values.  The grid is frozen and a
+switch is read-only, so both are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -19,25 +21,11 @@ import numpy as np
 
 __all__ = [
     "SpacetimeGrid",
-    "Section",
-    "ScalarField",
     "make_grid",
-    "weighted_inner_product",
     "smooth_step",
     "periodic_shift",
     "smooth_noise",
 ]
-
-
-def _require_finite(a: np.ndarray, what: str):
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{what} must be finite")
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -107,95 +95,6 @@ def make_grid(nt, nx, t_min, t_max, length) -> SpacetimeGrid:
     return SpacetimeGrid(int(nt), int(nx), float(t_min), float(t_max), float(length))
 
 
-class Section:
-    """A section: real values indexed (time, site), an (nt, nx) array.
-
-    `support_window`, when given, records (first_level, last_level) of an
-    enclosing time window; compactly-supported sections must vanish outside
-    it and the window must sit strictly inside the time extent.
-    """
-
-    def __init__(self, grid: SpacetimeGrid, values, support_window=None):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.nt, grid.nx):
-            raise ValueError(f"section shape {values.shape} is not (nt, nx) = {(grid.nt, grid.nx)}")
-        _require_finite(values, "section values")
-        self.grid = grid
-        self.values = _freeze(values)
-        self.support_window = support_window
-        if support_window is not None:
-            lo, hi = support_window
-            if lo < 1 or hi > grid.nt - 2:
-                raise ValueError("compact support window must sit strictly inside the time extent")
-            mask = np.ones(grid.nt, dtype=bool)
-            mask[lo : hi + 1] = False
-            if np.any(values[mask] != 0.0):
-                raise ValueError("values do not vanish outside the declared support window")
-
-    @classmethod
-    def zero(cls, grid: SpacetimeGrid) -> "Section":
-        return cls(grid, grid.zeros())
-
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
-    def __add__(self, other):
-        return Section(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        return Section(self.grid, self.values - other.values)
-
-    def __mul__(self, c):
-        return Section(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
-class ScalarField:
-    """Real (nt, nx) field, optionally constrained to [0,1] or (0,inf).
-
-    A scalar, or one value per level as an (nt,) or (nt, 1) array, is filled out to the field.
-    """
-
-    UNIT = "unit"          # values in [0, 1]
-    POSITIVE = "positive"  # values > 0
-
-    def __init__(self, grid: SpacetimeGrid, values, constraint=None):
-        values = np.asarray(values, dtype=float)
-        if values.shape == ():
-            values = np.full((grid.nt, grid.nx), float(values))
-        if values.shape in ((grid.nt,), (grid.nt, 1)):  # one value per level
-            values = np.repeat(values.reshape(grid.nt, 1), grid.nx, axis=1)
-        if values.shape != (grid.nt, grid.nx):
-            raise ValueError("scalar field shape does not match grid")
-        _require_finite(values, "scalar field values")
-        if constraint == self.UNIT and (values.min() < 0.0 or values.max() > 1.0):
-            raise ValueError("field violates the [0,1] range constraint")
-        if constraint == self.POSITIVE and values.min() <= 0.0:
-            raise ValueError("field violates the positivity constraint")
-        self.grid = grid
-        self.values = _freeze(values)
-        self.constraint = constraint
-
-    @classmethod
-    def constant(cls, grid, c, constraint=None) -> "ScalarField":
-        return cls(grid, np.full((grid.nt, grid.nx), float(c)), constraint)
-
-
-def weighted_inner_product(f: Section, h: Section, vol: ScalarField) -> float:
-    """Volume-weighted L^2 pairing: sum of f h vol dt dx."""
-    if f.grid is not h.grid and (f.grid.nt, f.grid.nx) != (h.grid.nt, h.grid.nx):
-        raise ValueError("sections live on different grids")
-    if vol.values.min() <= 0:
-        raise ValueError("volume weight must be positive")
-    g = f.grid
-    dens = f.values * h.values * vol.values
-    return float(dens.sum() * g.dt * g.dx)
-
-
 def _pieces(n, s):
     """(destination, source) slice pairs of a periodic shift by s along an axis of extent n."""
     s = s % n if n else 0
@@ -238,8 +137,8 @@ def smooth_noise(grid: SpacetimeGrid, rng, lo, hi, passes=2, taper=None) -> np.n
     return u
 
 
-def smooth_step(grid: SpacetimeGrid, t0: float, t1: float) -> ScalarField:
-    """Monotone C^inf switch in time: 0 below t0, 1 above t1.
+def smooth_step(grid: SpacetimeGrid, t0: float, t1: float) -> np.ndarray:
+    """Monotone C^inf switch in time: 0 below t0, 1 above t1, a read-only (nt, 1) column.
 
     Uses the normalized antiderivative of exp(-1/s) * exp(-1/(1-s)) on the
     transition interval, sampled at the grid's time levels; the profile is
@@ -248,8 +147,9 @@ def smooth_step(grid: SpacetimeGrid, t0: float, t1: float) -> ScalarField:
     if not (grid.t_min < t0 < t1 < grid.t_max):
         raise ValueError("switch window must sit strictly inside the time extent")
     s = (grid.times - t0) / (t1 - t0)
-    vals = _bump_cdf(np.clip(s, 0.0, 1.0))
-    return ScalarField(grid, np.repeat(vals[:, None], grid.nx, axis=1), ScalarField.UNIT)
+    chi = _bump_cdf(np.clip(s, 0.0, 1.0))[:, None]
+    chi.flags.writeable = False
+    return chi
 
 
 @cache

@@ -51,7 +51,7 @@ from .geometry import ALIGNED, MetricField, ParacausalChain, preceq, stored_fiel
 from .greenhyp import (GreenSystem, HyperbolicOperator, axis_class, convex_operator,
                        principal_offsets, solve_cauchy, stencil_apply, stencil_transpose, sup_norms,
                        symplectic_form, wave_operator, worst_ratio)
-from .lattice import ScalarField, Section, periodic_shift, smooth_noise, smooth_step
+from .lattice import periodic_shift, smooth_noise, smooth_step
 
 __all__ = [
     "MollerObstruction",
@@ -59,7 +59,6 @@ __all__ = [
     "MollerOperator",
     "build_rplus",
     "build_rminus",
-    "build_inverses",
     "verify_intertwine",
     "restrict_to_solutions",
     "compose_chain",
@@ -270,29 +269,36 @@ def _window_levels(grid, t0, t1):
     return l0, l1
 
 
-def build_rplus(N0: HyperbolicOperator, Nchi: HyperbolicOperator, rho: ScalarField,
+def _volume_ratios(grid, *rhos):
+    """rhos as stored fields (:func:`geometry.stored_field`), refused unless all positive."""
+    out = [stored_field(grid, rho) for rho in rhos]
+    if min(r.min() for r in out) <= 0.0:
+        raise ValueError("volume ratio must be positive")
+    return out
+
+
+def build_rplus(N0: HyperbolicOperator, Nchi: HyperbolicOperator, rho,
                 t0: float, t1: float) -> MollerStep:
-    """Past-fixing step Id - G+_{rho N_chi}(rho N_chi - N0)."""
+    """Past-fixing step Id - G+_{rho N_chi}(rho N_chi - N0).
+
+    rho is a positive scalar, (nt, 1) column or (nt, nx) field.
+    """
     r = preceq(N0.metric, Nchi.metric)
     if r is not ALIGNED:
         raise ValueError("need N0's cone inside the interpolating cone with aligned futures")
     l0, l1 = _window_levels(N0.grid, t0, t1)
-    return MollerStep("plus", N0, Nchi, np.ones_like(rho.values), rho.values, l0, l1)
+    rho, = _volume_ratios(N0.grid, rho)
+    return MollerStep("plus", N0, Nchi, np.ones_like(rho), rho, l0, l1)
 
 
-def build_rminus(Nchi: HyperbolicOperator, N1: HyperbolicOperator, rho: ScalarField,
-                 rho_hi: ScalarField, t0: float, t1: float) -> MollerStep:
-    """Future-fixing step Id - G-_{rho' N1}(rho' N1 - rho N_chi)."""
+def build_rminus(Nchi: HyperbolicOperator, N1: HyperbolicOperator, rho,
+                 rho_hi, t0: float, t1: float) -> MollerStep:
+    """Future-fixing step Id - G-_{rho' N1}(rho' N1 - rho N_chi); rho, rho_hi as in build_rplus."""
     r = preceq(Nchi.metric, N1.metric)
     if r is not ALIGNED:
         raise ValueError("need the interpolating cone inside N1's cone with aligned futures")
     l0, l1 = _window_levels(N1.grid, t0, t1)
-    return MollerStep("minus", Nchi, N1, rho.values, rho_hi.values, l0, l1)
-
-
-def build_inverses(step: MollerStep) -> MollerStep:
-    """Two-sided inverse step: the step with its ends swapped."""
-    return step.inverse()
+    return MollerStep("minus", Nchi, N1, *_volume_ratios(N1.grid, rho, rho_hi), l0, l1)
 
 
 class MollerOperator:
@@ -444,8 +450,8 @@ def compose_chain(chain: ParacausalChain, operators=None, window=None, mass=1.0)
         if not nchi.self_adjoint:
             raise ValueError(f"link {k}: the blended operator is not formally self-adjoint "
                              f"(V-symmetry defect {nchi.v_symmetry_defect():.3g})")
-        rho = ScalarField(grid, _vol_ratio(lo_op.metric, nchi.metric), ScalarField.POSITIVE)
-        rho_hi = ScalarField(grid, _vol_ratio(lo_op.metric, hi_op.metric), ScalarField.POSITIVE)
+        rho = _vol_ratio(lo_op.metric, nchi.metric)
+        rho_hi = _vol_ratio(lo_op.metric, hi_op.metric)
         plus = build_rplus(lo_op, nchi, rho, t0, t1)
         minus = build_rminus(nchi, hi_op, rho, rho_hi, t0, t1)
         if flag == ParacausalChain.FWD:
@@ -458,11 +464,16 @@ def compose_chain(chain: ParacausalChain, operators=None, window=None, mass=1.0)
 # -- verification ------------------------------------------------------------------
 
 def random_dictionary(grid, count=16, seed=0, window=None, smooth_passes=2):
-    """Seeded compact test sections, lightly smoothed, support in `window`."""
+    """Seeded compact test sections, lightly smoothed, support in `window`.
+
+    Returns a read-only (count, nt, nx) array.
+    """
     rng = np.random.default_rng(seed)
     lo, hi = window if window is not None else (2, grid.nt - 2)
     taper = np.sin(np.linspace(0.0, np.pi, hi - lo)) ** 2
-    return [Section(grid, smooth_noise(grid, rng, lo, hi, smooth_passes, taper)) for _ in range(count)]
+    out = np.stack([smooth_noise(grid, rng, lo, hi, smooth_passes, taper) for _ in range(count)])
+    out.flags.writeable = False
+    return out
 
 
 def verify_intertwine(obj, dictionary) -> dict:
@@ -470,10 +481,10 @@ def verify_intertwine(obj, dictionary) -> dict:
 
     Steps report || b N_hi S f - a N_lo f || for a step S;
     composed operators report || c' N' R f - N f ||, both relative to the
-    source term's size and measured on equation rows.  The dictionary
-    marches as one batch; the law reports its worst section.
+    source term's size and measured on equation rows.  The dictionary, a
+    (K, nt, nx) array, marches as one batch; the law reports its worst section.
     """
-    u = _stack(dictionary)
+    u = np.asarray(dictionary, dtype=float)
     return {"intertwine": _intertwine_residual(obj, u, obj.apply(u))}
 
 
@@ -488,15 +499,10 @@ def _intertwine_residual(obj, u, image):
     return worst_ratio(sup_norms((lhs - rhs)[:, 1:-1]), sup_norms(rhs))
 
 
-def _stack(dictionary):
-    """(K, nt, nx) batch of a dictionary's sections."""
-    return np.stack([f.values for f in dictionary])
-
-
 def restrict_to_solutions(R: MollerOperator, kind="ker", tol=1e-8):
     """Solution-space restriction with verified inputs and outputs.
 
-    Returns a callable mapping sections.  Inputs must solve the source
+    Returns a callable mapping (nt, nx) fields.  Inputs must solve the source
     equation: N u = 0 on every equation row for kind="ker"; for kind="sol"
     the source N u is compact, vanishing on equation rows 1 and nt-2.  Every
     output is checked against the source interchange c' N' (R u) = N u on the
@@ -505,8 +511,8 @@ def restrict_to_solutions(R: MollerOperator, kind="ker", tol=1e-8):
     if kind not in ("ker", "sol"):
         raise ValueError("kind must be 'ker' or 'sol'")
 
-    def mapped(f: Section) -> Section:
-        u = f.values
+    def mapped(u):
+        u = np.asarray(u, dtype=float)
         scale = max(float(np.max(np.abs(u))), 1e-300)
         source = R.op_start.apply(u)
         if kind == "ker" and sup_norms(source[1:-1]) > tol * scale:
@@ -517,7 +523,7 @@ def restrict_to_solutions(R: MollerOperator, kind="ker", tol=1e-8):
         lhs = R.c_prime * R.op_end.apply(out)
         if sup_norms((lhs - source)[1:-1]) > 10 * tol * scale:
             raise AssertionError("image failed to solve the target equation")
-        return Section(R.op_start.grid, out)
+        return out
 
     return mapped
 
@@ -529,11 +535,12 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     Covers: source interchange c' N' R = N; propagator transport
     R G R^dagger = G'; adjoint interchange R^dagger N' = N on compacts;
     symplectic-flux preservation on solution pairs; two-sided inverse
-    round trip; and exact identity regions of the first/last steps.  Each
-    dictionary law marches the whole dictionary as one batch and reports its
-    worst section.  A caller that already holds R u of the dictionary's
-    batch u (the last field of ``R.carry(u)``) passes it as image, and no
-    law marches R u again.
+    round trip; and exact identity regions of the first/last steps.  The
+    dictionary is a (K, nt, nx) array of sections (by default twelve of
+    :func:`random_dictionary`); each dictionary law marches it as one batch
+    and reports its worst section.  A caller that already holds R u of the
+    dictionary's batch u (the last field of ``R.carry(u)``) passes it as
+    image, and no law marches R u again.
     """
     grid = R.op_start.grid
     if sympl_pairs < 1:
@@ -543,7 +550,7 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     if dictionary is None:
         dictionary = random_dictionary(grid, count=12, seed=seed,
                                        window=(3, grid.nt - 3))
-    u = _stack(dictionary)
+    u = np.asarray(dictionary, dtype=float)
     Ru = R.apply(u) if image is None else image
     rep = {"intertwine": _intertwine_residual(R, u, Ru)}
     roundtrip = worst_ratio(sup_norms(R.inverse_apply(Ru) - u), sup_norms(u))
@@ -590,9 +597,9 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
 
 
 def verify_adjoint_laws(R: MollerOperator, dictionary, carried=None) -> dict:
-    """Matrix-free residuals of R's adjoint laws, on the sections of a dictionary.
+    """Matrix-free residuals of R's adjoint laws on a dictionary, a (K, nt, nx) array of sections.
 
-    Section u is paired with h, the same section moved nx // 3 sites along
+    A section u is paired with h, the same section moved nx // 3 sites along
     x, so a column's reading depends on its own section only and h stays
     compact in the window.  Covers: the defining pairing
     <R u, h>_g' = <u, R^dagger h>_g; the adjoint of the inverse,
@@ -604,12 +611,14 @@ def verify_adjoint_laws(R: MollerOperator, dictionary, carried=None) -> dict:
     through the steps after it, so each step marches once each way.  A
     pairing residual is relative to the pairing of absolute values, the
     sum's own round-off scale, so no reading depends on a cancellation.  The
-    dictionary marches as one batch; each law reports its worst section.  A
-    caller that already holds ``carried = R.carry(u)`` of the dictionary's
-    batch u passes it, and the steps are not marched forward again; the
-    laws pop each field from it once read, so it is left holding u.
+    dictionary marches as one batch and is read, never written, so the
+    read-only output of :func:`random_dictionary` serves as it is; each law
+    reports its worst section.  A caller that already holds
+    ``carried = R.carry(u)`` of the dictionary's batch u passes it, and the
+    steps are not marched forward again; the laws pop each field from it
+    once read, so it is left holding u.
     """
-    carried = R.carry(_stack(dictionary)) if carried is None else carried
+    carried = R.carry(dictionary) if carried is None else carried
     u, Ru = carried[0], carried[-1]
     h = periodic_shift(u, 0, u.shape[-1] // 3)
     start, end = R.op_start, R.op_end

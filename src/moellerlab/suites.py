@@ -21,7 +21,7 @@ from . import geometry as geo
 from . import greenhyp as gh
 from . import hadamard as hd
 from . import moller as mo
-from .lattice import ScalarField, make_grid
+from .lattice import make_grid
 from .reports import CheckResult
 
 __all__ = [
@@ -66,7 +66,7 @@ def random_metric(grid, rng, per_point=False):
 def random_comparable_pair(grid, rng, per_point=False):
     """(g_narrow, g) with the first squeezed inside the second."""
     g = random_metric(grid, rng, per_point)
-    a = ScalarField(grid, rng.uniform(0.25, 0.9, (grid.nt, grid.nx)))
+    a = rng.uniform(0.25, 0.9, (grid.nt, grid.nx))
     ga = geo.squeeze_metric(g, (g.orient_t, g.orient_x), a)
     return ga, g
 
@@ -81,10 +81,8 @@ def suite_cones(cfg, rng) -> list:
     pairs = int(cfg.get("pairs", 1000))
     nx = max(4, (pairs + 3) // 4)
     grid = make_grid(4, nx, 0.0, 1.0, 1.0)
-    profiles = [ScalarField.constant(grid, 0.0), ScalarField.constant(grid, 1.0),
-                ScalarField.constant(grid, 0.5),
-                ScalarField(grid, rng.uniform(0.0, 1.0, (grid.nt, grid.nx))),
-                ScalarField(grid, np.linspace(0, 1, grid.nt)[:, None] * np.ones((1, grid.nx)))]
+    profiles = [0.0, 1.0, 0.5, rng.uniform(0.0, 1.0, (grid.nt, grid.nx)),
+                np.linspace(0, 1, grid.nt)[:, None]]
     checks = []
     bad_det = bad_sandwich = 0
     glo, ghi = random_comparable_pair(grid, rng, per_point=True)
@@ -239,8 +237,8 @@ def suite_green(cfg, rng) -> list:
     lo, hi = 4, grid.nt - 4
     worst_fwd = worst_bwd = worst_inv = 0.0
     for k in _batches(count):
-        h = np.stack([mo.random_dictionary(grid, 1, rng.integers(1 << 30), window=(lo, hi))[0].values
-                      for _ in range(k)])
+        h = np.concatenate([mo.random_dictionary(grid, 1, rng.integers(1 << 30), window=(lo, hi))
+                            for _ in range(k)])
         f = N.apply(h)
         f[:, :1] = 0.0
         f[:, -1:] = 0.0
@@ -277,7 +275,7 @@ def suite_green(cfg, rng) -> list:
     for k in _batches(_sample_count(cfg, "pairs", 50)):
         pairs = [mo.random_dictionary(grid, 2, rng.integers(1 << 30), window=(lo, hi))
                  for _ in range(k)]
-        f1, h1 = (np.stack([p[i].values for p in pairs]) for i in (0, 1))
+        f1, h1 = (np.stack([p[i] for p in pairs]) for i in (0, 1))
         rep2 = gh.propagator_symplectic_identity(N, f1, h1)
         worst = max(worst, gh.worst_ratio(rep2["residual"], np.abs(rep2["rhs"])))
     checks.append(CheckResult.from_residual("symplectic_propagator_pairing", worst, 1e-9))
@@ -343,7 +341,7 @@ def suite_moller(cfg, rng) -> list:
     d = mo.random_dictionary(grid, dictionary, int(rng.integers(1 << 30)), window=(4, grid.nt - 4))
     # one march of the dictionary through R serves every law: the adjoint laws
     # read the fields between the steps, the identities only R u
-    carried = R.carry(np.stack([f.values for f in d]))
+    carried = R.carry(d)
     image = carried[-1]
     adjoint = mo.verify_adjoint_laws(R, d, carried)  # pops carried down to u
     del carried
@@ -536,7 +534,7 @@ def _characteristics_error(nx):
     grid = make_grid(2 * nx, nx, 0.0, 0.5, 1.0)
     Nw = gh.wave_operator(geo.metric_preset("minkowski", grid), mass=0.0)
     F = np.sin(4 * np.pi * grid.sites)
-    sol = gh.solve_cauchy(Nw, 1, F, np.zeros(nx)).values
+    sol = gh.solve_cauchy(Nw, 1, F, np.zeros(nx))
     del Nw  # the operator and its march are freed before the exact solution is built
     levels = max(1, _REFERENCE_BLOCK // nx)
     worst = 0.0

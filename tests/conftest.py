@@ -3,7 +3,7 @@ import pytest
 
 from moellerlab import geometry as geo
 from moellerlab import greenhyp as gh
-from moellerlab.lattice import Section, make_grid
+from moellerlab.lattice import make_grid
 
 
 @pytest.fixture
@@ -32,7 +32,7 @@ def window_section(grid, rng, lo, hi, smooth=0):
     u[lo:hi] = rng.standard_normal((hi - lo, grid.nx))
     for _ in range(smooth):
         u[lo:hi] = 0.25 * np.roll(u[lo:hi], 1, 1) + 0.5 * u[lo:hi] + 0.25 * np.roll(u[lo:hi], -1, 1)
-    return Section(grid, u)
+    return u
 
 
 def dense_adjoint(T, op_g, op_gp):

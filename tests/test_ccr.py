@@ -8,7 +8,7 @@ from moellerlab import ccr
 from moellerlab import geometry as geo
 from moellerlab import greenhyp as gh
 from moellerlab import moller as mo
-from moellerlab.lattice import Section, make_grid
+from moellerlab.lattice import make_grid
 
 
 @pytest.fixture(scope="module")
@@ -160,12 +160,9 @@ def test_on_shell_reduction(setup):
     grid, N, _ = setup
     secs = mo.random_dictionary(grid, 4, seed=5, window=(5, grid.nt - 5))
     hs = mo.random_dictionary(grid, 2, seed=6, window=(6, grid.nt - 6))
-    nulls = []
-    for h in hs:
-        v = N.apply(h.values)
-        v[0] = 0.0
-        v[-1] = 0.0
-        nulls.append(Section(grid, v))
+    nulls = N.apply(hs)
+    nulls[:, 0] = 0.0
+    nulls[:, -1] = 0.0
     D = ccr.FieldDictionary(secs, N, null_sections=nulls)
     phi_null = ccr.field(D, D.null_start)
     assert ccr.on_shell_reduce(D, phi_null).sup_coeff() == 0.0

@@ -271,6 +271,14 @@ def test_flag_the_suite_does_not_read_exits_2(argv, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_run_refuses_an_abbreviated_flag(tmp_path, capsys):
+    # like every suite command, run takes its flag spelled out only
+    out = tmp_path / "E"
+    assert run_cli(["run", "--o", str(out)]) == 2
+    assert "unrecognized arguments: --o" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dense_kernels_beyond_limit_write_nothing(tmp_path, capsys):
     out = tmp_path / "D"
     assert run_cli(["green", "--grid", "48x48", "--dense-kernels", "--out", str(out)]) == 2

@@ -3,7 +3,7 @@ import pytest
 
 from moellerlab import cli
 from moellerlab import geometry as geo
-from moellerlab.lattice import ScalarField, make_grid
+from moellerlab.lattice import make_grid
 from moellerlab.suites import random_comparable_pair, random_metric
 
 
@@ -219,8 +219,8 @@ def test_preceq_transitive_on_random_triples(g8):
     rng = np.random.default_rng(5)
     for _ in range(50):
         g = random_metric(g8, rng)
-        a1 = ScalarField(g8, rng.uniform(0.3, 0.9, (g8.nt, g8.nx)))
-        a2 = ScalarField(g8, rng.uniform(0.3, 0.9, (g8.nt, g8.nx)))
+        a1 = rng.uniform(0.3, 0.9, (g8.nt, g8.nx))
+        a2 = rng.uniform(0.3, 0.9, (g8.nt, g8.nx))
         g1 = geo.squeeze_metric(g, (g.orient_t, g.orient_x), a1)
         g2 = geo.squeeze_metric(g1, (g1.orient_t, g1.orient_x), a2)
         assert geo.preceq(g2, g1) is geo.ALIGNED
@@ -243,8 +243,8 @@ def test_preceq_inverse_metric_duality(g8):
 def test_convex_combination_endpoints_exact(g8):
     rng = np.random.default_rng(7)
     glo, ghi = random_comparable_pair(g8, rng)
-    blend0 = geo.convex_combination(glo, ghi, ScalarField.constant(g8, 0.0))
-    blend1 = geo.convex_combination(glo, ghi, ScalarField.constant(g8, 1.0))
+    blend0 = geo.convex_combination(glo, ghi, 0.0)
+    blend1 = geo.convex_combination(glo, ghi, 1.0)
     assert np.array_equal(blend0.g_tt, glo.g_tt) and np.array_equal(blend0.g_xx, glo.g_xx)
     assert np.array_equal(blend1.g_tt, ghi.g_tt) and np.array_equal(blend1.g_xx, ghi.g_xx)
 
@@ -253,16 +253,16 @@ def test_convex_combination_requires_comparability(g8):
     mink = geo.metric_preset("minkowski", g8)
     rot = geo.metric_preset("rotated-minkowski", g8)
     with pytest.raises(ValueError):
-        geo.convex_combination(mink, rot, ScalarField.constant(g8, 0.5))
+        geo.convex_combination(mink, rot, 0.5)
     with pytest.raises(ValueError):
-        geo.sharp_interpolation(mink, rot, ScalarField.constant(g8, 0.5))
+        geo.sharp_interpolation(mink, rot, 0.5)
 
 
 def test_sharp_interpolation_conformal_hand_value(g8):
     # g' = 4g at chi = 1/2 blends the inverses 1 and 1/4 to 5/8: metric (8/5) g
     g = geo.metric_preset("minkowski", g8)
     g4 = diag_metric(g8, -4.0, 4.0)
-    gs = geo.sharp_interpolation(g, g4, ScalarField.constant(g8, 0.5))
+    gs = geo.sharp_interpolation(g, g4, 0.5)
     assert np.allclose(gs.g_tt, -1.6, rtol=1e-14)
     assert np.allclose(gs.g_xx, 1.6, rtol=1e-14)
 
@@ -270,9 +270,8 @@ def test_sharp_interpolation_conformal_hand_value(g8):
 def test_sharp_interpolation_is_inverse_blend(g8):
     rng = np.random.default_rng(8)
     glo, ghi = random_comparable_pair(g8, rng, per_point=True)
-    chi = ScalarField(g8, rng.uniform(0, 1, (g8.nt, g8.nx)))
-    gs = geo.sharp_interpolation(glo, ghi, chi)
-    w = chi.values
+    w = rng.uniform(0, 1, (g8.nt, g8.nx))
+    gs = geo.sharp_interpolation(glo, ghi, w)
     want = [(1 - w) * a + w * b for a, b in zip(
         glo.inverse_components(), ghi.inverse_components())]
     got = gs.inverse_components()
@@ -283,8 +282,7 @@ def test_sharp_interpolation_is_inverse_blend(g8):
 def test_blend_sandwich_scan(g8):
     rng = np.random.default_rng(9)
     glo, ghi = random_comparable_pair(g8, rng, per_point=True)
-    for c in (0.25, 0.5, 0.75):
-        chi = ScalarField.constant(g8, c)
+    for chi in (0.25, 0.5, 0.75):
         for blend in (geo.convex_combination(glo, ghi, chi),
                       geo.sharp_interpolation(glo, ghi, chi)):
             assert np.max(blend.det()) < 0.0
@@ -454,7 +452,7 @@ def test_tune_alpha_respects_strip_bound(g8):
     nx = itx / np.sqrt(-itt)
     f = (nx / nt) ** 2
     # mollification never dips below the per-level requirement
-    assert np.all(1.0 / alpha.values >= f.max(axis=1)[:, None] + 1.0 - 1e-12)
+    assert np.all(1.0 / alpha >= f.max(axis=1)[:, None] + 1.0 - 1e-12)
 
 
 def test_tune_alpha_rejects_timelike_slices(g8):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from moellerlab import geometry as geo
 from moellerlab import greenhyp as gh
 from moellerlab import moller as mo
-from moellerlab.lattice import ScalarField, Section, make_grid, smooth_step
+from moellerlab.lattice import make_grid, smooth_step
 from moellerlab.suites import random_metric
 
 from conftest import window_section
@@ -275,7 +275,7 @@ def test_convex_operator_is_bitwise_inert_off_the_switch(grid48, mink48, target)
 
 def _assert_inert_off_the_switch(N0, N1, chi):
     Nchi = gh.convex_operator(N0, N1, chi)
-    w = chi.values
+    w = chi
     zeros = np.flatnonzero(np.all(w == 0.0, axis=1))[:-1]  # the last one couples to the switch
     ones = np.flatnonzero(np.all(w == 1.0, axis=1))[1:]
     assert len(zeros) and len(ones)
@@ -394,17 +394,17 @@ def test_convex_operator_endpoints_and_symbol(grid48, mink48):
     conf = geo.metric_preset("conformal", grid48, mu=2.0)
     N0 = gh.wave_operator(mink48, 1.0)
     N1 = gh.wave_operator(conf, 1.0)
-    assert gh.convex_operator(N0, N1, ScalarField.constant(grid48, 0.0)) is N0
-    assert gh.convex_operator(N0, N1, ScalarField.constant(grid48, 1.0)) is N1
+    assert gh.convex_operator(N0, N1, 0.0) is N0
+    assert gh.convex_operator(N0, N1, 1.0) is N1
     rng = np.random.default_rng(2)
-    chi = ScalarField(grid48, rng.uniform(0, 1, (grid48.nt, grid48.nx)))
+    chi = rng.uniform(0, 1, (grid48.nt, grid48.nx))
     Nchi = gh.convex_operator(N0, N1, chi)
     # symbol extraction oracle against the blended inverse metric
     att, atx, axx = Nchi.principal_coefficients()
     itt, itx, ixx = Nchi.metric.inverse_components()
     assert np.max(np.abs(att + itt)[1:-1]) < 1e-6
     assert np.max(np.abs(axx + ixx)[1:-1]) < 1e-6
-    want = [(1 - chi.values) * a + chi.values * b for a, b in zip(
+    want = [(1 - chi) * a + chi * b for a, b in zip(
         mink48.inverse_components(), conf.inverse_components())]
     got = Nchi.metric.inverse_components()
     assert all(np.max(np.abs(a - b)) < 1e-12 for a, b in zip(got, want))
@@ -415,21 +415,21 @@ def test_convex_operator_requires_comparability(grid48, mink48):
     N0 = gh.wave_operator(mink48, 1.0)
     N1 = gh.wave_operator(rot, 1.0)
     with pytest.raises(ValueError):
-        gh.convex_operator(N0, N1, ScalarField.constant(grid48, 0.5))
+        gh.convex_operator(N0, N1, 0.5)
 
 
 # -- Cauchy solves ---------------------------------------------------------------
 
 def test_zero_data_zero_solution(kg48, grid48):
     sol = gh.solve_cauchy(kg48, 5, np.zeros(grid48.nx), np.zeros(grid48.nx))
-    assert sol.sup_norm() == 0.0
+    assert gh.sup_norms(sol) == 0.0
 
 
 def test_cauchy_residual_vanishes_on_equation_rows(kg48, grid48):
     rng = np.random.default_rng(3)
     sol = gh.solve_cauchy(kg48, 7, rng.standard_normal(grid48.nx),
                           rng.standard_normal(grid48.nx))
-    assert kg48.interior_residual(sol.values) < 1e-10 * sol.sup_norm()
+    assert kg48.interior_residual(sol) < 1e-10 * gh.sup_norms(sol)
 
 
 def test_point_bump_rides_characteristics():
@@ -440,7 +440,7 @@ def test_point_bump_rides_characteristics():
     sol = gh.solve_cauchy(N, 2, h1, np.zeros(g.nx))
     # method-of-characteristics oracle: support stays on |dx| <= dt rays
     reach = geo.causal_future(geo.metric_preset("minkowski", g), [(2, 20)])
-    late = np.abs(sol.values[3:]) > 1e-12
+    late = np.abs(sol[3:]) > 1e-12
     assert np.all(~late | reach[3:])
 
 
@@ -454,7 +454,7 @@ def test_dalembert_convergence_order():
         ts = g.times - g.times[1]
         exact = 0.5 * (np.sin(4 * np.pi * (x[None, :] - ts[:, None]))
                        + np.sin(4 * np.pi * (x[None, :] + ts[:, None])))
-        return float(np.max(np.abs(sol.values - exact)))
+        return float(np.max(np.abs(sol - exact)))
 
     e1, e2, e3 = err(32), err(64), err(128)
     assert math.log2(e1 / e2) > 1.9
@@ -477,7 +477,7 @@ def test_cfl_violation_raises():
     g = make_grid(8, 48, 0.0, 1.0, 1.0)  # dt = 1/7 >> dx
     N = gh.wave_operator(geo.metric_preset("minkowski", g), mass=1.0)
     with pytest.raises(gh.CFLError):
-        gh.GreenSystem(N).plus(Section.zero(g))
+        gh.GreenSystem(N).plus(g.zeros())
 
 
 def test_march_refuses_unstable_metrics():
@@ -539,8 +539,8 @@ def test_batched_cauchy_solve_matches_column_solves(preset, kw):
         assert batch.shape == (5, g.nt, g.nx)
         for k in range(5):
             col = gh.solve_cauchy(N, 4, h1[k], h2[k], src)
-            assert isinstance(col, Section)
-            assert np.max(np.abs(batch[k] - col.values)) <= 1e-13 * np.max(np.abs(col.values))
+            assert col.shape == (g.nt, g.nx)
+            assert np.max(np.abs(batch[k] - col)) <= 1e-13 * np.max(np.abs(col))
     one = gh.solve_cauchy(N, 4, h1[:1], h2[:1])
     assert one.shape == (1, g.nt, g.nx)
 
@@ -557,20 +557,20 @@ def test_green_inverse_property(kg48, grid48):
     G = gh.GreenSystem(kg48)
     for _ in range(10):
         h = window_section(grid48, rng, 5, grid48.nt - 5)
-        f = kg48.apply(h.values)
+        f = kg48.apply(h)
         f[0] = 0.0
         f[-1] = 0.0
-        up = G.plus(Section(grid48, f))
-        assert np.max(np.abs(up - h.values)) < 1e-10 * h.sup_norm()
-        dn = G.minus(Section(grid48, f))
-        assert np.max(np.abs(dn - h.values)) < 1e-10 * h.sup_norm()
+        up = G.plus(f)
+        assert np.max(np.abs(up - h)) < 1e-10 * gh.sup_norms(h)
+        dn = G.minus(f)
+        assert np.max(np.abs(dn - h)) < 1e-10 * gh.sup_norms(h)
         assert kg48.interior_residual(up, f) < 1e-10 * np.max(np.abs(f))
 
 
 def test_green_point_source_forward_cone(kg48, grid48):
     src = grid48.zeros()
     src[6, 10] = 1.0
-    up = gh.GreenSystem(kg48).plus(Section(grid48, src))
+    up = gh.GreenSystem(kg48).plus(src)
     assert np.max(np.abs(up[:6])) == 0.0
     reach = geo.causal_future(kg48.metric, [(6, 10)])
     hot = np.abs(up) > 1e-13
@@ -580,7 +580,7 @@ def test_green_point_source_forward_cone(kg48, grid48):
 def test_green_time_reflection_symmetry(kg48, grid48):
     rng = np.random.default_rng(5)
     f = window_section(grid48, rng, 10, grid48.nt - 10)
-    fr = Section(grid48, f.values[::-1].copy())
+    fr = f[::-1].copy()
     G = gh.GreenSystem(kg48)
     up = G.plus(f)
     dn = G.minus(fr)
@@ -591,21 +591,21 @@ def test_green_margin_enforced(kg48, grid48):
     bad = grid48.zeros()
     bad[0, 0] = 1.0
     with pytest.raises(ValueError, match="first"):
-        gh.GreenSystem(kg48).plus(Section(grid48, bad))
+        gh.GreenSystem(kg48).plus(bad)
     bad2 = grid48.zeros()
     bad2[-1, 0] = 1.0
     with pytest.raises(ValueError, match="last"):
-        gh.GreenSystem(kg48).minus(Section(grid48, bad2))
+        gh.GreenSystem(kg48).minus(bad2)
     # the propagator checks both margins in one pass, the first levels first
     first = "source must vanish on the first 2 time levels"
     last = "source must vanish on the last 2 time levels"
     assert gh.PAST_MARGIN == 2
     with pytest.raises(ValueError, match=f"^{first}$"):
-        gh.GreenSystem(kg48).propagator(Section(grid48, bad))
+        gh.GreenSystem(kg48).propagator(bad)
     with pytest.raises(ValueError, match=f"^{last}$"):
-        gh.GreenSystem(kg48).propagator(Section(grid48, bad2))
+        gh.GreenSystem(kg48).propagator(bad2)
     with pytest.raises(ValueError, match=f"^{first}$"):
-        gh.GreenSystem(kg48).propagator(Section(grid48, bad + bad2))
+        gh.GreenSystem(kg48).propagator(bad + bad2)
 
 
 def test_green_scaled_identities(kg48, grid48):
@@ -614,11 +614,11 @@ def test_green_scaled_identities(kg48, grid48):
     rng = np.random.default_rng(6)
     f = window_section(grid48, rng, 5, grid48.nt - 5)
     rho = 1.0 + rng.uniform(0, 1, (grid48.nt, grid48.nx))
-    got = gh.GreenSystem(kg48).plus(f.values / rho)
+    got = gh.GreenSystem(kg48).plus(f / rho)
     # direct-assembly oracle: scale the stencil rows by rho and march that
     off = {k: v * rho for k, v in kg48.offsets.items()}
     direct = gh.HyperbolicOperator(kg48.metric, off)
-    want = direct.march(f.values, +1)
+    want = direct.march(f, +1)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -634,10 +634,10 @@ def test_complex_property_many(kg48, grid48):
     G = gh.GreenSystem(kg48)
     for _ in range(20):
         h = window_section(grid48, rng, 5, grid48.nt - 5)
-        f = kg48.apply(h.values)
+        f = kg48.apply(h)
         f[0] = 0.0
         f[-1] = 0.0
-        assert np.max(np.abs(G.propagator(f))) < 1e-10 * np.max(np.abs(h.values))
+        assert np.max(np.abs(G.propagator(f))) < 1e-10 * np.max(np.abs(h))
 
 
 # -- symplectic flux ------------------------------------------------------------------
@@ -662,13 +662,13 @@ def test_symplectic_mode_wronskian_oracle():
     phi = (np.cos(k * x) * np.sin(om_disc * t))
     assert N.interior_residual(psi) < 1e-9
     assert N.interior_residual(phi) < 1e-9
-    got = gh.symplectic_form(N, Section(g, psi), Section(g, phi), 20)
+    got = gh.symplectic_form(N, psi, phi, 20)
     # staggered Wronskian of the exact mode pair, in this package's flux
     # orientation: -(L/2) sin(om~ dt)/dt, i.e. -(L om_k / 2) up to O(dt^2)
     want = -(g.length / 2.0) * math.sin(om_disc * g.dt) / g.dt
     assert got == pytest.approx(want, rel=1e-12)
     assert abs(got) == pytest.approx(g.length * om_disc / 2.0, rel=2e-3)
-    vals = [gh.symplectic_form(N, Section(g, psi), Section(g, phi), n)
+    vals = [gh.symplectic_form(N, psi, phi, n)
             for n in range(0, g.nt - 1, 5)]
     assert max(vals) - min(vals) < 1e-12 * abs(want)
 
@@ -697,7 +697,7 @@ def test_symplectic_form_over_many_cuts_checks_the_solutions_once(kg48, grid48, 
     assert np.array_equal(vals, one_by_one)
     assert len(checks) == 2
     # batches give one row of K fluxes per cut
-    pair = np.stack([psi.values, phi.values])
+    pair = np.stack([psi, phi])
     rows = gh.symplectic_form(kg48, pair, pair[::-1], [3, 20])
     assert rows.shape == (2, 2)
     assert np.allclose(rows[:, 0], [one_by_one[3], one_by_one[20]], rtol=1e-13, atol=0.0)
@@ -725,18 +725,18 @@ def test_propagator_symplectic_identity(kg48, grid48):
     assert worst < 1e-9
     # the pairs as one (K, nt, nx, r) batch give the same numbers per pair
     batch = gh.propagator_symplectic_identity(
-        kg48, *(np.stack([p[k].values for p in pairs]) for k in (0, 1)))
+        kg48, *(np.stack([p[k] for p in pairs]) for k in (0, 1)))
     for key in ("lhs", "rhs"):
         want = np.array([rep[key] for rep in reps])
         assert batch[key].shape == (10,)
         assert np.max(np.abs(batch[key] - want)) <= 1e-12 * np.max(np.abs(want))
     f = window_section(grid48, rng, 5, 20)
     rep0 = gh.propagator_symplectic_identity(kg48, f, f)
-    assert abs(rep0["lhs"]) < 1e-10 * f.sup_norm()**2
+    assert abs(rep0["lhs"]) < 1e-10 * gh.sup_norms(f)**2
     # bilinearity: doubling one argument doubles both sides
     h = window_section(grid48, rng, 8, 30)
     r1 = gh.propagator_symplectic_identity(kg48, f, h)
-    r2 = gh.propagator_symplectic_identity(kg48, Section(grid48, 2 * f.values), h)
+    r2 = gh.propagator_symplectic_identity(kg48, 2 * f, h)
     assert r2["lhs"] == pytest.approx(2 * r1["lhs"], rel=1e-12)
 
 
@@ -756,7 +756,7 @@ def test_green_adjoint_relation_nonselfadjoint(grid48, mink48):
     rel = gh.green_adjoint_relation(N, window_section(grid48, rng, 10, 30),
                                     window_section(grid48, rng, 5, 25))
     assert max(rel.values()) < 1e-10
-    zero = gh.green_adjoint_relation(N, Section.zero(grid48),
+    zero = gh.green_adjoint_relation(N, grid48.zeros(),
                                      window_section(grid48, rng, 5, 25))
     assert max(zero.values()) == 0.0
 
@@ -1000,7 +1000,7 @@ def test_march_across_blocks_equals_one_block_march(monkeypatch, name, K):
     def marches():
         N = _block_case_operator(case, g)
         out = [N.march(f, 1), N.march(f, -1), N.march(f, 1, rows=(lo, hi)), N.march(f, -1, rows=(lo, hi)),
-               N.march(f, 0, seed_level=s, seeds=(h1, h2)), gh.solve_cauchy(N, s, h1, h2).values]
+               N.march(f, 0, seed_level=s, seeds=(h1, h2)), gh.solve_cauchy(N, s, h1, h2)]
         return out, list(N._steps.values())
 
     whole, steps = marches()
@@ -1142,7 +1142,7 @@ def test_green_plus_inverts_operator_at_fine_grid():
     f[2:-2] = rng.standard_normal((g.nt - 4, g.nx))
     u = gh.GreenSystem(N).plus(f)
     assert N.interior_residual(u, f) <= 1e-10 * np.max(np.abs(f))  # N G+ = 1
-    h = window_section(g, rng, 3, g.nt - 3, smooth=2).values
+    h = window_section(g, rng, 3, g.nt - 3, smooth=2)
     Nh = N.apply(h)
     Nh[0] = Nh[-1] = 0.0
     rec = gh.GreenSystem(N).plus(Nh)
@@ -1187,7 +1187,7 @@ def _storage_results(case):
     out["messages"] = messages
     out["marches"] = [N.march(f, d, rows=rows) for f in (F[0], F) for d in (1, -1)
                       for rows in (None, (13, 37))]
-    psi, phi = gh.solve_cauchy(N, 5, h1, h2).values, gh.solve_cauchy(N, 7, h2, h1).values
+    psi, phi = gh.solve_cauchy(N, 5, h1, h2), gh.solve_cauchy(N, 7, h2, h1)
     out["cauchy"] = [psi, phi]
     out["flux"] = gh.symplectic_form(N, psi, phi, [3, 24, 40])
     out["pairing"] = [N.pairing(F, F[::-1]), N.pairing(F[:, None], F[:4])]

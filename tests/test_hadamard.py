@@ -8,6 +8,7 @@ from moellerlab import greenhyp as gh
 from moellerlab import hadamard as hd
 from moellerlab import moller as mo
 from moellerlab.lattice import make_grid
+from moellerlab.suites import _PerturbedKernel
 
 
 @pytest.fixture(scope="module")
@@ -119,20 +120,11 @@ def test_smoothness_proxy_fixtures(flat64):
     t, x = grid.times, grid.sites
     smooth = 0.05 * np.exp(-((t[:, None] - 0.25) ** 2) / 0.02) * np.sin(2 * np.pi * x[None, :])
     noise = 1e-3 * np.random.default_rng(0).standard_normal((grid.nt, grid.nx))
-
-    class Perturbed:
-        def __init__(self, base, bump):
-            self.base, self.bump, self.grid = base, bump, base.grid
-
-        def column(self, q):
-            n, j = divmod(q, grid.nx)
-            return self.base.column(q) + self.bump * self.bump[n, j]
-
     v_eq = hd.hadamard_verdict(nu, nu, N, probes)
     assert v_eq["passes"] and v_eq["difference_proxy"]["tail_ratio"] == 0.0
-    v_smooth = hd.hadamard_verdict(Perturbed(nu, smooth), nu, N, probes)
+    v_smooth = hd.hadamard_verdict(_PerturbedKernel(nu, smooth), nu, N, probes)
     assert v_smooth["passes"]
-    v_rough = hd.hadamard_verdict(Perturbed(nu, noise), nu, N, probes)
+    v_rough = hd.hadamard_verdict(_PerturbedKernel(nu, noise), nu, N, probes)
     assert not v_rough["passes"]
     assert v_rough["difference_proxy"]["derivative_growth"] > 4.0
     assert v_eq["proxy_for"].startswith("wavefront")
@@ -150,16 +142,7 @@ def test_two_mass_difference_sensitivity(flat64):
     assert v["passes"]
     t, x = grid.times, grid.sites
     smooth = 0.05 * np.exp(-((t[:, None] - 0.25) ** 2) / 0.02) * np.sin(2 * np.pi * x[None, :])
-
-    class Perturbed:
-        def __init__(self, base, bump):
-            self.base, self.bump, self.grid = base, bump, base.grid
-
-        def column(self, q):
-            n, j = divmod(q, grid.nx)
-            return self.base.column(q) + self.bump * self.bump[n, j]
-
-    v_smooth = hd.hadamard_verdict(Perturbed(nu, smooth), nu, N, probes)
+    v_smooth = hd.hadamard_verdict(_PerturbedKernel(nu, smooth), nu, N, probes)
     assert v["difference_proxy"]["tail_ratio"] > v_smooth["difference_proxy"]["tail_ratio"]
 
 
@@ -283,8 +266,6 @@ def test_pullback_columns_match_the_dense_oracle():
 
 
 def test_pullback_needs_a_mode_sum_kernel():
-    from moellerlab.suites import _PerturbedKernel
-
     grid = make_grid(24, 8, 0.0, 0.5, 1.0)
     R = mo.compose_chain(hadamard_chain(grid))
     nu = hd.ultrastatic_vacuum(grid, 1.0)

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moellerlab.geometry import MetricField
-from moellerlab.lattice import (ScalarField, Section, make_grid, periodic_shift, smooth_noise,
-                                smooth_step, weighted_inner_product)
+from moellerlab.geometry import (MetricField, convex_combination, metric_preset, squeeze_metric,
+                                 stored_field)
+from moellerlab.greenhyp import GreenSystem, build_operator, solve_cauchy, wave_operator
+from moellerlab.lattice import make_grid, periodic_shift, smooth_noise, smooth_step
+
+G8 = make_grid(8, 8, 0.0, 1.0, 1.0)
+M8 = metric_preset("minkowski", G8)
+NARROW8 = squeeze_metric(M8, (1.0, 0.0), 0.5)  # cone inside M8's, for the blends
+G16 = GreenSystem(wave_operator(metric_preset("minkowski", make_grid(16, 8, 0.0, 0.5, 1.0))))
 
 
 def test_grid_spacings():
@@ -25,84 +31,31 @@ def test_grid_too_small_rejected():
         make_grid(8, 8, 0.0, 1.0, -1.0)
 
 
-def test_inner_product_single_cell():
-    g = make_grid(8, 8, 0.0, 1.0, 1.0)
-    vals = g.zeros()
-    vals[3, 4] = 1.0
-    f = Section(g, vals)
-    vol = ScalarField.constant(g, 1.0, ScalarField.POSITIVE)
-    assert weighted_inner_product(f, f, vol) == pytest.approx(g.dt * g.dx, rel=1e-14)
-
-
-def test_inner_product_disjoint_supports():
-    g = make_grid(8, 8, 0.0, 1.0, 1.0)
-    a, b = g.zeros(), g.zeros()
-    a[2] = 1.0
-    b[5] = 1.0
-    vol = ScalarField.constant(g, 1.0, ScalarField.POSITIVE)
-    assert weighted_inner_product(Section(g, a), Section(g, b), vol) == 0.0
-
-
-def test_inner_product_matches_double_loop():
-    # brute-force summation oracle on an 8x8 grid
-    g = make_grid(8, 8, 0.0, 1.0, 1.0)
-    rng = np.random.default_rng(0)
-    fv = rng.standard_normal((8, 8))
-    hv = rng.standard_normal((8, 8))
-    volv = rng.uniform(0.5, 2.0, (8, 8))
-    expected = 0.0
-    for n in range(8):
-        for j in range(8):
-            expected += fv[n, j] * hv[n, j] * volv[n, j]
-    expected *= g.dt * g.dx
-    got = weighted_inner_product(Section(g, fv), Section(g, hv),
-                                 ScalarField(g, volv, ScalarField.POSITIVE))
-    assert got == pytest.approx(expected, rel=1e-13)
-
-
-def test_inner_product_bilinear_symmetric_positive():
-    g = make_grid(8, 8, 0.0, 1.0, 1.0)
-    rng = np.random.default_rng(1)
-    vol = ScalarField.constant(g, 1.0, ScalarField.POSITIVE)
-    for _ in range(100):
-        f = Section(g, rng.standard_normal((8, 8)))
-        h = Section(g, rng.standard_normal((8, 8)))
-        sym = weighted_inner_product(f, h, vol) - weighted_inner_product(h, f, vol)
-        assert abs(sym) < 1e-14
-        assert weighted_inner_product(f, f, vol) > 0.0
-    a = Section(g, 2.0 * f.values + h.values)
-    lin = (weighted_inner_product(a, h, vol)
-           - 2.0 * weighted_inner_product(f, h, vol)
-           - weighted_inner_product(h, h, vol))
-    assert abs(lin) < 1e-12
-
-
 def test_shape_mismatch_rejected():
-    g = make_grid(8, 8, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        Section(g, np.zeros((8, 7)))
+    with pytest.raises(ValueError, match=r"field shape \(8, 7\) does not match grid"):
+        stored_field(G8, np.zeros((8, 7)))
 
 
 def test_section_takes_only_the_field_shape():
-    g = make_grid(8, 8, 0.0, 1.0, 1.0)
-    assert Section(g, np.zeros((8, 8))).values.shape == (8, 8)
-    with pytest.raises(ValueError, match=r"section shape \(8, 8, 1\) is not \(nt, nx\) = \(8, 8\)"):
-        Section(g, np.zeros((8, 8, 1)))
+    # a source is one (nt, nx) section or a (K, nt, nx) batch of them
+    assert G16.plus(np.zeros((16, 8))).shape == (16, 8)
+    with pytest.raises(ValueError, match=r"source shape \(16, 8, 1\) is neither \(nt, nx\) = \(16, 8\)"):
+        G16.plus(np.zeros((16, 8, 1)))
 
 
 def test_smooth_step_plateaus_and_midpoint():
     g = make_grid(101, 8, 0.0, 1.0, 1.0)  # level exactly at the window midpoint
     chi = smooth_step(g, 0.3, 0.7)
-    assert np.all(chi.values[g.times < 0.3] == 0.0)
-    assert np.all(chi.values[g.times > 0.7] == 1.0)
+    assert np.all(chi[g.times < 0.3] == 0.0)
+    assert np.all(chi[g.times > 0.7] == 1.0)
     mid = g.level_of_time(0.5)
-    assert chi.values[mid, 0] == pytest.approx(0.5, abs=1e-12)
+    assert chi[mid, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_smooth_step_monotone_and_flat_at_ends():
     g = make_grid(512, 8, 0.0, 1.0, 1.0)
     chi = smooth_step(g, 0.3, 0.7)
-    prof = chi.values[:, 0]
+    prof = chi[:, 0]
     assert np.all(np.diff(prof) >= -1e-15)
     # finite-difference derivative at the switch endpoints
     l0, l1 = g.level_of_time(0.3), g.level_of_time(0.7)
@@ -114,8 +67,9 @@ def test_smooth_step_monotone_and_flat_at_ends():
 @pytest.mark.parametrize("shape, window", [((128, 16), (0.3, 0.7)), ((101, 8), (0.1, 0.9)),
                                            ((37, 4), (0.25, 0.5))])
 def test_smooth_step_matches_its_quadrature_bit_for_bit(shape, window):
-    # the quadrature table is built once per process; each switch equals the
-    # formula evaluated afresh, and a second call equals the first
+    # the quadrature table is built once per process; each switch, a
+    # read-only (nt, 1) column, equals the formula evaluated afresh, and a
+    # second call equals the first
     g = make_grid(*shape, 0.0, 1.0, 1.0)
     t0, t1 = window
     s = np.clip((g.times - t0) / (t1 - t0), 0.0, 1.0)
@@ -129,9 +83,9 @@ def test_smooth_step_matches_its_quadrature_bit_for_bit(shape, window):
     ref[s <= 0.0] = 0.0
     ref[s >= 1.0] = 1.0
     for _ in range(2):
-        chi = smooth_step(g, t0, t1).values
-        assert chi.shape == shape
-        assert np.ascontiguousarray(chi).tobytes() == np.repeat(ref[:, None], g.nx, axis=1).tobytes()
+        chi = smooth_step(g, t0, t1)
+        assert chi.shape == (g.nt, 1) and not chi.flags.writeable
+        assert chi.tobytes() == ref[:, None].tobytes()
 
 
 def test_smooth_step_bad_window():
@@ -142,23 +96,12 @@ def test_smooth_step_bad_window():
         smooth_step(g, -0.1, 0.5)
 
 
-def test_compact_support_window_enforced():
-    g = make_grid(10, 8, 0.0, 1.0, 1.0)
-    vals = g.zeros()
-    vals[4, 3] = 1.0
-    Section(g, vals, support_window=(3, 6))
-    with pytest.raises(ValueError):
-        Section(g, vals, support_window=(5, 6))
-    with pytest.raises(ValueError):
-        Section(g, vals, support_window=(0, 9))
-
-
 def test_scalar_field_range_constraints():
-    g = make_grid(8, 8, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        ScalarField(g, np.full((8, 8), 1.5), ScalarField.UNIT)
-    with pytest.raises(ValueError):
-        ScalarField(g, np.zeros((8, 8)), ScalarField.POSITIVE)
+    # a blend weight lies in [0, 1] and a squeeze factor in (0, 1]
+    with pytest.raises(ValueError, match=r"\[0,1\]"):
+        convex_combination(NARROW8, M8, np.full((8, 8), 1.5))
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        squeeze_metric(M8, (1.0, 0.0), np.zeros((8, 8)))
 
 
 def _poke(shape, fill, index, value):
@@ -167,14 +110,18 @@ def _poke(shape, fill, index, value):
     return a
 
 
-G8 = make_grid(8, 8, 0.0, 1.0, 1.0)
 NONFINITE_BUILDERS = {
     "grid_t_min": lambda i, v: make_grid(8, 8, v, 1.0, 1.0),
     "grid_t_max": lambda i, v: make_grid(8, 8, 0.0, v, 1.0),
     "grid_length": lambda i, v: make_grid(8, 8, 0.0, 1.0, v),
-    "section": lambda i, v: Section(G8, _poke((8, 8), 0.0, i, v)),
-    "scalar_positive": lambda i, v: ScalarField(G8, _poke((8, 8), 1.0, i, v), ScalarField.POSITIVE),
-    "scalar_unit": lambda i, v: ScalarField(G8, _poke((8, 8), 0.5, i, v), ScalarField.UNIT),
+    # fields stored by geometry.stored_field: an operator coefficient, a
+    # positive field (a squeeze factor) and a [0, 1] one (a blend weight)
+    "section": lambda i, v: build_operator(M8, B=_poke((8, 8), 0.0, i, v)),
+    "scalar_positive": lambda i, v: squeeze_metric(M8, (1.0, 0.0), _poke((8, 8), 0.5, i, v)),
+    "scalar_unit": lambda i, v: convex_combination(NARROW8, M8, _poke((8, 8), 0.5, i, v)),
+    # sections where they are used: a Green source and Cauchy data
+    "green_source": lambda i, v: G16.propagator(_poke((16, 8), 0.0, i, v)),
+    "cauchy_data": lambda i, v: solve_cauchy(G16.operator, 3, _poke((8,), 0.0, i, v), np.zeros(8)),
     "metric_g_tt": lambda i, v: MetricField(G8, _poke((8, 8), -1.0, i, v), 0.0, 1.0, 1.0, 0.0),
     "metric_orientation": lambda i, v: MetricField(G8, -1.0, 0.0, 1.0, _poke((8, 8), 1.0, i, v), 0.0),
 }

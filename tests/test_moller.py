@@ -6,7 +6,7 @@ import pytest
 from moellerlab import geometry as geo
 from moellerlab import greenhyp as gh
 from moellerlab import moller as mo
-from moellerlab.lattice import ScalarField, Section, make_grid, smooth_step
+from moellerlab.lattice import make_grid, smooth_step
 from moellerlab.suites import ADJOINT_TOLERANCES, MOLLER_TOLERANCES
 
 from conftest import dense_adjoint, window_section
@@ -31,10 +31,8 @@ def canonical_link(N0, N1, t0=None, t1=None):
     t1 = grid.t_min + 2 * span / 3.0 if t1 is None else t1
     chi = smooth_step(grid, t0, t1)
     nchi = gh.convex_operator(N0, N1, chi)
-    rho = ScalarField(grid, nchi.metric.volume_density() / N0.metric.volume_density(),
-                      ScalarField.POSITIVE)
-    rho_hi = ScalarField(grid, N1.metric.volume_density() / N0.metric.volume_density(),
-                         ScalarField.POSITIVE)
+    rho = nchi.metric.volume_density() / N0.metric.volume_density()
+    rho_hi = N1.metric.volume_density() / N0.metric.volume_density()
     plus = mo.build_rplus(N0, nchi, rho, t0, t1)
     minus = mo.build_rminus(nchi, N1, rho, rho_hi, t0, t1)
     return plus, minus, nchi, rho, rho_hi, (t0, t1)
@@ -44,10 +42,8 @@ def canonical_link(N0, N1, t0=None, t1=None):
 
 def test_trivial_interpolation_gives_identity(grid32, pair32):
     N0, _ = pair32
-    chi0 = ScalarField.constant(grid32, 0.0)
-    nchi = gh.convex_operator(N0, N0, chi0)
-    rho = ScalarField.constant(grid32, 1.0, ScalarField.POSITIVE)
-    step = mo.build_rplus(N0, nchi, rho, 0.17, 0.34)
+    nchi = gh.convex_operator(N0, N0, 0.0)
+    step = mo.build_rplus(N0, nchi, 1.0, 0.17, 0.34)
     rng = np.random.default_rng(0)
     u = rng.standard_normal((grid32.nt, grid32.nx))
     assert np.max(np.abs(step.apply(u) - u)) == 0.0
@@ -83,20 +79,20 @@ def test_step_inverses_round_trip(grid32, pair32):
     plus, minus, *_ = canonical_link(*pair32)
     rng = np.random.default_rng(3)
     for step in (plus, minus):
-        inv = mo.build_inverses(step)
+        inv = step.inverse()
         for _ in range(10):
             f = window_section(grid32, rng, 3, grid32.nt - 3)
-            rt = inv.apply(step.apply(f.values))
-            assert np.max(np.abs(rt - f.values)) < 1e-9 * f.sup_norm()
-            rt = step.apply(inv.apply(f.values))
-            assert np.max(np.abs(rt - f.values)) < 1e-9 * f.sup_norm()
+            rt = inv.apply(step.apply(f))
+            assert np.max(np.abs(rt - f)) < 1e-9 * gh.sup_norms(f)
+            rt = step.apply(inv.apply(f))
+            assert np.max(np.abs(rt - f)) < 1e-9 * gh.sup_norms(f)
 
 
 def test_step_inverse_swaps_ends(grid32, pair32):
     # Id - G^s_{a N_lo}(a N_lo - b N_hi) is, bitwise, Id + G^s_{a N_lo}(b N_hi - a N_lo),
     # and it keeps the step's inert side
     plus, minus, *_ = canonical_link(*pair32)
-    u = window_section(grid32, np.random.default_rng(5), 3, grid32.nt - 3).values
+    u = window_section(grid32, np.random.default_rng(5), 3, grid32.nt - 3)
     for step in (plus, minus):
         inv = step.inverse()
         assert (inv.kind, inv.op_lo, inv.op_hi) == (step.kind, step.op_hi, step.op_lo)
@@ -114,9 +110,8 @@ def test_telescoping_identity(grid32, pair32):
     rng = np.random.default_rng(4)
     # G-_{rho N} f is G-_N (f / rho)
     sys_chi, sys_one = gh.GreenSystem(nchi), gh.GreenSystem(N1)
-    rho, rho_hi = rho.values, rho_hi.values
     for _ in range(10):
-        f = window_section(grid32, rng, 3, grid32.nt - 3).values
+        f = window_section(grid32, rng, 3, grid32.nt - 3)
         gchi = sys_chi.minus(f / rho)
         lhs = sys_one.minus(minus._diff(gchi) / rho_hi)
         rhs = gchi - sys_one.minus(f / rho_hi)
@@ -137,7 +132,7 @@ def generic_link(N0, N1):
     chi = smooth_step(grid, t0, t1)
     nchi = gh.convex_operator(N0, N1, chi)
     # the bump chi is 0 below t0 and 1 above t1
-    rho = ScalarField(grid, 1.0 + 0.7 * chi.values, ScalarField.POSITIVE)
+    rho = 1.0 + 0.7 * chi
     return mo.build_rplus(N0, nchi, rho, t0, t1), mo.build_rminus(nchi, N1, rho, rho, t0, t1)
 
 
@@ -226,7 +221,7 @@ def test_fused_stencil_matches_two_operator_formula(grid32, pair32, kind, link):
                        else generic_link(*pair32))
     step = plus if kind == "plus" else minus
     u = np.random.default_rng(41).standard_normal((3, grid32.nt, grid32.nx))
-    h = np.stack([window_section(grid32, np.random.default_rng(42 + i), 2, grid32.nt - 2).values
+    h = np.stack([window_section(grid32, np.random.default_rng(42 + i), 2, grid32.nt - 2)
                   for i in range(3)])
     cases = [(step, _two_operator_actions(step.sign, step.a, step.b, step.op_lo, step.op_hi)),
              (step.inverse(), _two_operator_actions(step.sign, step.b, step.a, step.op_hi, step.op_lo))]
@@ -348,9 +343,8 @@ def test_build_rplus_rejects_bad_profile(grid32, pair32):
     t0, t1 = span / 3.0, 2 * span / 3.0
     chi = smooth_step(grid32, t0, t1)
     nchi = gh.convex_operator(N0, N1, chi)
-    rho_bad = ScalarField.constant(grid32, 2.0, ScalarField.POSITIVE)
     with pytest.raises(ValueError, match="profile"):
-        mo.build_rplus(N0, nchi, rho_bad, t0, t1)
+        mo.build_rplus(N0, nchi, 2.0, t0, t1)
 
 
 def test_build_steps_require_comparability(grid32, pair32):
@@ -358,8 +352,38 @@ def test_build_steps_require_comparability(grid32, pair32):
     narrow = gh.wave_operator(
         geo.squeeze_metric(N0.metric, (1.0, 0.0), 0.5), 1.0)
     with pytest.raises(ValueError, match="cone"):
-        mo.build_rplus(N0, narrow, ScalarField.constant(grid32, 1.0, ScalarField.POSITIVE),
-                       0.17, 0.34)
+        mo.build_rplus(N0, narrow, 1.0, 0.17, 0.34)
+
+
+def test_build_steps_refuse_nonpositive_volume_ratios(grid32, pair32):
+    # a caller's rho <= 0, on one level or everywhere, is refused before a step divides by it
+    N0, N1 = pair32
+    _, _, nchi, rho, rho_hi, (t0, t1) = canonical_link(N0, N1)
+    dip = np.array(rho)
+    dip[grid32.nt // 2] = 0.0
+    for bad in (0.0, -rho, dip):
+        with pytest.raises(ValueError, match="volume ratio must be positive"):
+            mo.build_rplus(N0, nchi, bad, t0, t1)
+        with pytest.raises(ValueError, match="volume ratio must be positive"):
+            mo.build_rminus(nchi, N1, bad, rho_hi, t0, t1)
+        with pytest.raises(ValueError, match="volume ratio must be positive"):
+            mo.build_rminus(nchi, N1, rho, bad, t0, t1)
+
+
+def test_laws_leave_read_only_fields_alone(grid32):
+    # random_dictionary's sections and smooth_step's switch (read by
+    # compose_chain and exactness_check) are read-only, so a law that wrote
+    # into its input would raise here
+    mink = geo.metric_preset("minkowski", grid32)
+    R = mo.compose_chain(geo.build_chain(mink, geo.metric_preset("conformal", grid32, mu=2.0)))
+    d = mo.random_dictionary(grid32, 4, seed=2, window=(4, grid32.nt - 4))
+    chi = smooth_step(grid32, grid32.times[8], grid32.times[16])
+    assert not d.flags.writeable and not chi.flags.writeable
+    rep = mo.verify_moller_identities(R, d, sympl_pairs=2)
+    assert all(v <= MOLLER_TOLERANCES[k] for k, v in rep.items()), rep
+    rep = mo.verify_adjoint_laws(R, d)
+    assert all(v <= ADJOINT_TOLERANCES[k] for k, v in rep.items()), rep
+    assert max(gh.exactness_check(R.op_start, count=2).values()) < 1e-9
 
 
 # -- composed operators ------------------------------------------------------------
@@ -370,7 +394,7 @@ def test_degenerate_chain_is_identity(grid32):
     R = mo.compose_chain(chain)
     rng = np.random.default_rng(7)
     f = window_section(grid32, rng, 4, grid32.nt - 4)
-    assert np.max(np.abs(R.apply(f.values) - f.values)) < 1e-9 * f.sup_norm()
+    assert np.max(np.abs(R.apply(f) - f)) < 1e-9 * gh.sup_norms(f)
 
 
 def test_two_step_structure(grid32):
@@ -406,10 +430,10 @@ def test_batched_laws_equal_worst_of_single_sections(grid32, target):
     d = mo.random_dictionary(grid32, 5, seed=23, window=(4, grid32.nt - 4))
     for obj in [s for s in R.steps if isinstance(s, mo.MollerStep)] + [R]:
         batch = mo.verify_intertwine(obj, d)["intertwine"]
-        looped = max(mo.verify_intertwine(obj, [f])["intertwine"] for f in d)
+        looped = max(mo.verify_intertwine(obj, f[None])["intertwine"] for f in d)
         assert abs(batch - looped) <= 1e-13
     batch = mo.verify_moller_identities(R, d, sympl_pairs=1)
-    singles = [mo.verify_moller_identities(R, [f], sympl_pairs=1) for f in d]
+    singles = [mo.verify_moller_identities(R, f[None], sympl_pairs=1) for f in d]
     assert set(batch) == set(singles[0])
     for law, value in batch.items():
         assert abs(value - max(rep[law] for rep in singles)) <= 1e-13, law
@@ -480,8 +504,8 @@ def test_group_like_composition(grid32):
     rng = np.random.default_rng(11)
     for _ in range(5):
         f = window_section(grid32, rng, 4, grid32.nt - 4)
-        v1 = RAB.apply(f.values)
-        v2 = RB.apply(RA.apply(f.values))
+        v1 = RAB.apply(f)
+        v2 = RB.apply(RA.apply(f))
         assert np.max(np.abs(v1 - v2)) < 1e-9 * np.max(np.abs(v2))
 
 
@@ -564,13 +588,13 @@ def test_restrict_to_solutions(grid32):
     R = mo.compose_chain(geo.build_chain(mink, conf))
     rng = np.random.default_rng(14)
     mapped = mo.restrict_to_solutions(R, kind="ker")
-    zero = mapped(Section.zero(grid32))
-    assert zero.sup_norm() == 0.0
+    zero = mapped(grid32.zeros())
+    assert gh.sup_norms(zero) == 0.0
     for _ in range(5):
         psi = gh.solve_cauchy(R.op_start, 3, rng.standard_normal(grid32.nx),
                               rng.standard_normal(grid32.nx))
         out = mapped(psi)
-        assert R.op_end.interior_residual(out.values) < 1e-8 * psi.sup_norm()
+        assert R.op_end.interior_residual(out) < 1e-8 * gh.sup_norms(psi)
     with pytest.raises(ValueError, match="homogeneous"):
         mapped(window_section(grid32, rng, 4, grid32.nt - 4))
 
@@ -585,7 +609,7 @@ def test_sol_restriction_source_relation(grid32):
     psi = gh.GreenSystem(R.op_start).plus(f)
     out = R.apply(psi)
     lhs = R.op_end.apply(out)
-    rhs = f.values / R.c_prime
+    rhs = f / R.c_prime
     assert np.max(np.abs((lhs - rhs)[1:-1])) < 1e-9 * np.max(np.abs(rhs))
 
 
@@ -595,9 +619,8 @@ def test_sol_restriction_checks_source_and_image(grid32):
     R = mo.compose_chain(geo.build_chain(mink, conf))
     rng = np.random.default_rng(17)
     mapped = mo.restrict_to_solutions(R, kind="sol")
-    psi = Section(grid32, gh.GreenSystem(R.op_start).plus(
-        window_section(grid32, rng, 6, grid32.nt - 6)))
-    assert np.array_equal(mapped(psi).values, R.apply(psi.values))
+    psi = gh.GreenSystem(R.op_start).plus(window_section(grid32, rng, 6, grid32.nt - 6))
+    assert np.array_equal(mapped(psi), R.apply(psi))
     # a section whose source N u reaches equation row 1 is no compact-source solution
     with pytest.raises(ValueError, match="rows 1 and nt-2"):
         mapped(window_section(grid32, rng, 1, grid32.nt - 6))
@@ -613,14 +636,14 @@ def test_adjoint_maps_compacts_to_compacts(grid32):
     l0 = grid32.level_of_time(0.5 / 3.0)
     l1 = grid32.level_of_time(1.0 / 3.0)
     f = window_section(grid32, rng, l0 + 2, l0 + 4)
-    out = R.adjoint_apply(f.values)
-    tiny = 1e-12 * f.sup_norm()
+    out = R.adjoint_apply(f)
+    tiny = 1e-12 * gh.sup_norms(f)
     assert np.max(np.abs(out[:2])) < tiny
     assert np.max(np.abs(out[-2:])) < tiny
     assert np.max(np.abs(out[l1 + 3:])) < tiny  # nothing above the hull
     # the forward map, by contrast, lands in solutions and spreads in time:
     # only the weighted transpose is required to preserve window compactness
-    out2 = R.apply(f.values)
+    out2 = R.apply(f)
     assert np.max(np.abs(out2[-2:])) > tiny
 
 
@@ -679,7 +702,7 @@ def test_adjoint_laws_batch_equals_worst_single_section(grid32, target):
     R = mo.compose_chain(geo.build_chain(mink, other))
     d = mo.random_dictionary(grid32, 5, seed=23, window=(4, grid32.nt - 4))
     batch = mo.verify_adjoint_laws(R, d)
-    singles = [mo.verify_adjoint_laws(R, [f]) for f in d]
+    singles = [mo.verify_adjoint_laws(R, f[None]) for f in d]
     for law, value in batch.items():
         assert abs(value - max(rep[law] for rep in singles)) <= 1e-13, law
 
@@ -691,7 +714,7 @@ def test_laws_read_one_carried_march_bit_for_bit(monkeypatch):
     # symplectic law's own batches
     from moellerlab import suites
     R, d = _selftest_chain()
-    u = np.stack([f.values for f in d])
+    u = d
     carried = R.carry(u)
     assert len(carried) == len(R.steps) + 1
     assert np.array_equal(carried[-1].view(np.uint64), R.apply(u).view(np.uint64))
@@ -956,5 +979,5 @@ def test_chain_builds_each_principal_stencil_once(grid32, monkeypatch):
         assert same(op.offsets, own.offsets)
     for s, t in zip(R.steps, given.steps, strict=True):
         assert same(s.D, t.D) and same(s.DT, t.DT) and same(s.op_hi.offsets, t.op_hi.offsets)
-    u = np.stack([f.values for f in mo.random_dictionary(grid32, 3, seed=4, window=(4, 28))])
+    u = mo.random_dictionary(grid32, 3, seed=4, window=(4, 28))
     assert same({0: R.apply(u)}, {0: given.apply(u)})
