@@ -643,7 +643,7 @@ def _half_chain_to_flat(g):
                  ParacausalChain.FWD, ParacausalChain.REV]
         return mets, flags
     u1 = _ultrastatic(grid, 1.0)
-    alpha = tune_alpha(u1, ghat)
+    alpha = tune_alpha(ghat)
     ualpha = alpha_rescale(u1, alpha)
     h = paracausal_witness(ualpha, ghat)
     if h is None:
@@ -696,7 +696,7 @@ def alpha_rescale(g_split: MetricField, alpha) -> MetricField:
     return MetricField(g_split.grid, -1.0, 0.0, av * xx / -tt, ot, 0.0)
 
 
-def tune_alpha(g_split: MetricField, gp: MetricField) -> np.ndarray:
+def tune_alpha(gp: MetricField) -> np.ndarray:
     """Per-time-level 1/alpha = max_x ||W||^2/|Z|^2 + 1, mollified, as an (nt, 1) column.
 
     Z n + W is the split of the g'-normal of the constant-t slices against

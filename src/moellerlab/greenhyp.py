@@ -22,29 +22,32 @@ their shape, and ``as_dense`` is a derived view.
 Green operators are realized as causal triangular solves: the equation rows
 at levels 1..nt-2 are marched forward (retarded) or backward (advanced) in
 time.  A level's new-time-slice system comes in two kinds, read off the
-offsets.  When g^tx = 0 everywhere the new level couples each site only to
-itself, offset (a, 0), and a level is one division by the stencil's
-diagonal.  Otherwise the level is solved as a band: the cross offsets
-(a, +-1) couple site j to j-1, j, j+1 (mod nx); numbered in the interleaved
-order 0, 1, nx-1, 2, nx-2, ... that is a plain band with kl = ku = 2,
-factored once per level by LAPACK's banded LU and cached, so the factors
-hold 8 floats per point and direction.  Either way a march takes time
-linear in nx.  The march is refused (:class:`MarchError`) unless it is
-stable, g^tt and g^xx keeping opposite signs, the same at every point
-(:func:`axis_class`), and the time step keeps the CFL bound.  Sources must
+offsets.  Each level's equation rows are divided by the stencil's diagonal,
+offset (a, 0), when its coefficients are stacked.  When g^tx = 0
+everywhere the new level couples each site only to itself, and that
+division is the whole solve.  Otherwise the level is solved as a band with
+a unit diagonal: the cross offsets (a, +-1) couple site j to j-1, j, j+1
+(mod nx); numbered in the interleaved order 0, 1, nx-1, 2, nx-2, ... that
+is a plain band with kl = ku = 2, factored once per level by LAPACK's
+banded LU and cached, so the factors hold 8 floats per point and
+direction.  Either way a march takes time linear in nx.  The march is
+refused (:class:`MarchError`) unless it is stable, g^tt and g^xx keeping
+opposite signs, the same at every point (:func:`axis_class`), and the time
+step keeps the CFL bound.  Sources must
 vanish on the first two (resp. last two) time levels, the discrete stand-in
 for past (future) compact support in the window.
 
 Fields are (nt, nx) arrays.  ``HyperbolicOperator.apply``, the march and
 the Green systems also take a leading batch axis, (K, nt, nx): the K
-columns then share one level loop and one solve per level, so a kernel
+columns then share one level loop, so a kernel
 block or a dense matrix costs a few marches, not one per column.  The batch
-is the whole interface; there is no batch-size setting.  A level is three
+is the whole interface; there is no batch-size setting.  A level is two
 numpy calls: one ``take`` gathers the known rows and the level's source
-row, which waits on the level it solves for (:class:`_Step`), one einsum
-folds them into the right-hand side, and one solve writes the level.  The
-einsum adds its terms in the same order for every K, so a column's bits do
-not depend on the batch it is marched in.
+row, which waits on the level it solves for (:class:`_Step`), and one
+einsum against coefficient rows already divided by the diagonal writes
+the level; the band path then solves it in place.  The einsum adds its
+terms in the same order for every K, so a column's bits do not depend on
+the batch it is marched in.
 
 A stencil may be applied on a range of rows only (:func:`stencil_apply`;
 ``HyperbolicOperator.apply`` is its whole-window case), and a march may
@@ -487,8 +490,9 @@ class HyperbolicOperator:
 
         f is one (nt, nx) source or a batch (K, nt, nx) of K sources; the
         result has the same shape.  A single source is the K = 1 case: every
-        column goes through one level loop, and each level solves one (nx, K)
-        right-hand side with the cached level factorisation.  Seeds of shape
+        column goes through one level loop, where each level is one take and
+        one einsum for all K columns (:class:`_Step`), then, on the band
+        path, one solve with the cached level factorisation.  Seeds of shape
         (nx,) are shared by all columns; seeds of shape (K, nx) give each
         column of a batch its own.
         """
@@ -518,52 +522,64 @@ class HyperbolicOperator:
 class _Step:
     """One march step of an operator: level n + a from levels n and n - a and the source F[n].
 
+    Row n of the step reads as d x + sum_m C_m u_m = F[n]: x is level n + a
+    at offset (a, 0), d that offset's entry (the diagonal), and the u_m the
+    m known rows (offsets (0, b) on level n and (-a, b) on level n - a).
     Before a leg starts, each marched row's source F[n] is copied into the
     level n + a that the row writes, which no row reads earlier.  A level is
     then one ``take`` of the (m + 1, nx) site index from the window
-    u[n - 1 : n + 2], rows of K columns, giving the m known rows (offsets
-    (0, b) on level n and (-a, b) on level n - a) and the source row, and
-    one einsum against the coefficient row: the m known offsets negated and
-    a constant +1.  The summed axis leads, so the einsum adds the m + 1
-    terms in order for every K; as (-c) u is -(c u) exactly, the result is
-    F[n] minus the known part summed in order, bit for bit, and a column's
-    bits do not depend on the batch width K.  The subclass solves the
-    new-level system, offsets (a, b), for that right-hand side.
+    u[n - 1 : n + 2], rows of K columns, giving the m known rows and the
+    source row, and one einsum against the coefficient row, -C_m / d for
+    each known offset and 1 / d for the source, written straight into level
+    n + a.  The summed axis leads, so the einsum adds the m + 1 terms in
+    order for every K, and a column's bits do not depend on the batch width
+    K.  On a site step that is the level; the band path solves its
+    unit-diagonal level system (:class:`_BandedStep`) in place after it.
 
-    The coefficient rows are stacked at the width the known offsets are
-    stored at: a (levels, width, m + 1) buffer, width 1 when every known
-    offset is an (nt, 1) column and nx otherwise, a block of levels at a
-    time, as many as :data:`_BLOCK_BYTES` holds, the last block cached.  The
-    einsum reads the block as a read-only ``broadcast_to`` view along x, a
-    stride-0 operand that keeps the summation order, so the bits are those
-    of a whole-field block.  A per-level operator's window (m + 1 floats a
-    level: 6553 levels when m = 4) is then one block, stacked once for all
-    marches; an x-varying window wider than one block is stacked block by
-    block in each march.
+    The diagonal must not vanish on equation rows 1 .. nt-2; rows 0 and
+    nt-1 write no level, so their diagonal, zero at one end of the window,
+    is never divided by.  The coefficient rows are stacked at the width the
+    known offsets and the diagonal are stored at: a (levels, width, m + 1)
+    buffer, width 1 when each of them is an (nt, 1) column and nx
+    otherwise, a block of levels at a time, as many as :data:`_BLOCK_BYTES`
+    holds, the last block cached.  The einsum reads the block as a
+    read-only ``broadcast_to`` view along x, a stride-0 operand that keeps
+    the summation order, so the bits are those of a whole-field block.  A
+    per-level operator's window (m + 1 floats a level: 6553 levels when
+    m = 4) is then one block, stacked once for all marches; an x-varying
+    window wider than one block is stacked block by block in each march.
     """
 
+    solve = None  # the band path's level solve, run on the level the einsum wrote
+
     def __init__(self, op: HyperbolicOperator, a: int):
-        nx = op.grid.nx
+        nt, nx = op.grid.nt, op.grid.nx
         self.a = a
+        self.diag = op.offsets[(a, 0)] if (a, 0) in op.offsets else np.zeros((nt, 1))
+        if not self.diag[1:-1].all():
+            raise _singular(1 + int(np.argmax(~self.diag[1:-1].all(axis=1))))
         known = [(c, b) for c in (0, -a) for b in (-1, 0, 1) if (c, b) in op.offsets]
         # level n + c is row c + 1 of the window, read at sites j + b; the
         # source waits on level n + a
         level, shift = np.array([(c + 1, b) for c, b in known] + [(a + 1, 0)]).T[..., None]
         self.gather = level * nx + (np.arange(nx) + shift) % nx
         self.known = [op.offsets[k] for k in known]
-        width, terms = _width(self.known), len(self.gather)  # m + 1 terms a level
-        self.levels = min(_block_levels(8 * width * terms), op.grid.nt)
+        width, terms = _width([*self.known, self.diag]), len(self.gather)  # m + 1 terms a level
+        self.levels = min(_block_levels(8 * width * terms), nt)
         self.buffer = np.empty((self.levels, width, terms))
-        self.buffer[..., -1] = 1.0  # the source's coefficient, never restacked
         self.first, self.block = 0, self.buffer[:0]  # empty: the first level stacks
 
     def _stack(self, n):
         """Stack the block of levels that holds level n; return its first level and its view."""
-        L = self.levels
+        L, nt = self.levels, len(self.diag)
         self.first = first = n - n % L
-        rows = self.buffer[:len(self.known[0]) - first]  # L levels, or the window's last ones
+        rows = self.buffer[:nt - first]  # L levels, or the window's last ones
+        lo, hi = max(first, 1), min(first + L, nt - 1)  # rows 0 and nt - 1 are never read
+        eq, d = rows[lo - first:hi - first], self.diag[lo:hi]
+        np.divide(1.0, d, out=eq[..., -1])
+        d = np.negative(d)  # C / (-d) is -(C / d) exactly
         for i, C in enumerate(self.known):
-            np.negative(C[first:first + L], out=rows[..., i])
+            np.divide(C[lo:hi], d, out=eq[..., i])
         self.block = np.broadcast_to(rows, rows.shape[:1] + self.gather.shape[::-1])
         return first, self.block
 
@@ -575,7 +591,7 @@ class _Step:
         a, gather, solve = self.a, self.gather, self.solve
         n0, n1 = sorted((levels[0], levels[-1]))
         u[n0 + a:n1 + a + 1] = F[n0:n1 + 1]  # each source waits on the level its row writes
-        flat, rhs = u.reshape(-1, K), np.empty((nx, K))  # flat: u's sites, level after level
+        flat = u.reshape(-1, K)  # u's sites, level after level
         first, block = self.first, self.block
         end = first + len(block)
         for n in levels:
@@ -583,8 +599,10 @@ class _Step:
                 first, block = self._stack(n)
                 end = first + len(block)
             window = flat[(n - 1) * nx:(n + 2) * nx].take(gather, axis=0)  # (m + 1, nx, K)
-            np.einsum("xm,mxk->xk", block[n - first], window, out=rhs)  # F[n] - known part
-            solve(n, rhs, u[n + a])
+            new = u[n + a]
+            np.einsum("xm,mxk->xk", block[n - first], window, out=new)  # (F[n] - known part) / d
+            if solve is not None:
+                solve(n, new)
 
 
 def _singular(n):
@@ -594,20 +612,10 @@ def _singular(n):
 class _SiteStep(_Step):
     """A step whose new level couples each site only to itself (no (a, +-1) offset).
 
-    The level system is diagonal, so the solve divides the folded
-    right-hand side F[n] - (known part) by the (a, 0) stencil entry, read
-    in place, which is what the banded solve does with a diagonal band.
+    The level system is its diagonal, already divided into the stacked
+    coefficient rows, so the einsum writes the level and there is nothing
+    to solve; the band path on the same diagonal band gives the same bits.
     """
-
-    def __init__(self, op: HyperbolicOperator, a: int):
-        super().__init__(op, a)
-        self.diag = op.offsets[(a, 0)] if (a, 0) in op.offsets else np.zeros((op.grid.nt, 1))
-        if not self.diag[1:-1].all():
-            raise _singular(1 + int(np.argmax(~self.diag[1:-1].all(axis=1))))
-        self.divisor = self.diag[:, :, None]  # level n: one value per site, for all K columns
-
-    def solve(self, n, rhs, out):
-        np.divide(rhs, self.divisor[n], out=out)
 
 
 class _BandedStep(_Step):
@@ -615,8 +623,10 @@ class _BandedStep(_Step):
 
     The new-level coupling is a band in interleaved site order (module
     docstring); its LAPACK band storage is filled straight from the offsets,
-    factored once per level with dgbtrf and solved with dgbtrs, rows
-    permuted in and out.
+    each row divided by the diagonal the einsum divided its right-hand side
+    by, so the band has a unit diagonal.  It is factored once per level with
+    dgbtrf and solved with dgbtrs in place on the level, rows permuted in
+    and out; on a diagonal band dgbtrs divides by 1.0, the site path's bits.
     """
 
     def __init__(self, op: HyperbolicOperator, a: int):
@@ -640,18 +650,18 @@ class _BandedStep(_Step):
     def factor(self, n):
         if n not in self.factors:
             nx = len(self.pos)
-            vals = np.stack([np.broadcast_to(C[n], (nx,)) for C in self.new]).ravel()
-            ab = np.bincount(self.band, vals, minlength=self.ldab * nx).reshape(nx, -1)
+            vals = np.stack([np.broadcast_to(C[n], (nx,)) for C in self.new]) / self.diag[n]
+            ab = np.bincount(self.band, vals.ravel(), minlength=self.ldab * nx).reshape(nx, -1)
             lu, piv, info = self.dgbtrf(ab.T, self.kl, self.kl, overwrite_ab=True)
             if info > 0:
                 raise _singular(n)
             self.factors[n] = (lu, piv)
         return self.factors[n]
 
-    def solve(self, n, rhs, out):
+    def solve(self, n, x):
         lu, piv = self.factor(n)
-        x, _ = self.dgbtrs(lu, self.kl, self.kl, rhs[self.order], piv, overwrite_b=True)
-        np.take(x, self.pos, axis=0, out=out, mode="clip")  # "raise" buffers out
+        y, _ = self.dgbtrs(lu, self.kl, self.kl, x[self.order], piv, overwrite_b=True)
+        np.take(y, self.pos, axis=0, out=x, mode="clip")  # "raise" buffers out
 
 
 # -- constructors -------------------------------------------------------------
@@ -997,6 +1007,8 @@ def symplectic_form(N: HyperbolicOperator, psi, phi, slice_index):
     cuts = [int(n) for n in np.atleast_1d(slice_index)]
     if any(n < 0 or n > g.nt - 2 for n in cuts):
         raise ValueError("slice must have a successor level inside the window")
+    if not (np.isfinite(psi).all() and np.isfinite(phi).all()):  # nan passes any residual test
+        raise ValueError("symplectic form arguments must be finite")
     tol = 1e-8 * np.maximum(np.maximum(sup_norms(psi), sup_norms(phi)), 1.0)
     if np.any(N.interior_residual(psi) > tol) or np.any(N.interior_residual(phi) > tol):
         raise ValueError("arguments must be homogeneous solutions")

@@ -513,6 +513,8 @@ def restrict_to_solutions(R: MollerOperator, kind="ker", tol=1e-8):
 
     def mapped(u):
         u = np.asarray(u, dtype=float)
+        if not np.isfinite(u).all():  # nan passes any residual test
+            raise ValueError("input must be finite")
         scale = max(float(np.max(np.abs(u))), 1e-300)
         source = R.op_start.apply(u)
         if kind == "ker" and sup_norms(source[1:-1]) > tol * scale:

@@ -4,46 +4,39 @@ A report must name the same scenarios, suites and laws in the same order,
 with the same verdicts, the same ``info`` keys, the same strings and integers
 and the same exit code.  Each float may move by at most REL times the larger
 of its golden value and its law's tolerance.  A change that moves a value on
-purpose rewrites the files with ``tests/golden/regenerate.py``.
+purpose rewrites the files with ``tests/golden/regenerate.py``, and
+``tests/golden/moved.py`` lists what moved, by the same rule.
 """
 
 import copy
 import importlib.util
 import json
-import math
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
 INDEX = json.loads((GOLDEN / "index.json").read_text())
-REL = 1e-6
-
-_spec = importlib.util.spec_from_file_location("regenerate", GOLDEN / "regenerate.py")
-regenerate = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(regenerate)
 
 
-def assert_matches(new, old, scale=0.0, where="report"):
-    """new holds to old: floats within REL * max(|old|, scale), all else exactly."""
-    if isinstance(old, dict):
-        assert isinstance(new, dict) and list(new) == list(old), (where, list(new), list(old))
-        if "law" in old:  # a check: its floats are measured against its tolerance
-            where, scale = f"{where}[{old['law']}]", old["tolerance"]
-        for key in old:
-            assert_matches(new[key], old[key], scale, f"{where}.{key}")
-    elif isinstance(old, list):
-        assert isinstance(new, list) and len(new) == len(old), (where, len(new), len(old))
-        for k, (a, b) in enumerate(zip(new, old)):
-            assert_matches(a, b, scale, f"{where}[{k}]")
-    elif isinstance(old, float):
-        assert isinstance(new, float), (where, new, old)
-        if math.isfinite(old):
-            assert abs(new - old) <= REL * max(abs(old), scale), (where, new, old)
-        else:
-            assert new == old or math.isnan(new) and math.isnan(old), (where, new, old)
-    else:
-        assert type(new) is type(old) and new == old, (where, new, old)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, GOLDEN / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+regenerate, moved = _load("regenerate"), _load("moved")
+REL = moved.REL
+
+
+def assert_matches(new, old):
+    """new holds to old: floats within REL * max(|old|, tolerance), all else exactly."""
+    found = list(moved.differences(new, old))
+    assert not found, found[:5]
 
 
 def test_golden_set_is_the_regenerated_set():
@@ -83,3 +76,28 @@ def test_report_holds_to_its_golden_file(name, tmp_path):
     assert regenerate.run(INDEX[name]["argv"], tmp_path) == INDEX[name]["exit"]
     assert_matches(json.loads((tmp_path / "report.json").read_text()),
                    json.loads((GOLDEN / f"{name}.json").read_text()))
+
+
+def test_moved_lists_an_edited_residual(tmp_path):
+    # the script, run on a golden file and a copy with one residual moved
+    # past the allowance, prints that residual alone with its law's tolerance
+    name = "moller-seed-3.json"
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir(), new.mkdir()
+    shutil.copy(GOLDEN / name, old / name)
+    report = json.loads((GOLDEN / name).read_text())
+    check = report["suites"]["moller"]["checks"][1]
+    before = check["residual"]
+    check["residual"] = after = before + 2 * REL * check["tolerance"]
+    (new / name).write_text(json.dumps(report))
+
+    def run(a, b):
+        return subprocess.run([sys.executable, str(GOLDEN / "moved.py"), str(a), str(b)],
+                              capture_output=True, text=True)
+
+    same = run(old, old)
+    assert (same.returncode, same.stdout) == (0, "")
+    edited = run(old, new)
+    where = f"{name}.suites.moller.checks[1][{check['law']}].residual"
+    assert edited.returncode == 1
+    assert edited.stdout == f"{where}: {before!r} -> {after!r} (tolerance {check['tolerance']!r})\n"

@@ -705,6 +705,19 @@ def test_symplectic_form_over_many_cuts_checks_the_solutions_once(kg48, grid48, 
         gh.symplectic_form(kg48, psi, phi, [0, grid48.nt - 1])
 
 
+def test_symplectic_form_refuses_non_finite_arguments():
+    # nan compares False with any residual bound, so it is refused up front
+    g = make_grid(32, 32, 0.0, 0.5, 1.0)
+    N = gh.wave_operator(geo.metric_preset("minkowski", g), 1.0)
+    rng = np.random.default_rng(18)
+    psi = gh.solve_cauchy(N, 4, rng.standard_normal(g.nx), rng.standard_normal(g.nx))
+    bad = psi.copy()
+    bad[10, 3] = np.nan
+    for args in ((bad, psi), (psi, bad)):
+        with pytest.raises(ValueError, match="must be finite"):
+            gh.symplectic_form(N, *args, 5)
+
+
 def test_symplectic_needs_selfadjoint(grid48, mink48):
     N = gh.build_operator(mink48, A0=0.5, B=1.0)
     rng = np.random.default_rng(11)
@@ -922,7 +935,7 @@ def test_cached_factors_are_linear_in_nx():
 
 def test_shift_free_steps_cache_no_band_factors():
     # g^tx = 0: each new-level site stands alone, so no band is
-    # factored and the solve divides by the stencil's own diagonal
+    # factored and the stacked rows divide by the stencil's own diagonal
     for nx in (32, 64):
         g = make_grid(64, nx, 0.0, 0.5, 1.0)
         N = gh.build_operator(geo.metric_preset("minkowski", g), B=1.0)
@@ -1132,6 +1145,61 @@ def test_singular_level_raises_naming_the_level(name):
     with pytest.raises(np.linalg.LinAlgError, match="the level-7 system of the march is singular"):
         bad.march(f, 1)
     assert np.max(np.abs(bad.march(f, -1))) == 0.0  # the backward march never solves row 7 for level 8
+
+
+def test_band_level_with_a_zero_diagonal_is_refused():
+    # the band path divides each row by its (a, 0) entry too, so one zero
+    # diagonal entry is refused even where (a, +-1) still reach the level
+    N = gh.wave_operator(_tilted_warp(24, 12), 1.0)
+    offsets = {k: v.copy() for k, v in N.offsets.items()}
+    offsets[(1, 0)][7, 4] = 0.0
+    bad = gh.HyperbolicOperator(N.metric, offsets)
+    f = np.zeros((N.grid.nt, N.grid.nx))
+    with pytest.raises(np.linalg.LinAlgError, match="the level-7 system of the march is singular"):
+        bad.march(f, 1)
+    assert isinstance(bad._step(-1), gh._BandedStep)
+
+
+def _fold_operator(name):
+    if name == "tilted-warp":
+        return gh.wave_operator(_tilted_warp(24, 12), 1.0)
+    return gh.wave_operator(geo.metric_preset("minkowski", make_grid(24, 12, 0.0, 0.5, 1.0)), 1.0)
+
+
+@pytest.mark.parametrize("name", ["minkowski", "tilted-warp"])
+def test_stacked_rows_are_the_known_offsets_over_the_diagonal(name):
+    # on equation rows 1 .. nt-2 a step's block holds -C/d for each known
+    # offset, in the gather's order, and 1/d for the source, d the (a, 0)
+    # diagonal, bit for bit, at the stored width: 1 constant along x, else nx
+    N = _fold_operator(name)
+    g = N.grid
+    width = 1 if name == "minkowski" else g.nx
+    for a in (1, -1):
+        step = N._step(a)
+        d = N.offsets[(a, 0)][1:-1]
+        known = [N.offsets[(c, b)][1:-1] for c in (0, -a) for b in (-1, 0, 1) if (c, b) in N.offsets]
+        assert step._stack(1)[0] == 0 and step.buffer.shape == (g.nt, width, len(known) + 1)
+        want = np.stack([np.broadcast_to(x, (g.nt - 2, width))
+                         for x in [*(-(C / d) for C in known), 1.0 / d]], axis=-1)
+        assert np.array_equal(step.buffer[1:-1].view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("preset, params", [("minkowski", {}), ("rotated-minkowski", {}),
+                                            ("warped", {"amp": 0.3}), ("tilted", {"deg": 12.0})])
+def test_march_solves_the_equation_rows(preset, params):
+    # unit-size sources, both directions: N u = f on rows 1 .. nt-2 to
+    # round-off of the stencil, on a negative diagonal (the x-class
+    # rotated metric) and on the band path (tilted) alike
+    g = make_grid(48, 32, 0.0, 0.5, 1.0)
+    N = gh.wave_operator(geo.metric_preset(preset, g, **params), 1.0)
+    F = np.zeros((3, g.nt, g.nx))
+    F[:, 2:-2] = np.random.default_rng(39).standard_normal((3, g.nt - 4, g.nx))
+    big = max(np.max(np.abs(C)) for C in N.offsets.values())
+    for direction in (1, -1):
+        residual = (N.apply(N.march(F, direction)) - F)[:, 1:-1]
+        assert np.max(np.abs(residual)) <= 1e-13 * big
+    assert (np.max(N.offsets[(1, 0)][1:-1]) < 0.0) == (preset == "rotated-minkowski")
+    assert isinstance(N._steps[1], gh._BandedStep if preset == "tilted" else gh._SiteStep)
 
 
 def test_green_plus_inverts_operator_at_fine_grid():

@@ -597,6 +597,10 @@ def test_restrict_to_solutions(grid32):
         assert R.op_end.interior_residual(out) < 1e-8 * gh.sup_norms(psi)
     with pytest.raises(ValueError, match="homogeneous"):
         mapped(window_section(grid32, rng, 4, grid32.nt - 4))
+    psi[10, 3] = np.nan  # nan compares False with any residual bound
+    for kind in ("ker", "sol"):
+        with pytest.raises(ValueError, match="must be finite"):
+            mo.restrict_to_solutions(R, kind=kind)(psi)
 
 
 def test_sol_restriction_source_relation(grid32):
