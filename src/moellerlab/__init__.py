@@ -7,12 +7,11 @@ runner for the batteries."""
 from .lattice import SpacetimeGrid, make_grid, smooth_step
 from .geometry import (ALIGNED, REVERSED, ChainObstruction, MetricField,
                        ParacausalChain, alpha_rescale, build_chain,
-                       causal_future, classify_vector, closed_causal_exists,
-                       cone_inclusion, cones_intersect_future,
-                       convex_combination, inverse_metric, metric_from_arcs,
-                       metric_preset, musical_flat, musical_sharp,
-                       paracausal_witness, preceq, sharp_interpolation,
-                       squeeze_metric, tune_alpha)
+                       causal_future, closed_causal_exists, cone_inclusion,
+                       cones_intersect_future, convex_combination,
+                       metric_from_arcs, metric_preset, paracausal_witness,
+                       preceq, sharp_interpolation, squeeze_metric,
+                       tune_alpha)
 from .greenhyp import (CFLError, GreenSystem, HyperbolicOperator, MarchError,
                        SymbolMismatch, UnstableMarch, axis_class,
                        build_operator, convex_operator, exactness_check,
@@ -21,16 +20,15 @@ from .greenhyp import (CFLError, GreenSystem, HyperbolicOperator, MarchError,
                        wave_operator)
 from .moller import (MollerObstruction, MollerOperator, MollerStep,
                      build_rminus, build_rplus,
-                     compose_chain, random_dictionary, restrict_to_solutions,
+                     compose_chain, random_dictionary,
                      verify_adjoint_laws, verify_intertwine,
                      verify_moller_identities)
 from .ccr import (AlgebraElement, FieldDictionary, MollerStarIsomorphism,
                   QuasifreeState, field, multiply, on_shell_reduce,
                   pullback_state, quasifree_npoint, star_isomorphism,
                   state_eval, vacuum_state)
-from .hadamard import (PullbackKernel, SmoothnessReport, VacuumKernel,
-                       bisolution_check, ccr_hypothesis_check,
-                       hadamard_verdict, pullback_kernel, smoothness_proxy,
-                       ultrastatic_vacuum)
+from .hadamard import (PullbackKernel, VacuumKernel, bisolution_check,
+                       ccr_hypothesis_check, hadamard_verdict,
+                       smoothness_proxy)
 
 __version__ = "0.1.0"

@@ -136,16 +136,6 @@ class AlgebraElement:
     def sup_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
-    def is_close(self, other, tol=1e-10) -> bool:
-        diff = self - other
-        return diff.sup_coeff() <= tol
-
-    def to_json(self) -> str:
-        import json
-        payload = [{"word": list(w), "re": c.real, "im": c.imag}
-                   for w, c in sorted(self.terms.items())]
-        return json.dumps(payload)
-
     def __repr__(self):
         bits = [f"({c:.3g})*{w or '1'}" for w, c in sorted(self.terms.items())]
         return " + ".join(bits) if bits else "0"

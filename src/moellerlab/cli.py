@@ -17,9 +17,9 @@ flag bare), no value starting with ``-``, and for ``run`` at most one config
 path.  ``_plain_args`` converts each value with the ``type`` argparse would
 call and gives the namespace argparse would give, so such a run neither
 imports argparse nor builds a parser.  Every other line (help, a bad value,
-``--flag=value``, a repeated or abbreviated flag, ``--``) goes to argparse,
-so every help, usage and error text and its exit code still comes from
-argparse and reads as before.
+``--flag=value``, a repeated or abbreviated flag, ``--``) goes to the whole
+argparse parser, with the sub-parser of every command, so every help, usage
+and error text and its exit code comes from argparse.
 
 ``main`` first keeps freed memory with the process: where the C library is
 glibc, it sets ``M_MMAP_THRESHOLD`` to 32 MiB and ``M_TRIM_THRESHOLD`` to
@@ -199,21 +199,15 @@ COMMANDS = {
 NAMES = ["run", *COMMANDS]  # every subcommand, in the order help lists them
 
 
-def _parser(names):
-    """The command line parser, with the sub-parsers of the commands in names only
-    (a sublist of :data:`NAMES`, in its order).
-
-    With fewer than all of them, the sub-parsers' metavar still lists every
-    command, so usage, help and error texts read as with all of them.
-    """
+def _parser():
+    """The command line parser, with one sub-parser for each command of :data:`NAMES`."""
     import argparse
 
     p = argparse.ArgumentParser(prog="moellerlab",
                                 description="lattice light-cone / causal-inverse verification runner")
-    every = "{" + ",".join(NAMES) + "}" if len(names) < len(NAMES) else None
-    sub = p.add_subparsers(dest="cmd", required=True, metavar=every)
+    sub = p.add_subparsers(dest="cmd", required=True)
 
-    for cmd in names:
+    for cmd in NAMES:
         if cmd == "run":
             runp = sub.add_parser("run", help="execute a JSON config of scenarios",
                                   allow_abbrev=False)
@@ -292,17 +286,14 @@ def main(argv=None) -> int:
     """Run the command line argv (default ``sys.argv[1:]``); returns the exit code.
 
     A plain command line is read by :func:`_plain_args`.  Any other is left to
-    argparse, and only the sub-parser of the command that argv names is
-    built; when its first argument names no command (``--help``, a typo), all
-    of them are.
+    argparse (:func:`_parser`).
     """
     _keep_freed_pages()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _plain_args(argv)
     if args is None:
-        p = _parser(argv[:1] if argv[:1] and argv[0] in NAMES else NAMES)
         try:
-            args = p.parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as e:  # argparse's usage errors and --help, as exit codes
             return e.code
     if args.cmd == "run":

@@ -28,10 +28,6 @@ __all__ = [
     "REVERSED",
     "MetricField",
     "ParacausalChain",
-    "classify_vector",
-    "musical_sharp",
-    "musical_flat",
-    "inverse_metric",
     "cone_inclusion",
     "preceq",
     "convex_combination",
@@ -165,11 +161,8 @@ class MetricField:
         tt, tx, xx = (np.abs(c[rows]) for c in self.stored[:3])
         return np.maximum(np.maximum(tt, tx), xx)
 
-    def with_orientation(self, orient_t, orient_x) -> "MetricField":
-        return MetricField(self.grid, *self.stored[:3], orient_t, orient_x)
-
     def time_reversed(self) -> "MetricField":
-        return self.with_orientation(-self.stored[3], -self.stored[4])
+        return MetricField(self.grid, *self.stored[:3], -self.stored[3], -self.stored[4])
 
     def _null_roots(self, rows):
         """The roots of g_tt + 2 g_tx s + g_xx s^2 on the levels `rows`, larger modulus first.
@@ -262,52 +255,6 @@ def metric_from_arcs(grid: SpacetimeGrid, center, halfwidth) -> MetricField:
     a, b, c = sign * a, sign * b, sign * c
     norm = np.maximum.reduce([np.abs(a), np.abs(b), np.abs(c)])
     return MetricField(grid, a / norm, b / norm, c / norm, np.cos(center), np.sin(center))
-
-
-# -- pointwise classification and musical maps ------------------------------
-
-def classify_vector(g: MetricField, p, v) -> str:
-    """Causal character of a tangent vector at point p = (level, site)."""
-    n, j = p
-    vt, vx = float(v[0]), float(v[1])
-    if not (math.isfinite(vt) and math.isfinite(vx)):
-        raise ValueError("vector components must be finite")
-    q = g.g_tt[n, j] * vt * vt + 2 * g.g_tx[n, j] * vt * vx + g.g_xx[n, j] * vx * vx
-    if q > 0.0 or (vt == 0.0 and vx == 0.0):
-        return "spacelike"
-    # future iff g(X, v) < 0 for v in the closed cone
-    gXv = (g.g_tt[n, j] * g.orient_t[n, j] * vt
-           + g.g_tx[n, j] * (g.orient_t[n, j] * vx + g.orient_x[n, j] * vt)
-           + g.g_xx[n, j] * g.orient_x[n, j] * vx)
-    half = "future" if gXv < 0.0 else "past"
-    return ("timelike-" if q < 0.0 else "null-") + half
-
-
-def inverse_metric(g: MetricField) -> np.ndarray:
-    """Per-point 2x2 inverse, shape (nt, nx, 2, 2)."""
-    itt, itx, ixx = g.inverse_components()
-    out = np.empty((g.grid.nt, g.grid.nx, 2, 2))
-    out[..., 0, 0] = itt
-    out[..., 0, 1] = itx
-    out[..., 1, 0] = itx
-    out[..., 1, 1] = ixx
-    return out
-
-
-def musical_sharp(g: MetricField, p, covector) -> np.ndarray:
-    """Raise an index: the vector v with g(v, .) = omega."""
-    n, j = p
-    itt, itx, ixx = (np.broadcast_to(c, (g.grid.nt, g.grid.nx))[n, j] for c in g.inverse_components())
-    w0, w1 = float(covector[0]), float(covector[1])
-    return np.array([itt * w0 + itx * w1, itx * w0 + ixx * w1])
-
-
-def musical_flat(g: MetricField, p, vector) -> np.ndarray:
-    """Lower an index: omega = g(v, .)."""
-    n, j = p
-    v0, v1 = float(vector[0]), float(vector[1])
-    return np.array([g.g_tt[n, j] * v0 + g.g_tx[n, j] * v1,
-                     g.g_tx[n, j] * v0 + g.g_xx[n, j] * v1])
 
 
 # -- cone inclusion and the preorder ----------------------------------------

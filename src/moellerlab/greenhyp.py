@@ -281,10 +281,6 @@ class HyperbolicOperator:
 
     # -- weighted transpose ------------------------------------------------
 
-    def transpose_offsets(self):
-        """Offsets of N^T: trans[(a, b)](n, j) = N[(-a, -b)](n+a, j+b)."""
-        return stencil_transpose(self.offsets)
-
     def _adjoint_items(self):
         """The offsets of V^{-1} N^T V as (key, offset) pairs, built one at a time."""
         for (a, b), C in _transposed(self.offsets):
@@ -348,7 +344,7 @@ class HyperbolicOperator:
         for (a, b), C in self.offsets.items():
             ok = (n + a >= 0) & (n + a < g.nt)
             M[n[ok], j[ok], n[ok] + a, (j[ok] + b) % g.nx] += np.broadcast_to(C, n.shape)[ok]
-        return M.reshape(g.n_dof, g.n_dof)
+        return M.reshape(g.n_points, g.n_points)
 
     def weight_dense(self) -> np.ndarray:
         """Dense diagonal V, an oracle view like ``as_dense``."""
@@ -469,7 +465,7 @@ class HyperbolicOperator:
     def _step(self, a):
         if a not in self._steps:
             site = not any((a, b) in self.offsets for b in (-1, 1))
-            self._steps[a] = (_SiteStep if site else _BandedStep)(self, a)
+            self._steps[a] = (_Step if site else _BandedStep)(self, a)
         return self._steps[a]
 
     def march(self, f: np.ndarray, direction: int, seed_level=None, seeds=None,
@@ -533,8 +529,11 @@ class _Step:
     each known offset and 1 / d for the source, written straight into level
     n + a.  The summed axis leads, so the einsum adds the m + 1 terms in
     order for every K, and a column's bits do not depend on the batch width
-    K.  On a site step that is the level; the band path solves its
-    unit-diagonal level system (:class:`_BandedStep`) in place after it.
+    K.  A level that couples each site only to itself (no (a, +-1) offset)
+    is marched by this class as it stands: its level system is the
+    diagonal, already divided out, so the einsum writes the level.  The
+    band path solves its unit-diagonal level system (:class:`_BandedStep`)
+    in place after it; on a diagonal band that gives the same bits.
 
     The diagonal must not vanish on equation rows 1 .. nt-2; rows 0 and
     nt-1 write no level, so their diagonal, zero at one end of the window,
@@ -607,15 +606,6 @@ class _Step:
 
 def _singular(n):
     return np.linalg.LinAlgError(f"the level-{n} system of the march is singular")
-
-
-class _SiteStep(_Step):
-    """A step whose new level couples each site only to itself (no (a, +-1) offset).
-
-    The level system is its diagonal, already divided into the stacked
-    coefficient rows, so the einsum writes the level and there is nothing
-    to solve; the band path on the same diagonal band gives the same bits.
-    """
 
 
 class _BandedStep(_Step):
@@ -859,21 +849,18 @@ class GreenSystem:
     def __init__(self, N: HyperbolicOperator):
         self.operator = N
 
-    def _prep(self, f):
-        return _fields(self.operator.grid, f, "source")
-
     def plus(self, f):
-        v = self._prep(f)
+        v = _fields(self.operator.grid, f, "source")
         _check_margin(v, (+1,))
         return self.operator.march(v, +1)
 
     def minus(self, f):
-        v = self._prep(f)
+        v = _fields(self.operator.grid, f, "source")
         _check_margin(v, (-1,))
         return self.operator.march(v, -1)
 
     def propagator(self, f):
-        v = self._prep(f)
+        v = _fields(self.operator.grid, f, "source")
         _check_margin(v, (+1, -1))
         return self.operator.march(v, +1) - self.operator.march(v, -1)
 
@@ -883,7 +870,7 @@ class GreenSystem:
         Columns of unit sources on the margin levels stay zero.
         """
         g = self.operator.grid
-        n = g.n_dof
+        n = g.n_points
         qs = np.arange(PAST_MARGIN * g.nx, (g.nt - PAST_MARGIN) * g.nx)
         E = np.zeros((len(qs), n))
         E[np.arange(len(qs)), qs] = 1.0
@@ -981,16 +968,6 @@ def exactness_check(N: HyperbolicOperator, seed=0, count=5) -> dict:
     }
 
 
-def flux_blocks(N: HyperbolicOperator, n: int) -> dict:
-    """(V N)[level n rows, level n+1 cols] as one row of entries per offset (1, b), for the flux."""
-    out = {}
-    for b in (-1, 0, 1):
-        C = N.offsets.get((1, b))
-        if C is not None:
-            out[b] = N.weight[n] * C[n]
-    return out
-
-
 def symplectic_form(N: HyperbolicOperator, psi, phi, slice_index):
     """Conserved symplectic flux through the cut between two time levels.
 
@@ -1020,7 +997,10 @@ def _flux(N, pv, fv, n):
     # orientation fixed so that sigma(G f, G h) = +<f, G h>_V; this pins the
     # sign of the slice normal consistently with the wave-operator sign
     acc = 0.0
-    for b, Bk in flux_blocks(N, n).items():
+    for b in (-1, 0, 1):
+        if (1, b) not in N.offsets:
+            continue
+        Bk = N.weight[n] * N.offsets[(1, b)][n]  # (V N)[level n rows, level n+1 cols] at offset b
         fpn = periodic_shift(fv[..., n + 1, :], 0, -b)
         ppn = periodic_shift(pv[..., n + 1, :], 0, -b)
         acc += np.einsum("...x,x,...x->...", fv[..., n, :], Bk, ppn)

@@ -1,15 +1,17 @@
 """Vacuum two-point kernels, their transport, and a smoothness proxy.
 
-The reference object is the mode-sum vacuum of an ultrastatic metric on the
-circle, built with the spatially discretized dispersion so that its spatial
+The reference object is the mode-sum vacuum (``VacuumKernel``) of an
+ultrastatic metric on the circle, built with the spatially discretized dispersion so that its spatial
 structure matches the lattice operator exactly; all residuals against
 lattice quantities are then pure time-discretization effects of second
 order.  The wavefront-set characterization of physical kernels is not
 computable at desk scale; its stand-in compares a kernel against a
 reference vacuum and requires the difference to be smooth in a quantitative
 sense (small high-frequency spatial tail, bounded growth of divided
-differences under refinement).  Every report carries an explicit
-``proxy_for`` marker saying so.
+differences under refinement).  ``smoothness_proxy`` and
+``hadamard_verdict`` return its verdict as one dict, ``tail_ratio``,
+``derivative_growth``, ``passes`` and an explicit ``proxy_for`` marker
+saying so, which a report carries as it is.
 
 A kernel is a mode sum K(p, q) = sum_k d_k phi_k(p) conj(phi_k(q)), stored
 as M mode fields on the grid and their M weights.  ``columns(qs)`` returns
@@ -17,7 +19,7 @@ the complex fields K(., q) for a list of probe points, shape (len(qs), nt,
 nx), as one matrix product, and ``column(q)`` is ``columns([q])[0]``.  The
 Møller operator R is real, so the pullback R K R^T of a mode sum is the
 mode sum of the transported modes R phi_k with the same weights: a
-pullback marches R once, at construction, on the M = nx modes of its base,
+pullback (``PullbackKernel``) marches R once, at construction, on the M = nx modes of its base,
 and never needs R^T.  Its cost depends on nx, not on the number of probes.
 The checks below take any kernel with ``columns``.
 """
@@ -33,17 +35,17 @@ __all__ = [
     "ModeKernel",
     "VacuumKernel",
     "PullbackKernel",
-    "SmoothnessReport",
-    "ultrastatic_vacuum",
     "ccr_hypothesis_check",
     "bisolution_check",
-    "pullback_kernel",
     "smoothness_proxy",
     "hadamard_verdict",
     "default_probes",
 ]
 
 PROXY_FOR = "wavefront-set condition (not computable at desk scale)"
+# the proxy's fixed thresholds (documented constants, not derived quantities)
+TAIL_THRESHOLD = 1e-3
+GROWTH_THRESHOLD = 4.0
 
 
 class ModeKernel:
@@ -139,10 +141,6 @@ class PullbackKernel(ModeKernel):
         self.R = R
 
 
-def ultrastatic_vacuum(grid: SpacetimeGrid, mass: float, metric=None) -> VacuumKernel:
-    return VacuumKernel(grid, mass, metric=metric)
-
-
 def default_probes(grid: SpacetimeGrid, times=3):
     """Interior probe points: all sites at a few mid-window levels."""
     levels = np.linspace(PAST_MARGIN + 2, grid.nt - PAST_MARGIN - 3, times).astype(int)
@@ -155,9 +153,8 @@ def _green_kernel_columns(N: HyperbolicOperator, qs) -> np.ndarray:
     n, j = np.divmod(np.asarray(qs, dtype=int), g.nx)
     E = np.zeros((len(n), g.nt, g.nx))
     E[np.arange(len(n)), n, j] = 1.0
-    E = N.unweigh(E)
-    gs = GreenSystem(N)
-    return gs.plus(E) - gs.minus(E)
+    E = N.unweigh(E)  # the unit sources are freed before the marches
+    return GreenSystem(N).propagator(E)
 
 
 def ccr_hypothesis_check(nu, N: HyperbolicOperator, probes=None) -> dict:
@@ -185,45 +182,6 @@ def bisolution_check(nu, N: HyperbolicOperator, probes=None) -> dict:
         r = N.apply(c.real) + 1j * N.apply(c.imag)
         worst = max(worst, float(np.max(np.abs(r[:, 1:-1]))))
     return {"sup_left": worst}
-
-
-def pullback_kernel(nu, R) -> PullbackKernel:
-    """Transport K through the intertwiner: (f, h) -> K(R^dagger f, R^dagger h)."""
-    return PullbackKernel(nu, R)
-
-
-class SmoothnessReport:
-    """Quantitative stand-in for 'the difference is smooth'.
-
-    tail_ratio: energy of the top-quarter spatial frequencies of the data
-    relative to the same bands of the reference kernel; derivative_growth:
-    factor by which mixed divided differences up to third order grow from a
-    2x-coarsened subsample to the native grid.  Fixed thresholds: 1e-3 and
-    4 (documented constants, not derived quantities).
-    """
-
-    TAIL_THRESHOLD = 1e-3
-    GROWTH_THRESHOLD = 4.0
-
-    def __init__(self, tail_ratio, derivative_growth):
-        self.tail_ratio = float(tail_ratio)
-        self.derivative_growth = float(derivative_growth)
-        self.tail_ok = self.tail_ratio <= self.TAIL_THRESHOLD
-        self.growth_ok = self.derivative_growth <= self.GROWTH_THRESHOLD
-        self.passes = self.tail_ok and self.growth_ok
-        self.proxy_for = PROXY_FOR
-
-    def as_dict(self):
-        return {
-            "tail_ratio": self.tail_ratio,
-            "derivative_growth": self.derivative_growth,
-            "passes": self.passes,
-            "proxy_for": self.proxy_for,
-        }
-
-    def __repr__(self):
-        return (f"SmoothnessReport(tail={self.tail_ratio:.2e}, "
-                f"growth={self.derivative_growth:.2f}, passes={self.passes})")
 
 
 def _tail_energy(slices):
@@ -257,12 +215,19 @@ def _max_mixed_derivative(data, dt, dx, order=3):
     return worst
 
 
-def smoothness_proxy(data, reference=None, spacing=(1.0, 1.0)) -> SmoothnessReport:
-    """Smoothness verdict for kernel-difference data.
+def smoothness_proxy(data, reference=None, spacing=(1.0, 1.0)) -> dict:
+    """Quantitative stand-in for 'the difference is smooth', as a report dict.
 
     data: real or complex array (..., nt, nx) of difference slices;
     reference: same-shape magnitudes of the kernel being compared (defaults
     to data itself, making the ratio 1 for empty input).
+
+    tail_ratio: energy of the top-quarter spatial frequencies of the data
+    relative to the same bands of the reference; derivative_growth: factor
+    by which mixed divided differences up to third order grow from a
+    2x-coarsened subsample to the native grid.  ``passes`` holds both to
+    :data:`TAIL_THRESHOLD` and :data:`GROWTH_THRESHOLD`, and ``proxy_for``
+    names what the proxy stands in for.
     """
     mag = np.abs(data)  # the proxy reads magnitudes only
     tail_d = _tail_energy(mag)
@@ -270,8 +235,14 @@ def smoothness_proxy(data, reference=None, spacing=(1.0, 1.0)) -> SmoothnessRepo
     dt, dx = spacing
     fine = _max_mixed_derivative(mag, dt, dx)
     coarse = _max_mixed_derivative(mag[..., ::2, ::2], 2 * dt, 2 * dx)
+    tail = tail_d / tail_r
     growth = fine / max(coarse, 1e-300) if fine > 0 else 1.0
-    return SmoothnessReport(tail_d / tail_r, growth)
+    return {
+        "tail_ratio": tail,
+        "derivative_growth": growth,
+        "passes": tail <= TAIL_THRESHOLD and growth <= GROWTH_THRESHOLD,
+        "proxy_for": PROXY_FOR,
+    }
 
 
 def hadamard_verdict(nu_prime, reference, N_prime: HyperbolicOperator,
@@ -285,10 +256,5 @@ def hadamard_verdict(nu_prime, reference, N_prime: HyperbolicOperator,
     g = N_prime.grid
     probes = default_probes(g) if probes is None else probes
     cols = nu_prime.columns(probes)
-    proxy = smoothness_proxy(cols - reference.columns(probes), reference=cols,
-                             spacing=(g.dt, g.dx))
-    return {
-        "difference_proxy": proxy.as_dict(),
-        "proxy_for": PROXY_FOR,
-        "passes": bool(proxy.passes),
-    }
+    return smoothness_proxy(cols - reference.columns(probes), reference=cols,
+                            spacing=(g.dt, g.dx))

@@ -75,16 +75,9 @@ class SpacetimeGrid:
     def n_points(self) -> int:
         return self.nt * self.nx
 
-    @property
-    def n_dof(self) -> int:
-        return self.nt * self.nx
-
     def level_of_time(self, t: float) -> int:
         """Index of the closest time level."""
         return int(round((t - self.t_min) / self.dt))
-
-    def zeros(self) -> np.ndarray:
-        return np.zeros((self.nt, self.nx))
 
     def __str__(self):
         return f"{self.nt}x{self.nx} grid, t in [{self.t_min}, {self.t_max}], L={self.length}"

@@ -60,7 +60,6 @@ __all__ = [
     "build_rplus",
     "build_rminus",
     "verify_intertwine",
-    "restrict_to_solutions",
     "compose_chain",
     "verify_moller_identities",
     "verify_adjoint_laws",
@@ -158,10 +157,6 @@ class MollerStep:
         return slice(self.t1_level + 2, self.grid.nt)
 
     # difference operators ---------------------------------------------------
-
-    def _diff(self, u):
-        """(b N_hi - a N_lo) u, nonzero only on the active rows."""
-        return stencil_apply(self.D, u, self.rows)
 
     def _diff_transpose(self, w):
         """(b N_hi - a N_lo)^T w; it reads w on the active rows only."""
@@ -374,7 +369,7 @@ class MollerOperator:
     def _matrix_of(self, action) -> np.ndarray:
         """Dense matrix of a linear action, all unit columns in one batch."""
         g = self.op_start.grid
-        n = g.n_dof
+        n = g.n_points
         return action(np.eye(n).reshape(n, g.nt, g.nx)).reshape(n, n).T
 
     def as_matrix(self) -> np.ndarray:
@@ -396,7 +391,7 @@ def _weighted_transpose(T, op_g: HyperbolicOperator, op_gp: HyperbolicOperator) 
     the right: T^T V' from the rows of T^T, then V^{-1} on its columns.
     """
     g = op_g.grid
-    n, fields = g.n_dof, (-1, g.nt, g.nx)
+    n, fields = g.n_points, (-1, g.nt, g.nx)
     tv = op_gp.weigh(T.T.reshape(fields)).reshape(n, n)
     return op_g.unweigh(tv.T.reshape(fields)).reshape(n, n).T
 
@@ -499,37 +494,6 @@ def _intertwine_residual(obj, u, image):
     return worst_ratio(sup_norms((lhs - rhs)[:, 1:-1]), sup_norms(rhs))
 
 
-def restrict_to_solutions(R: MollerOperator, kind="ker", tol=1e-8):
-    """Solution-space restriction with verified inputs and outputs.
-
-    Returns a callable mapping (nt, nx) fields.  Inputs must solve the source
-    equation: N u = 0 on every equation row for kind="ker"; for kind="sol"
-    the source N u is compact, vanishing on equation rows 1 and nt-2.  Every
-    output is checked against the source interchange c' N' (R u) = N u on the
-    equation rows at 10 tol, relative to the input's size.
-    """
-    if kind not in ("ker", "sol"):
-        raise ValueError("kind must be 'ker' or 'sol'")
-
-    def mapped(u):
-        u = np.asarray(u, dtype=float)
-        if not np.isfinite(u).all():  # nan passes any residual test
-            raise ValueError("input must be finite")
-        scale = max(float(np.max(np.abs(u))), 1e-300)
-        source = R.op_start.apply(u)
-        if kind == "ker" and sup_norms(source[1:-1]) > tol * scale:
-            raise ValueError("input is not a homogeneous solution")
-        if kind == "sol" and sup_norms(source[[1, -2]]) > tol * scale:
-            raise ValueError("input's source must vanish on equation rows 1 and nt-2")
-        out = R.apply(u)
-        lhs = R.c_prime * R.op_end.apply(out)
-        if sup_norms((lhs - source)[1:-1]) > 10 * tol * scale:
-            raise AssertionError("image failed to solve the target equation")
-        return out
-
-    return mapped
-
-
 def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
                              dense=False, sympl_pairs=10, image=None) -> dict:
     """Residual report for the composed-intertwiner laws.
@@ -547,7 +511,7 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     grid = R.op_start.grid
     if sympl_pairs < 1:
         raise ValueError(f"sympl_pairs must be at least 1, got {sympl_pairs}")
-    if dense and grid.n_dof > 4096:
+    if dense and grid.n_points > 4096:
         raise ValueError("dense kernel mode is restricted to small grids")
     if dictionary is None:
         dictionary = random_dictionary(grid, count=12, seed=seed,
@@ -589,7 +553,7 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
         Rm = R.as_matrix()
         Rd = _weighted_transpose(Rm, R.op_start, R.op_end)
         G, Gprime = (np.subtract(*S.kernel_matrices()) for S in (Gn, Gnp))  # G+ - G-
-        sel = np.zeros(grid.n_dof, bool)
+        sel = np.zeros(grid.n_points, bool)
         sel.reshape(grid.nt, grid.nx)[2:-2] = True
         lhs = (Rm @ G @ Rd)[:, sel]
         rhs = Gprime[:, sel]

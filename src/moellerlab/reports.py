@@ -31,15 +31,11 @@ class CheckResult:
         return d
 
 
-def suite_passed(results):
-    return all(r.passed for r in results)
-
-
 def report_tree(scenario_name, suite_results):
     """{suite: {pass, checks: [...]}} with a scenario-level verdict."""
     tree = {"scenario": scenario_name, "suites": {}, "pass": True}
     for suite, results in sorted(suite_results.items()):
-        ok = suite_passed(results)
+        ok = all(r.passed for r in results)
         tree["suites"][suite] = {
             "pass": ok,
             "checks": [r.as_dict() for r in results],
@@ -49,16 +45,18 @@ def report_tree(scenario_name, suite_results):
 
 
 def dumps(tree) -> str:
-    """Byte-stable serialization: sorted keys, repr-exact floats."""
+    """Byte-stable serialization: sorted keys, repr-exact floats.
+
+    A numpy value is written as its ``tolist()``; any other object json
+    cannot write raises ``TypeError``, so no repr reaches a report.
+    """
     return json.dumps(tree, sort_keys=True, indent=2, default=_jsonable) + "\n"
 
 
 def _jsonable(obj):
-    if hasattr(obj, "as_dict"):
-        return obj.as_dict()
     if hasattr(obj, "tolist"):
         return obj.tolist()
-    return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def matrix_csv(M) -> str:

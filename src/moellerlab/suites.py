@@ -78,7 +78,7 @@ def suite_cones(cfg, rng) -> list:
     grid with `pairs` points scans that many pairs in a handful of
     vectorized interval computations.
     """
-    pairs = int(cfg.get("pairs", 1000))
+    pairs = _sample_count(cfg, "pairs", 1000)
     nx = max(4, (pairs + 3) // 4)
     grid = make_grid(4, nx, 0.0, 1.0, 1.0)
     profiles = [0.0, 1.0, 0.5, rng.uniform(0.0, 1.0, (grid.nt, grid.nx)),
@@ -323,6 +323,9 @@ def suite_moller(cfg, rng) -> list:
     directive = cfg.get("chain", "auto")
     dictionary = _sample_count(cfg, "dictionary", 16)
     sympl_pairs = _sample_count(cfg, "sympl_pairs", 10)
+    dense = cfg.get("dense", False)
+    if not isinstance(dense, bool):  # bool("false") is True
+        raise ValueError(f"dense must be true or false, got {dense!r}")
     checks = []
     if directive == "auto":
         mink = geo.metric_preset("minkowski", grid)
@@ -346,7 +349,7 @@ def suite_moller(cfg, rng) -> list:
     adjoint = mo.verify_adjoint_laws(R, d, carried)  # pops carried down to u
     del carried
     rep = mo.verify_moller_identities(R, d, seed=int(rng.integers(1 << 30)),
-                                      dense=bool(cfg.get("dense", False)),
+                                      dense=dense,
                                       sympl_pairs=sympl_pairs, image=image)
     for k, v in rep.items():
         checks.append(CheckResult.from_residual(f"moller_{k}", v, MOLLER_TOLERANCES[k]))
@@ -440,8 +443,8 @@ def _hadamard_residuals(nt, nx, mass):
     grid = make_grid(nt, nx, 0.0, 0.5, 1.0)
     chain = _hadamard_chain(grid)
     R = mo.compose_chain(chain, mass=mass)
-    nu0 = hd.ultrastatic_vacuum(grid, mass)
-    nup = hd.pullback_kernel(nu0, R)
+    nu0 = hd.VacuumKernel(grid, mass)
+    nup = hd.PullbackKernel(nu0, R)
     probes = hd.default_probes(grid, times=2)
     hyp = hd.ccr_hypothesis_check(nu0, R.op_start, probes)["sup"]
     ccr_p = hd.ccr_hypothesis_check(nup, R.op_end, probes)["sup"]
@@ -479,10 +482,10 @@ def suite_hadamard(cfg, rng) -> list:
         "transported_bisolution_order", -(min(bis_orders) - 1.5), 0.0,
         orders=bis_orders, sups=[r[2] for r in rows]))
 
-    ref = hd.ultrastatic_vacuum(grid, mass, metric=chain.metrics[-1])
+    ref = hd.VacuumKernel(grid, mass, metric=chain.metrics[-1])
     verdict = hd.hadamard_verdict(nup, ref, R.op_end, probes)
     checks.append(CheckResult.from_flag("transported_kernel_smoothness_proxy",
-                                        verdict["passes"], **verdict["difference_proxy"]))
+                                        verdict["passes"], **verdict))
 
     t = grid.times
     x = grid.sites
@@ -493,7 +496,7 @@ def suite_hadamard(cfg, rng) -> list:
     checks.append(CheckResult.from_flag("smooth_perturbation_passes_proxy", v_smooth["passes"]))
     checks.append(CheckResult.from_flag("rough_perturbation_fails_proxy", not v_rough["passes"]))
 
-    nupp = hd.pullback_kernel(nup, R.inverse())
+    nupp = hd.PullbackKernel(nup, R.inverse())
     worst = float(np.max(np.abs(nupp.columns(probes[:8]) - nu0.columns(probes[:8]))))
     checks.append(CheckResult.from_residual("kernel_transport_roundtrip", worst, 1e-9))
     return checks

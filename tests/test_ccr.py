@@ -46,10 +46,10 @@ def test_involution_and_ccr(setup):
     p0, p1 = ccr.field(D, 0), ccr.field(D, 1)
     st = (p0 * p1).star()
     expect = p0 * p1 - ccr.AlgebraElement.identity(D, 1j * D.pairing[0, 1])
-    assert st.is_close(expect, 1e-15)
+    assert (st - expect).sup_coeff() <= 1e-15
     # involution is antilinear
     a = (2.0 + 3.0j) * p0
-    assert a.star().is_close((2.0 - 3.0j) * p0, 1e-15)
+    assert (a.star() - (2.0 - 3.0j) * p0).sup_coeff() <= 1e-15
 
 
 def test_normal_form_idempotent_and_confluent(setup):
@@ -168,7 +168,7 @@ def test_on_shell_reduction(setup):
     assert ccr.on_shell_reduce(D, phi_null).sup_coeff() == 0.0
     mix = ccr.field(D, 0) + phi_null
     red = ccr.on_shell_reduce(D, mix)
-    assert red.is_close(ccr.on_shell_reduce(D, ccr.field(D, 0)), 1e-12)
+    assert (red - ccr.on_shell_reduce(D, ccr.field(D, 0))).sup_coeff() <= 1e-12
     # pairing against the null block vanishes, so reduction keeps pairings
     assert np.max(np.abs(D.pairing[D.null_start:, :])) < 1e-10
     with pytest.raises(ValueError):
@@ -326,10 +326,3 @@ def test_pullback_functorial_through_chains(setup):
     omp_seq = ccr.pullback_state(om_seq2, iso_b)
     assert np.max(np.abs(omp_direct.W - omp_seq.W)) < 1e-9 * (1 + np.max(np.abs(om.W)))
 
-
-def test_element_json_roundtrip(setup):
-    _, _, D = setup
-    a = ccr.field(D, 0) * ccr.field(D, 1) + ccr.AlgebraElement.identity(D, 2.0)
-    import json
-    payload = json.loads(a.to_json())
-    assert {"word": [0, 1], "re": 1.0, "im": 0.0} in payload

@@ -224,8 +224,9 @@ def test_empty_sample_count_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", [0, -3])
-@pytest.mark.parametrize("suite, key", [("moller", "sympl_pairs"), ("ccr", "dictionary"),
-                                        ("ccr", "triples"), ("ccr", "positivity_samples")])
+@pytest.mark.parametrize("suite, key", [("cones", "pairs"), ("moller", "sympl_pairs"),
+                                        ("ccr", "dictionary"), ("ccr", "triples"),
+                                        ("ccr", "positivity_samples")])
 def test_sample_count_below_one_exits_2(suite, key, value, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"name": "x", "suites": [suite], suite: {key: value}}))
@@ -233,6 +234,18 @@ def test_sample_count_below_one_exits_2(suite, key, value, tmp_path, capsys):
     assert run_cli(["run", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"{key} must be at least 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_dense_that_is_not_a_json_boolean_exits_2(value, tmp_path, capsys):
+    # bool("false") is True: only true or false is read as the dense switch
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "x", "suites": ["moller"], "moller": {"dense": value}}))
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dense must be true or false, got ")
     assert not out.exists()
 
 
@@ -457,32 +470,16 @@ PARSER_CASES = [[], ["--help"], ["-h"], ["--he"], ["foo"], ["conv"], ["converge"
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-args")
 def test_one_sub_parser_reads_as_all_of_them(argv, capsys, monkeypatch):
-    # main builds only the sub-parser its first argument names (all of them
-    # when it names none); every help, usage and error text, and the exit
-    # code, is the same as with a parser that has every command
+    # help, usage and error lines go to the whole parser, one sub-parser per
+    # command: help exits 0, a usage error 2
     monkeypatch.setenv("COLUMNS", "80")
-    built = []
-    one = cli._parser
-    monkeypatch.setattr(cli, "_parser", lambda names: built.append(list(names)) or one(names))
-    rc = cli.main(argv)
-    mine = (rc, *capsys.readouterr())
-    named = argv[:1] if argv[:1] and argv[0] in cli.NAMES else cli.NAMES
-    assert built == [named]
-    monkeypatch.setattr(cli, "_parser", lambda names: one(cli.NAMES))
-    rc = cli.main(argv)
-    assert mine == (rc, *capsys.readouterr())
-    assert rc in (0, 2)
+    assert cli.main(argv) in (0, 2)
 
 
 def test_main_reads_sys_argv_without_argv(monkeypatch, capsys):
     # the console script calls main() with no argv: it reads sys.argv[1:]
-    # and builds the sub-parser the first argument names
-    built = []
-    one = cli._parser
-    monkeypatch.setattr(cli, "_parser", lambda names: built.append(list(names)) or one(names))
     monkeypatch.setattr(sys, "argv", ["moellerlab", "converge", "--grid", "3x3"])
     assert cli.main() == 2
-    assert built == [["converge"]]
     assert "unrecognized arguments: --grid 3x3" in capsys.readouterr().err
 
 
@@ -516,7 +513,7 @@ def plain_argvs(draw):
 @given(plain_argvs())
 def test_plain_reader_gives_argparse_namespace(argv):
     # the reader main tries first gives what the full parser gives
-    assert vars(cli._plain_args(argv)) == vars(cli._parser(cli.NAMES).parse_args(argv))
+    assert vars(cli._plain_args(argv)) == vars(cli._parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", [
