@@ -1,4 +1,4 @@
-"""Finite-dictionary field algebra with normal-ordered rewriting.
+"""Finite-dictionary field algebra with normal forms built by insertion.
 
 Generators Phi_i are smeared fields over a fixed list of compact test
 sections; products are reduced to a unique normal form (non-decreasing
@@ -7,6 +7,10 @@ generator indices) through the commutation rule
     Phi_j Phi_i = Phi_i Phi_j + i G[j, i] 1        (j > i)
 
 where G is the antisymmetric propagator pairing table of the dictionary.
+A normal-ordered word w times one generator b is therefore insort(w, b)
+plus, for each letter x > b of w, the term i G[x, b] times w without x,
+which is normal-ordered already.  Every product, involution and generator
+map is that one step, fed one letter at a time (:func:`_normal_order`).
 Unique normal forms make equality decidable, so the quotient algebra is
 represented constructively instead of via ideal membership.  States enter
 as two-point tables with Wick-pairing n-point extension; the minimal
@@ -15,6 +19,8 @@ ground state and is exactly compatible with the canonical commutators.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -145,30 +151,30 @@ def _prune(terms, tol=0.0):
     return {w: c for w, c in terms.items() if abs(c) > tol}
 
 
-def _normal_order(dictionary, word, coeff):
-    """Rewrite one word into normal form; returns a terms dict."""
+def _normal_order(dictionary, word, coeff, start=()):
+    """Normal form of coeff times the normal-ordered word start followed by word.
+
+    The letters of word are inserted one at a time: each term w times b
+    becomes i G[x, b] times w without x for each letter x > b of w,
+    rightmost first, then insort(w, b).  Terms are summed only at the end,
+    in the order the contractions make them, so every coefficient is the
+    sum, and every term the product, that rewriting one adjacent descent at
+    a time gives.  Returns a terms dict without zeros.
+    """
     G = dictionary.pairing
+    terms = [(tuple(start), complex(coeff))]
+    for b in word:
+        grown = []
+        for w, c in terms:
+            k = bisect_right(w, b)
+            for j in range(len(w) - 1, k - 1, -1):
+                grown.append((w[:j] + w[j + 1:], c * 1j * G[w[j], b]))
+            grown.append((w[:k] + (b,) + w[k:], c))
+        terms = grown
     out = {}
-    stack = [(tuple(word), complex(coeff))]
-    while stack:
-        w, c = stack.pop()
-        k = _first_descent(w)
-        if k is None:
-            out[w] = out.get(w, 0.0) + c
-            continue
-        a, b = w[k], w[k + 1]  # a > b
-        swapped = w[:k] + (b, a) + w[k + 2:]
-        dropped = w[:k] + w[k + 2:]
-        stack.append((swapped, c))
-        stack.append((dropped, c * 1j * G[a, b]))
+    for w, c in terms:
+        out[w] = out.get(w, 0.0) + c
     return _prune(out)
-
-
-def _first_descent(w):
-    for k in range(len(w) - 1):
-        if w[k] > w[k + 1]:
-            return k
-    return None
 
 
 def field(dictionary: FieldDictionary, i: int) -> AlgebraElement:
@@ -182,7 +188,11 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     out = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            for w, c in _normal_order(a.dictionary, wa + wb, ca * cb).items():
+            if not wa or not wb or wa[-1] <= wb[0]:  # wa + wb is normal-ordered
+                terms = {wa + wb: ca * cb}
+            else:
+                terms = _normal_order(a.dictionary, wb, ca * cb, start=wa)
+            for w, c in terms.items():
                 out[w] = out.get(w, 0.0) + c
     return AlgebraElement(a.dictionary, _prune(out))
 

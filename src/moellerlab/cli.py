@@ -51,7 +51,7 @@ from .greenhyp import MarchError
 from .lattice import make_grid
 from .moller import MollerObstruction
 from .reports import CheckResult, dumps, report_tree
-from .suites import SECTION_KEYS, SUITES, dense_kernel_csvs
+from .suites import SECTION_KEYS, SUITES, chain_scope, config_int, dense_kernel_csvs
 
 USAGE_ERROR = 2
 # glibc's mallopt parameters, and the values its adaptive thresholds end at
@@ -68,6 +68,12 @@ def _refuse_unknown(keys, known, where):
 
 
 def run_scenario(cfg: dict) -> dict:
+    """Run the suites of one scenario and return its report tree.
+
+    The scenario is the scope of its chains (``suites.chain_scope``): a
+    chain the moller and ccr suites both ask for is built once, and dropped
+    when the scenario ends, however it ends.
+    """
     _refuse_unknown(cfg, SCENARIO_KEYS, "scenario")
     sections = sorted(s for s in SUITES if not isinstance(cfg.get(s, {}), dict))
     if sections:
@@ -75,26 +81,29 @@ def run_scenario(cfg: dict) -> dict:
     for s in SUITES:
         _refuse_unknown(cfg.get(s, {}), SECTION_KEYS[s], f"{s} section")
     name = cfg.get("name", "scenario")
-    seed = int(cfg.get("seed", 0))
+    seed = config_int(cfg.get("seed", 0), "seed")
     suites = cfg.get("suites", ["cones", "paracausal", "green"])
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}; known: {sorted(SUITES)}")
     results = {}
-    for s in suites:
-        # process-independent per-suite stream (string hash is randomized)
-        rng = np.random.default_rng(seed + zlib.crc32(s.encode()) % 100000)
-        try:
-            results[s] = SUITES[s](cfg.get(s, {}), rng)
-        except (MarchError, MollerObstruction) as e:  # a refused march fails its suite
-            results[s] = [CheckResult.from_flag(e.check, False, reason=e.reason, detail=e.detail)]
+    with chain_scope():
+        for s in suites:
+            # process-independent per-suite stream (string hash is randomized)
+            rng = np.random.default_rng(seed + zlib.crc32(s.encode()) % 100000)
+            try:
+                results[s] = SUITES[s](cfg.get(s, {}), rng)
+            except (MarchError, MollerObstruction) as e:  # a refused march fails its suite
+                results[s] = [CheckResult.from_flag(e.check, False, reason=e.reason,
+                                                    detail=e.detail)]
     return report_tree(name, results)
 
 
 def _reversed_pair_report(cfg) -> dict:
     """Dedicated structural fixture: time-reversed pair must certify."""
     _refuse_unknown(cfg, SECTION_KEYS["reversed-pair"], "reversed-pair scenario")
-    g = make_grid(int(cfg.get("nt", 16)), int(cfg.get("nx", 16)), 0.0, 0.5, 1.0)
+    g = make_grid(config_int(cfg.get("nt", 16), "nt"), config_int(cfg.get("nx", 16), "nx"),
+                  0.0, 0.5, 1.0)
     mink = geo.metric_preset("minkowski", g)
     out = geo.build_chain(mink, mink.time_reversed())
     ok = isinstance(out, geo.ChainObstruction) and out.reason == "orientation-reversal"
@@ -158,6 +167,15 @@ def _parse_grid(text):
         raise argparse.ArgumentTypeError("grid must look like 64x64")
 
 
+def _parse_sizes(text):
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        import argparse  # only an error needs it
+
+        raise argparse.ArgumentTypeError("grids must look like 32,64,128")
+
+
 def _bundled(name):
     return Path(__file__).parent / "configs" / name
 
@@ -175,8 +193,9 @@ FLAGS = {
     "--dense-kernels": dict(action="store_true",
                             help="green: also write the dense kernels as CSV under --out; "
                                  "moller: add the dense propagator-transport law"),
-    # the suite checks the sizes, so a bad list is a config error like any other
-    "--grids": dict(type=lambda text: text.split(","), metavar="N,N,...",
+    # integers only; the suite checks the list, so a short or unordered one
+    # is a config error like any other
+    "--grids": dict(type=_parse_sizes, metavar="N,N,...",
                     help="sizes of a refinement study: hadamard's nt, "
                          "or converge's nx (each with nt = 2 nx)"),
 }

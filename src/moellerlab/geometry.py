@@ -114,6 +114,7 @@ class MetricField:
             stored.append(c)
         self.grid = grid
         self.stored = tuple(stored)
+        self._arcs = None  # future_arcs, made on first read
         if self.det().max() >= -_DET_FLOOR:
             raise ValueError("not Lorentzian: det g must be < -1e-10 at every point")
         if self.quad(*self.stored[3:]).max() >= 0.0:
@@ -209,6 +210,21 @@ def future_arcs(metric: MetricField):
     The four null rays are bracketed around the orientation direction; the
     future half is the open arc between the two bracketing rays.  Widths are
     strictly below pi for any Lorentzian metric.
+
+    A metric field never changes (its stored arrays are read-only), so the
+    arcs are computed once per metric, on the first call, by
+    :func:`_arcs_of`; every call returns the same two read-only arrays.
+    """
+    if metric._arcs is None:
+        arcs = _arcs_of(metric)
+        for v in arcs:
+            v.flags.writeable = False
+        metric._arcs = arcs
+    return metric._arcs
+
+
+def _arcs_of(metric: MetricField):
+    """The (center, halfwidth) arrays of :func:`future_arcs`, computed.
 
     The null slopes, roots of a + 2 b s + c s^2, are taken as q / c and
     a / q with q = -(b + sign(b) sqrt(b^2 - a c)): no root is a difference

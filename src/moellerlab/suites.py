@@ -8,11 +8,21 @@ own failed check.  A march the lattice refuses (``greenhyp.MarchError``) or
 a link it cannot march (``moller.MollerObstruction``) propagates out of the
 suite; ``cli.run_scenario`` catches it and records it as the suite's one
 failed check.
+
+The moller suite's auto chain and its Møller operator R are built by
+:func:`_auto_chain`.  Inside :func:`chain_scope` (``cli.run_scenario`` opens
+one per scenario) a chain is built once and shared: the ccr suite's chain is
+the moller suite's default one, so the two suites of a scenario check the
+same R.  Outside a scope every call builds its own chain.
+
+Every integer a config gives (a grid size, a sample count, a seed) is read
+by :func:`config_int`, which takes only a JSON integer.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -137,7 +147,8 @@ def _any_timelike(att, atx, axx):
 
 def suite_paracausal(cfg, rng) -> list:
     """Chain fixtures: rotation succeeds geometrically, reversal certifies."""
-    g = make_grid(int(cfg.get("nt", 16)), int(cfg.get("nx", 16)), 0.0, 0.5, 1.0)
+    g = make_grid(config_int(cfg.get("nt", 16), "nt"), config_int(cfg.get("nx", 16), "nx"),
+                  0.0, 0.5, 1.0)
     mink = geo.metric_preset("minkowski", g)
     rot = geo.metric_preset("rotated-minkowski", g)
     checks = []
@@ -186,8 +197,19 @@ def _batches(count) -> list:
     return [min(BATCH, count - i) for i in range(0, count, BATCH)]
 
 
+def config_int(value, key) -> int:
+    """The config value of key as an int; only a JSON integer (or a numpy integer) is taken.
+
+    A bool, a float or a string is refused with a message naming key and
+    value: int() would read true as 1, 200.9 as 200 and "300" as 300.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _sample_count(cfg, key, default) -> int:
-    count = int(cfg.get(key, default))
+    count = config_int(cfg.get(key, default), key)
     if count < 1:
         raise ValueError(f"{key} must be at least 1, got {count}")
     return count
@@ -195,7 +217,9 @@ def _sample_count(cfg, key, default) -> int:
 
 def _refinement_sizes(sizes, key) -> list:
     """Grid sizes of a refinement study, checked before any work starts."""
-    sizes = [int(v) for v in sizes]
+    if not isinstance(sizes, (list, tuple)):
+        raise ValueError(f"{key} must be a list of integers, got {sizes!r}")
+    sizes = [config_int(v, f"{key} entry") for v in sizes]
     if len(sizes) < 2:
         raise ValueError(f"{key} needs at least two grid sizes to measure an order, got {sizes}")
     if min(sizes) <= 0:
@@ -217,8 +241,8 @@ GREEN_MIN_NT = 4 * (gh.PAST_MARGIN + 1)
 
 def _green_grid(cfg):
     """The grid of the green scenario, 48 x 48 unless the section says otherwise."""
-    return make_grid(int(cfg.get("nt", 48)), int(cfg.get("nx", 48)), 0.0,
-                     float(cfg.get("t_max", 0.5)), 1.0)
+    return make_grid(config_int(cfg.get("nt", 48), "nt"), config_int(cfg.get("nx", 48), "nx"),
+                     0.0, float(cfg.get("t_max", 0.5)), 1.0)
 
 
 def suite_green(cfg, rng) -> list:
@@ -315,10 +339,57 @@ def _chain_from_directive(directive, grid):
     return geo.ParacausalChain(mets, flags)
 
 
+_chains = None  # the scenario's {key: (chain, R)} inside chain_scope, else None
+
+
+@contextmanager
+def chain_scope():
+    """Share the chains :func:`_auto_chain` builds until the block ends.
+
+    ``cli.run_scenario`` opens one per scenario, so no R outlives its
+    scenario and two runs never share one.  A nested scope starts empty and
+    the outer one is back when it ends.
+    """
+    global _chains
+    outer, _chains = _chains, {}
+    try:
+        yield
+    finally:
+        _chains = outer
+
+
+def _auto_chain(grid, target, params, window, mass):
+    """(chain, R): minkowski to the preset target (with params) and its Møller operator.
+
+    R is None where no chain exists (chain is then the ChainObstruction).
+    Inside :func:`chain_scope` the pair is built once per argument set; a
+    refused march (``MarchError``, ``MollerObstruction``) is raised and not
+    kept, so a later call raises again.
+    """
+    key = [grid, mass]
+    for name, value in (("target_preset", target), ("target_params", params), ("window", window)):
+        try:
+            key.append(frozenset(value.items()) if isinstance(value, dict) else value)
+            hash(key[-1])
+        except TypeError:
+            raise ValueError(f"{name} must hold only numbers and strings, got {value!r}") from None
+    key = tuple(key)
+    if _chains is not None and key in _chains:
+        return _chains[key]
+    chain = geo.build_chain(geo.metric_preset("minkowski", grid),
+                            geo.metric_preset(target, grid, **params))
+    R = None
+    if isinstance(chain, geo.ParacausalChain):
+        R = mo.compose_chain(chain, window=window, mass=mass)
+    if _chains is not None:
+        _chains[key] = chain, R
+    return chain, R
+
+
 def suite_moller(cfg, rng) -> list:
     """Intertwiner laws along a chain (auto-built or an explicit directive)."""
-    nt = int(cfg.get("nt", 32))
-    nx = int(cfg.get("nx", 32))
+    nt = config_int(cfg.get("nt", 32), "nt")
+    nx = config_int(cfg.get("nx", 32), "nx")
     grid = make_grid(nt, nx, 0.0, float(cfg.get("t_max", 0.5)), 1.0)
     directive = cfg.get("chain", "auto")
     dictionary = _sample_count(cfg, "dictionary", 16)
@@ -327,20 +398,19 @@ def suite_moller(cfg, rng) -> list:
     if not isinstance(dense, bool):  # bool("false") is True
         raise ValueError(f"dense must be true or false, got {dense!r}")
     checks = []
+    window = tuple(cfg["window"]) if "window" in cfg else None
+    mass = float(cfg.get("mass", 1.0))
     if directive == "auto":
-        mink = geo.metric_preset("minkowski", grid)
-        target = geo.metric_preset(cfg.get("target_preset", "conformal"), grid,
-                                   **cfg.get("target_params", {"mu": 2.0}))
-        chain = geo.build_chain(mink, target)
-        if not isinstance(chain, geo.ParacausalChain):
+        chain, R = _auto_chain(grid, cfg.get("target_preset", "conformal"),
+                               cfg.get("target_params", {"mu": 2.0}), window, mass)
+        if R is None:
             return [CheckResult.from_flag("chain_exists", False, reason=chain.reason)]
     else:
         chain = _chain_from_directive(directive, grid)
         if not isinstance(chain, geo.ParacausalChain):
             return [CheckResult.from_flag("chain_exists", False, reason=chain.reason,
                                           detail=chain.detail)]
-    window = tuple(cfg["window"]) if "window" in cfg else None
-    R = mo.compose_chain(chain, window=window, mass=float(cfg.get("mass", 1.0)))
+        R = mo.compose_chain(chain, window=window, mass=mass)
     d = mo.random_dictionary(grid, dictionary, int(rng.integers(1 << 30)), window=(4, grid.nt - 4))
     # one march of the dictionary through R serves every law: the adjoint laws
     # read the fields between the steps, the identities only R u
@@ -359,16 +429,14 @@ def suite_moller(cfg, rng) -> list:
 
 
 def suite_ccr(cfg, rng) -> list:
-    """Algebra layer: rewriting, states, transport."""
-    nt = int(cfg.get("nt", 32))
-    nx = int(cfg.get("nx", 32))
+    """Algebra layer: normal forms, states, transport along the moller suite's default R."""
+    nt = config_int(cfg.get("nt", 32), "nt")
+    nx = config_int(cfg.get("nx", 32), "nx")
     dictionary = _sample_count(cfg, "dictionary", 16)
     triples = _sample_count(cfg, "triples", 200)
     positivity_samples = _sample_count(cfg, "positivity_samples", 100)
     grid = make_grid(nt, nx, 0.0, 0.5, 1.0)
-    chain = geo.build_chain(geo.metric_preset("minkowski", grid),
-                            geo.metric_preset("conformal", grid, mu=2.0))
-    R = mo.compose_chain(chain, mass=float(cfg.get("mass", 1.0)))
+    _, R = _auto_chain(grid, "conformal", {"mu": 2.0}, None, float(cfg.get("mass", 1.0)))
     N = R.op_start
     secs = mo.random_dictionary(grid, dictionary, int(rng.integers(1 << 30)),
                                 window=(4, grid.nt - 4))
@@ -454,7 +522,7 @@ def _hadamard_residuals(nt, nx, mass):
 
 def suite_hadamard(cfg, rng) -> list:
     """Kernel transport with convergence orders and the smoothness proxy."""
-    nx = int(cfg.get("nx", 16))
+    nx = config_int(cfg.get("nx", 16), "nx")
     mass = float(cfg.get("mass", 1.0))
     nts = _refinement_sizes(cfg.get("nts", (64, 128, 256)), "nts")
     rows = []

@@ -99,6 +99,61 @@ def test_normal_form_confluence_property(setup, terms):
     assert again == ab.terms
 
 
+def _rewrite(D, word, coeff):
+    """Normal form of coeff times word by bubble rewriting, the reference for the insertion engine.
+
+    Each step takes the first adjacent descent a > b and replaces the word
+    by the word with a and b swapped plus i G[a, b] times the word without
+    them, until no word has a descent.
+    """
+    G = D.pairing
+    out = {}
+    stack = [(tuple(word), complex(coeff))]
+    while stack:
+        w, c = stack.pop()
+        k = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
+        if k is None:
+            out[w] = out.get(w, 0.0) + c
+            continue
+        a, b = w[k], w[k + 1]
+        stack.append((w[:k] + (b, a) + w[k + 2:], c))
+        stack.append((w[:k] + w[k + 2:], c * 1j * G[a, b]))
+    return {w: c for w, c in out.items() if abs(c) > 0.0}
+
+
+def _rewrite_sum(D, pieces):
+    """Sum of the rewritten normal forms of (word, coeff) pieces, zeros dropped."""
+    out = {}
+    for word, coeff in pieces:
+        for w, c in _rewrite(D, word, coeff).items():
+            out[w] = out.get(w, 0.0) + c
+    return {w: c for w, c in out.items() if abs(c) > 0.0}
+
+
+def _assert_agree(got, want):
+    assert set(got) == set(want)
+    scale = 1.0 + max((abs(c) for c in want.values()), default=0.0)
+    for w, c in want.items():
+        assert abs(got[w] - c) <= 1e-13 * scale, (w, got[w], c)
+
+
+COEFFS = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)).filter(bool)
+# up to three normal-ordered words of at most three generators (of 8)
+ELEMENTS = st.dictionaries(st.lists(st.integers(0, 7), max_size=3).map(lambda w: tuple(sorted(w))),
+                           COEFFS, min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=ELEMENTS, b=ELEMENTS, word=st.lists(st.integers(0, 7), max_size=6), coeff=COEFFS)
+def test_insertion_engine_matches_rewriting(setup, a, b, word, coeff):
+    _, _, D = setup
+    x, y = ccr.AlgebraElement(D, a), ccr.AlgebraElement(D, b)
+    _assert_agree(ccr.multiply(x, y).terms,
+                  _rewrite_sum(D, [(wa + wb, ca * cb) for wa, ca in a.items() for wb, cb in b.items()]))
+    _assert_agree(x.star().terms, _rewrite_sum(D, [(w[::-1], np.conj(c)) for w, c in a.items()]))
+    _assert_agree(ccr._normal_order(D, word, coeff), _rewrite(D, word, coeff))
+
+
 def test_degree3_products_match_fock_oracle(setup):
     # truncated mode representation with matching commutator table
     _, _, D = setup

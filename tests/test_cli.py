@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,6 +250,48 @@ def test_dense_that_is_not_a_json_boolean_exits_2(value, tmp_path, capsys):
     assert not out.exists()
 
 
+# a config integer that is not a JSON integer, and the error naming it
+INTEGER_CASES = [
+    ({"suites": ["cones"], "cones": {"pairs": True}}, "pairs must be an integer, got True"),
+    ({"suites": ["cones"], "cones": {"pairs": "300"}}, "pairs must be an integer, got '300'"),
+    ({"suites": ["cones"], "cones": {"pairs": 200.9}}, "pairs must be an integer, got 200.9"),
+    ({"suites": ["green"], "green": {"count": 2.0}}, "count must be an integer, got 2.0"),
+    ({"suites": ["moller"], "moller": {"sympl_pairs": "4"}}, "sympl_pairs must be an integer"),
+    ({"suites": ["ccr"], "ccr": {"triples": False}}, "triples must be an integer, got False"),
+    ({"suites": ["paracausal"], "paracausal": {"nt": 16.0}}, "nt must be an integer, got 16.0"),
+    ({"suites": ["green"], "green": {"nx": "48"}}, "nx must be an integer, got '48'"),
+    ({"suites": ["moller"], "moller": {"nt": True}}, "nt must be an integer, got True"),
+    ({"suites": ["ccr"], "ccr": {"nx": 32.0}}, "nx must be an integer, got 32.0"),
+    ({"suites": ["hadamard"], "hadamard": {"nx": 16.5}}, "nx must be an integer, got 16.5"),
+    ({"suites": ["hadamard"], "hadamard": {"nts": [32, "64"]}}, "nts entry must be an integer, got '64'"),
+    ({"suites": ["convergence"], "convergence": {"grids": [32.7, 64]}},
+     "grids entry must be an integer, got 32.7"),
+    ({"suites": ["convergence"], "convergence": {"grids": "32,64"}},
+     "grids must be a list of integers, got '32,64'"),
+    ({"seed": 1.5, "suites": ["cones"]}, "seed must be an integer, got 1.5"),
+    ({"seed": "7", "suites": ["cones"]}, "seed must be an integer, got '7'"),
+    ({"name": "r", "kind": "reversed-pair", "nt": 8.0}, "nt must be an integer, got 8.0"),
+    ({"name": "r", "kind": "reversed-pair", "nx": True}, "nx must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("cfg, message", INTEGER_CASES, ids=json.dumps)
+def test_integer_that_is_not_a_json_integer_exits_2(cfg, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
+def test_config_integer_takes_numpy_integers():
+    from moellerlab.suites import config_int
+
+    value = config_int(np.int64(12), "nt")
+    assert value == 12 and type(value) is int
+
+
 @pytest.mark.parametrize("argv, message", [
     (["converge", "--grids", "4"], "at least two"),
     (["converge", "--grids", "32,16"], "strictly increasing"),
@@ -363,6 +406,16 @@ def test_subcommand_is_a_one_scenario_config(tmp_path):
 
 
 def test_state_mass_reaches_every_operator(tmp_path, monkeypatch):
+    _assert_state_mass_reaches_every_operator(tmp_path, monkeypatch)
+
+
+def test_state_mass_reaches_every_operator_after_a_run(tmp_path, monkeypatch):
+    # no operator of an earlier run is reused: the chain memo ends with its scenario
+    assert run_cli(["state", "--grid", "16x16", "--mass", "2", "--out", str(tmp_path / "A")]) == 0
+    _assert_state_mass_reaches_every_operator(tmp_path / "B", monkeypatch)
+
+
+def _assert_state_mass_reaches_every_operator(tmp_path, monkeypatch):
     from moellerlab import greenhyp as gh
     from moellerlab import moller as mo
 
@@ -377,6 +430,61 @@ def test_state_mass_reaches_every_operator(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "wave_operator", recorded)
     assert run_cli(["state", "--grid", "16x16", "--mass", "2", "--out", str(tmp_path)]) == 0
     assert masses and set(masses) == {2.0}
+
+
+def _composed_chains(monkeypatch):
+    """A list that gets one entry for each chain moller.compose_chain composes from now on."""
+    from moellerlab import moller as mo
+
+    composed = []
+    compose = mo.compose_chain
+
+    def spy(chain, *args, **kw):
+        composed.append(chain)
+        return compose(chain, *args, **kw)
+
+    monkeypatch.setattr(mo, "compose_chain", spy)
+    return composed
+
+
+def test_selftest_composes_one_chain_per_run(tmp_path, monkeypatch):
+    # the moller and ccr suites check one R; a second run in the same
+    # process composes its own and writes the same bytes
+    composed = _composed_chains(monkeypatch)
+    assert run_cli(["run", "--out", str(tmp_path / "A")]) == 0
+    assert len(composed) == 1
+    assert run_cli(["run", "--out", str(tmp_path / "B")]) == 0
+    assert len(composed) == 2 and composed[0] is not composed[1]
+    assert (tmp_path / "A" / "report.json").read_bytes() == (tmp_path / "B" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("moller, chains", [
+    ({}, 1),
+    ({"target_params": {"mu": 3.0}}, 2),
+    ({"target_preset": "ultrastatic", "target_params": {"h": 2.0}}, 2),
+    ({"window": [0.1, 0.4]}, 2),
+    ({"mass": 2.0}, 2),
+], ids=json.dumps)
+def test_moller_section_unlike_ccr_composes_its_own_chain(moller, chains, monkeypatch):
+    composed = _composed_chains(monkeypatch)
+    tree = cli.run_scenario({"suites": ["moller", "ccr"],
+                             "moller": {**TINY_SECTIONS["moller"], **moller},
+                             "ccr": TINY_SECTIONS["ccr"]})
+    assert tree["pass"] and len(composed) == chains
+    # a suite called outside a scenario builds its own chain
+    from moellerlab.suites import suite_ccr
+
+    suite_ccr(TINY_SECTIONS["ccr"], np.random.default_rng(0))
+    assert len(composed) == chains + 1
+
+
+def test_unhashable_target_params_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["moller"], "moller": {"target_params": {"mu": [2.0]}}}))
+    assert run_cli(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: target_params must hold only numbers and strings")
+    assert not (tmp_path / "out").exists()
 
 
 class _Recording(dict):
@@ -463,7 +571,8 @@ def test_unknown_section_key_exits_2_before_any_suite_runs(cfg, message, tmp_pat
 
 
 PARSER_CASES = [[], ["--help"], ["-h"], ["--he"], ["foo"], ["conv"], ["converge", "--grid", "3x3"],
-                ["converge", "--grids"], ["hadamard", "--grid", "abc"], ["green", "--mass", "x"],
+                ["converge", "--grids"], ["converge", "--grids", "32,a"],
+                ["hadamard", "--grid", "abc"], ["green", "--mass", "x"],
                 ["chain", "--seed", "x"], ["run", "a", "b"], ["cones", "extra"],
                 *([cmd, "--help"] for cmd in cli.NAMES)]
 

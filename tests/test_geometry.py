@@ -135,6 +135,31 @@ def test_cone_inclusion_holds_where_g_xx_is_small(g8, point):
         assert np.all(np.abs(g.quad(np.cos(th), np.sin(th))) <= 1e-15 * g.scale())
 
 
+def test_future_arcs_are_computed_once_per_metric(g8, monkeypatch):
+    computed = []
+    compute = geo._arcs_of
+    monkeypatch.setattr(geo, "_arcs_of", lambda m: computed.append(m) or compute(m))
+    glo, g = random_comparable_pair(g8, np.random.default_rng(4), per_point=True)
+    center, halfwidth = geo.future_arcs(glo)
+    for _ in range(3):  # each preceq reads the arcs of its first metric
+        assert geo.preceq(glo, g) is geo.ALIGNED
+    again = geo.future_arcs(glo)
+    assert computed == [glo] and again[0] is center and again[1] is halfwidth
+    for v in again:
+        with pytest.raises(ValueError, match="read-only"):
+            v[0, 0] = 0.0
+    # the same bits as a new metric built from the same stored arrays
+    fresh = geo.future_arcs(geo.MetricField(g8, *glo.stored))
+    for a, b in zip(again, fresh):
+        assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    # the time-reversed metric gets its own arcs: the opposite half-cones
+    rev = glo.time_reversed()
+    rc, rh = geo.future_arcs(rev)
+    assert computed[-1] is rev and len(computed) == 3
+    assert np.allclose(rh, halfwidth, rtol=0.0, atol=1e-12)
+    assert np.allclose(np.cos(rc - center), -1.0, atol=1e-12)
+
+
 def _exact_quad(point, s):
     """g(v, v) along the unit direction v of (1, s), in exact rational arithmetic of the floats given."""
     from fractions import Fraction
