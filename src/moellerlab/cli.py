@@ -7,7 +7,9 @@ instead.  Each subcommand is a one-scenario config, run and written by the
 same function as ``run``.  Reports are deterministic JSON trees: identical
 config + seed produce byte-identical output.  A march the lattice refuses
 (``MarchError``, ``MollerObstruction``) is recorded as its suite's one failed
-check.  A key that no suite reads is refused before any suite runs.  Exit
+check.  Every scenario of a config is read whole (``suites.read_scenario``)
+before any suite runs, so a key no suite reads, or a value its reader
+refuses, anywhere in the config is refused first.  Exit
 codes: 0 all suites pass, 1 a suite failed, 2 usage/config errors (nothing
 is written).
 
@@ -40,7 +42,6 @@ import ctypes
 import json
 import sys
 import zlib
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -51,86 +52,63 @@ from .greenhyp import MarchError
 from .lattice import make_grid
 from .moller import MollerObstruction
 from .reports import CheckResult, dumps, report_tree
-from .suites import SECTION_KEYS, SUITES, chain_scope, config_int, dense_kernel_csvs
+from .suites import SUITES, chain_scope, dense_kernel_csvs, read_scenario
 
 USAGE_ERROR = 2
 # glibc's mallopt parameters, and the values its adaptive thresholds end at
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD_MAX = 32 << 20
-SCENARIO_KEYS = {"name", "seed", "suites", *SUITES}  # one section per suite
-
-
-def _refuse_unknown(keys, known, where):
-    """Raise naming every key not in known, and the known keys."""
-    unknown = sorted(set(keys) - known)
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {unknown}; {where} takes {sorted(known)}")
 
 
 def run_scenario(cfg: dict) -> dict:
-    """Run the suites of one scenario and return its report tree.
+    """Run the suites of one read scenario (``suites.read_scenario``); return its report tree.
 
     The scenario is the scope of its chains (``suites.chain_scope``): a
     chain the moller and ccr suites both ask for is built once, and dropped
     when the scenario ends, however it ends.
     """
-    _refuse_unknown(cfg, SCENARIO_KEYS, "scenario")
-    sections = sorted(s for s in SUITES if not isinstance(cfg.get(s, {}), dict))
-    if sections:
-        raise ValueError(f"suite sections must be JSON objects: {sections}")
-    for s in SUITES:
-        _refuse_unknown(cfg.get(s, {}), SECTION_KEYS[s], f"{s} section")
-    name = cfg.get("name", "scenario")
-    seed = config_int(cfg.get("seed", 0), "seed")
-    suites = cfg.get("suites", ["cones", "paracausal", "green"])
-    unknown = [s for s in suites if s not in SUITES]
-    if unknown:
-        raise ValueError(f"unknown suites: {unknown}; known: {sorted(SUITES)}")
     results = {}
     with chain_scope():
-        for s in suites:
+        for s in cfg["suites"]:
             # process-independent per-suite stream (string hash is randomized)
-            rng = np.random.default_rng(seed + zlib.crc32(s.encode()) % 100000)
+            rng = np.random.default_rng(cfg["seed"] + zlib.crc32(s.encode()) % 100000)
             try:
-                results[s] = SUITES[s](cfg.get(s, {}), rng)
+                results[s] = SUITES[s](cfg[s], rng)
             except (MarchError, MollerObstruction) as e:  # a refused march fails its suite
                 results[s] = [CheckResult.from_flag(e.check, False, reason=e.reason,
                                                     detail=e.detail)]
-    return report_tree(name, results)
+    return report_tree(cfg["name"], results)
 
 
 def _reversed_pair_report(cfg) -> dict:
     """Dedicated structural fixture: time-reversed pair must certify."""
-    _refuse_unknown(cfg, SECTION_KEYS["reversed-pair"], "reversed-pair scenario")
-    g = make_grid(config_int(cfg.get("nt", 16), "nt"), config_int(cfg.get("nx", 16), "nx"),
-                  0.0, 0.5, 1.0)
+    g = make_grid(cfg["nt"], cfg["nx"], 0.0, 0.5, 1.0)
     mink = geo.metric_preset("minkowski", g)
     out = geo.build_chain(mink, mink.time_reversed())
     ok = isinstance(out, geo.ChainObstruction) and out.reason == "orientation-reversal"
     check = CheckResult.from_flag("reversal_obstruction_certificate", ok,
                                   reason=getattr(out, "reason", "chain-found"),
                                   detail=getattr(out, "detail", ""))
-    return report_tree(cfg.get("name", "reversed-pair"), {"paracausal": [check]})
+    return report_tree(cfg["name"], {"paracausal": [check]})
 
 
 def execute(scenarios, out_dir=None, exports=None) -> int:
-    """Run scenarios, write report.json (stdout without out_dir) and the files
-    {name: text} of ``exports()``; returns the exit code.  A config error
-    writes nothing.  Files the march refuses are left out: their suite fails.
+    """Read every scenario, then run them; write report.json (stdout without
+    out_dir) and the files {name: text} that ``exports(scenario)`` gives for
+    the first scenario read; returns the exit code.  A config error writes
+    nothing.  Files the march refuses are left out: their suite fails.
     """
     files = {}
     try:
         if exports and not out_dir:
             raise ValueError("the kernel files need a directory: add --out")
-        for sc in scenarios:
-            if not isinstance(sc, dict):
-                raise ValueError(f"a scenario must be a JSON object, got {json.dumps(sc)}")
+        scenarios = [read_scenario(sc) for sc in scenarios]
         try:
-            files = exports() if exports else {}
+            files = exports(scenarios[0]) if exports else {}
         except MarchError as e:
             print(f"no kernel files written: {e}", file=sys.stderr)
-        trees = sorted((_reversed_pair_report(sc) if sc.get("kind") == "reversed-pair"
-                        else run_scenario(sc) for sc in scenarios), key=lambda t: t["scenario"])
+        trees = sorted((_reversed_pair_report(sc) if "kind" in sc else run_scenario(sc)
+                        for sc in scenarios), key=lambda t: t["scenario"])
     except (ValueError, KeyError, TypeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return USAGE_ERROR
@@ -193,8 +171,8 @@ FLAGS = {
     "--dense-kernels": dict(action="store_true",
                             help="green: also write the dense kernels as CSV under --out; "
                                  "moller: add the dense propagator-transport law"),
-    # integers only; the suite checks the list, so a short or unordered one
-    # is a config error like any other
+    # integers only; the config reader checks the list, so a short or
+    # unordered one is a config error like any other
     "--grids": dict(type=_parse_sizes, metavar="N,N,...",
                     help="sizes of a refinement study: hadamard's nt, "
                          "or converge's nx (each with nt = 2 nx)"),
@@ -328,7 +306,7 @@ def main(argv=None) -> int:
         elif key and value is not None:
             section[key] = value
     wants_kernels = args.cmd == "green" and given.get("dense_kernels")
-    exports = partial(dense_kernel_csvs, section) if wants_kernels else None
+    exports = (lambda scenario: dense_kernel_csvs(scenario[suite])) if wants_kernels else None
     cfg = {"name": f"{suite}-cli", "seed": args.seed, "suites": [suite], suite: section}
     return execute([cfg], args.out, exports)
 

@@ -18,6 +18,8 @@ there is no sampling or modelling tolerance anywhere in this module.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -115,8 +117,10 @@ class MetricField:
         self.grid = grid
         self.stored = tuple(stored)
         self._arcs = None  # future_arcs, made on first read
-        if self.det().max() >= -_DET_FLOOR:
-            raise ValueError("not Lorentzian: det g must be < -1e-10 at every point")
+        with np.errstate(over="ignore", invalid="ignore"):  # a det past the float range is refused
+            det = self.det()
+        if not (np.isfinite(det).all() and det.max() < -_DET_FLOOR):
+            raise ValueError("not Lorentzian: det g must be finite and < -1e-10 at every point")
         if self.quad(*self.stored[3:]).max() >= 0.0:
             raise ValueError("orientation field must be timelike at every point")
 
@@ -785,43 +789,59 @@ def closed_causal_exists(g: MetricField) -> bool:
 
 # -- presets -----------------------------------------------------------------
 
+PRESETS = {  # each metric preset's params and their defaults
+    "minkowski": {}, "rotated-minkowski": {}, "conformal": {"mu": 2.0}, "warped": {"amp": 0.3},
+    "ultrastatic": {"h": 1.0}, "squeezed": {"a": 0.5}, "tilted": {"deg": 30.0},
+    "time-reversed": {"inner": "minkowski"},
+}
+
+
+def finite_number(value, name) -> float:
+    """value as a float; only a finite real number is taken (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def metric_preset(name: str, grid: SpacetimeGrid, **params) -> MetricField:
     """Named metric constructions addressable from configs.
 
     Supported: minkowski, rotated-minkowski, conformal (mu), warped (amp),
-    ultrastatic (h), squeezed (a), tilted (deg), time-reversed (inner=...).
+    ultrastatic (h), squeezed (a), tilted (deg), time-reversed (inner=...,
+    and the params of the inner preset).  A param the preset does not read,
+    or one that is not a finite number, is refused.
     """
-    key = name.strip().lower()
+    key = name.strip().lower() if isinstance(name, str) else None
+    if key not in PRESETS:
+        raise ValueError(f"unknown metric preset {name!r}; presets are {sorted(PRESETS)}")
+    if key == "time-reversed":
+        inner = params.pop("inner", "minkowski")
+        return metric_preset(inner, grid, **params).time_reversed()
+    unknown = sorted(set(params) - set(PRESETS[key]))
+    if unknown:
+        raise ValueError(f"metric preset {name!r} takes no param {unknown[0]!r}; "
+                         f"it takes {sorted(PRESETS[key])}")
+    p = {**PRESETS[key], **{k: finite_number(v, k) for k, v in params.items()}}
     if key == "minkowski":
         return MetricField(grid, -1.0, 0.0, 1.0, 1.0, 0.0)
     if key == "rotated-minkowski":
         return MetricField(grid, 1.0, 0.0, -1.0, 0.0, 1.0)
     if key == "conformal":
-        mu = float(params.get("mu", 2.0))
-        if mu <= 0:
+        if p["mu"] <= 0:
             raise ValueError("conformal factor must be positive")
-        return MetricField(grid, -mu, 0.0, mu, 1.0, 0.0)
+        return MetricField(grid, -p["mu"], 0.0, p["mu"], 1.0, 0.0)
     if key == "warped":
-        amp = float(params.get("amp", 0.3))
-        if not (0 <= amp < 1):
+        if not (0 <= p["amp"] < 1):
             raise ValueError("warp amplitude must lie in [0, 1)")
         t = grid.times
-        f = 1.0 + amp * np.sin(2.0 * np.pi * (t - grid.t_min) / (grid.t_max - grid.t_min))
+        f = 1.0 + p["amp"] * np.sin(2.0 * np.pi * (t - grid.t_min) / (grid.t_max - grid.t_min))
         return MetricField(grid, -1.0, 0.0, f[:, None], 1.0, 0.0)
     if key == "ultrastatic":
-        h = float(params.get("h", 1.0))
-        if h <= 0:
+        if p["h"] <= 0:
             raise ValueError("spatial factor must be positive")
-        return MetricField(grid, -1.0, 0.0, h, 1.0, 0.0)
+        return MetricField(grid, -1.0, 0.0, p["h"], 1.0, 0.0)
     if key == "squeezed":
-        a = float(params.get("a", 0.5))
         base = metric_preset("minkowski", grid)
-        return squeeze_metric(base, (1.0, 0.0), a)
-    if key == "tilted":
-        deg = float(params.get("deg", 30.0))
-        return metric_from_arcs(grid, math.radians(deg), math.pi / 4.0)
-    if key == "time-reversed":
-        inner = params.get("inner", "minkowski")
-        inner_params = {k: v for k, v in params.items() if k != "inner"}
-        return metric_preset(inner, grid, **inner_params).time_reversed()
-    raise ValueError(f"unknown metric preset {name!r}")
+        return squeeze_metric(base, (1.0, 0.0), p["a"])
+    return metric_from_arcs(grid, math.radians(p["deg"]), math.pi / 4.0)  # tilted

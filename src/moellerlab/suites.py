@@ -15,8 +15,9 @@ one per scenario) a chain is built once and shared: the ccr suite's chain is
 the moller suite's default one, so the two suites of a scenario check the
 same R.  Outside a scope every call builds its own chain.
 
-Every integer a config gives (a grid size, a sample count, a seed) is read
-by :func:`config_int`, which takes only a JSON integer.
+Every key a config may give is declared once, in :data:`CONFIG`, with its
+reader and its default.  :func:`read_scenario` reads a whole scenario before
+any of its suites runs, so a suite gets its section complete and typed.
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ __all__ = [
     "suite_ccr",
     "suite_hadamard",
     "suite_convergence",
-    "SECTION_KEYS",
     "SUITES",
+    "CONFIG",
+    "read_section",
+    "read_scenario",
 ]
 
 
@@ -88,7 +91,7 @@ def suite_cones(cfg, rng) -> list:
     grid with `pairs` points scans that many pairs in a handful of
     vectorized interval computations.
     """
-    pairs = _sample_count(cfg, "pairs", 1000)
+    pairs = cfg["pairs"]
     nx = max(4, (pairs + 3) // 4)
     grid = make_grid(4, nx, 0.0, 1.0, 1.0)
     profiles = [0.0, 1.0, 0.5, rng.uniform(0.0, 1.0, (grid.nt, grid.nx)),
@@ -147,8 +150,7 @@ def _any_timelike(att, atx, axx):
 
 def suite_paracausal(cfg, rng) -> list:
     """Chain fixtures: rotation succeeds geometrically, reversal certifies."""
-    g = make_grid(config_int(cfg.get("nt", 16), "nt"), config_int(cfg.get("nx", 16), "nx"),
-                  0.0, 0.5, 1.0)
+    g = make_grid(cfg["nt"], cfg["nx"], 0.0, 0.5, 1.0)
     mink = geo.metric_preset("minkowski", g)
     rot = geo.metric_preset("rotated-minkowski", g)
     checks = []
@@ -197,41 +199,8 @@ def _batches(count) -> list:
     return [min(BATCH, count - i) for i in range(0, count, BATCH)]
 
 
-def config_int(value, key) -> int:
-    """The config value of key as an int; only a JSON integer (or a numpy integer) is taken.
-
-    A bool, a float or a string is refused with a message naming key and
-    value: int() would read true as 1, 200.9 as 200 and "300" as 300.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _sample_count(cfg, key, default) -> int:
-    count = config_int(cfg.get(key, default), key)
-    if count < 1:
-        raise ValueError(f"{key} must be at least 1, got {count}")
-    return count
-
-
-def _refinement_sizes(sizes, key) -> list:
-    """Grid sizes of a refinement study, checked before any work starts."""
-    if not isinstance(sizes, (list, tuple)):
-        raise ValueError(f"{key} must be a list of integers, got {sizes!r}")
-    sizes = [config_int(v, f"{key} entry") for v in sizes]
-    if len(sizes) < 2:
-        raise ValueError(f"{key} needs at least two grid sizes to measure an order, got {sizes}")
-    if min(sizes) <= 0:
-        raise ValueError(f"{key} sizes must be positive, got {sizes}")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError(f"{key} sizes must be strictly increasing, got {sizes}")
-    return sizes
-
-
-def _scenario_operator(cfg, grid, preset="minkowski", **kw):
-    met = geo.metric_preset(preset, grid, **kw)
-    return gh.wave_operator(met, mass=float(cfg.get("mass", 1.0)))
+def _green_operator(cfg, grid):
+    return gh.wave_operator(geo.metric_preset(cfg["preset"], grid), mass=cfg["mass"])
 
 
 # the exact-sequence window starts at level nt // 4 (gh.exactness_check), and N
@@ -240,22 +209,21 @@ GREEN_MIN_NT = 4 * (gh.PAST_MARGIN + 1)
 
 
 def _green_grid(cfg):
-    """The grid of the green scenario, 48 x 48 unless the section says otherwise."""
-    return make_grid(config_int(cfg.get("nt", 48), "nt"), config_int(cfg.get("nx", 48), "nx"),
-                     0.0, float(cfg.get("t_max", 0.5)), 1.0)
+    """The grid of the green scenario."""
+    return make_grid(cfg["nt"], cfg["nx"], 0.0, cfg["t_max"], 1.0)
 
 
 def suite_green(cfg, rng) -> list:
     """Causal-inverse laws on one massive scalar scenario."""
     grid = _green_grid(cfg)
     nx = grid.nx
-    N = _scenario_operator(cfg, grid, cfg.get("preset", "minkowski"))
+    N = _green_operator(cfg, grid)
     N.check_march()  # a refused march is the suite's failed check, on any grid
     if grid.nt < GREEN_MIN_NT:
         raise ValueError(f"green needs nt >= {GREEN_MIN_NT}, got nt = {grid.nt}: the exact-sequence "
                          f"sources start at level nt // 4 - 1, which must clear the first "
                          f"{gh.PAST_MARGIN} time levels")
-    count = _sample_count(cfg, "count", 100)
+    count = cfg["count"]
     checks = []
     Gs = gh.GreenSystem(N)
     lo, hi = 4, grid.nt - 4
@@ -296,7 +264,7 @@ def suite_green(cfg, rng) -> list:
     spread = float((vals.max() - vals.min()) / max(abs(vals.mean()), 1e-300))
     checks.append(CheckResult.from_residual("symplectic_slice_independence", spread, 1e-9))
     worst = 0.0
-    for k in _batches(_sample_count(cfg, "pairs", 50)):
+    for k in _batches(cfg["pairs"]):
         pairs = [mo.random_dictionary(grid, 2, rng.integers(1 << 30), window=(lo, hi))
                  for _ in range(k)]
         f1, h1 = (np.stack([p[i] for p in pairs]) for i in (0, 1))
@@ -311,20 +279,13 @@ def suite_green(cfg, rng) -> list:
     return checks
 
 
-def _metric_from_spec(spec, grid):
-    if isinstance(spec, str):
-        return geo.metric_preset(spec, grid)
-    params = {k: v for k, v in spec.items() if k != "preset"}
-    return geo.metric_preset(spec["preset"], grid, **params)
-
-
 def _chain_from_directive(directive, grid):
-    """Explicit chain: list of metric specs with link directions inferred.
+    """Explicit chain: its (preset, params) metrics with link directions inferred.
 
     A link whose metrics are comparable in neither order gives a
     ChainObstruction instead of a chain.
     """
-    mets = [_metric_from_spec(s, grid) for s in directive]
+    mets = [geo.metric_preset(name, grid, **params) for name, params in directive]
     flags = []
     for k, (a, b) in enumerate(zip(mets, mets[1:])):
         if geo.preceq(a, b) is geo.ALIGNED:
@@ -359,25 +320,21 @@ def chain_scope():
 
 
 def _auto_chain(grid, target, params, window, mass):
-    """(chain, R): minkowski to the preset target (with params) and its Møller operator.
+    """(chain, R): minkowski to the preset target and its Møller operator.
+
+    params are the target's, as a set of (name, value) items, so that the
+    arguments are a key.
 
     R is None where no chain exists (chain is then the ChainObstruction).
     Inside :func:`chain_scope` the pair is built once per argument set; a
     refused march (``MarchError``, ``MollerObstruction``) is raised and not
     kept, so a later call raises again.
     """
-    key = [grid, mass]
-    for name, value in (("target_preset", target), ("target_params", params), ("window", window)):
-        try:
-            key.append(frozenset(value.items()) if isinstance(value, dict) else value)
-            hash(key[-1])
-        except TypeError:
-            raise ValueError(f"{name} must hold only numbers and strings, got {value!r}") from None
-    key = tuple(key)
+    key = grid, mass, target, params, window
     if _chains is not None and key in _chains:
         return _chains[key]
     chain = geo.build_chain(geo.metric_preset("minkowski", grid),
-                            geo.metric_preset(target, grid, **params))
+                            geo.metric_preset(target, grid, **dict(params)))
     R = None
     if isinstance(chain, geo.ParacausalChain):
         R = mo.compose_chain(chain, window=window, mass=mass)
@@ -388,30 +345,21 @@ def _auto_chain(grid, target, params, window, mass):
 
 def suite_moller(cfg, rng) -> list:
     """Intertwiner laws along a chain (auto-built or an explicit directive)."""
-    nt = config_int(cfg.get("nt", 32), "nt")
-    nx = config_int(cfg.get("nx", 32), "nx")
-    grid = make_grid(nt, nx, 0.0, float(cfg.get("t_max", 0.5)), 1.0)
-    directive = cfg.get("chain", "auto")
-    dictionary = _sample_count(cfg, "dictionary", 16)
-    sympl_pairs = _sample_count(cfg, "sympl_pairs", 10)
-    dense = cfg.get("dense", False)
-    if not isinstance(dense, bool):  # bool("false") is True
-        raise ValueError(f"dense must be true or false, got {dense!r}")
+    grid = make_grid(cfg["nt"], cfg["nx"], 0.0, cfg["t_max"], 1.0)
     checks = []
-    window = tuple(cfg["window"]) if "window" in cfg else None
-    mass = float(cfg.get("mass", 1.0))
-    if directive == "auto":
-        chain, R = _auto_chain(grid, cfg.get("target_preset", "conformal"),
-                               cfg.get("target_params", {"mu": 2.0}), window, mass)
+    window, mass = cfg["window"], cfg["mass"]
+    if cfg["chain"] == "auto":
+        chain, R = _auto_chain(grid, cfg["target_preset"], cfg["target_params"], window, mass)
         if R is None:
             return [CheckResult.from_flag("chain_exists", False, reason=chain.reason)]
     else:
-        chain = _chain_from_directive(directive, grid)
+        chain = _chain_from_directive(cfg["chain"], grid)
         if not isinstance(chain, geo.ParacausalChain):
             return [CheckResult.from_flag("chain_exists", False, reason=chain.reason,
                                           detail=chain.detail)]
         R = mo.compose_chain(chain, window=window, mass=mass)
-    d = mo.random_dictionary(grid, dictionary, int(rng.integers(1 << 30)), window=(4, grid.nt - 4))
+    d = mo.random_dictionary(grid, cfg["dictionary"], int(rng.integers(1 << 30)),
+                             window=(4, grid.nt - 4))
     # one march of the dictionary through R serves every law: the adjoint laws
     # read the fields between the steps, the identities only R u
     carried = R.carry(d)
@@ -419,8 +367,8 @@ def suite_moller(cfg, rng) -> list:
     adjoint = mo.verify_adjoint_laws(R, d, carried)  # pops carried down to u
     del carried
     rep = mo.verify_moller_identities(R, d, seed=int(rng.integers(1 << 30)),
-                                      dense=dense,
-                                      sympl_pairs=sympl_pairs, image=image)
+                                      dense=cfg["dense"],
+                                      sympl_pairs=cfg["sympl_pairs"], image=image)
     for k, v in rep.items():
         checks.append(CheckResult.from_residual(f"moller_{k}", v, MOLLER_TOLERANCES[k]))
     for k, v in adjoint.items():
@@ -430,15 +378,10 @@ def suite_moller(cfg, rng) -> list:
 
 def suite_ccr(cfg, rng) -> list:
     """Algebra layer: normal forms, states, transport along the moller suite's default R."""
-    nt = config_int(cfg.get("nt", 32), "nt")
-    nx = config_int(cfg.get("nx", 32), "nx")
-    dictionary = _sample_count(cfg, "dictionary", 16)
-    triples = _sample_count(cfg, "triples", 200)
-    positivity_samples = _sample_count(cfg, "positivity_samples", 100)
-    grid = make_grid(nt, nx, 0.0, 0.5, 1.0)
-    _, R = _auto_chain(grid, "conformal", {"mu": 2.0}, None, float(cfg.get("mass", 1.0)))
+    grid = make_grid(cfg["nt"], cfg["nx"], 0.0, 0.5, 1.0)
+    _, R = _auto_chain(grid, "conformal", frozenset(), None, cfg["mass"])
     N = R.op_start
-    secs = mo.random_dictionary(grid, dictionary, int(rng.integers(1 << 30)),
+    secs = mo.random_dictionary(grid, cfg["dictionary"], int(rng.integers(1 << 30)),
                                 window=(4, grid.nt - 4))
     D = ccrmod.FieldDictionary(secs, N)
     checks = []
@@ -450,7 +393,7 @@ def suite_ccr(cfg, rng) -> list:
         return el
 
     worst = 0.0
-    for _ in range(triples):
+    for _ in range(cfg["triples"]):
         a, b, c = (rand_prod(2, D) for _ in range(3))
         worst = max(worst, ((a * b) * c - a * (b * c)).sup_coeff())
     checks.append(CheckResult.from_residual("normal_form_confluence", worst, 1e-10))
@@ -462,7 +405,7 @@ def suite_ccr(cfg, rng) -> list:
         "six_point_pairing_sum", abs(ccrmod.quasifree_npoint(om, idx) - brute), 1e-12))
 
     neg = 0.0
-    for _ in range(positivity_samples):
+    for _ in range(cfg["positivity_samples"]):
         a = ccrmod.AlgebraElement.identity(D, complex(rng.standard_normal(), rng.standard_normal()))
         a = a + rand_prod(1, D) * complex(rng.standard_normal(), rng.standard_normal())
         a = a + rand_prod(2, D) * complex(rng.standard_normal(), rng.standard_normal())
@@ -479,7 +422,7 @@ def suite_ccr(cfg, rng) -> list:
         "pullback_state_commutator_consistency",
         float(np.max(np.abs(om_p.W.imag - Dp.pairing / 2.0))), 1e-8))
     neg = 0.0
-    for _ in range(positivity_samples):
+    for _ in range(cfg["positivity_samples"]):
         a = ccrmod.AlgebraElement.identity(Dp, complex(rng.standard_normal()))
         a = a + rand_prod(1, Dp) * complex(rng.standard_normal(), rng.standard_normal())
         a = a + rand_prod(2, Dp) * complex(rng.standard_normal(), rng.standard_normal())
@@ -522,11 +465,9 @@ def _hadamard_residuals(nt, nx, mass):
 
 def suite_hadamard(cfg, rng) -> list:
     """Kernel transport with convergence orders and the smoothness proxy."""
-    nx = config_int(cfg.get("nx", 16), "nx")
-    mass = float(cfg.get("mass", 1.0))
-    nts = _refinement_sizes(cfg.get("nts", (64, 128, 256)), "nts")
+    nx, mass = cfg["nx"], cfg["mass"]
     rows = []
-    for nt in nts:
+    for nt in cfg["nts"]:
         *sups, context = _hadamard_residuals(nt, nx, mass)
         rows.append(sups)
         if len(rows) == 2:  # the middle grid's objects serve the checks below
@@ -620,8 +561,7 @@ def _characteristics_error(nx):
 def suite_convergence(cfg, rng) -> list:
     """Measured orders: characteristics solution and vacuum hypothesis."""
     checks = []
-    errs = [_characteristics_error(nx)
-            for nx in _refinement_sizes(cfg.get("grids", (32, 64, 128)), "grids")]
+    errs = [_characteristics_error(nx) for nx in cfg["grids"]]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     checks.append(CheckResult.from_residual(
         "characteristics_solution_order", -(min(orders) - 1.9), 0.0,
@@ -636,7 +576,7 @@ def dense_kernel_csvs(cfg) -> dict:
     grid = _green_grid(cfg)  # the grid of the report the files go with
     if grid.n_points > 1024:
         raise ValueError("dense kernels are limited to small grids")
-    N = _scenario_operator(cfg, grid, cfg.get("preset", "minkowski"))
+    N = _green_operator(cfg, grid)
     Gp, Gm = gh.GreenSystem(N).kernel_matrices()
     return {
         "green_plus.csv": matrix_csv(Gp),
@@ -645,22 +585,7 @@ def dense_kernel_csvs(cfg) -> dict:
     }
 
 
-# The keys each suite reads from its section, and the keys of the
-# reversed-pair fixture scenario (``cli``): a config naming any other key is
-# refused before a suite runs.  SUITES stays a dict of the suite functions,
-# so that a tracer can rebind them.
-SECTION_KEYS = {
-    "cones": {"pairs"},
-    "paracausal": {"nt", "nx"},
-    "green": {"nt", "nx", "t_max", "preset", "mass", "count", "pairs"},
-    "moller": {"nt", "nx", "t_max", "chain", "target_preset", "target_params", "window",
-               "mass", "dictionary", "sympl_pairs", "dense"},
-    "ccr": {"nt", "nx", "mass", "dictionary", "triples", "positivity_samples"},
-    "hadamard": {"nx", "mass", "nts"},
-    "convergence": {"grids"},
-    "reversed-pair": {"name", "kind", "nt", "nx"},
-}
-
+# a plain dict of the suite functions, so that a tracer can rebind them
 SUITES = {
     "cones": suite_cones,
     "paracausal": suite_paracausal,
@@ -669,4 +594,161 @@ SUITES = {
     "ccr": suite_ccr,
     "hadamard": suite_hadamard,
     "convergence": suite_convergence,
+}
+
+
+# -- config: each reader takes a JSON value and its key, and returns the value
+# the suites use or raises ValueError naming the key
+
+def config_int(value, key) -> int:
+    """The config value of key as an int; only a JSON integer (or a numpy integer) is taken.
+
+    A bool, a float or a string is refused with a message naming key and
+    value: int() would read true as 1, 200.9 as 200 and "300" as 300.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _count(value, key) -> int:
+    count = config_int(value, key)
+    if count < 1:
+        raise ValueError(f"{key} must be at least 1, got {count}")
+    return count
+
+
+def _string(value, key) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _flag(value, key) -> bool:
+    if not isinstance(value, bool):  # bool("false") is True
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _refinement_sizes(sizes, key) -> list:
+    """Grid sizes of a refinement study, checked before any work starts."""
+    if not isinstance(sizes, (list, tuple)):
+        raise ValueError(f"{key} must be a list of integers, got {sizes!r}")
+    sizes = [config_int(v, f"{key} entry") for v in sizes]
+    if len(sizes) < 2:
+        raise ValueError(f"{key} needs at least two grid sizes to measure an order, got {sizes}")
+    if min(sizes) <= 0:
+        raise ValueError(f"{key} sizes must be positive, got {sizes}")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"{key} sizes must be strictly increasing, got {sizes}")
+    return sizes
+
+
+def _window(value, key):
+    """A Møller chain's switch window (t0, t1); null leaves it on the middle third of the grid."""
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{key} must be two numbers [t0, t1], got {value!r}")
+    return tuple(geo.finite_number(t, f"{key} entry") for t in value)
+
+
+_PROBE = make_grid(4, 4, 0.0, 1.0, 1.0)
+
+
+def _preset(value, key, params=()) -> str:
+    """A metric preset's name, refused unless the preset builds with params on a 4 x 4 grid.
+
+    So a refusal that does not depend on the grid (an unknown preset or param,
+    a value out of range) comes when the config is read.
+    """
+    try:  # every preset builds with its defaults: a known name alone needs no build
+        if params or not (isinstance(value, str) and value.strip().lower() in geo.PRESETS):
+            geo.metric_preset(value, _PROBE, **dict(params))
+    except ValueError as e:
+        raise ValueError(f"{key}: {e}") from None
+    return value
+
+
+def _params(value, key) -> frozenset:
+    """A target preset's params, as the hashable set of their (name, value) items."""
+    if not isinstance(value, dict) or not all(isinstance(v, (str, int, float))
+                                              for v in value.values()):
+        raise ValueError(f"{key} must hold only numbers and strings, got {value!r}")
+    return frozenset(value.items())
+
+
+def _chain(value, key):
+    """"auto", or an explicit chain: a preset name or {"preset": name, param: value, ...} per metric."""
+    if value == "auto":
+        return value
+    if not isinstance(value, (list, tuple)) or len(value) < 2:
+        raise ValueError(f'{key} must be "auto" or a list of at least two metric presets, '
+                         f'got {value!r}')
+    specs = [(s.get("preset"), {k: v for k, v in s.items() if k != "preset"})
+             if isinstance(s, dict) else (s, {}) for s in value]
+    return tuple((_preset(name, key, params), params) for name, params in specs)
+
+
+def _suite_names(value, key) -> list:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(s, str) for s in value):
+        raise ValueError(f"{key} must be a list of suite names, got {value!r}")
+    unknown = [s for s in value if s not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown {key}: {unknown}; known: {sorted(SUITES)}")
+    return list(value)
+
+
+def read_section(raw, name, where=None) -> dict:
+    """raw read by the rows of CONFIG[name]: each key by its reader, an absent one from its default.
+
+    A key the section does not declare is refused, naming where (the
+    ``name section`` by default).  The scenario's rows read its suite
+    sections with this function.
+    """
+    where = where or f"{name} section"
+    rows = CONFIG[name]
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object, got {raw!r}")
+    unknown = sorted(set(raw) - set(rows))
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {unknown}; {where} takes {sorted(rows)}")
+    cfg = {key: read(raw.get(key, default), key) for key, (read, default) in rows.items()}
+    if name == "moller" and cfg["target_params"]:  # the target's params must be its preset's
+        _preset(cfg["target_preset"], "target_params", cfg["target_params"])
+    return cfg
+
+
+def read_scenario(raw) -> dict:
+    """A scenario, or the reversed-pair fixture, read whole before any of its suites runs."""
+    if isinstance(raw, dict) and raw.get("kind") == "reversed-pair":
+        return read_section(raw, "reversed-pair", "reversed-pair scenario")
+    return read_section(raw, "scenario", "scenario")
+
+
+_number = geo.finite_number
+# Every config key: section -> {key: (reader, default)}.  A scenario takes
+# one section per suite; the reversed-pair fixture is a scenario of its own kind.
+CONFIG = {
+    "scenario": {"name": (_string, "scenario"), "seed": (config_int, 0),
+                 "suites": (_suite_names, ["cones", "paracausal", "green"]),
+                 **{s: (read_section, {}) for s in SUITES}},
+    "cones": {"pairs": (_count, 1000)},
+    "paracausal": {"nt": (config_int, 16), "nx": (config_int, 16)},
+    "green": {"nt": (config_int, 48), "nx": (config_int, 48), "t_max": (_number, 0.5),
+              "preset": (_preset, "minkowski"), "mass": (_number, 1.0),
+              "count": (_count, 100), "pairs": (_count, 50)},
+    "moller": {"nt": (config_int, 32), "nx": (config_int, 32), "t_max": (_number, 0.5),
+               "chain": (_chain, "auto"), "target_preset": (_preset, "conformal"),
+               "target_params": (_params, {}), "window": (_window, None),
+               "mass": (_number, 1.0), "dictionary": (_count, 16), "sympl_pairs": (_count, 10),
+               "dense": (_flag, False)},
+    "ccr": {"nt": (config_int, 32), "nx": (config_int, 32), "mass": (_number, 1.0),
+            "dictionary": (_count, 16), "triples": (_count, 200),
+            "positivity_samples": (_count, 100)},
+    "hadamard": {"nx": (config_int, 16), "mass": (_number, 1.0),
+                 "nts": (_refinement_sizes, [64, 128, 256])},
+    "convergence": {"grids": (_refinement_sizes, [32, 64, 128])},
+    "reversed-pair": {"name": (_string, "reversed-pair"), "kind": (_string, "reversed-pair"),
+                      "nt": (config_int, 16), "nx": (config_int, 16)},
 }

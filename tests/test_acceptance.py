@@ -18,7 +18,7 @@ from moellerlab import geometry as geo
 from moellerlab import greenhyp as gh
 from moellerlab import moller as mo
 from moellerlab.lattice import make_grid
-from moellerlab.suites import (suite_ccr, suite_cones, suite_hadamard,
+from moellerlab.suites import (read_section, suite_ccr, suite_cones, suite_hadamard,
                                suite_paracausal)
 
 from conftest import dense_adjoint
@@ -33,7 +33,7 @@ def announce(num, name, ok, detail=""):
 def test_criterion_1_cone_sandwich():
     t0 = time.time()
     rng = np.random.default_rng(11)
-    checks = suite_cones({"pairs": 1000}, rng)
+    checks = suite_cones(read_section({"pairs": 1000}, "cones"), rng)
     elapsed = time.time() - t0
     ok = all(c.passed for c in checks) and elapsed < 5.0
     announce(1, "cone sandwich on 1000 random comparable pairs x 5 profiles", ok,
@@ -43,7 +43,7 @@ def test_criterion_1_cone_sandwich():
 def test_criterion_2_paracausal_fixtures():
     t0 = time.time()
     rng = np.random.default_rng(12)
-    checks = suite_paracausal({}, rng)
+    checks = suite_paracausal(read_section({}, "paracausal"), rng)
     elapsed = time.time() - t0
     ok = all(c.passed for c in checks) and elapsed < 5.0
     announce(2, "rotation chain <= 4 metrics; reversal certificate; closed causal flag",
@@ -199,7 +199,8 @@ def test_criterion_7_adjoint_calculus():
 def test_criterion_8_ccr_layer():
     t0 = time.time()
     rng = np.random.default_rng(19)
-    checks = suite_ccr({"dictionary": 12, "triples": 200, "positivity_samples": 100}, rng)
+    section = read_section({"dictionary": 12, "triples": 200, "positivity_samples": 100}, "ccr")
+    checks = suite_ccr(section, rng)
     by_law = {c.law: c for c in checks}
     elapsed = time.time() - t0
     ok = (by_law["normal_form_confluence"].residual <= 1e-10
@@ -215,7 +216,7 @@ def test_criterion_8_ccr_layer():
 def test_criterion_9_hadamard_surrogate():
     t0 = time.time()
     rng = np.random.default_rng(20)
-    checks = suite_hadamard({"nx": 16, "nts": (64, 128, 256)}, rng)
+    checks = suite_hadamard(read_section({"nx": 16, "nts": [64, 128, 256]}, "hadamard"), rng)
     by_law = {c.law: c for c in checks}
     elapsed = time.time() - t0
     hyp = by_law["vacuum_commutator_hypothesis_order"]

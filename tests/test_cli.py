@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moellerlab import cli
+from moellerlab import geometry as geo
+from moellerlab.suites import CONFIG, SUITES, read_scenario, read_section
 
 
 def run_cli(args):
@@ -467,14 +469,14 @@ def test_selftest_composes_one_chain_per_run(tmp_path, monkeypatch):
 ], ids=json.dumps)
 def test_moller_section_unlike_ccr_composes_its_own_chain(moller, chains, monkeypatch):
     composed = _composed_chains(monkeypatch)
-    tree = cli.run_scenario({"suites": ["moller", "ccr"],
-                             "moller": {**TINY_SECTIONS["moller"], **moller},
-                             "ccr": TINY_SECTIONS["ccr"]})
+    tree = cli.run_scenario(read_scenario({"suites": ["moller", "ccr"],
+                                           "moller": {**TINY_SECTIONS["moller"], **moller},
+                                           "ccr": TINY_SECTIONS["ccr"]}))
     assert tree["pass"] and len(composed) == chains
     # a suite called outside a scenario builds its own chain
     from moellerlab.suites import suite_ccr
 
-    suite_ccr(TINY_SECTIONS["ccr"], np.random.default_rng(0))
+    suite_ccr(read_section(TINY_SECTIONS["ccr"], "ccr"), np.random.default_rng(0))
     assert len(composed) == chains + 1
 
 
@@ -518,36 +520,50 @@ TINY_SECTIONS = {
 }
 
 
+def _recording_reader(monkeypatch):
+    """Have cli read each scenario into a _Recording, each of its sections one too; returns them."""
+    read = []
+
+    def recording(raw):
+        cfg = read_scenario(raw)
+        read.append(_Recording({k: _Recording(v) if isinstance(v, dict) else v
+                                for k, v in cfg.items()}))
+        return read[-1]
+
+    monkeypatch.setattr(cli, "read_scenario", recording)
+    return read
+
+
 @pytest.mark.parametrize("suite", TINY_SECTIONS)
-def test_each_suite_reads_exactly_its_declared_keys(suite):
-    from moellerlab.suites import SECTION_KEYS
+def test_each_suite_reads_exactly_its_declared_keys(suite, monkeypatch, capsys):
+    # the reader hands the suite every key its section declares, and the
+    # suite reads each of them
+    read = _recording_reader(monkeypatch)
+    cli.execute([{"suites": [suite], suite: TINY_SECTIONS[suite]}])
+    [scenario] = read
+    assert set(scenario[suite]) == set(CONFIG[suite])
+    assert scenario[suite].read == set(CONFIG[suite])
 
-    section = _Recording(TINY_SECTIONS[suite])
-    cli.run_scenario({"suites": [suite], suite: section})
-    assert section.read == SECTION_KEYS[suite]
 
-
-def test_reversed_pair_reads_exactly_its_declared_keys(capsys):
-    from moellerlab.suites import SECTION_KEYS
-
-    scenario = _Recording(name="r", kind="reversed-pair", nt=8, nx=8)
-    assert cli.execute([scenario]) == 0
-    assert scenario.read == SECTION_KEYS["reversed-pair"]
+def test_reversed_pair_reads_exactly_its_declared_keys(monkeypatch, capsys):
+    read = _recording_reader(monkeypatch)
+    assert cli.execute([{"name": "r", "kind": "reversed-pair", "nt": 8, "nx": 8}]) == 0
+    [scenario] = read
+    assert scenario.read == set(scenario) == set(CONFIG["reversed-pair"])
 
 
 def test_bundled_and_flag_keys_are_declared():
-    from moellerlab.suites import SECTION_KEYS, SUITES
-
     for path in Path(cli._bundled("")).glob("*.json"):
         cfg = json.loads(path.read_text())
         for sc in cfg if isinstance(cfg, list) else [cfg]:
-            if sc.get("kind") == "reversed-pair":
-                assert set(sc) <= SECTION_KEYS["reversed-pair"], path.name
+            read_scenario(sc)  # refuses a key no row declares
+            rows = CONFIG["reversed-pair" if sc.get("kind") == "reversed-pair" else "scenario"]
+            assert set(sc) <= set(rows), path.name
             for suite in SUITES:
-                assert set(sc.get(suite, {})) <= SECTION_KEYS[suite], (path.name, suite)
+                assert set(sc.get(suite, {})) <= set(CONFIG[suite]), (path.name, suite)
     for suite, flags in cli.COMMANDS.values():
         for key in filter(None, flags.values()):
-            assert set(key.split(",")) <= SECTION_KEYS[suite], (suite, key)
+            assert set(key.split(",")) <= set(CONFIG[suite]), (suite, key)
 
 
 @pytest.mark.parametrize("cfg, message", [
@@ -568,6 +584,84 @@ def test_unknown_section_key_exits_2_before_any_suite_runs(cfg, message, tmp_pat
     assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not ran and not (tmp_path / "out").exists()
+
+
+# a value each reader refuses, and the key its message names
+CONFIG_ERRORS = [
+    ({"suites": ["green"], "green": {"mass": True}}, "mass must be a finite number, got True"),
+    ({"suites": ["green"], "green": {"t_max": "0.5"}}, "t_max must be a finite number, got '0.5'"),
+    ({"suites": ["green"], "green": {"preset": 5}}, "preset: unknown metric preset 5"),
+    ({"suites": ["moller"], "moller": {"chain": [5, "conformal"]}}, "chain: unknown metric preset 5"),
+    ({"suites": ["moller"], "moller": {"window": [0.2]}}, "window must be two numbers"),
+    ({"suites": ["moller"], "moller": {"window": "ab"}}, "window must be two numbers"),
+    ({"suites": ["moller"], "moller": {"target_params": {"m": 3}}},
+     "target_params: metric preset 'conformal' takes no param 'm'; it takes ['mu']"),
+    ({"suites": "cones"}, "suites must be a list of suite names, got 'cones'"),
+    ({"name": 5, "suites": ["cones"]}, "name must be a string, got 5"),
+]
+
+
+@pytest.mark.parametrize("cfg, message", CONFIG_ERRORS, ids=json.dumps)
+def test_config_error_names_its_key_and_writes_nothing(cfg, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    [{"name": "a", "suites": ["cones"], "cones": {"pairs": 8}},
+     {"name": "b", "suites": ["cones"], "cones": {"pairs": 8}, "cone": {}}],
+    [{"name": "a", "suites": ["cones"], "cones": {"pairs": 8}},
+     {"name": "b", "suites": ["cones"], "cones": {"pairs": 8.5}}],
+    {"suites": ["cones", "paracausal", "green"], "cones": {"pairs": 8}, "green": {"mass": "2"}},
+], ids=["second-scenario-key", "second-scenario-count", "later-section-value"])
+def test_a_bad_key_or_value_anywhere_runs_no_suite(cfg, tmp_path, capsys, monkeypatch):
+    # the whole config is read before the first suite runs
+    ran = []
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda section, rng, name=name: ran.append(name) or [])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not ran and not (tmp_path / "out").exists()
+
+
+KEYS = [(section, key) for section, rows in CONFIG.items() for key in rows]
+# JSON values of every type: null, bool, int, float (NaN and infinities among
+# them), string, list and object, with the words the readers know mixed in
+_WORDS = st.sampled_from(["auto", "preset", "inner", "mu", "deg", *geo.PRESETS, *SUITES])
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+            | _WORDS)
+JSON_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6) | _WORDS, inner, max_size=3), max_leaves=8)
+ONE_OF_EACH_TYPE = [None, True, 3, -2, 2.5, float("nan"), float("inf"), "x", [1, 2], {"a": 1}]
+
+
+def _reads_or_names_the_key(section, key, value):
+    try:
+        read_section({key: value}, section)
+    except ValueError as e:
+        # an error inside a suite's section may name the key of the section it is about
+        named = [key, *CONFIG.get(key, ())]
+        assert any(k in str(e) for k in named), (section, key, str(e))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(KEYS), JSON_VALUES)
+def test_every_key_reads_or_is_refused_by_name(section_key, value):
+    # a draw either reads, or is a ValueError naming its key: never another exception
+    _reads_or_names_the_key(*section_key, value)
+
+
+@pytest.mark.parametrize("section, key", KEYS)
+def test_every_key_meets_a_value_of_each_json_type(section, key):
+    for value in ONE_OF_EACH_TYPE:
+        _reads_or_names_the_key(section, key, value)
 
 
 PARSER_CASES = [[], ["--help"], ["-h"], ["--he"], ["foo"], ["conv"], ["converge", "--grid", "3x3"],

@@ -4,7 +4,7 @@ import pytest
 from moellerlab import cli
 from moellerlab import geometry as geo
 from moellerlab.lattice import make_grid
-from moellerlab.suites import random_comparable_pair, random_metric
+from moellerlab.suites import random_comparable_pair, random_metric, read_scenario
 
 
 @pytest.fixture
@@ -201,7 +201,8 @@ def test_null_slopes_keep_the_finite_root_where_g_xx_is_zero(g8):
                                   1056, 1185])
 def test_cone_suite_passes_at_small_g_xx_seeds(seed):
     # the self-test's cone scan at the config seeds whose pairs reach such points
-    report = cli.run_scenario({"seed": seed, "suites": ["cones"], "cones": {"pairs": 200}})
+    scenario = read_scenario({"seed": seed, "suites": ["cones"], "cones": {"pairs": 200}})
+    report = cli.run_scenario(scenario)
     assert report["pass"], [c["law"] for c in report["suites"]["cones"]["checks"] if not c["pass"]]
 
 
@@ -572,6 +573,38 @@ def test_metric_presets(g8):
         assert np.max(m.det()) < 0
     with pytest.raises(ValueError):
         geo.metric_preset("nope", g8)
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("conformal", {"m": 3}, "metric preset 'conformal' takes no param 'm'; it takes ['mu']"),
+    ("minkowski", {"mu": 2.0}, "metric preset 'minkowski' takes no param 'mu'; it takes []"),
+    ("time-reversed", {"inner": "conformal", "deg": 3.0},
+     "metric preset 'conformal' takes no param 'deg'; it takes ['mu']"),
+    ("conformal", {"mu": True}, "mu must be a finite number, got True"),
+    ("tilted", {"deg": "30"}, "deg must be a finite number, got '30'"),
+    ("warped", {"amp": float("nan")}, "amp must be a finite number, got nan"),
+    ("time-reversed", {"inner": "conformal", "mu": [2.0]}, "mu must be a finite number, got [2.0]"),
+    (5, {}, "unknown metric preset 5"),
+    ("time-reversed", {"inner": {"preset": "minkowski"}}, "unknown metric preset {'preset'"),
+])
+def test_metric_preset_refuses_a_param_it_does_not_read(g8, name, params, message):
+    # a param the preset does not read, or one that is not a real number, is
+    # named; time-reversed reads its inner preset's params too
+    with pytest.raises(ValueError) as refused:
+        geo.metric_preset(name, g8, **params)
+    assert str(refused.value).startswith(message)
+
+
+def test_time_reversed_preset_reads_its_inner_params(g8):
+    m = geo.metric_preset("time-reversed", g8, inner="conformal", mu=3.0)
+    assert np.array_equal(m.g_xx, geo.metric_preset("conformal", g8, mu=3.0).g_xx)
+    assert np.all(m.orient_t == -1.0)
+
+
+def test_metric_whose_det_leaves_the_float_range_is_refused(g8):
+    # mu^2 overflows: refused as not Lorentzian, with no overflow warning
+    with pytest.raises(ValueError, match="det g must be finite"):
+        geo.metric_preset("conformal", g8, mu=1e200)
 
 
 def test_cone_data(g8):

@@ -202,9 +202,10 @@ def test_convergence_suite_peak():
     # with it a sum of sines, 16.8 MB when the x-independent metrics and
     # operators were kept as whole fields, 25.3 MB with whole-window copies
     # in the march and the checks)
-    from moellerlab.suites import suite_convergence
+    from moellerlab.suites import read_section, suite_convergence
 
-    checks, peak, _ = _traced(lambda: suite_convergence({"grids": [64, 128, 256]}, None))
+    section = read_section({"grids": [64, 128, 256]}, "convergence")
+    checks, peak, _ = _traced(lambda: suite_convergence(section, None))
     assert checks[0].passed
     assert peak < 3e6, peak / 1e6
 

@@ -217,7 +217,8 @@ def test_hadamard_suite_march_count_does_not_grow_with_probes(monkeypatch):
 
     monkeypatch.setattr(gh.HyperbolicOperator, "march", counted)
     nts = (16, 32)
-    checks = suites.suite_hadamard({"nx": 8, "nts": nts}, np.random.default_rng(0))
+    checks = suites.suite_hadamard(suites.read_section({"nx": 8, "nts": nts}, "hadamard"),
+                                   np.random.default_rng(0))
     assert all(c.passed for c in checks)
     steps = 2 * len(suites._hadamard_chain(make_grid(16, 8, 0.0, 0.5, 1.0)).flags)
     # per grid: build-time identity checks (steps), the vacuum commutator
@@ -248,7 +249,8 @@ def test_hadamard_suite_transports_the_modes_once_per_grid(monkeypatch):
     for name in ("apply", "transpose_apply"):
         monkeypatch.setattr(mo.MollerOperator, name, counting(name))
     nts = (32, 64, 128)
-    checks = suites.suite_hadamard({"nx": 16, "nts": nts}, np.random.default_rng(0))
+    checks = suites.suite_hadamard(suites.read_section({"nx": 16, "nts": nts}, "hadamard"),
+                                   np.random.default_rng(0))
     assert all(c.passed for c in checks)
     assert calls == ["apply"] * (len(nts) + 1)  # 4, and no transpose_apply
 

@@ -699,7 +699,8 @@ def test_laws_read_one_carried_march_bit_for_bit(monkeypatch):
         one = getattr(mo.MollerOperator, name)
         monkeypatch.setattr(mo.MollerOperator, name,
                             lambda self, v, one=one, name=name: calls.append(name) or one(self, v))
-    suites.suite_moller({"dictionary": 4, "sympl_pairs": 2}, np.random.default_rng(0))
+    suites.suite_moller(suites.read_section({"dictionary": 4, "sympl_pairs": 2}, "moller"),
+                        np.random.default_rng(0))
     assert sorted(calls) == ["apply", "apply", "carry"]
 
 
@@ -785,14 +786,14 @@ def test_dense_views_are_built_anew_and_not_kept():
 def test_suite_moller_marches_each_dense_matrix_once(monkeypatch, dense):
     # the adjoint laws are matrix-free, and the dense law weighs the matrix R
     # it holds instead of marching it again: no dense march, one with the dense law
-    from moellerlab.suites import suite_moller
+    from moellerlab.suites import read_section, suite_moller
 
     calls = []
     matrix_of = mo.MollerOperator._matrix_of
     monkeypatch.setattr(mo.MollerOperator, "_matrix_of",
                         lambda self, action: calls.append(1) or matrix_of(self, action))
     cfg = {"nt": 16, "nx": 16, "dictionary": 4, "sympl_pairs": 2, "dense": dense}
-    checks = suite_moller(cfg, np.random.default_rng(3))
+    checks = suite_moller(read_section(cfg, "moller"), np.random.default_rng(3))
     assert all(c.passed for c in checks)
     assert len(calls) == int(dense)
 
