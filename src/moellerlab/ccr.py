@@ -227,15 +227,15 @@ def on_shell_reduce(dictionary: FieldDictionary, element: AlgebraElement) -> Alg
 class QuasifreeState:
     """Two-point table with Wick n-point extension over one dictionary."""
 
-    def __init__(self, dictionary: FieldDictionary, W, check=True, tol=1e-10):
+    def __init__(self, dictionary: FieldDictionary, W, check=True):
         self.dictionary = dictionary
         self.W = np.asarray(W, dtype=complex)
         if check:
-            self.validate(tol)
+            self.validate()
 
-    def validate(self, tol=1e-10):
+    def validate(self):
         W, G = self.W, self.dictionary.pairing
-        scale = 1.0 + float(np.max(np.abs(W)))
+        tol, scale = 1e-10, 1.0 + float(np.max(np.abs(W)))
         if np.max(np.abs(W - W.conj().T)) > tol * scale:
             raise AssertionError("two-point table is not Hermitian")
         ccr = np.max(np.abs((W - W.T) - 1j * G))
@@ -296,20 +296,15 @@ class MollerStarIsomorphism:
 
     The map is the index identity on words; its homomorphism property is
     exactly the match of the two commutator tables, which the constructor
-    verifies against the transported sections.
+    measures as ``commutator_mismatch`` (max |G' - G_image|); the ccr suite's
+    ``commutator_table_transport`` law judges it.
     """
 
-    def __init__(self, R, dict_prime: FieldDictionary, dict_image: FieldDictionary,
-                 tol=1e-9):
+    def __init__(self, R, dict_prime: FieldDictionary, dict_image: FieldDictionary):
         self.R = R
         self.dict_prime = dict_prime
         self.dict_image = dict_image
-        mismatch = np.max(np.abs(dict_prime.pairing - dict_image.pairing))
-        scale = 1.0 + np.max(np.abs(dict_prime.pairing))
-        if mismatch > tol * scale:
-            raise AssertionError(
-                f"commutator tables disagree ({mismatch:.2e}); the intertwiner is broken")
-        self.commutator_mismatch = float(mismatch)
+        self.commutator_mismatch = float(np.max(np.abs(dict_prime.pairing - dict_image.pairing)))
 
     def map(self, element: AlgebraElement) -> AlgebraElement:
         if element.dictionary is not self.dict_prime:
@@ -322,25 +317,24 @@ class MollerStarIsomorphism:
         return out
 
 
-def star_isomorphism(R, dict_prime: FieldDictionary, tol=1e-9) -> MollerStarIsomorphism:
+def star_isomorphism(R, dict_prime: FieldDictionary) -> MollerStarIsomorphism:
     """Build the generator map by transporting the primed dictionary.
 
     The image dictionary consists of the adjoint images R^dagger f'_i with
-    the pairing table of the source-side operator; commutator matching is
-    verified at the stated tolerance.
+    the pairing table of the source-side operator; the commutator mismatch
+    is measured, not judged (:class:`MollerStarIsomorphism`).
     """
     dict_image = FieldDictionary(R.adjoint_apply(dict_prime.sections), R.op_start)
-    return MollerStarIsomorphism(R, dict_prime, dict_image, tol=tol)
+    return MollerStarIsomorphism(R, dict_prime, dict_image)
 
 
-def pullback_state(state: QuasifreeState, iso: MollerStarIsomorphism,
-                   tol=1e-8) -> QuasifreeState:
+def pullback_state(state: QuasifreeState, iso: MollerStarIsomorphism) -> QuasifreeState:
     """omega' = omega after the generator map: same table, primed dictionary.
 
-    The transported table is re-validated against the primed commutator
-    pairing; failure signals a broken intertwiner rather than a state
-    problem.
+    The table is taken unchecked: it was validated with the image-side state,
+    and the ccr suite's ``pullback_state_commutator_consistency`` law judges
+    its commutator against the primed pairing.
     """
     if state.dictionary is not iso.dict_image:
         raise ValueError("state must live over the transported image dictionary")
-    return QuasifreeState(iso.dict_prime, state.W, check=True, tol=tol)
+    return QuasifreeState(iso.dict_prime, state.W, check=False)

@@ -247,6 +247,14 @@ def worst_ratio(num, den) -> float:
     return float(np.max(num / np.maximum(den, 1e-300)))
 
 
+def _square(x, what: str) -> float:
+    """x ** 2, refused with a ValueError naming what where it leaves the float range."""
+    try:
+        return float(x) ** 2
+    except OverflowError:
+        raise ValueError(f"{what} = {x:.3g} is too large: its square leaves the float range") from None
+
+
 class HyperbolicOperator:
     """A lattice operator: a metric and a nine-offset stencil, from which all else is derived."""
 
@@ -356,8 +364,9 @@ class HyperbolicOperator:
         """Stencil-extracted second-order coefficient i of (att, atx, axx) on the levels `rows`."""
         g = self.grid
         out = np.zeros(self.vol[rows].shape)
+        dt2 = _square(g.dt, "the time step (t_max - t_min) / (nt - 1)")
         for (a, b), C in self.offsets.items():
-            w = (0.5 * a * a * g.dt**2, a * b * g.dt * g.dx, 0.5 * b * b * g.dx**2)[i]
+            w = (0.5 * a * a * dt2, a * b * g.dt * g.dx, 0.5 * b * b * g.dx**2)[i]
             if w:  # (0, 0) has zero weight in all three
                 out = _into(np.add, out, w * C[rows])
         return out
@@ -759,7 +768,7 @@ def wave_operator(metric: MetricField, mass=1.0, principal=None) -> HyperbolicOp
 
     principal is passed to :func:`build_operator`.
     """
-    return build_operator(metric, B=float(mass) ** 2, principal=principal)
+    return build_operator(metric, B=_square(mass, "mass"), principal=principal)
 
 
 def symmetrize(N: HyperbolicOperator) -> HyperbolicOperator:
@@ -956,9 +965,9 @@ def exactness_check(N: HyperbolicOperator, seed=0, count=5) -> dict:
     h, psi = np.stack(hs), solve_cauchy(N, 2, np.stack(h1s), np.stack(h2s))
     f = N.apply(h)
     fpsi = N.apply(chi * psi)
+    # no equation on level 0; on the last PAST_MARGIN levels chi = 1: N(chi psi) is round-off there
     for v in (f, fpsi):
-        v[:, :1] = 0.0
-        v[:, -1:] = 0.0
+        v[:, :1] = v[:, -PAST_MARGIN:] = 0.0
     rec = Gs.plus(f)  # recovers h for (a); for (d), f with G f = 0 is N of h = G+ f
     return {
         "injectivity": worst_ratio(sup_norms(rec - h), sup_norms(h)),
@@ -975,8 +984,9 @@ def symplectic_form(N: HyperbolicOperator, psi, phi, slice_index):
     evaluated with staggered differences; slice independence on equation
     rows is exact because V N is exactly symmetric.  A number for two
     solutions; for two (K, nt, nx) batches, the K column-pair fluxes.
-    slice_index may be a sequence of cuts: the arguments are then checked
-    once and the result holds one flux (or K fluxes) per cut.
+    slice_index may be a sequence of cuts: the result then holds one flux
+    (or K fluxes) per cut.  Only non-finite arguments are refused; whether
+    they solve N is judged by the laws that read the flux.
     """
     if not N.self_adjoint:
         raise ValueError("symplectic flux needs a formally self-adjoint operator")
@@ -986,9 +996,6 @@ def symplectic_form(N: HyperbolicOperator, psi, phi, slice_index):
         raise ValueError("slice must have a successor level inside the window")
     if not (np.isfinite(psi).all() and np.isfinite(phi).all()):  # nan passes any residual test
         raise ValueError("symplectic form arguments must be finite")
-    tol = 1e-8 * np.maximum(np.maximum(sup_norms(psi), sup_norms(phi)), 1.0)
-    if np.any(N.interior_residual(psi) > tol) or np.any(N.interior_residual(phi) > tol):
-        raise ValueError("arguments must be homogeneous solutions")
     fluxes = [_flux(N, psi, phi, n) for n in cuts]
     return fluxes[0] if np.ndim(slice_index) == 0 else np.array(fluxes)
 

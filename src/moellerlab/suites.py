@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -611,11 +612,17 @@ def config_int(value, key) -> int:
     return int(value)
 
 
-def _count(value, key) -> int:
+def _count(value, key, least=1) -> int:
     count = config_int(value, key)
-    if count < 1:
-        raise ValueError(f"{key} must be at least 1, got {count}")
+    if count < least:
+        raise ValueError(f"{key} must be at least {least}, got {count}")
     return count
+
+
+def _positive(value, key) -> float:
+    if (number := geo.finite_number(value, key)) <= 0.0:
+        raise ValueError(f"{key} must be positive, got {number!r}")
+    return number
 
 
 def _string(value, key) -> str:
@@ -637,8 +644,8 @@ def _refinement_sizes(sizes, key) -> list:
     sizes = [config_int(v, f"{key} entry") for v in sizes]
     if len(sizes) < 2:
         raise ValueError(f"{key} needs at least two grid sizes to measure an order, got {sizes}")
-    if min(sizes) <= 0:
-        raise ValueError(f"{key} sizes must be positive, got {sizes}")
+    if min(sizes) < 4:
+        raise ValueError(f"{key} sizes must be positive, and at least 4 for a grid, got {sizes}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"{key} sizes must be strictly increasing, got {sizes}")
     return sizes
@@ -716,6 +723,9 @@ def read_section(raw, name, where=None) -> dict:
     cfg = {key: read(raw.get(key, default), key) for key, (read, default) in rows.items()}
     if name == "moller" and cfg["target_params"]:  # the target's params must be its preset's
         _preset(cfg["target_preset"], "target_params", cfg["target_params"])
+    if name == "moller" and cfg["window"] and not 0 < cfg["window"][0] < cfg["window"][1] < cfg["t_max"]:
+        raise ValueError(f"window must satisfy 0 < t0 < t1 < t_max = {cfg['t_max']!r}, "
+                         f"got {list(cfg['window'])}")
     return cfg
 
 
@@ -727,28 +737,29 @@ def read_scenario(raw) -> dict:
 
 
 _number = geo.finite_number
+_size = partial(_count, least=4)  # a grid's nt or nx: no lattice has fewer than 4 levels or sites
 # Every config key: section -> {key: (reader, default)}.  A scenario takes
 # one section per suite; the reversed-pair fixture is a scenario of its own kind.
 CONFIG = {
-    "scenario": {"name": (_string, "scenario"), "seed": (config_int, 0),
+    "scenario": {"name": (_string, "scenario"), "seed": (partial(_count, least=0), 0),
                  "suites": (_suite_names, ["cones", "paracausal", "green"]),
                  **{s: (read_section, {}) for s in SUITES}},
     "cones": {"pairs": (_count, 1000)},
-    "paracausal": {"nt": (config_int, 16), "nx": (config_int, 16)},
-    "green": {"nt": (config_int, 48), "nx": (config_int, 48), "t_max": (_number, 0.5),
+    "paracausal": {"nt": (_size, 16), "nx": (_size, 16)},
+    "green": {"nt": (_size, 48), "nx": (_size, 48), "t_max": (_positive, 0.5),
               "preset": (_preset, "minkowski"), "mass": (_number, 1.0),
               "count": (_count, 100), "pairs": (_count, 50)},
-    "moller": {"nt": (config_int, 32), "nx": (config_int, 32), "t_max": (_number, 0.5),
+    "moller": {"nt": (_size, 32), "nx": (_size, 32), "t_max": (_positive, 0.5),
                "chain": (_chain, "auto"), "target_preset": (_preset, "conformal"),
                "target_params": (_params, {}), "window": (_window, None),
                "mass": (_number, 1.0), "dictionary": (_count, 16), "sympl_pairs": (_count, 10),
                "dense": (_flag, False)},
-    "ccr": {"nt": (config_int, 32), "nx": (config_int, 32), "mass": (_number, 1.0),
+    "ccr": {"nt": (_size, 32), "nx": (_size, 32), "mass": (_number, 1.0),
             "dictionary": (_count, 16), "triples": (_count, 200),
             "positivity_samples": (_count, 100)},
-    "hadamard": {"nx": (config_int, 16), "mass": (_number, 1.0),
+    "hadamard": {"nx": (_size, 16), "mass": (_positive, 1.0),
                  "nts": (_refinement_sizes, [64, 128, 256])},
     "convergence": {"grids": (_refinement_sizes, [32, 64, 128])},
     "reversed-pair": {"name": (_string, "reversed-pair"), "kind": (_string, "reversed-pair"),
-                      "nt": (config_int, 16), "nx": (config_int, 16)},
+                      "nt": (_size, 16), "nx": (_size, 16)},
 }

@@ -210,6 +210,54 @@ def test_switch_window_refusal_names_its_levels(argv, levels, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [["green", "--grid", "1024x32"], ["moller", "--grid", "2048x32"]],
+                         ids=" ".join)
+def test_a_fine_grid_writes_a_report(argv, tmp_path):
+    # N's entries grow like 1/dt^2 and its round-off with them; on these grids
+    # that is a residual of a law in the report, never a refused config
+    assert run_cli(argv + ["--out", str(tmp_path)]) in (0, 1)
+    assert (tmp_path / "report.json").is_file()
+
+
+def _drop_last_step(monkeypatch):
+    """Have moller.compose_chain return its operator without the last step."""
+    from moellerlab import moller as mo
+
+    compose = mo.compose_chain
+
+    def dropped(*args, **kw):
+        R = compose(*args, **kw)
+        return mo.MollerOperator(R.steps[:-1], R.op_start, R.op_end)
+
+    monkeypatch.setattr(mo, "compose_chain", dropped)
+
+
+# with the last step of R dropped, the laws each command fails; on the
+# conformal chain the symplectic law still holds, since in 1+1d vol g^tt is
+# -1 for every conformal factor and the mass does not enter the flux
+BROKEN_R_LAWS = [
+    (["moller", "--seed", "3"],
+     {"moller_intertwine", "moller_propagator_transport", "moller_adjoint_interchange"}),
+    (["moller", "--preset", "warped", "--seed", "3"],
+     {"moller_intertwine", "moller_propagator_transport", "moller_adjoint_interchange",
+      "moller_symplectic_preservation"}),
+    (["state", "--seed", "2"], {"commutator_table_transport", "pullback_state_commutator_consistency"}),
+]
+
+
+@pytest.mark.parametrize("argv, failing", BROKEN_R_LAWS, ids=["moller", "moller-warped", "state"])
+def test_a_broken_moller_operator_is_a_failed_check(argv, failing, tmp_path, monkeypatch):
+    # a law the program breaks is a failed check with its residual: the
+    # report is written, the run exits 1, the laws it touches fail at ten
+    # times their tolerance or more, and every other law of the suite passes
+    _drop_last_step(monkeypatch)
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 1
+    [suite] = json.loads((tmp_path / "report.json").read_text())["suites"].values()
+    failed = [c for c in suite["checks"] if not c["pass"]]
+    assert {c["law"] for c in failed} == failing
+    assert all(c["residual"] >= 10 * c["tolerance"] for c in failed), failed
+
+
 def test_x_timelike_preset_marches(tmp_path):
     # the rotated metric is x-class (g^tt > 0, g^xx < 0 everywhere), where the
     # march is stable: the green laws run and pass
@@ -598,6 +646,18 @@ CONFIG_ERRORS = [
      "target_params: metric preset 'conformal' takes no param 'm'; it takes ['mu']"),
     ({"suites": "cones"}, "suites must be a list of suite names, got 'cones'"),
     ({"name": 5, "suites": ["cones"]}, "name must be a string, got 5"),
+    ({"suites": ["paracausal"], "paracausal": {"nx": 3}}, "nx must be at least 4, got 3"),
+    ({"suites": ["hadamard"], "hadamard": {"nts": [2, 16]}},
+     "nts sizes must be positive, and at least 4 for a grid, got [2, 16]"),
+    ({"suites": ["convergence"], "convergence": {"grids": [3, 16]}},
+     "grids sizes must be positive, and at least 4 for a grid, got [3, 16]"),
+    ({"suites": ["moller"], "moller": {"window": [0.1, 0.6]}},
+     "window must satisfy 0 < t0 < t1 < t_max = 0.5, got [0.1, 0.6]"),
+    # finite, but their squares are not: refused where the operator squares them
+    ({"suites": ["green"], "green": {"nt": 16, "nx": 16, "mass": 1e200}},
+     "mass = 1e+200 is too large: its square leaves the float range"),
+    ({"suites": ["green"], "green": {"nt": 16, "nx": 16, "t_max": 1e300}},
+     "the time step (t_max - t_min) / (nt - 1) = 6.67e+298 is too large"),
 ]
 
 
@@ -617,7 +677,14 @@ def test_config_error_names_its_key_and_writes_nothing(cfg, message, tmp_path, c
     [{"name": "a", "suites": ["cones"], "cones": {"pairs": 8}},
      {"name": "b", "suites": ["cones"], "cones": {"pairs": 8.5}}],
     {"suites": ["cones", "paracausal", "green"], "cones": {"pairs": 8}, "green": {"mass": "2"}},
-], ids=["second-scenario-key", "second-scenario-count", "later-section-value"])
+    *([{"name": "a", "suites": ["cones"], "cones": {"pairs": 8}}, second] for second in (
+        {"name": "b", "suites": ["hadamard"], "hadamard": {"mass": 0}},
+        {"name": "b", "suites": ["paracausal"], "paracausal": {"nt": 2}},
+        {"name": "b", "suites": ["moller"], "moller": {"t_max": -1.0}},
+        {"name": "b", "suites": ["moller"], "moller": {"window": [0.3, 0.1]}},
+        {"name": "b", "seed": -200000, "suites": ["cones"]})),
+], ids=["second-scenario-key", "second-scenario-count", "later-section-value", "hadamard-mass",
+        "grid-nt", "moller-t_max", "moller-window", "seed"])
 def test_a_bad_key_or_value_anywhere_runs_no_suite(cfg, tmp_path, capsys, monkeypatch):
     # the whole config is read before the first suite runs
     ran = []

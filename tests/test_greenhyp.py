@@ -684,19 +684,21 @@ def test_symplectic_slice_independence(kg48, grid48):
     assert (vals.max() - vals.min()) <= 1e-9 * abs(vals.mean())
 
 
-def test_symplectic_form_over_many_cuts_checks_the_solutions_once(kg48, grid48, monkeypatch):
+def test_symplectic_form_over_many_cuts_matches_one_cut_at_a_time(kg48, grid48):
     rng = np.random.default_rng(13)
     psi, phi = (gh.solve_cauchy(kg48, 4, rng.standard_normal(grid48.nx),
                                 rng.standard_normal(grid48.nx)) for _ in range(2))
     cuts = range(grid48.nt - 1)
     one_by_one = [gh.symplectic_form(kg48, psi, phi, n) for n in cuts]
-    checks = []
-    residual = gh.HyperbolicOperator.interior_residual
-    monkeypatch.setattr(gh.HyperbolicOperator, "interior_residual",
-                        lambda self, u, f=None: checks.append(1) or residual(self, u, f))
     vals = gh.symplectic_form(kg48, psi, phi, cuts)
     assert np.array_equal(vals, one_by_one)
-    assert len(checks) == 2
+    # a non-solution is not refused: symplectic_slice_independence (the
+    # flux's spread over the cuts, as suite_green reads it) fails it instead
+    spread = (vals.max() - vals.min()) / abs(vals.mean())
+    bad = psi.copy()
+    bad[grid48.nt // 2] += 1e-6 * np.max(np.abs(psi)) * rng.standard_normal(grid48.nx)
+    bad_vals = gh.symplectic_form(kg48, bad, phi, cuts)
+    assert spread <= 1e-9 < (bad_vals.max() - bad_vals.min()) / abs(bad_vals.mean())
     # batches give one row of K fluxes per cut
     pair = np.stack([psi, phi])
     rows = gh.symplectic_form(kg48, pair, pair[::-1], [3, 20])

@@ -277,14 +277,14 @@ def test_written_levels_miss_the_inert_side():
 
 
 def _inert_reach(step):
-    """The last inert level in marching order, where the build-time check stops its march."""
+    """The last inert level in marching order, where ``identity_defect`` stops its march."""
     inert = step.inert()
     return inert.stop - 1 if step.sign > 0 else inert.start
 
 
 def test_identity_check_march_equals_apply_on_inert_levels():
-    # the build-time check marches only until the inert levels are written;
-    # they are those of the full apply bitwise, for every step and inverse
+    # identity_defect marches only until the inert levels are written; they
+    # are those of the full apply bitwise, for every step and inverse
     for R in _study_chains():
         for step in R.steps + [s.inverse() for s in R.steps]:
             g = step.grid
@@ -296,8 +296,8 @@ def test_identity_check_march_equals_apply_on_inert_levels():
 
 
 def test_identity_defect_is_the_inert_part_of_apply():
-    # the build-time check and the identity_region law share this measurement;
-    # it equals, bitwise, the inert part of the full apply
+    # the identity_region law reads this measurement; it equals, bitwise, the
+    # inert part of the full apply
     chains = list(_study_chains())
     for R in (chains[0], chains[-1]):  # the hadamard chain at nt 32, the moller chain
         ends = (R.steps[0], R.steps[-1])
@@ -312,8 +312,9 @@ def test_identity_defect_is_the_inert_part_of_apply():
 def test_difference_on_an_inert_row_raises_at_build(grid32, pair32, kind, monkeypatch):
     # a profile broken on the inert level whose row writes the last inert level
     # (plus) or the first (minus) makes D nonzero there: the profile check
-    # refuses it, and so does the trimmed identity march alone, whose inert
-    # levels are still those of the full apply bitwise
+    # refuses it, and without that check the step, composed into an R, fails
+    # the identity_region law, whose trimmed march still gives the inert
+    # levels of the full apply bitwise
     plus, minus, *_ = canonical_link(*pair32)
     step = plus if kind == "plus" else minus
     inert = range(grid32.nt)[step.inert()]
@@ -327,10 +328,11 @@ def test_difference_on_an_inert_row_raises_at_build(grid32, pair32, kind, monkey
     with pytest.raises(ValueError, match="profiles must agree"):
         build()
     monkeypatch.setattr(mo.MollerStep, "_check_profiles", lambda self: None)
-    with pytest.raises(AssertionError, match="identity region violated at build time"):
-        build()
-    monkeypatch.setattr(mo.MollerStep, "_check_identity_region", lambda self: None)
     broken = build()
+    steps = [broken, minus] if kind == "plus" else [plus, broken]
+    R = mo.MollerOperator(steps, plus.op_lo, minus.op_hi)
+    d = mo.random_dictionary(grid32, 2, seed=3, window=(4, grid32.nt - 4))
+    assert mo.verify_moller_identities(R, d, sympl_pairs=1)["identity_region"] > 1e-10
     u = np.random.default_rng(46).standard_normal((2, grid32.nt, grid32.nx))
     got = broken._apply(u, _inert_reach(broken))[:, broken.inert()]
     assert np.array_equal(got, broken.apply(u)[:, broken.inert()])
