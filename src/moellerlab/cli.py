@@ -1,17 +1,17 @@
 """Config-driven experiment runner.
 
 A config is a JSON object (or a list of them) naming a scenario: a name, a
-seed, which suites to run and one section of settings per suite.  A scenario
-with ``"kind": "reversed-pair"`` is the time-reversed orientation fixture
-instead.  Each subcommand is a one-scenario config, run and written by the
-same function as ``run``.  Reports are deterministic JSON trees: identical
-config + seed produce byte-identical output.  A march the lattice refuses
-(``MarchError``, ``MollerObstruction``) is recorded as its suite's one failed
-check.  Every scenario of a config is read whole (``suites.read_scenario``)
-before any suite runs, so a key no suite reads, or a value its reader
-refuses, anywhere in the config is refused first.  Exit
-codes: 0 all suites pass, 1 a suite failed, 2 usage/config errors (nothing
-is written).
+seed, which suites to run and one section of settings per suite.  Each
+subcommand is a one-scenario config, run and written by the same function as
+``run``.  Reports are deterministic JSON trees: identical config + seed
+produce byte-identical output.  A march the lattice refuses (``MarchError``,
+``MollerObstruction``) is recorded as its suite's one failed check.  Every
+scenario of a config is read whole (``suites.read_scenario``) before any
+suite runs, so a key no suite reads, or a value its reader refuses, anywhere
+in the config is refused first; so is a value its grid refuses.  Exit codes:
+0 all suites pass, 1 a suite failed, 2 usage/config errors (nothing is
+written).  An error raised after the config is read is a fault of the
+program, not of the config: it ends in a traceback.
 
 A plain command line is read without argparse: a command, then only flags
 that command takes, each once and written ``--flag value`` (a store-true
@@ -47,12 +47,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import geometry as geo
 from .greenhyp import MarchError
-from .lattice import make_grid
 from .moller import MollerObstruction
 from .reports import CheckResult, dumps, report_tree
-from .suites import SUITES, chain_scope, dense_kernel_csvs, read_scenario
+from .suites import SUITES, chain_scope, dense_kernel_csvs, kernel_grid, read_scenario
 
 USAGE_ERROR = 2
 # glibc's mallopt parameters, and the values its adaptive thresholds end at
@@ -75,43 +73,34 @@ def run_scenario(cfg: dict) -> dict:
             try:
                 results[s] = SUITES[s](cfg[s], rng)
             except (MarchError, MollerObstruction) as e:  # a refused march fails its suite
-                results[s] = [CheckResult.from_flag(e.check, False, reason=e.reason,
-                                                    detail=e.detail)]
+                results[s] = [CheckResult.judge(e.check, False, reason=e.reason,
+                                                detail=e.detail)]
     return report_tree(cfg["name"], results)
 
 
-def _reversed_pair_report(cfg) -> dict:
-    """Dedicated structural fixture: time-reversed pair must certify."""
-    g = make_grid(cfg["nt"], cfg["nx"], 0.0, 0.5, 1.0)
-    mink = geo.metric_preset("minkowski", g)
-    out = geo.build_chain(mink, mink.time_reversed())
-    ok = isinstance(out, geo.ChainObstruction) and out.reason == "orientation-reversal"
-    check = CheckResult.from_flag("reversal_obstruction_certificate", ok,
-                                  reason=getattr(out, "reason", "chain-found"),
-                                  detail=getattr(out, "detail", ""))
-    return report_tree(cfg["name"], {"paracausal": [check]})
-
-
-def execute(scenarios, out_dir=None, exports=None) -> int:
+def execute(scenarios, out_dir=None, kernels=False) -> int:
     """Read every scenario, then run them; write report.json (stdout without
-    out_dir) and the files {name: text} that ``exports(scenario)`` gives for
-    the first scenario read; returns the exit code.  A config error writes
-    nothing.  Files the march refuses are left out: their suite fails.
+    out_dir) and, with kernels, the dense kernel files of the first
+    scenario's green section (``suites.dense_kernel_csvs``); returns the exit
+    code.  A config error writes nothing.  Kernel files the march refuses
+    are left out: their suite fails.
     """
-    files = {}
     try:
-        if exports and not out_dir:
+        if kernels and not out_dir:
             raise ValueError("the kernel files need a directory: add --out")
         scenarios = [read_scenario(sc) for sc in scenarios]
-        try:
-            files = exports(scenarios[0]) if exports else {}
-        except MarchError as e:
-            print(f"no kernel files written: {e}", file=sys.stderr)
-        trees = sorted((_reversed_pair_report(sc) if "kind" in sc else run_scenario(sc)
-                        for sc in scenarios), key=lambda t: t["scenario"])
-    except (ValueError, KeyError, TypeError) as e:
+        if kernels:
+            kernel_grid(scenarios[0]["green"])
+    except ValueError as e:  # every reader refuses a value with a ValueError naming it
         print(f"config error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    files = {}
+    if kernels:
+        try:
+            files = dense_kernel_csvs(scenarios[0]["green"])
+        except MarchError as e:
+            print(f"no kernel files written: {e}", file=sys.stderr)
+    trees = sorted((run_scenario(sc) for sc in scenarios), key=lambda t: t["scenario"])
     text = dumps(trees[0] if len(trees) == 1 else trees)
     if out_dir:
         out = Path(out_dir)
@@ -305,10 +294,9 @@ def main(argv=None) -> int:
             section.update((k, value[k]) for k in key.split(","))
         elif key and value is not None:
             section[key] = value
-    wants_kernels = args.cmd == "green" and given.get("dense_kernels")
-    exports = (lambda scenario: dense_kernel_csvs(scenario[suite])) if wants_kernels else None
+    kernels = args.cmd == "green" and given.get("dense_kernels", False)
     cfg = {"name": f"{suite}-cli", "seed": args.seed, "suites": [suite], suite: section}
-    return execute([cfg], args.out, exports)
+    return execute([cfg], args.out, kernels)
 
 
 if __name__ == "__main__":

@@ -1019,14 +1019,17 @@ def propagator_symplectic_identity(N: HyperbolicOperator, f, h) -> dict:
     """sigma(G f, G h) against the volume pairing of f with G h.
 
     f and h are (nt, nx) fields, or (K, nt, nx) batches paired column by
-    column, each value of the result then holding K numbers.
+    column, each value of the result then holding K numbers.  scale is the
+    pairing of |f| with |G h|, the sum of the pairing's absolute terms: it
+    does not vanish when the pairing itself nearly cancels.
     """
     fv, hv = (np.asarray(v, dtype=float) for v in (f, h))
     G = GreenSystem(N)
     ph = G.propagator(hv)
     lhs = symplectic_form(N, G.propagator(fv), ph, N.grid.nt // 2)
     rhs = N.pairing(fv, ph)
-    return {"lhs": lhs, "rhs": rhs, "residual": np.abs(lhs - rhs)}
+    return {"lhs": lhs, "rhs": rhs, "residual": np.abs(lhs - rhs),
+            "scale": N.pairing(np.abs(fv), np.abs(ph))}
 
 
 def green_adjoint_relation(N: HyperbolicOperator, fp, f) -> dict:

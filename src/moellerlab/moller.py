@@ -252,6 +252,14 @@ def _window_levels(grid, t0, t1):
     return l0, l1
 
 
+def _switch_window(grid, window=None):
+    """The switch interval (t0, t1): window, or by default the middle third of the time extent."""
+    if window is not None:
+        return window
+    span = grid.t_max - grid.t_min
+    return grid.t_min + span / 3.0, grid.t_min + 2.0 * span / 3.0
+
+
 def _volume_ratios(grid, *rhos):
     """rhos as stored fields (:func:`geometry.stored_field`), refused unless all positive."""
     out = [stored_field(grid, rho) for rho in rhos]
@@ -412,10 +420,7 @@ def compose_chain(chain: ParacausalChain, operators=None, window=None, mass=1.0)
             raise ValueError("operator metrics must match the chain metrics")
         if not op.self_adjoint:
             raise ValueError("chain operators must be formally self-adjoint")
-    if window is None:
-        span = grid.t_max - grid.t_min
-        window = (grid.t_min + span / 3.0, grid.t_min + 2.0 * span / 3.0)
-    t0, t1 = window
+    t0, t1 = _switch_window(grid, window)
     chi = smooth_step(grid, t0, t1)
     refused = []
     for k in range(len(chain.flags)):
@@ -499,8 +504,6 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
     grid = R.op_start.grid
     if sympl_pairs < 1:
         raise ValueError(f"sympl_pairs must be at least 1, got {sympl_pairs}")
-    if dense and grid.n_points > 4096:
-        raise ValueError("dense kernel mode is restricted to small grids")
     if dictionary is None:
         dictionary = random_dictionary(grid, count=12, seed=seed,
                                        window=(3, grid.nt - 3))

@@ -1,9 +1,68 @@
-"""Uniform check records and deterministic JSON report emission."""
+"""Uniform check records, the table of every law they judge, and deterministic JSON report emission."""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
+
+
+class Law(NamedTuple):
+    """How a law is judged.
+
+    suite is the suite that reports it (None: any suite that marches may);
+    kind is "residual" (passes at residual <= bound), "order" (passes when
+    the least order measured along a refinement is >= bound) or "flag" (a
+    verdict, 0 or 1 against the bound 0.5).
+    """
+
+    suite: str | None
+    kind: str
+    bound: float
+
+
+def _rows(suite, kind, bound, *laws):
+    return {law: Law(suite, kind, bound) for law in laws}
+
+
+# every law a report can name
+LAWS = {
+    **_rows("cones", "flag", 0.5, "blend_lorentzian_everywhere", "blend_cone_sandwich",
+            "conformal_cones_coincide", "inverse_metric_cone_duality"),
+    **_rows("paracausal", "flag", 0.5, "rotation_chain_of_at_most_4",
+            "rotation_chain_links_validate", "chain_search_symmetric",
+            "reversal_obstruction_certificate", "rotation_intermediate_closed_causal",
+            "flat_cylinder_causally_open", "comparable_pair_chain_of_2"),
+    **_rows("green", "residual", 1e-10, "retarded_right_inverse", "advanced_right_inverse",
+            "green_left_inverse", "green_weighted_transpose"),
+    **_rows("green", "flag", 0.5, "retarded_support_in_causal_future"),
+    **_rows("green", "residual", 1e-9, "exact_sequence_injectivity", "exact_sequence_complex",
+            "exact_sequence_reconstruction", "exact_sequence_kernel",
+            "symplectic_slice_independence", "symplectic_propagator_pairing"),
+    **_rows("moller", "flag", 0.5, "chain_exists"),
+    **_rows("moller", "residual", 1e-9, "moller_intertwine", "moller_propagator_transport",
+            "moller_adjoint_interchange", "moller_inverse_roundtrip",
+            "moller_propagator_transport_dense"),
+    **_rows("moller", "residual", 1e-8, "moller_symplectic_preservation"),
+    **_rows("moller", "residual", 1e-10, "moller_identity_region", "adjoint_pairing",
+            "adjoint_inverse_roundtrip", "step_transpose_pairing"),
+    **_rows("moller", "residual", 1e-12, "operator_pairing_symmetry"),
+    **_rows("ccr", "residual", 1e-10, "normal_form_confluence"),
+    **_rows("ccr", "residual", 1e-12, "six_point_pairing_sum", "state_positivity_degree2",
+            "pullback_positivity_degree2"),
+    **_rows("ccr", "residual", 1e-9, "commutator_table_transport"),
+    **_rows("ccr", "residual", 1e-8, "pullback_state_commutator_consistency"),
+    **_rows("hadamard", "order", 1.9, "vacuum_commutator_hypothesis_order"),
+    **_rows("hadamard", "order", 1.5, "transported_commutator_order",
+            "transported_bisolution_order"),
+    **_rows("hadamard", "flag", 0.5, "transported_kernel_smoothness_proxy",
+            "smooth_perturbation_passes_proxy", "rough_perturbation_fails_proxy"),
+    **_rows("hadamard", "residual", 1e-9, "kernel_transport_roundtrip"),
+    **_rows("convergence", "order", 1.9, "characteristics_solution_order"),
+    # a march the lattice refuses (greenhyp.MarchError, moller.MollerObstruction)
+    **_rows(None, "flag", 0.5, "cfl_satisfied", "metric_marchable", "moller_chain_marchable"),
+}
 
 
 @dataclass
@@ -17,13 +76,23 @@ class CheckResult:
     info: dict = field(default_factory=dict)
 
     @classmethod
-    def from_residual(cls, law, residual, tolerance, **info):
-        residual = float(residual)
-        return cls(law, residual, float(tolerance), residual <= tolerance, dict(info))
+    def judge(cls, law, measured, **info):
+        """The check of law (a row of :data:`LAWS`) on what was measured.
 
-    @classmethod
-    def from_flag(cls, law, ok, **info):
-        return cls(law, 0.0 if ok else 1.0, 0.5, bool(ok), dict(info))
+        measured is the residual of a residual law, the verdict of a flag
+        law, and for an order law the errors along a refinement, whose
+        successive orders go into info and whose least order is reported as
+        its shortfall from the bound, held to 0.0.
+        """
+        _, kind, bound = LAWS[law]
+        if kind == "flag":
+            residual = 0.0 if measured else 1.0
+        elif kind == "order":
+            info["orders"] = orders = [math.log2(a / b) for a, b in zip(measured, measured[1:])]
+            residual, bound = -(min(orders) - bound), 0.0
+        else:
+            residual = float(measured)
+        return cls(law, residual, float(bound), residual <= bound, info)
 
     def as_dict(self):
         d = asdict(self)

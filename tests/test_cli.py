@@ -42,14 +42,14 @@ def test_reversed_fixture_reports_certificate(tmp_path):
     rc = run_cli(["run", str(cfgfile), "--out", str(tmp_path)])
     assert rc == 0  # expected outcome encoded in the fixture
     tree = json.loads((tmp_path / "report.json").read_text())
-    check = tree["suites"]["paracausal"]["checks"][0]
-    assert check["law"] == "reversal_obstruction_certificate"
-    assert check["info"]["reason"] == "orientation-reversal"
+    [check] = [c for c in tree["suites"]["paracausal"]["checks"]
+               if c["law"] == "reversal_obstruction_certificate"]
+    assert check["pass"] and check["info"]["reason"] == "orientation-reversal"
 
 
 def test_list_config_reports_sorted_scenarios(tmp_path):
     # file order is the reverse of name order
-    cfg = [{"name": "z-reversed", "kind": "reversed-pair", "nt": 8, "nx": 8},
+    cfg = [{"name": "z-reversed", "suites": ["paracausal"], "paracausal": {"nt": 8, "nx": 8}},
            {"name": "a-cones", "seed": 3, "suites": ["cones"], "cones": {"pairs": 40}}]
     path = tmp_path / "list.json"
     path.write_text(json.dumps(cfg))
@@ -165,7 +165,7 @@ def test_cfl_violation_is_reported(tmp_path):
     config = tmp_path / "ccr-cfl.json"
     config.write_text(json.dumps({"name": "ccr-cfl", "suites": ["ccr"],
                                   "ccr": {"nt": 16, "nx": 64}}))
-    cases = [("green", ["green", "--grid", "8x64"]),
+    cases = [("green", ["green", "--grid", "12x64"]),
              ("moller", ["moller", "--grid", "16x64"]),
              ("ccr", ["state", "--grid", "16x64"]),
              ("hadamard", ["hadamard", "--grid", "4x64", "--grids", "16,32"]),
@@ -258,6 +258,43 @@ def test_a_broken_moller_operator_is_a_failed_check(argv, failing, tmp_path, mon
     assert all(c["residual"] >= 10 * c["tolerance"] for c in failed), failed
 
 
+@pytest.mark.parametrize("grid", ["48x48", "256x64"])
+def test_a_pairing_defect_fails_the_pairing_law(grid, tmp_path, monkeypatch):
+    # sigma(G f, G h) off by 1e-6 relative, what a 1e-6 relative error in G f
+    # gives: divided by the pairing of absolute terms, whose sum never
+    # cancels, the pairing law fails at ten times its tolerance or more
+    from moellerlab import greenhyp as gh
+
+    form = gh.symplectic_form
+    monkeypatch.setattr(gh, "symplectic_form", lambda *args: (1 + 1e-6) * form(*args))
+    assert run_cli(["green", "--grid", grid, "--out", str(tmp_path)]) == 1
+    checks = json.loads((tmp_path / "report.json").read_text())["suites"]["green"]["checks"]
+    [failed] = [c for c in checks if not c["pass"]]
+    assert failed["law"] == "symplectic_propagator_pairing"
+    assert failed["residual"] >= 10 * failed["tolerance"], failed
+
+
+@pytest.mark.parametrize("fault", ["raise ValueError('a fault of the suite')",
+                                   "return [CheckResult.judge('no_such_law', 0.0)]"],
+                         ids=["ValueError", "law-not-in-LAWS"])
+def test_a_fault_inside_a_suite_is_not_a_config_error(fault, tmp_path):
+    # the config is read and refused by then: an error a suite raises is a
+    # traceback and exit 1, and nothing is written
+    script = f"""
+import sys
+from moellerlab import cli, suites
+from moellerlab.reports import CheckResult
+def broken(cfg, rng):
+    {fault}
+suites.SUITES["cones"] = broken
+sys.exit(cli.main(["cones", "--out", {str(tmp_path / "out")!r}]))
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 1
+    assert "Traceback" in out.stderr and "config error" not in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_x_timelike_preset_marches(tmp_path):
     # the rotated metric is x-class (g^tt > 0, g^xx < 0 everywhere), where the
     # march is stable: the green laws run and pass
@@ -320,8 +357,6 @@ INTEGER_CASES = [
      "grids must be a list of integers, got '32,64'"),
     ({"seed": 1.5, "suites": ["cones"]}, "seed must be an integer, got 1.5"),
     ({"seed": "7", "suites": ["cones"]}, "seed must be an integer, got '7'"),
-    ({"name": "r", "kind": "reversed-pair", "nt": 8.0}, "nt must be an integer, got 8.0"),
-    ({"name": "r", "kind": "reversed-pair", "nx": True}, "nx must be an integer, got True"),
 ]
 
 
@@ -414,7 +449,7 @@ def test_dense_kernels_need_out(capsys):
 
 def test_dense_kernels_of_refused_march_are_left_out(tmp_path, capsys):
     # the CFL refusal is the suite's failed check; the kernel files are skipped
-    assert run_cli(["green", "--grid", "8x64", "--dense-kernels", "--out", str(tmp_path)]) == 1
+    assert run_cli(["green", "--grid", "12x64", "--dense-kernels", "--out", str(tmp_path)]) == 1
     assert "no kernel files written: CFL violated" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
@@ -593,20 +628,12 @@ def test_each_suite_reads_exactly_its_declared_keys(suite, monkeypatch, capsys):
     assert scenario[suite].read == set(CONFIG[suite])
 
 
-def test_reversed_pair_reads_exactly_its_declared_keys(monkeypatch, capsys):
-    read = _recording_reader(monkeypatch)
-    assert cli.execute([{"name": "r", "kind": "reversed-pair", "nt": 8, "nx": 8}]) == 0
-    [scenario] = read
-    assert scenario.read == set(scenario) == set(CONFIG["reversed-pair"])
-
-
 def test_bundled_and_flag_keys_are_declared():
     for path in Path(cli._bundled("")).glob("*.json"):
         cfg = json.loads(path.read_text())
         for sc in cfg if isinstance(cfg, list) else [cfg]:
             read_scenario(sc)  # refuses a key no row declares
-            rows = CONFIG["reversed-pair" if sc.get("kind") == "reversed-pair" else "scenario"]
-            assert set(sc) <= set(rows), path.name
+            assert set(sc) <= set(CONFIG["scenario"]), path.name
             for suite in SUITES:
                 assert set(sc.get(suite, {})) <= set(CONFIG[suite]), (path.name, suite)
     for suite, flags in cli.COMMANDS.values():
@@ -618,8 +645,9 @@ def test_bundled_and_flag_keys_are_declared():
     ({"suites": ["cones", "green"], "cones": {"pairs": 8},
       "green": {"nt": 16, "nx": 16, "cout": 1, "pairs": 2}},
      "unknown green section keys: ['cout']; green section takes ['count', "),
-    ({"name": "r", "kind": "reversed-pair", "nt": 8, "mx": 8},
-     "unknown reversed-pair scenario keys: ['mx']; reversed-pair scenario takes ['kind', "),
+    # the time-reversed pair is a paracausal law, not a scenario kind of its own
+    ({"name": "r", "kind": "reversed-pair", "nt": 8, "nx": 8},
+     "unknown scenario keys: ['kind', 'nt', 'nx']; scenario takes ['ccr', "),
 ], ids=["section", "reversed-pair"])
 def test_unknown_section_key_exits_2_before_any_suite_runs(cfg, message, tmp_path, capsys,
                                                            monkeypatch):
@@ -653,11 +681,16 @@ CONFIG_ERRORS = [
      "grids sizes must be positive, and at least 4 for a grid, got [3, 16]"),
     ({"suites": ["moller"], "moller": {"window": [0.1, 0.6]}},
      "window must satisfy 0 < t0 < t1 < t_max = 0.5, got [0.1, 0.6]"),
-    # finite, but their squares are not: refused where the operator squares them
+    # finite, but their squares are not: refused before the operator squares them
     ({"suites": ["green"], "green": {"nt": 16, "nx": 16, "mass": 1e200}},
      "mass = 1e+200 is too large: its square leaves the float range"),
     ({"suites": ["green"], "green": {"nt": 16, "nx": 16, "t_max": 1e300}},
      "the time step (t_max - t_min) / (nt - 1) = 6.67e+298 is too large"),
+    # what a grid decides
+    ({"suites": ["hadamard"], "hadamard": {"nts": [8, 16]}},
+     "nts: switch window must sit strictly inside the lattice window: nt = 8 puts it on levels "),
+    ({"suites": ["moller"], "moller": {"nt": 128, "nx": 64, "dense": True}},
+     "dense kernel mode is restricted to small grids"),
 ]
 
 
@@ -682,9 +715,16 @@ def test_config_error_names_its_key_and_writes_nothing(cfg, message, tmp_path, c
         {"name": "b", "suites": ["paracausal"], "paracausal": {"nt": 2}},
         {"name": "b", "suites": ["moller"], "moller": {"t_max": -1.0}},
         {"name": "b", "suites": ["moller"], "moller": {"window": [0.3, 0.1]}},
-        {"name": "b", "seed": -200000, "suites": ["cones"]})),
+        {"name": "b", "seed": -200000, "suites": ["cones"]},
+        {"name": "b", "suites": ["green"], "green": {"nt": 8, "nx": 8}},
+        {"name": "b", "suites": ["moller"], "moller": {"nt": 8, "nx": 8}},
+        {"name": "b", "suites": ["ccr"], "ccr": {"nt": 8, "nx": 8}},
+        {"name": "b", "suites": ["hadamard"], "hadamard": {"nts": [8, 16]}},
+        {"name": "b", "suites": ["moller"], "moller": {"nt": 128, "nx": 64, "dense": True}},
+        {"name": "b", "suites": ["ccr"], "ccr": {"mass": 1e200}})),
 ], ids=["second-scenario-key", "second-scenario-count", "later-section-value", "hadamard-mass",
-        "grid-nt", "moller-t_max", "moller-window", "seed"])
+        "grid-nt", "moller-t_max", "moller-window", "seed", "green-nt", "moller-window-levels",
+        "ccr-window-levels", "hadamard-window-levels", "moller-dense", "ccr-mass-square"])
 def test_a_bad_key_or_value_anywhere_runs_no_suite(cfg, tmp_path, capsys, monkeypatch):
     # the whole config is read before the first suite runs
     ran = []

@@ -44,6 +44,34 @@ def test_golden_set_is_the_regenerated_set():
     assert {name: entry["argv"] for name, entry in INDEX.items()} == regenerate.COMMANDS
 
 
+# the refusal records a suite may emit that no golden report holds
+REFUSALS = {"cfl_satisfied", "metric_marchable", "chain_exists"}
+
+
+def _checks(report):
+    """(suite, check) for every check of a report of one scenario or of a list of them."""
+    for tree in report if isinstance(report, list) else [report]:
+        for suite, node in tree["suites"].items():
+            yield from ((suite, check) for check in node["checks"])
+
+
+def test_law_table_is_the_golden_law_set_and_the_refusals(tmp_path):
+    # every law a golden report names is a row of LAWS, under its suite and
+    # held to the row's bound (an order law's shortfall to 0.0); the other
+    # rows are the refusals and the dense law, which moller --dense-kernels adds
+    from moellerlab.cli import main
+    from moellerlab.reports import LAWS
+
+    assert main(["moller", "--grid", "16x16", "--dense-kernels", "--out", str(tmp_path)]) == 0
+    paths = [GOLDEN / f"{name}.json" for name in INDEX] + [tmp_path / "report.json"]
+    checks = [c for path in paths for c in _checks(json.loads(path.read_text()))]
+    assert set(LAWS) == {check["law"] for _, check in checks} | REFUSALS
+    for suite, check in checks:
+        law = LAWS[check["law"]]
+        assert law.suite in (suite, None), check["law"]
+        assert check["tolerance"] == (0.0 if law.kind == "order" else law.bound), check["law"]
+
+
 def test_comparison_refuses_what_it_must_hold():
     old = json.loads((GOLDEN / "moller-seed-3.json").read_text())
     check = old["suites"]["moller"]["checks"][0]

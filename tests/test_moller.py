@@ -7,7 +7,7 @@ from moellerlab import geometry as geo
 from moellerlab import greenhyp as gh
 from moellerlab import moller as mo
 from moellerlab.lattice import make_grid, smooth_step
-from moellerlab.suites import ADJOINT_TOLERANCES, MOLLER_TOLERANCES
+from moellerlab.reports import LAWS
 
 from conftest import dense_adjoint, window_section
 
@@ -384,9 +384,9 @@ def test_laws_leave_read_only_fields_alone(grid32):
     chi = smooth_step(grid32, grid32.times[8], grid32.times[16])
     assert not d.flags.writeable and not chi.flags.writeable
     rep = mo.verify_moller_identities(R, d, sympl_pairs=2)
-    assert all(v <= MOLLER_TOLERANCES[k] for k, v in rep.items()), rep
+    assert all(v <= LAWS[f"moller_{k}"].bound for k, v in rep.items()), rep
     rep = mo.verify_adjoint_laws(R, d)
-    assert all(v <= ADJOINT_TOLERANCES[k] for k, v in rep.items()), rep
+    assert all(v <= LAWS[k].bound for k, v in rep.items()), rep
     assert max(gh.exactness_check(R.op_start, count=2).values()) < 1e-9
 
 
@@ -657,13 +657,14 @@ def test_adjoint_laws_fail_a_seeded_defect(defect, laws):
     # (1.6e-7, 7.9e-7 and 1.7e-5 here) and leaves the others as they were
     R, d = _selftest_chain()
     clean = mo.verify_adjoint_laws(R, d)
-    assert set(clean) == set(ADJOINT_TOLERANCES)
+    assert set(clean) == {"adjoint_pairing", "adjoint_inverse_roundtrip", "step_transpose_pairing",
+                          "operator_pairing_symmetry"}
     assert max(clean.values()) <= 1e-14
     defect(R)
     rep = mo.verify_adjoint_laws(R, d)
     for law, value in rep.items():
         if law in laws:
-            assert value >= 1e3 * ADJOINT_TOLERANCES[law], (law, value)
+            assert value >= 1e3 * LAWS[law].bound, (law, value)
         else:
             assert value == clean[law], law
 
@@ -893,11 +894,11 @@ def test_chain_to_an_end_with_its_own_lower_order_terms(end, far):
     rep = mo.verify_moller_identities(R, d, seed=32, sympl_pairs=4)
     assert len(rep) == 6
     for law, value in rep.items():
-        assert value <= MOLLER_TOLERANCES[law], (law, value)
+        assert value <= LAWS[f"moller_{law}"].bound, (law, value)
     rep = mo.verify_adjoint_laws(R, d)
     assert len(rep) == 4
     for law, value in rep.items():
-        assert value <= ADJOINT_TOLERANCES[law], (law, value)
+        assert value <= LAWS[law].bound, (law, value)
 
 
 def test_chain_refuses_a_link_whose_blend_is_not_self_adjoint():
