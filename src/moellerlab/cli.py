@@ -88,6 +88,8 @@ def execute(scenarios, out_dir=None, kernels=False) -> int:
     try:
         if kernels and not out_dir:
             raise ValueError("the kernel files need a directory: add --out")
+        if not scenarios:
+            raise ValueError("a config needs at least one scenario, got []")
         scenarios = [read_scenario(sc) for sc in scenarios]
         if kernels:
             kernel_grid(scenarios[0]["green"])

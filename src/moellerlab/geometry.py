@@ -418,7 +418,10 @@ def paracausal_witness(g: MetricField, gp: MetricField):
     hi = np.ones(shape)
 
     def fits(av):
-        h = squeeze_metric(g, X, np.clip(av, 1e-6, 1.0))
+        try:
+            h = squeeze_metric(g, X, np.clip(av, 1e-6, 1.0))
+        except ValueError:  # a squeeze the metric refuses is no witness
+            return np.zeros(shape, dtype=bool)
         return _inclusion_mask(h, g) & _inclusion_mask(h, gp)
 
     if not fits(lo).all():
@@ -436,7 +439,10 @@ def paracausal_witness(g: MetricField, gp: MetricField):
     a[1:] = np.minimum(a[1:], amin)
     a[:-1] = np.minimum(a[:-1], amin)
     for _ in range(8):
-        h = squeeze_metric(g, X, np.clip(a, 1e-9, 1.0))
+        try:
+            h = squeeze_metric(g, X, np.clip(a, 1e-9, 1.0))
+        except ValueError:  # det h = a det g: a smaller factor is refused too
+            return None
         if preceq(h, g) is ALIGNED and preceq(h, gp) is ALIGNED:
             return h
         a = 0.8 * a
@@ -482,46 +488,36 @@ class ChainObstruction:
         return f"ChainObstruction({self.reason!r})"
 
 
-def _orientation_reversal_certificate(g, gp):
-    """Detect the comparable-cones-but-reversed-futures obstruction."""
+def build_chain(g: MetricField, gp: MetricField):
+    """Best-effort paracausal chain from g to g'.
+
+    Routes, in order: direct comparability; a squeezed witness inside both
+    future cones (:func:`paracausal_witness`); an angular rotation bridge
+    (wide cone followed by a narrow hand-off cone inside the target); the
+    shared-time route through lapse-1 conformal rescaling and a tuned
+    ultrastatic companion, which joins pairs the bridge cannot, such as a
+    near-half-plane cone against a thin one at the same site.  Returns a
+    ParacausalChain from g to g', or a ChainObstruction whose reason is
+    "orientation-reversal" when the cones are comparable with exchanged
+    future halves and "no-chain-found" otherwise (failure never proves the
+    metrics unrelated).  Each cone relation is decided once: the two
+    ``preceq`` verdicts give the direct route and the certificate.
+    """
     fwd = preceq(g, gp)
+    if fwd is ALIGNED:
+        return ParacausalChain([g, gp], [ParacausalChain.FWD])
     bwd = preceq(gp, g)
+    if bwd is ALIGNED:
+        return ParacausalChain([g, gp], [ParacausalChain.REV])
     if fwd is REVERSED or bwd is REVERSED:
         return ChainObstruction(
             "orientation-reversal",
             "cones are comparable but the future halves are exchanged; "
             "on the cylinder no globally hyperbolic rotation joins them",
         )
-    return None
-
-
-def build_chain(g: MetricField, gp: MetricField):
-    """Best-effort paracausal chain from g to g'.
-
-    Strategies, in order: direct comparability; pointwise future-cone
-    overlap with a squeezed witness; an angular rotation bridge (wide cone
-    followed by a narrow hand-off cone inside the target); the shared-time
-    route through lapse-1 conformal rescaling and a tuned ultrastatic
-    companion.  Returns a ParacausalChain, or a ChainObstruction whose
-    reason is "orientation-reversal" when that obstruction is detected and
-    "no-chain-found" otherwise (failure never proves the metrics unrelated).
-    """
-    r = preceq(g, gp)
-    if r is ALIGNED:
-        return ParacausalChain([g, gp], [ParacausalChain.FWD])
-    r = preceq(gp, g)
-    if r is ALIGNED:
-        return ParacausalChain([g, gp], [ParacausalChain.REV])
-    cert = _orientation_reversal_certificate(g, gp)
-    if cert is not None:
-        return cert
-
-    X, _ = cones_intersect_future(g, gp)
-    if X is not None:
-        h = paracausal_witness(g, gp)
-        if h is not None:
-            return ParacausalChain([g, h, gp], [ParacausalChain.REV, ParacausalChain.FWD])
-
+    h = paracausal_witness(g, gp)
+    if h is not None:
+        return ParacausalChain([g, h, gp], [ParacausalChain.REV, ParacausalChain.FWD])
     chain = _rotation_bridge_chain(g, gp)
     if chain is not None:
         return chain
@@ -538,7 +534,8 @@ def _rotation_bridge_chain(g, gp):
     sliver just inside the target cone, then hands off through that sliver:
     [g, wide, sliver, g'].  The hull width stays below pi whenever the two
     arcs are not (anti-)aligned, so a single bridge suffices; the margin
-    keeps every link strictly validated.
+    keeps every link strictly validated.  None when a bridge cone is not
+    Lorentzian or the chain's own link validation refuses a link.
     """
     c1, h1 = future_arcs(g)
     c2, h2 = future_arcs(gp)
@@ -555,14 +552,11 @@ def _rotation_bridge_chain(g, gp):
     try:
         wide = metric_from_arcs(g.grid, c1 + 0.5 * (lo + hi), 0.5 * width)
         sliver = metric_from_arcs(g.grid, sliver_c, eps)
-    except ValueError:
-        return None
-    if (preceq(g, wide) is ALIGNED and preceq(sliver, wide) is ALIGNED
-            and preceq(sliver, gp) is ALIGNED):
         return ParacausalChain(
             [g, wide, sliver, gp],
             [ParacausalChain.FWD, ParacausalChain.REV, ParacausalChain.FWD])
-    return None
+    except ValueError:
+        return None
 
 
 def _orthogonal_form(g):
@@ -622,25 +616,29 @@ def _half_chain_to_flat(g):
 
 
 def _shared_time_chain(g, gp):
-    """Meet in the middle at the flat ultrastatic -dt^2 + dx^2."""
+    """Meet in the middle at the flat ultrastatic -dt^2 + dx^2.
+
+    None when a step metric is not Lorentzian (the lapse-1 rescaling of a
+    thin tilted cone can fall under the det floor) or the chain's own link
+    validation refuses a link.
+    """
     if not (_t_forward(g) and _t_forward(gp)) and not (_t_backward(g) and _t_backward(gp)):
         return None
-    if _t_backward(g):
-        rev = _shared_time_chain(g.time_reversed(), gp.time_reversed())
-        if rev is None:
-            return None
-        return ParacausalChain([m.time_reversed() for m in rev.metrics], rev.flags)
-    left = _half_chain_to_flat(g)
-    right = _half_chain_to_flat(gp)
-    if left is None or right is None:
-        return None
-    lm, lf = left
-    rm, rf = right
-    flip = {ParacausalChain.FWD: ParacausalChain.REV, ParacausalChain.REV: ParacausalChain.FWD}
-    mets = lm + rm[::-1][1:]
-    flags = lf + [flip[f] for f in rf[::-1]]
     try:
-        return ParacausalChain(mets, flags)
+        if _t_backward(g):
+            rev = _shared_time_chain(g.time_reversed(), gp.time_reversed())
+            if rev is None:
+                return None
+            inner = [m.time_reversed() for m in rev.metrics[1:-1]]
+            return ParacausalChain([g, *inner, gp], rev.flags)
+        left = _half_chain_to_flat(g)
+        right = _half_chain_to_flat(gp)
+        if left is None or right is None:
+            return None
+        lm, lf = left
+        rm, rf = right
+        flip = {ParacausalChain.FWD: ParacausalChain.REV, ParacausalChain.REV: ParacausalChain.FWD}
+        return ParacausalChain(lm + rm[::-1][1:], lf + [flip[f] for f in rf[::-1]])
     except ValueError:
         return None
 

@@ -677,6 +677,8 @@ def _chain(value, key):
 def _suite_names(value, key) -> list:
     if not isinstance(value, (list, tuple)) or not all(isinstance(s, str) for s in value):
         raise ValueError(f"{key} must be a list of suite names, got {value!r}")
+    if not value:  # a run that checks no law must not read as a pass
+        raise ValueError(f"{key} needs at least one suite, got {value!r}")
     unknown = [s for s in value if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown {key}: {unknown}; known: {sorted(SUITES)}")

@@ -673,6 +673,9 @@ CONFIG_ERRORS = [
     ({"suites": ["moller"], "moller": {"target_params": {"m": 3}}},
      "target_params: metric preset 'conformal' takes no param 'm'; it takes ['mu']"),
     ({"suites": "cones"}, "suites must be a list of suite names, got 'cones'"),
+    # a config that runs no suite checks no law, so it cannot pass
+    ([], "a config needs at least one scenario"),
+    ({"suites": []}, "suites needs at least one suite"),
     ({"name": 5, "suites": ["cones"]}, "name must be a string, got 5"),
     ({"suites": ["paracausal"], "paracausal": {"nx": 3}}, "nx must be at least 4, got 3"),
     ({"suites": ["hadamard"], "hadamard": {"nts": [2, 16]}},

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moellerlab import cli
 from moellerlab import geometry as geo
@@ -391,16 +393,122 @@ def test_build_chain_conformal_length_two(g8):
     assert isinstance(chain, geo.ParacausalChain) and len(chain) == 2
 
 
-def test_build_chain_shared_time_route(g8):
-    # disjoint tilted cones with spacelike slices go through the flat middle
+def test_build_chain_bridges_thin_disjoint_tilted_cones(g8):
+    # disjoint tilted cones with spacelike slices meet through the rotation bridge
     t1 = geo.metric_preset("tilted", g8, deg=38.0)
     sq = geo.squeeze_metric(t1, (t1.orient_t, t1.orient_x), 0.05)
     t2 = geo.metric_preset("tilted", g8, deg=-38.0)
     sq2 = geo.squeeze_metric(t2, (t2.orient_t, t2.orient_x), 0.05)
-    X, _ = geo.cones_intersect_future(sq, sq2)
     chain = geo.build_chain(sq, sq2)
-    assert isinstance(chain, geo.ParacausalChain)
+    assert isinstance(chain, geo.ParacausalChain) and len(chain) == 4
     chain.validate()
+
+
+def test_build_chain_shared_time_route():
+    # a near-half-plane cone at one site and thin ones elsewhere, against the
+    # swapped field: the witness needs a squeeze that puts det h under the
+    # det floor at the thin sites, the bridge's hull would pass pi at the wide
+    # site, and the pair meets at the flat ultrastatic (the past-directed
+    # pair by way of its time reversal, ending at the metrics given)
+    grid = make_grid(4, 4, 0.0, 0.5, 1.0)
+    hw, hw_swapped = np.full((grid.nt, grid.nx), 0.005), np.full((grid.nt, grid.nx), 1.565)
+    hw[0, 0], hw_swapped[0, 0] = 1.565, 0.005
+    g = geo.metric_from_arcs(grid, 0.0, hw)
+    gp = geo.metric_from_arcs(grid, 0.0, hw_swapped)
+    assert geo.paracausal_witness(g, gp) is None
+    for a, b in ((g, gp), (gp, g), (g.time_reversed(), gp.time_reversed())):
+        chain = geo.build_chain(a, b)
+        assert isinstance(chain, geo.ParacausalChain) and len(chain) == 11
+        assert chain.metrics[0] is a and chain.metrics[-1] is b
+        flat = chain.metrics[5]
+        assert np.all(flat.g_tt == -1.0) and np.all(flat.g_tx == 0.0) and np.all(flat.g_xx == 1.0)
+        assert np.all(flat.orient_t == a.orient_t[0, 0])
+    # a cone edge 1e-6 short of the x axis gives g_xx ~ 1e-8 there, and the
+    # lapse-1 rescaling, of det g_xx^2 / det g, falls under the det floor:
+    # no chain, and no raise
+    center = np.zeros((grid.nt, grid.nx))
+    center[1, 1] = np.pi / 2 - 1.565 - 1e-6
+    edge = geo.metric_from_arcs(grid, center, hw_swapped)
+    out = geo.build_chain(g, edge)
+    assert isinstance(out, geo.ChainObstruction) and out.reason == "no-chain-found"
+
+
+def test_build_chain_arcs_touching_at_one_site():
+    # the arcs share only a boundary ray at site 0, so the common direction
+    # of the witness route is null there and its squeeze is refused: that
+    # route finds no witness, and the rotation bridge joins the pair
+    grid = make_grid(4, 4, 0.0, 0.5, 1.0)
+    center = np.zeros((grid.nt, grid.nx))
+    center[0, 0] = -0.3
+    g = geo.metric_from_arcs(grid, center, 0.3)
+    gp = geo.metric_from_arcs(grid, 0.3, 0.3)
+    assert geo.paracausal_witness(g, gp) is None
+    chain = geo.build_chain(g, gp)
+    assert isinstance(chain, geo.ParacausalChain) and len(chain) == 4
+    assert chain.metrics[0] is g and chain.metrics[-1] is gp
+
+
+def test_paracausal_witness_refuses_a_squeeze_below_the_det_floor():
+    # thin cones have |det g| ~ halfwidth^2, so the smallest squeeze factors
+    # give det h above -1e-10; such a squeeze finds no witness
+    grid = make_grid(4, 4, 0.0, 0.5, 1.0)
+    g = geo.metric_from_arcs(grid, 0.0, 8e-4)
+    gp = geo.metric_from_arcs(grid, 8e-4, 8e-4)
+    assert geo.paracausal_witness(g, gp) is None
+    chain = geo.build_chain(g, gp)
+    assert isinstance(chain, geo.ParacausalChain) and len(chain) == 4
+    assert chain.metrics[0] is g and chain.metrics[-1] is gp
+    # thinner still, the bridge's sliver is refused too: no chain, no raise
+    thin, thin_p = geo.metric_from_arcs(grid, 0.0, 3e-4), geo.metric_from_arcs(grid, 3e-4, 3e-4)
+    out = geo.build_chain(thin, thin_p)
+    assert isinstance(out, geo.ChainObstruction) and out.reason == "no-chain-found"
+
+
+def test_build_chain_decides_each_cone_relation_once(g8, monkeypatch):
+    calls = []
+    decide = geo.preceq
+    monkeypatch.setattr(geo, "preceq", lambda a, b: calls.append((a, b)) or decide(a, b))
+    mink = geo.metric_preset("minkowski", g8)
+    rev = mink.time_reversed()
+    # the certificate reads the two verdicts the direct route already holds
+    out = geo.build_chain(mink, rev)
+    assert isinstance(out, geo.ChainObstruction) and out.reason == "orientation-reversal"
+    assert calls == [(mink, rev), (rev, mink)]
+    # disjoint cones: two verdicts, then no relation is decided twice
+    calls.clear()
+    rot = geo.metric_preset("rotated-minkowski", g8)
+    chain = geo.build_chain(mink, rot)
+    assert isinstance(chain, geo.ParacausalChain) and len(chain) == 4
+    assert calls[:2] == [(mink, rot), (rot, mink)]
+    assert len(calls) == len({(id(a), id(b)) for a, b in calls})
+
+
+@st.composite
+def arc_fields(draw, grid, side):
+    """A per-point metric_from_arcs field whose cone lies on one side of the x axis."""
+    n = grid.nt * grid.nx
+    halfwidth = np.array(draw(st.lists(st.floats(0.005, 1.565), min_size=n, max_size=n)))
+    # the cone's place between the two halves of the x axis, from -1 to 1;
+    # an upright field (place 0 at every site) has g_tx = 0 when side is 0
+    if draw(st.booleans()):
+        place = np.zeros(n)
+    else:
+        place = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    center = side + place * (np.pi / 2 - halfwidth)
+    return geo.metric_from_arcs(grid, center.reshape(grid.nt, grid.nx),
+                                halfwidth.reshape(grid.nt, grid.nx))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.sampled_from([0.0, np.pi]))
+def test_build_chain_finds_a_chain_or_an_obstruction(data, side):
+    grid = make_grid(4, 4, 0.0, 0.5, 1.0)
+    g, gp = data.draw(arc_fields(grid, side)), data.draw(arc_fields(grid, side))
+    out = geo.build_chain(g, gp)
+    if isinstance(out, geo.ParacausalChain):
+        assert out.metrics[0] is g and out.metrics[-1] is gp
+    else:
+        assert isinstance(out, geo.ChainObstruction)
 
 
 def test_chain_invariants_self_validating(g8):
