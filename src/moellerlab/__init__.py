@@ -21,10 +21,9 @@ from .greenhyp import (CFLError, GreenSystem, HyperbolicOperator, MarchError,
 from .moller import (MollerObstruction, MollerOperator, MollerStep,
                      build_rminus, build_rplus,
                      compose_chain, random_dictionary,
-                     verify_adjoint_laws, verify_intertwine,
-                     verify_moller_identities)
+                     verify_intertwine, verify_moller_identities)
 from .ccr import (AlgebraElement, FieldDictionary, MollerStarIsomorphism,
-                  QuasifreeState, field, multiply, on_shell_reduce,
+                  QuasifreeState, field, multiply,
                   pullback_state, quasifree_npoint, star_isomorphism,
                   state_eval, vacuum_state)
 from .hadamard import (PullbackKernel, VacuumKernel, bisolution_check,

@@ -9,8 +9,8 @@ generator indices) through the commutation rule
 where G is the antisymmetric propagator pairing table of the dictionary.
 A normal-ordered word w times one generator b is therefore insort(w, b)
 plus, for each letter x > b of w, the term i G[x, b] times w without x,
-which is normal-ordered already.  Every product, involution and generator
-map is that one step, fed one letter at a time (:func:`_normal_order`).
+which is normal-ordered already.  Every product and involution is that
+one step, fed one letter at a time (:func:`_normal_order`).
 Unique normal forms make equality decidable, so the quotient algebra is
 represented constructively instead of via ideal membership.  States enter
 as two-point tables with Wick-pairing n-point extension; the minimal
@@ -32,7 +32,6 @@ __all__ = [
     "QuasifreeState",
     "field",
     "multiply",
-    "on_shell_reduce",
     "star_isomorphism",
     "MollerStarIsomorphism",
     "quasifree_npoint",
@@ -45,24 +44,16 @@ __all__ = [
 class FieldDictionary:
     """Test sections with their propagator pairing table.
 
-    sections is a (K, nt, nx) array of compact test sections.  null_sections,
-    when given, is an (M, nt, nx) array appended to the dictionary as the
-    image block N h of compact sections; the on-shell projection (dropping
-    the component along that block in the volume pairing) is precomputed as
-    a coefficient matrix over the dictionary span.  ``sections`` keeps the
-    whole (K + M, nt, nx) dictionary as a read-only copy, so the table
-    cannot go stale.
+    sections is a (K, nt, nx) array of compact test sections; ``sections``
+    keeps it as a read-only copy, so the table cannot go stale.
     """
 
-    def __init__(self, sections, operator: HyperbolicOperator, null_sections=None):
+    def __init__(self, sections, operator: HyperbolicOperator):
         if not operator.self_adjoint:
             raise ValueError("the pairing table needs a formally self-adjoint operator")
         self.operator = operator
         self.grid = operator.grid
         F = np.array(sections, dtype=float)
-        self.null_start = len(F)
-        if null_sections is not None:
-            F = np.concatenate([F, null_sections])
         F.flags.writeable = False
         self.sections = F
         self.size = len(F)
@@ -71,25 +62,6 @@ class FieldDictionary:
         asym = np.max(np.abs(self.pairing + self.pairing.T))
         if asym > 1e-10 * (1.0 + np.max(np.abs(self.pairing))):
             raise AssertionError(f"propagator pairing table is not antisymmetric ({asym:.2e})")
-        self._projection = self._build_projection(F) if self.size > self.null_start else None
-
-    def _build_projection(self, F):
-        # P f = f - (component along the null block in the V pairing),
-        # expressed in dictionary coordinates: one Gram solve for all generators
-        k = self.null_start
-        null = F[k:]
-        gram = self.operator.pairing(null[:, None], null)
-        alpha = np.linalg.solve(gram, self.operator.pairing(null[:, None], F[:k]))
-        C = np.zeros((self.size, self.size))
-        C[np.arange(k), np.arange(k)] = 1.0
-        C[k:, :k] = -alpha  # null generators project to zero
-        return C
-
-    @property
-    def projection(self):
-        if self._projection is None:
-            raise ValueError("dictionary was built without a null block")
-        return self._projection
 
 
 class AlgebraElement:
@@ -111,10 +83,7 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             other = AlgebraElement.identity(self.dictionary, other)
         self._compatible(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0.0) + c
-        return AlgebraElement(self.dictionary, _prune(out))
+        return AlgebraElement(self.dictionary, _summed([*self.terms.items(), *other.terms.items()]))
 
     def __sub__(self, other):
         return self + (other * (-1.0))
@@ -130,11 +99,9 @@ class AlgebraElement:
 
     def star(self) -> "AlgebraElement":
         """Involution: antilinear, reverses words, then re-normal-orders."""
-        out = AlgebraElement(self.dictionary, {})
-        for w, c in self.terms.items():
-            out = out + AlgebraElement(self.dictionary,
-                                       _normal_order(self.dictionary, w[::-1], np.conj(c)))
-        return out
+        return AlgebraElement(self.dictionary, _summed(
+            term for w, c in self.terms.items()
+            for term in _normal_order(self.dictionary, w[::-1], np.conj(c)).items()))
 
     def coefficient(self, word) -> complex:
         return self.terms.get(tuple(word), 0.0)
@@ -147,8 +114,16 @@ class AlgebraElement:
         return " + ".join(bits) if bits else "0"
 
 
-def _prune(terms, tol=0.0):
-    return {w: c for w, c in terms.items() if abs(c) > tol}
+def _prune(terms):
+    return {w: c for w, c in terms.items() if abs(c) > 0.0}
+
+
+def _summed(terms):
+    """{word: its coefficients summed in order} over (word, coefficient) pairs, zeros dropped."""
+    out = {}
+    for w, c in terms:
+        out[w] = out.get(w, 0.0) + c
+    return _prune(out)
 
 
 def _normal_order(dictionary, word, coeff, start=()):
@@ -171,10 +146,7 @@ def _normal_order(dictionary, word, coeff, start=()):
                 grown.append((w[:j] + w[j + 1:], c * 1j * G[w[j], b]))
             grown.append((w[:k] + (b,) + w[k:], c))
         terms = grown
-    out = {}
-    for w, c in terms:
-        out[w] = out.get(w, 0.0) + c
-    return _prune(out)
+    return _summed(terms)
 
 
 def field(dictionary: FieldDictionary, i: int) -> AlgebraElement:
@@ -185,41 +157,16 @@ def field(dictionary: FieldDictionary, i: int) -> AlgebraElement:
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     a._compatible(b)
-    out = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            if not wa or not wb or wa[-1] <= wb[0]:  # wa + wb is normal-ordered
-                terms = {wa + wb: ca * cb}
-            else:
-                terms = _normal_order(a.dictionary, wb, ca * cb, start=wa)
-            for w, c in terms.items():
-                out[w] = out.get(w, 0.0) + c
-    return AlgebraElement(a.dictionary, _prune(out))
 
+    def products():
+        for wa, ca in a.terms.items():
+            for wb, cb in b.terms.items():
+                if not wa or not wb or wa[-1] <= wb[0]:  # wa + wb is normal-ordered
+                    yield wa + wb, ca * cb
+                else:
+                    yield from _normal_order(a.dictionary, wb, ca * cb, start=wa).items()
 
-def on_shell_reduce(dictionary: FieldDictionary, element: AlgebraElement) -> AlgebraElement:
-    """Eliminate generator components along the null (N h) block.
-
-    Each generator is replaced by its projection in dictionary coordinates
-    and the result re-normal-ordered; requires the dictionary to carry a
-    null block so the projection stays inside the span.
-    """
-    C = dictionary.projection
-    out = AlgebraElement(dictionary, {})
-    for w, c in element.terms.items():
-        expanded = {(): complex(c)}
-        for i in w:
-            nxt = {}
-            for wv, cv in expanded.items():
-                for j in range(dictionary.size):
-                    if C[j, i] != 0.0:
-                        nxt[wv + (j,)] = nxt.get(wv + (j,), 0.0) + cv * C[j, i]
-            expanded = nxt
-        for wv, cv in expanded.items():
-            for wn, cn in _normal_order(dictionary, wv, cv).items():
-                out.terms[wn] = out.terms.get(wn, 0.0) + cn
-    out.terms = _prune(out.terms, tol=0.0)
-    return out
+    return AlgebraElement(a.dictionary, _summed(products()))
 
 
 # -- quasifree states -----------------------------------------------------------
@@ -294,14 +241,15 @@ def state_eval(state: QuasifreeState, element: AlgebraElement) -> complex:
 class MollerStarIsomorphism:
     """Generator substitution Phi'(f) -> Phi(R^dagger f) between dictionaries.
 
-    The map is the index identity on words; its homomorphism property is
-    exactly the match of the two commutator tables, which the constructor
-    measures as ``commutator_mismatch`` (max |G' - G_image|); the ccr suite's
-    ``commutator_table_transport`` law judges it.
+    The map is the index identity on words, so it relabels an element's
+    terms, whose words are in normal form, onto the image dictionary; its
+    homomorphism property is exactly the match of the two commutator
+    tables, which the constructor measures as ``commutator_mismatch``
+    (max |G' - G_image|); the ccr suite's ``commutator_table_transport``
+    law judges it.
     """
 
-    def __init__(self, R, dict_prime: FieldDictionary, dict_image: FieldDictionary):
-        self.R = R
+    def __init__(self, dict_prime: FieldDictionary, dict_image: FieldDictionary):
         self.dict_prime = dict_prime
         self.dict_image = dict_image
         self.commutator_mismatch = float(np.max(np.abs(dict_prime.pairing - dict_image.pairing)))
@@ -309,12 +257,7 @@ class MollerStarIsomorphism:
     def map(self, element: AlgebraElement) -> AlgebraElement:
         if element.dictionary is not self.dict_prime:
             raise ValueError("element does not live over the source dictionary")
-        out = AlgebraElement(self.dict_image, {})
-        for w, c in element.terms.items():
-            for wn, cn in _normal_order(self.dict_image, w, c).items():
-                out.terms[wn] = out.terms.get(wn, 0.0) + cn
-        out.terms = _prune(out.terms)
-        return out
+        return AlgebraElement(self.dict_image, element.terms)
 
 
 def star_isomorphism(R, dict_prime: FieldDictionary) -> MollerStarIsomorphism:
@@ -325,7 +268,7 @@ def star_isomorphism(R, dict_prime: FieldDictionary) -> MollerStarIsomorphism:
     is measured, not judged (:class:`MollerStarIsomorphism`).
     """
     dict_image = FieldDictionary(R.adjoint_apply(dict_prime.sections), R.op_start)
-    return MollerStarIsomorphism(R, dict_prime, dict_image)
+    return MollerStarIsomorphism(dict_prime, dict_image)
 
 
 def pullback_state(state: QuasifreeState, iso: MollerStarIsomorphism) -> QuasifreeState:

@@ -230,18 +230,15 @@ def future_arcs(metric: MetricField):
 def _arcs_of(metric: MetricField):
     """The (center, halfwidth) arrays of :func:`future_arcs`, computed.
 
-    The null slopes, roots of a + 2 b s + c s^2, are taken as q / c and
-    a / q with q = -(b + sign(b) sqrt(b^2 - a c)): no root is a difference
-    of near-equal terms, so where |c| is small against |b| the small root
-    keeps its digits and the boundary rays stay null to round-off.
+    The null slopes, roots of a + 2 b s + c s^2, are
+    :meth:`MetricField._null_roots`: no root is a difference of near-equal
+    terms, so where |c| is small against |b| the small root keeps its
+    digits and the boundary rays stay null to round-off.
     """
     a, b, c, ot, ox = metric.stored
-    q = -(b + np.copysign(np.sqrt(np.maximum(b * b - a * c, 0.0)), b))
-    safe_c = np.where(c != 0.0, c, 1.0)
-    s1 = np.where(c != 0.0, q / safe_c, 0.0)
-    s2 = np.where(c != 0.0, a / q, 0.0)  # |q| >= sqrt(-det g) > 0
-    th1 = np.where(c != 0.0, np.arctan2(s1, 1.0), np.arctan2(-a, 2.0 * b))
-    th2 = np.where(c != 0.0, np.arctan2(s2, 1.0), np.pi / 2.0)
+    big, small = metric._null_roots(slice(None))  # big is infinite where c == 0
+    th1 = np.where(c != 0.0, np.arctan2(big, 1.0), np.arctan2(-a, 2.0 * b))
+    th2 = np.where(c != 0.0, np.arctan2(small, 1.0), np.pi / 2.0)
     thX = np.arctan2(ox, ot)
     rays = np.stack([th1, th2, th1 + np.pi, th2 + np.pi])
     ahead = np.mod(rays - thX[None], 2.0 * np.pi)   # counterclockwise gap to each ray

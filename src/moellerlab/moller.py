@@ -62,7 +62,6 @@ __all__ = [
     "verify_intertwine",
     "compose_chain",
     "verify_moller_identities",
-    "verify_adjoint_laws",
     "random_dictionary",
 ]
 
@@ -319,14 +318,6 @@ class MollerOperator:
             v = s.apply(v)
         return v
 
-    def carry(self, u):
-        """[u, S_1 u, S_2 S_1 u, ..., R u]: u as it enters each step, then R u
-        (bitwise ``apply(u)``), for laws that read the fields between steps."""
-        fields = [np.asarray(u, dtype=float)]
-        for s in self.steps:
-            fields.append(s.apply(fields[-1]))
-        return fields
-
     def inverse_apply(self, u):
         v = np.array(u, dtype=float)
         for s in reversed(self.steps):
@@ -488,18 +479,31 @@ def _intertwine_residual(obj, u, image):
 
 
 def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
-                             dense=False, sympl_pairs=10, image=None) -> dict:
-    """Residual report for the composed-intertwiner laws.
+                             dense=False, sympl_pairs=10) -> dict:
+    """Every law of the moller suite on R, keyed by its ``reports.LAWS`` name, in report order.
 
-    Covers: source interchange c' N' R = N; propagator transport
-    R G R^dagger = G'; adjoint interchange R^dagger N' = N on compacts;
-    symplectic-flux preservation on solution pairs; two-sided inverse
-    round trip; and the exact identity region of every step.  The
-    dictionary is a (K, nt, nx) array of sections (by default twelve of
-    :func:`random_dictionary`); each dictionary law marches it as one batch
-    and reports its worst section.  A caller that already holds R u of the
-    dictionary's batch u (the last field of ``R.carry(u)``) passes it as
-    image, and no law marches R u again.
+    The ``moller_*`` laws: source interchange c' N' R = N; propagator
+    transport R G R^dagger = G'; adjoint interchange R^dagger N' = N on
+    compacts; two-sided inverse round trip; symplectic-flux preservation on
+    solution pairs; the exact identity region of every step; and with
+    dense, the propagator transport of the dense matrices.  Then R's
+    adjoint laws, matrix-free, each section u paired with h, the same
+    section moved nx // 3 sites along x, so a column's reading depends on
+    its own section only and h stays compact in the window: the defining
+    pairing <R u, h>_g' = <u, R^dagger h>_g; the adjoint of the inverse,
+    (R^{-1})^dagger R^dagger h = h; each step's transpose against the plain
+    pairing, sum (S v) w = sum v (S^T w), which makes the composed adjoint
+    right; and the V-pairing symmetry <N u, h>_V = <u, N h>_V of both end
+    operators.  A pairing residual is relative to the pairing of absolute
+    values, the sum's own round-off scale, so no reading depends on a
+    cancellation.
+
+    The dictionary is a (K, nt, nx) array of sections (by default twelve of
+    :func:`random_dictionary`), read and never written.  It marches through
+    the steps once, as one batch: R u and, for a step, v (u as it enters
+    the step) are read from that march, and w (V' h carried back through
+    the steps after it) from the one march of the adjoint back.  Each law
+    reports its worst section.
     """
     grid = R.op_start.grid
     if sympl_pairs < 1:
@@ -508,90 +512,72 @@ def verify_moller_identities(R: MollerOperator, dictionary=None, seed=0,
         dictionary = random_dictionary(grid, count=12, seed=seed,
                                        window=(3, grid.nt - 3))
     u = np.asarray(dictionary, dtype=float)
-    Ru = R.apply(u) if image is None else image
-    rep = {"intertwine": _intertwine_residual(R, u, Ru)}
+    fields = [u]  # u as it enters each step, then R u
+    for s in R.steps:
+        fields.append(s.apply(fields[-1]))
+    Ru = fields[-1]
+
+    # the adjoint laws pop each field of the march once they have read it
+    start, end = R.op_start, R.op_end
+    h = periodic_shift(u, 0, u.shape[-1] // 3)
+    w, step_defects = end.weigh(h), []
+    for s in reversed(R.steps):  # w: V' h as it leaves step s
+        sv, sw = fields.pop(), s.transpose_apply(w)
+        step_defects.append(_pairing_defect((_plain_pairing, sv, w), (_plain_pairing, fields[-1], sw)))
+        w = sw
+    adj_h = start.unweigh(w)  # R^dagger h = V^{-1} R^T V' h
+    adjoint = {
+        "adjoint_pairing": _pairing_defect((end.pairing, Ru, h), (start.pairing, u, adj_h)),
+        "adjoint_inverse_roundtrip": worst_ratio(
+            sup_norms(R.inverse().adjoint_apply(adj_h) - h), sup_norms(h)),
+        "step_transpose_pairing": max(step_defects),
+        "operator_pairing_symmetry": max(
+            _pairing_defect((N.pairing, N.apply(u), h), (N.pairing, u, N.apply(h)))
+            for N in (start, end)),
+    }
+    del h, sv, sw, w, adj_h  # not held while the laws below march (a chain has steps)
+    rep = {"moller_intertwine": _intertwine_residual(R, u, Ru)}
     roundtrip = worst_ratio(sup_norms(R.inverse_apply(Ru) - u), sup_norms(u))
-    del Ru, image  # no law below reads R u, so it is not held while they march
-    Gn = GreenSystem(R.op_start)
-    Gnp = GreenSystem(R.op_end)
+    del Ru  # no law below reads R u, so it is not held while they march
+    Gn = GreenSystem(start)
+    Gnp = GreenSystem(end)
     rhs = Gnp.propagator(u)
-    rep["propagator_transport"] = worst_ratio(
+    rep["moller_propagator_transport"] = worst_ratio(
         sup_norms(R.apply(Gn.propagator(R.adjoint_apply(u))) - rhs), sup_norms(rhs))
-    rhs = R.op_start.apply(u)
-    rep["adjoint_interchange"] = worst_ratio(
-        sup_norms((R.adjoint_apply(R.op_end.apply(u)) - rhs)[:, 1:-1]), sup_norms(rhs))
-    rep["inverse_roundtrip"] = roundtrip
+    rhs = start.apply(u)
+    rep["moller_adjoint_interchange"] = worst_ratio(
+        sup_norms((R.adjoint_apply(end.apply(u)) - rhs)[:, 1:-1]), sup_norms(rhs))
+    rep["moller_inverse_roundtrip"] = roundtrip
 
     # symplectic preservation on solution pairs seeded from the dictionary
     # (one Cauchy solve of the 2P columns psi_1, phi_1, psi_2, ... and one action of R)
     rng = np.random.default_rng(seed + 1)
     n_slice = grid.nt // 2
     data = rng.standard_normal((2 * sympl_pairs, 2, grid.nx))  # column, (values, velocities)
-    sols = solve_cauchy(R.op_start, 3, data[:, 0], data[:, 1])
+    sols = solve_cauchy(start, 3, data[:, 0], data[:, 1])
     moved = R.apply(sols)
-    s0 = symplectic_form(R.op_start, sols[0::2], sols[1::2], n_slice)
-    s1 = symplectic_form(R.op_end, moved[0::2], moved[1::2], n_slice)
-    rep["symplectic_preservation"] = worst_ratio(np.abs(s1 - s0), np.abs(s0))
+    s0 = symplectic_form(start, sols[0::2], sols[1::2], n_slice)
+    s1 = symplectic_form(end, moved[0::2], moved[1::2], n_slice)
+    rep["moller_symplectic_preservation"] = worst_ratio(np.abs(s1 - s0), np.abs(s0))
 
     # identity region of every step (below t0 for plus-kind, above t1 for
     # minus-kind; inversion does not move the inert side)
     rng = np.random.default_rng(seed + 2)
     u = np.zeros((grid.nt, grid.nx))
     u[2:-2] = rng.standard_normal((grid.nt - 4, grid.nx))
-    rep["identity_region"] = max(s.identity_defect(u) for s in R.steps)
+    rep["moller_identity_region"] = max(s.identity_defect(u) for s in R.steps)
 
     if dense:
         Rm = R.as_matrix()
-        Rd = _weighted_transpose(Rm, R.op_start, R.op_end)
+        Rd = _weighted_transpose(Rm, start, end)
         G, Gprime = (np.subtract(*S.kernel_matrices()) for S in (Gn, Gnp))  # G+ - G-
         sel = np.zeros(grid.n_points, bool)
         sel.reshape(grid.nt, grid.nx)[2:-2] = True
         lhs = (Rm @ G @ Rd)[:, sel]
         rhs = Gprime[:, sel]
-        rep["propagator_transport_dense"] = float(np.max(np.abs(lhs - rhs))) / max(
+        rep["moller_propagator_transport_dense"] = float(np.max(np.abs(lhs - rhs))) / max(
             float(np.max(np.abs(rhs))), 1e-300)
-    return rep
-
-
-def verify_adjoint_laws(R: MollerOperator, dictionary, carried=None) -> dict:
-    """Matrix-free residuals of R's adjoint laws on a dictionary, a (K, nt, nx) array of sections.
-
-    A section u is paired with h, the same section moved nx // 3 sites along
-    x, so a column's reading depends on its own section only and h stays
-    compact in the window.  Covers: the defining pairing
-    <R u, h>_g' = <u, R^dagger h>_g; the adjoint of the inverse,
-    (R^{-1})^dagger R^dagger h = h; each step's transpose against the plain
-    pairing, sum (S v) w = sum v (S^T w), which makes the composed adjoint
-    right; and the V-pairing symmetry <N u, h>_V = <u, N h>_V of both end
-    operators.  A step reads the fields the composed laws march through it:
-    v is u carried through the steps before it, w is V' h carried back
-    through the steps after it, so each step marches once each way.  A
-    pairing residual is relative to the pairing of absolute values, the
-    sum's own round-off scale, so no reading depends on a cancellation.  The
-    dictionary marches as one batch and is read, never written, so the
-    read-only output of :func:`random_dictionary` serves as it is; each law
-    reports its worst section.  A caller that already holds
-    ``carried = R.carry(u)`` of the dictionary's batch u passes it, and the
-    steps are not marched forward again; the laws pop each field from it
-    once read, so it is left holding u.
-    """
-    carried = R.carry(dictionary) if carried is None else carried
-    u, Ru = carried[0], carried[-1]
-    h = periodic_shift(u, 0, u.shape[-1] // 3)
-    start, end = R.op_start, R.op_end
-    w, step_defects = end.weigh(h), []
-    for s in reversed(R.steps):  # w: V' h as it leaves step s
-        sv, sw = carried.pop(), s.transpose_apply(w)
-        step_defects.append(_pairing_defect((_plain_pairing, sv, w), (_plain_pairing, carried[-1], sw)))
-        w = sw
-    adj_h = start.unweigh(w)  # R^dagger h = V^{-1} R^T V' h
-    rep = {"adjoint_pairing": _pairing_defect((end.pairing, Ru, h), (start.pairing, u, adj_h))}
-    rep["adjoint_inverse_roundtrip"] = worst_ratio(
-        sup_norms(R.inverse().adjoint_apply(adj_h) - h), sup_norms(h))
-    rep["step_transpose_pairing"] = max(step_defects, default=0.0)
-    rep["operator_pairing_symmetry"] = max(
-        _pairing_defect((N.pairing, N.apply(u), h), (N.pairing, u, N.apply(h))) for N in (start, end))
-    return rep
+    return {**rep, **adjoint}
 
 
 def _plain_pairing(f, h):

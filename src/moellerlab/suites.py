@@ -128,26 +128,17 @@ def suite_cones(cfg, rng) -> list:
 
 
 def _cotangent_inclusion(g_a, g_b):
-    """V^{a} subset V^{b} for the inverse-metric quadratics of g_a and g_b (unoriented)."""
+    """V^{a} subset V^{b} for the inverse-metric quadratics of g_a and g_b (unoriented).
+
+    Each cotangent cone is oriented by the lowered orientation X_flat = g(X, .),
+    which is timelike for g^-1: g^-1(X_flat, X_flat) = g(X, X) < 0.
+    """
     cones = []
     for g in (g_a, g_b):
-        itt, itx, ixx = g.inverse_components()
-        cones.append(geo.MetricField(g.grid, itt, itx, ixx, *_any_timelike(itt, itx, ixx)))
+        tt, tx, xx, ot, ox = g.stored
+        cones.append(geo.MetricField(g.grid, *g.inverse_components(),
+                                     tt * ot + tx * ox, tx * ot + xx * ox))
     return geo.cone_inclusion(*cones)
-
-
-def _any_timelike(att, atx, axx):
-    # smallest-eigenvalue direction of the quadratic is timelike
-    tr = att + axx
-    dif = att - axx
-    disc = np.sqrt(dif**2 + 4 * atx**2)
-    lam = (tr - disc) / 2.0
-    vt = np.where(np.abs(atx) > 1e-300, atx, 0.0)
-    vx = np.where(np.abs(atx) > 1e-300, lam - att, 1.0)
-    vt = np.where(np.abs(atx) > 1e-300, vt, np.where(att < axx, 1.0, 0.0))
-    vx2 = np.where(np.abs(atx) > 1e-300, vx, np.where(att < axx, 0.0, 1.0))
-    n = np.hypot(vt, vx2)
-    return vt / n, vx2 / n
 
 
 def suite_paracausal(cfg, rng) -> list:
@@ -233,13 +224,17 @@ def suite_green(cfg, rng) -> list:
     checks.append(CheckResult.judge("retarded_right_inverse", worst_fwd))
     checks.append(CheckResult.judge("advanced_right_inverse", worst_bwd))
     checks.append(CheckResult.judge("green_left_inverse", worst_inv))
+    del up, dn  # the last batch's solves, not held while the laws below march
 
-    # support containment of a point source, one stencil cell of tolerance
+    # support containment of a point source, one stencil cell of tolerance; the
+    # metric's retarded solve is G- where its time orientation points to decreasing t
+    past = bool(np.all(N.metric.orient_t < 0.0))
+    point = (grid.nt - 6 if past else 5, nx // 3)
     src = np.zeros((grid.nt, grid.nx))
-    src[5, nx // 3] = 1.0
-    up = Gs.plus(src)
-    reach = geo.causal_future(N.metric, [(5, nx // 3)])
-    viol = (np.abs(up) > 1e-13) & ~reach
+    src[point] = 1.0
+    ret = (Gs.minus if past else Gs.plus)(src)
+    reach = geo.causal_future(N.metric, [point])
+    viol = (np.abs(ret) > 1e-13) & ~reach
     checks.append(CheckResult.judge("retarded_support_in_causal_future", not viol.any()))
 
     rep = gh.exactness_check(N, seed=int(rng.integers(1 << 30)), count=5)
@@ -334,7 +329,6 @@ def _auto_chain(grid, target, params, window, mass):
 def suite_moller(cfg, rng) -> list:
     """Intertwiner laws along a chain (auto-built or an explicit directive)."""
     grid = make_grid(cfg["nt"], cfg["nx"], 0.0, cfg["t_max"], 1.0)
-    checks = []
     window, mass = cfg["window"], cfg["mass"]
     if cfg["chain"] == "auto":
         chain, R = _auto_chain(grid, cfg["target_preset"], cfg["target_params"], window, mass)
@@ -348,18 +342,9 @@ def suite_moller(cfg, rng) -> list:
         R = mo.compose_chain(chain, window=window, mass=mass)
     d = mo.random_dictionary(grid, cfg["dictionary"], int(rng.integers(1 << 30)),
                              window=(4, grid.nt - 4))
-    # one march of the dictionary through R serves every law: the adjoint laws
-    # read the fields between the steps, the identities only R u
-    carried = R.carry(d)
-    image = carried[-1]
-    adjoint = mo.verify_adjoint_laws(R, d, carried)  # pops carried down to u
-    del carried
-    rep = mo.verify_moller_identities(R, d, seed=int(rng.integers(1 << 30)),
-                                      dense=cfg["dense"],
-                                      sympl_pairs=cfg["sympl_pairs"], image=image)
-    checks += [CheckResult.judge(f"moller_{k}", v) for k, v in rep.items()]
-    checks += [CheckResult.judge(k, v) for k, v in adjoint.items()]
-    return checks
+    rep = mo.verify_moller_identities(R, d, seed=int(rng.integers(1 << 30)), dense=cfg["dense"],
+                                      sympl_pairs=cfg["sympl_pairs"])
+    return [CheckResult.judge(law, v) for law, v in rep.items()]
 
 
 def suite_ccr(cfg, rng) -> list:

@@ -127,10 +127,11 @@ def test_criterion_6_moller_identities_comparable_pair():
     rep16 = mo.verify_moller_identities(R16, mo.random_dictionary(g16, 8, seed=17, window=(4, 12)),
                                         dense=True, sympl_pairs=5)
     elapsed = time.time() - t0
-    ok = (rep["intertwine"] <= 1e-9 and rep["propagator_transport"] <= 1e-9
-          and rep["adjoint_interchange"] <= 1e-9 and rep["identity_region"] <= 1e-10
-          and rep["symplectic_preservation"] <= 1e-8 and rep["inverse_roundtrip"] <= 1e-9
-          and rep16["propagator_transport_dense"] <= 1e-9 and elapsed < 60.0)
+    ok = (rep["moller_intertwine"] <= 1e-9 and rep["moller_propagator_transport"] <= 1e-9
+          and rep["moller_adjoint_interchange"] <= 1e-9 and rep["moller_identity_region"] <= 1e-10
+          and rep["moller_symplectic_preservation"] <= 1e-8
+          and rep["moller_inverse_roundtrip"] <= 1e-9
+          and rep16["moller_propagator_transport_dense"] <= 1e-9 and elapsed < 60.0)
     announce(6, "intertwiner laws on the comparable pair (action + dense modes)", ok,
              f"(worst {max(rep.values()):.2e}, {elapsed:.2f}s)")
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moellerlab import cli
+from moellerlab import cli, suites
 from moellerlab import geometry as geo
+from moellerlab import greenhyp as gh
 from moellerlab.suites import CONFIG, SUITES, read_scenario, read_section
 
 
@@ -302,6 +303,25 @@ def test_x_timelike_preset_marches(tmp_path):
     tree = json.loads((tmp_path / "report.json").read_text())
     checks = tree["suites"]["green"]["checks"]
     assert rc == 0 and len(checks) > 1 and all(c["pass"] for c in checks)
+
+
+@pytest.mark.parametrize("grid", ["32x16", "48x48"])
+def test_time_reversed_preset_holds_its_retarded_support(grid, tmp_path):
+    # the time-reversed metric orients its future to decreasing t, so its
+    # retarded solve is G-, from a point source near the last level; the
+    # control, G+ of a source on level 5, marches up in lattice time, and
+    # every point of its support lies outside the metric's causal future
+    rc = run_cli(["green", "--preset", "time-reversed", "--grid", grid, "--out", str(tmp_path)])
+    checks = json.loads((tmp_path / "report.json").read_text())["suites"]["green"]["checks"]
+    assert rc == 0 and all(c["pass"] for c in checks)
+    nt, nx = map(int, grid.split("x"))
+    cfg = read_section({"nt": nt, "nx": nx, "preset": "time-reversed"}, "green")
+    N = suites._green_operator(cfg, suites._green_grid(cfg))
+    src = np.zeros((nt, nx))
+    src[5, nx // 3] = 1.0
+    support = np.abs(gh.GreenSystem(N).plus(src)) > 1e-13
+    leak = support & ~geo.causal_future(N.metric, [(5, nx // 3)])
+    assert leak.sum() == support.sum() > 0
 
 
 def test_empty_sample_count_rejected(tmp_path, capsys):

@@ -21,7 +21,6 @@ SOURCES = [p for p in Path(moellerlab.__file__).parent.glob("*.py") if p.name !=
 # exported names that no module reads, each kept for a reason
 UNREAD_EXPORTS = {
     "symmetrize": "tests build the symmetrized first-order ends of a chain through it",
-    "on_shell_reduce": "kept with the dictionary's null block for an off-shell law",
     "verify_intertwine": "the step-level law that the tests hold each Moller step to",
 }
 
