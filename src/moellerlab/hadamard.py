@@ -22,14 +22,22 @@ mode sum of the transported modes R phi_k with the same weights: a
 pullback (``PullbackKernel``) marches R once, at construction, on the M = nx modes of its base,
 and never needs R^T.  Its cost depends on nx, not on the number of probes.
 The checks below take any kernel with ``columns``.
+
+Both probe laws, 2 Im K(., q) = G(., q) (``ccr_hypothesis_check``) and
+N K(., q) = 0 (``bisolution_check``), read one probe level at a time: the
+level's columns are made, its residual reduced to a max, and the next level
+follows, so the scratch is one level's block, not the whole probe block's.
+On an x-constant operator the commutator law marches one G column per probe
+level and shifts it along x to each probe of the level.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .greenhyp import GreenSystem, HyperbolicOperator, PAST_MARGIN
-from .lattice import SpacetimeGrid, periodic_shift
+from .lattice import SpacetimeGrid
 
 __all__ = [
     "ModeKernel",
@@ -147,41 +155,84 @@ def default_probes(grid: SpacetimeGrid, times=3):
     return [int(n) * grid.nx + j for n in levels for j in range(grid.nx)]
 
 
-def _green_kernel_columns(N: HyperbolicOperator, qs) -> np.ndarray:
-    """Columns G(., q) of the causal-propagator kernel (weights divided out)."""
+def _sup_by_level(grid: SpacetimeGrid, qs, residual) -> float:
+    """max |residual(level)| off the first and last time level, one probe level at a time.
+
+    residual maps one level's probes to their (len(level), nt, nx) residual
+    columns; only one level's block is held at a time.  The max of the
+    level maxima is the max of the whole block, bit for bit.
+    """
+    qs = np.asarray(qs, dtype=int)
+    n = qs // grid.nx
+    return float(np.max([np.max(np.abs(residual(qs[n == level])[:, 1:-1]))
+                         for level in sorted(set(n.tolist()))]))  # np.unique would import numpy.ma
+
+
+def _green_kernel_columns(N: HyperbolicOperator, qs):
+    """Columns G(., q) of the causal-propagator kernel (weights divided out),
+    as a function that returns them for any probes drawn from qs.
+
+    Where every offset of N and its weight are (nt, 1) columns and the
+    march takes the site path (no (+-1, +-1) offset), one unit source is
+    marched per probe level, at site 0; otherwise one per probe.  The site
+    path's level update and ``unweigh`` do the same operations at every site
+    of such an operator, so G(., (n, j)) is G(., (n, 0)) shifted by j along
+    x, bit for bit; the band path's pivoted level solve is not shift
+    invariant to the bit, so it keeps a source per probe.  The sources are
+    marched in one batch, and each probe's column is gathered from its
+    source's column, shifted by its site (by 0 where it is its own source):
+    with the columns stored twice along x, the column shifted by s is the
+    nx-site window that starts at site nx - s, so a gather copies whole
+    rows of nx sites.
+    """
     g = N.grid
-    n, j = np.divmod(np.asarray(qs, dtype=int), g.nx)
-    E = np.zeros((len(n), g.nt, g.nx))
-    E[np.arange(len(n)), n, j] = 1.0
-    E = N.unweigh(E)  # the unit sources are freed before the marches
-    return GreenSystem(N).propagator(E)
+    x_constant = (all(C.shape[-1] == 1 for C in (*N.offsets.values(), N.weight))
+                  and not any((a, b) in N.offsets for a in (1, -1) for b in (1, -1)))
+
+    def split(ps):
+        """Each probe's unit source (a point index) and its shift along x from it."""
+        ps = np.asarray(ps, dtype=int)
+        shift = ps % g.nx if x_constant else np.zeros_like(ps)
+        return ps - shift, shift
+
+    sources = np.array(sorted(set(split(qs)[0].tolist())))  # np.unique would import numpy.ma
+    E = np.zeros((len(sources), g.n_points))
+    E[np.arange(len(sources)), sources] = 1.0
+    E = N.unweigh(E.reshape(-1, g.nt, g.nx))  # the unit sources are freed before the marches
+    G = GreenSystem(N).propagator(E)
+    windows = sliding_window_view(np.concatenate([G, G], axis=-1), g.nx, axis=-1)
+
+    def columns(ps):
+        src, shift = split(ps)
+        return windows[np.searchsorted(sources, src), :, g.nx - shift]
+
+    return columns
 
 
 def ccr_hypothesis_check(nu, N: HyperbolicOperator, probes=None) -> dict:
     """Residual of antisym(nu) against i times the propagator kernel.
 
     Hermitian kernels have antisym part 2i Im K(., q); the report carries
-    the sup norm over probe columns.
+    the sup norm over probe columns, read one probe level at a time.
     """
     probes = default_probes(N.grid) if probes is None else probes
-    resid = 2.0 * nu.columns(probes).imag - _green_kernel_columns(N, probes)
-    return {"sup": float(np.max(np.abs(resid[:, 1:-1])))}
+    G = _green_kernel_columns(N, probes)
+    return {"sup": _sup_by_level(N.grid, probes, lambda qs: 2.0 * nu.columns(qs).imag - G(qs))}
 
 
 def bisolution_check(nu, N: HyperbolicOperator, probes=None) -> dict:
     """Apply the operator in each argument of the kernel on probe columns."""
     probes = default_probes(N.grid) if probes is None else probes
-    cols = nu.columns(probes)
+
     # the left slot; the right one is its conjugate by Hermitian symmetry,
     # N_q K(p, q) = conj(N_q K(q, p)), so it has the same sup.  N acts on
-    # each column alone, so it is applied nx columns (one probe level) at a
-    # time with a running max: the scratch is that of one level's block.
-    worst = 0.0
-    for i in range(0, len(cols), N.grid.nx):
-        c = cols[i:i + N.grid.nx]
-        r = N.apply(c.real) + 1j * N.apply(c.imag)
-        worst = max(worst, float(np.max(np.abs(r[:, 1:-1]))))
-    return {"sup_left": worst}
+    # each column alone, so the columns are made and N applied one probe
+    # level at a time: the scratch is that of one level's block.
+    def left(qs):
+        c = nu.columns(qs)
+        return N.apply(c.real) + 1j * N.apply(c.imag)
+
+    return {"sup_left": _sup_by_level(N.grid, probes, left)}
 
 
 def _tail_energy(slices):
@@ -192,6 +243,20 @@ def _tail_energy(slices):
     j = np.minimum(j, nx - j)
     tail = j >= nx // 4
     return float(np.sum(np.abs(coef[..., tail]) ** 2))
+
+
+def _periodic_x_difference(d, dx):
+    """(d[..., j + 1] - d[..., j]) / dx, periodic in j, into one new buffer.
+
+    One subtraction runs over the flat buffer, and the last site of each
+    row is then written again, wrapped to its first.
+    """
+    e = np.empty(d.shape)
+    flat = d.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=e.reshape(-1)[:-1])
+    np.subtract(d[..., :1], d[..., -1:], out=e[..., -1:])
+    e /= dx
+    return e
 
 
 def _max_mixed_derivative(data, dt, dx, order=3):
@@ -205,13 +270,14 @@ def _max_mixed_derivative(data, dt, dx, order=3):
     dt_a = data
     for a in range(order + 1):
         if a:
-            dt_a = np.diff(dt_a, axis=-2) / dt
+            dt_a = np.diff(dt_a, axis=-2)
+            dt_a /= dt
         d = dt_a
         for b in range(order + 1 - a):
             if b:
-                d = (periodic_shift(d, 0, -1) - d) / dx
+                d = _periodic_x_difference(d, dx)
             if a + b and d.size:
-                worst = max(worst, float(np.max(np.abs(d))))
+                worst = max(worst, float(max(d.max(), -d.min())))  # max |d|, no |d| array
     return worst
 
 

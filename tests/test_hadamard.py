@@ -318,10 +318,11 @@ def test_max_mixed_derivative_equals_the_per_order_form(shape, order):
 
 
 def test_bisolution_check_by_probe_level_equals_the_whole_block():
-    # N is applied nx probe columns at a time; it acts on each column alone,
-    # so the sup is bitwise that of the whole block, and the scratch is one
-    # level's: at four probe levels the peak stays under twice the probe
-    # block (the whole-block form peaked at 3.0x)
+    # the columns are made and N applied one probe level at a time; N acts
+    # on each column alone, so the sup is bitwise that of the whole block,
+    # and the scratch is one level's: at four probe levels the peak stays
+    # under 1.5 times the probe block (measured 0.90x; the whole-block form
+    # peaked at 3.0x)
     from test_greenhyp import _traced
 
     grid = make_grid(64, 16, 0.0, 0.5, 1.0)
@@ -334,4 +335,76 @@ def test_bisolution_check_by_probe_level_equals_the_whole_block():
         rep, peak, _ = _traced(lambda: hd.bisolution_check(nup, N, probes))
         assert rep["sup_left"] == float(np.max(np.abs(whole[:, 1:-1])))
         if len(probes) == 4 * grid.nx:
-            assert peak < 2 * cols.nbytes, peak / cols.nbytes
+            assert peak < 1.5 * cols.nbytes, peak / cols.nbytes
+
+
+def _green_columns_per_probe(N, qs):
+    """G(., q) with one unit source per probe, marched as one batch."""
+    g = N.grid
+    n, j = np.divmod(np.asarray(qs), g.nx)
+    E = np.zeros((len(qs), g.nt, g.nx))
+    E[np.arange(len(qs)), n, j] = 1.0
+    return gh.GreenSystem(N).propagator(N.unweigh(E))
+
+
+def _ripple_operator(grid):
+    """The wave operator of a static metric whose g_xx varies along x."""
+    g_xx = np.broadcast_to(1.0 + 0.3 * np.cos(2 * np.pi * grid.sites), (grid.nt, grid.nx))
+    return gh.wave_operator(geo.MetricField(grid, -1.0, 0.0, g_xx, 1.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("nt", [32, 64, 128])
+def test_green_kernel_columns_equal_the_per_probe_batch(nt):
+    # the chain's ends are x-constant: one source per probe level, each
+    # probe's column its level's shifted along x; the ripple varies along x
+    # and the tilted operator takes the band path: one source per probe.
+    # Every one is bitwise the one-source-per-probe batch, also on a probe
+    # list that is out of level order and repeats a probe
+    grid = make_grid(nt, 16, 0.0, 0.5, 1.0)
+    R = mo.compose_chain(hadamard_chain(grid))
+    tilted = gh.wave_operator(geo.metric_preset("tilted", grid, deg=10.0), 1.0)
+    probes = hd.default_probes(grid, times=3)
+    shuffled = list(np.random.default_rng(nt).permutation(probes)[5:]) + probes[:2]
+    for N in (R.op_start, R.op_end, _ripple_operator(grid), tilted):
+        for qs in (probes, shuffled):
+            G = hd._green_kernel_columns(N, qs)
+            assert np.array_equal(G(qs), _green_columns_per_probe(N, qs))
+
+
+def test_green_kernel_columns_march_one_source_per_probe_level(monkeypatch):
+    # an x-constant operator on the site path marches one column per probe
+    # level; an x-varying one, one per distinct probe
+    grid = make_grid(32, 16, 0.0, 0.5, 1.0)
+    widths = []
+    march = gh.HyperbolicOperator.march
+
+    def counted(self, f, *args, **kwargs):
+        widths.append(len(f))
+        return march(self, f, *args, **kwargs)
+
+    monkeypatch.setattr(gh.HyperbolicOperator, "march", counted)
+    probes = hd.default_probes(grid, times=3)
+    hd._green_kernel_columns(gh.wave_operator(geo.metric_preset("minkowski", grid), 1.0), probes)
+    hd._green_kernel_columns(_ripple_operator(grid), probes + probes[:4])
+    assert widths == [3, 3, len(probes), len(probes)]  # a retarded and an advanced march each
+
+
+def test_ccr_hypothesis_check_by_probe_level_equals_the_whole_block():
+    # the residual is formed one probe level at a time, so the sup is
+    # bitwise that of the whole block, and at four probe levels the peak
+    # stays under the probe block (measured 0.45x; the whole-block form
+    # peaked at 2.51x).  The ripple operator, which the kernel does not
+    # solve, takes the one-source-per-probe path through the same reduction
+    from test_greenhyp import _traced
+
+    grid = make_grid(64, 16, 0.0, 0.5, 1.0)
+    R = mo.compose_chain(hadamard_chain(grid))
+    nup = hd.PullbackKernel(hd.VacuumKernel(grid, 1.0), R)
+    for N in (R.op_end, _ripple_operator(grid)):
+        for probes in (hd.default_probes(grid, times=4), hd.default_probes(grid)[5:-6]):
+            cols = nup.columns(probes)
+            whole = 2.0 * cols.imag - _green_columns_per_probe(N, probes)
+            rep, peak, _ = _traced(lambda: hd.ccr_hypothesis_check(nup, N, probes))
+            assert rep["sup"] == float(np.max(np.abs(whole[:, 1:-1])))
+            if N is R.op_end and len(probes) == 4 * grid.nx:
+                assert peak < cols.nbytes, peak / cols.nbytes
